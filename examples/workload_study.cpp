@@ -14,8 +14,8 @@
 #include <iostream>
 #include <string>
 
-#include "calib/depth_sweep.hh"
 #include "common/table.hh"
+#include "sweep/depth_sweep.hh"
 
 int
 main(int argc, char **argv)

@@ -171,7 +171,8 @@ serializeSimResult(const SimResult &result)
     const std::vector<std::uint8_t> payload = payloadOf(result);
     std::vector<std::uint8_t> out;
     out.reserve(kHeaderSize + payload.size());
-    out.insert(out.end(), kMagic, kMagic + 4);
+    for (const char c : kMagic)
+        out.push_back(static_cast<std::uint8_t>(c));
     putU32(out, kFormatVersion);
     putU64(out, payload.size());
     putU64(out, fnv1a(payload.data(), payload.size()));

@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <thread>
 
@@ -61,45 +63,6 @@ SweepCounters::cellSecondsPercentile(double p) const
 
 namespace
 {
-
-/** Concurrent tallies of one engine call, folded into SweepCounters. */
-struct CellTallies
-{
-    std::atomic<std::uint64_t> computed{0};
-    std::atomic<std::uint64_t> hits{0};
-    std::atomic<std::uint64_t> stores{0};
-    std::atomic<std::uint64_t> errors{0};
-    std::atomic<std::uint64_t> traces{0};
-    std::atomic<std::uint64_t> instructions{0};
-    std::atomic<std::uint64_t> retried{0};
-    std::atomic<std::uint64_t> quarantined{0};
-    std::atomic<std::uint64_t> skipped{0};
-
-    std::mutex cell_seconds_mutex;
-    std::vector<double> cell_seconds; //!< computed cells only
-
-    /** Quarantined/skipped cells, with the owning spec index so
-     *  runGrid can distribute them to per-workload SweepResults. */
-    std::mutex failures_mutex;
-    std::vector<std::pair<std::size_t, FailureRecord>> failures;
-
-    void
-    recordCellSeconds(double seconds)
-    {
-        static Histogram &walltime = MetricsRegistry::instance().histogram(
-            "sweep.cell.walltime_us");
-        walltime.recordSeconds(seconds);
-        const std::lock_guard<std::mutex> lock(cell_seconds_mutex);
-        cell_seconds.push_back(seconds);
-    }
-
-    void
-    recordFailure(std::size_t spec, FailureRecord record)
-    {
-        const std::lock_guard<std::mutex> lock(failures_mutex);
-        failures.emplace_back(spec, std::move(record));
-    }
-};
 
 /** Outcome of one cell's attempt loop. */
 struct CellAttempt
@@ -182,35 +145,13 @@ holeResult(const std::string &workload, const PipelineConfig &config)
     return hole;
 }
 
-/**
- * Reporter of cell outcomes to the engine's attached manifest (null
- * manifest = no-op). Shared by runGrid and runConfigs workers.
- */
-class CellReporter
+double
+secondsSince(std::chrono::steady_clock::time_point start)
 {
-  public:
-    explicit CellReporter(RunManifest *manifest) : manifest_(manifest) {}
-
-    void
-    operator()(const std::string &workload, int depth,
-               ManifestCell::Outcome outcome, double seconds,
-               std::uint64_t instructions, unsigned attempts = 1) const
-    {
-        if (!manifest_)
-            return;
-        ManifestCell cell;
-        cell.workload = workload;
-        cell.depth = depth;
-        cell.outcome = outcome;
-        cell.seconds = seconds;
-        cell.instructions = instructions;
-        cell.attempts = attempts;
-        manifest_->recordCell(cell);
-    }
-
-  private:
-    RunManifest *manifest_;
-};
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
 
 class WallTimer
 {
@@ -221,58 +162,204 @@ class WallTimer
     {
     }
 
-    ~WallTimer()
-    {
-        const auto end = std::chrono::steady_clock::now();
-        *accumulator_ +=
-            std::chrono::duration<double>(end - start_).count();
-    }
+    ~WallTimer() { *accumulator_ += secondsSince(start_); }
 
   private:
     double *accumulator_;
     std::chrono::steady_clock::time_point start_;
 };
 
-void
-foldTallies(SweepCounters &c, CellTallies &t, std::uint64_t total)
-{
-    c.cells_total += total;
-    c.cells_computed += t.computed.load();
-    c.cache_hits += t.hits.load();
-    c.cache_stores += t.stores.load();
-    c.cache_errors += t.errors.load();
-    c.traces_generated += t.traces.load();
-    c.instructions_simulated += t.instructions.load();
-    c.cells_retried += t.retried.load();
-    c.cells_quarantined += t.quarantined.load();
-    c.cells_skipped += t.skipped.load();
-    c.cell_seconds.insert(c.cell_seconds.end(),
-                          t.cell_seconds.begin(),
-                          t.cell_seconds.end());
-
-    // Mirror into the process-wide registry: SweepCounters stays the
-    // per-engine view, the registry the cross-engine one that run
-    // manifests snapshot.
-    auto &registry = MetricsRegistry::instance();
-    static Counter &cells = registry.counter("sweep.cell.schedule");
-    static Counter &computed = registry.counter("sweep.cell.compute");
-    static Counter &cached = registry.counter("sweep.cell.cached");
-    static Counter &traces = registry.counter("sweep.trace.generate");
-    static Counter &instructions =
-        registry.counter("sweep.instructions.simulate");
-    static Counter &quarantined =
-        registry.counter("sweep.cell.quarantine");
-    static Counter &skipped = registry.counter("sweep.cell.skip");
-    cells.add(total);
-    computed.add(t.computed.load());
-    cached.add(t.hits.load());
-    traces.add(t.traces.load());
-    instructions.add(t.instructions.load());
-    quarantined.add(t.quarantined.load());
-    skipped.add(t.skipped.load());
-}
-
 } // namespace
+
+/**
+ * What runGrid and runConfigs hand the cell pipeline: the workloads
+ * and configs, and the three things that differ between a catalog
+ * grid and an explicit trace. Every workload runs every config: cell
+ * i is workload i / |configs| under config i % |configs|, so each
+ * workload's cells are contiguous.
+ */
+struct SweepEngine::CellPlan
+{
+    std::vector<std::string> names;      //!< one per workload
+    std::vector<PipelineConfig> configs; //!< run for every workload
+
+    /** Cache key of a cell: simCellKey or traceCellKey. */
+    std::function<CacheKey(std::size_t workload, const PipelineConfig &)>
+        key;
+    /** Replay buffer of a workload. Called at most once per workload,
+     *  and only on a cache miss. */
+    std::function<ReplayBuffer(std::size_t workload)> replay;
+    /** Hash the workload's part of a shard group key; the pipeline
+     *  appends the config of every cell in the group. */
+    std::function<void(StableHasher &, std::size_t workload)> group_prefix;
+    /** Traces @ref replay generated (SweepCounters::traces_generated). */
+    std::atomic<std::uint64_t> traces_generated{0};
+
+    std::size_t size() const { return names.size() * configs.size(); }
+    std::size_t workloadOf(std::size_t cell) const
+    {
+        return cell / configs.size();
+    }
+    const PipelineConfig &configOf(std::size_t cell) const
+    {
+        return configs[cell % configs.size()];
+    }
+};
+
+/**
+ * The one record of cell outcomes. Every resolved cell makes exactly
+ * one record() call. The manifest cell, the checkpoint journal, the
+ * walltime histogram, sweep.cell.fail and the cross-shard quarantine
+ * record are written as the call happens; fold() derives the
+ * SweepCounters, their registry mirror and both failure lists from
+ * the kept entries, in cell order. An engine call that throws
+ * (fail_fast) never folds, so its counters stay untouched.
+ */
+class SweepEngine::CellRecorder
+{
+  public:
+    enum class Outcome
+    {
+        Skipped,     //!< unstarted at an interrupt drain
+        Cached,      //!< served from the result cache
+        Adopted,     //!< another shard's quarantined hole
+        Computed,    //!< walked this run
+        Quarantined, //!< exhausted its retries here
+        Failed,      //!< threw under fail_fast
+    };
+
+    struct Entry
+    {
+        Outcome outcome = Outcome::Skipped;
+        unsigned attempts = 1;
+        double seconds = 0.0;
+        std::uint64_t instructions = 0;
+        bool stored = false;  //!< written to the result cache
+        unsigned corrupt = 0; //!< corrupt entries met while probing
+        std::optional<FailureRecord> failure = {}; //!< holes only
+    };
+
+    CellRecorder(SweepEngine &engine, const CellPlan &plan)
+        : engine_(engine), plan_(plan), entries_(plan.size())
+    {
+    }
+
+    void
+    record(std::size_t cell, Entry entry)
+    {
+        static Counter &failures =
+            MetricsRegistry::instance().counter("sweep.cell.fail");
+        static Histogram &walltime =
+            MetricsRegistry::instance().histogram("sweep.cell.walltime_us");
+
+        // Each cell is recorded once, by the one worker resolving it.
+        const Entry &e = entries_[cell] = std::move(entry);
+        ManifestCell::Outcome reported = ManifestCell::Outcome::Computed;
+        switch (e.outcome) {
+          case Outcome::Skipped:
+            // Neither reported nor done: a resume recomputes it.
+            return;
+          case Outcome::Cached:
+            reported = ManifestCell::Outcome::Cached;
+            break;
+          case Outcome::Adopted:
+            reported = ManifestCell::Outcome::Quarantined;
+            break;
+          case Outcome::Computed:
+            walltime.recordSeconds(e.seconds);
+            break;
+          case Outcome::Quarantined:
+            failures.add();
+            if (engine_.shard_coordinator_)
+                engine_.shard_coordinator_->recordQuarantine(*e.failure);
+            reported = ManifestCell::Outcome::Quarantined;
+            break;
+          case Outcome::Failed:
+            failures.add();
+            reported = ManifestCell::Outcome::Failed;
+            break;
+        }
+        if (engine_.manifest_) {
+            engine_.manifest_->recordCell(
+                {plan_.names[plan_.workloadOf(cell)],
+                 plan_.configOf(cell).depth, reported, e.seconds,
+                 e.instructions, e.attempts});
+        }
+        if (e.outcome != Outcome::Failed) {
+            const std::lock_guard<std::mutex> lock(engine_.checkpoint_mutex_);
+            if (!engine_.checkpoint_path_.empty()) {
+                ++engine_.checkpoint_.cells_done;
+                writeCheckpoint(engine_.checkpoint_path_, engine_.checkpoint_);
+            }
+        }
+    }
+
+    void
+    fold(std::vector<std::vector<FailureRecord>> *failures)
+    {
+        SweepCounters &c = engine_.counters_;
+        std::uint64_t computed = 0, cached = 0, quarantined = 0,
+                      skipped = 0, instructions = 0;
+        engine_.last_failures_.clear();
+        if (failures)
+            failures->assign(plan_.names.size(), {});
+        for (std::size_t i = 0; i < entries_.size(); ++i) {
+            const Entry &e = entries_[i];
+            c.cache_errors += e.corrupt;
+            switch (e.outcome) {
+              case Outcome::Skipped:
+                ++skipped;
+                break;
+              case Outcome::Cached:
+                ++cached;
+                break;
+              case Outcome::Adopted:
+              case Outcome::Quarantined:
+                ++quarantined;
+                break;
+              case Outcome::Computed:
+                ++computed;
+                instructions += e.instructions;
+                c.cache_stores += e.stored ? 1 : 0;
+                c.cells_retried += e.attempts > 1 ? 1 : 0;
+                c.cell_seconds.push_back(e.seconds);
+                break;
+              case Outcome::Failed:
+                break;
+            }
+            if (e.failure) {
+                engine_.last_failures_.push_back(*e.failure);
+                if (failures)
+                    (*failures)[plan_.workloadOf(i)].push_back(*e.failure);
+            }
+        }
+        const std::uint64_t traces = plan_.traces_generated.load();
+        c.cells_total += entries_.size();
+        c.cells_computed += computed;
+        c.cache_hits += cached;
+        c.traces_generated += traces;
+        c.instructions_simulated += instructions;
+        c.cells_quarantined += quarantined;
+        c.cells_skipped += skipped;
+
+        // Mirror into the process-wide registry: SweepCounters stays
+        // the per-engine view, the registry the cross-engine one that
+        // run manifests snapshot.
+        auto &registry = MetricsRegistry::instance();
+        registry.counter("sweep.cell.schedule").add(entries_.size());
+        registry.counter("sweep.cell.compute").add(computed);
+        registry.counter("sweep.cell.cached").add(cached);
+        registry.counter("sweep.trace.generate").add(traces);
+        registry.counter("sweep.instructions.simulate").add(instructions);
+        registry.counter("sweep.cell.quarantine").add(quarantined);
+        registry.counter("sweep.cell.skip").add(skipped);
+    }
+
+  private:
+    SweepEngine &engine_;
+    const CellPlan &plan_;
+    std::vector<Entry> entries_; //!< one per plan cell
+};
 
 SweepEngine::SweepEngine(const SweepEngineOptions &options)
     : options_(options),
@@ -300,6 +387,406 @@ SweepEngine::SweepEngine(const SweepEngineOptions &options)
                 std::make_unique<ShardCoordinator>(shard_options);
         }
     }
+}
+
+std::vector<SimResult>
+SweepEngine::resolveCells(const CellPlan &plan,
+                          std::vector<std::vector<FailureRecord>> *failures)
+{
+    using Outcome = CellRecorder::Outcome;
+
+    {
+        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
+        if (!checkpoint_path_.empty()) {
+            checkpoint_.cells_total += plan.size();
+            writeCheckpoint(checkpoint_path_, checkpoint_);
+        }
+    }
+    CellRecorder recorder(*this, plan);
+
+    // One lazily prepared replay buffer + annotation set per workload:
+    // its cells share them, and a workload whose cells all hit the
+    // cache never builds them (a catalog workload never even generates
+    // its trace). Every depth replays the flat buffer against the
+    // precomputed microarchitectural outcomes (depth-invariant; see
+    // uarch/replay_annotations.hh), annotated under the config of the
+    // first cell that needs them.
+    struct Replay
+    {
+        std::once_flag once;
+        ReplayBuffer buffer;
+        ReplayAnnotations annotations;
+    };
+    std::vector<Replay> replays(plan.names.size());
+    auto replayFor = [&](std::size_t w,
+                         const PipelineConfig &config) -> const Replay & {
+        Replay &r = replays[w];
+        std::call_once(r.once, [&]() {
+            TELEM_SPAN(prepare_span, "sweep.trace.prepare");
+            prepare_span.tag("workload", plan.names[w]);
+            r.buffer = plan.replay(w);
+            r.annotations = annotateReplay(r.buffer, config);
+        });
+        return r;
+    };
+
+    /** What a cell carries from its probes to its resolution. */
+    struct Pending
+    {
+        CacheKey key;         //!< set by the probe when caching is on
+        unsigned corrupt = 0; //!< corrupt entries met so far
+    };
+
+    // Resolve cell @p i without a walk when it can be: an interrupt
+    // hole, a cache hit, or a hole another shard already quarantined.
+    auto probe = [&](std::size_t i, SimResult &out, Pending &p) -> bool {
+        const PipelineConfig &config = plan.configOf(i);
+        const std::string &name = plan.names[plan.workloadOf(i)];
+        const int depth = config.depth;
+
+        // Graceful drain (SIGINT/SIGTERM): cells not yet started
+        // resolve to holes immediately; in-flight cells finish, so
+        // everything already paid for lands in the cache.
+        if (interruptRequested()) {
+            recorder.record(
+                i, {.outcome = Outcome::Skipped,
+                    .corrupt = p.corrupt,
+                    .failure = FailureRecord{name, depth,
+                                             "skipped: interrupt drain",
+                                             "", 0}});
+            out = holeResult(name, config);
+            return true;
+        }
+
+        if (cache_.enabled()) {
+            p.key = plan.key(plan.workloadOf(i), config);
+            bool corrupt = false;
+            if (auto hit = cache_.load(p.key, &corrupt)) {
+                TELEM_SPAN(span, "sweep.cell");
+                span.tag("workload", name);
+                span.tag("depth", depth);
+                span.tag("outcome", "cached");
+                hit->workload = name;
+                hit->config = config;
+                recorder.record(i, {.outcome = Outcome::Cached,
+                                    .instructions = hit->instructions,
+                                    .corrupt = p.corrupt});
+                out = std::move(*hit);
+                return true;
+            }
+            p.corrupt += corrupt ? 1 : 0;
+        }
+
+        // Another shard already exhausted this cell's retries: adopt
+        // its hole (same cause, same attempt count) instead of
+        // re-running a known-failing cell (docs/SHARDING.md).
+        if (shard_coordinator_) {
+            FailureRecord record;
+            if (shard_coordinator_->lookupQuarantine(name, depth, &record)) {
+                TELEM_SPAN(span, "sweep.cell");
+                span.tag("workload", name);
+                span.tag("depth", depth);
+                span.tag("outcome", "quarantined");
+                recorder.record(i, {.outcome = Outcome::Adopted,
+                                    .attempts = record.attempts,
+                                    .corrupt = p.corrupt,
+                                    .failure = std::move(record)});
+                out = holeResult(name, config);
+                return true;
+            }
+        }
+        return false;
+    };
+
+    // The 1-lane walk: one cell under retries and quarantine. Takes
+    // every miss the fused walk does not and every cell of a fused
+    // walk that threw.
+    auto walkOne = [&](std::size_t i, const Pending &p) -> SimResult {
+        const std::size_t w = plan.workloadOf(i);
+        const PipelineConfig &config = plan.configOf(i);
+        const std::string &name = plan.names[w];
+
+        TELEM_SPAN(span, "sweep.cell");
+        span.tag("workload", name);
+        span.tag("depth", config.depth);
+        const auto start = std::chrono::steady_clock::now();
+
+        CellAttempt attempt;
+        try {
+            attempt = runWithRetries(
+                [&]() -> SimResult {
+                    // The retried region: trace preparation and the
+                    // simulation itself, plus the injected per-cell
+                    // fault. call_once leaves the flag unset when the
+                    // preparation throws, so a retry re-prepares.
+                    PP_FAILPOINT("sweep.cell.simulate");
+                    const Replay &r = replayFor(w, config);
+                    // The annotations serve every config that shares
+                    // the microarchitectural key of the one they were
+                    // built for (a grid varies only depth). The
+                    // fallback keeps explicit config lists that mix
+                    // shapes correct rather than fast.
+                    return r.annotations.matches(config, r.buffer.size())
+                               ? simulate(r.buffer, r.annotations, config)
+                               : simulate(r.buffer, config);
+                },
+                options_);
+        } catch (...) {
+            // fail_fast: record and let parallelMap propagate.
+            span.tag("outcome", "failed");
+            recorder.record(i, {.outcome = Outcome::Failed,
+                                .seconds = secondsSince(start)});
+            throw;
+        }
+
+        const double seconds = secondsSince(start);
+        if (!attempt.ok) {
+            span.tag("outcome", "quarantined");
+            recorder.record(
+                i, {.outcome = Outcome::Quarantined,
+                    .attempts = attempt.attempts,
+                    .seconds = seconds,
+                    .corrupt = p.corrupt,
+                    .failure = FailureRecord{name, config.depth,
+                                             attempt.cause,
+                                             attempt.failpoint,
+                                             attempt.attempts}});
+            return holeResult(name, config);
+        }
+        span.tag("outcome", "computed");
+        const bool stored =
+            cache_.enabled() && cache_.store(p.key, attempt.result);
+        recorder.record(i, {.outcome = Outcome::Computed,
+                            .attempts = attempt.attempts,
+                            .seconds = seconds,
+                            .instructions = attempt.result.instructions,
+                            .stored = stored,
+                            .corrupt = p.corrupt});
+        return std::move(attempt.result);
+    };
+
+    // The fused walk (uarch/multi_depth_walk.hh): one pass over the
+    // replay for the cells @p missing of the group starting at
+    // @p begin. It needs two or more cells that share a machine shape
+    // (canFuseConfigs) and the workload's annotations. Returns no
+    // results when the cells must take the 1-lane walk instead:
+    //  - with failpoints armed, where the fault-injection contracts
+    //    (per-cell attempt counts, partial failures) are defined;
+    //  - when the walk throws — a failed fused walk is not a failed
+    //    cell, so each cell gets its own attempts.
+    auto walkFused = [&](std::size_t begin,
+                         const std::vector<std::size_t> &missing,
+                         double &seconds) -> std::vector<SimResult> {
+        if (missing.size() < 2 || failpoints::anyActive())
+            return {};
+        std::vector<PipelineConfig> lanes;
+        lanes.reserve(missing.size());
+        for (std::size_t i : missing)
+            lanes.push_back(plan.configOf(begin + i));
+        if (!canFuseConfigs(lanes))
+            return {};
+        const std::size_t w = plan.workloadOf(begin);
+        try {
+            const Replay &r = replayFor(w, lanes.front());
+            for (const PipelineConfig &config : lanes) {
+                if (!r.annotations.matches(config, r.buffer.size()))
+                    return {};
+            }
+            TELEM_SPAN(span, "sweep.cell.fused");
+            span.tag("workload", plan.names[w]);
+            span.tag("cells", static_cast<std::uint64_t>(lanes.size()));
+            const auto start = std::chrono::steady_clock::now();
+            std::vector<SimResult> results =
+                simulateMultiDepth(r.buffer, r.annotations, lanes);
+            seconds = secondsSince(start);
+            return results;
+        } catch (...) {
+            return {};
+        }
+    };
+
+    // Cell groups: contiguous runs of one workload's cells, scheduled
+    // as units so that each group's cache misses can share one fused
+    // walk instead of one pass over the replay buffer per cell.
+    // Grouping is purely a scheduling choice: fused results are
+    // byte-identical to 1-lane results, so neither thread count nor
+    // group shape can leak into measurements, and the cache key is
+    // unchanged.
+    struct Group
+    {
+        std::size_t begin; //!< first cell
+        std::size_t end;   //!< one past the last
+        bool foreign = false; //!< outside this shard's partition
+    };
+    // One group per workload when there are enough workloads to fill
+    // the pool; otherwise split each workload's cells so work stealing
+    // still balances the tail — but never below 4 cells, since fusion
+    // amortizes the streaming cost across the group. Under sharding
+    // the split is derived from the shard count, NOT the thread pool:
+    // every worker process must form the identical groups or the
+    // lease keys would not line up.
+    const std::size_t target_groups =
+        3 * (shard_coordinator_
+                 ? static_cast<std::size_t>(shard_coordinator_->shards()) * 2
+                 : static_cast<std::size_t>(parallelWorkerCount(
+                       options_.threads, plan.size(), 1)));
+    const std::size_t n_workloads = plan.names.size();
+    const std::size_t n_configs = plan.configs.size();
+    const std::size_t splits =
+        n_workloads > 0 && n_workloads < target_groups
+            ? (target_groups + n_workloads - 1) / n_workloads
+            : 1;
+    const std::size_t span =
+        std::max<std::size_t>(4, (n_configs + splits - 1) / splits);
+    std::vector<Group> groups;
+    for (std::size_t w = 0; w < n_workloads; ++w) {
+        for (std::size_t b = 0; b < n_configs; b += span) {
+            groups.push_back(Group{w * n_configs + b,
+                                   w * n_configs +
+                                       std::min(n_configs, b + span)});
+        }
+    }
+    if (shard_coordinator_) {
+        // Round-robin partition by canonical group index. Own groups
+        // run first; foreign ones follow as work stealing — visited
+        // only once a worker's own partition has drained, and
+        // resolved from the cache when their live owner finishes
+        // first. Reordering is safe: results map back through
+        // Group::begin, not group order.
+        for (std::size_t g = 0; g < groups.size(); ++g)
+            groups[g].foreign = !shard_coordinator_->mine(g);
+        std::stable_partition(groups.begin(), groups.end(),
+                              [](const Group &g) { return !g.foreign; });
+    }
+
+    auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
+        const std::size_t count = group.end - group.begin;
+        std::vector<SimResult> out(count);
+        std::vector<Pending> pending(count);
+        std::vector<char> resolved(count, 0);
+
+        // Probe every still-unresolved cell and return the indices
+        // left over. The resolved flags make re-probes — the shard
+        // wait loop probes after every poll round — record each cell
+        // exactly once.
+        auto probeMissing = [&]() {
+            std::vector<std::size_t> missing;
+            for (std::size_t i = 0; i < count; ++i) {
+                if (resolved[i])
+                    continue;
+                if (probe(group.begin + i, out[i], pending[i]))
+                    resolved[i] = 1;
+                else
+                    missing.push_back(i);
+            }
+            return missing;
+        };
+
+        auto walkMissing = [&](const std::vector<std::size_t> &missing) {
+            double seconds = 0.0;
+            std::vector<SimResult> fused =
+                walkFused(group.begin, missing, seconds);
+            for (std::size_t m = 0; m < missing.size(); ++m) {
+                const std::size_t i = missing[m];
+                if (fused.empty()) {
+                    out[i] = walkOne(group.begin + i, pending[i]);
+                } else {
+                    // The walk's wall time is genuinely joint;
+                    // attribute an equal share to each cell so the
+                    // per-cell latency distribution stays comparable
+                    // across walks.
+                    const bool stored =
+                        cache_.enabled() &&
+                        cache_.store(pending[i].key, fused[m]);
+                    recorder.record(
+                        group.begin + i,
+                        {.outcome = Outcome::Computed,
+                         .seconds = seconds /
+                                    static_cast<double>(missing.size()),
+                         .instructions = fused[m].instructions,
+                         .stored = stored,
+                         .corrupt = pending[i].corrupt});
+                    out[i] = std::move(fused[m]);
+                }
+                resolved[i] = 1;
+            }
+        };
+
+        std::vector<std::size_t> missing = probeMissing();
+        if (missing.empty())
+            return out;
+        if (!shard_coordinator_) {
+            walkMissing(missing);
+            return out;
+        }
+
+        // Sharded: claim the group before computing. The key hashes
+        // the group's *content* (the plan's workload prefix, then
+        // every cell config), so it is identical in every worker
+        // process and across coordinator restarts — group order and
+        // thread count cannot leak in.
+        StableHasher group_hasher;
+        plan.group_prefix(group_hasher, plan.workloadOf(group.begin));
+        for (std::size_t i = group.begin; i < group.end; ++i)
+            hashPipelineConfig(group_hasher, plan.configOf(i));
+        const std::string group_key = group_hasher.key().hex();
+
+        while (true) {
+            switch (shard_coordinator_->tryClaim(group_key,
+                                                 group.foreign)) {
+            case ShardCoordinator::Claim::Acquired:
+                // A dead predecessor may have cached a prefix of the
+                // group before crashing: re-probe so only the genuine
+                // remainder is simulated.
+                missing = probeMissing();
+                if (!missing.empty()) {
+                    try {
+                        walkMissing(missing);
+                    } catch (...) {
+                        // fail_fast path: free the lease so a retry
+                        // (or another shard) can claim the group.
+                        shard_coordinator_->release(group_key);
+                        throw;
+                    }
+                }
+                shard_coordinator_->markDone(group_key);
+                return out;
+            case ShardCoordinator::Claim::Done:
+                // Every cell is in the cache or quarantined. Anything
+                // still missing after the probe (a cache eviction
+                // between the owner's store and our load) is computed
+                // locally — correctness over economy.
+                missing = probeMissing();
+                if (!missing.empty())
+                    walkMissing(missing);
+                return out;
+            case ShardCoordinator::Claim::Uncoordinated:
+                walkMissing(missing);
+                return out;
+            case ShardCoordinator::Claim::Busy:
+                // A live worker owns the group and streams results
+                // into the shared cache as it goes; pick up whatever
+                // landed, then poll again. If the owner dies, the next
+                // tryClaim round performs the takeover.
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    shard_coordinator_->pollMs()));
+                missing = probeMissing();
+                if (missing.empty())
+                    return out;
+                break;
+            }
+        }
+    };
+
+    std::vector<std::vector<SimResult>> grouped =
+        parallelMap(groups, runGroup, options_.threads);
+    std::vector<SimResult> results(plan.size());
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+        for (std::size_t i = 0; i < grouped[g].size(); ++i)
+            results[groups[g].begin + i] = std::move(grouped[g][i]);
+    }
+    recorder.fold(failures);
+    return results;
 }
 
 std::vector<SweepResult>
@@ -332,473 +819,27 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
                               {"trace_ids", telemetry->trace_ids}});
         }
     }
-    const CellReporter reportCell(manifest_);
 
-    // One lazily prepared replay buffer + annotation set per
-    // workload: cells share them, and a fully cached workload never
-    // generates its trace at all. The intermediate Trace is dropped
-    // as soon as the buffer is built; every depth of the workload
-    // replays the flat buffer against the precomputed
-    // microarchitectural outcomes (depth-invariant; see
-    // uarch/replay_annotations.hh).
-    struct SpecReplay
-    {
-        std::once_flag once;
-        ReplayBuffer replay;
-        ReplayAnnotations annotations;
+    CellPlan plan;
+    for (const WorkloadSpec &spec : specs)
+        plan.names.push_back(spec.name);
+    for (int p = options.min_depth; p <= options.max_depth; ++p)
+        plan.configs.push_back(options.configAtDepth(p));
+    plan.key = [&](std::size_t s, const PipelineConfig &config) {
+        return simCellKey(specs[s], options.trace_length, config);
     };
-    std::vector<std::unique_ptr<SpecReplay>> replays;
-    replays.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        replays.push_back(std::make_unique<SpecReplay>());
-
-    struct Cell
-    {
-        std::size_t spec;
-        int depth;
+    // The intermediate Trace is dropped as soon as the buffer is built.
+    plan.replay = [&](std::size_t s) {
+        plan.traces_generated.fetch_add(1);
+        return prepareReplay(specs[s].makeTrace(options.trace_length));
     };
-    std::vector<Cell> cells;
-    cells.reserve(specs.size() * n_depths);
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (int p = options.min_depth; p <= options.max_depth; ++p)
-            cells.push_back(Cell{s, p});
-    }
-
-    {
-        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-        if (!checkpoint_path_.empty()) {
-            checkpoint_.cells_total += cells.size();
-            writeCheckpoint(checkpoint_path_, checkpoint_);
-        }
-    }
-
-    CellTallies tallies;
-
-    // Cache/skip resolution of one cell. Returns true when the cell
-    // resolved without simulation (interrupt hole or cache hit),
-    // writing the result to @p out; otherwise the cell is left for a
-    // compute path and @p key carries its cache key (when caching is
-    // on).
-    auto probeCell = [&](const Cell &cell, SimResult &out,
-                         CacheKey &key) -> bool {
-        const WorkloadSpec &spec = specs[cell.spec];
-        const PipelineConfig config = options.configAtDepth(cell.depth);
-
-        // Graceful drain (SIGINT/SIGTERM): cells not yet started
-        // resolve to holes immediately; in-flight cells finish, so
-        // everything already paid for lands in the cache.
-        if (interruptRequested()) {
-            tallies.skipped.fetch_add(1);
-            tallies.recordFailure(
-                cell.spec, FailureRecord{spec.name, cell.depth,
-                                         "skipped: interrupt drain", "",
-                                         0});
-            out = holeResult(spec.name, config);
-            return true;
-        }
-
-        if (cache_.enabled()) {
-            key = simCellKey(spec, options.trace_length, config);
-            bool corrupt = false;
-            if (auto hit = cache_.load(key, &corrupt)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", spec.name);
-                span.tag("depth", cell.depth);
-                span.tag("outcome", "cached");
-                tallies.hits.fetch_add(1);
-                hit->workload = spec.name;
-                hit->config = config;
-                reportCell(spec.name, cell.depth,
-                           ManifestCell::Outcome::Cached, 0.0,
-                           hit->instructions);
-                noteCellResolved();
-                out = std::move(*hit);
-                return true;
-            }
-            if (corrupt)
-                tallies.errors.fetch_add(1);
-        }
-
-        // Another shard already exhausted this cell's retries: adopt
-        // its hole (same cause, same attempt count) instead of
-        // re-running a known-failing cell (docs/SHARDING.md).
-        if (shard_coordinator_) {
-            FailureRecord record;
-            if (shard_coordinator_->lookupQuarantine(
-                    spec.name, cell.depth, &record)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", spec.name);
-                span.tag("depth", cell.depth);
-                span.tag("outcome", "quarantined");
-                tallies.quarantined.fetch_add(1);
-                reportCell(spec.name, cell.depth,
-                           ManifestCell::Outcome::Quarantined, 0.0, 0,
-                           record.attempts);
-                tallies.recordFailure(cell.spec, std::move(record));
-                noteCellResolved();
-                out = holeResult(spec.name, config);
-                return true;
-            }
-        }
-        return false;
+    plan.group_prefix = [&](StableHasher &h, std::size_t s) {
+        h.str("grid");
+        hashWorkloadSpec(h, specs[s]);
+        h.u64(options.trace_length);
     };
-
-    // Per-cell reference path: retries, quarantine and bookkeeping,
-    // one walk per cell. Runs every cache miss the fused path does
-    // not take (failpoints armed, unfusable shapes, lone cells) and
-    // every cell of a group whose fused walk failed.
-    auto computeCell = [&](const Cell &cell,
-                           const CacheKey &key) -> SimResult {
-        const WorkloadSpec &spec = specs[cell.spec];
-        const PipelineConfig config = options.configAtDepth(cell.depth);
-
-        TELEM_SPAN(span, "sweep.cell");
-        span.tag("workload", spec.name);
-        span.tag("depth", cell.depth);
-
-        SpecReplay &sr = *replays[cell.spec];
-        const auto cell_start = std::chrono::steady_clock::now();
-        auto secondsSinceStart = [&cell_start]() {
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - cell_start)
-                .count();
-        };
-
-        static Counter &failures =
-            MetricsRegistry::instance().counter("sweep.cell.fail");
-        CellAttempt attempt;
-        try {
-            attempt = runWithRetries(
-                [&]() -> SimResult {
-                    // The retried region: trace preparation and the
-                    // simulation itself, plus the injected per-cell
-                    // fault. call_once leaves the flag unset when the
-                    // preparation throws, so a retry re-prepares.
-                    PP_FAILPOINT("sweep.cell.simulate");
-                    std::call_once(sr.once, [&]() {
-                        TELEM_SPAN(prepare_span, "sweep.trace.prepare");
-                        prepare_span.tag("workload", spec.name);
-                        sr.replay = prepareReplay(
-                            spec.makeTrace(options.trace_length));
-                        sr.annotations = annotateReplay(sr.replay, config);
-                        tallies.traces.fetch_add(1);
-                    });
-                    // The annotations were built under one cell's
-                    // config; every grid cell shares the
-                    // microarchitectural key (only depth varies), so
-                    // this hits the fast path. The fallback keeps
-                    // exotic option sets correct rather than fast.
-                    return sr.annotations.matches(config,
-                                                  sr.replay.size())
-                               ? simulate(sr.replay, sr.annotations,
-                                          config)
-                               : simulate(sr.replay, config);
-                },
-                options_);
-        } catch (...) {
-            // fail_fast: report and let parallelMap propagate.
-            failures.add();
-            span.tag("outcome", "failed");
-            reportCell(spec.name, cell.depth,
-                       ManifestCell::Outcome::Failed, secondsSinceStart(),
-                       0);
-            throw;
-        }
-
-        if (!attempt.ok) {
-            failures.add();
-            tallies.quarantined.fetch_add(1);
-            span.tag("outcome", "quarantined");
-            const FailureRecord record{spec.name, cell.depth,
-                                       attempt.cause, attempt.failpoint,
-                                       attempt.attempts};
-            if (shard_coordinator_)
-                shard_coordinator_->recordQuarantine(record);
-            tallies.recordFailure(cell.spec, record);
-            reportCell(spec.name, cell.depth,
-                       ManifestCell::Outcome::Quarantined,
-                       secondsSinceStart(), 0, attempt.attempts);
-            noteCellResolved();
-            return holeResult(spec.name, config);
-        }
-
-        SimResult result = std::move(attempt.result);
-        const double cell_seconds = secondsSinceStart();
-        span.tag("outcome", "computed");
-        if (attempt.attempts > 1)
-            tallies.retried.fetch_add(1);
-        tallies.recordCellSeconds(cell_seconds);
-        tallies.computed.fetch_add(1);
-        tallies.instructions.fetch_add(result.instructions);
-        reportCell(spec.name, cell.depth, ManifestCell::Outcome::Computed,
-                   cell_seconds, result.instructions, attempt.attempts);
-        if (cache_.enabled() && cache_.store(key, result))
-            tallies.stores.fetch_add(1);
-        noteCellResolved();
-        return result;
-    };
-
-    // Cell groups: contiguous depth sub-ranges of one workload,
-    // scheduled as units so that each group's cache misses can run as
-    // ONE fused multi-depth walk (uarch/multi_depth_walk.hh) instead
-    // of |missing| separate passes over the replay buffer. Grouping
-    // is purely a scheduling choice: fused results are byte-identical
-    // to per-cell results, so neither thread count nor group shape
-    // can leak into measurements, and the cache key is unchanged.
-    struct Group
-    {
-        std::size_t spec;
-        std::size_t begin; //!< first index into cells
-        std::size_t end;   //!< one past the last
-        bool foreign = false; //!< outside this shard's partition
-    };
-    const unsigned workers =
-        parallelWorkerCount(options_.threads, cells.size(), 1);
-    // One group per workload when the grid has enough workloads to
-    // fill the pool; otherwise split each depth range so work
-    // stealing still balances the tail — but never below 4 cells,
-    // since fusion amortizes the streaming cost across the group.
-    // Under sharding the split is derived from the shard count, NOT
-    // the thread pool: every worker process must form the identical
-    // groups or the lease keys would not line up.
-    const std::size_t schedule_width =
-        shard_coordinator_
-            ? static_cast<std::size_t>(shard_coordinator_->shards()) * 2
-            : static_cast<std::size_t>(workers);
-    std::size_t groups_per_spec = 1;
-    if (specs.size() < schedule_width * 3) {
-        groups_per_spec =
-            (schedule_width * 3 + specs.size() - 1) / specs.size();
-    }
-    const std::size_t group_span = std::max<std::size_t>(
-        4, (n_depths + groups_per_spec - 1) / groups_per_spec);
-    std::vector<Group> groups;
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-        for (std::size_t b = 0; b < n_depths; b += group_span) {
-            groups.push_back(
-                Group{s, s * n_depths + b,
-                      s * n_depths + std::min(n_depths, b + group_span),
-                      false});
-        }
-    }
-    if (shard_coordinator_) {
-        // Round-robin partition by canonical group index. Own groups
-        // run first; foreign ones follow as work stealing — visited
-        // only once a worker's own partition has drained, and
-        // resolved from the cache when their live owner finishes
-        // first. Reordering is safe: results map back through
-        // Group::begin, not group order.
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            groups[g].foreign = !shard_coordinator_->mine(g);
-        std::stable_partition(groups.begin(), groups.end(),
-                              [](const Group &g) { return !g.foreign; });
-    }
-
-    const bool fuse = options_.fused_walk && fusedWalkEnabled();
-    auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
-        const std::size_t count = group.end - group.begin;
-        std::vector<SimResult> out(count);
-        std::vector<CacheKey> keys(count);
-        std::vector<char> resolved(count, 0);
-
-        // Probe every still-unresolved cell (interrupt holes, cache,
-        // cross-shard quarantine records) and return the indices left
-        // over. The resolved flags make re-probes — the shard wait
-        // loop probes after every poll round — report each cell to
-        // the manifest and checkpoint exactly once.
-        auto probeMissing = [&]() {
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < count; ++i) {
-                if (resolved[i])
-                    continue;
-                if (probeCell(cells[group.begin + i], out[i], keys[i]))
-                    resolved[i] = 1;
-                else
-                    missing.push_back(i);
-            }
-            return missing;
-        };
-
-        // Simulate @p missing: one fused multi-depth walk when the
-        // shapes allow, the per-cell retry/quarantine path otherwise.
-        auto computeMissing = [&](const std::vector<std::size_t>
-                                      &missing) {
-            // Fused fast path. Never entered with failpoints armed:
-            // the fault-injection contracts (per-cell attempt counts,
-            // partial failures) are defined against the per-cell path.
-            if (fuse && missing.size() > 1 && !failpoints::anyActive()) {
-                const WorkloadSpec &spec = specs[group.spec];
-                std::vector<PipelineConfig> fused_configs;
-                fused_configs.reserve(missing.size());
-                for (std::size_t i : missing) {
-                    fused_configs.push_back(options.configAtDepth(
-                        cells[group.begin + i].depth));
-                }
-                if (canFuseConfigs(fused_configs)) {
-                    try {
-                        SpecReplay &sr = *replays[group.spec];
-                        std::call_once(sr.once, [&]() {
-                            TELEM_SPAN(prepare_span,
-                                       "sweep.trace.prepare");
-                            prepare_span.tag("workload", spec.name);
-                            sr.replay = prepareReplay(
-                                spec.makeTrace(options.trace_length));
-                            sr.annotations = annotateReplay(
-                                sr.replay, fused_configs.front());
-                            tallies.traces.fetch_add(1);
-                        });
-                        bool all_match = true;
-                        for (const PipelineConfig &config :
-                             fused_configs) {
-                            if (!sr.annotations.matches(
-                                    config, sr.replay.size())) {
-                                all_match = false;
-                                break;
-                            }
-                        }
-                        if (all_match) {
-                            TELEM_SPAN(span, "sweep.cell.fused");
-                            span.tag("workload", spec.name);
-                            span.tag("cells", static_cast<std::uint64_t>(
-                                                  missing.size()));
-                            const auto start =
-                                std::chrono::steady_clock::now();
-                            std::vector<SimResult> fused_results =
-                                simulateMultiDepth(sr.replay,
-                                                   sr.annotations,
-                                                   fused_configs);
-                            // The walk's wall time is genuinely joint;
-                            // attribute an equal share to each cell so
-                            // the per-cell latency distribution stays
-                            // comparable across paths.
-                            const double per_cell =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    start)
-                                    .count() /
-                                static_cast<double>(missing.size());
-                            for (std::size_t m = 0; m < missing.size();
-                                 ++m) {
-                                const std::size_t i = missing[m];
-                                const Cell &cell = cells[group.begin + i];
-                                SimResult &result = fused_results[m];
-                                tallies.recordCellSeconds(per_cell);
-                                tallies.computed.fetch_add(1);
-                                tallies.instructions.fetch_add(
-                                    result.instructions);
-                                reportCell(
-                                    spec.name, cell.depth,
-                                    ManifestCell::Outcome::Computed,
-                                    per_cell, result.instructions);
-                                if (cache_.enabled() &&
-                                    cache_.store(keys[i], result)) {
-                                    tallies.stores.fetch_add(1);
-                                }
-                                noteCellResolved();
-                                out[i] = std::move(result);
-                                resolved[i] = 1;
-                            }
-                            return;
-                        }
-                    } catch (...) {
-                        // A failed fused walk is not a failed cell:
-                        // fall through and give every cell its own
-                        // per-cell attempts, with full retry/quarantine
-                        // semantics.
-                    }
-                }
-            }
-
-            for (std::size_t i : missing) {
-                out[i] = computeCell(cells[group.begin + i], keys[i]);
-                resolved[i] = 1;
-            }
-        };
-
-        std::vector<std::size_t> missing = probeMissing();
-        if (missing.empty())
-            return out;
-        if (!shard_coordinator_) {
-            computeMissing(missing);
-            return out;
-        }
-
-        // Sharded: claim the group before computing. The key hashes
-        // the group's *content* (workload, trace length, every cell
-        // config), so it is identical in every worker process and
-        // across coordinator restarts — group order and thread count
-        // cannot leak in.
-        StableHasher group_hasher;
-        group_hasher.str("grid");
-        hashWorkloadSpec(group_hasher, specs[group.spec]);
-        group_hasher.u64(options.trace_length);
-        for (std::size_t i = 0; i < count; ++i) {
-            hashPipelineConfig(
-                group_hasher,
-                options.configAtDepth(cells[group.begin + i].depth));
-        }
-        const std::string group_key = group_hasher.key().hex();
-
-        while (true) {
-            switch (shard_coordinator_->tryClaim(group_key,
-                                                 group.foreign)) {
-            case ShardCoordinator::Claim::Acquired:
-                // A dead predecessor may have cached a prefix of the
-                // group before crashing: re-probe so only the genuine
-                // remainder is simulated.
-                missing = probeMissing();
-                if (!missing.empty()) {
-                    try {
-                        computeMissing(missing);
-                    } catch (...) {
-                        // fail_fast path: free the lease so a retry
-                        // (or another shard) can claim the group.
-                        shard_coordinator_->release(group_key);
-                        throw;
-                    }
-                }
-                shard_coordinator_->markDone(group_key);
-                return out;
-            case ShardCoordinator::Claim::Done:
-                // Every cell is in the cache or quarantined. Anything
-                // still missing after the probe (a cache eviction
-                // between the owner's store and our load) is computed
-                // locally — correctness over economy.
-                missing = probeMissing();
-                if (!missing.empty())
-                    computeMissing(missing);
-                return out;
-            case ShardCoordinator::Claim::Uncoordinated:
-                computeMissing(missing);
-                return out;
-            case ShardCoordinator::Claim::Busy:
-                // A live worker owns the group and streams results
-                // into the shared cache as it goes; pick up whatever
-                // landed, then poll again. If the owner dies, the next
-                // tryClaim round performs the takeover.
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    shard_coordinator_->pollMs()));
-                missing = probeMissing();
-                if (missing.empty())
-                    return out;
-                break;
-            }
-        }
-    };
-
-    std::vector<std::vector<SimResult>> grouped =
-        parallelMap(groups, runGroup, options_.threads, 1);
-    std::vector<SimResult> flat(cells.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        for (std::size_t i = 0; i < grouped[g].size(); ++i)
-            flat[groups[g].begin + i] = std::move(grouped[g][i]);
-    }
-    foldTallies(counters_, tallies, cells.size());
-    last_failures_.clear();
-    for (const auto &[s, record] : tallies.failures) {
-        (void)s;
-        last_failures_.push_back(record);
-    }
+    std::vector<std::vector<FailureRecord>> failures;
+    std::vector<SimResult> runs = resolveCells(plan, &failures);
 
     TELEM_SPAN(assemble_span, "sweep.assemble");
     std::vector<SweepResult> out;
@@ -808,16 +849,12 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
                           ActivityPowerModel(UnitPowerFactors::defaults(),
                                              options.p_d, 0.0),
                           MachineParams{},
-                          {}};
+                          std::move(failures[s])};
         const auto begin =
-            flat.begin() + static_cast<std::ptrdiff_t>(s * n_depths);
+            runs.begin() + static_cast<std::ptrdiff_t>(s * n_depths);
         sweep.runs.assign(std::make_move_iterator(begin),
                           std::make_move_iterator(
                               begin + static_cast<std::ptrdiff_t>(n_depths)));
-        for (const auto &[fs, record] : tallies.failures) {
-            if (fs == s)
-                sweep.failures.push_back(record);
-        }
 
         const SimResult &reference = sweep.runs[static_cast<std::size_t>(
             options.reference_depth - options.min_depth)];
@@ -850,358 +887,21 @@ SweepEngine::runConfigs(const Trace &trace,
     TELEM_SPAN(grid_span, "sweep.configs");
     grid_span.tag("workload", trace.name);
     grid_span.tag("configs", static_cast<std::uint64_t>(configs.size()));
-    const CellReporter reportCell(manifest_);
 
-    {
-        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-        if (!checkpoint_path_.empty()) {
-            checkpoint_.cells_total += configs.size();
-            writeCheckpoint(checkpoint_path_, checkpoint_);
-        }
-    }
-
-    // Prepared on first cache miss, shared by every config after.
-    std::once_flag replay_once;
-    ReplayBuffer replay;
-    ReplayAnnotations annotations;
-
-    CellTallies tallies;
-
-    // Cache/skip resolution; same contract as runGrid's probeCell.
-    auto probeCell = [&](const PipelineConfig &config, SimResult &out,
-                         CacheKey &key) -> bool {
-        if (interruptRequested()) {
-            tallies.skipped.fetch_add(1);
-            tallies.recordFailure(
-                0, FailureRecord{trace.name, config.depth,
-                                 "skipped: interrupt drain", "", 0});
-            out = holeResult(trace.name, config);
-            return true;
-        }
-
-        if (cache_.enabled()) {
-            key = traceCellKey(trace, config);
-            bool corrupt = false;
-            if (auto hit = cache_.load(key, &corrupt)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", trace.name);
-                span.tag("depth", config.depth);
-                span.tag("outcome", "cached");
-                tallies.hits.fetch_add(1);
-                hit->workload = trace.name;
-                hit->config = config;
-                reportCell(trace.name, config.depth,
-                           ManifestCell::Outcome::Cached, 0.0,
-                           hit->instructions);
-                noteCellResolved();
-                out = std::move(*hit);
-                return true;
-            }
-            if (corrupt)
-                tallies.errors.fetch_add(1);
-        }
-
-        // Adopt another shard's exhausted-retry hole (docs/SHARDING.md).
-        if (shard_coordinator_) {
-            FailureRecord record;
-            if (shard_coordinator_->lookupQuarantine(
-                    trace.name, config.depth, &record)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", trace.name);
-                span.tag("depth", config.depth);
-                span.tag("outcome", "quarantined");
-                tallies.quarantined.fetch_add(1);
-                reportCell(trace.name, config.depth,
-                           ManifestCell::Outcome::Quarantined, 0.0, 0,
-                           record.attempts);
-                tallies.recordFailure(0, std::move(record));
-                noteCellResolved();
-                out = holeResult(trace.name, config);
-                return true;
-            }
-        }
-        return false;
+    CellPlan plan;
+    plan.names = {trace.name};
+    plan.configs = configs;
+    plan.key = [&](std::size_t, const PipelineConfig &config) {
+        return traceCellKey(trace, config);
     };
-
-    // Per-cell reference path (see runGrid::computeCell).
-    auto computeCell = [&](const PipelineConfig &config,
-                           const CacheKey &key) -> SimResult {
-        TELEM_SPAN(span, "sweep.cell");
-        span.tag("workload", trace.name);
-        span.tag("depth", config.depth);
-
-        const auto cell_start = std::chrono::steady_clock::now();
-        auto secondsSinceStart = [&cell_start]() {
-            return std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - cell_start)
-                .count();
-        };
-
-        static Counter &failures =
-            MetricsRegistry::instance().counter("sweep.cell.fail");
-        CellAttempt attempt;
-        try {
-            attempt = runWithRetries(
-                [&]() -> SimResult {
-                    PP_FAILPOINT("sweep.cell.simulate");
-                    std::call_once(replay_once, [&]() {
-                        TELEM_SPAN(prepare_span, "sweep.trace.prepare");
-                        prepare_span.tag("workload", trace.name);
-                        replay = prepareReplay(trace);
-                        annotations = annotateReplay(replay, config);
-                    });
-                    // Configs here may differ in more than depth; the
-                    // annotated fast path only applies when the
-                    // microarchitectural key of this config matches
-                    // the one the annotations were built for.
-                    return annotations.matches(config, replay.size())
-                               ? simulate(replay, annotations, config)
-                               : simulate(replay, config);
-                },
-                options_);
-        } catch (...) {
-            failures.add();
-            span.tag("outcome", "failed");
-            reportCell(trace.name, config.depth,
-                       ManifestCell::Outcome::Failed, secondsSinceStart(),
-                       0);
-            throw;
-        }
-
-        if (!attempt.ok) {
-            failures.add();
-            tallies.quarantined.fetch_add(1);
-            span.tag("outcome", "quarantined");
-            const FailureRecord record{trace.name, config.depth,
-                                       attempt.cause, attempt.failpoint,
-                                       attempt.attempts};
-            if (shard_coordinator_)
-                shard_coordinator_->recordQuarantine(record);
-            tallies.recordFailure(0, record);
-            reportCell(trace.name, config.depth,
-                       ManifestCell::Outcome::Quarantined,
-                       secondsSinceStart(), 0, attempt.attempts);
-            noteCellResolved();
-            return holeResult(trace.name, config);
-        }
-
-        SimResult result = std::move(attempt.result);
-        const double cell_seconds = secondsSinceStart();
-        span.tag("outcome", "computed");
-        if (attempt.attempts > 1)
-            tallies.retried.fetch_add(1);
-        tallies.recordCellSeconds(cell_seconds);
-        tallies.computed.fetch_add(1);
-        tallies.instructions.fetch_add(result.instructions);
-        reportCell(trace.name, config.depth,
-                   ManifestCell::Outcome::Computed, cell_seconds,
-                   result.instructions, attempt.attempts);
-        if (cache_.enabled() && cache_.store(key, result))
-            tallies.stores.fetch_add(1);
-        noteCellResolved();
-        return result;
+    plan.replay = [&](std::size_t) { return prepareReplay(trace); };
+    // The trace name stands in for the trace in the group key: the
+    // cells' cache keys already hash every record.
+    plan.group_prefix = [&](StableHasher &h, std::size_t) {
+        h.str("configs");
+        h.str(trace.name);
     };
-
-    // Contiguous config groups, fused exactly as in runGrid. Explicit
-    // config lists may mix machine shapes; canFuseConfigs() and the
-    // per-config annotation check below keep fusion to groups the
-    // fused kernel provably handles, everything else falls back to
-    // the per-cell path.
-    struct Group
-    {
-        std::size_t begin;
-        std::size_t end;
-        bool foreign = false; //!< outside this shard's partition
-    };
-    const unsigned workers =
-        parallelWorkerCount(options_.threads, configs.size(), 1);
-    // As in runGrid: sharded group shapes derive from the shard
-    // count so every worker process forms identical groups.
-    const std::size_t schedule_width =
-        shard_coordinator_
-            ? static_cast<std::size_t>(shard_coordinator_->shards()) * 2
-            : static_cast<std::size_t>(workers);
-    const std::size_t target_groups =
-        std::max<std::size_t>(1, schedule_width * 3);
-    const std::size_t group_span = std::max<std::size_t>(
-        4, (configs.size() + target_groups - 1) / target_groups);
-    std::vector<Group> groups;
-    for (std::size_t b = 0; b < configs.size(); b += group_span)
-        groups.push_back(
-            Group{b, std::min(configs.size(), b + group_span), false});
-    if (shard_coordinator_) {
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            groups[g].foreign = !shard_coordinator_->mine(g);
-        std::stable_partition(groups.begin(), groups.end(),
-                              [](const Group &g) { return !g.foreign; });
-    }
-
-    const bool fuse = options_.fused_walk && fusedWalkEnabled();
-    auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
-        const std::size_t count = group.end - group.begin;
-        std::vector<SimResult> results(count);
-        std::vector<CacheKey> keys(count);
-        std::vector<char> resolved(count, 0);
-
-        // See runGrid::probeMissing — resolved flags keep re-probes
-        // from double-reporting cells.
-        auto probeMissing = [&]() {
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < count; ++i) {
-                if (resolved[i])
-                    continue;
-                if (probeCell(configs[group.begin + i], results[i],
-                              keys[i]))
-                    resolved[i] = 1;
-                else
-                    missing.push_back(i);
-            }
-            return missing;
-        };
-
-        auto computeMissing = [&](const std::vector<std::size_t>
-                                      &missing) {
-            if (fuse && missing.size() > 1 && !failpoints::anyActive()) {
-                std::vector<PipelineConfig> fused_configs;
-                fused_configs.reserve(missing.size());
-                for (std::size_t i : missing)
-                    fused_configs.push_back(configs[group.begin + i]);
-                if (canFuseConfigs(fused_configs)) {
-                    try {
-                        std::call_once(replay_once, [&]() {
-                            TELEM_SPAN(prepare_span,
-                                       "sweep.trace.prepare");
-                            prepare_span.tag("workload", trace.name);
-                            replay = prepareReplay(trace);
-                            annotations = annotateReplay(
-                                replay, fused_configs.front());
-                        });
-                        bool all_match = true;
-                        for (const PipelineConfig &config :
-                             fused_configs) {
-                            if (!annotations.matches(config,
-                                                     replay.size())) {
-                                all_match = false;
-                                break;
-                            }
-                        }
-                        if (all_match) {
-                            TELEM_SPAN(span, "sweep.cell.fused");
-                            span.tag("workload", trace.name);
-                            span.tag("cells", static_cast<std::uint64_t>(
-                                                  missing.size()));
-                            const auto start =
-                                std::chrono::steady_clock::now();
-                            std::vector<SimResult> fused_results =
-                                simulateMultiDepth(replay, annotations,
-                                                   fused_configs);
-                            const double per_cell =
-                                std::chrono::duration<double>(
-                                    std::chrono::steady_clock::now() -
-                                    start)
-                                    .count() /
-                                static_cast<double>(missing.size());
-                            for (std::size_t m = 0; m < missing.size();
-                                 ++m) {
-                                const std::size_t i = missing[m];
-                                SimResult &result = fused_results[m];
-                                tallies.recordCellSeconds(per_cell);
-                                tallies.computed.fetch_add(1);
-                                tallies.instructions.fetch_add(
-                                    result.instructions);
-                                reportCell(
-                                    trace.name, result.depth,
-                                    ManifestCell::Outcome::Computed,
-                                    per_cell, result.instructions);
-                                if (cache_.enabled() &&
-                                    cache_.store(keys[i], result)) {
-                                    tallies.stores.fetch_add(1);
-                                }
-                                noteCellResolved();
-                                results[i] = std::move(result);
-                                resolved[i] = 1;
-                            }
-                            return;
-                        }
-                    } catch (...) {
-                        // Fall back to per-cell attempts below.
-                    }
-                }
-            }
-
-            for (std::size_t i : missing) {
-                results[i] =
-                    computeCell(configs[group.begin + i], keys[i]);
-                resolved[i] = 1;
-            }
-        };
-
-        std::vector<std::size_t> missing = probeMissing();
-        if (missing.empty())
-            return results;
-        if (!shard_coordinator_) {
-            computeMissing(missing);
-            return results;
-        }
-
-        // Content-based group key, identical across worker processes
-        // (see runGrid). Trace cells hash the trace name + configs;
-        // the cell-level cache keys already hash full contents.
-        StableHasher group_hasher;
-        group_hasher.str("configs");
-        group_hasher.str(trace.name);
-        for (std::size_t i = 0; i < count; ++i)
-            hashPipelineConfig(group_hasher, configs[group.begin + i]);
-        const std::string group_key = group_hasher.key().hex();
-
-        while (true) {
-            switch (shard_coordinator_->tryClaim(group_key,
-                                                 group.foreign)) {
-            case ShardCoordinator::Claim::Acquired:
-                missing = probeMissing();
-                if (!missing.empty()) {
-                    try {
-                        computeMissing(missing);
-                    } catch (...) {
-                        shard_coordinator_->release(group_key);
-                        throw;
-                    }
-                }
-                shard_coordinator_->markDone(group_key);
-                return results;
-            case ShardCoordinator::Claim::Done:
-                missing = probeMissing();
-                if (!missing.empty())
-                    computeMissing(missing);
-                return results;
-            case ShardCoordinator::Claim::Uncoordinated:
-                computeMissing(missing);
-                return results;
-            case ShardCoordinator::Claim::Busy:
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    shard_coordinator_->pollMs()));
-                missing = probeMissing();
-                if (missing.empty())
-                    return results;
-                break;
-            }
-        }
-    };
-
-    std::vector<std::vector<SimResult>> grouped =
-        parallelMap(groups, runGroup, options_.threads, 1);
-    std::vector<SimResult> out(configs.size());
-    for (std::size_t g = 0; g < groups.size(); ++g) {
-        for (std::size_t i = 0; i < grouped[g].size(); ++i)
-            out[groups[g].begin + i] = std::move(grouped[g][i]);
-    }
-    foldTallies(counters_, tallies, configs.size());
-    last_failures_.clear();
-    for (const auto &[s, record] : tallies.failures) {
-        (void)s;
-        last_failures_.push_back(record);
-    }
-    return out;
+    return resolveCells(plan);
 }
 
 void
@@ -1224,16 +924,6 @@ SweepEngine::finalizeCheckpoint(const std::string &status)
     if (checkpoint_path_.empty())
         return;
     checkpoint_.status = status;
-    writeCheckpoint(checkpoint_path_, checkpoint_);
-}
-
-void
-SweepEngine::noteCellResolved()
-{
-    const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-    if (checkpoint_path_.empty())
-        return;
-    ++checkpoint_.cells_done;
     writeCheckpoint(checkpoint_path_, checkpoint_);
 }
 

@@ -6,7 +6,7 @@
  * cycle-accurate simulation route through this engine. It
  *
  *  - flattens the full grid into (workload, depth) cells and spreads
- *    *cells* — not workloads — over a chunked work-stealing
+ *    groups of cells — not whole workloads — over a work-stealing
  *    parallelMap, so a 55 x 24 grid keeps every core busy to the end
  *    instead of serializing on the slowest workload;
  *  - memoizes every SimResult in a content-addressed on-disk cache
@@ -47,7 +47,6 @@ class RunManifest;
 struct SweepEngineOptions
 {
     unsigned threads = 0; //!< sweep workers; 0 = hardware concurrency
-    std::size_t chunk = 2; //!< cells per work-stealing grab
 
     /**
      * Master cache switch. When true the directory is @p cache_dir,
@@ -98,17 +97,6 @@ struct SweepEngineOptions
     std::string shard_dir;  //!< shared coordination directory
     unsigned shard_poll_ms = 25; //!< poll interval on a busy lease
     /// @}
-
-    /**
-     * Fuse each scheduled group's cache misses into one multi-depth
-     * walk (uarch/multi_depth_walk.hh) when the configurations share
-     * a machine shape: byte-identical results from one streaming pass
-     * instead of one pass per depth. The per-depth reference walk
-     * remains the oracle path — force it everywhere with
-     * PIPEDEPTH_FUSED_WALK=0 in the environment (that kill switch
-     * overrides this flag), or per engine by clearing this.
-     */
-    bool fused_walk = true;
 };
 
 /** What a sweep (or a lifetime of sweeps) did. */
@@ -230,9 +218,9 @@ class SweepEngine
 
     /**
      * FailureRecords of the most recent runGrid/runSweep/runConfigs
-     * call (empty when every cell resolved). runGrid distributes the
-     * same records into each SweepResult::failures; this accessor is
-     * for runConfigs, which has no SweepResult.
+     * call, in cell order (empty when every cell resolved). runGrid
+     * distributes the same records into each SweepResult::failures;
+     * this accessor is for runConfigs, which has no SweepResult.
      */
     const std::vector<FailureRecord> &lastFailures() const
     {
@@ -251,9 +239,19 @@ class SweepEngine
     void printSummary(std::ostream &os) const;
 
   private:
-    /** Bump the checkpoint's done count and rewrite it (no-op when
-     *  detached). Safe from concurrent sweep workers. */
-    void noteCellResolved();
+    struct CellPlan;
+    class CellRecorder;
+
+    /**
+     * The one cell pipeline behind runGrid and runConfigs
+     * (docs/SWEEP_ENGINE.md): per group of cells, probe → claim →
+     * fused or 1-lane walk → record. Returns every cell's result in
+     * plan order. When @p failures is non-null it receives each plan
+     * workload's FailureRecords, in cell order.
+     */
+    std::vector<SimResult>
+    resolveCells(const CellPlan &plan,
+                 std::vector<std::vector<FailureRecord>> *failures = nullptr);
 
     SweepEngineOptions options_;
     ResultCache cache_;

@@ -1,8 +1,6 @@
 #include "uarch/multi_depth_walk.hh"
 
 #include <algorithm>
-#include <cstdlib>
-#include <string_view>
 #include <vector>
 
 #include "common/logging.hh"
@@ -171,16 +169,6 @@ canFuseConfigs(const std::vector<PipelineConfig> &configs)
         }
     }
     return true;
-}
-
-bool
-fusedWalkEnabled()
-{
-    static const bool enabled = [] {
-        const char *env = std::getenv("PIPEDEPTH_FUSED_WALK");
-        return env == nullptr || std::string_view(env) != "0";
-    }();
-    return enabled;
 }
 
 std::vector<SimResult>

@@ -20,15 +20,22 @@
  * and predictor outcomes, event counters) is computed once per
  * instruction instead of once per (instruction, depth).
  *
+ * SweepEngine picks the kernel from what it can see: a group of two
+ * or more cache misses that canFuseConfigs() accepts takes this walk;
+ * a lone miss, an unfusable set and every fault-injection run take
+ * the 1-lane simulate().
+ *
  * The proof obligation is byte-identity: for each config, the
  * returned SimResult must serialize to exactly the bytes the
- * reference walk produces. This is pinned three ways — the golden
- * hash table (tests/sweep/golden_sim_hashes.inc, now including
+ * per-depth walk produces. This is pinned four ways — the golden
+ * hash table (tests/sweep/golden_sim_hashes.inc, including
  * ledger-bucket hashes), the randomized differential oracle
- * (tests/uarch/test_multi_depth_walk.cc), and the shared walk-state
- * primitives (walk_state.hh). The sweep cache key is deliberately NOT
- * bumped: fused and per-depth results are interchangeable cache
- * entries.
+ * (tests/uarch/test_multi_depth_walk.cc), the engine test that runs
+ * one grid through runGrid, runConfigs and a direct simulate()
+ * (tests/sweep/test_engine_determinism.cc), and the shared
+ * walk-state primitives (walk_state.hh). The sweep cache key is
+ * deliberately NOT bumped: fused and per-depth results are
+ * interchangeable cache entries.
  *
  * See docs/PERFORMANCE.md ("Fused multi-depth walk") for the layout
  * diagram and measured speedups.
@@ -57,14 +64,6 @@ namespace pipedepth
  * A single config or an empty set is trivially fusable.
  */
 bool canFuseConfigs(const std::vector<PipelineConfig> &configs);
-
-/**
- * Master switch for the fused walk, read from the environment:
- * PIPEDEPTH_FUSED_WALK=0 forces every sweep back onto the per-depth
- * reference walk (the oracle path). Anything else — including unset —
- * leaves the fused walk enabled. Cached after the first call.
- */
-bool fusedWalkEnabled();
 
 /**
  * Simulate @p replay under every configuration in @p configs in one

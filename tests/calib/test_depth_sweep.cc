@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "calib/depth_sweep.hh"
+#include "sweep/depth_sweep.hh"
 
 namespace pipedepth
 {

@@ -8,10 +8,10 @@
 
 #include <cmath>
 
-#include "calib/depth_sweep.hh"
 #include "common/rng.hh"
 #include "core/optimum_solver.hh"
 #include "core/power_model.hh"
+#include "sweep/depth_sweep.hh"
 
 namespace pipedepth
 {

@@ -158,12 +158,18 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
     // The sweep completed — no exception — but every cell is a hole.
     EXPECT_FALSE(sweep.complete());
     ASSERT_EQ(sweep.failures.size(), cellCount(opt));
-    for (const FailureRecord &f : sweep.failures) {
+    ASSERT_EQ(engine.lastFailures().size(), cellCount(opt));
+    for (std::size_t k = 0; k < sweep.failures.size(); ++k) {
+        const FailureRecord &f = sweep.failures[k];
         EXPECT_EQ(f.workload, "db1");
         EXPECT_EQ(f.failpoint, "sweep.cell.simulate");
         EXPECT_EQ(f.attempts, 1 + max_retries);
         EXPECT_NE(f.cause.find("sweep.cell.simulate"),
                   std::string::npos);
+        // Both lists come in cell order (ascending depth), not in
+        // the order the worker threads finished the cells.
+        EXPECT_EQ(f.depth, opt.min_depth + static_cast<int>(k));
+        EXPECT_EQ(engine.lastFailures()[k].depth, f.depth);
     }
     ASSERT_EQ(sweep.runs.size(), cellCount(opt));
     for (const SimResult &r : sweep.runs) {

@@ -2,7 +2,8 @@
  * @file
  * Determinism regression tests: the same workload spec and options
  * must produce byte-identical SimResults whether the grid runs on one
- * thread, on many threads, or is replayed from the on-disk cache.
+ * thread, on many threads, through runGrid or runConfigs, as two
+ * shards, or is replayed from the on-disk cache.
  * This is what makes cached sweeps trustworthy — a cache hit is
  * provably the same answer, not a similar one.
  *
@@ -26,6 +27,8 @@
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
+#include "telemetry/metrics.hh"
+#include "uarch/simulator.hh"
 #include "workloads/catalog.hh"
 
 namespace pipedepth
@@ -251,6 +254,85 @@ TEST(EngineDeterminism, RunDepthSweepMatchesEngineGrid)
     for (std::size_t j = 0; j < direct.runs.size(); ++j)
         EXPECT_EQ(serializeSimResult(direct.runs[j]),
                   serializeSimResult(wrapped.runs[j]));
+}
+
+TEST(EngineDeterminism, GridConfigsAndDirectWalkByteIdentical)
+{
+    // runGrid and runConfigs are two plans over one cell pipeline. At
+    // 4 threads each workload's 9 cells form groups of 4, 4 and 1, so
+    // both the fused walk and the 1-lane walk run; a direct simulate()
+    // of every cell is the oracle for both.
+    const SweepOptions opt = fastOptions();
+    const std::vector<WorkloadSpec> specs = sampleSpecs();
+    std::vector<PipelineConfig> configs;
+    for (int p = opt.min_depth; p <= opt.max_depth; ++p)
+        configs.push_back(opt.configAtDepth(p));
+
+    SweepEngine grid_engine = uncachedEngine(4);
+    SweepEngine configs_engine = uncachedEngine(4);
+    const std::vector<SweepResult> grid = grid_engine.runGrid(specs, opt);
+    ASSERT_EQ(grid.size(), specs.size());
+
+    std::size_t checked = 0;
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        const Trace trace = specs[s].makeTrace(opt.trace_length);
+        const std::vector<SimResult> runs =
+            configs_engine.runConfigs(trace, configs);
+        ASSERT_EQ(runs.size(), configs.size());
+        ASSERT_EQ(grid[s].runs.size(), configs.size());
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            const std::vector<std::uint8_t> direct =
+                serializeSimResult(simulate(trace, configs[k]));
+            EXPECT_EQ(serializeSimResult(grid[s].runs[k]), direct)
+                << "runGrid, " << specs[s].name << " depth "
+                << configs[k].depth;
+            EXPECT_EQ(serializeSimResult(runs[k]), direct)
+                << "runConfigs, " << specs[s].name << " depth "
+                << configs[k].depth;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 18u);
+}
+
+TEST(EngineDeterminism, ShardedGridMatchesUnsharded)
+{
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "pipedepth-determinism-sharded";
+    std::filesystem::remove_all(dir);
+
+    SweepEngine unsharded = uncachedEngine(4);
+    const auto expected =
+        measurementBytes(unsharded.runGrid(sampleSpecs(), fastOptions()));
+
+    SweepEngineOptions opt;
+    opt.threads = 4;
+    opt.cache_dir = (dir / "cache").string();
+    opt.shards = 2;
+    opt.shard_dir = (dir / "coord").string();
+    const Counter &steals =
+        MetricsRegistry::instance().counter("sweep.shard.steal");
+
+    // Shard 0 runs first and alone: it computes its own three groups,
+    // then claims the three groups shard 1 would own.
+    const std::uint64_t steals_before = steals.value();
+    SweepEngine shard0(opt);
+    ASSERT_NE(shard0.shardCoordinator(), nullptr);
+    EXPECT_EQ(measurementBytes(shard0.runGrid(sampleSpecs(), fastOptions())),
+              expected);
+    EXPECT_EQ(shard0.counters().cells_computed, 18u);
+    EXPECT_EQ(shard0.counters().cache_hits, 0u);
+    EXPECT_EQ(steals.value() - steals_before, 3u);
+
+    // Shard 1 finds every cell in the shared cache.
+    opt.shard_id = 1;
+    SweepEngine shard1(opt);
+    EXPECT_EQ(measurementBytes(shard1.runGrid(sampleSpecs(), fastOptions())),
+              expected);
+    EXPECT_EQ(shard1.counters().cells_computed, 0u);
+    EXPECT_EQ(shard1.counters().cache_hits, 18u);
+
+    std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenHashes, SingleThreadMatchesTable)

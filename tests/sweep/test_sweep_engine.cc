@@ -249,7 +249,9 @@ TEST_F(SweepEngineTest, PrintSummaryReportsCounters)
     EXPECT_NE(text.find("sim_MIPS"), std::string::npos);
 
     std::ostringstream off;
-    SweepEngine(SweepEngineOptions{.use_cache = false}).printSummary(off);
+    SweepEngineOptions uncached;
+    uncached.use_cache = false;
+    SweepEngine(uncached).printSummary(off);
     EXPECT_NE(off.str().find("cache off"), std::string::npos);
 }
 

@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "calib/depth_sweep.hh"
+#include "sweep/depth_sweep.hh"
 #include "trace/generator.hh"
 #include "uarch/simulator.hh"
 
