@@ -24,14 +24,16 @@
  *   prepare     flatten the trace into the contiguous ReplayBuffer
  *   annotate    precompute the depth-invariant microarchitectural
  *               annotations (caches, predictor, store forwarding)
- *   timing_walk the per-depth reference timing walk over the
- *               annotated replay (the byte-identity oracle)
- *   fused_walk  the fused multi-depth walk: one streaming pass
- *               updating every depth (the production path)
+ *   timing_walk one 1-lane walk (simulate()) per depth
+ *   fused_walk  one 4-lane walk (simulateMultiDepth()) over all four
  *
- * and separately times a SweepEngine grid twice against a private
- * cache directory (cold = simulate + store, warm = replay from disk).
- * Each measurement is the median of --reps repetitions.
+ * It then times the walk alone as a lane-count curve: the sample's
+ * prepared replays walked at depths 2..25 in groups of 1, 4 and 24
+ * lanes (24 simulate() calls, 6 four-lane calls or 1 call per
+ * workload), reported as median, min and max over the reps. Last it
+ * times a SweepEngine grid twice against a private cache directory
+ * (cold = simulate + store, warm = replay from disk). Each phase and
+ * engine figure is the median of --reps repetitions.
  *
  * Output (stdout and, with --output, FILE) is one JSON object; the
  * checked-in BENCH_sim_throughput.json at the repo root is a run of
@@ -41,13 +43,16 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.hh"
@@ -73,7 +78,7 @@ using Clock = std::chrono::steady_clock;
  * re-typed, so stale committed baselines are rejected instead of
  * silently compared.
  */
-constexpr int kBenchSchemaVersion = 3;
+constexpr int kBenchSchemaVersion = 4;
 
 /**
  * Allowed fused-walk throughput loss against the committed baseline
@@ -152,13 +157,54 @@ struct PhaseSeconds
     double fused_walk = 0.0;
 
     /** End-to-end seconds of the production path (fused walk); the
-     *  reference walk is timed for comparison but not part of it. */
+     *  1-lane walks are timed for comparison but not part of it. */
     double
     total() const
     {
         return trace_gen + prepare + annotate + fused_walk;
     }
 };
+
+/** Lane counts of the walk curve: simulate(), the golden depths'
+ *  group and a full 24-depth sweep group. */
+constexpr std::size_t kCurveLanes[] = {1, 4, 24};
+
+struct Prepared
+{
+    ReplayBuffer replay;
+    ReplayAnnotations annotations;
+};
+
+/**
+ * Walk every prepared replay under @p sweep in consecutive groups of
+ * @p lanes configurations (1 lane: simulate() per configuration);
+ * returns lane-instructions per second.
+ */
+double
+walkLaneIps(const std::vector<Prepared> &prepared,
+            const std::vector<PipelineConfig> &sweep, std::size_t lanes)
+{
+    PP_ASSERT(sweep.size() % lanes == 0, "lanes must divide the sweep");
+    std::uint64_t instructions = 0;
+    const auto t0 = Clock::now();
+    for (const Prepared &p : prepared) {
+        if (lanes == 1) {
+            for (const PipelineConfig &cfg : sweep)
+                instructions +=
+                    simulate(p.replay, p.annotations, cfg).instructions;
+            continue;
+        }
+        for (std::size_t b = 0; b < sweep.size(); b += lanes) {
+            const std::vector<PipelineConfig> group(
+                sweep.begin() + static_cast<std::ptrdiff_t>(b),
+                sweep.begin() + static_cast<std::ptrdiff_t>(b + lanes));
+            for (const SimResult &r :
+                 simulateMultiDepth(p.replay, p.annotations, group))
+                instructions += r.instructions;
+        }
+    }
+    return static_cast<double>(instructions) / secondsSince(t0);
+}
 
 /** One full pass over the sample: every phase timed separately.
  *  Returns the instructions retired by the timing walks. */
@@ -329,6 +375,29 @@ main(int argc, char **argv)
     const double cold_med = median(cold_s);
     const double warm_med = median(warm_s);
 
+    // --- walk lane-count curve ---------------------------------------
+    std::vector<Prepared> prepared;
+    for (const WorkloadSpec &spec : sample) {
+        Prepared p;
+        p.replay = prepareReplay(spec.makeTrace(trace_length));
+        p.annotations = annotateReplay(p.replay, configs.front());
+        prepared.push_back(std::move(p));
+    }
+    std::vector<PipelineConfig> sweep;
+    for (int p = 2; p <= 25; ++p)
+        sweep.push_back(opt.configAtDepth(p));
+    std::vector<std::vector<double>> curve(std::size(kCurveLanes));
+    for (int r = 0; r < reps; ++r) {
+        for (std::size_t k = 0; k < std::size(kCurveLanes); ++k)
+            curve[k].push_back(walkLaneIps(prepared, sweep, kCurveLanes[k]));
+        if (verbose)
+            std::fprintf(stderr,
+                         "rep %d: walk IPS 1 lane %.0f, 4 lanes %.0f, "
+                         "24 lanes %.0f\n",
+                         r, curve[0].back(), curve[1].back(),
+                         curve[2].back());
+    }
+
     // --- JSON --------------------------------------------------------
     std::string json;
     char buf[512];
@@ -367,6 +436,19 @@ main(int argc, char **argv)
     add("  \"engine_warm_cache\": {\n");
     add("    \"wall_seconds\": %.6f,\n", warm_med);
     add("    \"speedup_over_cold\": %.2f\n", cold_med / warm_med);
+    add("  },\n");
+    add("  \"walk_lane_curve\": {\n");
+    add("    \"depths\": \"2..25\",\n");
+    add("    \"instructions_per_second\": {\n");
+    for (std::size_t k = 0; k < std::size(kCurveLanes); ++k) {
+        const std::vector<double> &v = curve[k];
+        add("      \"%zu\": {\"median\": %.0f, \"min\": %.0f, "
+            "\"max\": %.0f}%s\n",
+            kCurveLanes[k], median(v), *std::min_element(v.begin(), v.end()),
+            *std::max_element(v.begin(), v.end()),
+            k + 1 < std::size(kCurveLanes) ? "," : "");
+    }
+    add("    }\n");
     add("  }\n");
     add("}\n");
 

@@ -1,44 +1,47 @@
 /**
  * @file
- * Fused multi-depth timing walk: one pass, every depth.
+ * The multi-depth timing walk: one pass, every depth.
  *
  * A depth sweep runs the same replay buffer under ~24 configurations
- * that differ only in pipeline depth. The per-depth walk
- * (simulator.hh) streams the buffer once per configuration, so the
- * sweep reads the same 24-byte ReplayOp records 24 times and spends
- * most of its time in a serial dependency chain (each instruction's
- * timestamps feed the next instruction's).
- *
- * simulateMultiDepth() streams the buffer *once* and advances the
- * timing state of all requested depths per instruction. Per-depth
- * state is struct-of-arrays — every timestamp array is contiguous
- * across depths — so the inner depth loop walks consecutive memory,
- * and because the depths are mutually independent the loop carries no
- * dependency between iterations: the hardware overlaps ~D dependency
- * chains where the scalar walk exposes one. Everything derivable from
- * the replay op and its annotations alone (instruction class, cache
- * and predictor outcomes, event counters) is computed once per
+ * that differ only in pipeline depth. simulateMultiDepth() streams the
+ * buffer once and advances the timing state of every requested depth
+ * — one *lane* per configuration — at each instruction. The lanes are
+ * mutually independent, so the hardware overlaps their dependency
+ * chains where a one-depth walk exposes one, and everything derivable
+ * from the replay op and its annotations alone (instruction class,
+ * cache and predictor outcomes, event counters) is computed once per
  * instruction instead of once per (instruction, depth).
  *
- * SweepEngine picks the kernel from what it can see: a group of two
- * or more cache misses that canFuseConfigs() accepts takes this walk;
- * a lone miss, an unfusable set and every fault-injection run take
- * the 1-lane simulate().
+ * src/uarch has one timing walk: a kernel templated on its lane count
+ * D (multi_depth_walk.cc). Per-lane state lives in std::array lanes —
+ * rings [slot][lane] behind shared cursors, the register scoreboard
+ * [reg][lane], unit activity [unit][lane] — so the lane loop has a
+ * constant trip count. It is compiled for D = 1, 2, 4, 8 and 24: 1 is
+ * simulate(), 4 the golden depths and the groups a multi-threaded
+ * one-workload sweep forms, 24 the catalog grid's depths 2..25. Any
+ * other count splits greedily, largest part first (29 = 24 + 4 + 1),
+ * one pass over the replay per part.
  *
- * The proof obligation is byte-identity: for each config, the
- * returned SimResult must serialize to exactly the bytes the
- * per-depth walk produces. This is pinned four ways — the golden
- * hash table (tests/sweep/golden_sim_hashes.inc, including
- * ledger-bucket hashes), the randomized differential oracle
- * (tests/uarch/test_multi_depth_walk.cc), the engine test that runs
- * one grid through runGrid, runConfigs and a direct simulate()
- * (tests/sweep/test_engine_determinism.cc), and the shared
- * walk-state primitives (walk_state.hh). The sweep cache key is
- * deliberately NOT bumped: fused and per-depth results are
- * interchangeable cache entries.
+ * SweepEngine picks the entry point from what it can see: a group of
+ * two or more cache misses that canFuseConfigs() accepts takes this
+ * walk; a lone miss, an unfusable set and every fault-injection run
+ * take simulate().
  *
- * See docs/PERFORMANCE.md ("Fused multi-depth walk") for the layout
- * diagram and measured speedups.
+ * The proof obligation is byte-identity: result[i] serializes to
+ * exactly the bytes of simulate(replay, annotations, configs[i]), and
+ * both to the bytes of the scalar walk the template replaced. This is
+ * pinned by the golden hash table (tests/sweep/golden_sim_hashes.inc,
+ * including ledger-bucket hashes), the differential oracle
+ * (tests/uarch/test_multi_depth_walk.cc against that scalar walk in
+ * tests/uarch/reference_walk.cc, at every compiled lane count and one
+ * that splits), the engine test that runs one grid through runGrid,
+ * runConfigs and a direct simulate()
+ * (tests/sweep/test_engine_determinism.cc), and sim_golden_dump's
+ * per-cell cross-check. The sweep cache key is deliberately NOT
+ * bumped: results of any lane count are interchangeable cache entries.
+ *
+ * See docs/PERFORMANCE.md ("One timing walk, compiled per lane
+ * count") for the layout and measured speed.
  */
 
 #ifndef PIPEDEPTH_UARCH_MULTI_DEPTH_WALK_HH
@@ -76,6 +79,7 @@ bool canFuseConfigs(const std::vector<PipelineConfig> &configs);
  *
  * Byte-identity guarantee: result[i] serializes to exactly
  * serializeSimResult(simulate(replay, annotations, configs[i])).
+ * The call makes one pass over @p replay per compiled lane group.
  */
 std::vector<SimResult>
 simulateMultiDepth(const ReplayBuffer &replay,

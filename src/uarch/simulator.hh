@@ -33,6 +33,10 @@
  * Per-unit activity (distinct busy cycles) is recorded for the
  * clock-gated power model; stall cycles are attributed to hazard
  * classes for the theory-parameter extraction of Sec. 4.
+ *
+ * The walk itself is the one simulateMultiDepth() runs
+ * (multi_depth_walk.hh): simulate() is its 1-lane instantiation, so
+ * one depth and many depths apply exactly the same constraints.
  */
 
 #ifndef PIPEDEPTH_UARCH_SIMULATOR_HH

@@ -1,14 +1,15 @@
 /**
  * @file
- * Timing-walk state primitives shared by the two walk kernels.
+ * Timing-walk state primitives and the walk's internal entry point.
  *
- * The per-depth reference walk (simulator.cc) and the fused
- * multi-depth walk (multi_depth_walk.cc) must apply *exactly* the
- * same pipeline constraints — byte-identity of their results is the
- * contract pinned by tests/sweep/golden_sim_hashes.inc and the
- * differential oracle in tests/uarch/test_multi_depth_walk.cc. The
- * scalar building blocks live here so both kernels share one
- * definition instead of drifting apart in two anonymous namespaces.
+ * src/uarch has one timing walk: a kernel templated on its lane
+ * count, compiled for a small fixed set of counts
+ * (multi_depth_walk.cc). simulate() runs it with one lane and
+ * simulateMultiDepth() with one lane per configuration. The
+ * primitives it shares with the differential oracle
+ * (tests/uarch/reference_walk.cc, the scalar walk it replaced) live
+ * here, so the attribution and activity rules that the byte-identity
+ * contract depends on have one definition.
  *
  * Everything in this header is an internal detail of src/uarch; it is
  * not part of the library surface (simulator.hh / multi_depth_walk.hh
@@ -21,10 +22,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <vector>
+#include <span>
 
 #include "common/logging.hh"
 #include "ledger/stall_ledger.hh"
+#include "trace/replay_buffer.hh"
+#include "uarch/pipeline_config.hh"
+#include "uarch/replay_annotations.hh"
+#include "uarch/sim_result.hh"
 
 namespace pipedepth
 {
@@ -34,74 +39,10 @@ namespace walk
 using Cycle = std::int64_t;
 
 /**
- * Enforces a per-cycle width limit: at most `width` grants per cycle,
- * given non-decreasing candidates. The stored value at the cursor is
- * the grant time `width` grants ago; the new grant must be at least
- * one cycle later.
- */
-class SlotRing
-{
-  public:
-    explicit SlotRing(int width)
-        : times_(static_cast<std::size_t>(width), -1)
-    {
-        PP_ASSERT(width >= 1, "width must be positive");
-    }
-
-    Cycle
-    grant(Cycle candidate)
-    {
-        const Cycle t = std::max(candidate, times_[idx_] + 1);
-        times_[idx_] = t;
-        if (++idx_ == times_.size())
-            idx_ = 0;
-        return t;
-    }
-
-  private:
-    std::vector<Cycle> times_;
-    std::size_t idx_ = 0;
-};
-
-/**
- * Enforces a buffer capacity: a new entry may not be admitted until
- * the entry `capacity` admissions ago has left. Call entryOk() to get
- * the earliest admission time, then push() the eventual departure
- * time of the admitted entry.
- */
-class CapacityRing
-{
-  public:
-    explicit CapacityRing(int capacity)
-        : exits_(static_cast<std::size_t>(capacity), -1)
-    {
-        PP_ASSERT(capacity >= 1, "capacity must be positive");
-    }
-
-    Cycle
-    entryOk(Cycle candidate) const
-    {
-        return std::max(candidate, exits_[idx_] + 1);
-    }
-
-    void
-    push(Cycle exit_time)
-    {
-        exits_[idx_] = exit_time;
-        if (++idx_ == exits_.size())
-            idx_ = 0;
-    }
-
-  private:
-    std::vector<Cycle> exits_;
-    std::size_t idx_ = 0;
-};
-
-/**
  * Width enforcement for *out-of-order* issue: finds the earliest
- * cycle at or after a candidate with a free issue port. Unlike
- * SlotRing this accepts non-monotonic candidates; bookkeeping is a
- * map of per-cycle issue counts, pruned behind a low-water mark.
+ * cycle at or after a candidate with a free issue port. Unlike a
+ * width-limit ring this accepts non-monotonic candidates; bookkeeping
+ * is a map of per-cycle issue counts, pruned behind a low-water mark.
  */
 class IssuePorts
 {
@@ -157,13 +98,25 @@ struct Activity
         ++ops;
         occupancy += static_cast<std::uint64_t>(end - start);
         // Branch-free union step (this is the hottest statement of
-        // both walk kernels; `end > s` flips unpredictably). With
+        // the walk; `end > s` flips unpredictably). With
         // end > start: if end <= s then s == last_end, so the
         // unconditional max() leaves last_end unchanged — exactly the
         // guarded update, minus the mispredicts.
         const Cycle s = std::max(start, last_end);
         active += static_cast<std::uint64_t>(std::max<Cycle>(end - s, 0));
         last_end = std::max(last_end, end);
+    }
+
+    /**
+     * add(start, start + 1) without its ops and occupancy counts: for
+     * a unit-length interval each is one per call, so the caller
+     * counts calls once for every lane instead.
+     */
+    void
+    tick(Cycle start)
+    {
+        active += start >= last_end ? 1 : 0;
+        last_end = std::max(last_end, start + 1);
     }
 };
 
@@ -197,6 +150,19 @@ depCause(ProducerKind kind, bool missed)
     }
     return StallBucket::Other;
 }
+
+/**
+ * The timing walk: @p replay under every configuration of
+ * @p configs, result k into results[k]. One pass over the replay per
+ * compiled lane group; a count with no compiled kernel splits
+ * greedily, largest group first. The caller has checked the entry
+ * points' preconditions (non-empty replay, fusable configurations,
+ * matching annotations) and sized @p results like @p configs.
+ */
+void timingWalk(const ReplayBuffer &replay,
+                const ReplayAnnotations &annotations,
+                std::span<const PipelineConfig> configs,
+                std::span<SimResult> results);
 
 } // namespace walk
 } // namespace pipedepth

@@ -49,9 +49,9 @@ const char *kSampleWorkloads[] = {"db1", "gcc95", "swim", "mcf00"};
 using Clock = std::chrono::steady_clock;
 
 /** Median instructions/second of @p reps passes over the sample.
- *  With @p fused, the timing walk is one fused multi-depth pass per
- *  workload (the production path) instead of one reference walk per
- *  depth. */
+ *  With @p fused, the timing walk is one 4-lane pass per workload
+ *  (simulateMultiDepth, the production path) instead of one 1-lane
+ *  walk (simulate) per depth. */
 double
 measuredInstructionsPerSecond(int reps, bool fused)
 {

@@ -1,15 +1,20 @@
 /**
  * @file
- * Differential oracle for the fused multi-depth walk.
+ * Differential oracle for the timing walk.
  *
- * The fused walk's contract is byte-identity with the per-depth
- * reference walk (see uarch/multi_depth_walk.hh). This suite drives
- * both kernels over seeded randomized machine shapes — width, issue
- * discipline, predictor, cache geometry, memory-dependence modeling,
- * warmup — and over adversarial hand-built traces (one instruction,
- * all branches, store-forwarding chains), then asserts that every
- * SimResult serializes to the same bytes and that every ledger
- * conserves cycles at every depth.
+ * src/uarch has one timing walk, templated on its lane count:
+ * simulateMultiDepth() walks one lane per configuration (splitting
+ * counts it has no kernel for) and simulate() is its 1-lane case.
+ * Their contract is byte-identity with the scalar reference walk the
+ * template replaced, kept in tests/uarch/reference_walk.cc. This
+ * suite drives all three over seeded randomized machine shapes —
+ * width, issue discipline, predictor, cache geometry,
+ * memory-dependence modeling, warmup, and lane counts covering every
+ * compiled kernel plus one that splits — over a catalog workload at
+ * the grid's 24 depths, and over adversarial hand-built traces (one
+ * instruction, all branches, store-forwarding chains), then asserts
+ * that every SimResult serializes to the same bytes and that every
+ * ledger conserves cycles at every depth.
  */
 
 #include <gtest/gtest.h>
@@ -18,11 +23,14 @@
 #include <random>
 #include <vector>
 
+#include "reference_walk.hh"
+#include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "trace/generator.hh"
 #include "trace/replay_buffer.hh"
 #include "uarch/multi_depth_walk.hh"
 #include "uarch/simulator.hh"
+#include "workloads/catalog.hh"
 
 namespace pipedepth
 {
@@ -79,12 +87,14 @@ expectConserving(const SimResult &res)
 }
 
 /**
- * Run @p trace through the reference walk (once per config) and the
- * fused walk (one pass), with one shared annotation set, and compare.
+ * Run @p trace through the reference walk and simulate() (once per
+ * config) and simulateMultiDepth() (one call over every config), with
+ * one shared annotation set, and compare.
  */
 void
 runDifferential(const Trace &trace, const std::vector<PipelineConfig> &configs)
 {
+    SCOPED_TRACE("lanes=" + std::to_string(configs.size()));
     ASSERT_TRUE(canFuseConfigs(configs));
     const ReplayBuffer replay = prepareReplay(trace);
     const ReplayAnnotations ann = annotateReplay(replay, configs.front());
@@ -94,8 +104,9 @@ runDifferential(const Trace &trace, const std::vector<PipelineConfig> &configs)
     ASSERT_EQ(fused.size(), configs.size());
 
     for (std::size_t k = 0; k < configs.size(); ++k) {
-        const SimResult ref = simulate(replay, ann, configs[k]);
+        const SimResult ref = referenceSimulate(replay, ann, configs[k]);
         expectIdentical(ref, fused[k]);
+        expectIdentical(ref, simulate(replay, ann, configs[k]));
         expectConserving(fused[k]);
     }
 }
@@ -121,9 +132,14 @@ TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
     // Seeded: the same machine shapes and traces on every run. Each
     // iteration draws a new shape; parity of the iteration index
     // forces both issue disciplines and both memory-dependence modes
-    // to appear regardless of the draws.
+    // to appear regardless of the draws. The first ten iterations
+    // draw 4-6 lanes at random depths; the rest walk each compiled
+    // lane count and one count that splits (29 = 24 + 4 + 1: depths
+    // 2..30 in order), at consecutive depths from the lowest, in
+    // order and out of order.
+    const int forced_lanes[] = {1, 2, 4, 8, 24, 29};
     std::mt19937_64 rng(0xC0FFEE5EEDull);
-    for (int iter = 0; iter < 10; ++iter) {
+    for (int iter = 0; iter < 22; ++iter) {
         SCOPED_TRACE("iteration " + std::to_string(iter));
         const bool in_order = (iter % 2) == 0;
         const bool memdep = (iter % 3) != 0;
@@ -142,10 +158,16 @@ TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
 
         // Out-of-order configurations require depth >= 3.
         const int min_depth = in_order ? 2 : 3;
+        const int drawn_lanes = 4 + static_cast<int>(rng() % 3);
         std::vector<int> depths;
-        for (int n = 4 + static_cast<int>(rng() % 3); n > 0; --n)
-            depths.push_back(min_depth +
-                             static_cast<int>(rng() % (31 - min_depth)));
+        if (iter < 10) {
+            for (int n = drawn_lanes; n > 0; --n)
+                depths.push_back(min_depth +
+                                 static_cast<int>(rng() % (31 - min_depth)));
+        } else {
+            for (int k = 0; k < forced_lanes[(iter - 10) / 2]; ++k)
+                depths.push_back(min_depth + k % (31 - min_depth));
+        }
 
         TraceGenParams params;
         params.seed = rng();
@@ -167,6 +189,21 @@ TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
                 c.dcache = dcache;
                 c.l2cache = l2cache;
             }));
+    }
+
+    // The catalog grid's shape: one catalog workload on the sweep's
+    // default machine at depths 2..25, one 24-lane walk (out of
+    // order from depth 3, which it requires).
+    SweepOptions opt;
+    opt.trace_length = 20000;
+    opt.warmup_instructions = 5000;
+    const Trace catalog = findWorkload("gcc95").makeTrace(opt.trace_length);
+    for (bool in_order : {true, false}) {
+        opt.in_order = in_order;
+        std::vector<PipelineConfig> configs;
+        for (int p = in_order ? 2 : 3; p <= (in_order ? 25 : 26); ++p)
+            configs.push_back(opt.configAtDepth(p));
+        runDifferential(catalog, configs);
     }
 }
 
@@ -219,7 +256,7 @@ TEST(MultiDepthWalk, StoreForwardingChain)
 {
     // Store/load pairs to the same dword with the store's data late
     // (produced by a divide): forwarded loads must take the
-    // store-forwarding path identically in both kernels, including
+    // store-forwarding path identically in every walk, including
     // the binding-wait attribution.
     Trace t;
     t.name = "fwd-chain";

@@ -16,7 +16,14 @@
  * simulation result, so the first hash pins simulator behaviour bit
  * for bit; the second (uarch/sim_result.hh ledgerHash) pins the
  * per-depth stall-cycle decomposition separately, so a drift in
- * stall *attribution* is named as such. Two uses:
+ * stall *attribution* is named as such.
+ *
+ * Each workload's requested depths are walked in one
+ * simulateMultiDepth() call, the lane counts a sweep runs, and every
+ * cell is also walked alone by simulate(), the 1-lane walk. The hashes
+ * printed are the multi-lane results; a cell whose two results differ
+ * by a single byte is named on stderr, and the exit status is then 1.
+ * Two uses:
  *
  *  - regenerating the golden table consumed by
  *    tests/sweep/test_engine_determinism.cc after an *intentional*
@@ -33,6 +40,9 @@
 
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
+#include "trace/replay_buffer.hh"
+#include "uarch/multi_depth_walk.hh"
+#include "uarch/replay_annotations.hh"
 #include "uarch/simulator.hh"
 #include "workloads/catalog.hh"
 
@@ -118,18 +128,34 @@ main(int argc, char **argv)
     SweepOptions opt;
     opt.trace_length = length;
     opt.warmup_instructions = warmup;
+    std::vector<PipelineConfig> configs;
+    for (int p : depths)
+        configs.push_back(opt.configAtDepth(p));
 
+    bool identical = true;
     for (const WorkloadSpec &spec : workloadCatalog()) {
         if (!only.empty() && spec.name != only)
             continue;
-        const Trace trace = spec.makeTrace(length);
-        for (int p : depths) {
-            const SimResult r = simulate(trace, opt.configAtDepth(p));
-            std::printf("%s %d %016llx %016llx\n", spec.name.c_str(), p,
-                        static_cast<unsigned long long>(
-                            fnv1a(serializeSimResult(r))),
-                        static_cast<unsigned long long>(ledgerHash(r)));
+        const ReplayBuffer replay = prepareReplay(spec.makeTrace(length));
+        const ReplayAnnotations ann = annotateReplay(replay, configs.front());
+        const std::vector<SimResult> lanes =
+            simulateMultiDepth(replay, ann, configs);
+        for (std::size_t k = 0; k < configs.size(); ++k) {
+            const std::vector<std::uint8_t> bytes =
+                serializeSimResult(lanes[k]);
+            if (bytes !=
+                serializeSimResult(simulate(replay, ann, configs[k]))) {
+                std::fprintf(stderr,
+                             "%s %d: the %zu-lane walk differs from the "
+                             "1-lane walk\n",
+                             spec.name.c_str(), depths[k], configs.size());
+                identical = false;
+            }
+            std::printf("%s %d %016llx %016llx\n", spec.name.c_str(),
+                        depths[k],
+                        static_cast<unsigned long long>(fnv1a(bytes)),
+                        static_cast<unsigned long long>(ledgerHash(lanes[k])));
         }
     }
-    return 0;
+    return identical ? 0 : 1;
 }
