@@ -17,7 +17,6 @@
 #include "bench_util.hh"
 #include "math/least_squares.hh"
 #include "power/activity_power.hh"
-#include "uarch/simulator.hh"
 
 using namespace pipedepth;
 
@@ -32,24 +31,21 @@ struct PolicyRow
 };
 
 PolicyRow
-runPolicy(const BenchOptions &opt, const WorkloadSpec &spec,
-          ExpansionPolicy policy)
+runPolicy(SweepEngine &engine, const BenchOptions &opt,
+          const WorkloadSpec &spec, ExpansionPolicy policy)
 {
     const Trace trace = spec.makeTrace(opt.trace_length);
 
-    std::vector<double> depths, metric;
-    ActivityPowerModel power;
-    const SimResult *ref = nullptr;
-    std::vector<SimResult> runs;
-    runs.reserve(24);
+    std::vector<PipelineConfig> configs;
     for (int p = 2; p <= 25; ++p) {
         PipelineConfig cfg = PipelineConfig::forDepth(p, true, policy);
-        cfg.warmup_instructions = opt.warmup;
-        runs.push_back(simulate(trace, cfg));
-        if (p == 8)
-            ref = &runs.back();
+        cfg.warmup_instructions = opt.warmup();
+        configs.push_back(cfg);
     }
-    power = power.withLeakageFraction(*ref, 0.15);
+    const std::vector<SimResult> runs = engine.runConfigs(trace, configs);
+    std::vector<double> depths, metric;
+    ActivityPowerModel power;
+    power = power.withLeakageFraction(runs[6], 0.15); // depth 8
     for (const auto &r : runs) {
         depths.push_back(r.depth);
         metric.push_back(power.metric(r, 3.0, true));
@@ -79,12 +75,13 @@ main(int argc, char **argv)
     t.addColumn("interior");
     t.addColumn("cpi_at_20", 3);
 
+    SweepEngine engine(opt.engineOptions());
     for (const char *name : {"gcc95", "db1", "websrv"}) {
         for (ExpansionPolicy policy :
              {ExpansionPolicy::Uniform, ExpansionPolicy::DecodeHeavy,
               ExpansionPolicy::CacheHeavy, ExpansionPolicy::ExecHeavy}) {
             const PolicyRow row =
-                runPolicy(opt, findWorkload(name), policy);
+                runPolicy(engine, opt, findWorkload(name), policy);
             t.beginRow();
             t.cell(name);
             t.cell(toString(policy));
@@ -94,6 +91,7 @@ main(int argc, char **argv)
         }
     }
     t.render(std::cout);
+    engine.printSummary(std::cerr);
 
     if (!opt.csv) {
         std::printf("\npaper methodology: uniform insertion, so \"all "

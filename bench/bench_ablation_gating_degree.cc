@@ -29,8 +29,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    const SweepResult sweep =
-        runDepthSweep(findWorkload("gcc95"), opt.sweepOptions());
+    SweepEngine engine(opt.engineOptions());
+    const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
     MachineParams mp = sweep.extracted;
     mp.c_mem = 0.0;
 
@@ -87,5 +87,6 @@ main(int argc, char **argv)
                     "given performance. Therefore, one can push the "
                     "pipeline to larger depths\"\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

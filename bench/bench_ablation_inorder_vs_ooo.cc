@@ -37,6 +37,7 @@ main(int argc, char **argv)
     t.addColumn("inorder_cpi8", 3);
     t.addColumn("ooo_cpi8", 3);
 
+    SweepEngine engine(opt.engineOptions());
     double worst_delta = 0.0;
     for (const char *name : names) {
         SweepOptions io_opt = opt.sweepOptions();
@@ -44,9 +45,9 @@ main(int argc, char **argv)
         ooo_opt.in_order = false;
         ooo_opt.min_depth = 3; // rename takes a stage
 
-        const SweepResult io = runDepthSweep(findWorkload(name), io_opt);
+        const SweepResult io = engine.runSweep(findWorkload(name), io_opt);
         const SweepResult ooo =
-            runDepthSweep(findWorkload(name), ooo_opt);
+            engine.runSweep(findWorkload(name), ooo_opt);
 
         bool i1 = false, i2 = false;
         const double p_io = io.cubicFitOptimum(3.0, true, &i1);
@@ -76,5 +77,6 @@ main(int argc, char **argv)
         std::printf("ISCA'02 via the paper: \"only minor differences in "
                     "the pipeline depth optimization\"\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

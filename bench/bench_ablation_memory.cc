@@ -16,7 +16,6 @@
 #include "bench_util.hh"
 #include "math/least_squares.hh"
 #include "power/activity_power.hh"
-#include "uarch/simulator.hh"
 
 using namespace pipedepth;
 
@@ -33,37 +32,38 @@ main(int argc, char **argv)
     t.addColumn("bips_at_8_rel", 3);
     t.addColumn("p_opt", 2);
 
+    SweepEngine engine(opt.engineOptions());
     double base_bips = 0.0;
     for (double mem : {200.0, 400.0, 800.0, 1600.0, 3200.0}) {
-        std::vector<double> depths, metric;
-        std::vector<SimResult> runs;
-        runs.reserve(24);
-        const SimResult *ref = nullptr;
+        std::vector<PipelineConfig> configs;
         for (int p = 2; p <= 25; ++p) {
             PipelineConfig cfg = PipelineConfig::forDepth(p);
             cfg.mem_latency_fo4 = mem;
-            cfg.warmup_instructions = opt.warmup;
-            runs.push_back(simulate(trace, cfg));
-            if (p == 8)
-                ref = &runs.back();
+            cfg.warmup_instructions = opt.warmup();
+            configs.push_back(cfg);
         }
+        const std::vector<SimResult> runs =
+            engine.runConfigs(trace, configs);
+        const SimResult &ref = runs[8 - 2];
+        std::vector<double> depths, metric;
         ActivityPowerModel power;
-        power = power.withLeakageFraction(*ref, 0.15);
+        power = power.withLeakageFraction(ref, 0.15);
         for (const auto &r : runs) {
             depths.push_back(r.depth);
             metric.push_back(power.metric(r, 3.0, true));
         }
         const CubicPeak peak = fitCubicPeak(depths, metric);
         if (base_bips == 0.0)
-            base_bips = ref->bips();
+            base_bips = ref.bips();
 
         t.beginRow();
         t.cell(mem);
-        t.cell(ref->cpi());
-        t.cell(ref->bips() / base_bips);
+        t.cell(ref.cpi());
+        t.cell(ref.bips() / base_bips);
         t.cell(peak.x);
     }
     t.render(std::cout);
+    engine.printSummary(std::cerr);
 
     if (!opt.csv) {
         std::printf("\nexpected: BIPS drops substantially with memory "

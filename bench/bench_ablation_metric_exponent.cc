@@ -24,8 +24,8 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
-    const SweepResult sweep =
-        runDepthSweep(findWorkload("gcc95"), opt.sweepOptions());
+    SweepEngine engine(opt.engineOptions());
+    const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
 
     // Theory at the extracted parameters (paper model, c_mem = 0).
     MachineParams mp = sweep.extracted;
@@ -66,5 +66,6 @@ main(int argc, char **argv)
         std::printf("paper: no optima below m ~ beta; BIPS^3/W ~7; "
                     "BIPS alone ~20+\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

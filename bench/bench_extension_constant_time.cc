@@ -38,10 +38,10 @@ main(int argc, char **argv)
     t.addColumn("popt_extended", 2);
     t.addColumn("popt_sim", 2);
 
+    SweepEngine engine(opt.engineOptions());
     for (const char *name :
          {"db1", "websrv", "gcc95", "gzip00", "swim", "tomcatv"}) {
-        const SweepResult sweep =
-            runDepthSweep(findWorkload(name), opt.sweepOptions());
+        const SweepResult sweep = sweepWorkload(engine, opt, name);
 
         double r2_paper = 0.0, r2_ext = 0.0;
         sweep.theoryCurve(3.0, true, &r2_paper, false);
@@ -81,5 +81,6 @@ main(int argc, char **argv)
                     "the fit (and optimum prediction) where constant-"
                     "time memory stalls dominate.\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

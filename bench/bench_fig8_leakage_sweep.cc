@@ -25,8 +25,8 @@ main(int argc, char **argv)
 
     // SPECint-like extracted parameters (cf. Fig. 8's "particular
     // SPEC95 integer workload").
-    const SweepResult sweep =
-        runDepthSweep(findWorkload("gcc95"), opt.sweepOptions());
+    SweepEngine engine(opt.engineOptions());
+    const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
     MachineParams mp = sweep.extracted;
     mp.c_mem = 0.0; // the paper's Eq. 1
 
@@ -81,5 +81,6 @@ main(int argc, char **argv)
                     optima.back() / optima.front());
         std::printf("paper: 7 -> 14 stages (2x) for their workload\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

@@ -24,8 +24,8 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    const SweepResult sweep =
-        runDepthSweep(findWorkload("gcc95"), opt.sweepOptions());
+    SweepEngine engine(opt.engineOptions());
+    const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
     MachineParams mp = sweep.extracted;
     mp.c_mem = 0.0; // the paper's Eq. 1
 
@@ -92,5 +92,6 @@ main(int argc, char **argv)
         std::printf("\npaper: strong beta dependence; beta > 2 -> "
                     "single-stage optimum\n");
     }
+    engine.printSummary(std::cerr);
     return 0;
 }

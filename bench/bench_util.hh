@@ -38,8 +38,11 @@ struct BenchOptions
     bool no_cache = false;
     bool verbose = false;
     std::size_t trace_length = 150000;
-    std::size_t warmup = 60000;
     unsigned threads = 0; //!< 0 = hardware concurrency
+
+    /** Structure warm-up: 2/5 of the trace, 60000 at the default
+     *  length, so every --trace-length leaves a measured window. */
+    std::size_t warmup() const { return trace_length * 2 / 5; }
 
     TableWriter::Style
     style() const
@@ -52,7 +55,7 @@ struct BenchOptions
     {
         SweepOptions opt;
         opt.trace_length = trace_length;
-        opt.warmup_instructions = warmup;
+        opt.warmup_instructions = warmup();
         return opt;
     }
 

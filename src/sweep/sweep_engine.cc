@@ -22,7 +22,6 @@
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "uarch/multi_depth_walk.hh"
-#include "uarch/simulator.hh"
 
 namespace pipedepth
 {
@@ -64,71 +63,25 @@ SweepCounters::cellSecondsPercentile(double p) const
 namespace
 {
 
-/** Outcome of one cell's attempt loop. */
-struct CellAttempt
-{
-    bool ok = false;
-    SimResult result;
-    unsigned attempts = 0;    //!< tries made
-    std::string cause;        //!< what() of the last failure
-    std::string failpoint;    //!< failpoint name when injected, else ""
-};
-
 /**
- * Run @p compute up to 1 + max_retries times with bounded exponential
- * backoff between attempts. With fail_fast, the first exception
- * propagates (legacy abort-the-sweep semantics); otherwise the last
- * failure is described in the returned CellAttempt and the cell is
- * the caller's to quarantine.
+ * Describe the exception being handled (call from a catch block):
+ * its what(), and the failpoint name when one was injected.
  */
-template <typename Fn>
-CellAttempt
-runWithRetries(Fn compute, const SweepEngineOptions &options)
+void
+describeFailure(std::string &cause, std::string &failpoint)
 {
-    static Counter &retry_counter =
-        MetricsRegistry::instance().counter("sweep.cell.retry");
-
-    CellAttempt attempt;
-    const unsigned tries = 1 + options.max_retries;
-    for (unsigned k = 1; k <= tries; ++k) {
-        attempt.attempts = k;
-        try {
-            attempt.result = compute();
-            attempt.ok = true;
-            return attempt;
-        } catch (...) {
-            if (options.fail_fast)
-                throw;
-            // Describe the failure (rethrow-and-catch keeps one
-            // handler chain for both failpoint and genuine faults).
-            try {
-                throw;
-            } catch (const FailpointError &e) {
-                attempt.cause = e.what();
-                attempt.failpoint = e.failpoint();
-            } catch (const std::exception &e) {
-                attempt.cause = e.what();
-                attempt.failpoint.clear();
-            } catch (...) {
-                attempt.cause = "unknown failure";
-                attempt.failpoint.clear();
-            }
-        }
-        if (k < tries) {
-            retry_counter.add();
-            // min(base << (k-1), 1000) ms; shift clamped so a large
-            // retry count cannot overflow.
-            const std::uint64_t backoff = std::min<std::uint64_t>(
-                static_cast<std::uint64_t>(options.retry_backoff_ms)
-                    << std::min(k - 1, 10u),
-                1000);
-            if (backoff) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(backoff));
-            }
-        }
+    try {
+        throw;
+    } catch (const FailpointError &e) {
+        cause = e.what();
+        failpoint = e.failpoint();
+    } catch (const std::exception &e) {
+        cause = e.what();
+        failpoint.clear();
+    } catch (...) {
+        cause = "unknown failure";
+        failpoint.clear();
     }
-    return attempt;
 }
 
 /** The explicit hole a quarantined or skipped cell leaves behind:
@@ -208,12 +161,12 @@ struct SweepEngine::CellPlan
 
 /**
  * The one record of cell outcomes. Every resolved cell makes exactly
- * one record() call. The manifest cell, the checkpoint journal, the
- * walltime histogram, sweep.cell.fail and the cross-shard quarantine
- * record are written as the call happens; fold() derives the
- * SweepCounters, their registry mirror and both failure lists from
- * the kept entries, in cell order. An engine call that throws
- * (fail_fast) never folds, so its counters stay untouched.
+ * one record() call. The `sweep.cell` span, the manifest cell, the
+ * checkpoint journal, the walltime histogram, sweep.cell.fail and the
+ * cross-shard quarantine record are written as the call happens;
+ * fold() derives the SweepCounters, their registry mirror and both
+ * failure lists from the kept entries, in cell order. An engine call
+ * that throws (fail_fast) never folds, so its counters stay untouched.
  */
 class SweepEngine::CellRecorder
 {
@@ -279,11 +232,16 @@ class SweepEngine::CellRecorder
             reported = ManifestCell::Outcome::Failed;
             break;
         }
+        const std::string &name = plan_.names[plan_.workloadOf(cell)];
+        const int depth = plan_.configOf(cell).depth;
+        TELEM_SPAN(span, "sweep.cell");
+        span.tag("workload", name);
+        span.tag("depth", depth);
+        span.tag("outcome", manifestOutcomeName(reported));
         if (engine_.manifest_) {
             engine_.manifest_->recordCell(
-                {plan_.names[plan_.workloadOf(cell)],
-                 plan_.configOf(cell).depth, reported, e.seconds,
-                 e.instructions, e.attempts});
+                {name, depth, reported, e.seconds, e.instructions,
+                 e.attempts});
         }
         if (e.outcome != Outcome::Failed) {
             const std::lock_guard<std::mutex> lock(engine_.checkpoint_mutex_);
@@ -410,7 +368,8 @@ SweepEngine::resolveCells(const CellPlan &plan,
     // its trace). Every depth replays the flat buffer against the
     // precomputed microarchitectural outcomes (depth-invariant; see
     // uarch/replay_annotations.hh), annotated under the config of the
-    // first cell that needs them.
+    // first cell that needs them; simulateMultiDepth annotates again
+    // for a walk class they do not match.
     struct Replay
     {
         std::once_flag once;
@@ -433,8 +392,10 @@ SweepEngine::resolveCells(const CellPlan &plan,
     /** What a cell carries from its probes to its resolution. */
     struct Pending
     {
-        CacheKey key;         //!< set by the probe when caching is on
-        unsigned corrupt = 0; //!< corrupt entries met so far
+        CacheKey key;          //!< set by the probe when caching is on
+        unsigned corrupt = 0;  //!< corrupt entries met so far
+        std::string cause;     //!< what() of the last failed attempt
+        std::string failpoint; //!< its failpoint name when injected
     };
 
     // Resolve cell @p i without a walk when it can be: an interrupt
@@ -462,10 +423,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
             p.key = plan.key(plan.workloadOf(i), config);
             bool corrupt = false;
             if (auto hit = cache_.load(p.key, &corrupt)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", name);
-                span.tag("depth", depth);
-                span.tag("outcome", "cached");
                 hit->workload = name;
                 hit->config = config;
                 recorder.record(i, {.outcome = Outcome::Cached,
@@ -483,10 +440,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
         if (shard_coordinator_) {
             FailureRecord record;
             if (shard_coordinator_->lookupQuarantine(name, depth, &record)) {
-                TELEM_SPAN(span, "sweep.cell");
-                span.tag("workload", name);
-                span.tag("depth", depth);
-                span.tag("outcome", "quarantined");
                 recorder.record(i, {.outcome = Outcome::Adopted,
                                     .attempts = record.attempts,
                                     .corrupt = p.corrupt,
@@ -498,120 +451,129 @@ SweepEngine::resolveCells(const CellPlan &plan,
         return false;
     };
 
-    // The 1-lane walk: one cell under retries and quarantine. Takes
-    // every miss the fused walk does not and every cell of a fused
-    // walk that threw.
-    auto walkOne = [&](std::size_t i, const Pending &p) -> SimResult {
-        const std::size_t w = plan.workloadOf(i);
-        const PipelineConfig &config = plan.configOf(i);
-        const std::string &name = plan.names[w];
-
-        TELEM_SPAN(span, "sweep.cell");
-        span.tag("workload", name);
-        span.tag("depth", config.depth);
-        const auto start = std::chrono::steady_clock::now();
-
-        CellAttempt attempt;
-        try {
-            attempt = runWithRetries(
-                [&]() -> SimResult {
-                    // The retried region: trace preparation and the
-                    // simulation itself, plus the injected per-cell
-                    // fault. call_once leaves the flag unset when the
-                    // preparation throws, so a retry re-prepares.
-                    PP_FAILPOINT("sweep.cell.simulate");
-                    const Replay &r = replayFor(w, config);
-                    // The annotations serve every config that shares
-                    // the microarchitectural key of the one they were
-                    // built for (a grid varies only depth). The
-                    // fallback keeps explicit config lists that mix
-                    // shapes correct rather than fast.
-                    return r.annotations.matches(config, r.buffer.size())
-                               ? simulate(r.buffer, r.annotations, config)
-                               : simulate(r.buffer, config);
-                },
-                options_);
-        } catch (...) {
-            // fail_fast: record and let parallelMap propagate.
-            span.tag("outcome", "failed");
-            recorder.record(i, {.outcome = Outcome::Failed,
-                                .seconds = secondsSince(start)});
-            throw;
-        }
-
-        const double seconds = secondsSince(start);
-        if (!attempt.ok) {
-            span.tag("outcome", "quarantined");
-            recorder.record(
-                i, {.outcome = Outcome::Quarantined,
-                    .attempts = attempt.attempts,
-                    .seconds = seconds,
-                    .corrupt = p.corrupt,
-                    .failure = FailureRecord{name, config.depth,
-                                             attempt.cause,
-                                             attempt.failpoint,
-                                             attempt.attempts}});
-            return holeResult(name, config);
-        }
-        span.tag("outcome", "computed");
-        const bool stored =
-            cache_.enabled() && cache_.store(p.key, attempt.result);
-        recorder.record(i, {.outcome = Outcome::Computed,
-                            .attempts = attempt.attempts,
-                            .seconds = seconds,
-                            .instructions = attempt.result.instructions,
-                            .stored = stored,
-                            .corrupt = p.corrupt});
-        return std::move(attempt.result);
-    };
-
-    // The fused walk (uarch/multi_depth_walk.hh): one pass over the
-    // replay for the cells @p missing of the group starting at
-    // @p begin. It needs two or more cells that share a machine shape
-    // (canFuseConfigs) and the workload's annotations. Returns no
-    // results when the cells must take the 1-lane walk instead:
-    //  - with failpoints armed, where the fault-injection contracts
-    //    (per-cell attempt counts, partial failures) are defined;
-    //  - when the walk throws — a failed fused walk is not a failed
-    //    cell, so each cell gets its own attempts.
-    auto walkFused = [&](std::size_t begin,
-                         const std::vector<std::size_t> &missing,
-                         double &seconds) -> std::vector<SimResult> {
-        if (missing.size() < 2 || failpoints::anyActive())
-            return {};
-        std::vector<PipelineConfig> lanes;
-        lanes.reserve(missing.size());
-        for (std::size_t i : missing)
-            lanes.push_back(plan.configOf(begin + i));
-        if (!canFuseConfigs(lanes))
-            return {};
+    // The one walk route: cells @p todo of the group starting at
+    // @p begin, all cache misses, walk in attempt rounds. A round fires
+    // sweep.cell.simulate for each cell, in cell order, then walks the
+    // survivors together in one simulateMultiDepth call; a throw from
+    // trace preparation or from the walk fails the attempt of every
+    // survivor. Failed cells back off once per round and retry; after
+    // 1 + max_retries rounds they are quarantined with their last
+    // failure. Resolves every cell unless fail_fast propagates.
+    auto walkMissing = [&](std::size_t begin,
+                           std::vector<std::size_t> todo,
+                           std::vector<Pending> &pending,
+                           std::vector<SimResult> &out) {
+        static Counter &retry_counter =
+            MetricsRegistry::instance().counter("sweep.cell.retry");
         const std::size_t w = plan.workloadOf(begin);
-        try {
-            const Replay &r = replayFor(w, lanes.front());
-            for (const PipelineConfig &config : lanes) {
-                if (!r.annotations.matches(config, r.buffer.size()))
-                    return {};
+        const std::string &name = plan.names[w];
+        const auto start = std::chrono::steady_clock::now();
+        for (unsigned round = 1; !todo.empty(); ++round) {
+            std::vector<std::size_t> survivors, failed;
+            // Called from a catch block: note the failure, or record
+            // it and let it propagate under fail_fast.
+            auto fail = [&](std::size_t i) {
+                if (options_.fail_fast) {
+                    recorder.record(begin + i,
+                                    {.outcome = Outcome::Failed,
+                                     .seconds = secondsSince(start)});
+                    throw;
+                }
+                describeFailure(pending[i].cause, pending[i].failpoint);
+                failed.push_back(i);
+            };
+            for (std::size_t i : todo) {
+                try {
+                    PP_FAILPOINT("sweep.cell.simulate");
+                    survivors.push_back(i);
+                } catch (...) {
+                    fail(i);
+                }
             }
-            TELEM_SPAN(span, "sweep.cell.fused");
-            span.tag("workload", plan.names[w]);
-            span.tag("cells", static_cast<std::uint64_t>(lanes.size()));
-            const auto start = std::chrono::steady_clock::now();
-            std::vector<SimResult> results =
-                simulateMultiDepth(r.buffer, r.annotations, lanes);
-            seconds = secondsSince(start);
-            return results;
-        } catch (...) {
-            return {};
+
+            std::vector<PipelineConfig> lanes;
+            for (std::size_t i : survivors)
+                lanes.push_back(plan.configOf(begin + i));
+            std::vector<SimResult> walked;
+            double seconds = 0.0;
+            try {
+                if (!lanes.empty()) {
+                    // call_once leaves the flag unset when the
+                    // preparation throws, so a retry re-prepares.
+                    const Replay &r = replayFor(w, lanes.front());
+                    TELEM_SPAN(span, "sweep.cell.fused");
+                    span.tag("workload", name);
+                    span.tag("cells",
+                             static_cast<std::uint64_t>(lanes.size()));
+                    const auto t0 = std::chrono::steady_clock::now();
+                    walked = simulateMultiDepth(r.buffer, r.annotations,
+                                                lanes);
+                    seconds = secondsSince(t0);
+                }
+            } catch (...) {
+                for (std::size_t i : survivors)
+                    fail(i);
+                survivors.clear();
+            }
+            for (std::size_t m = 0; m < survivors.size(); ++m) {
+                const std::size_t i = survivors[m];
+                // The walk's wall time is joint: each cell reports an
+                // equal share.
+                const bool stored = cache_.enabled() &&
+                                    cache_.store(pending[i].key, walked[m]);
+                recorder.record(
+                    begin + i,
+                    {.outcome = Outcome::Computed,
+                     .attempts = round,
+                     .seconds =
+                         seconds / static_cast<double>(survivors.size()),
+                     .instructions = walked[m].instructions,
+                     .stored = stored,
+                     .corrupt = pending[i].corrupt});
+                out[i] = std::move(walked[m]);
+            }
+
+            std::sort(failed.begin(), failed.end());
+            if (round > options_.max_retries) {
+                for (std::size_t i : failed) {
+                    const PipelineConfig &config =
+                        plan.configOf(begin + i);
+                    recorder.record(
+                        begin + i,
+                        {.outcome = Outcome::Quarantined,
+                         .attempts = round,
+                         .seconds = secondsSince(start),
+                         .corrupt = pending[i].corrupt,
+                         .failure = FailureRecord{
+                             name, config.depth, pending[i].cause,
+                             pending[i].failpoint, round}});
+                    out[i] = holeResult(name, config);
+                }
+                return;
+            }
+            if (!failed.empty()) {
+                retry_counter.add(failed.size());
+                // min(base << (round-1), 1000) ms; shift clamped so a
+                // large retry count cannot overflow.
+                const std::uint64_t backoff = std::min<std::uint64_t>(
+                    static_cast<std::uint64_t>(options_.retry_backoff_ms)
+                        << std::min(round - 1, 10u),
+                    1000);
+                if (backoff) {
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(backoff));
+                }
+            }
+            todo = std::move(failed);
         }
     };
 
     // Cell groups: contiguous runs of one workload's cells, scheduled
-    // as units so that each group's cache misses can share one fused
-    // walk instead of one pass over the replay buffer per cell.
-    // Grouping is purely a scheduling choice: fused results are
-    // byte-identical to 1-lane results, so neither thread count nor
-    // group shape can leak into measurements, and the cache key is
-    // unchanged.
+    // as units so that each group's cache misses share one walk
+    // instead of one pass over the replay buffer per cell. Grouping is
+    // purely a scheduling choice: a cell's result is byte-identical at
+    // any lane count, so neither thread count nor group shape can leak
+    // into measurements, and the cache key is unchanged.
     struct Group
     {
         std::size_t begin; //!< first cell
@@ -682,41 +644,11 @@ SweepEngine::resolveCells(const CellPlan &plan,
             return missing;
         };
 
-        auto walkMissing = [&](const std::vector<std::size_t> &missing) {
-            double seconds = 0.0;
-            std::vector<SimResult> fused =
-                walkFused(group.begin, missing, seconds);
-            for (std::size_t m = 0; m < missing.size(); ++m) {
-                const std::size_t i = missing[m];
-                if (fused.empty()) {
-                    out[i] = walkOne(group.begin + i, pending[i]);
-                } else {
-                    // The walk's wall time is genuinely joint;
-                    // attribute an equal share to each cell so the
-                    // per-cell latency distribution stays comparable
-                    // across walks.
-                    const bool stored =
-                        cache_.enabled() &&
-                        cache_.store(pending[i].key, fused[m]);
-                    recorder.record(
-                        group.begin + i,
-                        {.outcome = Outcome::Computed,
-                         .seconds = seconds /
-                                    static_cast<double>(missing.size()),
-                         .instructions = fused[m].instructions,
-                         .stored = stored,
-                         .corrupt = pending[i].corrupt});
-                    out[i] = std::move(fused[m]);
-                }
-                resolved[i] = 1;
-            }
-        };
-
         std::vector<std::size_t> missing = probeMissing();
         if (missing.empty())
             return out;
         if (!shard_coordinator_) {
-            walkMissing(missing);
+            walkMissing(group.begin, missing, pending, out);
             return out;
         }
 
@@ -741,7 +673,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 missing = probeMissing();
                 if (!missing.empty()) {
                     try {
-                        walkMissing(missing);
+                        walkMissing(group.begin, missing, pending, out);
                     } catch (...) {
                         // fail_fast path: free the lease so a retry
                         // (or another shard) can claim the group.
@@ -758,10 +690,10 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 // locally — correctness over economy.
                 missing = probeMissing();
                 if (!missing.empty())
-                    walkMissing(missing);
+                    walkMissing(group.begin, missing, pending, out);
                 return out;
             case ShardCoordinator::Claim::Uncoordinated:
-                walkMissing(missing);
+                walkMissing(group.begin, missing, pending, out);
                 return out;
             case ShardCoordinator::Claim::Busy:
                 // A live worker owns the group and streams results

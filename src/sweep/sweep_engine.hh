@@ -2,8 +2,10 @@
  * @file
  * SweepEngine: the scheduled, cached substrate under every sweep.
  *
- * All benches, tools and examples that run workload x depth grids of
- * cycle-accurate simulation route through this engine. It
+ * Every figure and ablation bench, pipesim, pipesimd,
+ * calibration_report and the examples run their grids of
+ * cycle-accurate simulation through this engine; only bench_kernels,
+ * bench_sim_throughput and sim_golden_dump call the walk directly. It
  *
  *  - flattens the full grid into (workload, depth) cells and spreads
  *    groups of cells — not whole workloads — over a work-stealing
@@ -67,8 +69,9 @@ struct SweepEngineOptions
      */
     unsigned max_retries = 2;
     /**
-     * Base of the bounded exponential backoff between attempts:
-     * attempt k waits min(retry_backoff_ms << (k-1), 1000) ms.
+     * Base of the bounded exponential backoff between attempt rounds:
+     * after a round k with failures, the group waits
+     * min(retry_backoff_ms << (k-1), 1000) ms once.
      */
     unsigned retry_backoff_ms = 10;
     /**
@@ -115,10 +118,11 @@ struct SweepCounters
     double wall_seconds = 0.0;
 
     /**
-     * Wall seconds of every *computed* cell (cache hits excluded —
-     * they are microseconds and would drown the distribution). The
-     * percentiles over this distribution are what tell a slow cell
-     * (one deep config of one workload) apart from a slow grid.
+     * Wall seconds of every *computed* cell: its equal share of the
+     * walk it ran in (cache hits excluded — they are microseconds and
+     * would drown the distribution). The percentiles over this
+     * distribution are what tell a slow cell (one deep config of one
+     * workload) apart from a slow grid.
      */
     std::vector<double> cell_seconds;
 
@@ -245,9 +249,9 @@ class SweepEngine
     /**
      * The one cell pipeline behind runGrid and runConfigs
      * (docs/SWEEP_ENGINE.md): per group of cells, probe → claim →
-     * fused or 1-lane walk → record. Returns every cell's result in
-     * plan order. When @p failures is non-null it receives each plan
-     * workload's FailureRecords, in cell order.
+     * walk (simulateMultiDepth, in attempt rounds) → record. Returns
+     * every cell's result in plan order. When @p failures is non-null
+     * it receives each plan workload's FailureRecords, in cell order.
      */
     std::vector<SimResult>
     resolveCells(const CellPlan &plan,

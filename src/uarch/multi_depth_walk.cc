@@ -637,27 +637,26 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
     }
 }
 
+/** Same machine structure: the fields canFuseConfigs() compares. */
+bool
+sameShape(const PipelineConfig &a, const PipelineConfig &c)
+{
+    return c.width == a.width && c.agen_width == a.agen_width &&
+           c.in_order == a.in_order && c.fetch_buffer == a.fetch_buffer &&
+           c.agen_queue == a.agen_queue && c.exec_queue == a.exec_queue &&
+           c.max_inflight == a.max_inflight &&
+           c.model_memory_dependences == a.model_memory_dependences;
+}
+
 } // namespace
 
 bool
 canFuseConfigs(const std::vector<PipelineConfig> &configs)
 {
-    if (configs.size() <= 1)
-        return true;
-    const PipelineConfig &a = configs.front();
-    for (std::size_t k = 1; k < configs.size(); ++k) {
-        const PipelineConfig &c = configs[k];
-        if (c.width != a.width || c.agen_width != a.agen_width ||
-            c.in_order != a.in_order ||
-            c.fetch_buffer != a.fetch_buffer ||
-            c.agen_queue != a.agen_queue ||
-            c.exec_queue != a.exec_queue ||
-            c.max_inflight != a.max_inflight ||
-            c.model_memory_dependences != a.model_memory_dependences) {
-            return false;
-        }
-    }
-    return true;
+    return std::all_of(configs.begin(), configs.end(),
+                       [&](const PipelineConfig &c) {
+                           return sameShape(configs.front(), c);
+                       });
 }
 
 namespace walk
@@ -709,16 +708,46 @@ simulateMultiDepth(const ReplayBuffer &replay,
         return {};
     if (replay.empty())
         PP_FATAL("cannot simulate an empty trace");
-    PP_ASSERT(canFuseConfigs(configs),
-              "configurations are not fusable into one walk");
     annotations.validateFor(replay);
-    for (const PipelineConfig &config : configs) {
+    for (const PipelineConfig &config : configs)
         config.validate();
-        PP_ASSERT(annotations.matches(config, replay.size()),
-                  "replay annotations do not match a fused configuration");
+
+    // Walk classes, in order of first appearance: the configs that
+    // share a machine shape and a microarchitectural key, by index.
+    std::vector<std::vector<std::size_t>> classes;
+    for (std::size_t k = 0; k < configs.size(); ++k) {
+        const auto joins = [&](const std::vector<std::size_t> &members) {
+            const PipelineConfig &first = configs[members.front()];
+            return sameShape(first, configs[k]) &&
+                   microarchKeyOf(first, replay.size()) ==
+                       microarchKeyOf(configs[k], replay.size());
+        };
+        const auto it = std::find_if(classes.begin(), classes.end(), joins);
+        if (it == classes.end())
+            classes.push_back({k});
+        else
+            it->push_back(k);
     }
+
     std::vector<SimResult> results(configs.size());
-    walk::timingWalk(replay, annotations, configs, results);
+    for (const std::vector<std::size_t> &members : classes) {
+        std::vector<PipelineConfig> lanes;
+        lanes.reserve(members.size());
+        for (std::size_t k : members)
+            lanes.push_back(configs[k]);
+        // The annotations depend on the key alone, so one set serves
+        // the whole class.
+        ReplayAnnotations own;
+        const bool matches =
+            annotations.matches(lanes.front(), replay.size());
+        if (!matches)
+            own = annotateReplay(replay, lanes.front());
+        std::vector<SimResult> walked(lanes.size());
+        walk::timingWalk(replay, matches ? annotations : own, lanes,
+                         walked);
+        for (std::size_t m = 0; m < members.size(); ++m)
+            results[members[m]] = std::move(walked[m]);
+    }
     return results;
 }
 

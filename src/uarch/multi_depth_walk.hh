@@ -22,10 +22,12 @@
  * other count splits greedily, largest part first (29 = 24 + 4 + 1),
  * one pass over the replay per part.
  *
- * SweepEngine picks the entry point from what it can see: a group of
- * two or more cache misses that canFuseConfigs() accepts takes this
- * walk; a lone miss, an unfusable set and every fault-injection run
- * take simulate().
+ * simulateMultiDepth() takes any configuration list and splits it
+ * into *walk classes*: configurations that canFuseConfigs() accepts
+ * and that share one MicroarchKey (replay_annotations.hh). Each class
+ * is one pass over the replay; a depth sweep is one class. It is the
+ * SweepEngine's only route to the walk, for a lone cache miss and a
+ * whole group alike, fault-injected runs included.
  *
  * The proof obligation is byte-identity: result[i] serializes to
  * exactly the bytes of simulate(replay, annotations, configs[i]), and
@@ -69,17 +71,18 @@ namespace pipedepth
 bool canFuseConfigs(const std::vector<PipelineConfig> &configs);
 
 /**
- * Simulate @p replay under every configuration in @p configs in one
- * streaming pass, returning one SimResult per config in input order.
+ * Simulate @p replay under every configuration in @p configs,
+ * returning one SimResult per config in input order. Each walk class
+ * (see above) streams the replay once per compiled lane group.
  *
- * Requirements (all fatal when violated): a non-empty replay buffer,
- * canFuseConfigs(configs), and @p annotations matching every config
- * (one annotation set serves all depths — annotations are
- * depth-invariant by construction, see replay_annotations.hh).
+ * @p annotations serve every class whose key they match (annotations
+ * are depth-invariant by construction, see replay_annotations.hh); a
+ * class they do not match is annotated once, here. Requirements (all
+ * fatal when violated): a non-empty replay buffer, @p annotations
+ * covering it (ReplayAnnotations::validateFor) and valid configs.
  *
  * Byte-identity guarantee: result[i] serializes to exactly
- * serializeSimResult(simulate(replay, annotations, configs[i])).
- * The call makes one pass over @p replay per compiled lane group.
+ * serializeSimResult(simulate(replay, configs[i])).
  */
 std::vector<SimResult>
 simulateMultiDepth(const ReplayBuffer &replay,

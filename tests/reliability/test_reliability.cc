@@ -38,6 +38,7 @@
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
 #include "telemetry/manifest.hh"
+#include "telemetry/telemetry.hh"
 #include "workloads/catalog.hh"
 
 namespace pipedepth
@@ -130,13 +131,26 @@ TEST_F(ReliabilityTest, TransientFaultRetriesToIdenticalResult)
     // One injected fault: the first simulated cell fails once, then
     // succeeds on retry. The grid must come out byte-identical.
     ScopedFailpoints guard("sweep.cell.simulate=once");
+    SpanTracer &tracer = SpanTracer::instance();
+    tracer.clear();
+    tracer.setEnabled(true);
     SweepEngine engine = makeEngine(false);
     const SweepResult got = engine.runSweep(spec, opt);
+    const auto spans = tracer.rollups();
+    tracer.setEnabled(false);
+    tracer.clear();
 
     EXPECT_TRUE(got.complete());
     const SweepCounters c = engine.counters();
     EXPECT_EQ(c.cells_retried, 1u);
     EXPECT_EQ(c.cells_quarantined, 0u);
+    // The armed run takes the production walk: the 5 cells form
+    // groups of 4 and 1, and each round's survivors walk together,
+    // so there are fewer walks than computed cells.
+    ASSERT_EQ(spans.count("sweep.cell.fused"), 1u);
+    const std::uint64_t walks = spans.at("sweep.cell.fused").count;
+    EXPECT_GT(walks, 0u);
+    EXPECT_LT(walks, c.cells_computed);
     ASSERT_EQ(got.runs.size(), want.runs.size());
     for (std::size_t i = 0; i < want.runs.size(); ++i) {
         EXPECT_EQ(serializeSimResult(got.runs[i]),

@@ -260,8 +260,8 @@ TEST(EngineDeterminism, GridConfigsAndDirectWalkByteIdentical)
 {
     // runGrid and runConfigs are two plans over one cell pipeline. At
     // 4 threads each workload's 9 cells form groups of 4, 4 and 1, so
-    // both the fused walk and the 1-lane walk run; a direct simulate()
-    // of every cell is the oracle for both.
+    // walks of 4 lanes and of 1 lane run; a direct simulate() of every
+    // cell is the oracle for both.
     const SweepOptions opt = fastOptions();
     const std::vector<WorkloadSpec> specs = sampleSpecs();
     std::vector<PipelineConfig> configs;
@@ -292,7 +292,31 @@ TEST(EngineDeterminism, GridConfigsAndDirectWalkByteIdentical)
             ++checked;
         }
     }
-    EXPECT_EQ(checked, 18u);
+
+    // One group that mixes walk classes: at 1 thread a 4-config call
+    // is a single group, and its one walk splits into an in-order
+    // class (depths 4 and 7, not adjacent), an out-of-order class
+    // that shares their annotations, and a second predictor's class,
+    // which needs annotations of its own.
+    SweepOptions ooo = opt;
+    ooo.in_order = false;
+    SweepOptions gshare = opt;
+    gshare.predictor = PredictorKind::Gshare;
+    const std::vector<PipelineConfig> mixed{
+        opt.configAtDepth(4), ooo.configAtDepth(5),
+        gshare.configAtDepth(6), opt.configAtDepth(7)};
+    SweepEngine mixed_engine = uncachedEngine(1);
+    const Trace trace = specs[0].makeTrace(opt.trace_length);
+    const std::vector<SimResult> runs =
+        mixed_engine.runConfigs(trace, mixed);
+    ASSERT_EQ(runs.size(), mixed.size());
+    for (std::size_t k = 0; k < mixed.size(); ++k) {
+        EXPECT_EQ(serializeSimResult(runs[k]),
+                  serializeSimResult(simulate(trace, mixed[k])))
+            << "mixed group, config " << k;
+        ++checked;
+    }
+    EXPECT_EQ(checked, 22u);
 }
 
 TEST(EngineDeterminism, ShardedGridMatchesUnsharded)
