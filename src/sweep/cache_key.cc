@@ -159,8 +159,8 @@ simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
     return h.key();
 }
 
-CacheKey
-traceCellKey(const Trace &trace, const PipelineConfig &config)
+StableHasher
+traceCellHasher(const Trace &trace)
 {
     StableHasher h;
     h.str(kSimulatorVersionTag);
@@ -179,6 +179,13 @@ traceCellKey(const Trace &trace, const PipelineConfig &config)
         h.u64(r.taken ? 1 : 0);
         h.u64(r.target);
     }
+    return h;
+}
+
+CacheKey
+traceCellKey(const Trace &trace, const PipelineConfig &config)
+{
+    StableHasher h = traceCellHasher(trace);
     hashPipelineConfig(h, config);
     return h.key();
 }

@@ -97,8 +97,18 @@ CacheKey simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
                     const PipelineConfig &config);
 
 /**
+ * Hasher state after every record of @p trace: the shared prefix of
+ * its traceCellKey under any configuration. FNV-1a streams, so
+ * appending a config to a copy of this state gives the same key as
+ * hashing the whole cell, and a caller keying many configs hashes the
+ * records once.
+ */
+StableHasher traceCellHasher(const Trace &trace);
+
+/**
  * Key of one (explicit trace, configuration) cell, for traces that do
- * not come from the catalog (tape files). Hashes every trace record.
+ * not come from the catalog (tape files): traceCellHasher(trace) with
+ * the configuration appended.
  */
 CacheKey traceCellKey(const Trace &trace, const PipelineConfig &config);
 

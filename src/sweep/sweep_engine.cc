@@ -820,11 +820,24 @@ SweepEngine::runConfigs(const Trace &trace,
     grid_span.tag("workload", trace.name);
     grid_span.tag("configs", static_cast<std::uint64_t>(configs.size()));
 
+    // Hash the records once per call, not once per config: every
+    // cell's key is this state with its config appended.
+    StableHasher records;
+    if (cache_.enabled()) {
+        TELEM_SPAN(key_span, "sweep.key");
+        key_span.tag("workload", trace.name);
+        key_span.tag("records",
+                     static_cast<std::uint64_t>(trace.records.size()));
+        records = traceCellHasher(trace);
+    }
+
     CellPlan plan;
     plan.names = {trace.name};
     plan.configs = configs;
     plan.key = [&](std::size_t, const PipelineConfig &config) {
-        return traceCellKey(trace, config);
+        StableHasher h = records;
+        hashPipelineConfig(h, config);
+        return h.key();
     };
     plan.replay = [&](std::size_t) { return prepareReplay(trace); };
     // The trace name stands in for the trace in the group key: the

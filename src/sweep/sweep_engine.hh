@@ -4,7 +4,7 @@
  *
  * Every figure and ablation bench, pipesim, pipesimd,
  * calibration_report and the examples run their grids of
- * cycle-accurate simulation through this engine; only bench_kernels,
+ * cycle-accurate simulation through this engine; only
  * bench_sim_throughput and sim_golden_dump call the walk directly. It
  *
  *  - flattens the full grid into (workload, depth) cells and spreads
@@ -184,7 +184,8 @@ class SweepEngine
     /**
      * Simulate an explicit trace (e.g. a tape file) under each
      * configuration; results keep order. Cache keys hash the full
-     * trace contents (traceCellKey).
+     * trace contents (traceCellKey), once per call: each config is
+     * appended to one hash of the records (the `sweep.key` span).
      */
     std::vector<SimResult>
     runConfigs(const Trace &trace,

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 
 #include "common/logging.hh"
@@ -166,7 +167,22 @@ readTrace(const std::string &path)
     if (nlen)
         get(trace.name.data(), nlen);
 
-    trace.records.reserve(count);
+    // Bound the header's count by what the file can hold (header,
+    // name, records, checksum) before reserving for it: a corrupt
+    // count must fail as a truncated tape, not as a failed
+    // allocation. A stream of unknown size reserves nothing and
+    // stops at its end.
+    std::error_code size_error;
+    const std::uintmax_t size = std::filesystem::file_size(path, size_error);
+    if (!size_error) {
+        const std::uintmax_t fixed = sizeof(hdr) + nlen + 8;
+        const std::uintmax_t room =
+            size > fixed ? (size - fixed) / kRecordBytes : 0;
+        if (count > room)
+            PP_FATAL("truncated trace file: header claims ", count,
+                     " records, room for ", room, ": ", path);
+        trace.records.reserve(count);
+    }
     std::uint64_t hash = kFnvOffset;
     unsigned char buf[kRecordBytes];
     for (std::uint64_t i = 0; i < count; ++i) {

@@ -27,7 +27,8 @@ void writeTrace(const Trace &trace, const std::string &path);
 
 /**
  * Load a trace tape. Fatal on missing file, bad magic, version
- * mismatch, truncation, or checksum failure.
+ * mismatch, truncation (including a record count the file cannot
+ * hold), or checksum failure.
  */
 Trace readTrace(const std::string &path);
 

@@ -2,8 +2,9 @@
  * @file
  * SweepEngine behaviour tests: counter accounting on cold and warm
  * runs, silent recomputation of corrupt cache entries, the --no-cache
- * escape hatch, explicit-trace (runConfigs) caching, and the summary
- * table. Byte-level determinism lives in test_engine_determinism.cc.
+ * escape hatch, explicit-trace (runConfigs) caching and its one
+ * trace hash per call, and the summary table. Byte-level determinism
+ * lives in test_engine_determinism.cc.
  */
 
 #include <gtest/gtest.h>
@@ -12,8 +13,10 @@
 #include <fstream>
 #include <sstream>
 
+#include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
+#include "telemetry/telemetry.hh"
 
 namespace pipedepth
 {
@@ -218,8 +221,26 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     EXPECT_EQ(cold.counters().cells_computed, 2u);
     EXPECT_EQ(cold.counters().cache_stores, 2u);
 
+    // Every entry sits at its traceCellKey address, the one callers
+    // outside the engine (perfbench's golden_cells) probe themselves.
+    const ResultCache store(dir_.string());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        const auto entry = store.load(traceCellKey(trace, configs[i]));
+        ASSERT_TRUE(entry.has_value()) << i;
+        EXPECT_EQ(serializeSimResult(*entry), serializeSimResult(a[i]));
+    }
+
+    // The warm call hashes the trace records once, not once per
+    // config.
+    SpanTracer::instance().clear();
+    SpanTracer::instance().setEnabled(true);
     SweepEngine warm = makeEngine();
     const auto b = warm.runConfigs(trace, configs);
+    SpanTracer::instance().setEnabled(false);
+    const auto rollups = SpanTracer::instance().rollups();
+    SpanTracer::instance().clear();
+    ASSERT_EQ(rollups.count("sweep.key"), 1u);
+    EXPECT_EQ(rollups.at("sweep.key").count, 1u);
     EXPECT_EQ(warm.counters().cache_hits, 2u);
     EXPECT_EQ(warm.counters().cells_computed, 0u);
     for (std::size_t i = 0; i < a.size(); ++i)

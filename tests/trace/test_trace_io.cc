@@ -131,5 +131,29 @@ TEST_F(TraceIoTest, CorruptionIsFatal)
                 ::testing::ExitedWithCode(1), "checksum");
 }
 
+TEST_F(TraceIoTest, OversizedRecordCountIsFatal)
+{
+    // A bare 28-byte header (no name, no records, no checksum) whose
+    // count no file of that size can hold: the reader must reject it
+    // before allocating for it.
+    for (const std::uint64_t count :
+         {std::uint64_t{1} << 31, std::uint64_t{1} << 60}) {
+        unsigned char hdr[28] = {'P', 'P', 'T', 'R'};
+        for (int i = 0; i < 4; ++i)
+            hdr[4 + i] = static_cast<unsigned char>(
+                kTraceFormatVersion >> (8 * i));
+        for (int i = 0; i < 8; ++i)
+            hdr[16 + i] = static_cast<unsigned char>(count >> (8 * i));
+        {
+            std::ofstream f(path("huge.pptr"), std::ios::binary);
+            f.write(reinterpret_cast<const char *>(hdr), sizeof(hdr));
+        }
+        EXPECT_EXIT(readTrace(path("huge.pptr")),
+                    ::testing::ExitedWithCode(1),
+                    "claims " + std::to_string(count) + " records")
+            << count;
+    }
+}
+
 } // namespace
 } // namespace pipedepth
