@@ -15,51 +15,8 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "math/least_squares.hh"
-#include "power/activity_power.hh"
 
 using namespace pipedepth;
-
-namespace
-{
-
-struct PolicyRow
-{
-    double p_opt = 0.0;
-    bool interior = false;
-    double cpi20 = 0.0;
-};
-
-PolicyRow
-runPolicy(SweepEngine &engine, const BenchOptions &opt,
-          const WorkloadSpec &spec, ExpansionPolicy policy)
-{
-    const Trace trace = spec.makeTrace(opt.trace_length);
-
-    std::vector<PipelineConfig> configs;
-    for (int p = 2; p <= 25; ++p) {
-        PipelineConfig cfg = PipelineConfig::forDepth(p, true, policy);
-        cfg.warmup_instructions = opt.warmup();
-        configs.push_back(cfg);
-    }
-    const std::vector<SimResult> runs = engine.runConfigs(trace, configs);
-    std::vector<double> depths, metric;
-    ActivityPowerModel power;
-    power = power.withLeakageFraction(runs[6], 0.15); // depth 8
-    for (const auto &r : runs) {
-        depths.push_back(r.depth);
-        metric.push_back(power.metric(r, 3.0, true));
-    }
-    const CubicPeak peak = fitCubicPeak(depths, metric);
-
-    PolicyRow row;
-    row.p_opt = peak.x;
-    row.interior = peak.interior;
-    row.cpi20 = runs[18].cpi(); // depth 20
-    return row;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -80,14 +37,20 @@ main(int argc, char **argv)
         for (ExpansionPolicy policy :
              {ExpansionPolicy::Uniform, ExpansionPolicy::DecodeHeavy,
               ExpansionPolicy::CacheHeavy, ExpansionPolicy::ExecHeavy}) {
-            const PolicyRow row =
-                runPolicy(engine, opt, findWorkload(name), policy);
+            SweepOptions so = opt.sweepOptions();
+            so.policy = policy;
+            const SweepResult sweep = engine.runSweep(findWorkload(name), so);
+            const SimResult *at20 = sweep.runAt(20);
+            if (!sweep.runAt(8) || !at20) // quarantined: no row
+                continue;
+            bool interior = false;
+            const double p_opt = sweep.cubicFitOptimum(3.0, true, &interior);
             t.beginRow();
             t.cell(name);
             t.cell(toString(policy));
-            t.cell(row.p_opt);
-            t.cell(row.interior ? "yes" : "no");
-            t.cell(row.cpi20);
+            t.cell(p_opt);
+            t.cell(interior ? "yes" : "no");
+            t.cell(at20->cpi());
         }
     }
     t.render(std::cout);

@@ -48,17 +48,16 @@ main(int argc, char **argv)
         const SweepResult io = engine.runSweep(findWorkload(name), io_opt);
         const SweepResult ooo =
             engine.runSweep(findWorkload(name), ooo_opt);
+        const SimResult *ref_io = io.runAt(io_opt.reference_depth);
+        const SimResult *ref_ooo = ooo.runAt(ooo_opt.reference_depth);
+        if (!ref_io || !ref_ooo) // quarantined: nothing calibrated
+            continue;
 
         bool i1 = false, i2 = false;
         const double p_io = io.cubicFitOptimum(3.0, true, &i1);
         const double p_ooo = ooo.cubicFitOptimum(3.0, true, &i2);
         const double delta = 100.0 * (p_ooo - p_io) / p_io;
         worst_delta = std::max(worst_delta, std::fabs(delta));
-
-        const std::size_t ref_io = static_cast<std::size_t>(
-            io_opt.reference_depth - io_opt.min_depth);
-        const std::size_t ref_ooo = static_cast<std::size_t>(
-            ooo_opt.reference_depth - ooo_opt.min_depth);
 
         t.beginRow();
         t.cell(name);
@@ -67,8 +66,8 @@ main(int argc, char **argv)
         t.cell(delta);
         t.cell(io.extracted.alpha);
         t.cell(ooo.extracted.alpha);
-        t.cell(io.runs[ref_io].cpi());
-        t.cell(ooo.runs[ref_ooo].cpi());
+        t.cell(ref_io->cpi());
+        t.cell(ref_ooo->cpi());
     }
     t.render(std::cout);
 

@@ -14,8 +14,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "math/least_squares.hh"
-#include "power/activity_power.hh"
 
 using namespace pipedepth;
 
@@ -23,7 +21,6 @@ int
 main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
-    const Trace trace = findWorkload("db1").makeTrace(opt.trace_length);
 
     banner(opt, "memory latency ablation (workload db1)");
     TableWriter t(opt.style());
@@ -33,34 +30,31 @@ main(int argc, char **argv)
     t.addColumn("p_opt", 2);
 
     SweepEngine engine(opt.engineOptions());
+    const SweepOptions so = opt.sweepOptions();
+    const WorkloadSpec &spec = findWorkload("db1");
     double base_bips = 0.0;
     for (double mem : {200.0, 400.0, 800.0, 1600.0, 3200.0}) {
         std::vector<PipelineConfig> configs;
-        for (int p = 2; p <= 25; ++p) {
-            PipelineConfig cfg = PipelineConfig::forDepth(p);
+        for (int p = so.min_depth; p <= so.max_depth; ++p) {
+            PipelineConfig cfg = so.configAtDepth(p);
             cfg.mem_latency_fo4 = mem;
-            cfg.warmup_instructions = opt.warmup();
             configs.push_back(cfg);
         }
-        const std::vector<SimResult> runs =
-            engine.runConfigs(trace, configs);
-        const SimResult &ref = runs[8 - 2];
-        std::vector<double> depths, metric;
-        ActivityPowerModel power;
-        power = power.withLeakageFraction(ref, 0.15);
-        for (const auto &r : runs) {
-            depths.push_back(r.depth);
-            metric.push_back(power.metric(r, 3.0, true));
-        }
-        const CubicPeak peak = fitCubicPeak(depths, metric);
+        std::vector<SimResult> runs =
+            engine.runConfigs(spec, so.trace_length, configs);
+        const SweepResult sweep = assembleSweep(
+            spec, so, std::move(runs), engine.lastFailures());
+        const SimResult *ref = sweep.runAt(8);
+        if (!ref) // quarantined: nothing calibrated, no row
+            continue;
         if (base_bips == 0.0)
-            base_bips = ref.bips();
+            base_bips = ref->bips();
 
         t.beginRow();
         t.cell(mem);
-        t.cell(ref.cpi());
-        t.cell(ref.bips() / base_bips);
-        t.cell(peak.x);
+        t.cell(ref->cpi());
+        t.cell(ref->bips() / base_bips);
+        t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
     }
     t.render(std::cout);
     engine.printSummary(std::cerr);

@@ -13,9 +13,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "calib/extract.hh"
-#include "math/least_squares.hh"
-#include "power/activity_power.hh"
 
 using namespace pipedepth;
 
@@ -34,38 +31,23 @@ main(int argc, char **argv)
 
     SweepEngine engine(opt.engineOptions());
     for (const char *name : {"gcc95", "websrv"}) {
-        const Trace trace =
-            findWorkload(name).makeTrace(opt.trace_length);
         for (PredictorKind kind :
              {PredictorKind::AlwaysTaken, PredictorKind::Bimodal,
               PredictorKind::Gshare}) {
-            std::vector<PipelineConfig> configs;
-            for (int p = 2; p <= 25; ++p) {
-                PipelineConfig cfg = PipelineConfig::forDepth(p);
-                cfg.predictor = kind;
-                cfg.warmup_instructions = opt.warmup();
-                configs.push_back(cfg);
-            }
-            const std::vector<SimResult> runs =
-                engine.runConfigs(trace, configs);
-            const SimResult &ref = runs[8 - 2];
-            std::vector<double> depths, metric;
-            ActivityPowerModel power;
-            power = power.withLeakageFraction(ref, 0.15);
-            for (const auto &r : runs) {
-                depths.push_back(r.depth);
-                metric.push_back(power.metric(r, 3.0, true));
-            }
-            const CubicPeak peak = fitCubicPeak(depths, metric);
-            const MachineParams mp = extractMachineParams(ref);
+            SweepOptions so = opt.sweepOptions();
+            so.predictor = kind;
+            const SweepResult sweep = engine.runSweep(findWorkload(name), so);
+            const SimResult *ref = sweep.runAt(8);
+            if (!ref) // quarantined: nothing calibrated, no row
+                continue;
 
             t.beginRow();
             t.cell(name);
             t.cell(makePredictor(kind)->name());
-            t.cell(1000.0 * static_cast<double>(ref.mispredicts) /
-                   static_cast<double>(ref.instructions));
-            t.cell(mp.hazard_ratio);
-            t.cell(peak.x);
+            t.cell(1000.0 * static_cast<double>(ref->mispredicts) /
+                   static_cast<double>(ref->instructions));
+            t.cell(sweep.extracted.hazard_ratio);
+            t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
         }
     }
     t.render(std::cout);

@@ -12,9 +12,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "calib/extract.hh"
-#include "math/least_squares.hh"
-#include "power/activity_power.hh"
 
 using namespace pipedepth;
 
@@ -32,37 +29,31 @@ main(int argc, char **argv)
     t.addColumn("p_opt", 2);
 
     SweepEngine engine(opt.engineOptions());
+    const SweepOptions so = opt.sweepOptions();
     for (const char *name : {"gcc95", "websrv"}) {
-        const Trace trace =
-            findWorkload(name).makeTrace(opt.trace_length);
+        const WorkloadSpec &spec = findWorkload(name);
         for (int width : {1, 2, 4, 6}) {
             std::vector<PipelineConfig> configs;
-            for (int p = 2; p <= 25; ++p) {
-                PipelineConfig cfg = PipelineConfig::forDepth(p);
+            for (int p = so.min_depth; p <= so.max_depth; ++p) {
+                PipelineConfig cfg = so.configAtDepth(p);
                 cfg.width = width;
                 cfg.agen_width = std::max(1, width / 2);
-                cfg.warmup_instructions = opt.warmup();
                 configs.push_back(cfg);
             }
-            const std::vector<SimResult> runs =
-                engine.runConfigs(trace, configs);
-            const SimResult &ref = runs[8 - 2];
-            std::vector<double> depths, metric;
-            ActivityPowerModel power;
-            power = power.withLeakageFraction(ref, 0.15);
-            for (const auto &r : runs) {
-                depths.push_back(r.depth);
-                metric.push_back(power.metric(r, 3.0, true));
-            }
-            const CubicPeak peak = fitCubicPeak(depths, metric);
-            const MachineParams mp = extractMachineParams(ref);
+            std::vector<SimResult> runs =
+                engine.runConfigs(spec, so.trace_length, configs);
+            const SweepResult sweep = assembleSweep(
+                spec, so, std::move(runs), engine.lastFailures());
+            const SimResult *ref = sweep.runAt(8);
+            if (!ref) // quarantined: nothing calibrated, no row
+                continue;
 
             t.beginRow();
             t.cell(name);
             t.cell(width);
-            t.cell(mp.alpha);
-            t.cell(ref.cpi());
-            t.cell(peak.x);
+            t.cell(sweep.extracted.alpha);
+            t.cell(ref->cpi());
+            t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
         }
     }
     t.render(std::cout);

@@ -37,9 +37,7 @@ main(int argc, char **argv)
         // has no extracted power model, so its metric curve — and
         // with it the fitted optimum — is meaningless. Leave it out
         // of the class distribution instead of binning garbage.
-        const std::size_t ref_index = static_cast<std::size_t>(
-            s.options.reference_depth - s.options.min_depth);
-        if (s.runs.at(ref_index).cycles == 0) {
+        if (!s.runAt(s.options.reference_depth)) {
             std::fprintf(stderr,
                          "fig7: skipping %s (reference cell "
                          "quarantined, %zu hole(s))\n",
@@ -107,17 +105,15 @@ main(int argc, char **argv)
     std::map<std::string, std::array<double, kNumStallBuckets>> shares;
     std::map<std::string, int> counts;
     for (const auto &s2 : sweeps) {
-        const std::size_t ref = static_cast<std::size_t>(
-            s2.options.reference_depth - s2.options.min_depth);
-        const SimResult &r = s2.runs.at(ref);
-        if (r.cycles == 0) // quarantined hole: no ledger to share
+        const SimResult *r = s2.runAt(s2.options.reference_depth);
+        if (!r) // quarantined hole: no ledger to share
             continue;
         auto &acc = shares[workloadClassName(s2.spec.cls)];
         ++counts[workloadClassName(s2.spec.cls)];
         for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
             acc[b] += static_cast<double>(
-                          r.ledgerCycles(static_cast<StallBucket>(b))) /
-                      static_cast<double>(r.cycles);
+                          r->ledgerCycles(static_cast<StallBucket>(b))) /
+                      static_cast<double>(r->cycles);
         }
     }
     for (const auto &[cls, acc] : shares) {

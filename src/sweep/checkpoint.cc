@@ -36,35 +36,39 @@ SweepCheckpoint::toJson() const
     return os.str();
 }
 
+const char *
+publishFile(const std::string &path, const std::string &tmp,
+            const std::string &content)
+{
+    std::FILE *out = std::fopen(tmp.c_str(), "wb");
+    if (!out)
+        return "cannot write";
+    const bool written =
+        std::fwrite(content.data(), 1, content.size(), out) ==
+            content.size() &&
+        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+    const bool closed = std::fclose(out) == 0;
+    const char *failed = nullptr;
+    if (!written || !closed)
+        failed = "short write of";
+    else if (std::rename(tmp.c_str(), path.c_str()) != 0)
+        failed = "cannot publish";
+    if (failed)
+        std::remove(tmp.c_str());
+    return failed;
+}
+
 bool
 writeCheckpoint(const std::string &path, const SweepCheckpoint &checkpoint)
 {
-    const std::string json = checkpoint.toJson();
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-
-    std::FILE *out = PP_FAILPOINT_FIRED("checkpoint.write")
-                         ? nullptr
-                         : std::fopen(tmp.c_str(), "wb");
-    if (!out) {
-        PP_WARN("cannot write checkpoint '", path, "'");
-        return false;
-    }
-    const bool written =
-        std::fwrite(json.data(), 1, json.size(), out) == json.size() &&
-        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-    const bool closed = std::fclose(out) == 0;
-    if (!written || !closed) {
-        std::remove(tmp.c_str());
-        PP_WARN("short write of checkpoint '", path, "'");
-        return false;
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        PP_WARN("cannot publish checkpoint '", path, "'");
-        return false;
-    }
-    return true;
+    const char *failed =
+        PP_FAILPOINT_FIRED("checkpoint.write")
+            ? "cannot write"
+            : publishFile(path, path + ".tmp." + std::to_string(::getpid()),
+                          checkpoint.toJson());
+    if (failed)
+        PP_WARN(failed, " checkpoint '", path, "'");
+    return failed == nullptr;
 }
 
 namespace

@@ -52,6 +52,16 @@ struct SweepCheckpoint
 };
 
 /**
+ * Publish @p content at @p path atomically, for the checkpoint journal
+ * and the shard files: write @p tmp (a writer-unique name beside
+ * @p path), fsync, rename. @return nullptr on success; else, with
+ * @p tmp removed, the failed step for a warning ("cannot write",
+ * "short write of" or "cannot publish").
+ */
+const char *publishFile(const std::string &path, const std::string &tmp,
+                        const std::string &content);
+
+/**
  * Atomically write @p checkpoint to @p path (temp file + rename; the
  * temp name embeds the pid so concurrent writers never collide).
  * Failpoint "checkpoint.write" turns the write into a failure.

@@ -95,6 +95,16 @@ SweepResult::bips() const
     return out;
 }
 
+const SimResult *
+SweepResult::runAt(int depth) const
+{
+    for (const auto &r : runs) {
+        if (r.depth == depth)
+            return r.cycles != 0 ? &r : nullptr;
+    }
+    return nullptr;
+}
+
 double
 SweepResult::cubicFitOptimum(double m, bool gated, bool *interior) const
 {
@@ -159,6 +169,26 @@ SweepResult::latchCounts() const
             out.push_back(power_model.latchCount(r.config));
     }
     return out;
+}
+
+SweepResult
+assembleSweep(const WorkloadSpec &spec, const SweepOptions &options,
+              std::vector<SimResult> runs,
+              std::vector<FailureRecord> failures)
+{
+    SweepResult sweep{spec,
+                      options,
+                      std::move(runs),
+                      ActivityPowerModel(UnitPowerFactors::defaults(),
+                                         options.p_d, 0.0),
+                      MachineParams{},
+                      std::move(failures)};
+    if (const SimResult *reference = sweep.runAt(options.reference_depth)) {
+        sweep.power_model = sweep.power_model.withLeakageFraction(
+            *reference, options.leakage_fraction);
+        sweep.extracted = extractMachineParams(*reference);
+    }
+    return sweep;
 }
 
 SweepResult

@@ -83,6 +83,10 @@ struct SweepResult
     /** Did every cell produce a result (no quarantined holes)? */
     bool complete() const { return failures.empty(); }
 
+    /** The run at @p depth; nullptr when that cell is a quarantined
+     *  hole or the sweep has no such depth. */
+    const SimResult *runAt(int depth) const;
+
     /**
      * Depths as doubles (x axis of every figure). Quarantined holes
      * (cells with cycles == 0) are skipped — as they are by metric(),
@@ -128,6 +132,18 @@ struct SweepResult
     /** Latch counts per depth (power model); holes skipped. */
     std::vector<double> latchCounts() const;
 };
+
+/**
+ * The one assembly of a workload's @p runs (config order) and
+ * @p failures into a SweepResult, for runGrid and runConfigs callers:
+ * leakage is calibrated and theory parameters extracted at
+ * runAt(options.reference_depth). Without that run (a hole) the
+ * defaults stay.
+ */
+SweepResult assembleSweep(const WorkloadSpec &spec,
+                          const SweepOptions &options,
+                          std::vector<SimResult> runs,
+                          std::vector<FailureRecord> failures);
 
 /**
  * Run the full sweep for one workload through a default-configured

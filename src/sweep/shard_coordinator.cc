@@ -14,6 +14,8 @@
 #include "common/logging.hh"
 #include "common/proc.hh"
 #include "sweep/cache_key.hh"
+#include "sweep/checkpoint.hh"
+#include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
 
 namespace pipedepth
@@ -48,31 +50,16 @@ shardMetrics()
     return m;
 }
 
-/**
- * Write @p content to @p path atomically: pid-stamped temp file in
- * the same directory, fsync, rename. The same publication idiom as
- * checkpoint.cc — a reader sees the whole file or no file.
- */
+/** publishFile (checkpoint.hh) under a pid- and @p seq-stamped temp
+ *  name, unique per writer thread too. */
 bool
 writeFileAtomic(const std::string &path, const std::string &content,
                 std::uint64_t seq)
 {
-    const std::string tmp = path + ".tmp." +
-                            std::to_string(::getpid()) + "." +
-                            std::to_string(seq);
-    std::FILE *out = std::fopen(tmp.c_str(), "wb");
-    if (!out)
-        return false;
-    const bool written =
-        std::fwrite(content.data(), 1, content.size(), out) ==
-            content.size() &&
-        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-    const bool closed = std::fclose(out) == 0;
-    if (!written || !closed || std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        return false;
-    }
-    return true;
+    return publishFile(path,
+                       path + ".tmp." + std::to_string(::getpid()) + "." +
+                           std::to_string(seq),
+                       content) == nullptr;
 }
 
 bool
@@ -350,7 +337,7 @@ shardRollupPath(const std::string &dir, unsigned shard_id)
 }
 
 bool
-writeShardRollup(const std::string &dir, const ShardRollup &rollup)
+writeShardRollup(const std::string &dir, const ManifestShard &rollup)
 {
     std::ostringstream os;
     os << "{\n";
@@ -368,10 +355,10 @@ writeShardRollup(const std::string &dir, const ShardRollup &rollup)
                            os.str(), rollup.shard_id);
 }
 
-std::vector<ShardRollup>
+std::vector<ManifestShard>
 readShardRollups(const std::string &dir, unsigned shards)
 {
-    std::vector<ShardRollup> rollups;
+    std::vector<ManifestShard> rollups;
     for (unsigned id = 0; id < shards; ++id) {
         std::ifstream in(shardRollupPath(dir, id));
         if (!in)
@@ -383,7 +370,7 @@ readShardRollups(const std::string &dir, unsigned shards)
         if (!JsonValue::parse(buf.str(), &doc, &error) ||
             !doc.isObject())
             continue;
-        ShardRollup r;
+        ManifestShard r;
         r.shard_id = id;
         const auto num = [&](const char *key, auto fallback) {
             const JsonValue *v = doc.find(key);

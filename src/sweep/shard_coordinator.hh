@@ -74,6 +74,8 @@
 namespace pipedepth
 {
 
+struct ManifestShard; // telemetry/manifest.hh
+
 /** Coordinator construction knobs (SweepEngineOptions maps 1:1). */
 struct ShardOptions
 {
@@ -171,35 +173,20 @@ class ShardCoordinator
     std::uint64_t claim_seq_ = 0; //!< unique temp-file suffix
 };
 
-/**
- * Per-worker rollup written into the coordination directory when a
- * shard worker exits (shard.<id>.json), read back by the coordinator
- * to build the merged manifest's `shards` field. Missing files (a
- * worker that never got to exit cleanly) simply yield no entry.
- */
-struct ShardRollup
-{
-    unsigned shard_id = 0;
-    int exit_code = 0;
-    std::uint64_t cells_computed = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cells_quarantined = 0;
-    std::uint64_t restarts = 0; //!< filled in by the coordinator
-    double wall_seconds = 0.0;
-};
-
 /** `<dir>/shard.<id>.json`. */
 std::string shardRollupPath(const std::string &dir, unsigned shard_id);
 
-/** Atomically write @p rollup to shardRollupPath(dir, id). */
-bool writeShardRollup(const std::string &dir, const ShardRollup &rollup);
+/** Atomically write a shard worker's @p rollup, on its exit, to
+ *  shardRollupPath(dir, id). */
+bool writeShardRollup(const std::string &dir, const ManifestShard &rollup);
 
 /**
- * Read every `shard.<id>.json` for ids [0, shards); unreadable or
- * missing files are skipped.
+ * Read every `shard.<id>.json` for ids [0, shards), for the merged
+ * manifest's `shards` field; unreadable or missing files (a worker
+ * that never got to exit cleanly) are skipped.
  */
-std::vector<ShardRollup> readShardRollups(const std::string &dir,
-                                          unsigned shards);
+std::vector<ManifestShard> readShardRollups(const std::string &dir,
+                                            unsigned shards);
 
 } // namespace pipedepth
 

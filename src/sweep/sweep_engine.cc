@@ -11,7 +11,6 @@
 #include <ostream>
 #include <thread>
 
-#include "calib/extract.hh"
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
@@ -721,6 +720,32 @@ SweepEngine::resolveCells(const CellPlan &plan,
     return results;
 }
 
+std::vector<SimResult>
+SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
+                          std::size_t trace_length,
+                          std::vector<PipelineConfig> configs,
+                          std::vector<std::vector<FailureRecord>> *failures)
+{
+    CellPlan plan;
+    for (const WorkloadSpec &spec : specs)
+        plan.names.push_back(spec.name);
+    plan.configs = std::move(configs);
+    plan.key = [&](std::size_t s, const PipelineConfig &config) {
+        return simCellKey(specs[s], trace_length, config);
+    };
+    // The intermediate Trace is dropped as soon as the buffer is built.
+    plan.replay = [&](std::size_t s) {
+        plan.traces_generated.fetch_add(1);
+        return prepareReplay(specs[s].makeTrace(trace_length));
+    };
+    plan.group_prefix = [&](StableHasher &h, std::size_t s) {
+        h.str("grid");
+        hashWorkloadSpec(h, specs[s]);
+        h.u64(trace_length);
+    };
+    return resolveCells(plan, failures);
+}
+
 std::vector<SweepResult>
 SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
                      const SweepOptions &options,
@@ -752,53 +777,24 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
         }
     }
 
-    CellPlan plan;
-    for (const WorkloadSpec &spec : specs)
-        plan.names.push_back(spec.name);
+    std::vector<PipelineConfig> configs;
     for (int p = options.min_depth; p <= options.max_depth; ++p)
-        plan.configs.push_back(options.configAtDepth(p));
-    plan.key = [&](std::size_t s, const PipelineConfig &config) {
-        return simCellKey(specs[s], options.trace_length, config);
-    };
-    // The intermediate Trace is dropped as soon as the buffer is built.
-    plan.replay = [&](std::size_t s) {
-        plan.traces_generated.fetch_add(1);
-        return prepareReplay(specs[s].makeTrace(options.trace_length));
-    };
-    plan.group_prefix = [&](StableHasher &h, std::size_t s) {
-        h.str("grid");
-        hashWorkloadSpec(h, specs[s]);
-        h.u64(options.trace_length);
-    };
+        configs.push_back(options.configAtDepth(p));
     std::vector<std::vector<FailureRecord>> failures;
-    std::vector<SimResult> runs = resolveCells(plan, &failures);
+    std::vector<SimResult> runs = resolveSpecs(
+        specs, options.trace_length, std::move(configs), &failures);
 
     TELEM_SPAN(assemble_span, "sweep.assemble");
     std::vector<SweepResult> out;
     out.reserve(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
-        SweepResult sweep{specs[s], options, {},
-                          ActivityPowerModel(UnitPowerFactors::defaults(),
-                                             options.p_d, 0.0),
-                          MachineParams{},
-                          std::move(failures[s])};
-        const auto begin =
-            runs.begin() + static_cast<std::ptrdiff_t>(s * n_depths);
-        sweep.runs.assign(std::make_move_iterator(begin),
-                          std::make_move_iterator(
-                              begin + static_cast<std::ptrdiff_t>(n_depths)));
-
-        const SimResult &reference = sweep.runs[static_cast<std::size_t>(
-            options.reference_depth - options.min_depth)];
-        // A quarantined/skipped reference cell (cycles == 0) has
-        // nothing to calibrate against; leave the defaults and let
-        // the caller see the hole through sweep.failures.
-        if (reference.cycles != 0) {
-            sweep.power_model = sweep.power_model.withLeakageFraction(
-                reference, options.leakage_fraction);
-            sweep.extracted = extractMachineParams(reference);
-        }
-        out.push_back(std::move(sweep));
+        const auto begin = std::make_move_iterator(
+            runs.begin() + static_cast<std::ptrdiff_t>(s * n_depths));
+        out.push_back(assembleSweep(
+            specs[s], options,
+            std::vector<SimResult>(
+                begin, begin + static_cast<std::ptrdiff_t>(n_depths)),
+            std::move(failures[s])));
     }
     return out;
 }
@@ -808,6 +804,18 @@ SweepEngine::runSweep(const WorkloadSpec &spec, const SweepOptions &options)
 {
     return std::move(
         runGrid(std::vector<WorkloadSpec>{spec}, options).front());
+}
+
+std::vector<SimResult>
+SweepEngine::runConfigs(const WorkloadSpec &spec, std::size_t trace_length,
+                        const std::vector<PipelineConfig> &configs)
+{
+    const WallTimer timer(&counters_.wall_seconds);
+
+    TELEM_SPAN(grid_span, "sweep.configs");
+    grid_span.tag("workload", spec.name);
+    grid_span.tag("configs", static_cast<std::uint64_t>(configs.size()));
+    return resolveSpecs({spec}, trace_length, configs);
 }
 
 std::vector<SimResult>

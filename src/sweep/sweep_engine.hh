@@ -182,6 +182,17 @@ class SweepEngine
                          const SweepOptions &options);
 
     /**
+     * Simulate catalog workload @p spec at @p trace_length under each
+     * configuration; results keep order. Cells take runGrid's plan:
+     * keyed by simCellKey, so a cell runGrid stored is a hit here and
+     * a warm call generates no trace. Assemble a SweepResult from the
+     * runs with assembleSweep (depth_sweep.hh).
+     */
+    std::vector<SimResult>
+    runConfigs(const WorkloadSpec &spec, std::size_t trace_length,
+               const std::vector<PipelineConfig> &configs);
+
+    /**
      * Simulate an explicit trace (e.g. a tape file) under each
      * configuration; results keep order. Cache keys hash the full
      * trace contents (traceCellKey), once per call: each config is
@@ -225,7 +236,8 @@ class SweepEngine
      * FailureRecords of the most recent runGrid/runSweep/runConfigs
      * call, in cell order (empty when every cell resolved). runGrid
      * distributes the same records into each SweepResult::failures;
-     * this accessor is for runConfigs, which has no SweepResult.
+     * this accessor is for runConfigs, which has no SweepResult (pass
+     * them to assembleSweep).
      */
     const std::vector<FailureRecord> &lastFailures() const
     {
@@ -256,6 +268,17 @@ class SweepEngine
      */
     std::vector<SimResult>
     resolveCells(const CellPlan &plan,
+                 std::vector<std::vector<FailureRecord>> *failures = nullptr);
+
+    /**
+     * Every @p specs workload under every config, through the catalog
+     * plan (docs/SWEEP_ENGINE.md): simCellKey addresses, a trace
+     * generated only on a miss, the `"grid"` group-key prefix.
+     */
+    std::vector<SimResult>
+    resolveSpecs(const std::vector<WorkloadSpec> &specs,
+                 std::size_t trace_length,
+                 std::vector<PipelineConfig> configs,
                  std::vector<std::vector<FailureRecord>> *failures = nullptr);
 
     SweepEngineOptions options_;

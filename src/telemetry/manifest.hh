@@ -72,7 +72,9 @@ const char *manifestOutcomeName(ManifestCell::Outcome outcome);
 /**
  * Per-worker rollup of a sharded sweep (docs/SHARDING.md): what one
  * `--shard-id K` worker process contributed to the run this manifest
- * describes. Only the coordinator's merged manifest carries these.
+ * describes. The worker writes it as `shard.<id>.json`
+ * (writeShardRollup, sweep/shard_coordinator.hh); only the
+ * coordinator's merged manifest carries these.
  */
 struct ManifestShard
 {

@@ -19,6 +19,7 @@
 #include <unistd.h>
 
 #include "sweep/shard_coordinator.hh"
+#include "telemetry/manifest.hh"
 
 namespace pipedepth
 {
@@ -214,14 +215,14 @@ TEST_F(ShardCoordinatorTest, KeyHashIsStableAndFileNameSafe)
 TEST_F(ShardCoordinatorTest, ShardRollupsRoundTrip)
 {
     std::filesystem::create_directories(dir_);
-    ShardRollup a;
+    ManifestShard a;
     a.shard_id = 0;
     a.exit_code = 0;
     a.cells_computed = 12;
     a.cache_hits = 3;
     a.cells_quarantined = 1;
     a.wall_seconds = 1.5;
-    ShardRollup b;
+    ManifestShard b;
     b.shard_id = 2;
     b.exit_code = 3;
     b.cells_computed = 7;

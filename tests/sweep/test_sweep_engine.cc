@@ -3,8 +3,10 @@
  * SweepEngine behaviour tests: counter accounting on cold and warm
  * runs, silent recomputation of corrupt cache entries, the --no-cache
  * escape hatch, explicit-trace (runConfigs) caching and its one
- * trace hash per call, and the summary table. Byte-level determinism
- * lives in test_engine_determinism.cc.
+ * trace hash per call, the spec form of runConfigs (same bytes as the
+ * trace form, runGrid's cache addresses), the shared SweepResult
+ * assembly, and the summary table. Byte-level determinism lives in
+ * test_engine_determinism.cc.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +15,9 @@
 #include <fstream>
 #include <sstream>
 
+#include "calib/extract.hh"
+#include "common/failpoint.hh"
+#include "math/least_squares.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
@@ -254,6 +259,119 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     fresh.runConfigs(other, configs);
     EXPECT_EQ(fresh.counters().cache_hits, 0u);
     EXPECT_EQ(fresh.counters().cells_computed, 2u);
+}
+
+TEST_F(SweepEngineTest, SpecRunConfigsMatchesTheTraceForm)
+{
+    const SweepOptions opt = fastOptions();
+    const WorkloadSpec &spec = findWorkload("websrv");
+    std::vector<PipelineConfig> configs{opt.configAtDepth(3),
+                                        opt.configAtDepth(7)};
+    configs.push_back(opt.configAtDepth(5));
+    configs.back().predictor = PredictorKind::Gshare;
+
+    const auto by_spec =
+        makeEngine(false).runConfigs(spec, opt.trace_length, configs);
+    const auto by_trace = makeEngine(false).runConfigs(
+        spec.makeTrace(opt.trace_length), configs);
+    ASSERT_EQ(by_spec.size(), configs.size());
+    ASSERT_EQ(by_trace.size(), configs.size());
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        EXPECT_EQ(serializeSimResult(by_spec[i]),
+                  serializeSimResult(by_trace[i]))
+            << i;
+    }
+}
+
+TEST_F(SweepEngineTest, SpecRunConfigsHitsTheCellRunGridStored)
+{
+    SweepOptions opt = fastOptions();
+    opt.max_depth = 8;
+    const WorkloadSpec &spec = findWorkload("db1");
+    const auto sweeps = makeEngine().runGrid({spec}, opt);
+
+    SweepEngine warm = makeEngine();
+    const auto runs = warm.runConfigs(spec, opt.trace_length,
+                                      {opt.configAtDepth(8)});
+    ASSERT_EQ(runs.size(), 1u);
+    const SweepCounters c = warm.counters();
+    EXPECT_EQ(c.cache_hits, 1u);
+    EXPECT_EQ(c.cells_computed, 0u);
+    EXPECT_EQ(c.traces_generated, 0u);
+    EXPECT_EQ(serializeSimResult(runs[0]),
+              serializeSimResult(sweeps[0].runs.back()));
+}
+
+TEST_F(SweepEngineTest, AssemblyCalibratesAtTheReferenceDepth)
+{
+    // The default depth range (2..25) under a config list of 5..12:
+    // runs[reference_depth - min_depth] is the depth-11 run, so an
+    // assembly that indexes instead of searching calibrates there.
+    SweepOptions opt;
+    opt.trace_length = 20000;
+    opt.warmup_instructions = 5000;
+    const WorkloadSpec &spec = findWorkload("gcc95");
+    std::vector<PipelineConfig> configs;
+    for (int p = 5; p <= 12; ++p)
+        configs.push_back(opt.configAtDepth(p));
+
+    SweepEngineOptions engine_options;
+    engine_options.use_cache = false;
+    engine_options.threads = 1;
+    engine_options.max_retries = 0;
+    engine_options.retry_backoff_ms = 0;
+
+    SweepEngine engine(engine_options);
+    std::vector<SimResult> runs =
+        engine.runConfigs(spec, opt.trace_length, configs);
+    const SimResult reference = runs[8 - 5];
+    ASSERT_EQ(reference.depth, 8);
+    const ActivityPowerModel calibrated =
+        ActivityPowerModel().withLeakageFraction(reference,
+                                                 opt.leakage_fraction);
+
+    const SweepResult sweep =
+        assembleSweep(spec, opt, std::move(runs), engine.lastFailures());
+    ASSERT_EQ(sweep.runs.size(), configs.size());
+    EXPECT_DOUBLE_EQ(sweep.extracted.alpha,
+                     extractMachineParams(reference).alpha);
+    EXPECT_DOUBLE_EQ(sweep.extracted.hazard_ratio,
+                     extractMachineParams(reference).hazard_ratio);
+    for (const SimResult &r : sweep.runs) {
+        EXPECT_DOUBLE_EQ(sweep.power_model.metric(r, 3.0, true),
+                         calibrated.metric(r, 3.0, true))
+            << r.depth;
+    }
+
+    // One quarantined non-reference cell: the calibration stays at
+    // depth 8 and the fit runs over the live cells only.
+    std::vector<SimResult> holed;
+    {
+        ScopedFailpoints guard("sweep.cell.simulate=once");
+        holed = engine.runConfigs(spec, opt.trace_length, configs);
+    }
+    const std::vector<FailureRecord> failures = engine.lastFailures();
+    ASSERT_EQ(failures.size(), 1u);
+    EXPECT_NE(failures[0].depth, 8);
+    const SweepResult partial =
+        assembleSweep(spec, opt, std::move(holed), failures);
+    EXPECT_FALSE(partial.complete());
+
+    std::vector<double> depths, metric;
+    for (const SimResult &r : partial.runs) {
+        if (r.cycles == 0) {
+            EXPECT_EQ(r.depth, failures[0].depth);
+            continue;
+        }
+        depths.push_back(r.depth);
+        metric.push_back(calibrated.metric(r, 3.0, true));
+    }
+    ASSERT_EQ(depths.size(), configs.size() - 1);
+    const CubicPeak expected = fitCubicPeak(depths, metric);
+    bool interior = false;
+    EXPECT_DOUBLE_EQ(partial.cubicFitOptimum(3.0, true, &interior),
+                     expected.x);
+    EXPECT_EQ(interior, expected.interior);
 }
 
 TEST_F(SweepEngineTest, PrintSummaryReportsCounters)

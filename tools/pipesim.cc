@@ -23,14 +23,16 @@
  * exported as the `residual` counter.
  *
  * Runs go through the SweepEngine: sweep depths simulate in parallel
- * and every result is memoized in the on-disk cache, keyed by the
- * full trace contents (so tape files cache correctly too). --no-cache
- * bypasses the cache; the engine summary prints to stderr. --verbose
- * additionally reports the resolved cache directory and the rule that
- * chose it. --perf-json FILE writes the engine's performance counters
- * (cells computed, cache hits, wall time, per-cell wall-time
- * percentiles) as JSON to FILE ("-" for stdout) for the perf
- * harness.
+ * and every result is memoized in the on-disk cache. A --workload
+ * cell is keyed by its spec, trace length and config — the address
+ * calibration_report and the benches use for the same cell — so a
+ * warm run generates no trace; a --tape cell is keyed by the full
+ * trace contents. --no-cache bypasses the cache; the engine summary
+ * prints to stderr. --verbose additionally reports the resolved cache
+ * directory and the rule that chose it. --perf-json FILE writes the
+ * engine's performance counters (cells computed, cache hits, wall
+ * time, per-cell wall-time percentiles) as JSON to FILE ("-" for
+ * stdout) for the perf harness.
  *
  * Telemetry (docs/OBSERVABILITY.md): --trace-out FILE writes a
  * Chrome trace_event JSON of the run's spans (open in Perfetto);
@@ -82,6 +84,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -486,7 +489,7 @@ int
 superviseShardWorkers(const char *argv0,
                       const std::vector<std::string> &args,
                       const Options &opt, const std::string &shard_dir,
-                      std::vector<ShardRollup> *rollups)
+                      std::vector<ManifestShard> *rollups)
 {
     std::error_code ec;
     std::filesystem::create_directories(shard_dir, ec);
@@ -664,7 +667,7 @@ superviseShardWorkers(const char *argv0,
     }
 
     *rollups = readShardRollups(shard_dir, opt.shards);
-    for (ShardRollup &r : *rollups) {
+    for (ManifestShard &r : *rollups) {
         if (r.shard_id < opt.shards)
             r.restarts = restarts[r.shard_id];
     }
@@ -782,18 +785,19 @@ main(int argc, char **argv)
         }
     }
 
-    // Enable span tracing before the trace is generated/loaded so the
-    // trace.generate span lands in the output too.
+    // Enable span tracing before a trace is loaded or generated so
+    // its span lands in the output too.
     const bool telemetry_on = !opt.trace_out.empty() ||
                               !opt.manifest_out.empty() ||
                               !opt.events_out.empty();
     if (telemetry_on)
         SpanTracer::instance().setEnabled(true);
 
-    const Trace trace =
-        opt.tape.empty()
-            ? findWorkload(opt.workload).makeTrace(opt.length)
-            : readTrace(opt.tape);
+    // Only a tape is read here. A catalog workload's trace is generated
+    // by the engine, and only when a cell misses the cache.
+    std::optional<Trace> tape;
+    if (!opt.tape.empty())
+        tape = readTrace(opt.tape);
 
     auto configure = [&](int p) {
         PipelineConfig cfg = PipelineConfig::forDepth(p, !opt.ooo);
@@ -836,7 +840,7 @@ main(int argc, char **argv)
     // into this one.
     std::string shard_dir = opt.shard_dir;
     bool created_shard_dir = false;
-    std::vector<ShardRollup> shard_rollups;
+    std::vector<ManifestShard> shard_rollups;
     if (opt.shards > 1 && shard_dir.empty()) {
         const std::string cache_dir = ResultCache::resolveDefaultDir();
         if (cache_dir.empty()) {
@@ -891,20 +895,11 @@ main(int argc, char **argv)
         manifest.setArgv(argc, argv);
         manifest.addMeta("sim_version", kSimulatorVersionTag);
         manifest.addMeta("config_hash", config_hash);
-        manifest.addMeta("trace", trace.name);
+        manifest.addMeta("trace", tape ? tape->name : opt.workload);
         manifest.addMeta("cache_dir",
                          engine.cacheEnabled() ? engine.cacheDir() : "");
-        for (const ShardRollup &r : shard_rollups) {
-            ManifestShard shard;
-            shard.shard_id = r.shard_id;
-            shard.exit_code = r.exit_code;
-            shard.cells_computed = r.cells_computed;
-            shard.cache_hits = r.cache_hits;
-            shard.cells_quarantined = r.cells_quarantined;
-            shard.restarts = r.restarts;
-            shard.wall_seconds = r.wall_seconds;
+        for (const ManifestShard &shard : shard_rollups)
             manifest.addShard(shard);
-        }
         if (!opt.events_out.empty())
             manifest.openEvents(opt.events_out);
         engine.attachManifest(&manifest);
@@ -1000,7 +995,7 @@ main(int argc, char **argv)
         if (opt.shards > 1 && opt.shard_id >= 0 &&
             engine.shardCoordinator()) {
             const SweepCounters c = engine.counters();
-            ShardRollup rollup;
+            ManifestShard rollup;
             rollup.shard_id = static_cast<unsigned>(opt.shard_id);
             rollup.exit_code = rc;
             rollup.cells_computed = c.cells_computed;
@@ -1016,8 +1011,14 @@ main(int argc, char **argv)
         return rc;
     };
 
+    auto simulate = [&]() {
+        return tape ? engine.runConfigs(*tape, configs)
+                    : engine.runConfigs(findWorkload(opt.workload),
+                                        opt.length, configs);
+    };
+
     if (!opt.sweep) {
-        const SimResult run = engine.runConfigs(trace, configs).front();
+        const SimResult run = simulate().front();
         const std::vector<FailureRecord> failures = engine.lastFailures();
         if (!failures.empty()) {
             printFailures(failures);
@@ -1035,7 +1036,7 @@ main(int argc, char **argv)
         return finishRun(0);
     }
 
-    const std::vector<SimResult> runs = engine.runConfigs(trace, configs);
+    const std::vector<SimResult> runs = simulate();
     const std::vector<FailureRecord> failures = engine.lastFailures();
     printFailures(failures);
     if (interruptRequested())
