@@ -17,10 +17,8 @@
 
 #include "bench_util.hh"
 #include "core/optimum_solver.hh"
-#include "core/power_model.hh"
 #include "math/least_squares.hh"
 #include "power/activity_power.hh"
-#include "uarch/simulator.hh"
 
 using namespace pipedepth;
 
@@ -31,8 +29,6 @@ main(int argc, char **argv)
 
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
-    MachineParams mp = sweep.extracted;
-    mp.c_mem = 0.0;
 
     banner(opt, "theory: optimum vs constant gating factor f_cg "
                 "(non-gated formulation)");
@@ -43,14 +39,12 @@ main(int argc, char **argv)
     // Calibrate leakage once for the ungated machine; gating then
     // scales only the dynamic component (leakage does not gate), so
     // its share grows as f_cg falls — that is what moves the optimum.
-    PowerParams base;
-    base.gating = ClockGating::None;
-    base.beta = 1.3;
-    base = PowerModel::calibrateLeakage(mp, base, 0.15, 8.0);
+    const TheoryModel th = sweep.theoryModel(false);
     for (double f : {1.0, 0.8, 0.6, 0.4, 0.2}) {
-        PowerParams pw = base;
+        PowerParams pw = th.power;
         pw.f_cg = f;
-        const OptimumResult r = OptimumSolver(mp, pw).solveExact(3.0);
+        const OptimumResult r =
+            OptimumSolver(th.machine, pw).solveExact(3.0);
         t.beginRow();
         t.cell(f);
         t.cell(r.p_opt);
@@ -63,12 +57,15 @@ main(int argc, char **argv)
     TableWriter s(opt.style());
     s.addColumn("gated_fraction", 2);
     s.addColumn("p_opt", 2);
+    // SweepResult models fully gated or ungated power only, so this
+    // mix is fitted here, over the live cells as depths() lists them.
     const auto depths = sweep.depths();
     for (double g : {0.0, 0.25, 0.5, 0.75, 1.0}) {
         // Interpolate between the free-running and fully gated
         // dynamic power; leakage is unchanged.
         std::vector<double> metric;
-        for (const auto &r : sweep.runs) {
+        for (double depth : depths) {
+            const SimResult &r = *sweep.runAt(static_cast<int>(depth));
             const SimPower p = sweep.power_model.power(r);
             const double dyn =
                 g * p.dynamic_gated + (1.0 - g) * p.dynamic_ungated;

@@ -16,7 +16,6 @@
 
 #include "bench_util.hh"
 #include "core/optimum_solver.hh"
-#include "core/power_model.hh"
 
 using namespace pipedepth;
 
@@ -28,15 +27,10 @@ main(int argc, char **argv)
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
 
     // Theory at the extracted parameters (paper model, c_mem = 0).
-    MachineParams mp = sweep.extracted;
-    mp.c_mem = 0.0;
-    PowerParams pw;
-    pw.gating = ClockGating::FineGrained;
-    pw.beta = sweep.power_model.factors().beta_unit;
-    pw = PowerModel::calibrateLeakage(mp, pw, 0.15, 8.0);
-    const OptimumSolver solver(mp, pw);
+    const TheoryModel th = sweep.theoryModel(true);
+    const OptimumSolver solver(th.machine, th.power);
     const double perf_limit =
-        PerformanceModel(mp).performanceOnlyOptimum();
+        PerformanceModel(th.machine).performanceOnlyOptimum();
 
     banner(opt, "optimum depth vs metric exponent m (workload gcc95)");
     TableWriter t(opt.style());

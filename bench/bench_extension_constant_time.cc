@@ -17,7 +17,6 @@
 
 #include "bench_util.hh"
 #include "core/optimum_solver.hh"
-#include "core/power_model.hh"
 
 using namespace pipedepth;
 
@@ -48,16 +47,8 @@ main(int argc, char **argv)
         sweep.theoryCurve(3.0, true, &r2_ext, true);
 
         auto popt = [&sweep](bool extended) {
-            MachineParams mp = sweep.extracted;
-            if (!extended)
-                mp.c_mem = 0.0;
-            PowerParams pw;
-            pw.beta = sweep.power_model.factors().beta_unit;
-            pw.gating = ClockGating::FineGrained;
-            pw = PowerModel::calibrateLeakage(
-                mp, pw, sweep.options.leakage_fraction,
-                static_cast<double>(sweep.options.reference_depth));
-            return OptimumSolver(mp, pw).solveExact(3.0).p_opt;
+            const TheoryModel th = sweep.theoryModel(true, extended);
+            return OptimumSolver(th.machine, th.power).solveExact(3.0).p_opt;
         };
 
         bool interior = false;

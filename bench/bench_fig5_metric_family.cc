@@ -11,7 +11,6 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "math/least_squares.hh"
 
 using namespace pipedepth;
 
@@ -61,17 +60,21 @@ main(int argc, char **argv)
     t.render(std::cout);
 
     if (!opt.csv) {
-        auto peak_at = [&](const std::vector<double> &v) {
-            const CubicPeak peak = fitCubicPeak(depths, v);
+        // m = 0 stands for the BIPS (performance-only) curve.
+        auto peak_at = [&](double m) {
+            bool interior = false;
+            const double x =
+                m == 0.0 ? sweep.cubicFitPerformanceOptimum(&interior)
+                         : sweep.cubicFitOptimum(m, true, &interior);
             char buf[64];
-            std::snprintf(buf, sizeof(buf), "%.1f%s", peak.x,
-                          peak.interior ? "" : " (endpoint)");
+            std::snprintf(buf, sizeof(buf), "%.1f%s", x,
+                          interior ? "" : " (endpoint)");
             return std::string(buf);
         };
         std::printf("\ncubic-fit peaks: BIPS %s | BIPS^3/W %s | "
                     "BIPS^2/W %s | BIPS/W %s\n",
-                    peak_at(bips).c_str(), peak_at(m3).c_str(),
-                    peak_at(m2).c_str(), peak_at(m1).c_str());
+                    peak_at(0.0).c_str(), peak_at(3.0).c_str(),
+                    peak_at(2.0).c_str(), peak_at(1.0).c_str());
         std::printf("paper: peaks for BIPS (~20) and BIPS^3/W (~7); "
                     "none for BIPS^2/W and BIPS/W\n");
     }

@@ -27,8 +27,8 @@ main(int argc, char **argv)
     // SPEC95 integer workload").
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
-    MachineParams mp = sweep.extracted;
-    mp.c_mem = 0.0; // the paper's Eq. 1
+    // The paper's Eq. 1 machine; leakage is recalibrated per curve.
+    const MachineParams mp = sweep.theoryModel(true).machine;
 
     const std::vector<double> fracs{0.0, 0.30, 0.50, 0.90};
     std::vector<PowerPerformanceMetric> metrics;

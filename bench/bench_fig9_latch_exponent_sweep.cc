@@ -26,8 +26,8 @@ main(int argc, char **argv)
 
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
-    MachineParams mp = sweep.extracted;
-    mp.c_mem = 0.0; // the paper's Eq. 1
+    // The paper's Eq. 1 machine; leakage is recalibrated per curve.
+    const MachineParams mp = sweep.theoryModel(true).machine;
 
     const std::vector<double> betas{1.0, 1.1, 1.3, 1.5, 1.8};
     std::vector<PowerPerformanceMetric> metrics;

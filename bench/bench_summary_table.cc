@@ -34,9 +34,10 @@ main(int argc, char **argv)
     int m1_interior = 0;
     int n = 0;
     for (const auto &s : sweeps) {
-        MachineParams mp = s.extracted;
-        mp.c_mem = 0.0; // headline numbers use the paper's Eq. 1
-        perf_theory += PerformanceModel(mp).performanceOnlyOptimum();
+        // Headline numbers use the paper's Eq. 1 (c_mem = 0).
+        const TheoryModel th = s.theoryModel(true);
+        perf_theory +=
+            PerformanceModel(th.machine).performanceOnlyOptimum();
 
         bool interior = false;
         perf_cubic += s.cubicFitPerformanceOptimum(&interior);
@@ -44,11 +45,8 @@ main(int argc, char **argv)
         s.cubicFitOptimum(1.0, true, &interior);
         m1_interior += interior;
 
-        PowerParams pw;
-        pw.gating = ClockGating::FineGrained;
-        pw.beta = 1.3;
-        pw = PowerModel::calibrateLeakage(mp, pw, 0.15, 8.0);
-        m3_theory += OptimumSolver(mp, pw).solveExact(3.0).p_opt;
+        m3_theory +=
+            OptimumSolver(th.machine, th.power).solveExact(3.0).p_opt;
         ++n;
     }
     perf_theory /= n;

@@ -33,19 +33,22 @@ main(int argc, char **argv)
     options.warmup_instructions = 60000;
     const SweepResult sweep = runDepthSweep(spec, options);
 
-    // Reference-run characteristics.
-    const SimResult &ref = sweep.runs[static_cast<std::size_t>(
-        options.reference_depth - options.min_depth)];
-    std::printf("\nreference run at %d stages:\n", ref.depth);
+    // Reference-run characteristics (a failed one calibrates nothing).
+    const SimResult *ref = sweep.runAt(options.reference_depth);
+    if (!ref) {
+        std::printf("reference run failed: nothing calibrated\n");
+        return 1;
+    }
+    std::printf("\nreference run at %d stages:\n", ref->depth);
     std::printf("  CPI %.3f, branch MPKI %.1f, D$ miss %.2f%%, I$ miss "
                 "%.2f%%\n",
-                ref.cpi(),
-                1000.0 * static_cast<double>(ref.mispredicts) /
-                    static_cast<double>(ref.instructions),
-                100.0 * static_cast<double>(ref.dcache_misses) /
-                    static_cast<double>(ref.dcache_accesses),
-                100.0 * static_cast<double>(ref.icache_misses) /
-                    static_cast<double>(ref.icache_accesses));
+                ref->cpi(),
+                1000.0 * static_cast<double>(ref->mispredicts) /
+                    static_cast<double>(ref->instructions),
+                100.0 * static_cast<double>(ref->dcache_misses) /
+                    static_cast<double>(ref->dcache_accesses),
+                100.0 * static_cast<double>(ref->icache_misses) /
+                    static_cast<double>(ref->icache_accesses));
     std::printf("  extracted: alpha %.2f, gamma %.2f, N_H/N_I %.3f\n",
                 sweep.extracted.alpha, sweep.extracted.gamma,
                 sweep.extracted.hazard_ratio);
@@ -73,10 +76,11 @@ main(int argc, char **argv)
     for (double b : bips)
         bips_peak = std::max(bips_peak, b);
     for (std::size_t i = 0; i < depths.size(); ++i) {
+        const SimResult &r = *sweep.runAt(static_cast<int>(depths[i]));
         t.beginRow();
         t.cell(depths[i]);
-        t.cell(sweep.runs[i].cycle_time_fo4);
-        t.cell(sweep.runs[i].cpi());
+        t.cell(r.cycle_time_fo4);
+        t.cell(r.cpi());
         t.cell(bips[i] / bips_peak);
         t.cell(sim[i] / peak);
         t.cell(theory[i] / peak);

@@ -110,8 +110,9 @@ fitPowerLaw(const std::vector<double> &xs, const std::vector<double> &ys)
 CubicPeak
 fitCubicPeak(const std::vector<double> &xs, const std::vector<double> &ys)
 {
-    PP_ASSERT(xs.size() >= 4, "cubic fit needs >= 4 samples");
     CubicPeak out;
+    if (xs.size() < 4) // the cubic is undetermined: no peak
+        return out;
     out.cubic = fitPolynomial(xs, ys, 3);
 
     const auto [lo_it, hi_it] = std::minmax_element(xs.begin(), xs.end());

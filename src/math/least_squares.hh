@@ -63,7 +63,8 @@ struct CubicPeak
  * The paper's simulated-optimum extraction: least-squares cubic fit to
  * (x, y), then the location of the maximum of the cubic on the convex
  * hull of the sampled x range. If the cubic is monotone on the range,
- * the best endpoint is returned with interior = false.
+ * the best endpoint is returned with interior = false. Below 4
+ * samples the cubic is undetermined: x = 0 ("no peak"), not interior.
  */
 CubicPeak fitCubicPeak(const std::vector<double> &xs,
                        const std::vector<double> &ys);

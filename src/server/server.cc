@@ -927,13 +927,11 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                         ++info.computed;
                 }
             }
-            std::size_t lives = 0;
             for (const SimResult &r : sweep->runs) {
                 if (r.cycles == 0) {
                     ++info.holes;
                     continue;
                 }
-                ++lives;
                 if (p.request.type == ServerRequest::Type::Sweep) {
                     out += cellResponseLine(
                         p.request.id, p.request.trace_id, r,
@@ -941,10 +939,9 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                             r, p.request.metric_exponent, true));
                 }
             }
-            if (lives >= 4) { // a cubic fit needs 4 points
-                info.optimum = sweep->cubicFitOptimum(
-                    p.request.metric_exponent, true, &info.interior);
-            }
+            // 0 with interior false when fewer than 4 cells survive.
+            info.optimum = sweep->cubicFitOptimum(
+                p.request.metric_exponent, true, &info.interior);
             // serialize_us covers the cell lines and the fit; the
             // done line itself renders after the clock is read (it
             // must carry the measurement it is part of).

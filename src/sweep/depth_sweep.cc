@@ -123,14 +123,9 @@ SweepResult::cubicFitPerformanceOptimum(bool *interior) const
     return peak.x;
 }
 
-std::vector<double>
-SweepResult::theoryCurve(double m, bool gated, double *r2,
-                         bool extended) const
+TheoryModel
+SweepResult::theoryModel(bool gated, bool extended) const
 {
-    // Analytic metric with the extracted parameters; the theory's
-    // power parameters mirror the simulation power model: same p_d,
-    // same leakage fraction at the reference depth, and the per-unit
-    // latch exponent beta.
     MachineParams mp = extracted;
     if (!extended)
         mp.c_mem = 0.0; // the paper's Eq. 1
@@ -138,17 +133,20 @@ SweepResult::theoryCurve(double m, bool gated, double *r2,
     pw.p_d = options.p_d;
     pw.beta = power_model.factors().beta_unit;
     pw.gating = gated ? ClockGating::FineGrained : ClockGating::None;
-    pw = PowerModel::calibrateLeakage(
-        mp, pw, options.leakage_fraction,
-        static_cast<double>(options.reference_depth));
+    return {mp, PowerModel::calibrateLeakage(
+                    mp, pw, options.leakage_fraction,
+                    static_cast<double>(options.reference_depth))};
+}
 
-    const PowerPerformanceMetric theory(mp, pw, m);
+std::vector<double>
+SweepResult::theoryCurve(double m, bool gated, double *r2,
+                         bool extended) const
+{
+    const TheoryModel model = theoryModel(gated, extended);
+    const PowerPerformanceMetric theory(model.machine, model.power, m);
     std::vector<double> t;
-    t.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            t.push_back(theory(static_cast<double>(r.depth)));
-    }
+    for (double depth : depths())
+        t.push_back(theory(depth));
 
     const std::vector<double> sim = metric(m, gated);
     const double scale = fitScaleFactor(sim, t);

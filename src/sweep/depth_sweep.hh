@@ -70,6 +70,13 @@ struct FailureRecord
     unsigned attempts = 0; //!< tries made (1 + retries)
 };
 
+/** The analytic model calibrated to a sweep (SweepResult::theoryModel). */
+struct TheoryModel
+{
+    MachineParams machine;
+    PowerParams power;
+};
+
 /** All simulation results of one workload across depths. */
 struct SweepResult
 {
@@ -106,7 +113,7 @@ struct SweepResult
      * The paper's simulated optimum: blind least-squares cubic fit
      * through metric(m) samples, peak within the sampled range.
      * Returns the peak depth; interior=false collapses to an
-     * endpoint.
+     * endpoint. Below 4 live depths: 0 ("no optimum"), not interior.
      */
     double cubicFitOptimum(double m, bool gated, bool *interior) const;
 
@@ -114,10 +121,17 @@ struct SweepResult
     double cubicFitPerformanceOptimum(bool *interior) const;
 
     /**
-     * Analytic theory curve for the same metric, scaled to the
-     * simulation with a single least-squares factor (the paper's
-     * "only adjustable parameter"). Returns one value per depth;
-     * r2 (optional) receives the goodness of fit.
+     * The analytic model at the extracted parameters, its power
+     * mirroring power_model: same p_d, latch exponent beta and
+     * leakage fraction at reference_depth. c_mem as in theoryCurve.
+     */
+    TheoryModel theoryModel(bool gated, bool extended = false) const;
+
+    /**
+     * Analytic theory curve (theoryModel) for the same metric, scaled
+     * to the simulation with a single least-squares factor (the
+     * paper's "only adjustable parameter"). Returns one value per
+     * depth; r2 (optional) receives the goodness of fit.
      *
      * With @p extended = false (default) the paper's Eq. 1 is used
      * (c_mem forced to zero). With extended = true the

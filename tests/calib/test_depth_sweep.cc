@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/metric.hh"
+#include "math/least_squares.hh"
 #include "sweep/depth_sweep.hh"
 
 namespace pipedepth
@@ -113,6 +115,89 @@ TEST(DepthSweep, TheoryScaleIsLeastSquares)
     };
     EXPECT_LE(sse(1.0), sse(1.05));
     EXPECT_LE(sse(1.0), sse(0.95));
+}
+
+TEST(DepthSweep, FitsWithThreeLiveDepthsReportNoOptimum)
+{
+    // Depths 7..9 survive; every other cell is a quarantined hole. A
+    // cubic needs 4 points, so both fits answer "no optimum" (0)
+    // instead of aborting.
+    const SweepResult &full = gccSweep();
+    std::vector<SimResult> runs;
+    std::vector<FailureRecord> failures;
+    for (const SimResult &r : full.runs) {
+        if (r.depth >= 7 && r.depth <= 9) {
+            runs.push_back(r);
+            continue;
+        }
+        SimResult hole;
+        hole.workload = r.workload;
+        hole.depth = r.depth;
+        runs.push_back(hole);
+        failures.push_back({r.workload, r.depth, "injected", "", 1});
+    }
+    const SweepResult s =
+        assembleSweep(full.spec, full.options, runs, failures);
+    ASSERT_EQ(s.depths().size(), 3u);
+
+    bool interior = true;
+    EXPECT_EQ(s.cubicFitOptimum(3.0, true, &interior), 0.0);
+    EXPECT_FALSE(interior);
+    interior = true;
+    EXPECT_EQ(s.cubicFitPerformanceOptimum(&interior), 0.0);
+    EXPECT_FALSE(interior);
+}
+
+TEST(DepthSweep, TheoryModelIsTheHandCalibration)
+{
+    // The calibration benches used to spell out: beta 1.3, 15%
+    // leakage at depth 8, c_mem zeroed unless extended. theoryCurve
+    // is that model's metric, scaled by one least-squares factor.
+    const SweepResult &s = gccSweep();
+    ASSERT_GT(s.extracted.c_mem, 0.0);
+    const auto sim_depths = s.depths();
+    for (bool gated : {false, true}) {
+        for (bool extended : {false, true}) {
+            MachineParams mp = s.extracted;
+            if (!extended)
+                mp.c_mem = 0.0;
+            PowerParams pw;
+            pw.gating =
+                gated ? ClockGating::FineGrained : ClockGating::None;
+            pw.beta = 1.3;
+            pw = PowerModel::calibrateLeakage(mp, pw, 0.15, 8.0);
+
+            const TheoryModel th = s.theoryModel(gated, extended);
+            EXPECT_EQ(th.machine.alpha, mp.alpha);
+            EXPECT_EQ(th.machine.gamma, mp.gamma);
+            EXPECT_EQ(th.machine.hazard_ratio, mp.hazard_ratio);
+            EXPECT_EQ(th.machine.t_p, mp.t_p);
+            EXPECT_EQ(th.machine.t_o, mp.t_o);
+            EXPECT_EQ(th.machine.c_mem, mp.c_mem);
+            EXPECT_EQ(th.power.p_d, pw.p_d);
+            EXPECT_EQ(th.power.p_l, pw.p_l);
+            EXPECT_EQ(th.power.n_l, pw.n_l);
+            EXPECT_EQ(th.power.beta, pw.beta);
+            EXPECT_EQ(th.power.gating, pw.gating);
+            EXPECT_EQ(th.power.f_cg, pw.f_cg);
+
+            const PowerPerformanceMetric theory(mp, pw, 3.0);
+            std::vector<double> expected;
+            for (double d : sim_depths)
+                expected.push_back(theory(d));
+            const std::vector<double> sim = s.metric(3.0, gated);
+            const double scale = fitScaleFactor(sim, expected);
+            for (double &v : expected)
+                v *= scale;
+
+            double r2 = 0.0;
+            const auto curve = s.theoryCurve(3.0, gated, &r2, extended);
+            ASSERT_EQ(curve.size(), expected.size());
+            for (std::size_t i = 0; i < curve.size(); ++i)
+                EXPECT_EQ(curve[i], expected[i]) << sim_depths[i];
+            EXPECT_EQ(r2, rSquared(sim, expected));
+        }
+    }
 }
 
 TEST(DepthSweep, LatchExponentNearPaperValue)

@@ -8,6 +8,7 @@
  *   1  runtime failure (PP_FATAL: unreadable tape, ...)
  *   2  bad invocation: unknown flag, missing flag argument, unknown
  *      workload, or no/both trace sources
+ *   3  a sweep that completed around quarantined cells (holes)
  *
  * The binary path arrives via the PIPESIM_PATH compile definition
  * (set from $<TARGET_FILE:pipesim> in tests/CMakeLists.txt); the
@@ -102,6 +103,22 @@ TEST(PipesimCli, PerfJsonToUnwritablePathExitsOne)
     EXPECT_EQ(runPipesim(std::string(kQuickRun) +
                          " --perf-json /nonexistent/dir/perf.json"),
               1);
+}
+
+TEST(PipesimCli, SweepWithThreeLiveDepthsExitsThree)
+{
+    // Cells 1..21 of 24 quarantine, leaving depths 23..25: too few
+    // for a cubic, so the optimum reads "none" — the sweep still
+    // completes around its holes.
+    std::string hits;
+    for (int i = 1; i <= 21; ++i)
+        hits += (i > 1 ? "," : "") + std::to_string(i);
+    EXPECT_EQ(runPipesim("--workload db1 --sweep --csv --length 2000 "
+                         "--warmup 0 --no-cache --threads 1 "
+                         "--max-retries 0 --failpoint "
+                         "'sweep.cell.simulate=hits:" +
+                         hits + "'"),
+              3);
 }
 
 } // namespace

@@ -116,6 +116,15 @@ TEST(FitCubicPeak, MonotoneDataReportsEndpoint)
     EXPECT_DOUBLE_EQ(peak.x, 2.0);
 }
 
+TEST(FitCubicPeak, FewerThanFourSamplesHaveNoPeak)
+{
+    // Three points leave a cubic undetermined: "no peak", not an abort.
+    const CubicPeak peak = fitCubicPeak({2.0, 3.0, 4.0}, {1.0, 3.0, 2.0});
+    EXPECT_EQ(peak.x, 0.0);
+    EXPECT_FALSE(peak.interior);
+    EXPECT_EQ(fitCubicPeak({}, {}).x, 0.0);
+}
+
 TEST(FitScaleFactor, MatchesClosedForm)
 {
     const std::vector<double> t{1.0, 2.0, 3.0};

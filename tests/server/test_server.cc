@@ -481,6 +481,29 @@ TEST_F(ServerTest, DaemonResultsMatchLocalEngineExactly)
     }
 }
 
+TEST_F(ServerTest, OptimumOverThreeDepthsAnswersZero)
+{
+    // Three cells leave a cubic undetermined: the done line carries
+    // "no optimum" as 0 and interior false, with the daemon alive.
+    const auto lines = transact(
+        "{\"id\": \"o1\", \"type\": \"optimum\", \"workload\": "
+        "\"db1\", \"min_depth\": 2, \"max_depth\": 4, "
+        "\"reference_depth\": 3, \"trace_length\": 15000, "
+        "\"warmup\": 1500}\n");
+    ASSERT_EQ(lines.size(), 1u);
+    const JsonValue done = parseLine(lines[0]);
+    EXPECT_EQ(field(done, "id"), "o1");
+    EXPECT_EQ(field(done, "type"), "done");
+    EXPECT_EQ(static_cast<int>(done.find("cells")->number), 3);
+    EXPECT_NE(lines[0].find("\"holes\": 0, \"optimum\": 0, "
+                            "\"interior\": false, "),
+              std::string::npos)
+        << lines[0];
+
+    expectGoodSweep(transact(goodRequest("after-optimum")),
+                    "after-optimum");
+}
+
 TEST_F(ServerTest, FailedSecondStartLeavesLiveSocketIntact)
 {
     // A second daemon on a path where one is already live must refuse

@@ -104,12 +104,12 @@ main(int argc, char **argv)
     std::map<std::string, Acc> byclass;
     for (const auto &s : sweeps) {
         const WorkloadSpec &w = s.spec;
-        const SimResult &r = s.runs[6];
+        const SimResult *ref = s.runAt(s.options.reference_depth);
         // A quarantined reference cell (cycles == 0) has no extracted
         // parameters and no CPI/MPKI; folding the zeroed placeholder
         // into a class mean would silently drag every column toward
         // zero. Skip the workload, loudly.
-        if (r.cycles == 0) {
+        if (!ref) {
             std::printf("%-12s %-12s SKIPPED: reference cell "
                         "quarantined (%zu hole(s) in sweep)\n",
                         w.name.c_str(),
@@ -117,6 +117,7 @@ main(int argc, char **argv)
                         s.failures.size());
             continue;
         }
+        const SimResult &r = *ref;
         bool i1=false, i2=false;
         const double perf = s.cubicFitPerformanceOptimum(&i1);
         const double m3 = s.cubicFitOptimum(3.0, true, &i2);
@@ -149,15 +150,15 @@ main(int argc, char **argv)
             shares;
         std::map<std::string, int> counts;
         for (const auto &s : sweeps) {
-            const SimResult &r = s.runs[6];
-            if (r.cycles == 0) // quarantined hole: no ledger to share
+            const SimResult *r = s.runAt(s.options.reference_depth);
+            if (!r) // quarantined hole: no ledger to share
                 continue;
             auto &acc = shares[workloadClassName(s.spec.cls)];
             counts[workloadClassName(s.spec.cls)]++;
             for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
-                acc[b] += static_cast<double>(r.ledgerCycles(
+                acc[b] += static_cast<double>(r->ledgerCycles(
                               static_cast<StallBucket>(b))) /
-                          static_cast<double>(r.cycles);
+                          static_cast<double>(r->cycles);
             }
         }
         std::printf("\nstall ledger composition at reference depth "

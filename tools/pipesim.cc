@@ -10,9 +10,11 @@
  *           [--stalls] [--stalls-json] [--audit]
  *
  * With --depth, prints the detailed statistics of a single run. With
- * --sweep, simulates depths 2..25 and prints per-depth CPI, BIPS and
- * the BIPS^3/W metric (15% leakage calibration), plus the cubic-fit
- * optimum — the paper's per-workload experiment in one command.
+ * --sweep, simulates depths 2..25 (3..25 with --ooo) and prints
+ * per-depth CPI, BIPS and the BIPS^3/W metric, plus the cubic-fit
+ * optimum ("none" below 4 live depths) — the paper's per-workload
+ * experiment in one command. Both come from the SweepResult that
+ * assembleSweep builds, as in the benches: 15% leakage at depth 8.
  *
  * --stalls prints the stall ledger's exact cycle decomposition (per
  * bucket: cycles, share of the run, events) — for a single run as a
@@ -79,6 +81,7 @@
  * (interrupted) run exits 130.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -98,10 +101,9 @@
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
-#include "math/least_squares.hh"
-#include "power/activity_power.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/checkpoint.hh"
+#include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/shard_coordinator.hh"
 #include "sweep/sweep_engine.hh"
@@ -379,7 +381,7 @@ printStallJson(const SimResult &r)
 }
 
 void
-printStallSweep(const std::vector<SimResult> &runs, bool csv)
+printStallSweep(const SweepResult &sweep, bool csv)
 {
     TableWriter t(csv ? TableWriter::Style::Csv
                       : TableWriter::Style::Aligned);
@@ -387,7 +389,8 @@ printStallSweep(const std::vector<SimResult> &runs, bool csv)
     for (std::size_t b = 0; b < kNumStallBuckets; ++b)
         t.addColumn(stallBucketName(static_cast<StallBucket>(b)), 4);
     t.addColumn("residual", 0);
-    for (const auto &r : runs) {
+    for (double depth : sweep.depths()) {
+        const SimResult &r = *sweep.runAt(static_cast<int>(depth));
         const double cy = static_cast<double>(r.cycles);
         t.beginRow();
         t.cell(r.depth);
@@ -799,22 +802,18 @@ main(int argc, char **argv)
     if (!opt.tape.empty())
         tape = readTrace(opt.tape);
 
-    auto configure = [&](int p) {
-        PipelineConfig cfg = PipelineConfig::forDepth(p, !opt.ooo);
-        cfg.predictor = opt.predictor;
-        cfg.warmup_instructions = opt.warmup;
-        cfg.audit_ledger = opt.audit;
-        return cfg;
-    };
-
-    const int min_depth = opt.ooo ? 3 : 2;
+    SweepOptions so;
+    so.min_depth = opt.ooo ? 3 : 2;
+    so.trace_length = opt.length;
+    so.warmup_instructions = opt.warmup;
+    so.in_order = !opt.ooo;
+    so.predictor = opt.predictor;
+    const int first_depth = opt.sweep ? so.min_depth : opt.depth;
+    const int last_depth = opt.sweep ? so.max_depth : opt.depth;
     std::vector<PipelineConfig> configs;
-    if (opt.sweep) {
-        configs.reserve(24);
-        for (int p = min_depth; p <= 25; ++p)
-            configs.push_back(configure(p));
-    } else {
-        configs.push_back(configure(opt.depth));
+    for (int p = first_depth; p <= last_depth; ++p) {
+        configs.push_back(so.configAtDepth(p));
+        configs.back().audit_ledger = opt.audit;
     }
 
     // Grid identity: hashed into the checkpoint so --resume refuses a
@@ -1036,41 +1035,32 @@ main(int argc, char **argv)
         return finishRun(0);
     }
 
-    const std::vector<SimResult> runs = simulate();
+    std::vector<SimResult> runs = simulate();
     const std::vector<FailureRecord> failures = engine.lastFailures();
     printFailures(failures);
     if (interruptRequested())
         return finishSweep(130);
+    WorkloadSpec tape_spec;
+    if (tape)
+        tape_spec.name = tape->name;
+    const SweepResult sweep =
+        assembleSweep(tape ? tape_spec : findWorkload(opt.workload), so,
+                      std::move(runs), failures);
 
-    // Quarantined cells leave holes (cycles == 0): the table, fits
-    // and calibration run over the live cells only.
-    std::vector<SimResult> live;
-    live.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            live.push_back(r);
-    }
-    if (live.empty()) {
+    // Quarantined cells leave holes: the table and fit run over the
+    // live depths only.
+    const std::vector<double> depths = sweep.depths();
+    if (depths.empty()) {
         std::fprintf(stderr,
                      "pipesim: every cell of the sweep failed; no "
                      "results to print\n");
         return finishSweep(1);
     }
-
-    const SimResult *ref = nullptr;
-    for (const auto &r : live) {
-        if (r.depth == 8)
-            ref = &r;
-    }
-    if (!ref) {
-        ref = &live.front();
+    if (!sweep.runAt(so.reference_depth))
         std::fprintf(stderr,
-                     "pipesim: reference depth 8 missing (quarantined?); "
-                     "calibrating leakage at depth %d instead\n",
-                     ref->depth);
-    }
-    ActivityPowerModel power;
-    power = power.withLeakageFraction(*ref, 0.15);
+                     "pipesim: reference depth %d quarantined; "
+                     "BIPS3_W_rel is uncalibrated (no leakage)\n",
+                     so.reference_depth);
 
     TableWriter t(opt.csv ? TableWriter::Style::Csv
                           : TableWriter::Style::Aligned);
@@ -1080,34 +1070,34 @@ main(int argc, char **argv)
     t.addColumn("BIPS_rel", 3);
     t.addColumn("BIPS3_W_rel", 3);
 
-    std::vector<double> depths, metric;
-    double bips_peak = 0.0, metric_peak = 0.0;
-    for (const auto &r : live) {
-        depths.push_back(r.depth);
-        metric.push_back(power.metric(r, 3.0, true));
-        bips_peak = std::max(bips_peak, r.bips());
-        metric_peak = std::max(metric_peak, metric.back());
-    }
-    for (std::size_t i = 0; i < live.size(); ++i) {
+    const std::vector<double> bips = sweep.bips();
+    const std::vector<double> metric = sweep.metric(3.0, true);
+    const double bips_peak = *std::max_element(bips.begin(), bips.end());
+    const double metric_peak =
+        *std::max_element(metric.begin(), metric.end());
+    for (std::size_t i = 0; i < depths.size(); ++i) {
+        const SimResult &r = *sweep.runAt(static_cast<int>(depths[i]));
         t.beginRow();
-        t.cell(live[i].depth);
-        t.cell(live[i].cycle_time_fo4);
-        t.cell(live[i].cpi());
-        t.cell(live[i].bips() / bips_peak);
+        t.cell(r.depth);
+        t.cell(r.cycle_time_fo4);
+        t.cell(r.cpi());
+        t.cell(bips[i] / bips_peak);
         t.cell(metric[i] / metric_peak);
     }
     t.render(std::cout);
 
-    const CubicPeak peak = fitCubicPeak(depths, metric);
-    if (!opt.csv) {
+    bool interior = false;
+    const double optimum = sweep.cubicFitOptimum(3.0, true, &interior);
+    if (!opt.csv && optimum == 0.0)
+        std::printf("\nBIPS^3/W cubic-fit optimum: none\n");
+    else if (!opt.csv)
         std::printf("\nBIPS^3/W cubic-fit optimum: %.1f stages%s\n",
-                    peak.x, peak.interior ? "" : " (endpoint)");
-    }
+                    optimum, interior ? "" : " (endpoint)");
     if (opt.stalls || opt.stalls_json) {
         if (!opt.csv)
             std::printf("\nstall ledger composition by depth "
                         "(share of cycles):\n");
-        printStallSweep(live, opt.csv);
+        printStallSweep(sweep, opt.csv);
     }
     return finishSweep(failures.empty() ? 0 : 3);
 }
