@@ -30,27 +30,37 @@ main(int argc, char **argv)
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
 
-    banner(opt, "theory: optimum vs constant gating factor f_cg "
-                "(non-gated formulation)");
-    TableWriter t(opt.style());
-    t.addColumn("f_cg", 2);
-    t.addColumn("p_opt", 2);
-    t.addColumn("interior");
-    // Calibrate leakage once for the ungated machine; gating then
-    // scales only the dynamic component (leakage does not gate), so
-    // its share grows as f_cg falls — that is what moves the optimum.
-    const TheoryModel th = sweep.theoryModel(false);
-    for (double f : {1.0, 0.8, 0.6, 0.4, 0.2}) {
-        PowerParams pw = th.power;
-        pw.f_cg = f;
-        const OptimumResult r =
-            OptimumSolver(th.machine, pw).solveExact(3.0);
-        t.beginRow();
-        t.cell(f);
-        t.cell(r.p_opt);
-        t.cell(r.interior ? "yes" : "no");
+    // The theory is calibrated at the reference cell; without it the
+    // table would come from default parameters.
+    if (!sweep.runAt(sweep.options.reference_depth)) {
+        std::fprintf(stderr,
+                     "gating: reference depth %d cell quarantined; no "
+                     "theory table\n",
+                     sweep.options.reference_depth);
+    } else {
+        banner(opt, "theory: optimum vs constant gating factor f_cg "
+                    "(non-gated formulation)");
+        TableWriter t(opt.style());
+        t.addColumn("f_cg", 2);
+        t.addColumn("p_opt", 2);
+        t.addColumn("interior");
+        // Calibrate leakage once for the ungated machine; gating then
+        // scales only the dynamic component (leakage does not gate), so
+        // its share grows as f_cg falls — that is what moves the
+        // optimum.
+        const TheoryModel th = sweep.theoryModel(false);
+        for (double f : {1.0, 0.8, 0.6, 0.4, 0.2}) {
+            PowerParams pw = th.power;
+            pw.f_cg = f;
+            const OptimumResult r =
+                OptimumSolver(th.machine, pw).solveExact(3.0);
+            t.beginRow();
+            t.cell(f);
+            t.cell(r.p_opt);
+            t.cell(r.interior ? "yes" : "no");
+        }
+        t.render(std::cout);
     }
-    t.render(std::cout);
 
     banner(opt, "simulation: optimum vs gated fraction of dynamic "
                 "power (interpolated activity)");

@@ -23,19 +23,25 @@ main(int argc, char **argv)
     const BenchOptions opt = parseBenchOptions(argc, argv);
     const auto sweeps = sweepCatalog(opt);
 
+    const auto averaged = averagedSweeps(sweeps, "fig6");
     Histogram histogram;
     Summary summary;
-    for (const auto &s : sweeps) {
+    for (const SweepResult *s : averaged) {
         bool interior = false;
-        const double p = s.cubicFitOptimum(3.0, true, &interior);
+        const double p = s->cubicFitOptimum(3.0, true, &interior);
         histogram.add(p);
         summary.add(p);
     }
     const double mean = summary.mean();
 
-    banner(opt,
-           "Fig. 6: distribution of BIPS^3/W optimum depths, all 55 "
-           "workloads");
+    const std::string title =
+        "Fig. 6: distribution of BIPS^3/W optimum depths, " +
+        (averaged.size() == sweeps.size()
+             ? "all " + std::to_string(sweeps.size())
+             : std::to_string(averaged.size()) + " of " +
+                   std::to_string(sweeps.size())) +
+        " workloads";
+    banner(opt, title.c_str());
     TableWriter t(opt.style());
     t.addColumn("p_opt", 0);
     t.addColumn("workloads", 0);

@@ -32,21 +32,10 @@ main(int argc, char **argv)
     std::map<std::string, ClassStats> by_class;
     std::map<std::string, std::map<int, int>> histograms;
 
-    for (const auto &s : sweeps) {
-        // A sweep whose reference cell was quarantined (cycles == 0)
-        // has no extracted power model, so its metric curve — and
-        // with it the fitted optimum — is meaningless. Leave it out
-        // of the class distribution instead of binning garbage.
-        if (!s.runAt(s.options.reference_depth)) {
-            std::fprintf(stderr,
-                         "fig7: skipping %s (reference cell "
-                         "quarantined, %zu hole(s))\n",
-                         s.spec.name.c_str(), s.failures.size());
-            continue;
-        }
+    for (const SweepResult *s : averagedSweeps(sweeps, "fig7")) {
         bool interior = false;
-        const double p = s.cubicFitOptimum(3.0, true, &interior);
-        const std::string cls = workloadClassName(s.spec.cls);
+        const double p = s->cubicFitOptimum(3.0, true, &interior);
+        const std::string cls = workloadClassName(s->spec.cls);
         by_class[cls].optima.push_back(p);
         ++histograms[cls][static_cast<int>(std::lround(p))];
     }

@@ -32,29 +32,32 @@ main(int argc, char **argv)
     double perf_theory = 0.0, m3_cubic = 0.0, m3_theory = 0.0;
     double perf_cubic = 0.0;
     int m1_interior = 0;
-    int n = 0;
-    for (const auto &s : sweeps) {
+    const auto averaged = averagedSweeps(sweeps, "summary");
+    const std::string n_text = std::to_string(averaged.size());
+    for (const SweepResult *s : averaged) {
         // Headline numbers use the paper's Eq. 1 (c_mem = 0).
-        const TheoryModel th = s.theoryModel(true);
+        const TheoryModel th = s->theoryModel(true);
         perf_theory +=
             PerformanceModel(th.machine).performanceOnlyOptimum();
 
         bool interior = false;
-        perf_cubic += s.cubicFitPerformanceOptimum(&interior);
-        m3_cubic += s.cubicFitOptimum(3.0, true, &interior);
-        s.cubicFitOptimum(1.0, true, &interior);
+        perf_cubic += s->cubicFitPerformanceOptimum(&interior);
+        m3_cubic += s->cubicFitOptimum(3.0, true, &interior);
+        s->cubicFitOptimum(1.0, true, &interior);
         m1_interior += interior;
 
         m3_theory +=
             OptimumSolver(th.machine, th.power).solveExact(3.0).p_opt;
-        ++n;
     }
+    const auto n = static_cast<double>(averaged.size());
     perf_theory /= n;
     perf_cubic /= n;
     m3_cubic /= n;
     m3_theory /= n;
 
-    banner(opt, "headline numbers (catalog averages, 55 workloads)");
+    const std::string title =
+        "headline numbers (catalog averages, " + n_text + " workloads)";
+    banner(opt, title.c_str());
     TableWriter t(opt.style());
     t.addColumn("quantity");
     t.addColumn("paper");
@@ -83,7 +86,7 @@ main(int argc, char **argv)
     row("theory/cubic-fit ratio", "~0.8 (\"about 20% shorter\")",
         std::to_string(m3_theory / m3_cubic).substr(0, 5));
     row("workloads with a BIPS/W pipelined optimum", "0 of 55",
-        std::to_string(m1_interior) + " of 55");
+        std::to_string(m1_interior) + " of " + n_text);
     t.render(std::cout);
 
     banner(opt, "existence conditions (Sec. 2)");

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "common/table.hh"
 #include "sweep/result_cache.hh"
@@ -124,6 +125,39 @@ sweepCatalog(const BenchOptions &opt)
     auto sweeps = engine.runGrid(workloadCatalog(), opt.sweepOptions());
     engine.printSummary(std::cerr);
     return sweeps;
+}
+
+/**
+ * The sweeps of @p sweeps a catalog aggregate can average. A sweep
+ * whose reference cell is a hole is uncalibrated (default
+ * MachineParams, no leakage), and one with fewer than 4 live depths
+ * has no cubic-fit optimum (0); either would skew a mean without a
+ * word. Each skipped sweep is named on stderr, prefixed by @p bench,
+ * then the skips are counted.
+ */
+inline std::vector<const SweepResult *>
+averagedSweeps(const std::vector<SweepResult> &sweeps, const char *bench)
+{
+    std::vector<const SweepResult *> kept;
+    for (const auto &s : sweeps) {
+        bool interior = false;
+        const char *why =
+            !s.runAt(s.options.reference_depth)
+                ? "reference cell quarantined"
+            : s.cubicFitOptimum(3.0, true, &interior) == 0.0
+                ? "no cubic-fit optimum"
+                : nullptr;
+        if (!why) {
+            kept.push_back(&s);
+            continue;
+        }
+        std::fprintf(stderr, "%s: skipping %s (%s, %zu hole(s))\n", bench,
+                     s.spec.name.c_str(), why, s.failures.size());
+    }
+    if (kept.size() < sweeps.size())
+        std::fprintf(stderr, "%s: skipped %zu of %zu workloads\n", bench,
+                     sweeps.size() - kept.size(), sweeps.size());
+    return kept;
 }
 
 /** Sweep one named workload on an existing engine. */

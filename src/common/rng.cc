@@ -19,12 +19,6 @@ splitmix64(std::uint64_t &x)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(std::uint64_t seed)
@@ -36,68 +30,6 @@ Rng::Rng(std::uint64_t seed)
     // cannot produce four zeros, but guard anyway.
     if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0)
         s_[0] = 1;
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return (next() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
-}
-
-std::uint64_t
-Rng::below(std::uint64_t n)
-{
-    PP_ASSERT(n > 0, "Rng::below requires n > 0");
-    // Rejection sampling to avoid modulo bias.
-    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
-    std::uint64_t v;
-    do {
-        v = next();
-    } while (v >= limit);
-    return v % n;
-}
-
-std::int64_t
-Rng::range(std::int64_t lo, std::int64_t hi)
-{
-    PP_ASSERT(lo <= hi, "Rng::range requires lo <= hi");
-    const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-    if (span == 0) // full 64-bit range
-        return static_cast<std::int64_t>(next());
-    return lo + static_cast<std::int64_t>(below(span));
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return uniform() < p;
 }
 
 std::size_t
@@ -127,12 +59,25 @@ Rng::weighted(const std::vector<double> &weights)
 std::uint64_t
 Rng::geometric(double p)
 {
+    return Geometric(p).draw(*this);
+}
+
+Geometric::Geometric(double p) : log_q_(0.0)
+{
     if (p >= 1.0)
-        return 0;
+        return;
     if (p <= 0.0)
         p = 1e-12;
-    const double u = 1.0 - uniform(); // in (0, 1]
-    const double k = std::floor(std::log(u) / std::log1p(-p));
+    log_q_ = std::log1p(-p);
+}
+
+std::uint64_t
+Geometric::draw(Rng &rng) const
+{
+    if (log_q_ == 0.0)
+        return 0;
+    const double u = 1.0 - rng.uniform(); // in (0, 1]
+    const double k = std::floor(std::log(u) / log_q_);
     if (k < 0.0)
         return 0;
     if (k > 1e18)

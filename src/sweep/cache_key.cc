@@ -104,6 +104,41 @@ hashCacheConfig(StableHasher &h, const CacheConfig &c)
     h.u64(c.associativity);
 }
 
+/**
+ * Fold @p records into @p h through a word-wise digest: four words
+ * per record into two independent 64-bit multiply-rotate lanes, an
+ * xxh64 round and a murmur3 x64 body step, then both lanes. Only field
+ * values are folded, never a TraceRecord's memory, so its padding
+ * cannot reach a key.
+ */
+void
+hashRecordWords(StableHasher &h, const std::vector<TraceRecord> &records)
+{
+    auto rotl = [](std::uint64_t x, int k) {
+        return (x << k) | (x >> (64 - k));
+    };
+    std::uint64_t lane1 = 0x27d4eb2f165667c5ull;
+    std::uint64_t lane2 = 0x9e3779b97f4a7c15ull;
+    auto word = [&](std::uint64_t w) {
+        lane1 = rotl(lane1 + w * 0xc2b2ae3d27d4eb4full, 31) *
+                0x9e3779b185ebca87ull;
+        const std::uint64_t k =
+            rotl(w * 0x87c37b91114253d5ull, 31) * 0x4cf5ad432745937full;
+        lane2 = rotl(lane2 ^ k, 27) * 5 + 0x52dce729;
+    };
+    for (const auto &r : records) {
+        word(r.pc);
+        word(r.mem_addr);
+        word(r.target);
+        word(static_cast<std::uint64_t>(r.op) |
+             std::uint64_t{r.dst} << 8 | std::uint64_t{r.src1} << 16 |
+             std::uint64_t{r.src2} << 24 | std::uint64_t{r.src3} << 32 |
+             std::uint64_t{r.taken} << 40);
+    }
+    h.u64(lane1);
+    h.u64(lane2);
+}
+
 } // namespace
 
 void
@@ -164,21 +199,11 @@ traceCellHasher(const Trace &trace)
 {
     StableHasher h;
     h.str(kSimulatorVersionTag);
-    h.str("trace-cell");
+    h.str("trace-words");
     h.str(trace.name);
     h.u64(trace.seed);
     h.u64(trace.records.size());
-    for (const auto &r : trace.records) {
-        h.u64(r.pc);
-        h.u64(r.mem_addr);
-        h.i64(static_cast<std::int64_t>(r.op));
-        h.i64(r.dst);
-        h.i64(r.src1);
-        h.i64(r.src2);
-        h.i64(r.src3);
-        h.u64(r.taken ? 1 : 0);
-        h.u64(r.target);
-    }
+    hashRecordWords(h, trace.records);
     return h;
 }
 

@@ -10,7 +10,10 @@
  * predictor, warm-up) and a simulator version tag. The hash is a pair
  * of independent FNV-1a streams over a canonical little-endian byte
  * encoding, so keys are identical across platforms and runs — the
- * property the on-disk cache (result_cache.hh) relies on.
+ * property the on-disk cache (result_cache.hh) relies on. A cell
+ * keyed by an explicit trace (a tape) cannot afford 72 FNV bytes per
+ * record; its records are folded word-wise into a 128-bit digest
+ * first, and the FNV streams take the digest (traceCellHasher).
  *
  * Anything that can change simulation output MUST be fed into the
  * key; bump kSimulatorVersionTag whenever simulator or trace
@@ -98,9 +101,15 @@ CacheKey simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
 
 /**
  * Hasher state after every record of @p trace: the shared prefix of
- * its traceCellKey under any configuration. FNV-1a streams, so
+ * its traceCellKey under any configuration. It holds the version tag,
+ * the domain string "trace-words", the trace's name, seed and record
+ * count, then a word-wise digest of the records: each record is four
+ * words (pc, mem_addr, target, and op | dst<<8 | src1<<16 | src2<<24
+ * | src3<<32 | taken<<40), folded into two independent 64-bit
+ * multiply-rotate lanes. Field values are folded, never a record's
+ * memory, so padding bytes cannot reach the key. FNV-1a streams, so
  * appending a config to a copy of this state gives the same key as
- * hashing the whole cell, and a caller keying many configs hashes the
+ * hashing the whole cell, and a caller keying many configs digests the
  * records once.
  */
 StableHasher traceCellHasher(const Trace &trace);

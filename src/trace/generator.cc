@@ -1,8 +1,8 @@
 #include "trace/generator.hh"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <deque>
 #include <vector>
 
 #include "common/logging.hh"
@@ -211,6 +211,7 @@ buildProgram(const TraceGenParams &p, Rng &rng)
         std::size_t body_len = static_cast<std::size_t>(
             std::llround(rng.uniform(lo, hi)));
         body_len = std::min<std::size_t>(body_len, 64);
+        blk.body.reserve(body_len);
         for (std::size_t i = 0; i < body_len; ++i) {
             StaticInstr si;
             si.op = sampleBodyOp(p, rng);
@@ -307,7 +308,13 @@ buildProgram(const TraceGenParams &p, Rng &rng)
 class DependenceTracker
 {
   public:
-    explicit DependenceTracker(Rng &rng) : rng_(rng)
+    /**
+     * With probability @p near_prob a source is a recent producer at
+     * geometric distance (mean @p mean_dist), else a uniformly random
+     * register.
+     */
+    DependenceTracker(Rng &rng, double near_prob, double mean_dist)
+        : rng_(rng), near_prob_(near_prob), distance_(1.0 / mean_dist)
     {
     }
 
@@ -317,24 +324,20 @@ class DependenceTracker
     {
         if (reg == kNoReg)
             return;
-        recent_.push_front(reg);
-        if (recent_.size() > 64)
-            recent_.pop_back();
+        head_ = (head_ + 1) % kWindow;
+        recent_[head_] = reg;
+        size_ = std::min(size_ + 1, kWindow);
     }
 
-    /**
-     * Pick a source register: with probability @p near_prob a recent
-     * producer at geometric distance (mean @p mean_dist), else a
-     * uniformly random register from @p lo..hi.
-     */
+    /** Pick a source register from @p lo..hi. */
     std::uint8_t
-    pick(double near_prob, double mean_dist, std::uint8_t lo,
-         std::uint8_t hi)
+    pick(std::uint8_t lo, std::uint8_t hi)
     {
-        if (!recent_.empty() && rng_.bernoulli(near_prob)) {
-            std::size_t d = rng_.geometric(1.0 / mean_dist);
-            d = std::min(d, recent_.size() - 1);
-            const std::uint8_t reg = recent_[d];
+        if (size_ > 0 && rng_.bernoulli(near_prob_)) {
+            const std::size_t d =
+                std::min<std::size_t>(distance_.draw(rng_), size_ - 1);
+            const std::uint8_t reg =
+                recent_[(head_ + kWindow - d) % kWindow];
             if (reg >= lo && reg <= hi)
                 return reg;
         }
@@ -342,8 +345,15 @@ class DependenceTracker
     }
 
   private:
+    /** The last kWindow producers, newest at head_. */
+    static constexpr std::size_t kWindow = 64;
+
     Rng &rng_;
-    std::deque<std::uint8_t> recent_;
+    const double near_prob_;
+    const Geometric distance_;
+    std::array<std::uint8_t, kWindow> recent_{};
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 };
 
 } // namespace
@@ -375,7 +385,7 @@ generateTrace(const TraceGenParams &params, const std::string &name)
     trace.seed = params.seed;
     trace.records.reserve(params.length);
 
-    DependenceTracker deps(rng);
+    DependenceTracker deps(rng, params.dep_near, params.mean_dep_dist);
     std::size_t cur = 0; // current block
 
     while (trace.records.size() < params.length) {
@@ -400,16 +410,13 @@ generateTrace(const TraceGenParams &params, const std::string &name)
             if (!t.is_store) {
                 r.dst = static_cast<std::uint8_t>(rng.range(lo, hi));
             }
-            r.src1 = deps.pick(params.dep_near, params.mean_dep_dist, lo,
-                               hi);
+            r.src1 = deps.pick(lo, hi);
             if (si.op != OpClass::Load)
-                r.src2 = deps.pick(params.dep_near, params.mean_dep_dist,
-                                   lo, hi);
+                r.src2 = deps.pick(lo, hi);
             if (t.is_mem) {
                 // Base register for address generation is an integer
                 // register even for FP memory ops.
-                r.src3 = deps.pick(params.dep_near, params.mean_dep_dist,
-                                   0, kNumGprs - 1);
+                r.src3 = deps.pick(0, kNumGprs - 1);
                 switch (si.mem_style) {
                   case MemStyle::Hot:
                     r.mem_addr =
@@ -441,8 +448,7 @@ generateTrace(const TraceGenParams &params, const std::string &name)
         TraceRecord br;
         br.op = blk.branch_op;
         br.pc = blk.start_pc + blk.body.size() * kInstrBytes;
-        br.src1 = deps.pick(params.dep_near, params.mean_dep_dist, 0,
-                            kNumGprs - 1);
+        br.src1 = deps.pick(0, kNumGprs - 1);
 
         StaticBranch &sb = blk.branch;
         bool taken = true;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.hh"
@@ -129,6 +130,106 @@ TEST(Rng, GeometricPOneIsZero)
     Rng rng(31);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(rng.geometric(1.0), 0u);
+}
+
+/** Rng::below written out as a textbook: bound, reject, v % n. */
+std::uint64_t
+textbookBelow(Rng &rng, std::uint64_t n, std::uint64_t *rejected)
+{
+    const std::uint64_t limit = UINT64_MAX - UINT64_MAX % n;
+    std::uint64_t v = rng.next();
+    while (v >= limit) {
+        ++*rejected;
+        v = rng.next();
+    }
+    return v % n;
+}
+
+/**
+ * Sizes for the textbook comparisons: the powers of two trace
+ * synthesis draws (16 registers, 4096-byte regions), odd sizes, and
+ * 2^63 + 1, where about half the draws are rejected, so the rejection
+ * path runs too.
+ */
+constexpr std::uint64_t kSizes[] = {
+    1, 2, 3, 16, 4096, (1ull << 32) + 1, 1ull << 63, (1ull << 63) + 1,
+    UINT64_MAX};
+
+TEST(Rng, BelowIsTheTextbookStream)
+{
+    // Every synthetic trace depends on these draws bit for bit, so the
+    // fast paths (no division for draws that cannot be rejected, a
+    // mask for powers of two) must return the textbook values and
+    // consume the same raw draws.
+    for (std::uint64_t n : kSizes) {
+        Rng fast(n), textbook(n);
+        std::uint64_t rejected = 0;
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(fast.below(n), textbookBelow(textbook, n, &rejected))
+                << "n " << n << ", draw " << i;
+        }
+        EXPECT_EQ(fast.next(), textbook.next()) << "n " << n;
+        if (n == (1ull << 63) + 1) {
+            EXPECT_GT(rejected, 40000u);
+        }
+    }
+}
+
+TEST(Rng, RangeIsTheTextbookStream)
+{
+    // range(lo, lo + n - 1) is lo + below(n); a span of 2^64 is one raw
+    // draw.
+    for (std::uint64_t n : kSizes) {
+        const std::int64_t lo = n > (1ull << 62) ? INT64_MIN : -3;
+        const auto hi = static_cast<std::int64_t>(
+            static_cast<std::uint64_t>(lo) + (n - 1));
+        Rng fast(n), textbook(n);
+        std::uint64_t rejected = 0;
+        for (int i = 0; i < 100000; ++i) {
+            ASSERT_EQ(fast.range(lo, hi),
+                      static_cast<std::int64_t>(
+                          static_cast<std::uint64_t>(lo) +
+                          textbookBelow(textbook, n, &rejected)))
+                << "[" << lo << ", " << hi << "], draw " << i;
+        }
+    }
+    Rng fast(5), raw(5);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(fast.range(INT64_MIN, INT64_MAX),
+                  static_cast<std::int64_t>(raw.next()));
+}
+
+TEST(Rng, GeometricStreamsPinned)
+{
+    // First draws at seed 2024 for the dependence-distance parameters
+    // trace synthesis uses (p = 1 / mean_dep_dist), and the p <= 0
+    // clamp to 1e-12.
+    const struct
+    {
+        double p;
+        std::uint64_t draws[8];
+    } pinned[] = {
+        {1.0, {0, 0, 0, 0, 0, 0, 0, 0}},
+        {0.5, {0, 2, 0, 0, 2, 0, 0, 0}},
+        {1.0 / 3.4, {0, 4, 0, 0, 4, 0, 1, 0}},
+        {1.0 / 5.5, {0, 7, 0, 0, 7, 1, 2, 1}},
+        {1e-12,
+         {57409739771ull, 1523736351851ull, 74782750602ull,
+          174015194440ull, 1485674526854ull, 280868172492ull,
+          501429553753ull, 297069006356ull}},
+    };
+    for (const auto &pin : pinned) {
+        Rng rng(2024);
+        for (std::uint64_t expected : pin.draws)
+            EXPECT_EQ(rng.geometric(pin.p), expected) << "p " << pin.p;
+    }
+}
+
+TEST(RngDeath, EmptyBoundsPanic)
+{
+    Rng rng(1);
+    EXPECT_DEATH(rng.below(0), "n > 0");
+    EXPECT_DEATH(rng.range(2, 1), "lo <= hi");
 }
 
 TEST(Rng, GaussianMoments)

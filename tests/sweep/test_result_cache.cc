@@ -11,9 +11,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,7 +23,9 @@
 #include <unistd.h>
 
 #include "sweep/cache_key.hh"
+#include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
+#include "trace/trace_io.hh"
 
 namespace pipedepth
 {
@@ -295,6 +299,114 @@ TEST(CacheKeyHex, StableAndDistinct)
     PipelineConfig warm = PipelineConfig::forDepth(8);
     warm.warmup_instructions = 777;
     EXPECT_NE(base, simCellKey(spec, 1000, warm));
+}
+
+TEST(CacheKeyHex, SimCellKeyPinned)
+{
+    // A catalog cell's address. It must never move without a bump of
+    // kSimulatorVersionTag: caches written earlier serve it.
+    SweepOptions options;
+    options.trace_length = 30000;
+    options.warmup_instructions = 10000;
+    EXPECT_EQ(simCellKey(findWorkload("gcc95"), 30000,
+                         options.configAtDepth(8))
+                  .hex(),
+              "aa0e24be3f42e502ac491f77cbb25c92");
+}
+
+/** One record with every field set and its padding bytes dirty. */
+TraceRecord
+handRecord(std::uint64_t pc, OpClass op, bool taken)
+{
+    TraceRecord r;
+    std::memset(static_cast<void *>(&r), 0xa5, sizeof(r));
+    r.pc = pc;
+    r.mem_addr = pc * 3 + 0x10000000;
+    r.op = op;
+    r.dst = 1;
+    r.src1 = 2;
+    r.src2 = 3;
+    r.src3 = 4;
+    r.taken = taken;
+    r.target = pc + 0x40;
+    return r;
+}
+
+/** A hand-built 3-record trace. */
+Trace
+handTrace()
+{
+    Trace t;
+    t.name = "hand";
+    t.seed = 7;
+    t.records = {handRecord(0x400000, OpClass::Load, false),
+                 handRecord(0x400004, OpClass::IntAlu, false),
+                 handRecord(0x400008, OpClass::BranchCond, true)};
+    return t;
+}
+
+TEST(TraceCellKey, HandBuiltTracePinned)
+{
+    const Trace t = handTrace();
+    const PipelineConfig config = PipelineConfig::forDepth(8);
+    EXPECT_EQ(traceCellKey(t, config).hex(),
+              "6bf218b16dbd13e01dd783e022ff2a70");
+    StableHasher h = traceCellHasher(t);
+    hashPipelineConfig(h, config);
+    EXPECT_EQ(h.key(), traceCellKey(t, config));
+}
+
+TEST(TraceCellKey, EveryFieldOrderNameSeedAndCountMoveTheKey)
+{
+    const PipelineConfig config = PipelineConfig::forDepth(8);
+    const CacheKey base = traceCellKey(handTrace(), config);
+    auto keyAfter = [&](auto &&edit) {
+        Trace t = handTrace();
+        edit(t);
+        return traceCellKey(t, config);
+    };
+    std::set<std::string> keys{base.hex()};
+    auto expectMoved = [&](const char *what, const CacheKey &key) {
+        EXPECT_NE(key, base) << what;
+        EXPECT_TRUE(keys.insert(key.hex()).second) << what;
+    };
+    expectMoved("pc", keyAfter([](Trace &t) { t.records[1].pc ^= 4; }));
+    expectMoved("mem_addr",
+                keyAfter([](Trace &t) { t.records[1].mem_addr ^= 8; }));
+    expectMoved("op", keyAfter([](Trace &t) {
+                    t.records[1].op = OpClass::IntMul;
+                }));
+    expectMoved("dst",
+                keyAfter([](Trace &t) { t.records[1].dst = kNoReg; }));
+    expectMoved("src1", keyAfter([](Trace &t) { t.records[1].src1 = 9; }));
+    expectMoved("src2", keyAfter([](Trace &t) { t.records[1].src2 = 9; }));
+    expectMoved("src3", keyAfter([](Trace &t) { t.records[1].src3 = 9; }));
+    expectMoved("taken",
+                keyAfter([](Trace &t) { t.records[1].taken = true; }));
+    expectMoved("target",
+                keyAfter([](Trace &t) { t.records[1].target ^= 1; }));
+    expectMoved("order", keyAfter([](Trace &t) {
+                    std::swap(t.records[0], t.records[1]);
+                }));
+    expectMoved("name", keyAfter([](Trace &t) { t.name = "hanc"; }));
+    expectMoved("seed", keyAfter([](Trace &t) { t.seed = 8; }));
+    expectMoved("count", keyAfter([](Trace &t) { t.records.pop_back(); }));
+    expectMoved("config",
+                traceCellKey(handTrace(), PipelineConfig::forDepth(9)));
+}
+
+TEST(TraceCellKey, TapeRoundTripKeepsTheKey)
+{
+    // The records written with dirty padding come back with whatever
+    // padding the reader leaves: an unchanged key shows that only
+    // field values are hashed.
+    const Trace t = handTrace();
+    const std::string path = ::testing::TempDir() + "hand-key.pptr";
+    writeTrace(t, path);
+    const Trace back = readTrace(path);
+    std::remove(path.c_str());
+    const PipelineConfig config = PipelineConfig::forDepth(8);
+    EXPECT_EQ(traceCellKey(back, config), traceCellKey(t, config));
 }
 
 /**

@@ -7,8 +7,11 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
+#include "sweep/cache_key.hh"
 #include "trace/generator.hh"
+#include "workloads/catalog.hh"
 
 namespace pipedepth
 {
@@ -205,6 +208,71 @@ TEST(Generator, DependenceKnobShortensDistances)
     loose.mean_dep_dist = 8.0;
     EXPECT_LT(mean_dist(generateTrace(tight, "t")),
               mean_dist(generateTrace(loose, "l")));
+}
+
+/**
+ * Every field of every record, folded one by one into a StableHasher.
+ * A tape carries every bit of a record, including fields the timing
+ * model never reads, so the golden SimResult hashes cannot stand in
+ * for this.
+ */
+std::string
+recordDigest(const Trace &t)
+{
+    StableHasher h;
+    for (const auto &r : t.records) {
+        h.u64(r.pc);
+        h.u64(r.mem_addr);
+        h.i64(static_cast<std::int64_t>(r.op));
+        h.i64(r.dst);
+        h.i64(r.src1);
+        h.i64(r.src2);
+        h.i64(r.src3);
+        h.u64(r.taken ? 1 : 0);
+        h.u64(r.target);
+    }
+    return h.key().hex();
+}
+
+TEST(Generator, RecordsPinnedBitForBit)
+{
+    // The first catalog workload of each class, plus the default
+    // parameters, at three lengths.
+    const struct
+    {
+        const char *workload; //!< catalog name, or "default"
+        std::size_t length;
+        const char *digest;
+    } pinned[] = {
+        {"db1", 1, "4cb989d09735aafee6549a7b81b6be0e"},
+        {"db1", 30000, "88d0b6f2542b04b3747dc50fa2651883"},
+        {"db1", 150000, "92e31c8e162ce02117aab6e31cbff071"},
+        {"websrv", 1, "f50d26bf317a98348ea8376a1bfbab44"},
+        {"websrv", 30000, "69a7f7c3772a005ee7c26720e2ca67ae"},
+        {"websrv", 150000, "39f51e82fa4bd4ccf19d7974bd56337c"},
+        {"go95", 1, "725cbdeb30b095d90bf7ce961b31a8e9"},
+        {"go95", 30000, "a2362d642f00d5784bdb64f925f7d128"},
+        {"go95", 150000, "5fe05a22a3df91669afb4e6073106496"},
+        {"gzip00", 1, "4249b6bbafa06f17bddf41bee2f6c707"},
+        {"gzip00", 30000, "9986f3b9e96eaf6fd430ab27d5797c9f"},
+        {"gzip00", 150000, "750e44d1c546c24d30210f25d84361bd"},
+        {"tomcatv", 1, "f881814544acb03f921c91f02f2dc34f"},
+        {"tomcatv", 30000, "73e81eef6b5b0acfdbc46500da0c3c9f"},
+        {"tomcatv", 150000, "ea9063ea2354fb00a8eb80a84c63f030"},
+        {"default", 1, "1d3e0f9cd0730f5ab6d92047baf4226a"},
+        {"default", 30000, "7be3a06f5aed4f744fc1283455b62e44"},
+        {"default", 150000, "4a01286b5e003e7aa2555e4e720fadca"},
+    };
+    for (const auto &pin : pinned) {
+        const std::string name = pin.workload;
+        TraceGenParams params =
+            name == "default" ? TraceGenParams{} : findWorkload(name).gen;
+        params.length = pin.length;
+        const Trace t = generateTrace(params, name);
+        ASSERT_EQ(t.size(), pin.length) << name;
+        EXPECT_EQ(recordDigest(t), pin.digest)
+            << name << " at length " << pin.length;
+    }
 }
 
 TEST(GeneratorDeath, RejectsBadParameters)

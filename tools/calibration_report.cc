@@ -121,6 +121,16 @@ main(int argc, char **argv)
         bool i1=false, i2=false;
         const double perf = s.cubicFitPerformanceOptimum(&i1);
         const double m3 = s.cubicFitOptimum(3.0, true, &i2);
+        // Fewer than 4 live depths: the fits answer 0, which a class
+        // mean would average as an optimum.
+        if (m3 == 0.0) {
+            std::printf("%-12s %-12s SKIPPED: no cubic-fit optimum "
+                        "(%zu hole(s) in sweep)\n",
+                        w.name.c_str(),
+                        workloadClassName(w.cls).c_str(),
+                        s.failures.size());
+            continue;
+        }
         Acc &a = byclass[workloadClassName(w.cls)];
         a.n++; a.a += s.extracted.alpha; a.g += s.extracted.gamma;
         a.h += s.extracted.hazard_ratio; a.perf += perf; a.m3 += m3;
