@@ -41,7 +41,7 @@ main(int argc, char **argv)
             so.policy = policy;
             const SweepResult sweep = engine.runSweep(findWorkload(name), so);
             const SimResult *at20 = sweep.runAt(20);
-            if (!sweep.runAt(8) || !at20) // quarantined: no row
+            if (!sweep.calibrated() || !at20) // quarantined: no row
                 continue;
             bool interior = false;
             const double p_opt = sweep.cubicFitOptimum(3.0, true, &interior);

@@ -29,38 +29,33 @@ main(int argc, char **argv)
 
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
+    engine.printSummary(std::cerr);
+    // Both tables take their leakage from the calibration at the
+    // reference cell; without it they would come from defaults.
+    if (!calibratedOrWarn(sweep, "gating"))
+        return 0;
 
-    // The theory is calibrated at the reference cell; without it the
-    // table would come from default parameters.
-    if (!sweep.runAt(sweep.options.reference_depth)) {
-        std::fprintf(stderr,
-                     "gating: reference depth %d cell quarantined; no "
-                     "theory table\n",
-                     sweep.options.reference_depth);
-    } else {
-        banner(opt, "theory: optimum vs constant gating factor f_cg "
-                    "(non-gated formulation)");
-        TableWriter t(opt.style());
-        t.addColumn("f_cg", 2);
-        t.addColumn("p_opt", 2);
-        t.addColumn("interior");
-        // Calibrate leakage once for the ungated machine; gating then
-        // scales only the dynamic component (leakage does not gate), so
-        // its share grows as f_cg falls — that is what moves the
-        // optimum.
-        const TheoryModel th = sweep.theoryModel(false);
-        for (double f : {1.0, 0.8, 0.6, 0.4, 0.2}) {
-            PowerParams pw = th.power;
-            pw.f_cg = f;
-            const OptimumResult r =
-                OptimumSolver(th.machine, pw).solveExact(3.0);
-            t.beginRow();
-            t.cell(f);
-            t.cell(r.p_opt);
-            t.cell(r.interior ? "yes" : "no");
-        }
-        t.render(std::cout);
+    banner(opt, "theory: optimum vs constant gating factor f_cg "
+                "(non-gated formulation)");
+    TableWriter t(opt.style());
+    t.addColumn("f_cg", 2);
+    t.addColumn("p_opt", 2);
+    t.addColumn("interior");
+    // Calibrate leakage once for the ungated machine; gating then
+    // scales only the dynamic component (leakage does not gate), so
+    // its share grows as f_cg falls — that is what moves the optimum.
+    const TheoryModel th = sweep.theoryModel(false);
+    for (double f : {1.0, 0.8, 0.6, 0.4, 0.2}) {
+        PowerParams pw = th.power;
+        pw.f_cg = f;
+        const OptimumResult r =
+            OptimumSolver(th.machine, pw).solveExact(3.0);
+        t.beginRow();
+        t.cell(f);
+        t.cell(r.p_opt);
+        t.cell(r.interior ? "yes" : "no");
     }
+    t.render(std::cout);
 
     banner(opt, "simulation: optimum vs gated fraction of dynamic "
                 "power (interpolated activity)");
@@ -94,6 +89,5 @@ main(int argc, char **argv)
                     "given performance. Therefore, one can push the "
                     "pipeline to larger depths\"\n");
     }
-    engine.printSummary(std::cerr);
     return 0;
 }

@@ -44,7 +44,7 @@ main(int argc, char **argv)
             engine.runConfigs(spec, so.trace_length, configs);
         const SweepResult sweep = assembleSweep(
             spec, so, std::move(runs), engine.lastFailures());
-        const SimResult *ref = sweep.runAt(8);
+        const SimResult *ref = sweep.runAt(so.reference_depth);
         if (!ref) // quarantined: nothing calibrated, no row
             continue;
         if (base_bips == 0.0)

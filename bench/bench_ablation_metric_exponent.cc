@@ -25,6 +25,9 @@ main(int argc, char **argv)
     const BenchOptions opt = parseBenchOptions(argc, argv);
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
+    engine.printSummary(std::cerr);
+    if (!calibratedOrWarn(sweep, "metric_exponent"))
+        return 0;
 
     // Theory at the extracted parameters (paper model, c_mem = 0).
     const TheoryModel th = sweep.theoryModel(true);
@@ -60,6 +63,5 @@ main(int argc, char **argv)
         std::printf("paper: no optima below m ~ beta; BIPS^3/W ~7; "
                     "BIPS alone ~20+\n");
     }
-    engine.printSummary(std::cerr);
     return 0;
 }

@@ -37,7 +37,7 @@ main(int argc, char **argv)
             SweepOptions so = opt.sweepOptions();
             so.predictor = kind;
             const SweepResult sweep = engine.runSweep(findWorkload(name), so);
-            const SimResult *ref = sweep.runAt(8);
+            const SimResult *ref = sweep.runAt(so.reference_depth);
             if (!ref) // quarantined: nothing calibrated, no row
                 continue;
 

@@ -41,6 +41,8 @@ main(int argc, char **argv)
     for (const char *name :
          {"db1", "websrv", "gcc95", "gzip00", "swim", "tomcatv"}) {
         const SweepResult sweep = sweepWorkload(engine, opt, name);
+        if (!calibratedOrWarn(sweep, "constant_time"))
+            continue;
 
         double r2_paper = 0.0, r2_ext = 0.0;
         sweep.theoryCurve(3.0, true, &r2_paper, false);

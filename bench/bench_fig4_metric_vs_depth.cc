@@ -25,6 +25,8 @@ oneWorkload(SweepEngine &engine, const BenchOptions &opt,
             const char *figure, const char *name)
 {
     const SweepResult sweep = sweepWorkload(engine, opt, name);
+    if (!calibratedOrWarn(sweep, "fig4"))
+        return;
 
     const auto sim_g = sweep.metric(3.0, true);
     const auto sim_u = sweep.metric(3.0, false);

@@ -20,6 +20,9 @@ main(int argc, char **argv)
     const BenchOptions opt = parseBenchOptions(argc, argv);
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "websrv");
+    engine.printSummary(std::cerr);
+    if (!calibratedOrWarn(sweep, "fig5"))
+        return 0;
 
     const auto bips = sweep.bips();
     const auto m1 = sweep.metric(1.0, true);
@@ -78,6 +81,5 @@ main(int argc, char **argv)
         std::printf("paper: peaks for BIPS (~20) and BIPS^3/W (~7); "
                     "none for BIPS^2/W and BIPS/W\n");
     }
-    engine.printSummary(std::cerr);
     return 0;
 }

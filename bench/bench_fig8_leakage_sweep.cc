@@ -27,18 +27,21 @@ main(int argc, char **argv)
     // SPEC95 integer workload").
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
-    // The paper's Eq. 1 machine; leakage is recalibrated per curve.
-    const MachineParams mp = sweep.theoryModel(true).machine;
+    engine.printSummary(std::cerr);
+    if (!calibratedOrWarn(sweep, "fig8"))
+        return 0;
+    // The paper's Eq. 1 machine and the sweep's power parameters;
+    // leakage is recalibrated per curve at the reference depth.
+    const TheoryModel th = sweep.theoryModel(true);
+    const MachineParams &mp = th.machine;
 
     const std::vector<double> fracs{0.0, 0.30, 0.50, 0.90};
     std::vector<PowerPerformanceMetric> metrics;
     std::vector<double> optima;
     std::vector<double> peaks;
     for (double f : fracs) {
-        PowerParams pw;
-        pw.gating = ClockGating::FineGrained;
-        pw.beta = 1.3;
-        pw = PowerModel::calibrateLeakage(mp, pw, f, 8.0);
+        const PowerParams pw = PowerModel::calibrateLeakage(
+            mp, th.power, f, sweep.options.reference_depth);
         metrics.emplace_back(mp, pw, 3.0);
         const OptimumSolver solver(mp, pw);
         const OptimumResult r = solver.solveExact(3.0);
@@ -81,6 +84,5 @@ main(int argc, char **argv)
                     optima.back() / optima.front());
         std::printf("paper: 7 -> 14 stages (2x) for their workload\n");
     }
-    engine.printSummary(std::cerr);
     return 0;
 }

@@ -26,17 +26,26 @@ main(int argc, char **argv)
 
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
-    // The paper's Eq. 1 machine; leakage is recalibrated per curve.
-    const MachineParams mp = sweep.theoryModel(true).machine;
+    engine.printSummary(std::cerr);
+    if (!calibratedOrWarn(sweep, "fig9"))
+        return 0;
+    // The paper's Eq. 1 machine and the sweep's power parameters at
+    // latch exponent beta, leakage recalibrated at the reference depth.
+    const TheoryModel th = sweep.theoryModel(true);
+    const MachineParams &mp = th.machine;
+    auto powerAt = [&](double beta) {
+        PowerParams pw = th.power;
+        pw.beta = beta;
+        return PowerModel::calibrateLeakage(
+            mp, pw, sweep.options.leakage_fraction,
+            sweep.options.reference_depth);
+    };
 
     const std::vector<double> betas{1.0, 1.1, 1.3, 1.5, 1.8};
     std::vector<PowerPerformanceMetric> metrics;
     std::vector<OptimumResult> optima;
     for (double beta : betas) {
-        PowerParams pw;
-        pw.gating = ClockGating::FineGrained;
-        pw.beta = beta;
-        pw = PowerModel::calibrateLeakage(mp, pw, 0.15, 8.0);
+        const PowerParams pw = powerAt(beta);
         metrics.emplace_back(mp, pw, 3.0);
         optima.push_back(OptimumSolver(mp, pw).solveExact(3.0));
     }
@@ -75,11 +84,8 @@ main(int argc, char **argv)
     }
     // beta >= 2: no pipelined solution.
     {
-        PowerParams pw;
-        pw.gating = ClockGating::FineGrained;
-        pw.beta = 2.2;
-        pw = PowerModel::calibrateLeakage(mp, pw, 0.15, 8.0);
-        const OptimumResult r = OptimumSolver(mp, pw).solveExact(3.0);
+        const OptimumResult r =
+            OptimumSolver(mp, powerAt(2.2)).solveExact(3.0);
         s.beginRow();
         s.cell(2.2);
         s.cell(r.p_opt);
@@ -92,6 +98,5 @@ main(int argc, char **argv)
         std::printf("\npaper: strong beta dependence; beta > 2 -> "
                     "single-stage optimum\n");
     }
-    engine.printSummary(std::cerr);
     return 0;
 }

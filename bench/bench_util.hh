@@ -10,9 +10,13 @@
  * All sweeps route through the SweepEngine, so repeated bench runs
  * are served from the on-disk result cache (disable with `--no-cache`
  * or PIPEDEPTH_CACHE_DIR=""). The engine's counter summary goes to
- * stderr, keeping stdout byte-identical between cold and warm runs.
- * `--verbose` reports the resolved cache directory (and which
- * environment rule chose it) on stderr.
+ * stderr, keeping stdout byte-identical between cold and warm runs;
+ * the result cache announces its directory there once per process.
+ *
+ * A sweep whose reference cell is a hole is uncalibrated: metric(),
+ * theoryModel() and theoryCurve() would answer from default
+ * parameters. Benches print no such number; they warn instead
+ * (calibratedOrWarn) or skip the sweep (averagedSweeps).
  */
 
 #ifndef PIPEDEPTH_BENCH_BENCH_UTIL_HH
@@ -26,7 +30,6 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
 
 namespace pipedepth
@@ -37,7 +40,6 @@ struct BenchOptions
 {
     bool csv = false;
     bool no_cache = false;
-    bool verbose = false;
     std::size_t trace_length = 150000;
     unsigned threads = 0; //!< 0 = hardware concurrency
 
@@ -81,8 +83,6 @@ parseBenchOptions(int argc, char **argv)
             opt.csv = true;
         } else if (arg == "--no-cache") {
             opt.no_cache = true;
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
         } else if (arg == "--trace-length" && i + 1 < argc) {
             opt.trace_length =
                 static_cast<std::size_t>(std::strtoull(argv[++i],
@@ -92,26 +92,10 @@ parseBenchOptions(int argc, char **argv)
                 std::strtoul(argv[++i], nullptr, 10));
         } else {
             std::fprintf(stderr,
-                         "usage: %s [--csv] [--no-cache] [--verbose] "
+                         "usage: %s [--csv] [--no-cache] "
                          "[--trace-length N] [--threads N]\n",
                          argv[0]);
             std::exit(2);
-        }
-    }
-    if (opt.verbose) {
-        if (opt.no_cache) {
-            std::fprintf(stderr, "result cache: disabled (--no-cache)\n");
-        } else {
-            const char *source = nullptr;
-            const std::string dir =
-                ResultCache::resolveDefaultDir(&source);
-            if (dir.empty())
-                std::fprintf(stderr,
-                             "result cache: disabled "
-                             "(PIPEDEPTH_CACHE_DIR is empty)\n");
-            else
-                std::fprintf(stderr, "result cache: %s (from %s)\n",
-                             dir.c_str(), source);
         }
     }
     return opt;
@@ -142,7 +126,7 @@ averagedSweeps(const std::vector<SweepResult> &sweeps, const char *bench)
     for (const auto &s : sweeps) {
         bool interior = false;
         const char *why =
-            !s.runAt(s.options.reference_depth)
+            !s.calibrated()
                 ? "reference cell quarantined"
             : s.cubicFitOptimum(3.0, true, &interior) == 0.0
                 ? "no cubic-fit optimum"
@@ -158,6 +142,25 @@ averagedSweeps(const std::vector<SweepResult> &sweeps, const char *bench)
         std::fprintf(stderr, "%s: skipped %zu of %zu workloads\n", bench,
                      sweeps.size() - kept.size(), sweeps.size());
     return kept;
+}
+
+/**
+ * Whether @p sweep is calibrated (SweepResult::calibrated). When it
+ * is not, warn on stderr, prefixed by @p bench and naming the
+ * workload and the reference depth; the caller then prints no number
+ * from metric(), theoryModel() or theoryCurve().
+ */
+inline bool
+calibratedOrWarn(const SweepResult &sweep, const char *bench)
+{
+    if (sweep.calibrated())
+        return true;
+    std::fprintf(stderr,
+                 "%s: reference depth %d cell quarantined for %s; its "
+                 "uncalibrated rows are not printed\n",
+                 bench, sweep.options.reference_depth,
+                 sweep.spec.name.c_str());
+    return false;
 }
 
 /** Sweep one named workload on an existing engine. */

@@ -95,6 +95,18 @@ struct SweepResult
     const SimResult *runAt(int depth) const;
 
     /**
+     * Is the run at options.reference_depth live (not a hole)? Only
+     * then did assembleSweep calibrate leakage and extract the theory
+     * parameters; otherwise metric(), theoryModel() and theoryCurve()
+     * answer from default parameters with no leakage, and no report
+     * may print them.
+     */
+    bool calibrated() const
+    {
+        return runAt(options.reference_depth) != nullptr;
+    }
+
+    /**
      * Depths as doubles (x axis of every figure). Quarantined holes
      * (cells with cycles == 0) are skipped — as they are by metric(),
      * bips(), latchCounts() and theoryCurve(), so the vectors stay

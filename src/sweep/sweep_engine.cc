@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -41,22 +40,6 @@ SweepCounters::simMips() const
                ? static_cast<double>(instructions_simulated) /
                      wall_seconds / 1e6
                : 0.0;
-}
-
-double
-SweepCounters::cellSecondsPercentile(double p) const
-{
-    if (cell_seconds.empty())
-        return 0.0;
-    std::vector<double> sorted = cell_seconds;
-    std::sort(sorted.begin(), sorted.end());
-    const double clamped = std::min(std::max(p, 0.0), 100.0);
-    // Nearest-rank: the smallest value with at least p% of the
-    // distribution at or below it.
-    const std::size_t rank = static_cast<std::size_t>(
-        std::ceil(clamped / 100.0 *
-                  static_cast<double>(sorted.size())));
-    return sorted[rank == 0 ? 0 : rank - 1];
 }
 
 namespace
@@ -161,11 +144,10 @@ struct SweepEngine::CellPlan
 /**
  * The one record of cell outcomes. Every resolved cell makes exactly
  * one record() call. The `sweep.cell` span, the manifest cell, the
- * checkpoint journal, the walltime histogram, sweep.cell.fail and the
- * cross-shard quarantine record are written as the call happens;
- * fold() derives the SweepCounters, their registry mirror and both
- * failure lists from the kept entries, in cell order. An engine call
- * that throws (fail_fast) never folds, so its counters stay untouched.
+ * checkpoint journal, sweep.cell.fail and the cross-shard quarantine
+ * record are written as the call happens; fold() derives the
+ * SweepCounters, their registry mirror and both failure lists from
+ * the kept entries, in cell order.
  */
 class SweepEngine::CellRecorder
 {
@@ -177,7 +159,6 @@ class SweepEngine::CellRecorder
         Adopted,     //!< another shard's quarantined hole
         Computed,    //!< walked this run
         Quarantined, //!< exhausted its retries here
-        Failed,      //!< threw under fail_fast
     };
 
     struct Entry
@@ -201,8 +182,6 @@ class SweepEngine::CellRecorder
     {
         static Counter &failures =
             MetricsRegistry::instance().counter("sweep.cell.fail");
-        static Histogram &walltime =
-            MetricsRegistry::instance().histogram("sweep.cell.walltime_us");
 
         // Each cell is recorded once, by the one worker resolving it.
         const Entry &e = entries_[cell] = std::move(entry);
@@ -218,17 +197,12 @@ class SweepEngine::CellRecorder
             reported = ManifestCell::Outcome::Quarantined;
             break;
           case Outcome::Computed:
-            walltime.recordSeconds(e.seconds);
             break;
           case Outcome::Quarantined:
             failures.add();
             if (engine_.shard_coordinator_)
                 engine_.shard_coordinator_->recordQuarantine(*e.failure);
             reported = ManifestCell::Outcome::Quarantined;
-            break;
-          case Outcome::Failed:
-            failures.add();
-            reported = ManifestCell::Outcome::Failed;
             break;
         }
         const std::string &name = plan_.names[plan_.workloadOf(cell)];
@@ -242,12 +216,10 @@ class SweepEngine::CellRecorder
                 {name, depth, reported, e.seconds, e.instructions,
                  e.attempts});
         }
-        if (e.outcome != Outcome::Failed) {
-            const std::lock_guard<std::mutex> lock(engine_.checkpoint_mutex_);
-            if (!engine_.checkpoint_path_.empty()) {
-                ++engine_.checkpoint_.cells_done;
-                writeCheckpoint(engine_.checkpoint_path_, engine_.checkpoint_);
-            }
+        const std::lock_guard<std::mutex> lock(engine_.checkpoint_mutex_);
+        if (!engine_.checkpoint_path_.empty()) {
+            ++engine_.checkpoint_.cells_done;
+            writeCheckpoint(engine_.checkpoint_path_, engine_.checkpoint_);
         }
     }
 
@@ -279,9 +251,6 @@ class SweepEngine::CellRecorder
                 instructions += e.instructions;
                 c.cache_stores += e.stored ? 1 : 0;
                 c.cells_retried += e.attempts > 1 ? 1 : 0;
-                c.cell_seconds.push_back(e.seconds);
-                break;
-              case Outcome::Failed:
                 break;
             }
             if (e.failure) {
@@ -457,7 +426,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
     // trace preparation or from the walk fails the attempt of every
     // survivor. Failed cells back off once per round and retry; after
     // 1 + max_retries rounds they are quarantined with their last
-    // failure. Resolves every cell unless fail_fast propagates.
+    // failure. Resolves every cell.
     auto walkMissing = [&](std::size_t begin,
                            std::vector<std::size_t> todo,
                            std::vector<Pending> &pending,
@@ -469,15 +438,8 @@ SweepEngine::resolveCells(const CellPlan &plan,
         const auto start = std::chrono::steady_clock::now();
         for (unsigned round = 1; !todo.empty(); ++round) {
             std::vector<std::size_t> survivors, failed;
-            // Called from a catch block: note the failure, or record
-            // it and let it propagate under fail_fast.
+            // Called from a catch block: note the failure.
             auto fail = [&](std::size_t i) {
-                if (options_.fail_fast) {
-                    recorder.record(begin + i,
-                                    {.outcome = Outcome::Failed,
-                                     .seconds = secondsSince(start)});
-                    throw;
-                }
                 describeFailure(pending[i].cause, pending[i].failpoint);
                 failed.push_back(i);
             };
@@ -670,16 +632,8 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 // group before crashing: re-probe so only the genuine
                 // remainder is simulated.
                 missing = probeMissing();
-                if (!missing.empty()) {
-                    try {
-                        walkMissing(group.begin, missing, pending, out);
-                    } catch (...) {
-                        // fail_fast path: free the lease so a retry
-                        // (or another shard) can claim the group.
-                        shard_coordinator_->release(group_key);
-                        throw;
-                    }
-                }
+                if (!missing.empty())
+                    walkMissing(group.begin, missing, pending, out);
                 shard_coordinator_->markDone(group_key);
                 return out;
             case ShardCoordinator::Claim::Done:
@@ -898,9 +852,6 @@ SweepEngine::printSummary(std::ostream &os) const
     t.addColumn("Minstr", 1);
     t.addColumn("wall_s", 2);
     t.addColumn("sim_MIPS", 1);
-    t.addColumn("cell_p50_ms", 2);
-    t.addColumn("cell_p90_ms", 2);
-    t.addColumn("cell_max_ms", 2);
     t.beginRow();
     t.cell(static_cast<unsigned long>(c.cells_total));
     t.cell(static_cast<unsigned long>(c.cells_computed));
@@ -915,27 +866,10 @@ SweepEngine::printSummary(std::ostream &os) const
     t.cell(static_cast<double>(c.instructions_simulated) / 1e6);
     t.cell(c.wall_seconds);
     t.cell(c.simMips());
-    t.cell(1e3 * c.cellSecondsPercentile(50.0));
-    t.cell(1e3 * c.cellSecondsPercentile(90.0));
-    t.cell(1e3 * c.cellSecondsPercentile(100.0));
     os << "sweep engine ["
        << (cacheEnabled() ? "cache " + cache_.dir() : "cache off")
        << "]\n";
     t.render(os);
-
-    if (cacheEnabled()) {
-        const std::uint64_t resolved = c.cache_hits + c.cells_computed;
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "cache efficiency: %llu/%llu cells served from "
-                      "cache (%.1f%%), %llu stored, %llu corrupt\n",
-                      static_cast<unsigned long long>(c.cache_hits),
-                      static_cast<unsigned long long>(resolved),
-                      100.0 * c.hitRate(),
-                      static_cast<unsigned long long>(c.cache_stores),
-                      static_cast<unsigned long long>(c.cache_errors));
-        os << line;
-    }
 
     // Process-wide registry snapshot (docs/OBSERVABILITY.md): covers
     // this engine plus anything else the process ran.

@@ -18,7 +18,10 @@
  *  - generates each workload trace at most once per grid, and not at
  *    all when every cell of the workload is cached;
  *  - counts what happened (cells computed vs cache hits, instructions
- *    simulated, wall time) for observability and for tests.
+ *    simulated, wall time). printSummary renders the counts once,
+ *    for stderr; machines read the run manifest
+ *    (telemetry/manifest.hh), which records every cell. A walk's
+ *    wall time is its `sweep.cell.fused` span.
  *
  * Determinism: a cell's result is byte-identical whether computed on
  * 1 thread, N threads, or replayed from cache
@@ -74,11 +77,6 @@ struct SweepEngineOptions
      * min(retry_backoff_ms << (k-1), 1000) ms once.
      */
     unsigned retry_backoff_ms = 10;
-    /**
-     * Legacy abort-on-first-failure semantics: rethrow the cell's
-     * exception out of the engine instead of retrying/quarantining.
-     */
-    bool fail_fast = false;
     /// @}
 
     /// @name Sharded sweeps (docs/SHARDING.md)
@@ -117,26 +115,11 @@ struct SweepCounters
     std::uint64_t cells_skipped = 0;     //!< unstarted at interrupt drain
     double wall_seconds = 0.0;
 
-    /**
-     * Wall seconds of every *computed* cell: its equal share of the
-     * walk it ran in (cache hits excluded — they are microseconds and
-     * would drown the distribution). The percentiles over this
-     * distribution are what tell a slow cell (one deep config of one
-     * workload) apart from a slow grid.
-     */
-    std::vector<double> cell_seconds;
-
     /** Fraction of cells served from cache (0 when no cells ran). */
     double hitRate() const;
 
     /** Simulated millions of instructions per wall second. */
     double simMips() const;
-
-    /**
-     * Nearest-rank percentile of cell_seconds, @p p in [0, 100];
-     * 0 when no cells were computed.
-     */
-    double cellSecondsPercentile(double p) const;
 };
 
 /**
@@ -214,7 +197,7 @@ class SweepEngine
 
     /**
      * Report every subsequent cell outcome (computed / cached /
-     * failed, with wall seconds and instructions) to @p manifest,
+     * quarantined, with wall seconds and instructions) to @p manifest,
      * which must outlive the engine calls it observes. Pass nullptr
      * to detach. See telemetry/manifest.hh.
      */
@@ -250,8 +233,10 @@ class SweepEngine
     void resetCounters() { counters_ = SweepCounters{}; }
 
     /**
-     * Render the counters as a small summary table. Benches print
-     * this to stderr so --csv stdout stays clean.
+     * Render the counters as one table under a `sweep engine [cache
+     * DIR]` (or `[cache off]`) header, then the process-wide metrics
+     * snapshot. Benches and tools print this to stderr so --csv
+     * stdout stays clean.
      */
     void printSummary(std::ostream &os) const;
 

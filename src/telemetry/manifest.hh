@@ -51,7 +51,8 @@ struct ManifestCell
     {
         Computed,    //!< simulated this run
         Cached,      //!< served from the result cache
-        Failed,      //!< simulation threw (fail-fast engines)
+        Failed,      //!< schema v2 name; the engine never reports it
+                     //!< (a throwing cell retries, then quarantines)
         Quarantined, //!< exhausted retries; the grid has a hole here
     };
 

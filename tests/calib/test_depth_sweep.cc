@@ -148,6 +148,32 @@ TEST(DepthSweep, FitsWithThreeLiveDepthsReportNoOptimum)
     EXPECT_FALSE(interior);
 }
 
+TEST(DepthSweep, ReferenceHoleLeavesSweepUncalibrated)
+{
+    // calibrated() is the yes/no a report asks before it prints a
+    // metric or theory number. Swap the clean sweep's reference run
+    // (depth 8) for a hole: leakage and the theory parameters then
+    // stay at their defaults, and the sweep says so.
+    const SweepResult &full = gccSweep();
+    EXPECT_TRUE(
+        assembleSweep(full.spec, full.options, full.runs, {}).calibrated());
+
+    const int ref = full.options.reference_depth;
+    std::vector<SimResult> runs = full.runs;
+    SimResult &victim =
+        runs[static_cast<std::size_t>(ref - full.options.min_depth)];
+    ASSERT_EQ(victim.depth, ref);
+    SimResult hole;
+    hole.workload = victim.workload;
+    hole.depth = ref;
+    victim = hole;
+    const SweepResult s = assembleSweep(
+        full.spec, full.options, runs,
+        {{hole.workload, ref, "injected", "", 3}});
+    EXPECT_FALSE(s.calibrated());
+    EXPECT_EQ(s.depths().size(), full.depths().size() - 1);
+}
+
 TEST(DepthSweep, TheoryModelIsTheHandCalibration)
 {
     // The calibration benches used to spell out: beta 1.3, 15%

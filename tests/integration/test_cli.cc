@@ -1,8 +1,8 @@
 /**
  * @file
  * Exit-code contract of the pipesim CLI, exercised by running the
- * real binary. Scripts (and the perf harness) branch on these codes,
- * so they are pinned here:
+ * real binary. Scripts branch on these codes, so they are pinned
+ * here:
  *
  *   0  success
  *   1  runtime failure (PP_FATAL: unreadable tape, ...)
@@ -53,6 +53,9 @@ TEST(PipesimCli, SuccessfulRunExitsZero)
 TEST(PipesimCli, UnknownFlagExitsTwo)
 {
     EXPECT_EQ(runPipesim("--workload db1 --frobnicate"), 2);
+    // Removed report flags: the summary and --manifest-out remain.
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --perf-json -"), 2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --verbose"), 2);
 }
 
 TEST(PipesimCli, MissingFlagArgumentExitsTwo)
@@ -86,23 +89,6 @@ TEST(PipesimCli, BadPredictorExitsTwo)
 {
     EXPECT_EQ(
         runPipesim("--workload db1 --predictor oracle"), 2);
-}
-
-TEST(PipesimCli, VerboseRunStillExitsZero)
-{
-    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --verbose"), 0);
-}
-
-TEST(PipesimCli, PerfJsonToStdoutExitsZero)
-{
-    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --perf-json -"), 0);
-}
-
-TEST(PipesimCli, PerfJsonToUnwritablePathExitsOne)
-{
-    EXPECT_EQ(runPipesim(std::string(kQuickRun) +
-                         " --perf-json /nonexistent/dir/perf.json"),
-              1);
 }
 
 TEST(PipesimCli, SweepWithThreeLiveDepthsExitsThree)

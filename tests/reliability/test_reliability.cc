@@ -289,17 +289,6 @@ TEST_F(ReliabilityTest, QuarantinedHolesAreSkippedByFitsAndAccessors)
     }
 }
 
-TEST_F(ReliabilityTest, FailFastStillPropagates)
-{
-    ScopedFailpoints guard("sweep.cell.simulate=always");
-    SweepEngineOptions eopt;
-    eopt.use_cache = false;
-    eopt.fail_fast = true;
-    SweepEngine engine(eopt);
-    EXPECT_THROW(engine.runSweep(findWorkload("db1"), fastOptions()),
-                 FailpointError);
-}
-
 // ---------------------------------------------------------------------
 // Cache I/O degradation
 

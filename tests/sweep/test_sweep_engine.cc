@@ -13,6 +13,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "calib/extract.hh"
@@ -381,11 +382,24 @@ TEST_F(SweepEngineTest, PrintSummaryReportsCounters)
 
     std::ostringstream os;
     engine.printSummary(os);
-    const std::string text = os.str();
-    EXPECT_NE(text.find("sweep engine"), std::string::npos);
-    EXPECT_NE(text.find(dir_.string()), std::string::npos);
-    EXPECT_NE(text.find("cache_hit"), std::string::npos);
-    EXPECT_NE(text.find("sim_MIPS"), std::string::npos);
+    std::istringstream text(os.str());
+    std::string title, header, rule, values, next;
+    ASSERT_TRUE(std::getline(text, title) && std::getline(text, header) &&
+                std::getline(text, rule) && std::getline(text, values) &&
+                std::getline(text, next));
+    EXPECT_EQ(title, "sweep engine [cache " + dir_.string() + "]");
+
+    // One table, its columns pinned, and nothing after its one row
+    // but the metrics snapshot: the counts are printed once.
+    std::istringstream words(header);
+    const std::vector<std::string> columns{
+        std::istream_iterator<std::string>(words), {}};
+    EXPECT_EQ(columns, (std::vector<std::string>{
+                           "cells", "computed", "cache_hit", "hit_pct",
+                           "stored", "corrupt", "retried", "quar", "skip",
+                           "traces", "Minstr", "wall_s", "sim_MIPS"}));
+    EXPECT_EQ(next.rfind("metrics:", 0), 0u) << next;
+    EXPECT_EQ(os.str().find("cache efficiency:"), std::string::npos);
 
     std::ostringstream off;
     SweepEngineOptions uncached;

@@ -29,12 +29,9 @@
  * cell is keyed by its spec, trace length and config — the address
  * calibration_report and the benches use for the same cell — so a
  * warm run generates no trace; a --tape cell is keyed by the full
- * trace contents. --no-cache bypasses the cache; the engine summary
- * prints to stderr. --verbose additionally reports the resolved cache
- * directory and the rule that chose it. --perf-json FILE writes the
- * engine's performance counters (cells computed, cache hits, wall
- * time, per-cell wall-time percentiles) as JSON to FILE ("-" for
- * stdout) for the perf harness.
+ * trace contents. --no-cache bypasses the cache. The engine's counts
+ * are printed once, in its summary on stderr; scripts read them from
+ * the --manifest-out manifest (`cell_counts`, the metric snapshot).
  *
  * Telemetry (docs/OBSERVABILITY.md): --trace-out FILE writes a
  * Chrome trace_event JSON of the run's spans (open in Perfetto);
@@ -99,7 +96,6 @@
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
-#include "common/logging.hh"
 #include "common/table.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/checkpoint.hh"
@@ -128,8 +124,8 @@ usage(const char *argv0)
         "          [--ooo] [--predictor bimodal|gshare|taken]\n"
         "          [--length N] [--warmup N] [--csv] [--no-cache]\n"
         "          [--threads N] [--stalls] [--stalls-json] [--audit]\n"
-        "          [--verbose] [--perf-json FILE] [--trace-out FILE]\n"
-        "          [--manifest-out FILE] [--events-out FILE]\n"
+        "          [--trace-out FILE] [--manifest-out FILE]\n"
+        "          [--events-out FILE]\n"
         "          [--max-retries N] [--retry-backoff-ms N]\n"
         "          [--checkpoint FILE] [--failpoint SPEC]\n"
         "          [--failpoint-seed N]\n"
@@ -152,8 +148,6 @@ struct Options
     bool stalls = false;
     bool stalls_json = false;
     bool audit = false;
-    bool verbose = false;
-    std::string perf_json;
     std::string trace_out, manifest_out, events_out;
     std::string checkpoint; //!< journal progress to this file
     std::string resume;     //!< replay the run this checkpoint describes
@@ -209,10 +203,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
             opt.stalls_json = true;
         } else if (arg == "--audit") {
             opt.audit = true;
-        } else if (arg == "--verbose") {
-            opt.verbose = true;
-        } else if (arg == "--perf-json" && has_value) {
-            opt.perf_json = args[++i];
         } else if (arg == "--trace-out" && has_value) {
             opt.trace_out = args[++i];
         } else if (arg == "--manifest-out" && has_value) {
@@ -269,43 +259,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
         }
     }
     return true;
-}
-
-/** Engine counters as a JSON object, for the perf harness. */
-void
-writePerfJson(const SweepCounters &c, std::FILE *out)
-{
-    std::fprintf(
-        out,
-        "{\n"
-        "  \"cells_total\": %llu,\n"
-        "  \"cells_computed\": %llu,\n"
-        "  \"cache_hits\": %llu,\n"
-        "  \"cache_stores\": %llu,\n"
-        "  \"cache_errors\": %llu,\n"
-        "  \"cells_retried\": %llu,\n"
-        "  \"cells_quarantined\": %llu,\n"
-        "  \"cells_skipped\": %llu,\n"
-        "  \"traces_generated\": %llu,\n"
-        "  \"instructions_simulated\": %llu,\n"
-        "  \"wall_seconds\": %.6f,\n"
-        "  \"sim_mips\": %.3f,\n"
-        "  \"cell_seconds_p50\": %.6f,\n"
-        "  \"cell_seconds_p90\": %.6f,\n"
-        "  \"cell_seconds_max\": %.6f\n"
-        "}\n",
-        static_cast<unsigned long long>(c.cells_total),
-        static_cast<unsigned long long>(c.cells_computed),
-        static_cast<unsigned long long>(c.cache_hits),
-        static_cast<unsigned long long>(c.cache_stores),
-        static_cast<unsigned long long>(c.cache_errors),
-        static_cast<unsigned long long>(c.cells_retried),
-        static_cast<unsigned long long>(c.cells_quarantined),
-        static_cast<unsigned long long>(c.cells_skipped),
-        static_cast<unsigned long long>(c.traces_generated),
-        static_cast<unsigned long long>(c.instructions_simulated),
-        c.wall_seconds, c.simMips(), c.cellSecondsPercentile(50.0),
-        c.cellSecondsPercentile(90.0), c.cellSecondsPercentile(100.0));
 }
 
 /** Per-instruction event count of the buckets that have one. */
@@ -509,9 +462,8 @@ superviseShardWorkers(const char *argv0,
     for (std::size_t i = 0; i < args.size(); ++i) {
         const std::string &a = args[i];
         if (a == "--manifest-out" || a == "--trace-out" ||
-            a == "--events-out" || a == "--perf-json" ||
-            a == "--shard-dir" || a == "--shards" ||
-            a == "--shard-id") {
+            a == "--events-out" || a == "--shard-dir" ||
+            a == "--shards" || a == "--shard-id") {
             ++i;
             continue;
         }
@@ -929,37 +881,6 @@ main(int argc, char **argv)
             manifest.event("run_end");
     };
 
-    if (opt.verbose) {
-        if (opt.no_cache) {
-            std::fprintf(stderr, "result cache: disabled (--no-cache)\n");
-        } else {
-            const char *source = nullptr;
-            const std::string dir =
-                ResultCache::resolveDefaultDir(&source);
-            if (dir.empty())
-                std::fprintf(stderr,
-                             "result cache: disabled "
-                             "(PIPEDEPTH_CACHE_DIR is empty)\n");
-            else
-                std::fprintf(stderr, "result cache: %s (from %s)\n",
-                             dir.c_str(), source);
-        }
-    }
-
-    auto emitPerf = [&]() {
-        if (opt.perf_json.empty())
-            return;
-        if (opt.perf_json == "-") {
-            writePerfJson(engine.counters(), stdout);
-            return;
-        }
-        std::FILE *f = std::fopen(opt.perf_json.c_str(), "w");
-        if (!f)
-            PP_FATAL("cannot write perf JSON to '", opt.perf_json, "'");
-        writePerfJson(engine.counters(), f);
-        std::fclose(f);
-    };
-
     // Epilogue shared by both the single-run and sweep paths: finalize
     // checkpoint and manifest with the run's status, emit telemetry,
     // and turn a drain into exit 130.
@@ -969,7 +890,6 @@ main(int argc, char **argv)
         engine.finalizeCheckpoint(interrupted ? "interrupted"
                                               : "complete");
         engine.printSummary(std::cerr);
-        emitPerf();
         emitTelemetry();
         if (interrupted) {
             std::fprintf(
@@ -1056,7 +976,7 @@ main(int argc, char **argv)
                      "results to print\n");
         return finishSweep(1);
     }
-    if (!sweep.runAt(so.reference_depth))
+    if (!sweep.calibrated())
         std::fprintf(stderr,
                      "pipesim: reference depth %d quarantined; "
                      "BIPS3_W_rel is uncalibrated (no leakage)\n",
