@@ -5,10 +5,10 @@
  * installInterruptHandlers() routes SIGINT and SIGTERM to a flag that
  * the sweep engine polls between cells: on the first signal the grid
  * *drains* — in-flight cells finish, no new cells start, the manifest
- * and checkpoint finalize with status "interrupted" — so a Ctrl-C'd
- * catalog sweep keeps every completed cell in the result cache and
- * resumes from where it stopped (docs/RELIABILITY.md). A second
- * signal exits immediately for users who really mean it.
+ * finalizes with status "interrupted" — so a Ctrl-C'd catalog sweep
+ * keeps every completed cell in the result cache, and re-running the
+ * same command resumes from where it stopped (docs/RELIABILITY.md).
+ * A second signal exits immediately for users who really mean it.
  *
  * The flag is process-global and async-signal-safe; tests drive it
  * directly with requestInterrupt()/clearInterruptRequest().

@@ -5,12 +5,13 @@
  * std::strtod and printf's %g family honor LC_NUMERIC: under a
  * comma-decimal locale (e.g. LC_NUMERIC=de_DE) "1.5" stops parsing at
  * the '.' and 1.5 prints as "1,5". Every serialized number in this
- * codebase — JSON wire traffic, manifests, checkpoints, cache-adjacent
- * metadata, failpoint probability specs — is defined over the C
- * locale's '.' separator, so those call sites must not pick up the
- * process locale. These helpers convert through std::from_chars /
- * std::to_chars, which the standard specifies as locale-independent,
- * and they are what common/json and common/failpoint build on.
+ * codebase — JSON wire traffic, manifests, shard records,
+ * cache-adjacent metadata, failpoint probability specs — is defined
+ * over the C locale's '.' separator, so those call sites must not
+ * pick up the process locale. These helpers convert through
+ * std::from_chars / std::to_chars, which the standard specifies as
+ * locale-independent, and they are what common/json and
+ * common/failpoint build on.
  */
 
 #ifndef PIPEDEPTH_COMMON_NUMERIC_HH

@@ -3,11 +3,11 @@
  * Process-liveness probing shared by every pid-stamped on-disk
  * protocol in the tree.
  *
- * The checkpoint journal, the result cache's temp-file sweep and the
- * shard coordinator's lease takeover all stamp files with the writer's
- * pid and later need to decide: is that writer still alive? The only
- * portable answer is kill(pid, 0), and its error semantics are subtle
- * enough that the three call sites kept re-implementing them — hence
+ * The result cache's temp-file sweep and the shard coordinator's
+ * lease takeover both stamp files with the writer's pid and later
+ * need to decide: is that writer still alive? The only portable
+ * answer is kill(pid, 0), and its error semantics are subtle enough
+ * that every call site would otherwise re-implement them — hence
  * this helper.
  *
  * Semantics (pinned by tests/common/test_proc.cc):

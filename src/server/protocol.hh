@@ -41,6 +41,7 @@ inline constexpr const char *kOverloaded = "overloaded";
 inline constexpr const char *kDeadlineExceeded = "deadline_exceeded";
 inline constexpr const char *kShuttingDown = "shutting_down";
 inline constexpr const char *kInternal = "internal";
+inline constexpr const char *kUncalibrated = "uncalibrated";
 } // namespace proto_error
 
 /**

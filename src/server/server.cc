@@ -887,28 +887,45 @@ SweepServer::executeBatch(std::vector<Pending> batch,
         for (const auto &r : results)
             by_workload[r.spec.name] = &r;
 
+        // A request the engine's results cannot answer gets one
+        // structured error line, counted and logged as a refusal.
+        const auto refuse = [&](const Pending &p, const char *code,
+                                const std::string &message) {
+            serverMetrics().rejected.add();
+            respond(p.conn_id,
+                    errorResponseLine(p.request.id, code, message,
+                                      p.request.trace_id));
+            if (access_log_.enabled()) {
+                AccessLog::Entry entry = baseEntry(p);
+                entry.outcome = code;
+                entry.total_us = elapsedUs(p.arrival) + p.parse_us;
+                access_log_.write(entry);
+            }
+        };
+
         for (const auto &p : members) {
             const auto sweep_it = by_workload.find(p.request.workload);
             if (sweep_it == by_workload.end()) {
                 // The engine is expected to return one result per
                 // spec; if a future early-exit path breaks that,
                 // answer the request instead of crashing the daemon.
-                serverMetrics().rejected.add();
-                respond(p.conn_id,
-                        errorResponseLine(
-                            p.request.id, proto_error::kInternal,
-                            "engine returned no result for workload '" +
-                                p.request.workload + "'",
-                            p.request.trace_id));
-                if (access_log_.enabled()) {
-                    AccessLog::Entry entry = baseEntry(p);
-                    entry.outcome = proto_error::kInternal;
-                    entry.total_us = elapsedUs(p.arrival) + p.parse_us;
-                    access_log_.write(entry);
-                }
+                refuse(p, proto_error::kInternal,
+                       "engine returned no result for workload '" +
+                           p.request.workload + "'");
                 continue;
             }
             const SweepResult *sweep = sweep_it->second;
+            if (!sweep->calibrated()) {
+                // Without its reference cell the power model has no
+                // leakage calibration: every metric and the optimum
+                // would come from default parameters.
+                refuse(p, proto_error::kUncalibrated,
+                       "reference depth " +
+                           std::to_string(sweep->options.reference_depth) +
+                           " cell quarantined for " + p.request.workload +
+                           "; its metrics are uncalibrated");
+                continue;
+            }
             const auto serialize_begin =
                 std::chrono::steady_clock::now();
             std::string out;

@@ -14,7 +14,6 @@
 #include "common/logging.hh"
 #include "common/proc.hh"
 #include "sweep/cache_key.hh"
-#include "sweep/checkpoint.hh"
 #include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
 
@@ -50,16 +49,30 @@ shardMetrics()
     return m;
 }
 
-/** publishFile (checkpoint.hh) under a pid- and @p seq-stamped temp
- *  name, unique per writer thread too. */
+/**
+ * Publish @p content at @p path atomically: write a temp file beside
+ * it, stamped with the pid and @p seq so it is unique per writer
+ * thread too, fsync, rename. @return false, with the temp file
+ * removed, on any failed step.
+ */
 bool
 writeFileAtomic(const std::string &path, const std::string &content,
                 std::uint64_t seq)
 {
-    return publishFile(path,
-                       path + ".tmp." + std::to_string(::getpid()) + "." +
-                           std::to_string(seq),
-                       content) == nullptr;
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(seq);
+    std::FILE *out = std::fopen(tmp.c_str(), "wb");
+    if (!out)
+        return false;
+    const bool written =
+        std::fwrite(content.data(), 1, content.size(), out) ==
+            content.size() &&
+        std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
+    const bool closed = std::fclose(out) == 0;
+    if (written && closed && std::rename(tmp.c_str(), path.c_str()) == 0)
+        return true;
+    std::remove(tmp.c_str());
+    return false;
 }
 
 bool

@@ -22,7 +22,7 @@
  *    alive) is taken over by atomically rename(2)-ing it aside: the
  *    rename is the CAS, exactly one racer wins (the loser gets
  *    ENOENT) and the winner re-claims the now-free lease. The same
- *    pid-stamped atomic-rename idiom as the PR 5 checkpoint journal,
+ *    pid-stamped atomic-rename idiom as the result cache's entries,
  *    turned from publication into mutual exclusion.
  *  - `done.<key>`   — completion marker, written (tmp + fsync +
  *    rename) after every cell of the group landed in the result

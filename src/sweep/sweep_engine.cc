@@ -143,11 +143,11 @@ struct SweepEngine::CellPlan
 
 /**
  * The one record of cell outcomes. Every resolved cell makes exactly
- * one record() call. The `sweep.cell` span, the manifest cell, the
- * checkpoint journal, sweep.cell.fail and the cross-shard quarantine
- * record are written as the call happens; fold() derives the
- * SweepCounters, their registry mirror and both failure lists from
- * the kept entries, in cell order.
+ * one record() call. The `sweep.cell` span, the manifest's `cell`
+ * event, sweep.cell.fail and the cross-shard quarantine record are
+ * written as the call happens; fold() derives the SweepCounters,
+ * their registry mirror, the manifest's cells list and both failure
+ * lists from the kept entries, in cell order.
  */
 class SweepEngine::CellRecorder
 {
@@ -185,42 +185,20 @@ class SweepEngine::CellRecorder
 
         // Each cell is recorded once, by the one worker resolving it.
         const Entry &e = entries_[cell] = std::move(entry);
-        ManifestCell::Outcome reported = ManifestCell::Outcome::Computed;
-        switch (e.outcome) {
-          case Outcome::Skipped:
-            // Neither reported nor done: a resume recomputes it.
-            return;
-          case Outcome::Cached:
-            reported = ManifestCell::Outcome::Cached;
-            break;
-          case Outcome::Adopted:
-            reported = ManifestCell::Outcome::Quarantined;
-            break;
-          case Outcome::Computed:
-            break;
-          case Outcome::Quarantined:
+        if (e.outcome == Outcome::Skipped)
+            return; // neither reported nor done: a re-run computes it
+        if (e.outcome == Outcome::Quarantined) {
             failures.add();
             if (engine_.shard_coordinator_)
                 engine_.shard_coordinator_->recordQuarantine(*e.failure);
-            reported = ManifestCell::Outcome::Quarantined;
-            break;
         }
-        const std::string &name = plan_.names[plan_.workloadOf(cell)];
-        const int depth = plan_.configOf(cell).depth;
+        const ManifestCell reported = manifestCell(cell);
         TELEM_SPAN(span, "sweep.cell");
-        span.tag("workload", name);
-        span.tag("depth", depth);
-        span.tag("outcome", manifestOutcomeName(reported));
-        if (engine_.manifest_) {
-            engine_.manifest_->recordCell(
-                {name, depth, reported, e.seconds, e.instructions,
-                 e.attempts});
-        }
-        const std::lock_guard<std::mutex> lock(engine_.checkpoint_mutex_);
-        if (!engine_.checkpoint_path_.empty()) {
-            ++engine_.checkpoint_.cells_done;
-            writeCheckpoint(engine_.checkpoint_path_, engine_.checkpoint_);
-        }
+        span.tag("workload", reported.workload);
+        span.tag("depth", reported.depth);
+        span.tag("outcome", manifestOutcomeName(reported.outcome));
+        if (engine_.manifest_)
+            engine_.manifest_->cellEvent(reported);
     }
 
     void
@@ -258,6 +236,8 @@ class SweepEngine::CellRecorder
                 if (failures)
                     (*failures)[plan_.workloadOf(i)].push_back(*e.failure);
             }
+            if (engine_.manifest_ && e.outcome != Outcome::Skipped)
+                engine_.manifest_->recordCell(manifestCell(i));
         }
         const std::uint64_t traces = plan_.traces_generated.load();
         c.cells_total += entries_.size();
@@ -282,6 +262,24 @@ class SweepEngine::CellRecorder
     }
 
   private:
+    /** Recorded cell @p cell as the manifest reports it; the one
+     *  source of its `cell` event and its cells list entry. Not for
+     *  a skipped cell, which the manifest never reports. */
+    ManifestCell
+    manifestCell(std::size_t cell) const
+    {
+        const Entry &e = entries_[cell];
+        ManifestCell::Outcome outcome = ManifestCell::Outcome::Computed;
+        if (e.outcome == Outcome::Cached)
+            outcome = ManifestCell::Outcome::Cached;
+        else if (e.outcome == Outcome::Adopted ||
+                 e.outcome == Outcome::Quarantined)
+            outcome = ManifestCell::Outcome::Quarantined;
+        return {plan_.names[plan_.workloadOf(cell)],
+                plan_.configOf(cell).depth, outcome, e.seconds,
+                e.instructions, e.attempts};
+    }
+
     SweepEngine &engine_;
     const CellPlan &plan_;
     std::vector<Entry> entries_; //!< one per plan cell
@@ -321,13 +319,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
 {
     using Outcome = CellRecorder::Outcome;
 
-    {
-        const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-        if (!checkpoint_path_.empty()) {
-            checkpoint_.cells_total += plan.size();
-            writeCheckpoint(checkpoint_path_, checkpoint_);
-        }
-    }
     CellRecorder recorder(*this, plan);
 
     // One lazily prepared replay buffer + annotation set per workload:
@@ -809,29 +800,6 @@ SweepEngine::runConfigs(const Trace &trace,
         h.str(trace.name);
     };
     return resolveCells(plan);
-}
-
-void
-SweepEngine::attachCheckpoint(const std::string &path,
-                              SweepCheckpoint prototype)
-{
-    const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-    checkpoint_path_ = path;
-    checkpoint_ = std::move(prototype);
-    // Opening the journal is the moment to collect `.tmp.<pid>`
-    // orphans a SIGKILLed predecessor left beside it (the write path
-    // itself only ever renames or removes its own temp file).
-    sweepStaleCheckpointTempFiles(path);
-}
-
-void
-SweepEngine::finalizeCheckpoint(const std::string &status)
-{
-    const std::lock_guard<std::mutex> lock(checkpoint_mutex_);
-    if (checkpoint_path_.empty())
-        return;
-    checkpoint_.status = status;
-    writeCheckpoint(checkpoint_path_, checkpoint_);
 }
 
 void

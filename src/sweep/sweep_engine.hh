@@ -34,11 +34,9 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "sweep/checkpoint.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/shard_coordinator.hh"
@@ -198,22 +196,12 @@ class SweepEngine
     /**
      * Report every subsequent cell outcome (computed / cached /
      * quarantined, with wall seconds and instructions) to @p manifest,
-     * which must outlive the engine calls it observes. Pass nullptr
-     * to detach. See telemetry/manifest.hh.
+     * which must outlive the engine calls it observes: a `cell` event
+     * as each cell resolves, and the call's cells list entries in plan
+     * order when the call ends. Pass nullptr to detach. See
+     * telemetry/manifest.hh.
      */
     void attachManifest(RunManifest *manifest) { manifest_ = manifest; }
-
-    /**
-     * Journal sweep progress to checkpoint file @p path: @p prototype
-     * (tool, argv, config_hash) is written with updated cell counts
-     * after every resolved cell, atomically (checkpoint.hh). Call
-     * finalizeCheckpoint() when the run ends.
-     */
-    void attachCheckpoint(const std::string &path,
-                          SweepCheckpoint prototype);
-
-    /** Write the checkpoint one last time with @p status. */
-    void finalizeCheckpoint(const std::string &status);
 
     /**
      * FailureRecords of the most recent runGrid/runSweep/runConfigs
@@ -272,9 +260,6 @@ class SweepEngine
     SweepCounters counters_;
     RunManifest *manifest_ = nullptr;
     std::vector<FailureRecord> last_failures_;
-    std::mutex checkpoint_mutex_;
-    std::string checkpoint_path_;
-    SweepCheckpoint checkpoint_;
 };
 
 } // namespace pipedepth

@@ -214,18 +214,21 @@ RunManifest::event(
 }
 
 void
-RunManifest::recordCell(const ManifestCell &cell)
+RunManifest::cellEvent(const ManifestCell &cell)
 {
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        cells_.push_back(cell);
-    }
     event("cell", {{"workload", cell.workload},
                    {"depth", std::to_string(cell.depth)},
                    {"outcome", manifestOutcomeName(cell.outcome)},
                    {"seconds", jsonNumber(cell.seconds)},
                    {"instructions", std::to_string(cell.instructions)},
                    {"attempts", std::to_string(cell.attempts)}});
+}
+
+void
+RunManifest::recordCell(const ManifestCell &cell)
+{
+    const std::lock_guard<std::mutex> lock(mutex_);
+    cells_.push_back(cell);
 }
 
 void

@@ -23,7 +23,7 @@
  * docs/OBSERVABILITY.md documents the schema; bump kSchemaVersion on
  * any incompatible change.
  *
- * Thread-safety: recordCell/event may be called concurrently from
+ * Thread-safety: cellEvent/event may be called concurrently from
  * sweep workers; everything else is driven by the tool's main thread.
  */
 
@@ -140,7 +140,17 @@ class RunManifest
                const std::vector<std::pair<std::string, std::string>>
                    &fields = {});
 
-    /** Record a cell outcome (and emit its event, if streaming). */
+    /**
+     * Emit @p cell's `cell` event (no-op when no stream is open): the
+     * live progress record, in the order cells resolve.
+     */
+    void cellEvent(const ManifestCell &cell);
+
+    /**
+     * Append @p cell to the manifest's cells list. The sweep engine
+     * appends an engine call's cells when the call ends, in plan
+     * order (workload, then depth).
+     */
     void recordCell(const ManifestCell &cell);
 
     /**

@@ -1,7 +1,7 @@
 /**
  * @file
- * processAlive(): the one dead-pid probe under lease takeover,
- * checkpoint temp sweeping and cache temp sweeping. The semantics
+ * processAlive(): the one dead-pid probe under lease takeover and
+ * cache temp sweeping. The semantics
  * that matter are the conservative ones — only ESRCH may ever report
  * "dead", because callers *delete state* (stale temp files, leases)
  * on that answer.

@@ -56,6 +56,9 @@ TEST(PipesimCli, UnknownFlagExitsTwo)
     // Removed report flags: the summary and --manifest-out remain.
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --perf-json -"), 2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --verbose"), 2);
+    // Removed resume flags: re-running the same command resumes.
+    EXPECT_EQ(runPipesim("--resume x"), 2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --checkpoint x"), 2);
 }
 
 TEST(PipesimCli, MissingFlagArgumentExitsTwo)

@@ -2,10 +2,9 @@
  * @file
  * Reliability suite (docs/RELIABILITY.md): retry and quarantine
  * semantics of the sweep engine under injected faults, cache I/O
- * degradation paths, checkpoint round-trips, interrupt drain, the
- * concurrent-writer torn-entry guarantee, and — through the real
- * pipesim binary — kill-and-resume byte-identity and the graceful
- * SIGTERM drain.
+ * degradation paths, interrupt drain, the concurrent-writer
+ * torn-entry guarantee, and — through the real pipesim binary —
+ * kill-and-rerun byte-identity and the graceful SIGTERM drain.
  *
  * Everything here is driven by the deterministic failpoint framework
  * (common/failpoint.hh); no test depends on timing except where a
@@ -33,7 +32,6 @@
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/json.hh"
-#include "sweep/checkpoint.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
@@ -62,6 +60,17 @@ std::size_t
 cellCount(const SweepOptions &opt)
 {
     return static_cast<std::size_t>(opt.max_depth - opt.min_depth + 1);
+}
+
+/** Result-cache entries published in @p cache (0 if it is absent). */
+std::size_t
+simresCount(const std::filesystem::path &cache)
+{
+    std::error_code ec;
+    std::size_t n = 0;
+    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
+        n += e.path().extension() == ".simres" ? 1 : 0;
+    return n;
 }
 
 /** Private temp dir per test; failpoints and interrupts cleared. */
@@ -104,13 +113,7 @@ class ReliabilityTest : public ::testing::Test
     std::size_t
     cacheEntryCount() const
     {
-        const auto cache = dir_ / "cache";
-        if (!std::filesystem::exists(cache))
-            return 0;
-        std::size_t n = 0;
-        for (const auto &e : std::filesystem::directory_iterator(cache))
-            n += e.path().extension() == ".simres" ? 1 : 0;
-        return n;
+        return simresCount(dir_ / "cache");
     }
 
     std::filesystem::path dir_;
@@ -366,138 +369,6 @@ TEST_F(ReliabilityTest, InterruptDrainSkipsRemainingCells)
 }
 
 // ---------------------------------------------------------------------
-// Checkpoints
-
-TEST_F(ReliabilityTest, CheckpointRoundTrips)
-{
-    SweepCheckpoint cp;
-    cp.tool = "pipesim";
-    cp.argv = {"pipesim", "--workload", "db1", "--sweep"};
-    cp.config_hash = "deadbeef";
-    cp.status = "interrupted";
-    cp.cells_done = 7;
-    cp.cells_total = 24;
-
-    const std::string path = (dir_ / "sweep.ckpt").string();
-    ASSERT_TRUE(writeCheckpoint(path, cp));
-
-    SweepCheckpoint got;
-    std::string error;
-    ASSERT_TRUE(readCheckpoint(path, &got, &error)) << error;
-    EXPECT_EQ(got.tool, cp.tool);
-    EXPECT_EQ(got.argv, cp.argv);
-    EXPECT_EQ(got.config_hash, cp.config_hash);
-    EXPECT_EQ(got.status, cp.status);
-    EXPECT_EQ(got.cells_done, cp.cells_done);
-    EXPECT_EQ(got.cells_total, cp.cells_total);
-}
-
-TEST_F(ReliabilityTest, CheckpointRejectsGarbage)
-{
-    const std::string path = (dir_ / "bad.ckpt").string();
-    SweepCheckpoint out;
-    std::string error;
-
-    EXPECT_FALSE(readCheckpoint((dir_ / "missing.ckpt").string(), &out,
-                                &error));
-
-    std::ofstream(path) << "not json at all";
-    EXPECT_FALSE(readCheckpoint(path, &out, &error));
-    EXPECT_NE(error.find("malformed"), std::string::npos);
-
-    std::ofstream(path, std::ios::trunc)
-        << "{\"schema_version\": 999, \"tool\": \"pipesim\"}";
-    EXPECT_FALSE(readCheckpoint(path, &out, &error));
-    EXPECT_NE(error.find("schema_version"), std::string::npos);
-
-    std::ofstream(path, std::ios::trunc)
-        << "{\"schema_version\": 1, \"tool\": \"pipesim\", "
-           "\"config_hash\": \"x\", \"status\": \"meditating\", "
-           "\"argv\": [], \"cells_done\": 0, \"cells_total\": 0}";
-    EXPECT_FALSE(readCheckpoint(path, &out, &error));
-    EXPECT_NE(error.find("status"), std::string::npos);
-}
-
-TEST_F(ReliabilityTest, CheckpointWriteFaultIsNonFatal)
-{
-    const std::string path = (dir_ / "faulty.ckpt").string();
-    SweepCheckpoint cp;
-    cp.tool = "pipesim";
-    {
-        ScopedFailpoints guard("checkpoint.write=always");
-        EXPECT_FALSE(writeCheckpoint(path, cp));
-    }
-    EXPECT_FALSE(std::filesystem::exists(path));
-
-    // An engine journalling through a faulty checkpoint still sweeps.
-    ScopedFailpoints guard("checkpoint.write=always");
-    SweepEngine engine = makeEngine(false);
-    SweepCheckpoint proto;
-    proto.tool = "test";
-    engine.attachCheckpoint(path, proto);
-    const SweepResult sweep =
-        engine.runSweep(findWorkload("db1"), fastOptions());
-    EXPECT_TRUE(sweep.complete());
-}
-
-TEST_F(ReliabilityTest, EngineJournalsProgressThroughCheckpoint)
-{
-    const std::string path = (dir_ / "progress.ckpt").string();
-    SweepEngine engine = makeEngine(false);
-    SweepCheckpoint proto;
-    proto.tool = "test";
-    proto.argv = {"test"};
-    proto.config_hash = "h";
-    engine.attachCheckpoint(path, proto);
-
-    const SweepOptions opt = fastOptions();
-    engine.runSweep(findWorkload("db1"), opt);
-    engine.finalizeCheckpoint("complete");
-
-    SweepCheckpoint got;
-    std::string error;
-    ASSERT_TRUE(readCheckpoint(path, &got, &error)) << error;
-    EXPECT_EQ(got.status, "complete");
-    EXPECT_EQ(got.cells_done, cellCount(opt));
-    EXPECT_EQ(got.cells_total, cellCount(opt));
-}
-
-TEST_F(ReliabilityTest, StaleCheckpointTempFilesSweptOnAttach)
-{
-    // A SIGKILLed writer dies between fopen and rename, orphaning
-    // `<path>.tmp.<pid>`. Attaching the journal must collect exactly
-    // those — never a live writer's temp file, never the checkpoint.
-    const std::string path = (dir_ / "sweep.ckpt").string();
-    SweepCheckpoint cp;
-    cp.tool = "pipesim";
-    ASSERT_TRUE(writeCheckpoint(path, cp));
-
-    const std::string dead = path + ".tmp.999999999"; // pid long dead
-    const std::string live =
-        path + ".tmp." + std::to_string(::getpid());
-    const std::string other =
-        (dir_ / "other.ckpt.tmp.999999999").string();
-    std::ofstream(dead) << "{torn";
-    std::ofstream(live) << "{in flight";
-    std::ofstream(other) << "{torn";
-
-    EXPECT_EQ(sweepStaleCheckpointTempFiles(path), 1u);
-    EXPECT_FALSE(std::filesystem::exists(dead));
-    EXPECT_TRUE(std::filesystem::exists(live));  // writer still alive
-    EXPECT_TRUE(std::filesystem::exists(other)); // different journal
-    EXPECT_TRUE(std::filesystem::exists(path));
-
-    // attachCheckpoint performs the same sweep on open.
-    std::ofstream(dead) << "{torn again";
-    SweepEngine engine = makeEngine(false);
-    SweepCheckpoint proto;
-    proto.tool = "test";
-    engine.attachCheckpoint(path, proto);
-    EXPECT_FALSE(std::filesystem::exists(dead));
-    EXPECT_TRUE(std::filesystem::exists(live));
-}
-
-// ---------------------------------------------------------------------
 // Manifest v2
 
 TEST_F(ReliabilityTest, ManifestEnumeratesQuarantinedHoles)
@@ -614,7 +485,7 @@ TEST_F(ReliabilityTest, ConcurrentFaultyWritersNeverExposeTornEntry)
 }
 
 // ---------------------------------------------------------------------
-// Kill and resume through the real binary
+// Kill and re-run through the real binary
 
 int
 runShell(const std::string &cmd)
@@ -638,6 +509,38 @@ slurp(const std::filesystem::path &path)
     return buf.str();
 }
 
+/**
+ * Start `pipesim ARGS` on result cache @p cache with its output
+ * discarded, wait until the cache holds a published entry — the
+ * progress a re-run picks up — then send @p signal and reap the
+ * process. @return its wait status.
+ */
+int
+interruptOnceCached(const std::filesystem::path &cache,
+                    const std::vector<std::string> &args, int signal)
+{
+    std::vector<char *> argv{const_cast<char *>(PIPESIM_PATH)};
+    for (const std::string &a : args)
+        argv.push_back(const_cast<char *>(a.c_str()));
+    argv.push_back(nullptr);
+    const pid_t pid = fork();
+    if (pid == -1)
+        return -1;
+    if (pid == 0) {
+        ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
+        std::freopen("/dev/null", "w", stdout);
+        std::freopen("/dev/null", "w", stderr);
+        ::execv(PIPESIM_PATH, argv.data());
+        ::_exit(127);
+    }
+    for (int i = 0; i < 2000 && simresCount(cache) == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ::kill(pid, signal);
+    int status = 0;
+    waitpid(pid, &status, 0);
+    return status;
+}
+
 TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
 {
     const std::string sweep_args =
@@ -645,7 +548,7 @@ TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
         "--threads 2";
     const std::filesystem::path ref_out = dir_ / "reference.csv";
     const std::filesystem::path res_out = dir_ / "resumed.csv";
-    const std::filesystem::path ckpt = dir_ / "sweep.ckpt";
+    const std::filesystem::path manifest_path = dir_ / "resumed.json";
 
     // Reference: the uninterrupted grid (its own cache).
     ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
@@ -654,83 +557,47 @@ TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
                        ref_out.string() + " 2>/dev/null"),
               0);
 
-    // Victim: same grid, separate cache, checkpointed — killed with
-    // SIGKILL as soon as the checkpoint shows progress.
-    const std::string victim_cache = (dir_ / "cache-victim").string();
-    const pid_t pid = fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-        ::setenv("PIPEDEPTH_CACHE_DIR", victim_cache.c_str(), 1);
-        // Quiet: the output of the doomed run is irrelevant.
-        std::freopen("/dev/null", "w", stdout);
-        std::freopen("/dev/null", "w", stderr);
-        ::execl(PIPESIM_PATH, PIPESIM_PATH, "--workload", "db1",
-                "--sweep", "--csv", "--length", "60000", "--warmup",
-                "10000", "--threads", "2", "--checkpoint",
-                ckpt.string().c_str(), static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-    // Wait for at least one resolved cell, then kill -9.
-    for (int i = 0; i < 2000; ++i) {
-        SweepCheckpoint cp;
-        if (readCheckpoint(ckpt.string(), &cp) && cp.cells_done >= 1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ::kill(pid, SIGKILL);
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    // Victim: same grid, separate cache, killed with SIGKILL as soon
+    // as its first cell is in the cache.
+    const std::filesystem::path victim_cache = dir_ / "cache-victim";
+    interruptOnceCached(victim_cache,
+                        {"--workload", "db1", "--sweep", "--csv",
+                         "--length", "60000", "--warmup", "10000",
+                         "--threads", "2"},
+                        SIGKILL);
+    ASSERT_GE(simresCount(victim_cache), 1u);
 
-    // The checkpoint survived the SIGKILL and is structurally valid
-    // (atomic rename: either the old or the new file, never torn).
-    SweepCheckpoint cp;
-    std::string error;
-    ASSERT_TRUE(readCheckpoint(ckpt.string(), &cp, &error)) << error;
-    EXPECT_EQ(cp.tool, "pipesim");
-
-    // Resume replays the stored argv; cached cells replay, the rest
-    // compute. The final grid must match the reference byte for byte.
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" + victim_cache + " " +
-                       PIPESIM_PATH + " --resume " + ckpt.string() +
+    // Resume is the same command on the same cache: cached cells
+    // replay, the rest compute, and the grid matches the reference
+    // byte for byte.
+    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" + victim_cache.string() +
+                       " " + PIPESIM_PATH + " " + sweep_args +
+                       " --manifest-out " + manifest_path.string() +
                        " > " + res_out.string() + " 2>/dev/null"),
               0);
     EXPECT_EQ(slurp(res_out), slurp(ref_out));
 
-    // And the checkpoint was finalized with a real grid size.
-    ASSERT_TRUE(readCheckpoint(ckpt.string(), &cp, &error)) << error;
-    EXPECT_EQ(cp.status, "complete");
-    EXPECT_GT(cp.cells_total, 0u);
-    EXPECT_EQ(cp.cells_done, cp.cells_total);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(JsonValue::parse(slurp(manifest_path), &doc, &error))
+        << error;
+    ASSERT_TRUE(validateManifest(doc, &error)) << error;
+    const JsonValue *counts = doc.find("cell_counts");
+    const double cached = counts->find("cached")->number;
+    EXPECT_GE(cached, 1.0);
+    EXPECT_EQ(counts->find("computed")->number + cached, 24.0);
 }
 
 TEST_F(ReliabilityTest, SigtermDrainsWithInterruptedManifest)
 {
-    const std::filesystem::path ckpt = dir_ / "drain.ckpt";
     const std::filesystem::path manifest_path = dir_ / "manifest.json";
 
-    const pid_t pid = fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-        ::setenv("PIPEDEPTH_CACHE_DIR",
-                 (dir_ / "cache-drain").string().c_str(), 1);
-        std::freopen("/dev/null", "w", stdout);
-        std::freopen("/dev/null", "w", stderr);
-        ::execl(PIPESIM_PATH, PIPESIM_PATH, "--workload", "db1",
-                "--sweep", "--length", "200000", "--warmup", "10000",
-                "--threads", "2", "--checkpoint", ckpt.string().c_str(),
-                "--manifest-out", manifest_path.string().c_str(),
-                static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-    for (int i = 0; i < 2000; ++i) {
-        SweepCheckpoint cp;
-        if (readCheckpoint(ckpt.string(), &cp) && cp.cells_done >= 1)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ::kill(pid, SIGTERM);
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
+    const int status = interruptOnceCached(
+        dir_ / "cache-drain",
+        {"--workload", "db1", "--sweep", "--length", "200000",
+         "--warmup", "10000", "--threads", "2", "--manifest-out",
+         manifest_path.string()},
+        SIGTERM);
     ASSERT_TRUE(WIFEXITED(status));
     if (WEXITSTATUS(status) == 0)
         GTEST_SKIP() << "sweep finished before SIGTERM landed";
@@ -743,10 +610,6 @@ TEST_F(ReliabilityTest, SigtermDrainsWithInterruptedManifest)
         << error;
     ASSERT_TRUE(validateManifest(doc, &error)) << error;
     EXPECT_EQ(doc.find("status")->string, "interrupted");
-
-    SweepCheckpoint cp;
-    ASSERT_TRUE(readCheckpoint(ckpt.string(), &cp, &error)) << error;
-    EXPECT_EQ(cp.status, "interrupted");
 }
 
 TEST_F(ReliabilityTest, PipesimSweepCompletesUnderInjectedFaults)

@@ -67,6 +67,18 @@ class ServerTest : public ::testing::Test
         access_log_path_ = (dir_ / "access.jsonl").string();
         daemon_log_path_ = (dir_ / "daemon.log").string();
 
+        const std::string max_line = std::to_string(kMaxLineBytes);
+        std::vector<std::string> args = {
+            PIPESIMD_PATH, "--socket", socket_path_, "--cache-dir",
+            cache_dir_, "--max-line-bytes", max_line, "--access-log",
+            access_log_path_, "--slow-ms", slow_ms_, "--idle-timeout-ms",
+            idle_timeout_ms_};
+        args.insert(args.end(), extra_args_.begin(), extra_args_.end());
+        std::vector<char *> argv;
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        argv.push_back(nullptr);
+
         daemon_pid_ = ::fork();
         ASSERT_NE(daemon_pid_, -1);
         if (daemon_pid_ == 0) {
@@ -79,16 +91,7 @@ class ServerTest : public ::testing::Test
                 ::dup2(log_fd, 2);
                 ::close(log_fd);
             }
-            const std::string max_line =
-                std::to_string(kMaxLineBytes);
-            ::execl(PIPESIMD_PATH, PIPESIMD_PATH, "--socket",
-                    socket_path_.c_str(), "--cache-dir",
-                    cache_dir_.c_str(), "--max-line-bytes",
-                    max_line.c_str(), "--access-log",
-                    access_log_path_.c_str(), "--slow-ms",
-                    slow_ms_.c_str(), "--idle-timeout-ms",
-                    idle_timeout_ms_.c_str(),
-                    static_cast<char *>(nullptr));
+            ::execv(PIPESIMD_PATH, argv.data());
             _exit(127);
         }
 
@@ -311,6 +314,8 @@ class ServerTest : public ::testing::Test
     std::string slow_ms_ = "60000";
     /** Slow-loris timeout; 0 = off. IdleTimeoutServerTest sets it. */
     std::string idle_timeout_ms_ = "0";
+    /** Further daemon flags; UncalibratedServerTest arms a fault. */
+    std::vector<std::string> extra_args_;
     pid_t daemon_pid_ = -1;
 };
 
@@ -818,6 +823,41 @@ TEST_F(IdleTimeoutServerTest, MidLineStallIsClosedKeepAliveIsNot)
         start = nl + 1;
     }
     expectGoodSweep(lines, "after-idle");
+}
+
+/**
+ * Same daemon, with the fixture request's reference cell failing its
+ * only attempt: depth 3 is the second cell the walk's failpoint sees.
+ */
+class UncalibratedServerTest : public ServerTest
+{
+  protected:
+    UncalibratedServerTest()
+    {
+        extra_args_ = {"--max-retries", "0", "--failpoint",
+                       "sweep.cell.simulate=hits:2"};
+    }
+};
+
+TEST_F(UncalibratedServerTest, QuarantinedReferenceGetsOneError)
+{
+    // No cell or done line: without its reference cell the sweep has
+    // no leakage calibration, so every metric would be a default.
+    const auto lines = transact(goodRequest("u1"));
+    ASSERT_EQ(lines.size(), 1u);
+    expectError(lines[0], "u1", proto_error::kUncalibrated);
+    const std::string message = field(parseLine(lines[0]), "message");
+    EXPECT_NE(message.find("reference depth 3"), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("db1"), std::string::npos) << message;
+
+    const auto entries = accessEntriesFor("u1");
+    ASSERT_EQ(entries.size(), 1u);
+    EXPECT_EQ(field(entries[0], "outcome"), proto_error::kUncalibrated);
+
+    // The fault fired once: the next request computes the missing
+    // cell and gets a full answer.
+    expectGoodSweep(transact(goodRequest("u2")), "u2");
 }
 
 } // namespace

@@ -11,7 +11,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -339,7 +338,7 @@ TEST_F(ManifestTest, EventStreamIsParseableJsonl)
     ManifestCell cell;
     cell.workload = "w";
     cell.depth = 3;
-    m.recordCell(cell);
+    m.cellEvent(cell);
     m.event("custom", {{"key", "value"}});
     ASSERT_TRUE(m.write(manifest_path.string()));
 
@@ -362,31 +361,45 @@ TEST_F(ManifestTest, EventStreamIsParseableJsonl)
 
 TEST_F(ManifestTest, SweepEngineFillsOneCellPerGridPoint)
 {
+    // Two workloads at 4 threads: the groups of both resolve
+    // concurrently, yet cells[] must list the grid in plan order,
+    // workload-major with depth ascending, whichever cell finished
+    // first.
     SweepOptions opt;
     opt.min_depth = 2;
-    opt.max_depth = 5;
-    opt.reference_depth = 4;
+    opt.max_depth = 25;
     opt.trace_length = 20000;
     opt.warmup_instructions = 5000;
+    const std::vector<WorkloadSpec> specs = {findWorkload("gcc95"),
+                                             findWorkload("db1")};
+    const std::size_t n_depths = 24;
 
     SweepEngineOptions eng_opt;
     eng_opt.cache_dir = (dir_ / "cache").string();
+    eng_opt.threads = 4;
+
+    const auto expectPlanOrder = [&](const RunManifest &m,
+                                     ManifestCell::Outcome outcome) {
+        const std::vector<ManifestCell> &cells = m.cells();
+        ASSERT_EQ(cells.size(), specs.size() * n_depths);
+        for (std::size_t i = 0; i < cells.size(); ++i) {
+            EXPECT_EQ(cells[i].workload, specs[i / n_depths].name)
+                << "cell " << i;
+            EXPECT_EQ(cells[i].depth,
+                      opt.min_depth + static_cast<int>(i % n_depths))
+                << "cell " << i;
+            EXPECT_EQ(cells[i].outcome, outcome) << "cell " << i;
+            EXPECT_GT(cells[i].instructions, 0u) << "cell " << i;
+        }
+    };
 
     RunManifest cold_manifest;
     {
         SweepEngine engine(eng_opt);
         engine.attachManifest(&cold_manifest);
-        engine.runGrid({findWorkload("gcc95")}, opt);
+        engine.runGrid(specs, opt);
     }
-    ASSERT_EQ(cold_manifest.cells().size(), 4u);
-    std::set<int> depths;
-    for (const ManifestCell &cell : cold_manifest.cells()) {
-        EXPECT_EQ(cell.workload, "gcc95");
-        EXPECT_EQ(cell.outcome, ManifestCell::Outcome::Computed);
-        EXPECT_GT(cell.instructions, 0u);
-        depths.insert(cell.depth);
-    }
-    EXPECT_EQ(depths, (std::set<int>{2, 3, 4, 5}));
+    expectPlanOrder(cold_manifest, ManifestCell::Outcome::Computed);
 
     std::string error;
     EXPECT_TRUE(validateManifest(parsed(cold_manifest.toJson()), &error))
@@ -397,11 +410,9 @@ TEST_F(ManifestTest, SweepEngineFillsOneCellPerGridPoint)
     {
         SweepEngine engine(eng_opt);
         engine.attachManifest(&warm_manifest);
-        engine.runGrid({findWorkload("gcc95")}, opt);
+        engine.runGrid(specs, opt);
     }
-    ASSERT_EQ(warm_manifest.cells().size(), 4u);
-    for (const ManifestCell &cell : warm_manifest.cells())
-        EXPECT_EQ(cell.outcome, ManifestCell::Outcome::Cached);
+    expectPlanOrder(warm_manifest, ManifestCell::Outcome::Cached);
 }
 
 } // namespace

@@ -44,13 +44,12 @@
  * retry up to --max-retries times (bounded exponential backoff from
  * --retry-backoff-ms), then quarantine — the sweep completes around
  * the hole and every quarantined cell is enumerated on stderr and in
- * the manifest. --checkpoint FILE journals progress so a killed run
- * can be replayed with --resume FILE, which re-creates the original
- * invocation from the checkpoint's stored argv; completed cells are
- * served from the result cache, making the resumed grid
- * byte-identical. SIGINT/SIGTERM drain gracefully: in-flight cells
+ * the manifest. SIGINT/SIGTERM drain gracefully: in-flight cells
  * finish and land in the cache, the manifest is finalized with
- * status "interrupted", and the exit status is 130. --failpoint
+ * status "interrupted", and the exit status is 130. A killed or
+ * drained run resumes when the same command runs again on the same
+ * cache: completed cells are cache hits, only the rest compute, and
+ * the grid is byte-identical to an uninterrupted run. --failpoint
  * SPEC / --failpoint-seed N inject deterministic faults (same syntax
  * as PIPEDEPTH_FAILPOINTS; see common/failpoint.hh).
  *
@@ -67,8 +66,7 @@
  * --shard-dir overrides the directory (workers default to a
  * config-hash-derived path under the cache, so independently launched
  * workers of the same grid agree). Sharding requires --sweep and the
- * cache, and combines with neither --checkpoint nor --resume (the
- * shared cache already makes re-runs resume).
+ * cache; like any run, a sharded one resumes by re-running it.
  *
  * Unknown flags, a missing flag argument, or an unknown workload name
  * print usage / the catalog hint and exit with status 2; simulation
@@ -98,7 +96,6 @@
 #include "common/interrupt.hh"
 #include "common/table.hh"
 #include "sweep/cache_key.hh"
-#include "sweep/checkpoint.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/shard_coordinator.hh"
@@ -127,12 +124,12 @@ usage(const char *argv0)
         "          [--trace-out FILE] [--manifest-out FILE]\n"
         "          [--events-out FILE]\n"
         "          [--max-retries N] [--retry-backoff-ms N]\n"
-        "          [--checkpoint FILE] [--failpoint SPEC]\n"
-        "          [--failpoint-seed N]\n"
+        "          [--failpoint SPEC] [--failpoint-seed N]\n"
         "          [--shards N [--shard-id K] [--shard-dir DIR]\n"
         "           [--shard-poll-ms N] [--restart-budget N]]\n"
-        "       %s --resume FILE\n",
-        argv0, argv0);
+        "A killed or interrupted run resumes when the same command runs\n"
+        "again on the same result cache.\n",
+        argv0);
     std::exit(2);
 }
 
@@ -149,8 +146,6 @@ struct Options
     bool stalls_json = false;
     bool audit = false;
     std::string trace_out, manifest_out, events_out;
-    std::string checkpoint; //!< journal progress to this file
-    std::string resume;     //!< replay the run this checkpoint describes
     unsigned threads = 0;
     unsigned max_retries = 2;
     unsigned retry_backoff_ms = 10;
@@ -168,8 +163,7 @@ struct Options
 
 /**
  * Parse @p args (argv without the program name) into @p opt.
- * @return false on an unknown flag or missing argument. Kept
- * re-entrant so --resume can re-parse a checkpoint's stored argv.
+ * @return false on an unknown flag or missing argument.
  */
 bool
 parseArgs(const std::vector<std::string> &args, Options &opt)
@@ -209,10 +203,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
             opt.manifest_out = args[++i];
         } else if (arg == "--events-out" && has_value) {
             opt.events_out = args[++i];
-        } else if (arg == "--checkpoint" && has_value) {
-            opt.checkpoint = args[++i];
-        } else if (arg == "--resume" && has_value) {
-            opt.resume = args[++i];
         } else if (arg == "--max-retries" && has_value) {
             opt.max_retries = static_cast<unsigned>(
                 std::strtoul(args[++i].c_str(), nullptr, 10));
@@ -455,7 +445,7 @@ superviseShardWorkers(const char *argv0,
         return 2;
     }
 
-    // Worker argv: the effective args minus the output-emitting flags
+    // Worker argv: this run's args minus the output-emitting flags
     // (the merged pass emits those exactly once) and minus any shard
     // identity, which is re-appended per worker below.
     std::vector<std::string> worker_args;
@@ -609,7 +599,7 @@ superviseShardWorkers(const char *argv0,
     if (interruptRequested()) {
         std::fprintf(stderr,
                      "pipesim: interrupted; partial shard results are "
-                     "cached\n");
+                     "cached; re-run the same command to resume\n");
         return 130;
     }
     if (budget_exhausted) {
@@ -634,53 +624,10 @@ superviseShardWorkers(const char *argv0,
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
+    const std::vector<std::string> args(argv + 1, argv + argc);
     Options opt;
     if (!parseArgs(args, opt))
         usage(argv[0]);
-
-    // --resume FILE: re-create the killed invocation from the
-    // checkpoint's stored argv, then keep journalling into the same
-    // file. Completed cells hit the result cache, so the resumed
-    // grid is byte-identical to an uninterrupted run.
-    std::string resumed_hash;
-    if (!opt.resume.empty()) {
-        const std::string resume_path = opt.resume;
-        SweepCheckpoint cp;
-        std::string error;
-        if (!readCheckpoint(resume_path, &cp, &error)) {
-            std::fprintf(stderr, "%s: cannot resume from '%s': %s\n",
-                         argv[0], resume_path.c_str(), error.c_str());
-            return 2;
-        }
-        if (cp.tool != "pipesim") {
-            std::fprintf(stderr,
-                         "%s: checkpoint '%s' was written by '%s', not "
-                         "pipesim\n",
-                         argv[0], resume_path.c_str(), cp.tool.c_str());
-            return 2;
-        }
-        std::vector<std::string> stored(
-            cp.argv.begin() + (cp.argv.empty() ? 0 : 1), cp.argv.end());
-        opt = Options{};
-        if (!parseArgs(stored, opt)) {
-            std::fprintf(stderr,
-                         "%s: checkpoint '%s' stores an unparsable "
-                         "argv\n",
-                         argv[0], resume_path.c_str());
-            return 2;
-        }
-        args = std::move(stored);
-        opt.checkpoint = resume_path;
-        resumed_hash = cp.config_hash;
-        std::fprintf(stderr,
-                     "pipesim: resuming '%s' (%llu of %llu cells were "
-                     "resolved, status %s)\n",
-                     resume_path.c_str(),
-                     static_cast<unsigned long long>(cp.cells_done),
-                     static_cast<unsigned long long>(cp.cells_total),
-                     cp.status.c_str());
-    }
 
     if (opt.tape.empty() == opt.workload.empty())
         usage(argv[0]); // exactly one source
@@ -695,15 +642,6 @@ main(int argc, char **argv)
             std::fprintf(stderr,
                          "%s: --shards needs the result cache (the "
                          "shared result substrate); drop --no-cache\n",
-                         argv[0]);
-            return 2;
-        }
-        if (!opt.checkpoint.empty()) {
-            std::fprintf(stderr,
-                         "%s: --shards does not combine with "
-                         "--checkpoint/--resume; sharded runs resume "
-                         "through the shared result cache — just re-run "
-                         "the same command\n",
                          argv[0]);
             return 2;
         }
@@ -768,20 +706,12 @@ main(int argc, char **argv)
         configs.back().audit_ledger = opt.audit;
     }
 
-    // Grid identity: hashed into the checkpoint so --resume refuses a
-    // checkpoint whose stored argv somehow yields a different grid
-    // (e.g. the binary changed its depth range between versions).
+    // Grid identity: recorded in the manifest and naming a sharded
+    // run's coordination directory.
     StableHasher config_hasher;
     for (const auto &cfg : configs)
         hashPipelineConfig(config_hasher, cfg);
     const std::string config_hash = config_hasher.key().hex();
-    if (!resumed_hash.empty() && resumed_hash != config_hash) {
-        std::fprintf(stderr,
-                     "%s: checkpoint config hash %s does not match this "
-                     "grid (%s); refusing to resume\n",
-                     argv[0], resumed_hash.c_str(), config_hash.c_str());
-        return 2;
-    }
 
     // Sharded sweeps coordinate through a shared directory. Workers
     // default to a config-hash-derived path under the cache, so
@@ -856,18 +786,6 @@ main(int argc, char **argv)
         engine.attachManifest(&manifest);
     }
 
-    if (!opt.checkpoint.empty()) {
-        SweepCheckpoint proto;
-        proto.tool = "pipesim";
-        // Store the *effective* argv — for a resumed run, the one
-        // recovered from the checkpoint — so a resume of a resumed
-        // run replays the same original invocation.
-        proto.argv.push_back(argv[0]);
-        proto.argv.insert(proto.argv.end(), args.begin(), args.end());
-        proto.config_hash = config_hash;
-        engine.attachCheckpoint(opt.checkpoint, std::move(proto));
-    }
-
     installInterruptHandlers();
 
     auto emitTelemetry = [&]() {
@@ -882,25 +800,20 @@ main(int argc, char **argv)
     };
 
     // Epilogue shared by both the single-run and sweep paths: finalize
-    // checkpoint and manifest with the run's status, emit telemetry,
-    // and turn a drain into exit 130.
+    // the manifest with the run's status, emit telemetry, and turn a
+    // drain into exit 130.
     auto finishRun = [&](int exit_code) -> int {
         const bool interrupted = interruptRequested();
         manifest.setStatus(interrupted ? "interrupted" : "complete");
-        engine.finalizeCheckpoint(interrupted ? "interrupted"
-                                              : "complete");
         engine.printSummary(std::cerr);
         emitTelemetry();
         if (interrupted) {
-            std::fprintf(
-                stderr,
-                "pipesim: interrupted by signal %d; partial results "
-                "are cached%s\n",
-                interruptSignal(),
-                opt.checkpoint.empty()
-                    ? ""
-                    : ("; resume with --resume " + opt.checkpoint)
-                          .c_str());
+            std::fprintf(stderr, "pipesim: interrupted by signal %d; %s\n",
+                         interruptSignal(),
+                         engine.cacheEnabled()
+                             ? "partial results are cached; re-run the "
+                               "same command to resume"
+                             : "the cache is off, so nothing was cached");
             return 130;
         }
         return exit_code;
