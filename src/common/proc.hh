@@ -1,14 +1,13 @@
 /**
  * @file
- * Process-liveness probing shared by every pid-stamped on-disk
- * protocol in the tree.
+ * Process-liveness probing for the result cache's temp-file sweep.
  *
- * The result cache's temp-file sweep and the shard coordinator's
- * lease takeover both stamp files with the writer's pid and later
- * need to decide: is that writer still alive? The only portable
- * answer is kill(pid, 0), and its error semantics are subtle enough
- * that every call site would otherwise re-implement them — hence
- * this helper.
+ * A cache store writes a temp file stamped with the writer's pid
+ * (`*.tmp.<pid>.<n>`) and renames it into place; a writer that died
+ * in between leaves the temp file behind. Opening the cache sweeps
+ * those, and must decide: is the stamped writer still alive? The only
+ * portable answer is kill(pid, 0), whose error semantics are subtle
+ * enough to pin in one helper.
  *
  * Semantics (pinned by tests/common/test_proc.cc):
  *  - kill(pid, 0) == 0      -> alive (signalable by us);
@@ -19,11 +18,11 @@
  *  - any other error        -> treated as alive, erring on the side
  *                              of never stealing from a live owner.
  *
- * Pid reuse is deliberately out of scope: every protocol built on
- * this probe tolerates a false "alive" (the file just survives a bit
- * longer; a sweep or a takeover retries later), and the workers of
- * one sweep are short-lived siblings, where reuse within a run is not
- * a realistic window.
+ * Pid reuse is deliberately out of scope: a reused pid reads as
+ * "alive", and the sweep tolerates that false answer — the temp file
+ * only survives until a later sweep finds the pid free. Mutual
+ * exclusion must never rest on this probe (shard leases are flock(2)
+ * locks, which the kernel drops when their holder dies).
  */
 
 #ifndef PIPEDEPTH_COMMON_PROC_HH

@@ -118,7 +118,6 @@ SweepServer::SweepServer(const ServerOptions &options)
           eopt.use_cache = options.use_cache;
           eopt.cache_dir = options.cache_dir;
           eopt.max_retries = options.max_retries;
-          eopt.retry_backoff_ms = options.retry_backoff_ms;
           return eopt;
       }())
 {
@@ -871,6 +870,12 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             std::chrono::duration<double, std::micro>(engine_begin -
                                                       pickup)
                 .count();
+        // A member's queue phase: its arrival to this batch's pickup.
+        const auto queue_us = [&](const Pending &p) {
+            return std::chrono::duration<double, std::micro>(pickup -
+                                                             p.arrival)
+                .count();
+        };
 
         // Per-cell outcomes of exactly this grid, for per-request
         // cached/computed accounting (the engine reported each
@@ -898,6 +903,9 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             if (access_log_.enabled()) {
                 AccessLog::Entry entry = baseEntry(p);
                 entry.outcome = code;
+                entry.phases.queue_us = queue_us(p);
+                entry.phases.batch_us = batch_wait_us;
+                entry.phases.engine_us = engine_us;
                 entry.total_us = elapsedUs(p.arrival) + p.parse_us;
                 access_log_.write(entry);
             }
@@ -962,10 +970,7 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             // serialize_us covers the cell lines and the fit; the
             // done line itself renders after the clock is read (it
             // must carry the measurement it is part of).
-            info.phases.queue_us =
-                std::chrono::duration<double, std::micro>(pickup -
-                                                          p.arrival)
-                    .count();
+            info.phases.queue_us = queue_us(p);
             info.phases.parse_us = p.parse_us;
             info.phases.batch_us = batch_wait_us;
             info.phases.engine_us = engine_us;

@@ -72,7 +72,6 @@ struct ServerOptions
     bool use_cache = true;
     std::string cache_dir;
     unsigned max_retries = 2;
-    unsigned retry_backoff_ms = 10;
 
     /**
      * Admission bound: requests parsed but not yet picked up by the

@@ -45,6 +45,9 @@ SweepCounters::simMips() const
 namespace
 {
 
+/** Wait between claims of a group another process holds. */
+constexpr std::chrono::milliseconds kShardPoll{25};
+
 /**
  * Describe the exception being handled (call from a catch block):
  * its what(), and the failpoint name when one was injected.
@@ -144,10 +147,10 @@ struct SweepEngine::CellPlan
 /**
  * The one record of cell outcomes. Every resolved cell makes exactly
  * one record() call. The `sweep.cell` span, the manifest's `cell`
- * event, sweep.cell.fail and the cross-shard quarantine record are
- * written as the call happens; fold() derives the SweepCounters,
- * their registry mirror, the manifest's cells list and both failure
- * lists from the kept entries, in cell order.
+ * event and sweep.cell.fail are written as the call happens; fold()
+ * derives the SweepCounters, their registry mirror, the manifest's
+ * cells list and both failure lists from the kept entries, in cell
+ * order.
  */
 class SweepEngine::CellRecorder
 {
@@ -156,7 +159,6 @@ class SweepEngine::CellRecorder
     {
         Skipped,     //!< unstarted at an interrupt drain
         Cached,      //!< served from the result cache
-        Adopted,     //!< another shard's quarantined hole
         Computed,    //!< walked this run
         Quarantined, //!< exhausted its retries here
     };
@@ -187,11 +189,8 @@ class SweepEngine::CellRecorder
         const Entry &e = entries_[cell] = std::move(entry);
         if (e.outcome == Outcome::Skipped)
             return; // neither reported nor done: a re-run computes it
-        if (e.outcome == Outcome::Quarantined) {
+        if (e.outcome == Outcome::Quarantined)
             failures.add();
-            if (engine_.shard_coordinator_)
-                engine_.shard_coordinator_->recordQuarantine(*e.failure);
-        }
         const ManifestCell reported = manifestCell(cell);
         TELEM_SPAN(span, "sweep.cell");
         span.tag("workload", reported.workload);
@@ -220,7 +219,6 @@ class SweepEngine::CellRecorder
               case Outcome::Cached:
                 ++cached;
                 break;
-              case Outcome::Adopted:
               case Outcome::Quarantined:
                 ++quarantined;
                 break;
@@ -272,8 +270,7 @@ class SweepEngine::CellRecorder
         ManifestCell::Outcome outcome = ManifestCell::Outcome::Computed;
         if (e.outcome == Outcome::Cached)
             outcome = ManifestCell::Outcome::Cached;
-        else if (e.outcome == Outcome::Adopted ||
-                 e.outcome == Outcome::Quarantined)
+        else if (e.outcome == Outcome::Quarantined)
             outcome = ManifestCell::Outcome::Quarantined;
         return {plan_.names[plan_.workloadOf(cell)],
                 plan_.configOf(cell).depth, outcome, e.seconds,
@@ -306,7 +303,6 @@ SweepEngine::SweepEngine(const SweepEngineOptions &options)
             shard_options.shards = options_.shards;
             shard_options.shard_id = options_.shard_id;
             shard_options.dir = options_.shard_dir;
-            shard_options.poll_ms = options_.shard_poll_ms;
             shard_coordinator_ =
                 std::make_unique<ShardCoordinator>(shard_options);
         }
@@ -358,7 +354,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
     };
 
     // Resolve cell @p i without a walk when it can be: an interrupt
-    // hole, a cache hit, or a hole another shard already quarantined.
+    // hole or a cache hit.
     auto probe = [&](std::size_t i, SimResult &out, Pending &p) -> bool {
         const PipelineConfig &config = plan.configOf(i);
         const std::string &name = plan.names[plan.workloadOf(i)];
@@ -391,21 +387,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 return true;
             }
             p.corrupt += corrupt ? 1 : 0;
-        }
-
-        // Another shard already exhausted this cell's retries: adopt
-        // its hole (same cause, same attempt count) instead of
-        // re-running a known-failing cell (docs/SHARDING.md).
-        if (shard_coordinator_) {
-            FailureRecord record;
-            if (shard_coordinator_->lookupQuarantine(name, depth, &record)) {
-                recorder.record(i, {.outcome = Outcome::Adopted,
-                                    .attempts = record.attempts,
-                                    .corrupt = p.corrupt,
-                                    .failure = std::move(record)});
-                out = holeResult(name, config);
-                return true;
-            }
         }
         return false;
     };
@@ -505,16 +486,10 @@ SweepEngine::resolveCells(const CellPlan &plan,
             }
             if (!failed.empty()) {
                 retry_counter.add(failed.size());
-                // min(base << (round-1), 1000) ms; shift clamped so a
+                // min(10 << (round-1), 1000) ms; shift clamped so a
                 // large retry count cannot overflow.
-                const std::uint64_t backoff = std::min<std::uint64_t>(
-                    static_cast<std::uint64_t>(options_.retry_backoff_ms)
-                        << std::min(round - 1, 10u),
-                    1000);
-                if (backoff) {
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(backoff));
-                }
+                std::this_thread::sleep_for(std::chrono::milliseconds(
+                    std::min(10u << std::min(round - 1, 7u), 1000u)));
             }
             todo = std::move(failed);
         }
@@ -604,11 +579,11 @@ SweepEngine::resolveCells(const CellPlan &plan,
             return out;
         }
 
-        // Sharded: claim the group before computing. The key hashes
+        // Sharded: lock the group before walking it. The key hashes
         // the group's *content* (the plan's workload prefix, then
         // every cell config), so it is identical in every worker
-        // process and across coordinator restarts — group order and
-        // thread count cannot leak in.
+        // process and every run — group order and thread count cannot
+        // leak in.
         StableHasher group_hasher;
         plan.group_prefix(group_hasher, plan.workloadOf(group.begin));
         for (std::size_t i = group.begin; i < group.end; ++i)
@@ -619,33 +594,24 @@ SweepEngine::resolveCells(const CellPlan &plan,
             switch (shard_coordinator_->tryClaim(group_key,
                                                  group.foreign)) {
             case ShardCoordinator::Claim::Acquired:
-                // A dead predecessor may have cached a prefix of the
-                // group before crashing: re-probe so only the genuine
-                // remainder is simulated.
+                // A holder that finished or died before us cached all
+                // or a prefix of the group: re-probe so only the
+                // remainder walks. Its holes are misses and walk here
+                // again — a hole stays with the process that met it.
                 missing = probeMissing();
                 if (!missing.empty())
                     walkMissing(group.begin, missing, pending, out);
-                shard_coordinator_->markDone(group_key);
-                return out;
-            case ShardCoordinator::Claim::Done:
-                // Every cell is in the cache or quarantined. Anything
-                // still missing after the probe (a cache eviction
-                // between the owner's store and our load) is computed
-                // locally — correctness over economy.
-                missing = probeMissing();
-                if (!missing.empty())
-                    walkMissing(group.begin, missing, pending, out);
+                shard_coordinator_->release(group_key);
                 return out;
             case ShardCoordinator::Claim::Uncoordinated:
                 walkMissing(group.begin, missing, pending, out);
                 return out;
             case ShardCoordinator::Claim::Busy:
-                // A live worker owns the group and streams results
+                // A live process holds the group and streams results
                 // into the shared cache as it goes; pick up whatever
-                // landed, then poll again. If the owner dies, the next
-                // tryClaim round performs the takeover.
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    shard_coordinator_->pollMs()));
+                // landed, then poll again. If the holder dies, the
+                // kernel drops its lock and the next claim acquires.
+                std::this_thread::sleep_for(kShardPoll);
                 missing = probeMissing();
                 if (missing.empty())
                     return out;
@@ -755,6 +721,12 @@ std::vector<SimResult>
 SweepEngine::runConfigs(const WorkloadSpec &spec, std::size_t trace_length,
                         const std::vector<PipelineConfig> &configs)
 {
+    // makeTrace(0) means the spec's default length, so a 0 here would
+    // key that trace's cells at a second address (runGrid refuses it
+    // in SweepOptions::validate).
+    if (trace_length == 0)
+        PP_FATAL("runConfigs: trace_length must be positive");
+
     const WallTimer timer(&counters_.wall_seconds);
 
     TELEM_SPAN(grid_span, "sweep.configs");

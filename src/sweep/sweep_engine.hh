@@ -67,34 +67,28 @@ struct SweepEngineOptions
      * 1 + max_retries failures the cell is *quarantined*: the sweep
      * completes around it, the hole is a default SimResult
      * (cycles == 0) and a FailureRecord in SweepResult::failures.
+     * After a round k with failures, the group waits
+     * min(10 << (k-1), 1000) ms once before the next.
      */
     unsigned max_retries = 2;
-    /**
-     * Base of the bounded exponential backoff between attempt rounds:
-     * after a round k with failures, the group waits
-     * min(retry_backoff_ms << (k-1), 1000) ms once.
-     */
-    unsigned retry_backoff_ms = 10;
     /// @}
 
     /// @name Sharded sweeps (docs/SHARDING.md)
     /// @{
     /**
      * Total worker processes cooperating on this grid; 1 = sharding
-     * off. With shards > 1 the engine claims cell groups through a
-     * ShardCoordinator in @p shard_dir before computing them, waits
-     * out (or takes over from) groups owned by other live workers,
-     * and resolves cross-shard results through the shared result
-     * cache. Requires the cache — an engine with shards > 1 and no
-     * usable cache warns and runs unsharded — and a @p shard_dir all
-     * workers agree on. Group partitioning is derived from the shard
-     * count (never from thread count), so every worker forms the
-     * same groups.
+     * off. With shards > 1 the engine locks cell groups through a
+     * ShardCoordinator in @p shard_dir before walking them, waits out
+     * groups other live processes hold, and resolves cross-shard
+     * results through the shared result cache. Requires the cache —
+     * an engine with shards > 1 and no usable cache warns and runs
+     * unsharded — and a @p shard_dir all workers agree on. Group
+     * partitioning is derived from the shard count (never from
+     * thread count), so every worker forms the same groups.
      */
     unsigned shards = 1;
     unsigned shard_id = 0;  //!< this worker, in [0, shards)
     std::string shard_dir;  //!< shared coordination directory
-    unsigned shard_poll_ms = 25; //!< poll interval on a busy lease
     /// @}
 };
 
@@ -167,7 +161,8 @@ class SweepEngine
      * configuration; results keep order. Cells take runGrid's plan:
      * keyed by simCellKey, so a cell runGrid stored is a hit here and
      * a warm call generates no trace. Assemble a SweepResult from the
-     * runs with assembleSweep (depth_sweep.hh).
+     * runs with assembleSweep (depth_sweep.hh). A @p trace_length of 0
+     * is fatal, as in runGrid.
      */
     std::vector<SimResult>
     runConfigs(const WorkloadSpec &spec, std::size_t trace_length,

@@ -168,13 +168,6 @@ RunManifest::addMeta(const std::string &key, const std::string &value)
     meta_.emplace_back(key, value);
 }
 
-void
-RunManifest::addShard(const ManifestShard &shard)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    shards_.push_back(shard);
-}
-
 bool
 RunManifest::openEvents(const std::string &path)
 {
@@ -271,25 +264,6 @@ RunManifest::toJson() const
            << ": " << jsonQuote(meta_[i].second);
     }
     os << (meta_.empty() ? "" : "\n  ") << "},\n";
-
-    // Optional: the coordinator of a sharded sweep merges each
-    // worker's rollup in here (docs/SHARDING.md). Additive — absent
-    // from unsharded runs, so no schema bump.
-    if (!shards_.empty()) {
-        os << "  \"shards\": [";
-        for (std::size_t i = 0; i < shards_.size(); ++i) {
-            const ManifestShard &s = shards_[i];
-            os << (i ? "," : "") << "\n    {\"shard_id\": " << s.shard_id
-               << ", \"exit_code\": " << s.exit_code
-               << ", \"cells_computed\": " << s.cells_computed
-               << ", \"cache_hits\": " << s.cache_hits
-               << ", \"cells_quarantined\": " << s.cells_quarantined
-               << ", \"restarts\": " << s.restarts
-               << ", \"wall_seconds\": " << jsonNumber(s.wall_seconds)
-               << "}";
-        }
-        os << "\n  ],\n";
-    }
 
     std::uint64_t computed = 0, cached = 0, failed = 0;
     std::uint64_t retried = 0, quarantined = 0;
@@ -482,27 +456,6 @@ validateManifest(const JsonValue &manifest, std::string *error)
     if (const JsonValue *window = manifest.find("metrics_window");
         window && !window->isObject()) {
         return failValidation(error, "metrics_window is not an object");
-    }
-    // Optional: merged manifests of sharded sweeps carry per-worker
-    // rollups (docs/SHARDING.md).
-    if (const JsonValue *shards = manifest.find("shards")) {
-        if (!shards->isArray())
-            return failValidation(error, "shards is not an array");
-        for (const JsonValue &shard : shards->array) {
-            if (!shard.isObject())
-                return failValidation(error,
-                                      "shards entry is not an object");
-            for (const char *key :
-                 {"shard_id", "exit_code", "cells_computed",
-                  "cache_hits", "cells_quarantined", "restarts",
-                  "wall_seconds"}) {
-                const JsonValue *v = shard.find(key);
-                if (!v || !v->isNumber())
-                    return failValidation(error,
-                                          std::string("shards entry ") +
-                                              key + " missing");
-            }
-        }
     }
     return true;
 }

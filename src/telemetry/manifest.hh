@@ -70,24 +70,6 @@ struct ManifestCell
  */
 const char *manifestOutcomeName(ManifestCell::Outcome outcome);
 
-/**
- * Per-worker rollup of a sharded sweep (docs/SHARDING.md): what one
- * `--shard-id K` worker process contributed to the run this manifest
- * describes. The worker writes it as `shard.<id>.json`
- * (writeShardRollup, sweep/shard_coordinator.hh); only the
- * coordinator's merged manifest carries these.
- */
-struct ManifestShard
-{
-    unsigned shard_id = 0;
-    int exit_code = 0;
-    std::uint64_t cells_computed = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cells_quarantined = 0;
-    std::uint64_t restarts = 0; //!< crash-restarts of this worker
-    double wall_seconds = 0.0;
-};
-
 class RunManifest
 {
   public:
@@ -117,13 +99,6 @@ class RunManifest
 
     /** Append a metadata key/value (kept in insertion order). */
     void addMeta(const std::string &key, const std::string &value);
-
-    /**
-     * Append one worker's rollup to the optional `shards` array
-     * (emitted only when at least one rollup was added — an additive
-     * field, like metrics_window, so the schema version is unchanged).
-     */
-    void addShard(const ManifestShard &shard);
 
     /**
      * Start the JSONL event stream at @p path (truncates) and emit
@@ -186,7 +161,6 @@ class RunManifest
     std::string status_ = "complete";
     std::vector<std::string> argv_;
     std::vector<std::pair<std::string, std::string>> meta_;
-    std::vector<ManifestShard> shards_;
     std::vector<ManifestCell> cells_;
     std::string created_at_; //!< wall-clock ISO 8601 UTC at construction
     std::ofstream events_;

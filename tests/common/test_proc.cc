@@ -1,10 +1,9 @@
 /**
  * @file
- * processAlive(): the one dead-pid probe under lease takeover and
- * cache temp sweeping. The semantics
- * that matter are the conservative ones — only ESRCH may ever report
- * "dead", because callers *delete state* (stale temp files, leases)
- * on that answer.
+ * processAlive(): the dead-pid probe under the result cache's temp
+ * sweep. The semantics that matter are the conservative ones — only
+ * ESRCH may ever report "dead", because the sweep *deletes* a stale
+ * temp file on that answer.
  */
 
 #include <gtest/gtest.h>
@@ -63,17 +62,16 @@ TEST(Proc, InitIsAliveEvenWhenUnsignalable)
 {
     // pid 1 always exists. For a non-root caller kill(1, 0) answers
     // EPERM — which must read as *alive*: treating an unsignalable
-    // owner as dead would let an unprivileged process reap a
-    // privileged one's lease. For root the plain success path covers
-    // it; either way the answer is "alive".
+    // writer as dead would let an unprivileged process delete a
+    // privileged one's in-flight temp file. For root the plain
+    // success path covers it; either way the answer is "alive".
     EXPECT_TRUE(processAlive(1));
 }
 
 TEST(Proc, NonPositivePidsAreDead)
 {
-    // kill(0, .) / kill(-1, .) address process *groups*; a lease or
-    // temp file stamped with such a pid is garbage, never a live
-    // owner.
+    // kill(0, .) / kill(-1, .) address process *groups*; a temp file
+    // stamped with such a pid is garbage, never a live writer.
     EXPECT_FALSE(processAlive(0));
     EXPECT_FALSE(processAlive(-1));
 }

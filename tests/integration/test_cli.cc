@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 
 namespace pipedepth
@@ -59,6 +60,14 @@ TEST(PipesimCli, UnknownFlagExitsTwo)
     // Removed resume flags: re-running the same command resumes.
     EXPECT_EQ(runPipesim("--resume x"), 2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --checkpoint x"), 2);
+    // Removed knobs: the retry backoff and the shard poll interval
+    // are constants, and a coordinator restarts no worker.
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --retry-backoff-ms 5"),
+              2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --restart-budget 3"),
+              2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shard-poll-ms 5"),
+              2);
 }
 
 TEST(PipesimCli, MissingFlagArgumentExitsTwo)
@@ -81,6 +90,26 @@ TEST(PipesimCli, NoTraceSourceExitsTwo)
 TEST(PipesimCli, BothTraceSourcesExitTwo)
 {
     EXPECT_EQ(runPipesim("--tape x.tape --workload db1"), 2);
+}
+
+TEST(PipesimCli, ZeroLengthExitsNonZeroAndCachesNothing)
+{
+    // makeTrace(0) means the default length; a cell keyed by length 0
+    // would be a second address for that trace's result.
+    const std::filesystem::path cache =
+        std::filesystem::path(::testing::TempDir()) /
+        "pipedepth-cli-zero-length";
+    std::filesystem::remove_all(cache);
+    ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
+    EXPECT_NE(runPipesim("--workload db1 --depth 8 --length 0"), 0);
+    ::unsetenv("PIPEDEPTH_CACHE_DIR");
+
+    std::size_t entries = 0;
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
+        entries += e.path().extension() == ".simres" ? 1 : 0;
+    EXPECT_EQ(entries, 0u);
+    std::filesystem::remove_all(cache);
 }
 
 TEST(PipesimCli, UnreadableTapeExitsOne)

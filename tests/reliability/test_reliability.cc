@@ -106,7 +106,6 @@ class ReliabilityTest : public ::testing::Test
         opt.use_cache = use_cache;
         opt.cache_dir = (dir_ / "cache").string();
         opt.max_retries = max_retries;
-        opt.retry_backoff_ms = 0; // keep tests fast
         return SweepEngine(opt);
     }
 
@@ -637,28 +636,13 @@ TEST_F(ReliabilityTest, PipesimSweepCompletesUnderInjectedFaults)
 // ---------------------------------------------------------------------
 // Sharded sweeps under worker crashes (docs/SHARDING.md)
 
-/** Any `done.*` group marker in the coordination directory yet? */
-bool
-shardProgressVisible(const std::filesystem::path &shard_dir)
-{
-    std::error_code ec;
-    if (!std::filesystem::exists(shard_dir, ec) || ec)
-        return false;
-    for (const auto &e :
-         std::filesystem::directory_iterator(shard_dir, ec)) {
-        if (e.path().filename().string().rfind("done.", 0) == 0)
-            return true;
-    }
-    return false;
-}
-
 TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
 {
     // Four standalone shard workers share one result cache and one
-    // coordination directory. One is SIGKILLed mid-run; the survivors
-    // take over its leases, steal its partition, and each still emits
-    // the complete grid — byte-identical to an unsharded run from a
-    // separate cache.
+    // coordination directory. One is SIGKILLed mid-run; the kernel
+    // drops its group locks, the survivors steal its partition, and
+    // each still emits the complete grid — byte-identical to an
+    // unsharded run from a separate cache.
     const std::filesystem::path ref_out = dir_ / "reference.csv";
     ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
                        (dir_ / "cache-ref").string() + " " +
@@ -691,19 +675,16 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
         workers[k] = pid;
     }
 
-    // Kill worker 1 as soon as any group completes (it may hold a
-    // lease mid-group at that point — the interesting case; it may
-    // also already be done, the benign race this test accepts). Reap
-    // it immediately: to kill(pid, 0) a zombie is still alive, so an
-    // unreaped victim would hold its lease against every survivor —
-    // exactly why the protocol requires whoever spawns workers to
-    // reap them promptly (the coordinator's waitpid loop does).
-    for (int i = 0; i < 2000 && !shardProgressVisible(shard_dir); ++i)
+    // Kill worker 1 as soon as any cell lands in the cache (it may
+    // hold a group mid-walk at that point — the interesting case; it
+    // may also already be done, the benign race this test accepts).
+    // It stays unreaped until the survivors finish: a zombie holds no
+    // locks.
+    for (int i = 0; i < 2000 && simresCount(shared_cache) == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ::kill(workers[1], SIGKILL);
-    int status = 0;
-    ASSERT_EQ(waitpid(workers[1], &status, 0), workers[1]);
 
+    int status = 0;
     for (unsigned k = 0; k < 4; ++k) {
         if (k == 1)
             continue; // SIGKILLed (or possibly finished first)
@@ -712,6 +693,7 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
         ASSERT_TRUE(WIFEXITED(status)) << "worker " << k;
         EXPECT_EQ(WEXITSTATUS(status), 0) << "worker " << k;
     }
+    ASSERT_EQ(waitpid(workers[1], &status, 0), workers[1]);
 
     // Every survivor holds the full, byte-identical grid.
     const std::string want = slurp(ref_out);
@@ -723,9 +705,10 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
 
 TEST_F(ReliabilityTest, ShardCoordinatorRestartsKilledWorker)
 {
-    // Coordinator mode: pipesim --shards 4 forks its own workers,
-    // SIGKILLing one must be absorbed (restart within budget) and the
-    // merged output still matches the unsharded reference.
+    // Coordinator mode: pipesim --shards 4 forks its own workers.
+    // SIGKILLing one needs no restart: the survivors or the merged
+    // pass walk its groups, the coordinator exits 0, and the merged
+    // output still matches the unsharded reference.
     const std::filesystem::path ref_out = dir_ / "reference.csv";
     ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
                        (dir_ / "cache-ref").string() + " " +
@@ -779,10 +762,71 @@ TEST_F(ReliabilityTest, ShardCoordinatorRestartsKilledWorker)
     ASSERT_EQ(waitpid(pid, &status, 0), pid);
     ASSERT_TRUE(WIFEXITED(status)) << slurp(err);
     EXPECT_EQ(WEXITSTATUS(status), 0) << slurp(err);
+    EXPECT_EQ(slurp(err).find("restart"), std::string::npos)
+        << slurp(err);
 
     const std::string want = slurp(ref_out);
     ASSERT_FALSE(want.empty());
     EXPECT_EQ(slurp(out), want);
+}
+
+/**
+ * A 2-shard coordinator sweep of db1 on cache @p cache with
+ * coordination directory @p coord, stdout to @p out, stderr to
+ * @p err. @return its exit status.
+ */
+int
+runShardedSweep(const std::filesystem::path &cache,
+                const std::filesystem::path &coord,
+                const std::string &extra_args,
+                const std::filesystem::path &out,
+                const std::filesystem::path &err)
+{
+    return runShell("PIPEDEPTH_CACHE_DIR=" + cache.string() + " " +
+                    PIPESIM_PATH +
+                    " --workload db1 --sweep --csv --warmup 5000"
+                    " --shards 2 --shard-dir " +
+                    coord.string() + " " + extra_args + " > " +
+                    out.string() + " 2> " + err.string());
+}
+
+TEST_F(ReliabilityTest, ShardedRerunAfterQuarantineHeals)
+{
+    // A hole stays with the process that met it; the coordination
+    // directory keeps nothing of it. After a faulty sharded run, a
+    // grid at another trace length on that directory has no hole, and
+    // the same command without the fault walks the missing cells and
+    // matches the unsharded grid.
+    const std::filesystem::path ref_out = dir_ / "reference.csv";
+    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
+                       (dir_ / "cache-ref").string() + " " +
+                       PIPESIM_PATH +
+                       " --workload db1 --sweep --csv --length 20000"
+                       " --warmup 5000 > " +
+                       ref_out.string() + " 2>/dev/null"),
+              0);
+
+    const std::filesystem::path cache = dir_ / "cache";
+    const std::filesystem::path coord = dir_ / "coord";
+    const std::filesystem::path err = dir_ / "sharded.err";
+    // Each process's first walk attempt fails and, with no retry,
+    // leaves a hole (which another process may walk again before the
+    // run ends); any exit code will do.
+    runShardedSweep(cache, coord,
+                    "--length 20000 --max-retries 0 --failpoint "
+                    "'sweep.cell.simulate=hits:1'",
+                    dir_ / "faulty.csv", err);
+
+    EXPECT_EQ(runShardedSweep(cache, coord, "--length 30000",
+                              dir_ / "other.csv", err),
+              0)
+        << slurp(err);
+
+    const std::filesystem::path out = dir_ / "healed.csv";
+    EXPECT_EQ(runShardedSweep(cache, coord, "--length 20000", out, err),
+              0)
+        << slurp(err);
+    EXPECT_EQ(slurp(out), slurp(ref_out));
 }
 
 } // namespace

@@ -854,6 +854,15 @@ TEST_F(UncalibratedServerTest, QuarantinedReferenceGetsOneError)
     const auto entries = accessEntriesFor("u1");
     ASSERT_EQ(entries.size(), 1u);
     EXPECT_EQ(field(entries[0], "outcome"), proto_error::kUncalibrated);
+    // The refusal came after the engine pass: its time is attributed
+    // to the phases, which fit inside the total.
+    const auto us = [&](const char *key) {
+        return entries[0].find(key)->number;
+    };
+    EXPECT_GT(us("engine_us"), 0.0);
+    EXPECT_LE(us("queue_us") + us("parse_us") + us("batch_us") +
+                  us("engine_us") + us("serialize_us"),
+              us("total_us"));
 
     // The fault fired once: the next request computes the missing
     // cell and gets a full answer.

@@ -1,10 +1,11 @@
 /**
  * @file
- * ShardCoordinator protocol tests: lease claim/release/done life
- * cycle, dead-pid takeover, quarantine propagation and shard rollup
- * round-trips — all against a private coordination directory, no
- * worker processes involved. The cross-process chaos path (SIGKILL a
- * real worker, survivors finish the grid) lives in
+ * ShardCoordinator tests: a group's lease is one flock(2), held while
+ * the descriptor is open and dropped by release(), by destruction and
+ * by the kernel when its holder dies — SIGKILLed and not yet reaped
+ * included. Leftover lease files carry no state. All against a
+ * private coordination directory; the cross-process chaos path
+ * (SIGKILL a real worker, survivors finish the grid) lives in
  * tests/reliability/test_reliability.cc.
  */
 
@@ -19,7 +20,6 @@
 #include <unistd.h>
 
 #include "sweep/shard_coordinator.hh"
-#include "telemetry/manifest.hh"
 
 namespace pipedepth
 {
@@ -50,27 +50,55 @@ class ShardCoordinatorTest : public ::testing::Test
         opt.shards = shards;
         opt.shard_id = shard_id;
         opt.dir = dir_.string();
-        opt.poll_ms = 1;
         return opt;
+    }
+
+    /** Path of the lease file of group @p key. */
+    std::string
+    leasePath(const std::string &key) const
+    {
+        return (dir_ / ("lease." + ShardCoordinator::keyHash(key)))
+            .string();
+    }
+
+    /**
+     * Fork a child that claims @p key through its own coordinator and
+     * then waits to be killed. @return its pid once the claim is
+     * made, or -1 when the child could not claim.
+     */
+    pid_t
+    forkHolder(const std::string &key) const
+    {
+        int ready[2];
+        if (::pipe(ready) != 0)
+            return -1;
+        const pid_t child = ::fork();
+        if (child == 0) {
+            ::close(ready[0]);
+            ShardCoordinator holder(optionsFor(1));
+            const char ok =
+                holder.tryClaim(key) == ShardCoordinator::Claim::Acquired
+                    ? 'y'
+                    : 'n';
+            if (::write(ready[1], &ok, 1) != 1)
+                ::_exit(1);
+            for (;;)
+                ::pause();
+        }
+        ::close(ready[1]);
+        char ok = 'n';
+        const bool claimed =
+            child > 0 && ::read(ready[0], &ok, 1) == 1 && ok == 'y';
+        ::close(ready[0]);
+        if (child > 0 && !claimed) {
+            ::kill(child, SIGKILL);
+            ::waitpid(child, nullptr, 0);
+        }
+        return claimed ? child : -1;
     }
 
     std::filesystem::path dir_;
 };
-
-TEST_F(ShardCoordinatorTest, ClaimThenDoneLifeCycle)
-{
-    ShardCoordinator coord(optionsFor(0));
-    EXPECT_FALSE(coord.isDone("group-a"));
-    ASSERT_EQ(coord.tryClaim("group-a"),
-              ShardCoordinator::Claim::Acquired);
-    coord.markDone("group-a");
-    EXPECT_TRUE(coord.isDone("group-a"));
-    // Once the completion marker exists the group is never claimed
-    // again — by anyone.
-    EXPECT_EQ(coord.tryClaim("group-a"), ShardCoordinator::Claim::Done);
-    ShardCoordinator other(optionsFor(1));
-    EXPECT_EQ(other.tryClaim("group-a"), ShardCoordinator::Claim::Done);
-}
 
 TEST_F(ShardCoordinatorTest, ReleaseMakesGroupClaimableAgain)
 {
@@ -78,7 +106,6 @@ TEST_F(ShardCoordinatorTest, ReleaseMakesGroupClaimableAgain)
     ASSERT_EQ(coord.tryClaim("group-b"),
               ShardCoordinator::Claim::Acquired);
     coord.release("group-b");
-    EXPECT_FALSE(coord.isDone("group-b"));
     ShardCoordinator other(optionsFor(1));
     EXPECT_EQ(other.tryClaim("group-b"),
               ShardCoordinator::Claim::Acquired);
@@ -86,63 +113,88 @@ TEST_F(ShardCoordinatorTest, ReleaseMakesGroupClaimableAgain)
 
 TEST_F(ShardCoordinatorTest, LiveForeignOwnerMeansBusyUntilDead)
 {
-    // A lease stamped with a *live* pid in another process holds the
-    // claimer off; the moment that pid dies, the very same lease is
-    // taken over. (Two coordinators in one process cannot test this:
-    // a lease stamped with our own pid reads as a coordinator restart
-    // and is deliberately reclaimed.)
-    const pid_t child = ::fork();
-    ASSERT_NE(child, -1);
-    if (child == 0) {
-        ::pause();
-        ::_exit(0);
-    }
-    std::filesystem::create_directories(dir_);
-    const std::string lease =
-        (dir_ / ("lease." + ShardCoordinator::keyHash("group-c")))
-            .string();
-    {
-        std::ofstream out(lease);
-        out << child << " shard 1\n";
-    }
+    // A lock held by a live process holds the claimer off; once that
+    // process is dead and reaped, the group is free.
+    const pid_t child = forkHolder("group-c");
+    ASSERT_GT(child, 0);
     ShardCoordinator coord(optionsFor(0));
     EXPECT_EQ(coord.tryClaim("group-c"), ShardCoordinator::Claim::Busy);
-    EXPECT_TRUE(std::filesystem::exists(lease));
 
     ASSERT_EQ(::kill(child, SIGKILL), 0);
-    int status = 0;
-    ASSERT_EQ(::waitpid(child, &status, 0), child);
+    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
     EXPECT_EQ(coord.tryClaim("group-c"),
               ShardCoordinator::Claim::Acquired);
 }
 
+TEST_F(ShardCoordinatorTest, SigkilledHolderFreesLockBeforeReap)
+{
+    // The kernel closes a dying process's descriptors before it turns
+    // into a zombie, so its locks are free while it is still unreaped.
+    const pid_t child = forkHolder("group-z");
+    ASSERT_GT(child, 0);
+    ShardCoordinator coord(optionsFor(0));
+    EXPECT_EQ(coord.tryClaim("group-z"), ShardCoordinator::Claim::Busy);
+
+    ASSERT_EQ(::kill(child, SIGKILL), 0);
+    // Wait for the exit but leave the child a zombie (WNOWAIT).
+    siginfo_t info{};
+    ASSERT_EQ(::waitid(P_PID, static_cast<id_t>(child), &info,
+                       WEXITED | WNOWAIT),
+              0);
+    EXPECT_EQ(coord.tryClaim("group-z"),
+              ShardCoordinator::Claim::Acquired);
+    ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+}
+
 TEST_F(ShardCoordinatorTest, DeadOwnerLeaseIsTakenOver)
 {
-    ShardCoordinator coord(optionsFor(0));
-    // Plant a lease stamped with a pid that cannot exist (beyond
-    // every pid_max Linux allows), exactly the residue a SIGKILLed
-    // worker leaves behind.
+    // A lease file whose last holder died is free: only a held lock
+    // is ownership, whatever the file says (here, a pid that cannot
+    // exist).
     std::filesystem::create_directories(dir_);
-    const std::string lease =
-        (dir_ / ("lease." + ShardCoordinator::keyHash("group-d")))
-            .string();
+    const std::string lease = leasePath("group-d");
     {
         std::ofstream out(lease);
         out << "999999999 shard 3\n";
     }
-    ASSERT_TRUE(std::filesystem::exists(lease));
+    ShardCoordinator coord(optionsFor(0));
     EXPECT_EQ(coord.tryClaim("group-d"),
               ShardCoordinator::Claim::Acquired);
-    // The takeover re-claimed under our own pid.
-    std::ifstream in(lease);
-    long owner = 0;
-    in >> owner;
-    EXPECT_EQ(owner, static_cast<long>(::getpid()));
-    // markDone releases the lease and publishes the marker.
-    coord.markDone("group-d");
-    EXPECT_FALSE(std::filesystem::exists(lease));
+    // Lease files are never unlinked: release only drops the lock.
+    coord.release("group-d");
+    EXPECT_TRUE(std::filesystem::exists(lease));
     ShardCoordinator other(optionsFor(2));
-    EXPECT_EQ(other.tryClaim("group-d"), ShardCoordinator::Claim::Done);
+    EXPECT_EQ(other.tryClaim("group-d"),
+              ShardCoordinator::Claim::Acquired);
+}
+
+TEST_F(ShardCoordinatorTest, LeftoverLeaseOfLiveUnrelatedPidIsFree)
+{
+    // A lease file's content is not ownership: one stamped with a live
+    // pid (our parent's — a reused pid looks the same) is claimable.
+    std::filesystem::create_directories(dir_);
+    {
+        std::ofstream out(leasePath("group-p"));
+        out << ::getppid() << " shard 1\n";
+    }
+    ShardCoordinator coord(optionsFor(0));
+    EXPECT_EQ(coord.tryClaim("group-p"),
+              ShardCoordinator::Claim::Acquired);
+}
+
+TEST_F(ShardCoordinatorTest, TwoCoordinatorsInOneProcessExclude)
+{
+    ShardCoordinator a(optionsFor(0));
+    ASSERT_EQ(a.tryClaim("group-t"), ShardCoordinator::Claim::Acquired);
+    {
+        ShardCoordinator b(optionsFor(1));
+        EXPECT_EQ(b.tryClaim("group-t"), ShardCoordinator::Claim::Busy);
+        a.release("group-t");
+        EXPECT_EQ(b.tryClaim("group-t"),
+                  ShardCoordinator::Claim::Acquired);
+        // Destroying b drops the lock it still holds.
+    }
+    EXPECT_EQ(a.tryClaim("group-t"), ShardCoordinator::Claim::Acquired);
 }
 
 TEST_F(ShardCoordinatorTest, UnusableDirectoryMeansUncoordinated)
@@ -158,33 +210,7 @@ TEST_F(ShardCoordinatorTest, UnusableDirectoryMeansUncoordinated)
     ShardCoordinator coord(opt);
     EXPECT_EQ(coord.tryClaim("group-e"),
               ShardCoordinator::Claim::Uncoordinated);
-    coord.markDone("group-e"); // must be a harmless no-op
-    EXPECT_FALSE(coord.isDone("group-e"));
-}
-
-TEST_F(ShardCoordinatorTest, QuarantineRecordsRoundTripAcrossShards)
-{
-    ShardCoordinator coord(optionsFor(0));
-    FailureRecord record;
-    record.workload = "db1";
-    record.depth = 9;
-    record.cause = "injected fault: sweep.cell.simulate";
-    record.failpoint = "sweep.cell.simulate";
-    record.attempts = 3;
-    coord.recordQuarantine(record);
-    coord.recordQuarantine(record); // idempotent
-
-    ShardCoordinator other(optionsFor(3));
-    FailureRecord got;
-    ASSERT_TRUE(other.lookupQuarantine("db1", 9, &got));
-    EXPECT_EQ(got.workload, "db1");
-    EXPECT_EQ(got.depth, 9);
-    EXPECT_EQ(got.cause, record.cause);
-    EXPECT_EQ(got.failpoint, record.failpoint);
-    EXPECT_EQ(got.attempts, record.attempts);
-    // Keyed by (workload, depth): neighbours are unaffected.
-    EXPECT_FALSE(other.lookupQuarantine("db1", 10));
-    EXPECT_FALSE(other.lookupQuarantine("oltp1", 9));
+    coord.release("group-e"); // must be a harmless no-op
 }
 
 TEST_F(ShardCoordinatorTest, OwnershipIsRoundRobinAndAdvisory)
@@ -210,38 +236,6 @@ TEST_F(ShardCoordinatorTest, KeyHashIsStableAndFileNameSafe)
     EXPECT_FALSE(a.empty());
     EXPECT_EQ(a.find_first_not_of("0123456789abcdef"),
               std::string::npos);
-}
-
-TEST_F(ShardCoordinatorTest, ShardRollupsRoundTrip)
-{
-    std::filesystem::create_directories(dir_);
-    ManifestShard a;
-    a.shard_id = 0;
-    a.exit_code = 0;
-    a.cells_computed = 12;
-    a.cache_hits = 3;
-    a.cells_quarantined = 1;
-    a.wall_seconds = 1.5;
-    ManifestShard b;
-    b.shard_id = 2;
-    b.exit_code = 3;
-    b.cells_computed = 7;
-    ASSERT_TRUE(writeShardRollup(dir_.string(), a));
-    ASSERT_TRUE(writeShardRollup(dir_.string(), b));
-
-    // Shard 1 never wrote a rollup (it was SIGKILLed, say): readback
-    // yields exactly the files that exist, in shard order.
-    const auto rollups = readShardRollups(dir_.string(), 4);
-    ASSERT_EQ(rollups.size(), 2u);
-    EXPECT_EQ(rollups[0].shard_id, 0u);
-    EXPECT_EQ(rollups[0].exit_code, 0);
-    EXPECT_EQ(rollups[0].cells_computed, 12u);
-    EXPECT_EQ(rollups[0].cache_hits, 3u);
-    EXPECT_EQ(rollups[0].cells_quarantined, 1u);
-    EXPECT_DOUBLE_EQ(rollups[0].wall_seconds, 1.5);
-    EXPECT_EQ(rollups[1].shard_id, 2u);
-    EXPECT_EQ(rollups[1].exit_code, 3);
-    EXPECT_EQ(rollups[1].cells_computed, 7u);
 }
 
 } // namespace

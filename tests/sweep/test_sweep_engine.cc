@@ -320,7 +320,6 @@ TEST_F(SweepEngineTest, AssemblyCalibratesAtTheReferenceDepth)
     engine_options.use_cache = false;
     engine_options.threads = 1;
     engine_options.max_retries = 0;
-    engine_options.retry_backoff_ms = 0;
 
     SweepEngine engine(engine_options);
     std::vector<SimResult> runs =

@@ -268,65 +268,6 @@ TEST_F(ManifestTest, MetricsWindowCarriesOnlyPostBaselineDeltas)
     c.reset();
 }
 
-TEST_F(ManifestTest, ShardRollupsAreAdditiveAndValidated)
-{
-    // Absent from unsharded runs entirely — the field is additive, no
-    // schema bump (same contract as metrics_window).
-    RunManifest plain;
-    fillGolden(plain);
-    EXPECT_EQ(plain.toJson().find("\"shards\""), std::string::npos);
-    EXPECT_EQ(RunManifest::kSchemaVersion, 2u);
-
-    RunManifest m;
-    fillGolden(m);
-    ManifestShard shard;
-    shard.shard_id = 0;
-    shard.exit_code = 0;
-    shard.cells_computed = 10;
-    shard.cache_hits = 2;
-    shard.cells_quarantined = 1;
-    shard.restarts = 0;
-    shard.wall_seconds = 2.25;
-    m.addShard(shard);
-    shard.shard_id = 1;
-    shard.exit_code = 3;
-    shard.restarts = 2;
-    m.addShard(shard);
-
-    const JsonValue doc = parsed(m.toJson());
-    std::string error;
-    EXPECT_TRUE(validateManifest(doc, &error)) << error;
-
-    const JsonValue *shards = doc.find("shards");
-    ASSERT_NE(shards, nullptr);
-    ASSERT_TRUE(shards->isArray());
-    ASSERT_EQ(shards->array.size(), 2u);
-    const JsonValue &first = shards->array[0];
-    EXPECT_EQ(first.find("shard_id")->number, 0.0);
-    EXPECT_EQ(first.find("exit_code")->number, 0.0);
-    EXPECT_EQ(first.find("cells_computed")->number, 10.0);
-    EXPECT_EQ(first.find("cache_hits")->number, 2.0);
-    EXPECT_EQ(first.find("cells_quarantined")->number, 1.0);
-    EXPECT_EQ(first.find("wall_seconds")->number, 2.25);
-    EXPECT_EQ(shards->array[1].find("exit_code")->number, 3.0);
-    EXPECT_EQ(shards->array[1].find("restarts")->number, 2.0);
-
-    // A shards entry missing a field is structural damage.
-    JsonValue damaged = doc;
-    for (auto &[key, value] : damaged.object) {
-        if (key != "shards")
-            continue;
-        auto &entry = value.array[0];
-        entry.object.erase(
-            std::remove_if(
-                entry.object.begin(), entry.object.end(),
-                [](const auto &kv) { return kv.first == "restarts"; }),
-            entry.object.end());
-    }
-    EXPECT_FALSE(validateManifest(damaged, &error));
-    EXPECT_NE(error.find("restarts"), std::string::npos);
-}
-
 TEST_F(ManifestTest, EventStreamIsParseableJsonl)
 {
     const std::filesystem::path events_path = dir_ / "events.jsonl";

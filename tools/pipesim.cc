@@ -41,12 +41,12 @@
  * Any of the three enables span tracing for the run.
  *
  * Reliability (docs/RELIABILITY.md): cells whose simulation throws
- * retry up to --max-retries times (bounded exponential backoff from
- * --retry-backoff-ms), then quarantine — the sweep completes around
- * the hole and every quarantined cell is enumerated on stderr and in
- * the manifest. SIGINT/SIGTERM drain gracefully: in-flight cells
- * finish and land in the cache, the manifest is finalized with
- * status "interrupted", and the exit status is 130. A killed or
+ * retry up to --max-retries times (bounded exponential backoff), then
+ * quarantine — the sweep completes around the hole and every
+ * quarantined cell is enumerated on stderr and in the manifest.
+ * SIGINT/SIGTERM drain gracefully: in-flight cells finish and land
+ * in the cache, the manifest is finalized with status "interrupted",
+ * and the exit status is 130. A killed or
  * drained run resumes when the same command runs again on the same
  * cache: completed cells are cache hits, only the rest compute, and
  * the grid is byte-identical to an uninterrupted run. --failpoint
@@ -54,26 +54,22 @@
  * as PIPEDEPTH_FAILPOINTS; see common/failpoint.hh).
  *
  * Sharding (docs/SHARDING.md): --sweep --shards N splits the grid
- * over N worker processes coordinated through lease files in a shared
- * directory, with the result cache as the shared result substrate.
- * Without --shard-id, this process is the *coordinator*: it forks the
- * N workers, restarts crashed ones (up to --restart-budget times
- * total), then runs the merged pass — every cell a cache hit — so its
- * output is byte-identical to an unsharded run. With --shard-id K it
- * is worker K of N: it claims its partition first, steals the rest,
- * takes over leases of dead workers, and writes a rollup
- * (shard.K.json) into the coordination directory on exit.
- * --shard-dir overrides the directory (workers default to a
- * config-hash-derived path under the cache, so independently launched
- * workers of the same grid agree). Sharding requires --sweep and the
- * cache; like any run, a sharded one resumes by re-running it.
+ * over N worker processes that lock cell groups with flock(2) on
+ * files in a shared directory, with the result cache as the shared
+ * result substrate. Without --shard-id, this process is the
+ * *coordinator*: it forks the N workers, reaps them, then runs the
+ * merged pass, which walks whatever a dead worker left and is
+ * byte-identical to an unsharded run. With --shard-id K it is worker
+ * K of N: it claims its partition first, then steals the rest.
+ * --shard-dir overrides the directory (default `<cache>/shards`,
+ * shared by every run on that cache; lock files hold no state).
+ * Sharding requires --sweep and the cache; like any run, a sharded
+ * one resumes by re-running it.
  *
  * Unknown flags, a missing flag argument, or an unknown workload name
  * print usage / the catalog hint and exit with status 2; simulation
  * failures exit 1; a sweep that completed but quarantined cells exits
- * 3, as does a coordinator whose restart budget ran out (partial
- * completion — re-run to resume from the cache); a drained
- * (interrupted) run exits 130.
+ * 3; a drained (interrupted) run exits 130.
  */
 
 #include <algorithm>
@@ -98,10 +94,8 @@
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
-#include "sweep/shard_coordinator.hh"
 #include "sweep/sweep_engine.hh"
 #include "telemetry/manifest.hh"
-#include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "trace/trace_io.hh"
 #include "uarch/simulator.hh"
@@ -123,10 +117,9 @@ usage(const char *argv0)
         "          [--threads N] [--stalls] [--stalls-json] [--audit]\n"
         "          [--trace-out FILE] [--manifest-out FILE]\n"
         "          [--events-out FILE]\n"
-        "          [--max-retries N] [--retry-backoff-ms N]\n"
+        "          [--max-retries N]\n"
         "          [--failpoint SPEC] [--failpoint-seed N]\n"
-        "          [--shards N [--shard-id K] [--shard-dir DIR]\n"
-        "           [--shard-poll-ms N] [--restart-budget N]]\n"
+        "          [--shards N [--shard-id K] [--shard-dir DIR]]\n"
         "A killed or interrupted run resumes when the same command runs\n"
         "again on the same result cache.\n",
         argv0);
@@ -148,12 +141,9 @@ struct Options
     std::string trace_out, manifest_out, events_out;
     unsigned threads = 0;
     unsigned max_retries = 2;
-    unsigned retry_backoff_ms = 10;
     unsigned shards = 1;        //!< worker processes; 1 = sharding off
     int shard_id = -1;          //!< this worker; -1 = coordinator
     std::string shard_dir;      //!< shared coordination directory
-    unsigned shard_poll_ms = 25;
-    unsigned restart_budget = 3; //!< total crash-restarts allowed
     std::string failpoint_spec;
     std::uint64_t failpoint_seed = 1;
     std::size_t length = 200000;
@@ -206,9 +196,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
         } else if (arg == "--max-retries" && has_value) {
             opt.max_retries = static_cast<unsigned>(
                 std::strtoul(args[++i].c_str(), nullptr, 10));
-        } else if (arg == "--retry-backoff-ms" && has_value) {
-            opt.retry_backoff_ms = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
         } else if (arg == "--failpoint" && has_value) {
             opt.failpoint_spec = args[++i];
         } else if (arg == "--failpoint-seed" && has_value) {
@@ -228,12 +215,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
                 return false;
         } else if (arg == "--shard-dir" && has_value) {
             opt.shard_dir = args[++i];
-        } else if (arg == "--shard-poll-ms" && has_value) {
-            opt.shard_poll_ms = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
-        } else if (arg == "--restart-budget" && has_value) {
-            opt.restart_budget = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
         } else if (arg == "--predictor" && has_value) {
             const std::string kind = args[++i];
             if (kind == "bimodal")
@@ -420,22 +401,19 @@ printFailures(const std::vector<FailureRecord> &failures)
 
 /**
  * Coordinator half of --shards N: fork the N workers (stdout silenced
- * — only the coordinator's merged pass prints results), supervise
- * them, and restart crashed ones until @p opt.restart_budget is
- * spent. A worker exit of 0 (clean), 3 (quarantined cells — the
- * merged pass reproduces the holes) or 130 (drained) is final;
- * anything else, including death by signal, is a crash.
+ * — only the coordinator's merged pass prints results; each worker's
+ * summary reaches this process's stderr) and reap them. A worker that
+ * dies leaves only its cached cells behind: the kernel drops its group
+ * locks, so the survivors steal its groups and the merged pass walks
+ * whatever is still missing.
  *
- * @return 0 when every worker finished (rollups in @p rollups), 130
- * on interrupt, 3 when the restart budget ran out (partial results
- * remain in the cache; re-running the same command resumes), 2 on
- * setup failure.
+ * @return 0 once every worker has exited, 130 on interrupt (the
+ * workers drain; re-running the same command resumes), 2 on setup
+ * failure.
  */
 int
-superviseShardWorkers(const char *argv0,
-                      const std::vector<std::string> &args,
-                      const Options &opt, const std::string &shard_dir,
-                      std::vector<ManifestShard> *rollups)
+runShardWorkers(const char *argv0, const std::vector<std::string> &args,
+                const Options &opt, const std::string &shard_dir)
 {
     std::error_code ec;
     std::filesystem::create_directories(shard_dir, ec);
@@ -505,16 +483,7 @@ superviseShardWorkers(const char *argv0,
     };
 
     installInterruptHandlers();
-    static Counter &restart_counter =
-        MetricsRegistry::instance().counter("sweep.shard.restart");
-
-    std::vector<pid_t> pids(opt.shards, -1);
-    std::vector<int> exit_codes(opt.shards, -1);
-    std::vector<std::uint64_t> restarts(opt.shards, 0);
-    unsigned budget = opt.restart_budget;
-    bool budget_exhausted = false;
-    bool forwarded_interrupt = false;
-    unsigned running = 0;
+    std::vector<pid_t> pids(opt.shards, -1); //!< -1 once reaped
     for (unsigned s = 0; s < opt.shards; ++s) {
         pids[s] = spawn(s);
         if (pids[s] < 0) {
@@ -524,17 +493,17 @@ superviseShardWorkers(const char *argv0,
                 ::kill(pids[k], SIGTERM);
             return 2;
         }
-        ++running;
     }
 
-    while (running > 0) {
+    bool forwarded_interrupt = false;
+    for (unsigned running = opt.shards; running > 0;) {
         if (interruptRequested() && !forwarded_interrupt) {
             // Workers drain gracefully (their in-flight cells land in
             // the cache) and exit 130.
             forwarded_interrupt = true;
-            for (unsigned s = 0; s < opt.shards; ++s) {
-                if (pids[s] > 0 && exit_codes[s] < 0)
-                    ::kill(pids[s], SIGTERM);
+            for (const pid_t pid : pids) {
+                if (pid > 0)
+                    ::kill(pid, SIGTERM);
             }
         }
         int status = 0;
@@ -544,56 +513,23 @@ superviseShardWorkers(const char *argv0,
                 continue;
             break;
         }
-        unsigned s = opt.shards;
-        for (unsigned k = 0; k < opt.shards; ++k) {
-            if (pids[k] == dead && exit_codes[k] < 0)
-                s = k;
-        }
-        if (s == opt.shards)
+        const auto it = std::find(pids.begin(), pids.end(), dead);
+        if (it == pids.end())
             continue;
-
-        const bool final_exit =
-            WIFEXITED(status) && (WEXITSTATUS(status) == 0 ||
-                                  WEXITSTATUS(status) == 3 ||
-                                  WEXITSTATUS(status) == 130);
-        if (final_exit || interruptRequested()) {
-            exit_codes[s] = WIFEXITED(status)
-                                ? WEXITSTATUS(status)
-                                : 128 + WTERMSIG(status);
-            --running;
-            continue;
-        }
-
-        // Crashed (signal) or hard-failed (unexpected exit code).
+        *it = -1;
+        --running;
+        const unsigned s = static_cast<unsigned>(it - pids.begin());
         if (WIFSIGNALED(status)) {
             std::fprintf(stderr,
                          "pipesim: shard %u worker pid %ld killed by "
                          "signal %d\n",
                          s, static_cast<long>(dead), WTERMSIG(status));
-        } else {
+        } else if (WEXITSTATUS(status) != 0) {
             std::fprintf(stderr,
                          "pipesim: shard %u worker pid %ld exited %d\n",
                          s, static_cast<long>(dead),
                          WEXITSTATUS(status));
         }
-        if (budget > 0) {
-            --budget;
-            ++restarts[s];
-            restart_counter.add();
-            std::fprintf(stderr,
-                         "pipesim: restarting shard %u (%u restart%s "
-                         "left)\n",
-                         s, budget, budget == 1 ? "" : "s");
-            pids[s] = spawn(s);
-            if (pids[s] > 0)
-                continue;
-            std::fprintf(stderr, "%s: fork: %s\n", argv0,
-                         std::strerror(errno));
-        }
-        budget_exhausted = true;
-        exit_codes[s] = WIFEXITED(status) ? WEXITSTATUS(status)
-                                          : 128 + WTERMSIG(status);
-        --running;
     }
 
     if (interruptRequested()) {
@@ -601,20 +537,6 @@ superviseShardWorkers(const char *argv0,
                      "pipesim: interrupted; partial shard results are "
                      "cached; re-run the same command to resume\n");
         return 130;
-    }
-    if (budget_exhausted) {
-        std::fprintf(
-            stderr,
-            "pipesim: shard restart budget exhausted; partial results "
-            "remain in the result cache — re-run the same command to "
-            "resume\n");
-        return 3;
-    }
-
-    *rollups = readShardRollups(shard_dir, opt.shards);
-    for (ManifestShard &r : *rollups) {
-        if (r.shard_id < opt.shards)
-            r.restarts = restarts[r.shard_id];
     }
     return 0;
 }
@@ -706,22 +628,9 @@ main(int argc, char **argv)
         configs.back().audit_ledger = opt.audit;
     }
 
-    // Grid identity: recorded in the manifest and naming a sharded
-    // run's coordination directory.
-    StableHasher config_hasher;
-    for (const auto &cfg : configs)
-        hashPipelineConfig(config_hasher, cfg);
-    const std::string config_hash = config_hasher.key().hex();
-
-    // Sharded sweeps coordinate through a shared directory. Workers
-    // default to a config-hash-derived path under the cache, so
-    // independently launched workers of the same grid agree on it;
-    // a forking coordinator instead makes a fresh pid-suffixed one,
-    // so stale lease/quarantine state of an earlier run cannot leak
-    // into this one.
+    // Sharded sweeps lock cell groups in a shared directory. Lock
+    // files hold no state, so every run on a cache can share one.
     std::string shard_dir = opt.shard_dir;
-    bool created_shard_dir = false;
-    std::vector<ManifestShard> shard_rollups;
     if (opt.shards > 1 && shard_dir.empty()) {
         const std::string cache_dir = ResultCache::resolveDefaultDir();
         if (cache_dir.empty()) {
@@ -731,35 +640,27 @@ main(int argc, char **argv)
                          argv[0]);
             return 2;
         }
-        shard_dir = cache_dir + "/shards/" + config_hash;
-        if (opt.shard_id < 0) {
-            shard_dir += "." + std::to_string(
-                                   static_cast<long>(::getpid()));
-            created_shard_dir = true;
-        }
+        shard_dir = cache_dir + "/shards";
     }
     if (opt.shards > 1 && opt.shard_id < 0) {
-        const int rc = superviseShardWorkers(argv[0], args, opt,
-                                             shard_dir, &shard_rollups);
+        const int rc = runShardWorkers(argv[0], args, opt, shard_dir);
         if (rc != 0)
             return rc;
-        // Every worker finished: fall through to the merged pass.
-        // With the engine below sharded too, it resolves every cell
-        // from the cache (and adopts quarantine records), making its
-        // output byte-identical to an unsharded run of this grid.
+        // Every worker has exited: fall through to the merged pass.
+        // With the engine below sharded too, it reads the workers'
+        // cells from the cache and walks any a dead worker left, so
+        // its output is byte-identical to an unsharded run.
     }
 
     SweepEngineOptions engine_options;
     engine_options.threads = opt.threads;
     engine_options.use_cache = !opt.no_cache;
     engine_options.max_retries = opt.max_retries;
-    engine_options.retry_backoff_ms = opt.retry_backoff_ms;
     if (opt.shards > 1) {
         engine_options.shards = opt.shards;
         engine_options.shard_id =
             opt.shard_id < 0 ? 0 : static_cast<unsigned>(opt.shard_id);
         engine_options.shard_dir = shard_dir;
-        engine_options.shard_poll_ms = opt.shard_poll_ms;
     }
     SweepEngine engine(engine_options);
 
@@ -772,15 +673,16 @@ main(int argc, char **argv)
 
     RunManifest manifest;
     if (telemetry_on) {
+        StableHasher config_hasher; // grid identity
+        for (const auto &cfg : configs)
+            hashPipelineConfig(config_hasher, cfg);
         manifest.setTool("pipesim");
         manifest.setArgv(argc, argv);
         manifest.addMeta("sim_version", kSimulatorVersionTag);
-        manifest.addMeta("config_hash", config_hash);
+        manifest.addMeta("config_hash", config_hasher.key().hex());
         manifest.addMeta("trace", tape ? tape->name : opt.workload);
         manifest.addMeta("cache_dir",
                          engine.cacheEnabled() ? engine.cacheDir() : "");
-        for (const ManifestShard &shard : shard_rollups)
-            manifest.addShard(shard);
         if (!opt.events_out.empty())
             manifest.openEvents(opt.events_out);
         engine.attachManifest(&manifest);
@@ -819,30 +721,6 @@ main(int argc, char **argv)
         return exit_code;
     };
 
-    // Sweep-path epilogue on top of finishRun: a shard worker writes
-    // its rollup for the coordinator's merged manifest; a coordinator
-    // removes the per-run coordination directory it created.
-    auto finishSweep = [&](int exit_code) -> int {
-        const int rc = finishRun(exit_code);
-        if (opt.shards > 1 && opt.shard_id >= 0 &&
-            engine.shardCoordinator()) {
-            const SweepCounters c = engine.counters();
-            ManifestShard rollup;
-            rollup.shard_id = static_cast<unsigned>(opt.shard_id);
-            rollup.exit_code = rc;
-            rollup.cells_computed = c.cells_computed;
-            rollup.cache_hits = c.cache_hits;
-            rollup.cells_quarantined = c.cells_quarantined;
-            rollup.wall_seconds = c.wall_seconds;
-            writeShardRollup(engine.shardCoordinator()->dir(), rollup);
-        }
-        if (created_shard_dir && opt.shard_id < 0) {
-            std::error_code ec;
-            std::filesystem::remove_all(shard_dir, ec);
-        }
-        return rc;
-    };
-
     auto simulate = [&]() {
         return tape ? engine.runConfigs(*tape, configs)
                     : engine.runConfigs(findWorkload(opt.workload),
@@ -872,7 +750,7 @@ main(int argc, char **argv)
     const std::vector<FailureRecord> failures = engine.lastFailures();
     printFailures(failures);
     if (interruptRequested())
-        return finishSweep(130);
+        return finishRun(130);
     WorkloadSpec tape_spec;
     if (tape)
         tape_spec.name = tape->name;
@@ -887,7 +765,7 @@ main(int argc, char **argv)
         std::fprintf(stderr,
                      "pipesim: every cell of the sweep failed; no "
                      "results to print\n");
-        return finishSweep(1);
+        return finishRun(1);
     }
     if (!sweep.calibrated())
         std::fprintf(stderr,
@@ -932,5 +810,5 @@ main(int argc, char **argv)
                         "(share of cycles):\n");
         printStallSweep(sweep, opt.csv);
     }
-    return finishSweep(failures.empty() ? 0 : 3);
+    return finishRun(failures.empty() ? 0 : 3);
 }
