@@ -92,11 +92,8 @@ StallLedger::finalize(std::uint64_t total_cycles)
     residual_ = static_cast<std::int64_t>(total_cycles) -
                 static_cast<std::int64_t>(total());
 
-    static Counter &finalize_counter =
-        MetricsRegistry::instance().counter("ledger.run.finalize");
     static Counter &residual_counter =
         MetricsRegistry::instance().counter("ledger.residual.nonzero");
-    finalize_counter.add();
     if (residual_ != 0)
         residual_counter.add();
 }

@@ -353,20 +353,6 @@ std::string
 statsResponseLine(const std::string &id, const std::string &trace_id,
                   const StatsInfo &info)
 {
-    // Cache rollup from the registry's own counters (result_cache.cc
-    // maintains them): one glance answers "is the cache pulling its
-    // weight" without digging through the metrics object.
-    MetricsRegistry &registry = MetricsRegistry::instance();
-    const std::uint64_t hits =
-        registry.counter("cache.probe.hit").value();
-    const std::uint64_t misses =
-        registry.counter("cache.probe.miss").value();
-    const double hit_rate =
-        hits + misses
-            ? static_cast<double>(hits) /
-                  static_cast<double>(hits + misses)
-            : 0.0;
-
     std::ostringstream os;
     os << "{\"id\": " << jsonQuote(id) << traceIdField(trace_id)
        << ", \"type\": \"stats\", \"status\": " << jsonQuote(info.status)
@@ -377,10 +363,8 @@ statsResponseLine(const std::string &id, const std::string &trace_id,
        << ", \"in_flight\": " << info.in_flight
        << ", \"connections\": " << info.connections
        << ", \"completed\": " << info.completed
-       << ", \"cache\": {\"hits\": " << hits
-       << ", \"misses\": " << misses
-       << ", \"hit_rate\": " << jsonNumber(hit_rate) << "}"
-       << ", \"metrics\": " << metricsSnapshotJson(registry.snapshot())
+       << ", \"metrics\": "
+       << metricsSnapshotJson(MetricsRegistry::instance().snapshot())
        << "}\n";
     return os.str();
 }

@@ -159,7 +159,7 @@ std::string doneResponseLine(const std::string &id, const DoneInfo &info);
  * Daemon state reported by the `stats` verb; the server fills the
  * live fields, the renderer appends the full metrics-registry
  * snapshot (metricsSnapshotJson — every counter/gauge, every
- * histogram with p50/p90/p99 estimates) and a cache hit/miss rollup.
+ * histogram with p50/p90/p99 estimates).
  */
 struct StatsInfo
 {

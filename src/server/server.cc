@@ -242,10 +242,6 @@ SweepServer::start(std::string *error)
                     {{"socket", options_.socket_path}});
 
     started_at_ = std::chrono::steady_clock::now();
-    // The final manifest reports per-serving-window metric deltas
-    // alongside the cumulative-since-boot values; the window opens
-    // here, once startup (cache probing, socket sweep) is behind us.
-    manifest_.markMetricsBaseline();
 
     scheduler_ = std::thread([this] { schedulerLoop(); });
     return true;

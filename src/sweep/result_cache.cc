@@ -365,12 +365,8 @@ ResultCache::entryPath(const CacheKey &key) const
 }
 
 std::optional<SimResult>
-ResultCache::load(const CacheKey &key, bool *corrupt) const
+ResultCache::load(const CacheKey &key) const
 {
-    static Counter &probes =
-        MetricsRegistry::instance().counter("cache.probe.total");
-    static Counter &hits =
-        MetricsRegistry::instance().counter("cache.probe.hit");
     static Counter &misses =
         MetricsRegistry::instance().counter("cache.probe.miss");
     static Counter &corruptions =
@@ -378,13 +374,10 @@ ResultCache::load(const CacheKey &key, bool *corrupt) const
     static Counter &evictions =
         MetricsRegistry::instance().counter("cache.entry.evict");
 
-    if (corrupt)
-        *corrupt = false;
     if (!enabled())
         return std::nullopt;
 
     TELEM_SPAN(span, "cache.probe");
-    probes.add();
     const std::string path = entryPath(key);
     std::ifstream in(path, std::ios::binary);
     if (!in) {
@@ -425,11 +418,8 @@ ResultCache::load(const CacheKey &key, bool *corrupt) const
         std::error_code ec;
         if (std::filesystem::remove(path, ec) && !ec)
             evictions.add();
-        if (corrupt)
-            *corrupt = true;
         return std::nullopt;
     }
-    hits.add();
     span.tag("result", "hit");
     return out;
 }

@@ -90,13 +90,11 @@ class ResultCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * Fetch the entry for @p key.
-     * @param corrupt set to true iff an entry existed but failed
-     *        validation (the caller should recompute, and may count
-     *        the event)
+     * Fetch the entry for @p key: nullopt on a miss, an I/O error or
+     * an entry that fails validation. A corrupt entry is evicted and
+     * counted under `cache.probe.corrupt`; the caller recomputes.
      */
-    std::optional<SimResult> load(const CacheKey &key,
-                                  bool *corrupt = nullptr) const;
+    std::optional<SimResult> load(const CacheKey &key) const;
 
     /**
      * Persist @p result under @p key (atomic rename; last writer

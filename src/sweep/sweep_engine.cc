@@ -14,7 +14,6 @@
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
-#include "common/table.hh"
 #include "sweep/cache_key.hh"
 #include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
@@ -23,24 +22,6 @@
 
 namespace pipedepth
 {
-
-double
-SweepCounters::hitRate() const
-{
-    const std::uint64_t done = cache_hits + cells_computed;
-    return done ? static_cast<double>(cache_hits) /
-                      static_cast<double>(done)
-                : 0.0;
-}
-
-double
-SweepCounters::simMips() const
-{
-    return wall_seconds > 0.0
-               ? static_cast<double>(instructions_simulated) /
-                     wall_seconds / 1e6
-               : 0.0;
-}
 
 namespace
 {
@@ -91,19 +72,21 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
-class WallTimer
+/** Records one `sweep.call.wall_us` sample: an engine call's wall
+ *  time. */
+class CallTimer
 {
   public:
-    explicit WallTimer(double *accumulator)
-        : accumulator_(accumulator),
-          start_(std::chrono::steady_clock::now())
+    CallTimer() : start_(std::chrono::steady_clock::now()) {}
+
+    ~CallTimer()
     {
+        static Histogram &wall =
+            MetricsRegistry::instance().histogram("sweep.call.wall_us");
+        wall.recordSeconds(secondsSince(start_));
     }
 
-    ~WallTimer() { *accumulator_ += secondsSince(start_); }
-
   private:
-    double *accumulator_;
     std::chrono::steady_clock::time_point start_;
 };
 
@@ -130,7 +113,7 @@ struct SweepEngine::CellPlan
     /** Hash the workload's part of a shard group key; the pipeline
      *  appends the config of every cell in the group. */
     std::function<void(StableHasher &, std::size_t workload)> group_prefix;
-    /** Traces @ref replay generated (SweepCounters::traces_generated). */
+    /** Traces @ref replay generated (`sweep.trace.generate`). */
     std::atomic<std::uint64_t> traces_generated{0};
 
     std::size_t size() const { return names.size() * configs.size(); }
@@ -146,11 +129,10 @@ struct SweepEngine::CellPlan
 
 /**
  * The one record of cell outcomes. Every resolved cell makes exactly
- * one record() call. The `sweep.cell` span, the manifest's `cell`
- * event and sweep.cell.fail are written as the call happens; fold()
- * derives the SweepCounters, their registry mirror, the manifest's
- * cells list and both failure lists from the kept entries, in cell
- * order.
+ * one record() call. The manifest's `cell` event is written as the
+ * call happens; fold() derives the registry's outcome counters, the
+ * manifest's cells list and both failure lists from the kept
+ * entries, in cell order.
  */
 class SweepEngine::CellRecorder
 {
@@ -169,8 +151,6 @@ class SweepEngine::CellRecorder
         unsigned attempts = 1;
         double seconds = 0.0;
         std::uint64_t instructions = 0;
-        bool stored = false;  //!< written to the result cache
-        unsigned corrupt = 0; //!< corrupt entries met while probing
         std::optional<FailureRecord> failure = {}; //!< holes only
     };
 
@@ -182,28 +162,17 @@ class SweepEngine::CellRecorder
     void
     record(std::size_t cell, Entry entry)
     {
-        static Counter &failures =
-            MetricsRegistry::instance().counter("sweep.cell.fail");
-
         // Each cell is recorded once, by the one worker resolving it.
+        // A skipped cell is neither reported nor done: a re-run
+        // computes it.
         const Entry &e = entries_[cell] = std::move(entry);
-        if (e.outcome == Outcome::Skipped)
-            return; // neither reported nor done: a re-run computes it
-        if (e.outcome == Outcome::Quarantined)
-            failures.add();
-        const ManifestCell reported = manifestCell(cell);
-        TELEM_SPAN(span, "sweep.cell");
-        span.tag("workload", reported.workload);
-        span.tag("depth", reported.depth);
-        span.tag("outcome", manifestOutcomeName(reported.outcome));
-        if (engine_.manifest_)
-            engine_.manifest_->cellEvent(reported);
+        if (e.outcome != Outcome::Skipped && engine_.manifest_)
+            engine_.manifest_->cellEvent(manifestCell(cell));
     }
 
     void
     fold(std::vector<std::vector<FailureRecord>> *failures)
     {
-        SweepCounters &c = engine_.counters_;
         std::uint64_t computed = 0, cached = 0, quarantined = 0,
                       skipped = 0, instructions = 0;
         engine_.last_failures_.clear();
@@ -211,7 +180,6 @@ class SweepEngine::CellRecorder
             failures->assign(plan_.names.size(), {});
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             const Entry &e = entries_[i];
-            c.cache_errors += e.corrupt;
             switch (e.outcome) {
               case Outcome::Skipped:
                 ++skipped;
@@ -225,8 +193,6 @@ class SweepEngine::CellRecorder
               case Outcome::Computed:
                 ++computed;
                 instructions += e.instructions;
-                c.cache_stores += e.stored ? 1 : 0;
-                c.cells_retried += e.attempts > 1 ? 1 : 0;
                 break;
             }
             if (e.failure) {
@@ -237,23 +203,12 @@ class SweepEngine::CellRecorder
             if (engine_.manifest_ && e.outcome != Outcome::Skipped)
                 engine_.manifest_->recordCell(manifestCell(i));
         }
-        const std::uint64_t traces = plan_.traces_generated.load();
-        c.cells_total += entries_.size();
-        c.cells_computed += computed;
-        c.cache_hits += cached;
-        c.traces_generated += traces;
-        c.instructions_simulated += instructions;
-        c.cells_quarantined += quarantined;
-        c.cells_skipped += skipped;
-
-        // Mirror into the process-wide registry: SweepCounters stays
-        // the per-engine view, the registry the cross-engine one that
-        // run manifests snapshot.
         auto &registry = MetricsRegistry::instance();
         registry.counter("sweep.cell.schedule").add(entries_.size());
         registry.counter("sweep.cell.compute").add(computed);
         registry.counter("sweep.cell.cached").add(cached);
-        registry.counter("sweep.trace.generate").add(traces);
+        registry.counter("sweep.trace.generate")
+            .add(plan_.traces_generated.load());
         registry.counter("sweep.instructions.simulate").add(instructions);
         registry.counter("sweep.cell.quarantine").add(quarantined);
         registry.counter("sweep.cell.skip").add(skipped);
@@ -348,7 +303,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
     struct Pending
     {
         CacheKey key;          //!< set by the probe when caching is on
-        unsigned corrupt = 0;  //!< corrupt entries met so far
         std::string cause;     //!< what() of the last failed attempt
         std::string failpoint; //!< its failpoint name when injected
     };
@@ -366,7 +320,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
         if (interruptRequested()) {
             recorder.record(
                 i, {.outcome = Outcome::Skipped,
-                    .corrupt = p.corrupt,
                     .failure = FailureRecord{name, depth,
                                              "skipped: interrupt drain",
                                              "", 0}});
@@ -376,17 +329,14 @@ SweepEngine::resolveCells(const CellPlan &plan,
 
         if (cache_.enabled()) {
             p.key = plan.key(plan.workloadOf(i), config);
-            bool corrupt = false;
-            if (auto hit = cache_.load(p.key, &corrupt)) {
+            if (auto hit = cache_.load(p.key)) {
                 hit->workload = name;
                 hit->config = config;
                 recorder.record(i, {.outcome = Outcome::Cached,
-                                    .instructions = hit->instructions,
-                                    .corrupt = p.corrupt});
+                                    .instructions = hit->instructions});
                 out = std::move(*hit);
                 return true;
             }
-            p.corrupt += corrupt ? 1 : 0;
         }
         return false;
     };
@@ -452,17 +402,14 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 const std::size_t i = survivors[m];
                 // The walk's wall time is joint: each cell reports an
                 // equal share.
-                const bool stored = cache_.enabled() &&
-                                    cache_.store(pending[i].key, walked[m]);
+                cache_.store(pending[i].key, walked[m]);
                 recorder.record(
                     begin + i,
                     {.outcome = Outcome::Computed,
                      .attempts = round,
                      .seconds =
                          seconds / static_cast<double>(survivors.size()),
-                     .instructions = walked[m].instructions,
-                     .stored = stored,
-                     .corrupt = pending[i].corrupt});
+                     .instructions = walked[m].instructions});
                 out[i] = std::move(walked[m]);
             }
 
@@ -476,7 +423,6 @@ SweepEngine::resolveCells(const CellPlan &plan,
                         {.outcome = Outcome::Quarantined,
                          .attempts = round,
                          .seconds = secondsSince(start),
-                         .corrupt = pending[i].corrupt,
                          .failure = FailureRecord{
                              name, config.depth, pending[i].cause,
                              pending[i].failpoint, round}});
@@ -664,7 +610,7 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
 {
     options.validate();
 
-    const WallTimer timer(&counters_.wall_seconds);
+    const CallTimer timer;
     const std::size_t n_depths = static_cast<std::size_t>(
         options.max_depth - options.min_depth + 1);
 
@@ -721,13 +667,21 @@ std::vector<SimResult>
 SweepEngine::runConfigs(const WorkloadSpec &spec, std::size_t trace_length,
                         const std::vector<PipelineConfig> &configs)
 {
-    // makeTrace(0) means the spec's default length, so a 0 here would
-    // key that trace's cells at a second address (runGrid refuses it
-    // in SweepOptions::validate).
+    // makeTrace(0) means the spec's default length, and annotation
+    // clamps the warmup to the trace, so either would key one result
+    // at a second address (runGrid refuses both in
+    // SweepOptions::validate).
     if (trace_length == 0)
         PP_FATAL("runConfigs: trace_length must be positive");
+    for (const PipelineConfig &config : configs) {
+        if (config.warmup_instructions >= trace_length) {
+            PP_FATAL("runConfigs: warmup_instructions (",
+                     config.warmup_instructions,
+                     ") must be below trace_length (", trace_length, ")");
+        }
+    }
 
-    const WallTimer timer(&counters_.wall_seconds);
+    const CallTimer timer;
 
     TELEM_SPAN(grid_span, "sweep.configs");
     grid_span.tag("workload", spec.name);
@@ -739,7 +693,7 @@ std::vector<SimResult>
 SweepEngine::runConfigs(const Trace &trace,
                         const std::vector<PipelineConfig> &configs)
 {
-    const WallTimer timer(&counters_.wall_seconds);
+    const CallTimer timer;
 
     TELEM_SPAN(grid_span, "sweep.configs");
     grid_span.tag("workload", trace.name);
@@ -777,39 +731,9 @@ SweepEngine::runConfigs(const Trace &trace,
 void
 SweepEngine::printSummary(std::ostream &os) const
 {
-    const SweepCounters c = counters_;
-    TableWriter t(TableWriter::Style::Aligned);
-    t.addColumn("cells", 0);
-    t.addColumn("computed", 0);
-    t.addColumn("cache_hit", 0);
-    t.addColumn("hit_pct", 1);
-    t.addColumn("stored", 0);
-    t.addColumn("corrupt", 0);
-    t.addColumn("retried", 0);
-    t.addColumn("quar", 0);
-    t.addColumn("skip", 0);
-    t.addColumn("traces", 0);
-    t.addColumn("Minstr", 1);
-    t.addColumn("wall_s", 2);
-    t.addColumn("sim_MIPS", 1);
-    t.beginRow();
-    t.cell(static_cast<unsigned long>(c.cells_total));
-    t.cell(static_cast<unsigned long>(c.cells_computed));
-    t.cell(static_cast<unsigned long>(c.cache_hits));
-    t.cell(100.0 * c.hitRate());
-    t.cell(static_cast<unsigned long>(c.cache_stores));
-    t.cell(static_cast<unsigned long>(c.cache_errors));
-    t.cell(static_cast<unsigned long>(c.cells_retried));
-    t.cell(static_cast<unsigned long>(c.cells_quarantined));
-    t.cell(static_cast<unsigned long>(c.cells_skipped));
-    t.cell(static_cast<unsigned long>(c.traces_generated));
-    t.cell(static_cast<double>(c.instructions_simulated) / 1e6);
-    t.cell(c.wall_seconds);
-    t.cell(c.simMips());
     os << "sweep engine ["
        << (cacheEnabled() ? "cache " + cache_.dir() : "cache off")
        << "]\n";
-    t.render(os);
 
     // Process-wide registry snapshot (docs/OBSERVABILITY.md): covers
     // this engine plus anything else the process ran.

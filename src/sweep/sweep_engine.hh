@@ -17,11 +17,13 @@
  *    of figures and ablations cost milliseconds;
  *  - generates each workload trace at most once per grid, and not at
  *    all when every cell of the workload is cached;
- *  - counts what happened (cells computed vs cache hits, instructions
- *    simulated, wall time). printSummary renders the counts once,
- *    for stderr; machines read the run manifest
- *    (telemetry/manifest.hh), which records every cell. A walk's
- *    wall time is its `sweep.cell.fused` span.
+ *  - counts what happened in the process-wide metrics registry
+ *    (telemetry/metrics.hh): the `sweep.cell.*` outcome counters,
+ *    traces generated, instructions simulated and one
+ *    `sweep.call.wall_us` sample per engine call. printSummary
+ *    renders the registry once, for stderr; machines read the run
+ *    manifest (telemetry/manifest.hh), which records every cell. A
+ *    walk's wall time is its `sweep.cell.fused` span.
  *
  * Determinism: a cell's result is byte-identical whether computed on
  * 1 thread, N threads, or replayed from cache
@@ -92,28 +94,6 @@ struct SweepEngineOptions
     /// @}
 };
 
-/** What a sweep (or a lifetime of sweeps) did. */
-struct SweepCounters
-{
-    std::uint64_t cells_total = 0;    //!< cells requested
-    std::uint64_t cells_computed = 0; //!< simulated this run
-    std::uint64_t cache_hits = 0;     //!< served from disk
-    std::uint64_t cache_stores = 0;   //!< entries written
-    std::uint64_t cache_errors = 0;   //!< corrupt entries recomputed
-    std::uint64_t traces_generated = 0;
-    std::uint64_t instructions_simulated = 0;
-    std::uint64_t cells_retried = 0;     //!< resolved on attempt > 1
-    std::uint64_t cells_quarantined = 0; //!< exhausted retries (holes)
-    std::uint64_t cells_skipped = 0;     //!< unstarted at interrupt drain
-    double wall_seconds = 0.0;
-
-    /** Fraction of cells served from cache (0 when no cells ran). */
-    double hitRate() const;
-
-    /** Simulated millions of instructions per wall second. */
-    double simMips() const;
-};
-
 /**
  * Request-scoped telemetry context for one engine call. Purely
  * observational: tags the `sweep.grid` span (and the manifest's
@@ -129,8 +109,8 @@ struct GridTelemetry
 
 /**
  * Schedules grids of simulations over worker threads with result
- * memoization. Engines are cheap to construct; counters accumulate
- * over the engine's lifetime.
+ * memoization. Engines are cheap to construct; what they did is
+ * counted in the process-wide metrics registry.
  *
  * Thread-compatibility: one engine may be driven from one thread at a
  * time (it parallelizes internally).
@@ -162,7 +142,8 @@ class SweepEngine
      * keyed by simCellKey, so a cell runGrid stored is a hit here and
      * a warm call generates no trace. Assemble a SweepResult from the
      * runs with assembleSweep (depth_sweep.hh). A @p trace_length of 0
-     * is fatal, as in runGrid.
+     * is fatal, as in runGrid, and so is a config whose
+     * warmup_instructions is not below it.
      */
     std::vector<SimResult>
     runConfigs(const WorkloadSpec &spec, std::size_t trace_length,
@@ -210,16 +191,11 @@ class SweepEngine
         return last_failures_;
     }
 
-    /** Snapshot of the lifetime counters. */
-    SweepCounters counters() const { return counters_; }
-
-    void resetCounters() { counters_ = SweepCounters{}; }
-
     /**
-     * Render the counters as one table under a `sweep engine [cache
-     * DIR]` (or `[cache off]`) header, then the process-wide metrics
-     * snapshot. Benches and tools print this to stderr so --csv
-     * stdout stays clean.
+     * Render a `sweep engine [cache DIR]` (or `[cache off]`) header,
+     * then the process-wide metrics snapshot: every count once.
+     * Benches and tools print this to stderr so --csv stdout stays
+     * clean.
      */
     void printSummary(std::ostream &os) const;
 
@@ -252,7 +228,6 @@ class SweepEngine
     SweepEngineOptions options_;
     ResultCache cache_;
     std::unique_ptr<ShardCoordinator> shard_coordinator_;
-    SweepCounters counters_;
     RunManifest *manifest_ = nullptr;
     std::vector<FailureRecord> last_failures_;
 };

@@ -74,54 +74,7 @@ writeMetricsObject(std::ostringstream &os,
     os << (metrics.empty() ? "" : "\n  ") << "}";
 }
 
-/**
- * Per-metric difference @p current minus @p baseline: what the
- * observation window accumulated. Counters and histogram
- * counts/sums/buckets subtract (clamped at zero against concurrent
- * updates between the two snapshots); gauges stay instantaneous.
- * Metrics registered after the baseline appear whole.
- */
-std::vector<MetricSnapshot>
-metricsDelta(const std::vector<MetricSnapshot> &current,
-             const std::vector<MetricSnapshot> &baseline)
-{
-    std::map<std::string, const MetricSnapshot *> base;
-    for (const MetricSnapshot &m : baseline)
-        base[m.name] = &m;
-
-    std::vector<MetricSnapshot> out;
-    out.reserve(current.size());
-    for (const MetricSnapshot &m : current) {
-        MetricSnapshot d = m;
-        const auto it = base.find(m.name);
-        if (it != base.end() && it->second->kind == m.kind) {
-            const MetricSnapshot &b = *it->second;
-            d.count = m.count >= b.count ? m.count - b.count : 0;
-            d.sum = m.sum >= b.sum ? m.sum - b.sum : 0;
-            if (m.kind == MetricSnapshot::Kind::Histogram) {
-                std::map<std::uint64_t, std::uint64_t> deltas;
-                for (const auto &[lower, n] : m.buckets)
-                    deltas[lower] = n;
-                for (const auto &[lower, n] : b.buckets) {
-                    auto slot = deltas.find(lower);
-                    if (slot != deltas.end())
-                        slot->second =
-                            slot->second >= n ? slot->second - n : 0;
-                }
-                d.buckets.clear();
-                for (const auto &[lower, n] : deltas) {
-                    if (n)
-                        d.buckets.emplace_back(lower, n);
-                }
-            }
-        }
-        out.push_back(std::move(d));
-    }
-    return out;
-}
-
-} // namespace
-
+/** Stable wire name of a cell outcome. */
 const char *
 manifestOutcomeName(ManifestCell::Outcome outcome)
 {
@@ -137,6 +90,8 @@ manifestOutcomeName(ManifestCell::Outcome outcome)
     }
     return "computed";
 }
+
+} // namespace
 
 RunManifest::RunManifest() : created_at_(isoUtcNow()) {}
 
@@ -224,16 +179,6 @@ RunManifest::recordCell(const ManifestCell &cell)
     cells_.push_back(cell);
 }
 
-void
-RunManifest::markMetricsBaseline()
-{
-    const std::vector<MetricSnapshot> snapshot =
-        MetricsRegistry::instance().snapshot();
-    const std::lock_guard<std::mutex> lock(mutex_);
-    window_baseline_ = snapshot;
-    window_set_ = true;
-}
-
 std::string
 RunManifest::toJson() const
 {
@@ -301,12 +246,6 @@ RunManifest::toJson() const
     os << "  \"metrics\": ";
     writeMetricsObject(os, metrics);
     os << ",\n";
-
-    if (window_set_) {
-        os << "  \"metrics_window\": ";
-        writeMetricsObject(os, metricsDelta(metrics, window_baseline_));
-        os << ",\n";
-    }
 
     os << "  \"spans\": {";
     std::size_t i = 0;
@@ -450,12 +389,6 @@ validateManifest(const JsonValue &manifest, std::string *error)
         if (!v || !v->isObject())
             return failValidation(error, std::string(key) +
                                              " missing or not an object");
-    }
-    // Optional: daemons emit per-window metric deltas next to the
-    // cumulative snapshot (markMetricsBaseline).
-    if (const JsonValue *window = manifest.find("metrics_window");
-        window && !window->isObject()) {
-        return failValidation(error, "metrics_window is not an object");
     }
     return true;
 }

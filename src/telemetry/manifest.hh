@@ -64,12 +64,6 @@ struct ManifestCell
     unsigned attempts = 1; //!< tries made (> 1 means the cell retried)
 };
 
-/**
- * Stable wire name of a cell outcome
- * ("computed"/"cached"/"failed"/"quarantined").
- */
-const char *manifestOutcomeName(ManifestCell::Outcome outcome);
-
 class RunManifest
 {
   public:
@@ -128,19 +122,6 @@ class RunManifest
      */
     void recordCell(const ManifestCell &cell);
 
-    /**
-     * Capture the current metrics-registry state as the start of the
-     * observation window. When set, toJson() emits a `metrics_window`
-     * object next to the cumulative `metrics`: per-metric deltas
-     * (counter values, histogram counts/sums/buckets) accumulated
-     * since this call. A long-running daemon marks the baseline when
-     * it starts serving, so its final manifest carries a window
-     * comparable to a one-shot pipesim run's cumulative snapshot
-     * instead of only counters-since-boot. Gauges are instantaneous
-     * and appear in the window at their current value.
-     */
-    void markMetricsBaseline();
-
     const std::vector<ManifestCell> &cells() const { return cells_; }
 
     /**
@@ -165,8 +146,6 @@ class RunManifest
     std::string created_at_; //!< wall-clock ISO 8601 UTC at construction
     std::ofstream events_;
     bool events_open_ = false;
-    bool window_set_ = false; //!< markMetricsBaseline() was called
-    std::vector<MetricSnapshot> window_baseline_;
 };
 
 /**

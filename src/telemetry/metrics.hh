@@ -2,13 +2,13 @@
  * @file
  * Process-wide metrics registry: counters, gauges and histograms.
  *
- * Supersedes the one-off tallies that used to be scattered through
- * SweepCounters, ResultCache and parallelMap as the *process-level*
- * record of what ran (SweepCounters remains the per-engine view).
- * Every instrumented subsystem registers its metrics here under a
- * `subsystem.noun.verb` name (docs/OBSERVABILITY.md lists the
- * catalog); the registry is snapshotted into every engine summary and
- * into every run manifest (telemetry/manifest.hh).
+ * The one tally of what a process ran: each event is counted once,
+ * under one name. Every instrumented subsystem registers its metrics
+ * here under a `subsystem.noun.verb` name (docs/OBSERVABILITY.md
+ * lists the catalog); the registry is the engine summary
+ * (SweepEngine::printSummary), the daemon's `stats` line and the
+ * `metrics` object of every run manifest (telemetry/manifest.hh).
+ * Tests read an engine call's counts as the change across the call.
  *
  * Cost model: a registered Counter/Gauge/Histogram reference is
  * looked up once (mutex-guarded find-or-create, typically bound to a

@@ -3,13 +3,13 @@
  * Span tracer: where did this run spend its time?
  *
  * A span is one timed phase of a run — a whole sweep grid, one
- * (workload, depth) cell, a cache probe, an extractor fit — recorded
- * with begin/end timestamps, the recording thread, and free-form
- * key/value tags. Instrument a scope with the RAII macro:
+ * timing walk, a cache probe, an extractor fit — recorded with
+ * begin/end timestamps, the recording thread, and free-form key/value
+ * tags. Instrument a scope with the RAII macro:
  *
- *     TELEM_SPAN(span, "sweep.cell");
- *     span.tag("workload", spec.name);
- *     span.tag("depth", config.depth);
+ *     TELEM_SPAN(span, "sweep.cell.fused");
+ *     span.tag("workload", name);
+ *     span.tag("cells", lanes);
  *
  * Tracing is off by default and the macro is near-zero cost while it
  * stays off: the constructor reads one relaxed atomic and skips the

@@ -558,10 +558,6 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
     // Per-*run* registry updates only (docs/OBSERVABILITY.md), once
     // per lane: nothing telemetry-related may enter the
     // per-instruction loop.
-    static Counter &run_counter =
-        MetricsRegistry::instance().counter("sim.run.complete");
-    static Counter &op_counter =
-        MetricsRegistry::instance().counter("sim.instructions.replay");
     static Gauge &residual_gauge =
         MetricsRegistry::instance().gauge("sim.ledger.residual");
 
@@ -631,8 +627,6 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
             res.units[static_cast<std::size_t>(u)].ops = n_ops;
         }
 
-        run_counter.add();
-        op_counter.add(res.instructions);
         residual_gauge.set(res.ledger_residual);
     }
 }

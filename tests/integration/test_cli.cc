@@ -41,6 +41,31 @@ runPipesim(const std::string &args)
     return -1;
 }
 
+/**
+ * Run pipesim with @p args on a fresh result cache; @p entries
+ * receives the number of cells the run left in it.
+ */
+int
+runPipesimCached(const std::string &args, std::size_t *entries)
+{
+    const std::filesystem::path cache =
+        std::filesystem::path(::testing::TempDir()) /
+        ("pipedepth-cli-" +
+         std::string(
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    std::filesystem::remove_all(cache);
+    ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
+    const int rc = runPipesim(args);
+    ::unsetenv("PIPEDEPTH_CACHE_DIR");
+
+    *entries = 0;
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
+        *entries += e.path().extension() == ".simres" ? 1 : 0;
+    std::filesystem::remove_all(cache);
+    return rc;
+}
+
 // Keep runs tiny: depth 4, short trace, no warmup, no cache traffic.
 const char *kQuickRun =
     "--workload db1 --depth 4 --length 2000 --warmup 0 "
@@ -96,20 +121,38 @@ TEST(PipesimCli, ZeroLengthExitsNonZeroAndCachesNothing)
 {
     // makeTrace(0) means the default length; a cell keyed by length 0
     // would be a second address for that trace's result.
-    const std::filesystem::path cache =
-        std::filesystem::path(::testing::TempDir()) /
-        "pipedepth-cli-zero-length";
-    std::filesystem::remove_all(cache);
-    ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
-    EXPECT_NE(runPipesim("--workload db1 --depth 8 --length 0"), 0);
-    ::unsetenv("PIPEDEPTH_CACHE_DIR");
-
     std::size_t entries = 0;
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
-        entries += e.path().extension() == ".simres" ? 1 : 0;
+    EXPECT_NE(
+        runPipesimCached("--workload db1 --depth 8 --length 0", &entries),
+        0);
     EXPECT_EQ(entries, 0u);
-    std::filesystem::remove_all(cache);
+}
+
+TEST(PipesimCli, WarmupNotBelowLengthExitsNonZeroAndCachesNothing)
+{
+    // Annotation clamps the warmup to the trace, so every warmup at
+    // or past the length (here the default 60000) would key one fully
+    // warm result at an address of its own.
+    std::size_t entries = 0;
+    EXPECT_NE(runPipesimCached("--workload db1 --depth 8 --length 1000",
+                               &entries),
+              0);
+    EXPECT_EQ(entries, 0u);
+    EXPECT_NE(runPipesimCached(
+                  "--workload db1 --depth 8 --length 1000 --warmup 1000",
+                  &entries),
+              0);
+    EXPECT_EQ(entries, 0u);
+}
+
+TEST(PipesimCli, WarmupBelowLengthRuns)
+{
+    std::size_t entries = 0;
+    EXPECT_EQ(runPipesimCached(
+                  "--workload db1 --depth 8 --length 1000 --warmup 999",
+                  &entries),
+              0);
+    EXPECT_EQ(entries, 1u);
 }
 
 TEST(PipesimCli, UnreadableTapeExitsOne)

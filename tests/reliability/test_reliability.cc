@@ -32,6 +32,8 @@
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/json.hh"
+#include "support/metric_deltas.hh"
+#include "support/subprocess.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
@@ -136,6 +138,7 @@ TEST_F(ReliabilityTest, TransientFaultRetriesToIdenticalResult)
     SpanTracer &tracer = SpanTracer::instance();
     tracer.clear();
     tracer.setEnabled(true);
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(false);
     const SweepResult got = engine.runSweep(spec, opt);
     const auto spans = tracer.rollups();
@@ -143,16 +146,15 @@ TEST_F(ReliabilityTest, TransientFaultRetriesToIdenticalResult)
     tracer.clear();
 
     EXPECT_TRUE(got.complete());
-    const SweepCounters c = engine.counters();
-    EXPECT_EQ(c.cells_retried, 1u);
-    EXPECT_EQ(c.cells_quarantined, 0u);
+    EXPECT_EQ(tally["sweep.cell.retry"], 1u);
+    EXPECT_EQ(tally["sweep.cell.quarantine"], 0u);
     // The armed run takes the production walk: the 5 cells form
     // groups of 4 and 1, and each round's survivors walk together,
     // so there are fewer walks than computed cells.
     ASSERT_EQ(spans.count("sweep.cell.fused"), 1u);
     const std::uint64_t walks = spans.at("sweep.cell.fused").count;
     EXPECT_GT(walks, 0u);
-    EXPECT_LT(walks, c.cells_computed);
+    EXPECT_LT(walks, tally["sweep.cell.compute"]);
     ASSERT_EQ(got.runs.size(), want.runs.size());
     for (std::size_t i = 0; i < want.runs.size(); ++i) {
         EXPECT_EQ(serializeSimResult(got.runs[i]),
@@ -168,6 +170,7 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
     const unsigned max_retries = 2;
 
     ScopedFailpoints guard("sweep.cell.simulate=always");
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(false, max_retries);
     const SweepResult sweep = engine.runSweep(spec, opt);
 
@@ -192,9 +195,8 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
         EXPECT_EQ(r.cycles, 0u); // the hole marker
         EXPECT_EQ(r.workload, "db1");
     }
-    const SweepCounters c = engine.counters();
-    EXPECT_EQ(c.cells_quarantined, cellCount(opt));
-    EXPECT_EQ(c.cells_computed, 0u);
+    EXPECT_EQ(tally["sweep.cell.quarantine"], cellCount(opt));
+    EXPECT_EQ(tally["sweep.cell.compute"], 0u);
 }
 
 TEST_F(ReliabilityTest, QuarantinedCellsAreNeverCached)
@@ -212,6 +214,7 @@ TEST_F(ReliabilityTest, PartialQuarantineKeepsOtherCellsLive)
     // Fail only the first attempted cell, with no retries: exactly
     // one hole, every other cell computes normally.
     ScopedFailpoints guard("sweep.cell.simulate=once");
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(false, 0);
     const SweepOptions opt = fastOptions();
     const SweepResult sweep = engine.runSweep(findWorkload("db1"), opt);
@@ -222,7 +225,7 @@ TEST_F(ReliabilityTest, PartialQuarantineKeepsOtherCellsLive)
     for (const SimResult &r : sweep.runs)
         holes += r.cycles == 0 ? 1 : 0;
     EXPECT_EQ(holes, 1u);
-    EXPECT_EQ(engine.counters().cells_computed, cellCount(opt) - 1);
+    EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt) - 1);
 }
 
 TEST_F(ReliabilityTest, QuarantinedHolesAreSkippedByFitsAndAccessors)
@@ -300,10 +303,11 @@ TEST_F(ReliabilityTest, StoreWriteFaultDegradesToUncached)
     const SweepOptions opt = fastOptions();
     {
         ScopedFailpoints guard("cache.store.write=always");
+        const MetricDeltas tally;
         SweepEngine engine = makeEngine(true);
         const SweepResult sweep = engine.runSweep(spec, opt);
         EXPECT_TRUE(sweep.complete()); // a cache fault is not a cell fault
-        EXPECT_EQ(engine.counters().cache_stores, 0u);
+        EXPECT_EQ(tally["cache.entry.store"], 0u);
         EXPECT_EQ(cacheEntryCount(), 0u);
     }
     // No torn temp files left behind either.
@@ -317,11 +321,12 @@ TEST_F(ReliabilityTest, StoreWriteFaultDegradesToUncached)
 TEST_F(ReliabilityTest, StoreRenameFaultLeavesNoEntry)
 {
     ScopedFailpoints guard("cache.store.rename=always");
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(true);
     const SweepResult sweep =
         engine.runSweep(findWorkload("db1"), fastOptions());
     EXPECT_TRUE(sweep.complete());
-    EXPECT_EQ(engine.counters().cache_stores, 0u);
+    EXPECT_EQ(tally["cache.entry.store"], 0u);
     EXPECT_EQ(cacheEntryCount(), 0u);
 }
 
@@ -337,10 +342,11 @@ TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
     // Every probe fails: the warm cache behaves as cold, and the
     // recomputed grid matches the cached one byte for byte.
     ScopedFailpoints guard("cache.load.read=always");
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(true);
     const SweepResult got = engine.runSweep(spec, opt);
-    EXPECT_EQ(engine.counters().cache_hits, 0u);
-    EXPECT_EQ(engine.counters().cells_computed, cellCount(opt));
+    EXPECT_EQ(tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt));
     for (std::size_t i = 0; i < want.runs.size(); ++i) {
         EXPECT_EQ(serializeSimResult(got.runs[i]),
                   serializeSimResult(want.runs[i]));
@@ -353,13 +359,14 @@ TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
 TEST_F(ReliabilityTest, InterruptDrainSkipsRemainingCells)
 {
     requestInterrupt();
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(false);
     const SweepOptions opt = fastOptions();
     const SweepResult sweep = engine.runSweep(findWorkload("db1"), opt);
 
     EXPECT_FALSE(sweep.complete());
-    EXPECT_EQ(engine.counters().cells_skipped, cellCount(opt));
-    EXPECT_EQ(engine.counters().cells_computed, 0u);
+    EXPECT_EQ(tally["sweep.cell.skip"], cellCount(opt));
+    EXPECT_EQ(tally["sweep.cell.compute"], 0u);
     ASSERT_EQ(sweep.failures.size(), cellCount(opt));
     for (const FailureRecord &f : sweep.failures) {
         EXPECT_EQ(f.cause, "skipped: interrupt drain");
@@ -453,18 +460,20 @@ TEST_F(ReliabilityTest, ConcurrentFaultyWritersNeverExposeTornEntry)
     }
 
     // Parent: concurrently probe the entry. Every load must be a
-    // clean hit or a miss — never a corrupt (torn) entry.
+    // clean hit or a miss — never a corrupt (torn) entry. The children
+    // count in their own registries.
     const ResultCache cache(cache_dir);
     const std::vector<std::uint8_t> want = serializeSimResult(result);
+    const MetricDeltas tally;
     bool any_hit = false;
     for (int i = 0; i < 2000; ++i) {
-        bool corrupt = false;
-        if (const auto hit = cache.load(key, &corrupt)) {
+        if (const auto hit = cache.load(key)) {
             any_hit = true;
             EXPECT_EQ(serializeSimResult(*hit), want);
         }
-        EXPECT_FALSE(corrupt) << "torn cache entry became visible";
     }
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u)
+        << "torn cache entry became visible";
 
     for (const pid_t pid : children) {
         int status = 0;
@@ -475,10 +484,9 @@ TEST_F(ReliabilityTest, ConcurrentFaultyWritersNeverExposeTornEntry)
 
     // With p=0.5 over 100 attempts, at least one store landed; the
     // final state must be the complete entry.
-    bool corrupt = false;
-    const auto final_hit = cache.load(key, &corrupt);
+    const auto final_hit = cache.load(key);
     ASSERT_TRUE(final_hit.has_value());
-    EXPECT_FALSE(corrupt);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
     EXPECT_EQ(serializeSimResult(*final_hit), want);
     EXPECT_TRUE(any_hit || final_hit.has_value());
 }
@@ -522,10 +530,12 @@ interruptOnceCached(const std::filesystem::path &cache,
     for (const std::string &a : args)
         argv.push_back(const_cast<char *>(a.c_str()));
     argv.push_back(nullptr);
+    const pid_t parent = ::getpid();
     const pid_t pid = fork();
     if (pid == -1)
         return -1;
     if (pid == 0) {
+        dieWithParent(parent);
         ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
         std::freopen("/dev/null", "w", stdout);
         std::freopen("/dev/null", "w", stderr);
@@ -655,12 +665,14 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
     const std::string shared_cache = (dir_ / "cache-shared").string();
     const std::filesystem::path shard_dir = dir_ / "coord";
     pid_t workers[4] = {};
+    const pid_t parent = ::getpid();
     for (unsigned k = 0; k < 4; ++k) {
         const std::string out =
             (dir_ / ("worker" + std::to_string(k) + ".csv")).string();
         const pid_t pid = fork();
         ASSERT_NE(pid, -1);
         if (pid == 0) {
+            dieWithParent(parent);
             ::setenv("PIPEDEPTH_CACHE_DIR", shared_cache.c_str(), 1);
             std::freopen(out.c_str(), "w", stdout);
             std::freopen("/dev/null", "w", stderr);
@@ -721,9 +733,11 @@ TEST_F(ReliabilityTest, ShardCoordinatorRestartsKilledWorker)
     const std::filesystem::path out = dir_ / "sharded.csv";
     const std::filesystem::path err = dir_ / "coordinator.err";
     const std::filesystem::path shard_dir = dir_ / "coord";
+    const pid_t parent = ::getpid();
     const pid_t pid = fork();
     ASSERT_NE(pid, -1);
     if (pid == 0) {
+        dieWithParent(parent);
         ::setenv("PIPEDEPTH_CACHE_DIR",
                  (dir_ / "cache-sharded").string().c_str(), 1);
         std::freopen(out.string().c_str(), "w", stdout);

@@ -24,10 +24,10 @@
 #include <utility>
 #include <vector>
 
+#include "support/metric_deltas.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
-#include "telemetry/metrics.hh"
 #include "uarch/simulator.hh"
 #include "workloads/catalog.hh"
 
@@ -174,11 +174,14 @@ TEST(EngineDeterminism, OneThreadVsManyThreadsByteIdentical)
     SweepEngine serial = uncachedEngine(1);
     SweepEngine parallel = uncachedEngine(8);
 
+    const MetricDeltas serial_tally;
     const auto a = serial.runGrid(sampleSpecs(), fastOptions());
+    const std::uint64_t serial_computed = serial_tally["sweep.cell.compute"];
+    const MetricDeltas parallel_tally;
     const auto b = parallel.runGrid(sampleSpecs(), fastOptions());
 
-    EXPECT_EQ(serial.counters().cells_computed,
-              parallel.counters().cells_computed);
+    EXPECT_GT(serial_computed, 0u);
+    EXPECT_EQ(parallel_tally["sweep.cell.compute"], serial_computed);
     ASSERT_EQ(a.size(), b.size());
     EXPECT_EQ(measurementBytes(a), measurementBytes(b));
     for (std::size_t i = 0; i < a.size(); ++i) {
@@ -208,20 +211,22 @@ TEST(EngineDeterminism, CacheReplayByteIdentical)
     SweepEngineOptions opt;
     opt.cache_dir = dir.string();
 
+    const MetricDeltas cold_tally;
     SweepEngine cold(opt);
     const auto computed = cold.runGrid(sampleSpecs(), fastOptions());
-    const SweepCounters cc = cold.counters();
-    EXPECT_EQ(cc.cache_hits, 0u);
-    EXPECT_EQ(cc.cells_computed, cc.cells_total);
-    EXPECT_EQ(cc.cache_stores, cc.cells_total);
+    const std::uint64_t cells = cold_tally["sweep.cell.schedule"];
+    EXPECT_GT(cells, 0u);
+    EXPECT_EQ(cold_tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(cold_tally["sweep.cell.compute"], cells);
+    EXPECT_EQ(cold_tally["cache.entry.store"], cells);
 
+    const MetricDeltas warm_tally;
     SweepEngine warm(opt);
     const auto replayed = warm.runGrid(sampleSpecs(), fastOptions());
-    const SweepCounters wc = warm.counters();
-    EXPECT_EQ(wc.cache_hits, wc.cells_total);
-    EXPECT_EQ(wc.cells_computed, 0u);
-    EXPECT_EQ(wc.traces_generated, 0u);
-    EXPECT_DOUBLE_EQ(wc.hitRate(), 1.0);
+    EXPECT_EQ(warm_tally["sweep.cell.schedule"], cells);
+    EXPECT_EQ(warm_tally["sweep.cell.cached"], cells);
+    EXPECT_EQ(warm_tally["sweep.cell.compute"], 0u);
+    EXPECT_EQ(warm_tally["sweep.trace.generate"], 0u);
 
     EXPECT_EQ(measurementBytes(computed), measurementBytes(replayed));
     for (std::size_t i = 0; i < computed.size(); ++i) {
@@ -334,27 +339,26 @@ TEST(EngineDeterminism, ShardedGridMatchesUnsharded)
     opt.cache_dir = (dir / "cache").string();
     opt.shards = 2;
     opt.shard_dir = (dir / "coord").string();
-    const Counter &steals =
-        MetricsRegistry::instance().counter("sweep.shard.steal");
 
     // Shard 0 runs first and alone: it computes its own three groups,
     // then claims the three groups shard 1 would own.
-    const std::uint64_t steals_before = steals.value();
+    const MetricDeltas shard0_tally;
     SweepEngine shard0(opt);
     ASSERT_NE(shard0.shardCoordinator(), nullptr);
     EXPECT_EQ(measurementBytes(shard0.runGrid(sampleSpecs(), fastOptions())),
               expected);
-    EXPECT_EQ(shard0.counters().cells_computed, 18u);
-    EXPECT_EQ(shard0.counters().cache_hits, 0u);
-    EXPECT_EQ(steals.value() - steals_before, 3u);
+    EXPECT_EQ(shard0_tally["sweep.cell.compute"], 18u);
+    EXPECT_EQ(shard0_tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(shard0_tally["sweep.shard.steal"], 3u);
 
     // Shard 1 finds every cell in the shared cache.
     opt.shard_id = 1;
+    const MetricDeltas shard1_tally;
     SweepEngine shard1(opt);
     EXPECT_EQ(measurementBytes(shard1.runGrid(sampleSpecs(), fastOptions())),
               expected);
-    EXPECT_EQ(shard1.counters().cells_computed, 0u);
-    EXPECT_EQ(shard1.counters().cache_hits, 18u);
+    EXPECT_EQ(shard1_tally["sweep.cell.compute"], 0u);
+    EXPECT_EQ(shard1_tally["sweep.cell.cached"], 18u);
 
     std::filesystem::remove_all(dir);
 }
@@ -381,18 +385,20 @@ TEST(GoldenHashes, CacheReplayMatchesTable)
     opt.cache_dir = dir.string();
 
     {
+        const MetricDeltas tally;
         SweepEngine cold(opt);
         checkCatalogAgainstGolden(cold, "cold-cache");
-        EXPECT_EQ(cold.counters().cache_hits, 0u);
+        EXPECT_EQ(tally["sweep.cell.cached"], 0u);
     }
     {
+        const MetricDeltas tally;
         SweepEngine warm(opt);
         checkCatalogAgainstGolden(warm, "cache-replay");
         // Every cell must have come from the cache: this pass proves
         // the serialized entries round-trip to the golden bytes.
-        const SweepCounters c = warm.counters();
-        EXPECT_EQ(c.cache_hits, c.cells_total);
-        EXPECT_EQ(c.cells_computed, 0u);
+        EXPECT_GT(tally["sweep.cell.schedule"], 0u);
+        EXPECT_EQ(tally["sweep.cell.cached"], tally["sweep.cell.schedule"]);
+        EXPECT_EQ(tally["sweep.cell.compute"], 0u);
     }
 
     std::filesystem::remove_all(dir);

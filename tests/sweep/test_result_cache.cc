@@ -24,6 +24,7 @@
 
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
+#include "support/metric_deltas.hh"
 #include "sweep/result_cache.hh"
 #include "trace/trace_io.hh"
 
@@ -171,19 +172,20 @@ TEST_F(ResultCacheTest, StoreThenLoadRoundTrips)
         traceCellKey(Trace{"t", 1, {}}, original.config);
 
     EXPECT_TRUE(cache.store(key, original));
-    bool corrupt = true;
-    const auto loaded = cache.load(key, &corrupt);
+    const MetricDeltas tally;
+    const auto loaded = cache.load(key);
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_FALSE(corrupt);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
     expectMeasurementsEqual(original, *loaded);
 }
 
 TEST_F(ResultCacheTest, MissingEntryIsCleanMiss)
 {
     const ResultCache cache(dir_.string());
-    bool corrupt = true;
-    EXPECT_FALSE(cache.load(CacheKey{1, 2}, &corrupt).has_value());
-    EXPECT_FALSE(corrupt);
+    const MetricDeltas tally;
+    EXPECT_FALSE(cache.load(CacheKey{1, 2}).has_value());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
+    EXPECT_EQ(tally["cache.probe.miss"], 1u);
 }
 
 TEST_F(ResultCacheTest, TruncatedEntryReadsAsCorruptMiss)
@@ -194,9 +196,9 @@ TEST_F(ResultCacheTest, TruncatedEntryReadsAsCorruptMiss)
     ASSERT_TRUE(cache.store(key, original));
 
     std::filesystem::resize_file(cache.entryPath(key), 40);
-    bool corrupt = false;
-    EXPECT_FALSE(cache.load(key, &corrupt).has_value());
-    EXPECT_TRUE(corrupt);
+    const MetricDeltas tally;
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 }
 
 TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
@@ -217,14 +219,14 @@ TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
     f.write(&byte, 1);
     f.close();
 
-    bool corrupt = false;
-    EXPECT_FALSE(cache.load(key, &corrupt).has_value());
-    EXPECT_TRUE(corrupt);
+    const MetricDeltas tally;
+    EXPECT_FALSE(cache.load(key).has_value());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 
     // Storing again repairs the entry.
     EXPECT_TRUE(cache.store(key, original));
-    EXPECT_TRUE(cache.load(key, &corrupt).has_value());
-    EXPECT_FALSE(corrupt);
+    EXPECT_TRUE(cache.load(key).has_value());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 }
 
 TEST_F(ResultCacheTest, StoreLeavesNoTempFiles)
@@ -266,9 +268,9 @@ TEST_F(ResultCacheTest, SweepRemovesDeadWritersTempFilesOnly)
     EXPECT_TRUE(std::filesystem::exists(live));
 
     // Real entries and non-matching names are never touched.
-    bool corrupt = false;
-    EXPECT_TRUE(cache.load(CacheKey{1, 1}, &corrupt).has_value());
-    EXPECT_FALSE(corrupt);
+    const MetricDeltas tally;
+    EXPECT_TRUE(cache.load(CacheKey{1, 1}).has_value());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
 }
 
 TEST(ResultCacheDisabled, DisabledCacheMissesAndDropsStores)
@@ -276,9 +278,11 @@ TEST(ResultCacheDisabled, DisabledCacheMissesAndDropsStores)
     const ResultCache cache;
     EXPECT_FALSE(cache.enabled());
     EXPECT_FALSE(cache.store(CacheKey{1, 1}, sampleResult()));
-    bool corrupt = true;
-    EXPECT_FALSE(cache.load(CacheKey{1, 1}, &corrupt).has_value());
-    EXPECT_FALSE(corrupt);
+    const MetricDeltas tally;
+    EXPECT_FALSE(cache.load(CacheKey{1, 1}).has_value());
+    // A disabled cache probes nothing: no miss, no corrupt entry.
+    EXPECT_EQ(tally["cache.probe.miss"], 0u);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
 }
 
 TEST(CacheKeyHex, StableAndDistinct)

@@ -1,27 +1,31 @@
 /**
  * @file
- * SweepEngine behaviour tests: counter accounting on cold and warm
- * runs, silent recomputation of corrupt cache entries, the --no-cache
- * escape hatch, explicit-trace (runConfigs) caching and its one
- * trace hash per call, the spec form of runConfigs (same bytes as the
- * trace form, runGrid's cache addresses), the shared SweepResult
- * assembly, and the summary table. Byte-level determinism lives in
- * test_engine_determinism.cc.
+ * SweepEngine behaviour tests: the registry's tally of cold and warm
+ * runs (read as the change across each call), silent recomputation of
+ * corrupt cache entries, the --no-cache escape hatch, explicit-trace
+ * (runConfigs) caching and its one trace hash per call, the spec form
+ * of runConfigs (same bytes as the trace form, runGrid's cache
+ * addresses), the shared SweepResult assembly, and the summary that
+ * prints the tally once and agrees with the run manifest. Byte-level
+ * determinism lives in test_engine_determinism.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <iterator>
+#include <set>
 #include <sstream>
 
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
+#include "common/json.hh"
 #include "math/least_squares.hh"
+#include "support/metric_deltas.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
+#include "telemetry/manifest.hh"
 #include "telemetry/telemetry.hh"
 
 namespace pipedepth
@@ -87,22 +91,24 @@ TEST_F(SweepEngineTest, ColdRunAccountsEveryCell)
     ASSERT_TRUE(engine.cacheEnabled());
     EXPECT_EQ(engine.cacheDir(), dir_.string());
 
+    const MetricDeltas tally;
     const auto sweeps =
         engine.runGrid({findWorkload("gcc95")}, fastOptions());
     ASSERT_EQ(sweeps.size(), 1u);
     ASSERT_EQ(sweeps[0].runs.size(), 5u);
 
-    const SweepCounters c = engine.counters();
-    EXPECT_EQ(c.cells_total, 5u);
-    EXPECT_EQ(c.cells_computed, 5u);
-    EXPECT_EQ(c.cache_hits, 0u);
-    EXPECT_EQ(c.cache_stores, 5u);
-    EXPECT_EQ(c.cache_errors, 0u);
-    EXPECT_EQ(c.traces_generated, 1u);
-    EXPECT_GT(c.instructions_simulated, 0u);
-    EXPECT_GT(c.wall_seconds, 0.0);
-    EXPECT_GT(c.simMips(), 0.0);
-    EXPECT_DOUBLE_EQ(c.hitRate(), 0.0);
+    std::uint64_t instructions = 0;
+    for (const SimResult &r : sweeps[0].runs)
+        instructions += r.instructions;
+    EXPECT_EQ(tally["sweep.cell.schedule"], 5u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 5u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(tally["cache.entry.store"], 5u);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
+    EXPECT_EQ(tally["sweep.trace.generate"], 1u);
+    EXPECT_EQ(tally["sweep.instructions.simulate"], instructions);
+    EXPECT_GT(instructions, 0u);
+    EXPECT_EQ(tally["sweep.call.wall_us"], 1u); // one sample per call
     EXPECT_EQ(entryFileCount(), 5u);
 }
 
@@ -110,6 +116,7 @@ TEST_F(SweepEngineTest, WarmRunServesEverythingFromCache)
 {
     makeEngine().runGrid({findWorkload("gcc95")}, fastOptions());
 
+    const MetricDeltas tally;
     SweepEngine warm = makeEngine();
     const auto sweeps =
         warm.runGrid({findWorkload("gcc95")}, fastOptions());
@@ -118,14 +125,12 @@ TEST_F(SweepEngineTest, WarmRunServesEverythingFromCache)
     for (const auto &r : sweeps[0].runs)
         EXPECT_EQ(r.workload, "gcc95");
 
-    const SweepCounters c = warm.counters();
-    EXPECT_EQ(c.cells_total, 5u);
-    EXPECT_EQ(c.cells_computed, 0u);
-    EXPECT_EQ(c.cache_hits, 5u);
-    EXPECT_EQ(c.cache_stores, 0u);
-    EXPECT_EQ(c.traces_generated, 0u);
-    EXPECT_EQ(c.instructions_simulated, 0u);
-    EXPECT_DOUBLE_EQ(c.hitRate(), 1.0);
+    EXPECT_EQ(tally["sweep.cell.schedule"], 5u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 0u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 5u);
+    EXPECT_EQ(tally["cache.entry.store"], 0u);
+    EXPECT_EQ(tally["sweep.trace.generate"], 0u);
+    EXPECT_EQ(tally["sweep.instructions.simulate"], 0u);
 }
 
 TEST_F(SweepEngineTest, DifferentOptionsMissTheCache)
@@ -134,10 +139,11 @@ TEST_F(SweepEngineTest, DifferentOptionsMissTheCache)
 
     SweepOptions longer = fastOptions();
     longer.trace_length = 25000;
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine();
     engine.runGrid({findWorkload("gcc95")}, longer);
-    EXPECT_EQ(engine.counters().cache_hits, 0u);
-    EXPECT_EQ(engine.counters().cells_computed, 5u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 5u);
 }
 
 TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
@@ -160,15 +166,15 @@ TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
         f.put(static_cast<char>(byte ^ 0x40));
     }
 
+    const MetricDeltas repair_tally;
     SweepEngine repair = makeEngine();
     const auto again =
         repair.runGrid({findWorkload("gcc95")}, fastOptions());
 
-    const SweepCounters c = repair.counters();
-    EXPECT_EQ(c.cache_errors, 1u);
-    EXPECT_EQ(c.cells_computed, 1u);
-    EXPECT_EQ(c.cache_hits, 4u);
-    EXPECT_EQ(c.cache_stores, 1u); // the repaired entry
+    EXPECT_EQ(repair_tally["cache.probe.corrupt"], 1u);
+    EXPECT_EQ(repair_tally["sweep.cell.compute"], 1u);
+    EXPECT_EQ(repair_tally["sweep.cell.cached"], 4u);
+    EXPECT_EQ(repair_tally["cache.entry.store"], 1u); // the repaired entry
     // The recomputed cell is indistinguishable from the original run.
     ASSERT_EQ(again[0].runs.size(), original[0].runs.size());
     for (std::size_t j = 0; j < again[0].runs.size(); ++j)
@@ -176,41 +182,37 @@ TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
                   serializeSimResult(original[0].runs[j]));
 
     // And the store repaired the entry: a third run is all hits.
+    const MetricDeltas verify_tally;
     SweepEngine verify = makeEngine();
     verify.runGrid({findWorkload("gcc95")}, fastOptions());
-    EXPECT_EQ(verify.counters().cache_hits, 5u);
-    EXPECT_EQ(verify.counters().cache_errors, 0u);
+    EXPECT_EQ(verify_tally["sweep.cell.cached"], 5u);
+    EXPECT_EQ(verify_tally["cache.probe.corrupt"], 0u);
 }
 
 TEST_F(SweepEngineTest, UseCacheFalseWritesNothing)
 {
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine(/*use_cache=*/false);
     EXPECT_FALSE(engine.cacheEnabled());
     engine.runGrid({findWorkload("gcc95")}, fastOptions());
 
-    const SweepCounters c = engine.counters();
-    EXPECT_EQ(c.cells_computed, 5u);
-    EXPECT_EQ(c.cache_hits, 0u);
-    EXPECT_EQ(c.cache_stores, 0u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 5u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(tally["cache.entry.store"], 0u);
     EXPECT_FALSE(std::filesystem::exists(dir_));
 }
 
 TEST_F(SweepEngineTest, CountersAccumulateAcrossCalls)
 {
+    const MetricDeltas tally;
     SweepEngine engine = makeEngine();
     engine.runGrid({findWorkload("gcc95")}, fastOptions());
     engine.runGrid({findWorkload("gcc95")}, fastOptions());
 
-    SweepCounters c = engine.counters();
-    EXPECT_EQ(c.cells_total, 10u);
-    EXPECT_EQ(c.cells_computed, 5u);
-    EXPECT_EQ(c.cache_hits, 5u);
-    EXPECT_DOUBLE_EQ(c.hitRate(), 0.5);
-
-    engine.resetCounters();
-    c = engine.counters();
-    EXPECT_EQ(c.cells_total, 0u);
-    EXPECT_EQ(c.wall_seconds, 0.0);
+    EXPECT_EQ(tally["sweep.cell.schedule"], 10u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 5u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 5u);
+    EXPECT_EQ(tally["sweep.call.wall_us"], 2u);
 }
 
 TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
@@ -221,11 +223,12 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     const std::vector<PipelineConfig> configs{opt.configAtDepth(3),
                                               opt.configAtDepth(7)};
 
+    const MetricDeltas cold_tally;
     SweepEngine cold = makeEngine();
     const auto a = cold.runConfigs(trace, configs);
     ASSERT_EQ(a.size(), 2u);
-    EXPECT_EQ(cold.counters().cells_computed, 2u);
-    EXPECT_EQ(cold.counters().cache_stores, 2u);
+    EXPECT_EQ(cold_tally["sweep.cell.compute"], 2u);
+    EXPECT_EQ(cold_tally["cache.entry.store"], 2u);
 
     // Every entry sits at its traceCellKey address, the one callers
     // outside the engine (perfbench's golden_cells) probe themselves.
@@ -240,6 +243,7 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     // config.
     SpanTracer::instance().clear();
     SpanTracer::instance().setEnabled(true);
+    const MetricDeltas warm_tally;
     SweepEngine warm = makeEngine();
     const auto b = warm.runConfigs(trace, configs);
     SpanTracer::instance().setEnabled(false);
@@ -247,8 +251,8 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     SpanTracer::instance().clear();
     ASSERT_EQ(rollups.count("sweep.key"), 1u);
     EXPECT_EQ(rollups.at("sweep.key").count, 1u);
-    EXPECT_EQ(warm.counters().cache_hits, 2u);
-    EXPECT_EQ(warm.counters().cells_computed, 0u);
+    EXPECT_EQ(warm_tally["sweep.cell.cached"], 2u);
+    EXPECT_EQ(warm_tally["sweep.cell.compute"], 0u);
     for (std::size_t i = 0; i < a.size(); ++i)
         EXPECT_EQ(serializeSimResult(a[i]), serializeSimResult(b[i]));
 
@@ -256,10 +260,11 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     WorkloadSpec reseeded = spec;
     reseeded.gen.seed ^= 0x5a5a;
     const Trace other = reseeded.makeTrace(opt.trace_length);
+    const MetricDeltas fresh_tally;
     SweepEngine fresh = makeEngine();
     fresh.runConfigs(other, configs);
-    EXPECT_EQ(fresh.counters().cache_hits, 0u);
-    EXPECT_EQ(fresh.counters().cells_computed, 2u);
+    EXPECT_EQ(fresh_tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(fresh_tally["sweep.cell.compute"], 2u);
 }
 
 TEST_F(SweepEngineTest, SpecRunConfigsMatchesTheTraceForm)
@@ -291,14 +296,14 @@ TEST_F(SweepEngineTest, SpecRunConfigsHitsTheCellRunGridStored)
     const WorkloadSpec &spec = findWorkload("db1");
     const auto sweeps = makeEngine().runGrid({spec}, opt);
 
+    const MetricDeltas tally;
     SweepEngine warm = makeEngine();
     const auto runs = warm.runConfigs(spec, opt.trace_length,
                                       {opt.configAtDepth(8)});
     ASSERT_EQ(runs.size(), 1u);
-    const SweepCounters c = warm.counters();
-    EXPECT_EQ(c.cache_hits, 1u);
-    EXPECT_EQ(c.cells_computed, 0u);
-    EXPECT_EQ(c.traces_generated, 0u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 1u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 0u);
+    EXPECT_EQ(tally["sweep.trace.generate"], 0u);
     EXPECT_EQ(serializeSimResult(runs[0]),
               serializeSimResult(sweeps[0].runs.back()));
 }
@@ -382,29 +387,84 @@ TEST_F(SweepEngineTest, PrintSummaryReportsCounters)
     std::ostringstream os;
     engine.printSummary(os);
     std::istringstream text(os.str());
-    std::string title, header, rule, values, next;
-    ASSERT_TRUE(std::getline(text, title) && std::getline(text, header) &&
-                std::getline(text, rule) && std::getline(text, values) &&
-                std::getline(text, next));
+    std::string title, next;
+    ASSERT_TRUE(std::getline(text, title) && std::getline(text, next));
     EXPECT_EQ(title, "sweep engine [cache " + dir_.string() + "]");
 
-    // One table, its columns pinned, and nothing after its one row
-    // but the metrics snapshot: the counts are printed once.
-    std::istringstream words(header);
-    const std::vector<std::string> columns{
-        std::istream_iterator<std::string>(words), {}};
-    EXPECT_EQ(columns, (std::vector<std::string>{
-                           "cells", "computed", "cache_hit", "hit_pct",
-                           "stored", "corrupt", "retried", "quar", "skip",
-                           "traces", "Minstr", "wall_s", "sim_MIPS"}));
-    EXPECT_EQ(next.rfind("metrics:", 0), 0u) << next;
-    EXPECT_EQ(os.str().find("cache efficiency:"), std::string::npos);
+    // The header, then the registry's snapshot: the counts are
+    // printed once.
+    EXPECT_EQ(next, "metrics:");
+    EXPECT_NE(os.str().find("\n  sweep.cell.compute "), std::string::npos);
 
     std::ostringstream off;
     SweepEngineOptions uncached;
     uncached.use_cache = false;
     SweepEngine(uncached).printSummary(off);
     EXPECT_NE(off.str().find("cache off"), std::string::npos);
+}
+
+TEST_F(SweepEngineTest, ManifestAndSummaryShareOneTally)
+{
+    // A faulted cold call quarantines one cell; the warm call serves
+    // the rest from the cache and computes the hole. After each, the
+    // manifest's cell counts are the registry's change since the
+    // engine was built, and the summary lists each metric once.
+    const MetricDeltas tally;
+    SweepEngineOptions options;
+    options.cache_dir = dir_.string();
+    options.threads = 1;
+    options.max_retries = 0;
+    SweepEngine engine(options);
+    RunManifest manifest;
+    engine.attachManifest(&manifest);
+
+    ScopedFailpoints guard("sweep.cell.simulate=once");
+    for (const char *call : {"cold", "warm"}) {
+        engine.runSweep(findWorkload("db1"), fastOptions());
+
+        JsonValue doc;
+        ASSERT_TRUE(JsonValue::parse(manifest.toJson(), &doc)) << call;
+        const JsonValue *counts = doc.find("cell_counts");
+        ASSERT_NE(counts, nullptr) << call;
+        for (const auto &[field, metric] :
+             {std::pair<const char *, const char *>{"computed",
+                                                    "sweep.cell.compute"},
+              {"cached", "sweep.cell.cached"},
+              {"quarantined", "sweep.cell.quarantine"}}) {
+            ASSERT_NE(counts->find(field), nullptr) << call;
+            EXPECT_EQ(counts->find(field)->number,
+                      static_cast<double>(tally[metric]))
+                << call << ": " << field;
+        }
+
+        // Counters that would count an engine event twice, spelled
+        // in halves so that a search of the tree for them finds only
+        // this check.
+        std::ostringstream os;
+        engine.printSummary(os);
+        for (const char *gone :
+             {"sweep.cell." "fail", "sim.run." "complete",
+              "sim.instructions." "replay", "ledger.run." "finalize",
+              "cache.probe." "hit", "cache.probe." "total"}) {
+            EXPECT_EQ(os.str().find(gone), std::string::npos)
+                << call << ": " << gone;
+        }
+        std::istringstream lines(os.str());
+        std::string line;
+        ASSERT_TRUE(std::getline(lines, line) && std::getline(lines, line));
+        ASSERT_EQ(line, "metrics:") << call;
+        std::set<std::string> names;
+        while (std::getline(lines, line)) {
+            std::istringstream words(line);
+            std::string name;
+            words >> name;
+            EXPECT_TRUE(names.insert(name).second)
+                << call << ": " << name << " listed twice";
+        }
+    }
+    EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 5u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 4u);
 }
 
 TEST(SweepEngineDeath, BadDepthRangeRejected)

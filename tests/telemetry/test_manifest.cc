@@ -230,44 +230,6 @@ TEST_F(ManifestTest, IdenticalRunsDifferOnlyInTimestamps)
     EXPECT_EQ(da.dump(), db.dump());
 }
 
-TEST_F(ManifestTest, MetricsWindowCarriesOnlyPostBaselineDeltas)
-{
-    // The daemon marks a baseline when it starts listening; the
-    // manifest then reports both process-lifetime totals (metrics)
-    // and the serving-window deltas (metrics_window).
-    Counter &c =
-        MetricsRegistry::instance().counter("test.manifest.window");
-    c.reset();
-    c.add(5);
-
-    RunManifest m;
-    fillGolden(m);
-    // Without a baseline the field is absent entirely (batch tools).
-    EXPECT_EQ(m.toJson().find("\"metrics_window\""), std::string::npos);
-
-    m.markMetricsBaseline();
-    c.add(3);
-
-    const JsonValue doc = parsed(m.toJson());
-    std::string error;
-    EXPECT_TRUE(validateManifest(doc, &error)) << error;
-
-    const JsonValue *window = doc.find("metrics_window");
-    ASSERT_NE(window, nullptr);
-    ASSERT_TRUE(window->isObject());
-    const JsonValue *mine = window->find("test.manifest.window");
-    ASSERT_NE(mine, nullptr);
-    EXPECT_EQ(mine->find("value")->number, 3.0);
-
-    // The cumulative snapshot still reports the lifetime total.
-    EXPECT_EQ(doc.find("metrics")
-                  ->find("test.manifest.window")
-                  ->find("value")
-                  ->number,
-              8.0);
-    c.reset();
-}
-
 TEST_F(ManifestTest, EventStreamIsParseableJsonl)
 {
     const std::filesystem::path events_path = dir_ / "events.jsonl";

@@ -522,14 +522,8 @@ referenceSimulate(const ReplayBuffer &replay,
     // Per-*run* registry updates only (docs/OBSERVABILITY.md): a few
     // relaxed atomics here cost nothing against the timing walk, but
     // nothing telemetry-related may enter the per-instruction loop.
-    static Counter &run_counter =
-        MetricsRegistry::instance().counter("sim.run.complete");
-    static Counter &op_counter =
-        MetricsRegistry::instance().counter("sim.instructions.replay");
     static Gauge &residual_gauge =
         MetricsRegistry::instance().gauge("sim.ledger.residual");
-    run_counter.add();
-    op_counter.add(res.instructions);
     residual_gauge.set(res.ledger_residual);
     return res;
 }

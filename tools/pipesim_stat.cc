@@ -7,7 +7,7 @@
  *
  * Sends one in-band `stats` request (docs/SERVER.md) and renders the
  * snapshot for a human: daemon status, uptime, queue/in-flight depth,
- * lifetime completions, the cache rollup, and every non-empty metric
+ * lifetime completions, and every non-empty metric
  * (histograms with their p50/p99 estimates). --json prints the raw
  * response line instead, for scripts and CI.
  *
@@ -118,12 +118,6 @@ printStats(const JsonValue &doc)
     std::printf("in_flight:   %.0f\n", numberOf(doc, "in_flight"));
     std::printf("connections: %.0f\n", numberOf(doc, "connections"));
     std::printf("completed:   %.0f\n", numberOf(doc, "completed"));
-    if (const JsonValue *cache = doc.find("cache")) {
-        std::printf("cache:       %.0f hit / %.0f miss (rate %.3f)\n",
-                    numberOf(*cache, "hits"),
-                    numberOf(*cache, "misses"),
-                    numberOf(*cache, "hit_rate"));
-    }
     const JsonValue *metrics = doc.find("metrics");
     if (!metrics || !metrics->isObject())
         return;
