@@ -117,7 +117,6 @@ SweepServer::SweepServer(const ServerOptions &options)
           eopt.threads = options.engine_threads;
           eopt.use_cache = options.use_cache;
           eopt.cache_dir = options.cache_dir;
-          eopt.max_retries = options.max_retries;
           return eopt;
       }())
 {

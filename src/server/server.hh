@@ -71,7 +71,6 @@ struct ServerOptions
     unsigned engine_threads = 0; //!< 0 = hardware concurrency
     bool use_cache = true;
     std::string cache_dir;
-    unsigned max_retries = 2;
 
     /**
      * Admission bound: requests parsed but not yet picked up by the

@@ -56,18 +56,19 @@ struct SweepOptions
 };
 
 /**
- * Why one grid cell has no result: the cell exhausted its retries
- * (see SweepEngineOptions::max_retries) and was quarantined. The
- * sweep completed around it; the hole is explicit here and in the run
- * manifest, never a silently truncated grid.
+ * Why one grid cell has no result: its walk threw and the cell was
+ * quarantined, or an interrupt drain skipped it. The sweep completed
+ * around it; the hole is explicit here and in the run manifest, never
+ * a silently truncated grid. A hole is never cached: running the same
+ * sweep again computes it.
  */
 struct FailureRecord
 {
     std::string workload;
     int depth = 0;
-    std::string cause;     //!< what() of the last failure
+    /** "quarantined: <what()>" or "skipped: interrupt drain". */
+    std::string cause;
     std::string failpoint; //!< failpoint name when injected, else ""
-    unsigned attempts = 0; //!< tries made (1 + retries)
 };
 
 /** The analytic model calibrated to a sweep (SweepResult::theoryModel). */

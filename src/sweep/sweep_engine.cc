@@ -30,24 +30,25 @@ namespace
 constexpr std::chrono::milliseconds kShardPoll{25};
 
 /**
- * Describe the exception being handled (call from a catch block):
- * its what(), and the failpoint name when one was injected.
+ * The record of a cell quarantined by the exception being handled
+ * (call from a catch block): its what(), and the failpoint name when
+ * one was injected.
  */
-void
-describeFailure(std::string &cause, std::string &failpoint)
+FailureRecord
+quarantineRecord(const std::string &workload, int depth)
 {
+    FailureRecord f{workload, depth, "quarantined: ", ""};
     try {
         throw;
     } catch (const FailpointError &e) {
-        cause = e.what();
-        failpoint = e.failpoint();
+        f.cause += e.what();
+        f.failpoint = e.failpoint();
     } catch (const std::exception &e) {
-        cause = e.what();
-        failpoint.clear();
+        f.cause += e.what();
     } catch (...) {
-        cause = "unknown failure";
-        failpoint.clear();
+        f.cause += "unknown failure";
     }
+    return f;
 }
 
 /** The explicit hole a quarantined or skipped cell leaves behind:
@@ -142,14 +143,12 @@ class SweepEngine::CellRecorder
         Skipped,     //!< unstarted at an interrupt drain
         Cached,      //!< served from the result cache
         Computed,    //!< walked this run
-        Quarantined, //!< exhausted its retries here
+        Quarantined, //!< its walk threw here
     };
 
     struct Entry
     {
         Outcome outcome = Outcome::Skipped;
-        unsigned attempts = 1;
-        double seconds = 0.0;
         std::uint64_t instructions = 0;
         std::optional<FailureRecord> failure = {}; //!< holes only
     };
@@ -228,8 +227,7 @@ class SweepEngine::CellRecorder
         else if (e.outcome == Outcome::Quarantined)
             outcome = ManifestCell::Outcome::Quarantined;
         return {plan_.names[plan_.workloadOf(cell)],
-                plan_.configOf(cell).depth, outcome, e.seconds,
-                e.instructions, e.attempts};
+                plan_.configOf(cell).depth, outcome, e.instructions};
     }
 
     SweepEngine &engine_;
@@ -299,17 +297,10 @@ SweepEngine::resolveCells(const CellPlan &plan,
         return r;
     };
 
-    /** What a cell carries from its probes to its resolution. */
-    struct Pending
-    {
-        CacheKey key;          //!< set by the probe when caching is on
-        std::string cause;     //!< what() of the last failed attempt
-        std::string failpoint; //!< its failpoint name when injected
-    };
-
     // Resolve cell @p i without a walk when it can be: an interrupt
-    // hole or a cache hit.
-    auto probe = [&](std::size_t i, SimResult &out, Pending &p) -> bool {
+    // hole or a cache hit. @p key receives the cell's cache key when
+    // caching is on.
+    auto probe = [&](std::size_t i, SimResult &out, CacheKey &key) -> bool {
         const PipelineConfig &config = plan.configOf(i);
         const std::string &name = plan.names[plan.workloadOf(i)];
         const int depth = config.depth;
@@ -322,14 +313,14 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 i, {.outcome = Outcome::Skipped,
                     .failure = FailureRecord{name, depth,
                                              "skipped: interrupt drain",
-                                             "", 0}});
+                                             ""}});
             out = holeResult(name, config);
             return true;
         }
 
         if (cache_.enabled()) {
-            p.key = plan.key(plan.workloadOf(i), config);
-            if (auto hit = cache_.load(p.key)) {
+            key = plan.key(plan.workloadOf(i), config);
+            if (auto hit = cache_.load(key)) {
                 hit->workload = name;
                 hit->config = config;
                 recorder.record(i, {.outcome = Outcome::Cached,
@@ -342,102 +333,62 @@ SweepEngine::resolveCells(const CellPlan &plan,
     };
 
     // The one walk route: cells @p todo of the group starting at
-    // @p begin, all cache misses, walk in attempt rounds. A round fires
-    // sweep.cell.simulate for each cell, in cell order, then walks the
-    // survivors together in one simulateMultiDepth call; a throw from
-    // trace preparation or from the walk fails the attempt of every
-    // survivor. Failed cells back off once per round and retry; after
-    // 1 + max_retries rounds they are quarantined with their last
-    // failure. Resolves every cell.
+    // @p begin, all cache misses. Fires sweep.cell.simulate for each,
+    // in cell order, then walks the survivors together in one
+    // simulateMultiDepth call (its wall time is the `sweep.cell.fused`
+    // span). A cell whose failpoint fired, and every survivor when
+    // trace preparation or the walk throws, is quarantined after this
+    // one attempt: a hole that is never cached, so the next run of the
+    // same sweep computes it. Resolves every cell.
     auto walkMissing = [&](std::size_t begin,
-                           std::vector<std::size_t> todo,
-                           std::vector<Pending> &pending,
+                           const std::vector<std::size_t> &todo,
+                           const std::vector<CacheKey> &keys,
                            std::vector<SimResult> &out) {
-        static Counter &retry_counter =
-            MetricsRegistry::instance().counter("sweep.cell.retry");
         const std::size_t w = plan.workloadOf(begin);
         const std::string &name = plan.names[w];
-        const auto start = std::chrono::steady_clock::now();
-        for (unsigned round = 1; !todo.empty(); ++round) {
-            std::vector<std::size_t> survivors, failed;
-            // Called from a catch block: note the failure.
-            auto fail = [&](std::size_t i) {
-                describeFailure(pending[i].cause, pending[i].failpoint);
-                failed.push_back(i);
-            };
-            for (std::size_t i : todo) {
-                try {
-                    PP_FAILPOINT("sweep.cell.simulate");
-                    survivors.push_back(i);
-                } catch (...) {
-                    fail(i);
-                }
-            }
-
-            std::vector<PipelineConfig> lanes;
-            for (std::size_t i : survivors)
-                lanes.push_back(plan.configOf(begin + i));
-            std::vector<SimResult> walked;
-            double seconds = 0.0;
+        // Called from a catch block.
+        auto quarantine = [&](std::size_t i) {
+            const PipelineConfig &config = plan.configOf(begin + i);
+            recorder.record(
+                begin + i,
+                {.outcome = Outcome::Quarantined,
+                 .failure = quarantineRecord(name, config.depth)});
+            out[i] = holeResult(name, config);
+        };
+        std::vector<std::size_t> survivors;
+        for (std::size_t i : todo) {
             try {
-                if (!lanes.empty()) {
-                    // call_once leaves the flag unset when the
-                    // preparation throws, so a retry re-prepares.
-                    const Replay &r = replayFor(w, lanes.front());
-                    TELEM_SPAN(span, "sweep.cell.fused");
-                    span.tag("workload", name);
-                    span.tag("cells",
-                             static_cast<std::uint64_t>(lanes.size()));
-                    const auto t0 = std::chrono::steady_clock::now();
-                    walked = simulateMultiDepth(r.buffer, r.annotations,
-                                                lanes);
-                    seconds = secondsSince(t0);
-                }
+                PP_FAILPOINT("sweep.cell.simulate");
+                survivors.push_back(i);
             } catch (...) {
-                for (std::size_t i : survivors)
-                    fail(i);
-                survivors.clear();
+                quarantine(i);
             }
-            for (std::size_t m = 0; m < survivors.size(); ++m) {
-                const std::size_t i = survivors[m];
-                // The walk's wall time is joint: each cell reports an
-                // equal share.
-                cache_.store(pending[i].key, walked[m]);
-                recorder.record(
-                    begin + i,
-                    {.outcome = Outcome::Computed,
-                     .attempts = round,
-                     .seconds =
-                         seconds / static_cast<double>(survivors.size()),
-                     .instructions = walked[m].instructions});
-                out[i] = std::move(walked[m]);
-            }
+        }
+        if (survivors.empty())
+            return;
 
-            std::sort(failed.begin(), failed.end());
-            if (round > options_.max_retries) {
-                for (std::size_t i : failed) {
-                    const PipelineConfig &config =
-                        plan.configOf(begin + i);
-                    recorder.record(
-                        begin + i,
-                        {.outcome = Outcome::Quarantined,
-                         .attempts = round,
-                         .seconds = secondsSince(start),
-                         .failure = FailureRecord{
-                             name, config.depth, pending[i].cause,
-                             pending[i].failpoint, round}});
-                    out[i] = holeResult(name, config);
-                }
-                return;
-            }
-            if (!failed.empty()) {
-                retry_counter.add(failed.size());
-                // min(10 << (round-1), 1000) ms; shift clamped so a
-                // large retry count cannot overflow.
-                std::this_thread::sleep_for(std::chrono::milliseconds(
-                    std::min(10u << std::min(round - 1, 7u), 1000u)));
-            }
-            todo = std::move(failed);
+        std::vector<PipelineConfig> lanes;
+        for (std::size_t i : survivors)
+            lanes.push_back(plan.configOf(begin + i));
+        std::vector<SimResult> walked;
+        try {
+            const Replay &r = replayFor(w, lanes.front());
+            TELEM_SPAN(span, "sweep.cell.fused");
+            span.tag("workload", name);
+            span.tag("cells", static_cast<std::uint64_t>(lanes.size()));
+            walked = simulateMultiDepth(r.buffer, r.annotations, lanes);
+        } catch (...) {
+            for (std::size_t i : survivors)
+                quarantine(i);
+            return;
+        }
+        for (std::size_t m = 0; m < survivors.size(); ++m) {
+            const std::size_t i = survivors[m];
+            cache_.store(keys[i], walked[m]);
+            recorder.record(begin + i,
+                            {.outcome = Outcome::Computed,
+                             .instructions = walked[m].instructions});
+            out[i] = std::move(walked[m]);
         }
     };
 
@@ -497,7 +448,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
     auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
         const std::size_t count = group.end - group.begin;
         std::vector<SimResult> out(count);
-        std::vector<Pending> pending(count);
+        std::vector<CacheKey> keys(count);
         std::vector<char> resolved(count, 0);
 
         // Probe every still-unresolved cell and return the indices
@@ -509,7 +460,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
             for (std::size_t i = 0; i < count; ++i) {
                 if (resolved[i])
                     continue;
-                if (probe(group.begin + i, out[i], pending[i]))
+                if (probe(group.begin + i, out[i], keys[i]))
                     resolved[i] = 1;
                 else
                     missing.push_back(i);
@@ -521,7 +472,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
         if (missing.empty())
             return out;
         if (!shard_coordinator_) {
-            walkMissing(group.begin, missing, pending, out);
+            walkMissing(group.begin, missing, keys, out);
             return out;
         }
 
@@ -546,11 +497,11 @@ SweepEngine::resolveCells(const CellPlan &plan,
                 // again — a hole stays with the process that met it.
                 missing = probeMissing();
                 if (!missing.empty())
-                    walkMissing(group.begin, missing, pending, out);
+                    walkMissing(group.begin, missing, keys, out);
                 shard_coordinator_->release(group_key);
                 return out;
             case ShardCoordinator::Claim::Uncoordinated:
-                walkMissing(group.begin, missing, pending, out);
+                walkMissing(group.begin, missing, keys, out);
                 return out;
             case ShardCoordinator::Claim::Busy:
                 // A live process holds the group and streams results
@@ -693,6 +644,17 @@ std::vector<SimResult>
 SweepEngine::runConfigs(const Trace &trace,
                         const std::vector<PipelineConfig> &configs)
 {
+    // Annotation clamps the warmup to the trace, so every warmup at or
+    // past its length would key one result at an address of its own.
+    for (const PipelineConfig &config : configs) {
+        if (config.warmup_instructions >= trace.records.size()) {
+            PP_FATAL("runConfigs: warmup_instructions (",
+                     config.warmup_instructions,
+                     ") must be below the trace's record count (",
+                     trace.records.size(), ")");
+        }
+    }
+
     const CallTimer timer;
 
     TELEM_SPAN(grid_span, "sweep.configs");

@@ -62,19 +62,6 @@ struct SweepEngineOptions
     bool use_cache = true;
     std::string cache_dir;
 
-    /// @name Failure isolation (docs/RELIABILITY.md)
-    /// @{
-    /**
-     * Extra attempts for a cell whose simulation throws. After
-     * 1 + max_retries failures the cell is *quarantined*: the sweep
-     * completes around it, the hole is a default SimResult
-     * (cycles == 0) and a FailureRecord in SweepResult::failures.
-     * After a round k with failures, the group waits
-     * min(10 << (k-1), 1000) ms once before the next.
-     */
-    unsigned max_retries = 2;
-    /// @}
-
     /// @name Sharded sweeps (docs/SHARDING.md)
     /// @{
     /**
@@ -153,7 +140,9 @@ class SweepEngine
      * Simulate an explicit trace (e.g. a tape file) under each
      * configuration; results keep order. Cache keys hash the full
      * trace contents (traceCellKey), once per call: each config is
-     * appended to one hash of the records (the `sweep.key` span).
+     * appended to one hash of the records (the `sweep.key` span). As
+     * in the spec form, a config whose warmup_instructions is not
+     * below the trace's record count is fatal.
      */
     std::vector<SimResult>
     runConfigs(const Trace &trace,
@@ -171,7 +160,7 @@ class SweepEngine
 
     /**
      * Report every subsequent cell outcome (computed / cached /
-     * quarantined, with wall seconds and instructions) to @p manifest,
+     * quarantined, with instructions) to @p manifest,
      * which must outlive the engine calls it observes: a `cell` event
      * as each cell resolves, and the call's cells list entries in plan
      * order when the call ends. Pass nullptr to detach. See
@@ -206,7 +195,7 @@ class SweepEngine
     /**
      * The one cell pipeline behind runGrid and runConfigs
      * (docs/SWEEP_ENGINE.md): per group of cells, probe → claim →
-     * walk (simulateMultiDepth, in attempt rounds) → record. Returns
+     * walk (one simulateMultiDepth call) → record. Returns
      * every cell's result in plan order. When @p failures is non-null
      * it receives each plan workload's FailureRecords, in cell order.
      */

@@ -83,8 +83,6 @@ manifestOutcomeName(ManifestCell::Outcome outcome)
         return "computed";
       case ManifestCell::Outcome::Cached:
         return "cached";
-      case ManifestCell::Outcome::Failed:
-        return "failed";
       case ManifestCell::Outcome::Quarantined:
         return "quarantined";
     }
@@ -167,9 +165,7 @@ RunManifest::cellEvent(const ManifestCell &cell)
     event("cell", {{"workload", cell.workload},
                    {"depth", std::to_string(cell.depth)},
                    {"outcome", manifestOutcomeName(cell.outcome)},
-                   {"seconds", jsonNumber(cell.seconds)},
-                   {"instructions", std::to_string(cell.instructions)},
-                   {"attempts", std::to_string(cell.attempts)}});
+                   {"instructions", std::to_string(cell.instructions)}});
 }
 
 void
@@ -210,25 +206,16 @@ RunManifest::toJson() const
     }
     os << (meta_.empty() ? "" : "\n  ") << "},\n";
 
-    std::uint64_t computed = 0, cached = 0, failed = 0;
-    std::uint64_t retried = 0, quarantined = 0;
+    std::uint64_t computed = 0, cached = 0, quarantined = 0;
     for (const ManifestCell &c : cells_) {
         switch (c.outcome) {
           case ManifestCell::Outcome::Computed: ++computed; break;
           case ManifestCell::Outcome::Cached: ++cached; break;
-          case ManifestCell::Outcome::Failed: ++failed; break;
           case ManifestCell::Outcome::Quarantined: ++quarantined; break;
-        }
-        // "Retried" counts cells that needed more than one attempt,
-        // whatever they resolved to; quarantined cells always did.
-        if (c.attempts > 1 &&
-            c.outcome != ManifestCell::Outcome::Quarantined) {
-            ++retried;
         }
     }
     os << "  \"cell_counts\": {\"total\": " << cells_.size()
        << ", \"computed\": " << computed << ", \"cached\": " << cached
-       << ", \"failed\": " << failed << ", \"retried\": " << retried
        << ", \"quarantined\": " << quarantined << "},\n";
 
     os << "  \"cells\": [";
@@ -237,9 +224,7 @@ RunManifest::toJson() const
         os << (i ? "," : "") << "\n    {\"workload\": "
            << jsonQuote(c.workload) << ", \"depth\": " << c.depth
            << ", \"outcome\": \"" << manifestOutcomeName(c.outcome)
-           << "\", \"seconds\": " << jsonNumber(c.seconds)
-           << ", \"instructions\": " << c.instructions
-           << ", \"attempts\": " << c.attempts << "}";
+           << "\", \"instructions\": " << c.instructions << "}";
     }
     os << (cells_.empty() ? "" : "\n  ") << "],\n";
 
@@ -344,8 +329,7 @@ validateManifest(const JsonValue &manifest, std::string *error)
     const JsonValue *counts = manifest.find("cell_counts");
     if (!counts || !counts->isObject())
         return failValidation(error, "cell_counts missing");
-    for (const char *key : {"total", "computed", "cached", "failed",
-                            "retried", "quarantined"}) {
+    for (const char *key : {"total", "computed", "cached", "quarantined"}) {
         const JsonValue *v = counts->find(key);
         if (!v || !v->isNumber())
             return failValidation(error, std::string("cell_counts.") +
@@ -359,19 +343,15 @@ validateManifest(const JsonValue &manifest, std::string *error)
         const JsonValue *workload = cell.find("workload");
         const JsonValue *depth = cell.find("depth");
         const JsonValue *outcome = cell.find("outcome");
-        const JsonValue *seconds = cell.find("seconds");
         const JsonValue *instructions = cell.find("instructions");
-        const JsonValue *attempts = cell.find("attempts");
         if (!workload || !workload->isString() || !depth ||
-            !depth->isNumber() || !seconds || !seconds->isNumber() ||
-            !instructions || !instructions->isNumber() || !attempts ||
-            !attempts->isNumber()) {
+            !depth->isNumber() || !instructions ||
+            !instructions->isNumber()) {
             return failValidation(error, "cell entry incomplete");
         }
         if (!outcome || !outcome->isString() ||
             (outcome->string != "computed" &&
              outcome->string != "cached" &&
-             outcome->string != "failed" &&
              outcome->string != "quarantined")) {
             return failValidation(error, "cell outcome invalid");
         }

@@ -12,9 +12,9 @@
  *  - a final `manifest.json` — schema-versioned, capturing the tool
  *    and argv, the git revision of the build, free-form metadata
  *    (cache directory, config hash, simulator version tag), the
- *    outcome of every cell (computed / cached / failed, with wall
- *    seconds and instructions), the full metrics-registry snapshot,
- *    and per-name span rollups.
+ *    outcome of every cell (computed / cached / quarantined, with its
+ *    instructions), the full metrics-registry snapshot, and per-name
+ *    span rollups.
  *
  * The manifest is the reproduction contract: re-running the tool
  * named in `tool` with `argv` at revision `git` must reproduce the
@@ -51,17 +51,13 @@ struct ManifestCell
     {
         Computed,    //!< simulated this run
         Cached,      //!< served from the result cache
-        Failed,      //!< schema v2 name; the engine never reports it
-                     //!< (a throwing cell retries, then quarantines)
-        Quarantined, //!< exhausted retries; the grid has a hole here
+        Quarantined, //!< its walk threw; the grid has a hole here
     };
 
     std::string workload;
     int depth = 0;
     Outcome outcome = Outcome::Computed;
-    double seconds = 0.0; //!< wall time of the cell (0 for cached)
     std::uint64_t instructions = 0;
-    unsigned attempts = 1; //!< tries made (> 1 means the cell retried)
 };
 
 class RunManifest
@@ -75,8 +71,12 @@ class RunManifest
      * v2: added run `status` ("complete"/"interrupted"), per-cell
      * `attempts`, the "quarantined" outcome, and the `retried` /
      * `quarantined` cell counts (docs/RELIABILITY.md).
+     * v3: a manifest keeps only what the run measured. Removed
+     * per-cell `attempts` and `seconds`, the "failed" outcome and the
+     * `failed` / `retried` cell counts: a cell makes one attempt, and
+     * a walk's wall time is its `sweep.cell.fused` span.
      */
-    static constexpr int kSchemaVersion = 2;
+    static constexpr int kSchemaVersion = 3;
 
     RunManifest();
 

@@ -134,7 +134,7 @@ TEST(DepthSweep, FitsWithThreeLiveDepthsReportNoOptimum)
         hole.workload = r.workload;
         hole.depth = r.depth;
         runs.push_back(hole);
-        failures.push_back({r.workload, r.depth, "injected", "", 1});
+        failures.push_back({r.workload, r.depth, "injected", ""});
     }
     const SweepResult s =
         assembleSweep(full.spec, full.options, runs, failures);
@@ -169,7 +169,7 @@ TEST(DepthSweep, ReferenceHoleLeavesSweepUncalibrated)
     victim = hole;
     const SweepResult s = assembleSweep(
         full.spec, full.options, runs,
-        {{hole.workload, ref, "injected", "", 3}});
+        {{hole.workload, ref, "injected", ""}});
     EXPECT_FALSE(s.calibrated());
     EXPECT_EQ(s.depths().size(), full.depths().size() - 1);
 }

@@ -21,6 +21,9 @@
 #include <filesystem>
 #include <string>
 
+#include "trace/trace_io.hh"
+#include "workloads/catalog.hh"
+
 namespace pipedepth
 {
 namespace
@@ -85,13 +88,19 @@ TEST(PipesimCli, UnknownFlagExitsTwo)
     // Removed resume flags: re-running the same command resumes.
     EXPECT_EQ(runPipesim("--resume x"), 2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --checkpoint x"), 2);
-    // Removed knobs: the retry backoff and the shard poll interval
-    // are constants, and a coordinator restarts no worker.
+    // Removed knobs: no cell retries, so there is no backoff; the
+    // shard poll interval is a constant; a coordinator restarts no
+    // worker.
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --retry-backoff-ms 5"),
               2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --restart-budget 3"),
               2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shard-poll-ms 5"),
+              2);
+    // Removed fault knobs: a failed cell is recovered by re-running,
+    // and PIPEDEPTH_FAILPOINT_SEED seeds the failpoints.
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --max-retries 1"), 2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --failpoint-seed 7"),
               2);
 }
 
@@ -155,6 +164,50 @@ TEST(PipesimCli, WarmupBelowLengthRuns)
     EXPECT_EQ(entries, 1u);
 }
 
+/** A 3000-record db1 tape in a fresh temp dir; returns its path. */
+std::string
+writeDb1Tape()
+{
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir()) /
+        ("pipedepth-cli-tape-" +
+         std::string(
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()));
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    const std::string path = (dir / "db1.pptr").string();
+    writeTrace(findWorkload("db1").makeTrace(3000), path);
+    return path;
+}
+
+TEST(PipesimCli, TapeWarmupNotBelowLengthExitsNonZeroAndCachesNothing)
+{
+    // As for --workload: annotation clamps the warmup to the tape, so
+    // the default warmup (60000) would key one fully warm result at
+    // an address of its own.
+    const std::string tape = writeDb1Tape();
+    std::size_t entries = 0;
+    EXPECT_NE(runPipesimCached("--tape " + tape + " --depth 8", &entries),
+              0);
+    EXPECT_EQ(entries, 0u);
+    EXPECT_NE(runPipesimCached("--tape " + tape + " --depth 8 --warmup 3000",
+                               &entries),
+              0);
+    EXPECT_EQ(entries, 0u);
+    std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
+}
+
+TEST(PipesimCli, TapeWarmupBelowLengthRuns)
+{
+    const std::string tape = writeDb1Tape();
+    std::size_t entries = 0;
+    EXPECT_EQ(runPipesimCached("--tape " + tape + " --depth 8 --warmup 1000",
+                               &entries),
+              0);
+    EXPECT_EQ(entries, 1u);
+    std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
+}
+
 TEST(PipesimCli, UnreadableTapeExitsOne)
 {
     EXPECT_EQ(runPipesim("--tape /nonexistent/trace.tape --depth 4"), 1);
@@ -176,7 +229,7 @@ TEST(PipesimCli, SweepWithThreeLiveDepthsExitsThree)
         hits += (i > 1 ? "," : "") + std::to_string(i);
     EXPECT_EQ(runPipesim("--workload db1 --sweep --csv --length 2000 "
                          "--warmup 0 --no-cache --threads 1 "
-                         "--max-retries 0 --failpoint "
+                         "--failpoint "
                          "'sweep.cell.simulate=hits:" +
                          hits + "'"),
               3);

@@ -1,7 +1,8 @@
 /**
  * @file
- * Reliability suite (docs/RELIABILITY.md): retry and quarantine
- * semantics of the sweep engine under injected faults, cache I/O
+ * Reliability suite (docs/RELIABILITY.md): quarantine semantics of
+ * the sweep engine under injected faults and healing by re-running,
+ * cache I/O
  * degradation paths, interrupt drain, the concurrent-writer
  * torn-entry guarantee, and — through the real pipesim binary —
  * kill-and-rerun byte-identity and the graceful SIGTERM drain.
@@ -102,12 +103,11 @@ class ReliabilityTest : public ::testing::Test
     }
 
     SweepEngine
-    makeEngine(bool use_cache, unsigned max_retries = 2)
+    makeEngine(bool use_cache)
     {
         SweepEngineOptions opt;
         opt.use_cache = use_cache;
         opt.cache_dir = (dir_ / "cache").string();
-        opt.max_retries = max_retries;
         return SweepEngine(opt);
     }
 
@@ -121,9 +121,9 @@ class ReliabilityTest : public ::testing::Test
 };
 
 // ---------------------------------------------------------------------
-// Retry and quarantine
+// Quarantine, and healing by re-running
 
-TEST_F(ReliabilityTest, TransientFaultRetriesToIdenticalResult)
+TEST_F(ReliabilityTest, QuarantinedCellHealsOnRerun)
 {
     const WorkloadSpec spec = findWorkload("db1");
     const SweepOptions opt = fastOptions();
@@ -132,29 +132,46 @@ TEST_F(ReliabilityTest, TransientFaultRetriesToIdenticalResult)
     const SweepResult want = clean.runSweep(spec, opt);
     ASSERT_TRUE(want.complete());
 
-    // One injected fault: the first simulated cell fails once, then
-    // succeeds on retry. The grid must come out byte-identical.
-    ScopedFailpoints guard("sweep.cell.simulate=once");
-    SpanTracer &tracer = SpanTracer::instance();
-    tracer.clear();
-    tracer.setEnabled(true);
-    const MetricDeltas tally;
-    SweepEngine engine = makeEngine(false);
-    const SweepResult got = engine.runSweep(spec, opt);
-    const auto spans = tracer.rollups();
-    tracer.setEnabled(false);
-    tracer.clear();
+    // One injected fault: the first simulated cell fails its one
+    // attempt and is quarantined; the hole is never cached.
+    SweepEngine engine = makeEngine(true);
+    {
+        ScopedFailpoints guard("sweep.cell.simulate=once");
+        SpanTracer &tracer = SpanTracer::instance();
+        tracer.clear();
+        tracer.setEnabled(true);
+        const MetricDeltas tally;
+        const SweepResult holed = engine.runSweep(spec, opt);
+        const auto spans = tracer.rollups();
+        tracer.setEnabled(false);
+        tracer.clear();
 
+        ASSERT_EQ(holed.failures.size(), 1u);
+        EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
+        EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt) - 1);
+        EXPECT_EQ(cacheEntryCount(), cellCount(opt) - 1);
+        const ResultCache cache((dir_ / "cache").string());
+        EXPECT_FALSE(cache
+                         .load(simCellKey(
+                             spec, opt.trace_length,
+                             opt.configAtDepth(holed.failures[0].depth)))
+                         .has_value());
+        // The armed run takes the production walk: the 5 cells form
+        // groups of 4 and 1, and each group's survivors walk together,
+        // so there are fewer walks than computed cells.
+        ASSERT_EQ(spans.count("sweep.cell.fused"), 1u);
+        const std::uint64_t walks = spans.at("sweep.cell.fused").count;
+        EXPECT_GT(walks, 0u);
+        EXPECT_LT(walks, tally["sweep.cell.compute"]);
+    }
+
+    // The same sweep on the same cache computes only the hole, and
+    // its grid is byte-identical to the clean run's.
+    const MetricDeltas tally;
+    const SweepResult got = engine.runSweep(spec, opt);
     EXPECT_TRUE(got.complete());
-    EXPECT_EQ(tally["sweep.cell.retry"], 1u);
-    EXPECT_EQ(tally["sweep.cell.quarantine"], 0u);
-    // The armed run takes the production walk: the 5 cells form
-    // groups of 4 and 1, and each round's survivors walk together,
-    // so there are fewer walks than computed cells.
-    ASSERT_EQ(spans.count("sweep.cell.fused"), 1u);
-    const std::uint64_t walks = spans.at("sweep.cell.fused").count;
-    EXPECT_GT(walks, 0u);
-    EXPECT_LT(walks, tally["sweep.cell.compute"]);
+    EXPECT_EQ(tally["sweep.cell.compute"], 1u);
+    EXPECT_EQ(tally["sweep.cell.cached"], cellCount(opt) - 1);
     ASSERT_EQ(got.runs.size(), want.runs.size());
     for (std::size_t i = 0; i < want.runs.size(); ++i) {
         EXPECT_EQ(serializeSimResult(got.runs[i]),
@@ -167,22 +184,23 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
 {
     const WorkloadSpec spec = findWorkload("db1");
     const SweepOptions opt = fastOptions();
-    const unsigned max_retries = 2;
 
     ScopedFailpoints guard("sweep.cell.simulate=always");
     const MetricDeltas tally;
-    SweepEngine engine = makeEngine(false, max_retries);
+    SweepEngine engine = makeEngine(false);
     const SweepResult sweep = engine.runSweep(spec, opt);
 
-    // The sweep completed — no exception — but every cell is a hole.
+    // The sweep completed — no exception — but every cell is a hole,
+    // each after one attempt: nothing retries in-process.
     EXPECT_FALSE(sweep.complete());
+    EXPECT_EQ(failpoints::hitCount("sweep.cell.simulate"), cellCount(opt));
     ASSERT_EQ(sweep.failures.size(), cellCount(opt));
     ASSERT_EQ(engine.lastFailures().size(), cellCount(opt));
     for (std::size_t k = 0; k < sweep.failures.size(); ++k) {
         const FailureRecord &f = sweep.failures[k];
         EXPECT_EQ(f.workload, "db1");
         EXPECT_EQ(f.failpoint, "sweep.cell.simulate");
-        EXPECT_EQ(f.attempts, 1 + max_retries);
+        EXPECT_EQ(f.cause.rfind("quarantined: ", 0), 0u) << f.cause;
         EXPECT_NE(f.cause.find("sweep.cell.simulate"),
                   std::string::npos);
         // Both lists come in cell order (ascending depth), not in
@@ -202,7 +220,7 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
 TEST_F(ReliabilityTest, QuarantinedCellsAreNeverCached)
 {
     ScopedFailpoints guard("sweep.cell.simulate=always");
-    SweepEngine engine = makeEngine(true, 0);
+    SweepEngine engine = makeEngine(true);
     const SweepResult sweep =
         engine.runSweep(findWorkload("db1"), fastOptions());
     EXPECT_FALSE(sweep.complete());
@@ -211,11 +229,11 @@ TEST_F(ReliabilityTest, QuarantinedCellsAreNeverCached)
 
 TEST_F(ReliabilityTest, PartialQuarantineKeepsOtherCellsLive)
 {
-    // Fail only the first attempted cell, with no retries: exactly
-    // one hole, every other cell computes normally.
+    // Fail only the first attempted cell: exactly one hole, every
+    // other cell computes normally.
     ScopedFailpoints guard("sweep.cell.simulate=once");
     const MetricDeltas tally;
-    SweepEngine engine = makeEngine(false, 0);
+    SweepEngine engine = makeEngine(false);
     const SweepOptions opt = fastOptions();
     const SweepResult sweep = engine.runSweep(findWorkload("db1"), opt);
 
@@ -242,7 +260,7 @@ TEST_F(ReliabilityTest, QuarantinedHolesAreSkippedByFitsAndAccessors)
     ASSERT_TRUE(full.complete());
 
     ScopedFailpoints guard("sweep.cell.simulate=once");
-    SweepEngine engine = makeEngine(false, 0);
+    SweepEngine engine = makeEngine(false);
     const SweepResult holey = engine.runSweep(spec, opt);
     ASSERT_EQ(holey.failures.size(), 1u);
     const int hole_depth = holey.failures[0].depth;
@@ -370,12 +388,12 @@ TEST_F(ReliabilityTest, InterruptDrainSkipsRemainingCells)
     ASSERT_EQ(sweep.failures.size(), cellCount(opt));
     for (const FailureRecord &f : sweep.failures) {
         EXPECT_EQ(f.cause, "skipped: interrupt drain");
-        EXPECT_EQ(f.attempts, 0u);
+        EXPECT_EQ(f.failpoint, "");
     }
 }
 
 // ---------------------------------------------------------------------
-// Manifest v2
+// Manifest v3
 
 TEST_F(ReliabilityTest, ManifestEnumeratesQuarantinedHoles)
 {
@@ -384,7 +402,7 @@ TEST_F(ReliabilityTest, ManifestEnumeratesQuarantinedHoles)
     manifest.setTool("test_reliability");
 
     ScopedFailpoints guard("sweep.cell.simulate=always");
-    SweepEngine engine = makeEngine(false, 1);
+    SweepEngine engine = makeEngine(false);
     engine.attachManifest(&manifest);
     engine.runSweep(findWorkload("db1"), opt);
 
@@ -395,32 +413,27 @@ TEST_F(ReliabilityTest, ManifestEnumeratesQuarantinedHoles)
     ASSERT_TRUE(validateManifest(doc, &error)) << error;
 
     EXPECT_EQ(doc.find("status")->string, "complete");
+    // v3 keeps only what the run measured: no attempt counts and no
+    // per-cell seconds.
     const JsonValue *counts = doc.find("cell_counts");
+    std::vector<std::string> keys;
+    for (const auto &[key, value] : counts->object)
+        keys.push_back(key);
+    EXPECT_EQ(keys, (std::vector<std::string>{"total", "computed",
+                                              "cached", "quarantined"}));
     EXPECT_EQ(counts->find("quarantined")->number,
               static_cast<double>(cellCount(opt)));
     EXPECT_EQ(counts->find("computed")->number, 0.0);
+    ASSERT_EQ(doc.find("cells")->array.size(), cellCount(opt));
     for (const JsonValue &cell : doc.find("cells")->array) {
+        keys.clear();
+        for (const auto &[key, value] : cell.object)
+            keys.push_back(key);
+        EXPECT_EQ(keys, (std::vector<std::string>{"workload", "depth",
+                                                  "outcome",
+                                                  "instructions"}));
         EXPECT_EQ(cell.find("outcome")->string, "quarantined");
-        EXPECT_EQ(cell.find("attempts")->number, 2.0); // 1 + 1 retry
     }
-}
-
-TEST_F(ReliabilityTest, ManifestCountsRetriedCells)
-{
-    RunManifest manifest;
-    manifest.setTool("test_reliability");
-
-    ScopedFailpoints guard("sweep.cell.simulate=once");
-    SweepEngine engine = makeEngine(false);
-    engine.attachManifest(&manifest);
-    engine.runSweep(findWorkload("db1"), fastOptions());
-
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(manifest.toJson(), &doc, &error));
-    ASSERT_TRUE(validateManifest(doc, &error)) << error;
-    EXPECT_EQ(doc.find("cell_counts")->find("retried")->number, 1.0);
-    EXPECT_EQ(doc.find("cell_counts")->find("quarantined")->number, 0.0);
 }
 
 // ---------------------------------------------------------------------
@@ -621,26 +634,76 @@ TEST_F(ReliabilityTest, SigtermDrainsWithInterruptedManifest)
     EXPECT_EQ(doc.find("status")->string, "interrupted");
 }
 
+/** cell_counts of the manifest at @p path, as {total, computed,
+ *  cached, quarantined}; checks that the manifest validates and that
+ *  its run completed. */
+std::vector<double>
+cellCounts(const std::filesystem::path &path)
+{
+    JsonValue doc;
+    std::string error;
+    EXPECT_TRUE(JsonValue::parse(slurp(path), &doc, &error)) << error;
+    EXPECT_TRUE(validateManifest(doc, &error)) << error;
+    const JsonValue *status = doc.find("status");
+    EXPECT_TRUE(status != nullptr && status->string == "complete");
+    const JsonValue *counts = doc.find("cell_counts");
+    if (counts == nullptr)
+        return {};
+    std::vector<double> out;
+    for (const char *key : {"total", "computed", "cached", "quarantined"})
+        out.push_back(counts->find(key)->number);
+    return out;
+}
+
 TEST_F(ReliabilityTest, PipesimSweepCompletesUnderInjectedFaults)
 {
-    // A sweep whose every third cell fails twice (exhausting one
-    // retry) completes with quarantined holes and exit code 3.
+    // A sweep whose every third cell fails its one attempt completes
+    // with 8 quarantined holes and exit code 3.
     const std::filesystem::path manifest_path = dir_ / "faulty.json";
     const int rc = runShell(
         "PIPEDEPTH_CACHE_DIR= " + std::string(PIPESIM_PATH) +
         " --workload db1 --sweep --csv --length 20000 --warmup 5000 "
-        "--max-retries 0 --failpoint 'sweep.cell.simulate=every:3' "
+        "--failpoint 'sweep.cell.simulate=every:3' "
         "--manifest-out " + manifest_path.string() +
         " >/dev/null 2>/dev/null");
     EXPECT_EQ(rc, 3);
+    EXPECT_EQ(cellCounts(manifest_path),
+              (std::vector<double>{24, 16, 0, 8}));
+}
 
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(slurp(manifest_path), &doc, &error))
-        << error;
-    ASSERT_TRUE(validateManifest(doc, &error)) << error;
-    EXPECT_EQ(doc.find("status")->string, "complete");
-    EXPECT_GT(doc.find("cell_counts")->find("quarantined")->number, 0.0);
+TEST_F(ReliabilityTest, PipesimRerunHealsQuarantinedCells)
+{
+    // Re-running is the one way to recover a hole: the faulted run
+    // caches its 16 live cells and none of its 8 holes, and the same
+    // command without the fault serves the 16, computes the 8, and
+    // prints a clean run's grid.
+    const std::string sweep =
+        std::string(PIPESIM_PATH) +
+        " --workload db1 --sweep --csv --length 20000 --warmup 5000"
+        " --threads 1";
+    ASSERT_EQ(runShell(sweep + " --no-cache > " +
+                       (dir_ / "clean.csv").string() + " 2>/dev/null"),
+              0);
+
+    const std::string cached =
+        "PIPEDEPTH_CACHE_DIR=" + (dir_ / "cache").string() + " " + sweep;
+    EXPECT_EQ(runShell(cached +
+                       " --failpoint 'sweep.cell.simulate=every:3'"
+                       " --manifest-out " +
+                       (dir_ / "m1.json").string() +
+                       " >/dev/null 2>/dev/null"),
+              3);
+    EXPECT_EQ(cellCounts(dir_ / "m1.json"),
+              (std::vector<double>{24, 16, 0, 8}));
+    EXPECT_EQ(simresCount(dir_ / "cache"), 16u);
+
+    EXPECT_EQ(runShell(cached + " --manifest-out " +
+                       (dir_ / "m2.json").string() + " > " +
+                       (dir_ / "healed.csv").string() + " 2>/dev/null"),
+              0);
+    EXPECT_EQ(cellCounts(dir_ / "m2.json"),
+              (std::vector<double>{24, 8, 16, 0}));
+    EXPECT_EQ(slurp(dir_ / "healed.csv"), slurp(dir_ / "clean.csv"));
 }
 
 // ---------------------------------------------------------------------
@@ -715,7 +778,7 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
     EXPECT_EQ(slurp(dir_ / "worker3.csv"), want);
 }
 
-TEST_F(ReliabilityTest, ShardCoordinatorRestartsKilledWorker)
+TEST_F(ReliabilityTest, ShardCoordinatorAbsorbsKilledWorker)
 {
     // Coordinator mode: pipesim --shards 4 forks its own workers.
     // SIGKILLing one needs no restart: the survivors or the merged
@@ -823,13 +886,14 @@ TEST_F(ReliabilityTest, ShardedRerunAfterQuarantineHeals)
     const std::filesystem::path cache = dir_ / "cache";
     const std::filesystem::path coord = dir_ / "coord";
     const std::filesystem::path err = dir_ / "sharded.err";
-    // Each process's first walk attempt fails and, with no retry,
-    // leaves a hole (which another process may walk again before the
-    // run ends); any exit code will do.
-    runShardedSweep(cache, coord,
-                    "--length 20000 --max-retries 0 --failpoint "
-                    "'sweep.cell.simulate=hits:1'",
-                    dir_ / "faulty.csv", err);
+    // Each process's first walk fails and leaves a hole (which
+    // another process may walk again before the run ends): exit 0 or
+    // 3.
+    const int faulty = runShardedSweep(
+        cache, coord, "--length 20000 --failpoint "
+                      "'sweep.cell.simulate=hits:1'",
+        dir_ / "faulty.csv", err);
+    EXPECT_TRUE(faulty == 0 || faulty == 3) << faulty << slurp(err);
 
     EXPECT_EQ(runShardedSweep(cache, coord, "--length 30000",
                               dir_ / "other.csv", err),

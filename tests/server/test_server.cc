@@ -559,6 +559,21 @@ TEST(ServerLifecycle, StartThenDestroyWithoutServeDoesNotHang)
     fs::remove_all(dir, ec);
 }
 
+TEST(ServerLifecycle, RemovedFlagsExitTwo)
+{
+    // A failed cell is recovered by the next request that needs it,
+    // and PIPEDEPTH_FAILPOINT_SEED seeds the failpoints: both knobs
+    // are gone, and a script that still passes one gets the usage.
+    for (const char *flag : {"--max-retries 1", "--failpoint-seed 7"}) {
+        const std::string cmd = std::string(PIPESIMD_PATH) +
+                                " --socket /nonexistent/d.sock " + flag +
+                                " >/dev/null 2>&1";
+        const int rc = std::system(cmd.c_str());
+        ASSERT_TRUE(WIFEXITED(rc)) << flag;
+        EXPECT_EQ(WEXITSTATUS(rc), 2) << flag;
+    }
+}
+
 TEST_F(ServerTest, SigtermUnlinksSocketAndExitsZero)
 {
     expectGoodSweep(transact(goodRequest("d1")), "d1");
@@ -839,8 +854,7 @@ class UncalibratedServerTest : public ServerTest
   protected:
     UncalibratedServerTest()
     {
-        extra_args_ = {"--max-retries", "0", "--failpoint",
-                       "sweep.cell.simulate=hits:2"};
+        extra_args_ = {"--failpoint", "sweep.cell.simulate=hits:2"};
     }
 };
 

@@ -324,7 +324,6 @@ TEST_F(SweepEngineTest, AssemblyCalibratesAtTheReferenceDepth)
     SweepEngineOptions engine_options;
     engine_options.use_cache = false;
     engine_options.threads = 1;
-    engine_options.max_retries = 0;
 
     SweepEngine engine(engine_options);
     std::vector<SimResult> runs =
@@ -413,7 +412,6 @@ TEST_F(SweepEngineTest, ManifestAndSummaryShareOneTally)
     SweepEngineOptions options;
     options.cache_dir = dir_.string();
     options.threads = 1;
-    options.max_retries = 0;
     SweepEngine engine(options);
     RunManifest manifest;
     engine.attachManifest(&manifest);

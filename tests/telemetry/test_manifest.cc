@@ -43,13 +43,11 @@ fillGolden(RunManifest &m)
     cell.workload = "gcc95";
     cell.depth = 7;
     cell.outcome = ManifestCell::Outcome::Computed;
-    cell.seconds = 0.125;
     cell.instructions = 200000;
     m.recordCell(cell);
 
     cell.depth = 8;
     cell.outcome = ManifestCell::Outcome::Cached;
-    cell.seconds = 0.0;
     m.recordCell(cell);
 }
 
@@ -130,19 +128,32 @@ TEST_F(ManifestTest, GoldenRoundTripFieldByField)
     EXPECT_EQ(meta->find("sim_version")->string, "pipedepth-sim-2");
     EXPECT_EQ(meta->find("cache_dir")->string, "/tmp/cache");
 
+    // v3 keeps only what a run measured: no failed or retried count,
+    // and no per-cell attempts or seconds.
+    const auto keysOf = [](const JsonValue &object) {
+        std::vector<std::string> keys;
+        for (const auto &[key, value] : object.object)
+            keys.push_back(key);
+        return keys;
+    };
     const JsonValue *counts = doc.find("cell_counts");
+    EXPECT_EQ(keysOf(*counts),
+              (std::vector<std::string>{"total", "computed", "cached",
+                                        "quarantined"}));
     EXPECT_EQ(counts->find("total")->number, 2.0);
     EXPECT_EQ(counts->find("computed")->number, 1.0);
     EXPECT_EQ(counts->find("cached")->number, 1.0);
-    EXPECT_EQ(counts->find("failed")->number, 0.0);
+    EXPECT_EQ(counts->find("quarantined")->number, 0.0);
 
     const JsonValue *cells = doc.find("cells");
     ASSERT_EQ(cells->array.size(), 2u);
     const JsonValue &first = cells->array[0];
+    EXPECT_EQ(keysOf(first),
+              (std::vector<std::string>{"workload", "depth", "outcome",
+                                        "instructions"}));
     EXPECT_EQ(first.find("workload")->string, "gcc95");
     EXPECT_EQ(first.find("depth")->number, 7.0);
     EXPECT_EQ(first.find("outcome")->string, "computed");
-    EXPECT_EQ(first.find("seconds")->number, 0.125);
     EXPECT_EQ(first.find("instructions")->number, 200000.0);
     EXPECT_EQ(cells->array[1].find("outcome")->string, "cached");
 
@@ -176,18 +187,20 @@ TEST_F(ManifestTest, ValidateRejectsStructuralDamage)
     EXPECT_FALSE(validateManifest(doc, &error));
     EXPECT_NE(error.find("tool"), std::string::npos);
 
-    // Unknown cell outcome.
-    doc = parsed(goldenJson());
-    for (auto &[key, value] : doc.object) {
-        if (key == "cells") {
-            for (auto &[ckey, cvalue] : value.array[0].object) {
-                if (ckey == "outcome")
-                    cvalue.string = "guessed";
+    // Unknown cell outcome, and the v2 "failed" outcome v3 dropped.
+    for (const char *outcome : {"guessed", "failed"}) {
+        doc = parsed(goldenJson());
+        for (auto &[key, value] : doc.object) {
+            if (key == "cells") {
+                for (auto &[ckey, cvalue] : value.array[0].object) {
+                    if (ckey == "outcome")
+                        cvalue.string = outcome;
+                }
             }
         }
+        EXPECT_FALSE(validateManifest(doc, &error)) << outcome;
+        EXPECT_NE(error.find("outcome"), std::string::npos) << outcome;
     }
-    EXPECT_FALSE(validateManifest(doc, &error));
-    EXPECT_NE(error.find("outcome"), std::string::npos);
 
     // cell_counts.total disagreeing with cells[].
     doc = parsed(goldenJson());

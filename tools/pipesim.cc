@@ -40,18 +40,18 @@
  * --events-out FILE streams JSONL events while the run progresses.
  * Any of the three enables span tracing for the run.
  *
- * Reliability (docs/RELIABILITY.md): cells whose simulation throws
- * retry up to --max-retries times (bounded exponential backoff), then
- * quarantine — the sweep completes around the hole and every
- * quarantined cell is enumerated on stderr and in the manifest.
- * SIGINT/SIGTERM drain gracefully: in-flight cells finish and land
- * in the cache, the manifest is finalized with status "interrupted",
- * and the exit status is 130. A killed or
- * drained run resumes when the same command runs again on the same
- * cache: completed cells are cache hits, only the rest compute, and
- * the grid is byte-identical to an uninterrupted run. --failpoint
- * SPEC / --failpoint-seed N inject deterministic faults (same syntax
- * as PIPEDEPTH_FAILPOINTS; see common/failpoint.hh).
+ * Reliability (docs/RELIABILITY.md): a cell whose simulation throws
+ * is quarantined after its one attempt — the sweep completes around
+ * the hole and every quarantined cell is enumerated on stderr and in
+ * the manifest. A hole is never cached. SIGINT/SIGTERM drain
+ * gracefully: in-flight cells finish and land in the cache, the
+ * manifest is finalized with status "interrupted", and the exit
+ * status is 130. A killed, drained or holed run recovers the same
+ * way: the same command, run again on the same cache, serves
+ * completed cells from the cache, computes only the rest, and prints
+ * a grid byte-identical to an uninterrupted run. --failpoint SPEC
+ * injects deterministic faults (same syntax as PIPEDEPTH_FAILPOINTS,
+ * seeded by PIPEDEPTH_FAILPOINT_SEED; see common/failpoint.hh).
  *
  * Sharding (docs/SHARDING.md): --sweep --shards N splits the grid
  * over N worker processes that lock cell groups with flock(2) on
@@ -116,12 +116,10 @@ usage(const char *argv0)
         "          [--length N] [--warmup N] [--csv] [--no-cache]\n"
         "          [--threads N] [--stalls] [--stalls-json] [--audit]\n"
         "          [--trace-out FILE] [--manifest-out FILE]\n"
-        "          [--events-out FILE]\n"
-        "          [--max-retries N]\n"
-        "          [--failpoint SPEC] [--failpoint-seed N]\n"
+        "          [--events-out FILE] [--failpoint SPEC]\n"
         "          [--shards N [--shard-id K] [--shard-dir DIR]]\n"
-        "A killed or interrupted run resumes when the same command runs\n"
-        "again on the same result cache.\n",
+        "A killed, interrupted or holed run recovers when the same\n"
+        "command runs again on the same result cache.\n",
         argv0);
     std::exit(2);
 }
@@ -140,12 +138,10 @@ struct Options
     bool audit = false;
     std::string trace_out, manifest_out, events_out;
     unsigned threads = 0;
-    unsigned max_retries = 2;
     unsigned shards = 1;        //!< worker processes; 1 = sharding off
     int shard_id = -1;          //!< this worker; -1 = coordinator
     std::string shard_dir;      //!< shared coordination directory
     std::string failpoint_spec;
-    std::uint64_t failpoint_seed = 1;
     std::size_t length = 200000;
     std::size_t warmup = 60000;
     PredictorKind predictor = PredictorKind::Bimodal;
@@ -193,14 +189,8 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
             opt.manifest_out = args[++i];
         } else if (arg == "--events-out" && has_value) {
             opt.events_out = args[++i];
-        } else if (arg == "--max-retries" && has_value) {
-            opt.max_retries = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
         } else if (arg == "--failpoint" && has_value) {
             opt.failpoint_spec = args[++i];
-        } else if (arg == "--failpoint-seed" && has_value) {
-            opt.failpoint_seed =
-                std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (arg == "--threads" && has_value) {
             opt.threads = static_cast<unsigned>(
                 std::strtoul(args[++i].c_str(), nullptr, 10));
@@ -386,16 +376,8 @@ void
 printFailures(const std::vector<FailureRecord> &failures)
 {
     for (const auto &f : failures) {
-        if (f.attempts == 0) {
-            std::fprintf(stderr, "pipesim: cell %s depth %d %s\n",
-                         f.workload.c_str(), f.depth, f.cause.c_str());
-        } else {
-            std::fprintf(stderr,
-                         "pipesim: quarantined cell %s depth %d after "
-                         "%u attempt%s: %s\n",
-                         f.workload.c_str(), f.depth, f.attempts,
-                         f.attempts == 1 ? "" : "s", f.cause.c_str());
-        }
+        std::fprintf(stderr, "pipesim: cell %s depth %d %s\n",
+                     f.workload.c_str(), f.depth, f.cause.c_str());
     }
 }
 
@@ -578,7 +560,6 @@ main(int argc, char **argv)
     }
 
     if (!opt.failpoint_spec.empty()) {
-        failpoints::setSeed(opt.failpoint_seed);
         std::string error;
         if (!failpoints::configure(opt.failpoint_spec, &error)) {
             std::fprintf(stderr, "%s: bad --failpoint spec: %s\n",
@@ -655,7 +636,6 @@ main(int argc, char **argv)
     SweepEngineOptions engine_options;
     engine_options.threads = opt.threads;
     engine_options.use_cache = !opt.no_cache;
-    engine_options.max_retries = opt.max_retries;
     if (opt.shards > 1) {
         engine_options.shards = opt.shards;
         engine_options.shard_id =

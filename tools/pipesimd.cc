@@ -5,10 +5,10 @@
  * Usage:
  *   pipesimd --socket PATH [--threads N] [--no-cache]
  *            [--cache-dir DIR] [--max-queue N] [--max-line-bytes N]
- *            [--max-retries N] [--idle-timeout-ms N]
+ *            [--idle-timeout-ms N]
  *            [--manifest-out FILE] [--events-out FILE]
  *            [--access-log FILE] [--slow-ms N]
- *            [--failpoint SPEC] [--failpoint-seed N]
+ *            [--failpoint SPEC]
  *
  * --idle-timeout-ms closes connections that sit *mid-line* — bytes
  * buffered, no newline, nothing in flight — longer than N ms
@@ -42,7 +42,8 @@
  * --failpoint arms the same deterministic fault-injection sites as
  * pipesim (common/failpoint.hh); a cell fault quarantines within the
  * requesting query (its done line reports the hole) and the daemon
- * keeps serving.
+ * keeps serving. The hole is never cached, so the next request that
+ * needs the cell computes it.
  */
 
 #include <csignal>
@@ -78,11 +79,10 @@ usage(const char *argv0)
         stderr,
         "usage: %s --socket PATH [--threads N] [--no-cache]\n"
         "          [--cache-dir DIR] [--max-queue N]\n"
-        "          [--max-line-bytes N] [--max-retries N]\n"
-        "          [--idle-timeout-ms N] [--manifest-out FILE]\n"
-        "          [--events-out FILE] [--access-log FILE]\n"
-        "          [--slow-ms N] [--failpoint SPEC]\n"
-        "          [--failpoint-seed N]\n",
+        "          [--max-line-bytes N] [--idle-timeout-ms N]\n"
+        "          [--manifest-out FILE] [--events-out FILE]\n"
+        "          [--access-log FILE] [--slow-ms N]\n"
+        "          [--failpoint SPEC]\n",
         argv0);
     std::exit(2);
 }
@@ -112,7 +112,6 @@ main(int argc, char **argv)
 {
     ServerOptions opt;
     std::string failpoint_spec;
-    std::uint64_t failpoint_seed = 1;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -133,9 +132,6 @@ main(int argc, char **argv)
         } else if (arg == "--max-line-bytes" && has_value) {
             opt.max_line_bytes = static_cast<std::size_t>(
                 std::strtoull(args[++i].c_str(), nullptr, 10));
-        } else if (arg == "--max-retries" && has_value) {
-            opt.max_retries = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
         } else if (arg == "--idle-timeout-ms" && has_value) {
             opt.idle_timeout_ms =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
@@ -150,9 +146,6 @@ main(int argc, char **argv)
                 std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (arg == "--failpoint" && has_value) {
             failpoint_spec = args[++i];
-        } else if (arg == "--failpoint-seed" && has_value) {
-            failpoint_seed =
-                std::strtoull(args[++i].c_str(), nullptr, 10);
         } else {
             usage(argv[0]);
         }
@@ -162,7 +155,6 @@ main(int argc, char **argv)
         usage(argv[0]);
 
     if (!failpoint_spec.empty()) {
-        failpoints::setSeed(failpoint_seed);
         std::string error;
         if (!failpoints::configure(failpoint_spec, &error)) {
             std::fprintf(stderr, "%s: bad --failpoint spec: %s\n",
