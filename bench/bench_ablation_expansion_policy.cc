@@ -23,8 +23,6 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    banner(opt, "expansion policy ablation: BIPS^3/W optimum by where "
-                "extra stages go");
     TableWriter t(opt.style());
     t.addColumn("workload");
     t.addColumn("policy");
@@ -39,10 +37,8 @@ main(int argc, char **argv)
               ExpansionPolicy::CacheHeavy, ExpansionPolicy::ExecHeavy}) {
             SweepOptions so = opt.sweepOptions();
             so.policy = policy;
-            const SweepResult sweep = engine.runSweep(findWorkload(name), so);
-            const SimResult *at20 = sweep.runAt(20);
-            if (!sweep.calibrated() || !at20) // quarantined: no row
-                continue;
+            const SweepResult sweep =
+                sweepWorkload(engine, findWorkload(name), so);
             bool interior = false;
             const double p_opt = sweep.cubicFitOptimum(3.0, true, &interior);
             t.beginRow();
@@ -50,9 +46,12 @@ main(int argc, char **argv)
             t.cell(toString(policy));
             t.cell(p_opt);
             t.cell(interior ? "yes" : "no");
-            t.cell(at20->cpi());
+            t.cell(sweep.runAt(20).cpi());
         }
     }
+    // Every sweep before any output: a hole leaves stdout empty.
+    banner(opt, "expansion policy ablation: BIPS^3/W optimum by where "
+                "extra stages go");
     t.render(std::cout);
     engine.printSummary(std::cerr);
 

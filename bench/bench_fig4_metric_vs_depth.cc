@@ -21,13 +21,9 @@ namespace
 {
 
 void
-oneWorkload(SweepEngine &engine, const BenchOptions &opt,
-            const char *figure, const char *name)
+oneWorkload(const BenchOptions &opt, const char *figure,
+            const SweepResult &sweep)
 {
-    const SweepResult sweep = sweepWorkload(engine, opt, name);
-    if (!calibratedOrWarn(sweep, "fig4"))
-        return;
-
     const auto sim_g = sweep.metric(3.0, true);
     const auto sim_u = sweep.metric(3.0, false);
     double r2_g = 0.0, r2_u = 0.0;
@@ -41,7 +37,7 @@ oneWorkload(SweepEngine &engine, const BenchOptions &opt,
         scale = std::max(scale, v);
 
     std::string title = std::string("Fig. ") + figure + ": BIPS^3/W vs "
-                        "depth, workload '" + name + "' (" +
+                        "depth, workload '" + sweep.spec.name + "' (" +
                         workloadClassName(sweep.spec.cls) + ")";
     banner(opt, title.c_str());
 
@@ -84,9 +80,13 @@ main(int argc, char **argv)
 {
     const BenchOptions opt = parseBenchOptions(argc, argv);
     SweepEngine engine(opt.engineOptions());
-    oneWorkload(engine, opt, "4a", "websrv"); // modern
-    oneWorkload(engine, opt, "4b", "gcc95");  // SPECint
-    oneWorkload(engine, opt, "4c", "swim");   // floating point
+    // Every sweep before any table: a hole leaves stdout empty.
+    const SweepResult modern = sweepWorkload(engine, opt, "websrv");
+    const SweepResult specint = sweepWorkload(engine, opt, "gcc95");
+    const SweepResult fp = sweepWorkload(engine, opt, "swim");
+    oneWorkload(opt, "4a", modern);
+    oneWorkload(opt, "4b", specint);
+    oneWorkload(opt, "4c", fp);
     engine.printSummary(std::cerr);
     return 0;
 }

@@ -23,24 +23,19 @@ main(int argc, char **argv)
     const BenchOptions opt = parseBenchOptions(argc, argv);
     const auto sweeps = sweepCatalog(opt);
 
-    const auto averaged = averagedSweeps(sweeps, "fig6");
     Histogram histogram;
     Summary summary;
-    for (const SweepResult *s : averaged) {
+    for (const SweepResult &s : sweeps) {
         bool interior = false;
-        const double p = s->cubicFitOptimum(3.0, true, &interior);
+        const double p = s.cubicFitOptimum(3.0, true, &interior);
         histogram.add(p);
         summary.add(p);
     }
     const double mean = summary.mean();
 
     const std::string title =
-        "Fig. 6: distribution of BIPS^3/W optimum depths, " +
-        (averaged.size() == sweeps.size()
-             ? "all " + std::to_string(sweeps.size())
-             : std::to_string(averaged.size()) + " of " +
-                   std::to_string(sweeps.size())) +
-        " workloads";
+        "Fig. 6: distribution of BIPS^3/W optimum depths, all " +
+        std::to_string(sweeps.size()) + " workloads";
     banner(opt, title.c_str());
     TableWriter t(opt.style());
     t.addColumn("p_opt", 0);

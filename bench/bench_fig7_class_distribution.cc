@@ -32,10 +32,10 @@ main(int argc, char **argv)
     std::map<std::string, ClassStats> by_class;
     std::map<std::string, std::map<int, int>> histograms;
 
-    for (const SweepResult *s : averagedSweeps(sweeps, "fig7")) {
+    for (const SweepResult &s : sweeps) {
         bool interior = false;
-        const double p = s->cubicFitOptimum(3.0, true, &interior);
-        const std::string cls = workloadClassName(s->spec.cls);
+        const double p = s.cubicFitOptimum(3.0, true, &interior);
+        const std::string cls = workloadClassName(s.spec.cls);
         by_class[cls].optima.push_back(p);
         ++histograms[cls][static_cast<int>(std::lround(p))];
     }
@@ -94,15 +94,13 @@ main(int argc, char **argv)
     std::map<std::string, std::array<double, kNumStallBuckets>> shares;
     std::map<std::string, int> counts;
     for (const auto &s2 : sweeps) {
-        const SimResult *r = s2.runAt(s2.options.reference_depth);
-        if (!r) // quarantined hole: no ledger to share
-            continue;
+        const SimResult &r = s2.runAt(s2.options.reference_depth);
         auto &acc = shares[workloadClassName(s2.spec.cls)];
         ++counts[workloadClassName(s2.spec.cls)];
         for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
             acc[b] += static_cast<double>(
-                          r->ledgerCycles(static_cast<StallBucket>(b))) /
-                      static_cast<double>(r->cycles);
+                          r.ledgerCycles(static_cast<StallBucket>(b))) /
+                      static_cast<double>(r.cycles);
         }
     }
     for (const auto &[cls, acc] : shares) {

@@ -32,24 +32,23 @@ main(int argc, char **argv)
     double perf_theory = 0.0, m3_cubic = 0.0, m3_theory = 0.0;
     double perf_cubic = 0.0;
     int m1_interior = 0;
-    const auto averaged = averagedSweeps(sweeps, "summary");
-    const std::string n_text = std::to_string(averaged.size());
-    for (const SweepResult *s : averaged) {
+    const std::string n_text = std::to_string(sweeps.size());
+    for (const SweepResult &s : sweeps) {
         // Headline numbers use the paper's Eq. 1 (c_mem = 0).
-        const TheoryModel th = s->theoryModel(true);
+        const TheoryModel th = s.theoryModel(true);
         perf_theory +=
             PerformanceModel(th.machine).performanceOnlyOptimum();
 
         bool interior = false;
-        perf_cubic += s->cubicFitPerformanceOptimum(&interior);
-        m3_cubic += s->cubicFitOptimum(3.0, true, &interior);
-        s->cubicFitOptimum(1.0, true, &interior);
+        perf_cubic += s.cubicFitPerformanceOptimum(&interior);
+        m3_cubic += s.cubicFitOptimum(3.0, true, &interior);
+        s.cubicFitOptimum(1.0, true, &interior);
         m1_interior += interior;
 
         m3_theory +=
             OptimumSolver(th.machine, th.power).solveExact(3.0).p_opt;
     }
-    const auto n = static_cast<double>(averaged.size());
+    const auto n = static_cast<double>(sweeps.size());
     perf_theory /= n;
     perf_cubic /= n;
     m3_cubic /= n;

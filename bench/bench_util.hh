@@ -13,10 +13,10 @@
  * stderr, keeping stdout byte-identical between cold and warm runs;
  * the result cache announces its directory there once per process.
  *
- * A sweep whose reference cell is a hole is uncalibrated: metric(),
- * theoryModel() and theoryCurve() would answer from default
- * parameters. Benches print no such number; they warn instead
- * (calibratedOrWarn) or skip the sweep (averagedSweeps).
+ * A bench prints nothing around a hole: when an engine call leaves
+ * one, exitOnHole prints the engine summary, which names each hole,
+ * and exits 3 before the bench writes a byte to stdout. Running the
+ * same bench again on the same cache computes only the holes.
  */
 
 #ifndef PIPEDEPTH_BENCH_BENCH_UTIL_HH
@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,74 +102,47 @@ parseBenchOptions(int argc, char **argv)
     return opt;
 }
 
-/** Sweep every catalog workload as one engine grid. */
+/**
+ * When the last call of @p engine left a hole, print the engine
+ * summary (its `hole:` lines name each one) to stderr and exit 3.
+ */
+inline void
+exitOnHole(const SweepEngine &engine)
+{
+    if (engine.lastFailures().empty())
+        return;
+    engine.printSummary(std::cerr);
+    std::exit(3);
+}
+
+/** Sweep every catalog workload as one engine grid; exitOnHole. */
 inline std::vector<SweepResult>
 sweepCatalog(const BenchOptions &opt)
 {
     SweepEngine engine(opt.engineOptions());
     auto sweeps = engine.runGrid(workloadCatalog(), opt.sweepOptions());
+    exitOnHole(engine);
     engine.printSummary(std::cerr);
     return sweeps;
 }
 
-/**
- * The sweeps of @p sweeps a catalog aggregate can average. A sweep
- * whose reference cell is a hole is uncalibrated (default
- * MachineParams, no leakage), and one with fewer than 4 live depths
- * has no cubic-fit optimum (0); either would skew a mean without a
- * word. Each skipped sweep is named on stderr, prefixed by @p bench,
- * then the skips are counted.
- */
-inline std::vector<const SweepResult *>
-averagedSweeps(const std::vector<SweepResult> &sweeps, const char *bench)
+/** Sweep @p spec under @p options on an existing engine;
+ *  exitOnHole. */
+inline SweepResult
+sweepWorkload(SweepEngine &engine, const WorkloadSpec &spec,
+              const SweepOptions &options)
 {
-    std::vector<const SweepResult *> kept;
-    for (const auto &s : sweeps) {
-        bool interior = false;
-        const char *why =
-            !s.calibrated()
-                ? "reference cell quarantined"
-            : s.cubicFitOptimum(3.0, true, &interior) == 0.0
-                ? "no cubic-fit optimum"
-                : nullptr;
-        if (!why) {
-            kept.push_back(&s);
-            continue;
-        }
-        std::fprintf(stderr, "%s: skipping %s (%s, %zu hole(s))\n", bench,
-                     s.spec.name.c_str(), why, s.failures.size());
-    }
-    if (kept.size() < sweeps.size())
-        std::fprintf(stderr, "%s: skipped %zu of %zu workloads\n", bench,
-                     sweeps.size() - kept.size(), sweeps.size());
-    return kept;
+    std::optional<SweepResult> sweep = engine.runSweep(spec, options);
+    exitOnHole(engine);
+    return std::move(*sweep);
 }
 
-/**
- * Whether @p sweep is calibrated (SweepResult::calibrated). When it
- * is not, warn on stderr, prefixed by @p bench and naming the
- * workload and the reference depth; the caller then prints no number
- * from metric(), theoryModel() or theoryCurve().
- */
-inline bool
-calibratedOrWarn(const SweepResult &sweep, const char *bench)
-{
-    if (sweep.calibrated())
-        return true;
-    std::fprintf(stderr,
-                 "%s: reference depth %d cell quarantined for %s; its "
-                 "uncalibrated rows are not printed\n",
-                 bench, sweep.options.reference_depth,
-                 sweep.spec.name.c_str());
-    return false;
-}
-
-/** Sweep one named workload on an existing engine. */
+/** Sweep one named workload on an existing engine; exitOnHole. */
 inline SweepResult
 sweepWorkload(SweepEngine &engine, const BenchOptions &opt,
               const std::string &name)
 {
-    return engine.runSweep(findWorkload(name), opt.sweepOptions());
+    return sweepWorkload(engine, findWorkload(name), opt.sweepOptions());
 }
 
 /** Print a banner line above a table (suppressed in CSV mode). */

@@ -12,6 +12,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "common/table.hh"
@@ -25,30 +26,33 @@ main(int argc, char **argv)
     const std::string name = argc > 1 ? argv[1] : "gcc95";
     const WorkloadSpec &spec = findWorkload(name);
 
-    std::printf("workload %s (%s), simulating depths 2..25...\n",
-                spec.name.c_str(), workloadClassName(spec.cls).c_str());
-
     SweepOptions options;
     options.trace_length = 150000;
     options.warmup_instructions = 60000;
-    const SweepResult sweep = runDepthSweep(spec, options);
-
-    // Reference-run characteristics (a failed one calibrates nothing).
-    const SimResult *ref = sweep.runAt(options.reference_depth);
-    if (!ref) {
-        std::printf("reference run failed: nothing calibrated\n");
-        return 1;
+    const std::optional<SweepResult> result = runDepthSweep(spec, options);
+    if (!result) {
+        std::fprintf(stderr, "%s: a cell of the sweep failed; run again "
+                             "to compute it\n",
+                     spec.name.c_str());
+        return 3;
     }
-    std::printf("\nreference run at %d stages:\n", ref->depth);
+    const SweepResult &sweep = *result;
+
+    std::printf("workload %s (%s), simulating depths 2..25...\n",
+                spec.name.c_str(), workloadClassName(spec.cls).c_str());
+
+    // Reference-run characteristics.
+    const SimResult &ref = sweep.runAt(options.reference_depth);
+    std::printf("\nreference run at %d stages:\n", ref.depth);
     std::printf("  CPI %.3f, branch MPKI %.1f, D$ miss %.2f%%, I$ miss "
                 "%.2f%%\n",
-                ref->cpi(),
-                1000.0 * static_cast<double>(ref->mispredicts) /
-                    static_cast<double>(ref->instructions),
-                100.0 * static_cast<double>(ref->dcache_misses) /
-                    static_cast<double>(ref->dcache_accesses),
-                100.0 * static_cast<double>(ref->icache_misses) /
-                    static_cast<double>(ref->icache_accesses));
+                ref.cpi(),
+                1000.0 * static_cast<double>(ref.mispredicts) /
+                    static_cast<double>(ref.instructions),
+                100.0 * static_cast<double>(ref.dcache_misses) /
+                    static_cast<double>(ref.dcache_accesses),
+                100.0 * static_cast<double>(ref.icache_misses) /
+                    static_cast<double>(ref.icache_accesses));
     std::printf("  extracted: alpha %.2f, gamma %.2f, N_H/N_I %.3f\n",
                 sweep.extracted.alpha, sweep.extracted.gamma,
                 sweep.extracted.hazard_ratio);
@@ -76,7 +80,7 @@ main(int argc, char **argv)
     for (double b : bips)
         bips_peak = std::max(bips_peak, b);
     for (std::size_t i = 0; i < depths.size(); ++i) {
-        const SimResult &r = *sweep.runAt(static_cast<int>(depths[i]));
+        const SimResult &r = sweep.runs[i];
         t.beginRow();
         t.cell(depths[i]);
         t.cell(r.cycle_time_fo4);

@@ -42,7 +42,6 @@ AccessLog::renderLine(const Entry &entry)
        << ", \"cells\": " << entry.cells
        << ", \"cached\": " << entry.cached
        << ", \"computed\": " << entry.computed
-       << ", \"holes\": " << entry.holes
        << ", \"queue_us\": " << jsonNumber(entry.phases.queue_us)
        << ", \"parse_us\": " << jsonNumber(entry.phases.parse_us)
        << ", \"batch_us\": " << jsonNumber(entry.phases.batch_us)

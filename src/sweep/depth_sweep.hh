@@ -17,6 +17,7 @@
 #ifndef PIPEDEPTH_SWEEP_DEPTH_SWEEP_HH
 #define PIPEDEPTH_SWEEP_DEPTH_SWEEP_HH
 
+#include <optional>
 #include <vector>
 
 #include "core/params.hh"
@@ -55,22 +56,6 @@ struct SweepOptions
     void validate() const;
 };
 
-/**
- * Why one grid cell has no result: its walk threw and the cell was
- * quarantined, or an interrupt drain skipped it. The sweep completed
- * around it; the hole is explicit here and in the run manifest, never
- * a silently truncated grid. A hole is never cached: running the same
- * sweep again computes it.
- */
-struct FailureRecord
-{
-    std::string workload;
-    int depth = 0;
-    /** "quarantined: <what()>" or "skipped: interrupt drain". */
-    std::string cause;
-    std::string failpoint; //!< failpoint name when injected, else ""
-};
-
 /** The analytic model calibrated to a sweep (SweepResult::theoryModel). */
 struct TheoryModel
 {
@@ -78,7 +63,12 @@ struct TheoryModel
     PowerParams power;
 };
 
-/** All simulation results of one workload across depths. */
+/**
+ * All simulation results of one workload across depths: a complete
+ * grid. The engine never assembles one around a hole (a cell whose
+ * walk failed, or that an interrupt drain skipped), so every run is
+ * live and every accessor below covers every depth.
+ */
 struct SweepResult
 {
     WorkloadSpec spec;
@@ -86,47 +76,25 @@ struct SweepResult
     std::vector<SimResult> runs;      //!< one per depth, ascending
     ActivityPowerModel power_model;   //!< with calibrated leakage
     MachineParams extracted;          //!< theory params (reference run)
-    std::vector<FailureRecord> failures; //!< quarantined cells (holes)
 
-    /** Did every cell produce a result (no quarantined holes)? */
-    bool complete() const { return failures.empty(); }
+    /** The run at @p depth, which the sweep must hold. */
+    const SimResult &runAt(int depth) const;
 
-    /** The run at @p depth; nullptr when that cell is a quarantined
-     *  hole or the sweep has no such depth. */
-    const SimResult *runAt(int depth) const;
-
-    /**
-     * Is the run at options.reference_depth live (not a hole)? Only
-     * then did assembleSweep calibrate leakage and extract the theory
-     * parameters; otherwise metric(), theoryModel() and theoryCurve()
-     * answer from default parameters with no leakage, and no report
-     * may print them.
-     */
-    bool calibrated() const
-    {
-        return runAt(options.reference_depth) != nullptr;
-    }
-
-    /**
-     * Depths as doubles (x axis of every figure). Quarantined holes
-     * (cells with cycles == 0) are skipped — as they are by metric(),
-     * bips(), latchCounts() and theoryCurve(), so the vectors stay
-     * zipped by index and the fits below run over surviving cells
-     * only, never over 0-cycle placeholders.
-     */
+    /** Depths as doubles (x axis of every figure). */
     std::vector<double> depths() const;
 
-    /** Simulated metric BIPS^m/W per depth; holes skipped. */
+    /** Simulated metric BIPS^m/W per depth. */
     std::vector<double> metric(double m, bool gated) const;
 
-    /** Simulated BIPS per depth (m -> infinity); holes skipped. */
+    /** Simulated BIPS per depth (m -> infinity). */
     std::vector<double> bips() const;
 
     /**
      * The paper's simulated optimum: blind least-squares cubic fit
      * through metric(m) samples, peak within the sampled range.
      * Returns the peak depth; interior=false collapses to an
-     * endpoint. Below 4 live depths: 0 ("no optimum"), not interior.
+     * endpoint. Below 4 depths (a narrow range): 0 ("no optimum"),
+     * not interior.
      */
     double cubicFitOptimum(double m, bool gated, bool *interior) const;
 
@@ -156,29 +124,29 @@ struct SweepResult
                                     double *r2 = nullptr,
                                     bool extended = false) const;
 
-    /** Latch counts per depth (power model); holes skipped. */
+    /** Latch counts per depth (power model). */
     std::vector<double> latchCounts() const;
 };
 
 /**
- * The one assembly of a workload's @p runs (config order) and
- * @p failures into a SweepResult, for runGrid and runConfigs callers:
- * leakage is calibrated and theory parameters extracted at
- * runAt(options.reference_depth). Without that run (a hole) the
- * defaults stay.
+ * The one assembly of a workload's @p runs (config order) into a
+ * SweepResult, for runGrid and runConfigs callers: leakage is
+ * calibrated and theory parameters extracted at
+ * runAt(options.reference_depth). Every run must be live: a hole
+ * (cycles == 0) aborts.
  */
 SweepResult assembleSweep(const WorkloadSpec &spec,
                           const SweepOptions &options,
-                          std::vector<SimResult> runs,
-                          std::vector<FailureRecord> failures);
+                          std::vector<SimResult> runs);
 
 /**
  * Run the full sweep for one workload through a default-configured
  * SweepEngine (parallel over depths, on-disk result cache honoring
- * $PIPEDEPTH_CACHE_DIR — see docs/SWEEP_ENGINE.md).
+ * $PIPEDEPTH_CACHE_DIR — see docs/SWEEP_ENGINE.md). Empty when a cell
+ * is a hole; running it again computes the hole.
  */
-SweepResult runDepthSweep(const WorkloadSpec &spec,
-                          const SweepOptions &options = {});
+std::optional<SweepResult> runDepthSweep(const WorkloadSpec &spec,
+                                         const SweepOptions &options = {});
 
 /**
  * Measured overall latch-growth exponent (Fig. 3): power-law fit of

@@ -31,18 +31,15 @@ constexpr std::chrono::milliseconds kShardPoll{25};
 
 /**
  * The record of a cell quarantined by the exception being handled
- * (call from a catch block): its what(), and the failpoint name when
- * one was injected.
+ * (call from a catch block): its what(), which names the failpoint
+ * when one was injected.
  */
 FailureRecord
 quarantineRecord(const std::string &workload, int depth)
 {
-    FailureRecord f{workload, depth, "quarantined: ", ""};
+    FailureRecord f{workload, depth, "quarantined: "};
     try {
         throw;
-    } catch (const FailpointError &e) {
-        f.cause += e.what();
-        f.failpoint = e.failpoint();
     } catch (const std::exception &e) {
         f.cause += e.what();
     } catch (...) {
@@ -52,9 +49,8 @@ quarantineRecord(const std::string &workload, int depth)
 }
 
 /** The explicit hole a quarantined or skipped cell leaves behind:
- *  identity fields set, cycles == 0 (nothing downstream mistakes it
- *  for data — SweepResult::complete() is false and pipesim skips the
- *  row). */
+ *  identity fields set, cycles == 0. runGrid assembles no
+ *  SweepResult around one, and assembleSweep refuses it. */
 SimResult
 holeResult(const std::string &workload, const PipelineConfig &config)
 {
@@ -132,8 +128,8 @@ struct SweepEngine::CellPlan
  * The one record of cell outcomes. Every resolved cell makes exactly
  * one record() call. The manifest's `cell` event is written as the
  * call happens; fold() derives the registry's outcome counters, the
- * manifest's cells list and both failure lists from the kept
- * entries, in cell order.
+ * manifest's cells list and lastFailures() from the kept entries, in
+ * cell order.
  */
 class SweepEngine::CellRecorder
 {
@@ -170,13 +166,11 @@ class SweepEngine::CellRecorder
     }
 
     void
-    fold(std::vector<std::vector<FailureRecord>> *failures)
+    fold()
     {
         std::uint64_t computed = 0, cached = 0, quarantined = 0,
                       skipped = 0, instructions = 0;
         engine_.last_failures_.clear();
-        if (failures)
-            failures->assign(plan_.names.size(), {});
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             const Entry &e = entries_[i];
             switch (e.outcome) {
@@ -194,11 +188,8 @@ class SweepEngine::CellRecorder
                 instructions += e.instructions;
                 break;
             }
-            if (e.failure) {
+            if (e.failure)
                 engine_.last_failures_.push_back(*e.failure);
-                if (failures)
-                    (*failures)[plan_.workloadOf(i)].push_back(*e.failure);
-            }
             if (engine_.manifest_ && e.outcome != Outcome::Skipped)
                 engine_.manifest_->recordCell(manifestCell(i));
         }
@@ -263,8 +254,7 @@ SweepEngine::SweepEngine(const SweepEngineOptions &options)
 }
 
 std::vector<SimResult>
-SweepEngine::resolveCells(const CellPlan &plan,
-                          std::vector<std::vector<FailureRecord>> *failures)
+SweepEngine::resolveCells(const CellPlan &plan)
 {
     using Outcome = CellRecorder::Outcome;
 
@@ -312,8 +302,7 @@ SweepEngine::resolveCells(const CellPlan &plan,
             recorder.record(
                 i, {.outcome = Outcome::Skipped,
                     .failure = FailureRecord{name, depth,
-                                             "skipped: interrupt drain",
-                                             ""}});
+                                             "skipped: interrupt drain"}});
             out = holeResult(name, config);
             return true;
         }
@@ -524,15 +513,14 @@ SweepEngine::resolveCells(const CellPlan &plan,
         for (std::size_t i = 0; i < grouped[g].size(); ++i)
             results[groups[g].begin + i] = std::move(grouped[g][i]);
     }
-    recorder.fold(failures);
+    recorder.fold();
     return results;
 }
 
 std::vector<SimResult>
 SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
                           std::size_t trace_length,
-                          std::vector<PipelineConfig> configs,
-                          std::vector<std::vector<FailureRecord>> *failures)
+                          std::vector<PipelineConfig> configs)
 {
     CellPlan plan;
     for (const WorkloadSpec &spec : specs)
@@ -551,7 +539,7 @@ SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
         hashWorkloadSpec(h, specs[s]);
         h.u64(trace_length);
     };
-    return resolveCells(plan, failures);
+    return resolveCells(plan);
 }
 
 std::vector<SweepResult>
@@ -588,30 +576,35 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
     std::vector<PipelineConfig> configs;
     for (int p = options.min_depth; p <= options.max_depth; ++p)
         configs.push_back(options.configAtDepth(p));
-    std::vector<std::vector<FailureRecord>> failures;
-    std::vector<SimResult> runs = resolveSpecs(
-        specs, options.trace_length, std::move(configs), &failures);
+    std::vector<SimResult> runs =
+        resolveSpecs(specs, options.trace_length, std::move(configs));
 
     TELEM_SPAN(assemble_span, "sweep.assemble");
     std::vector<SweepResult> out;
     out.reserve(specs.size());
     for (std::size_t s = 0; s < specs.size(); ++s) {
-        const auto begin = std::make_move_iterator(
-            runs.begin() + static_cast<std::ptrdiff_t>(s * n_depths));
+        const auto begin =
+            runs.begin() + static_cast<std::ptrdiff_t>(s * n_depths);
+        const auto end = begin + static_cast<std::ptrdiff_t>(n_depths);
+        if (std::any_of(begin, end,
+                        [](const SimResult &r) { return r.cycles == 0; }))
+            continue; // a hole: lastFailures() names it
         out.push_back(assembleSweep(
             specs[s], options,
-            std::vector<SimResult>(
-                begin, begin + static_cast<std::ptrdiff_t>(n_depths)),
-            std::move(failures[s])));
+            std::vector<SimResult>(std::make_move_iterator(begin),
+                                   std::make_move_iterator(end))));
     }
     return out;
 }
 
-SweepResult
+std::optional<SweepResult>
 SweepEngine::runSweep(const WorkloadSpec &spec, const SweepOptions &options)
 {
-    return std::move(
-        runGrid(std::vector<WorkloadSpec>{spec}, options).front());
+    std::vector<SweepResult> grid =
+        runGrid(std::vector<WorkloadSpec>{spec}, options);
+    if (grid.empty())
+        return std::nullopt;
+    return std::move(grid.front());
 }
 
 std::vector<SimResult>
@@ -723,6 +716,10 @@ SweepEngine::printSummary(std::ostream &os) const
         }
     }
     os << (any ? "\n" : " (none)\n");
+    for (const FailureRecord &f : last_failures_) {
+        os << "hole: " << f.workload << " depth " << f.depth << " "
+           << f.cause << "\n";
+    }
 }
 
 } // namespace pipedepth

@@ -36,6 +36,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,6 +83,21 @@ struct SweepEngineOptions
 };
 
 /**
+ * Why one grid cell has no result: its walk threw and the cell was
+ * quarantined, or an interrupt drain skipped it. The engine lists
+ * every hole (SweepEngine::lastFailures, the summary and the run
+ * manifest) and assembles no SweepResult around one. A hole is never
+ * cached: running the same call again computes it.
+ */
+struct FailureRecord
+{
+    std::string workload;
+    int depth = 0;
+    /** "quarantined: <what()>" or "skipped: interrupt drain". */
+    std::string cause;
+};
+
+/**
  * Request-scoped telemetry context for one engine call. Purely
  * observational: tags the `sweep.grid` span (and the manifest's
  * grid event) so a request admitted by the daemon can be followed
@@ -109,25 +125,29 @@ class SweepEngine
 
     /**
      * Run the full workloads x depths grid and assemble one
-     * SweepResult per workload (same order as @p specs). This is the
-     * parallel, cached equivalent of calling runDepthSweep per spec.
-     * @p telemetry optionally tags the pass's `sweep.grid` span with
-     * the caller's correlation ids (GridTelemetry); it never affects
-     * results or the cache key.
+     * SweepResult per workload whose cells all resolved, in @p specs
+     * order: every spec when lastFailures() is empty. A workload with
+     * a hole gets no result; its other cells are still walked and
+     * cached, so running the grid again computes only the holes. This
+     * is the parallel, cached equivalent of calling runDepthSweep per
+     * spec. @p telemetry optionally tags the pass's `sweep.grid` span
+     * with the caller's correlation ids (GridTelemetry); it never
+     * affects results or the cache key.
      */
     std::vector<SweepResult> runGrid(const std::vector<WorkloadSpec> &specs,
                                      const SweepOptions &options,
                                      const GridTelemetry *telemetry = nullptr);
 
-    /** One-workload grid. */
-    SweepResult runSweep(const WorkloadSpec &spec,
-                         const SweepOptions &options);
+    /** One-workload grid; empty when a cell is a hole. */
+    std::optional<SweepResult> runSweep(const WorkloadSpec &spec,
+                                        const SweepOptions &options);
 
     /**
      * Simulate catalog workload @p spec at @p trace_length under each
      * configuration; results keep order. Cells take runGrid's plan:
      * keyed by simCellKey, so a cell runGrid stored is a hit here and
-     * a warm call generates no trace. Assemble a SweepResult from the
+     * a warm call generates no trace. A hole is a run with cycles 0,
+     * named in lastFailures(); assemble a SweepResult from hole-free
      * runs with assembleSweep (depth_sweep.hh). A @p trace_length of 0
      * is fatal, as in runGrid, and so is a config whose
      * warmup_instructions is not below it.
@@ -169,11 +189,8 @@ class SweepEngine
     void attachManifest(RunManifest *manifest) { manifest_ = manifest; }
 
     /**
-     * FailureRecords of the most recent runGrid/runSweep/runConfigs
-     * call, in cell order (empty when every cell resolved). runGrid
-     * distributes the same records into each SweepResult::failures;
-     * this accessor is for runConfigs, which has no SweepResult (pass
-     * them to assembleSweep).
+     * The holes of the most recent runGrid/runSweep/runConfigs call,
+     * in cell order (empty when every cell resolved).
      */
     const std::vector<FailureRecord> &lastFailures() const
     {
@@ -182,9 +199,9 @@ class SweepEngine
 
     /**
      * Render a `sweep engine [cache DIR]` (or `[cache off]`) header,
-     * then the process-wide metrics snapshot: every count once.
-     * Benches and tools print this to stderr so --csv stdout stays
-     * clean.
+     * the process-wide metrics snapshot (every count once), then one
+     * `hole: W depth D CAUSE` line per lastFailures() record. Benches
+     * and tools print this to stderr so --csv stdout stays clean.
      */
     void printSummary(std::ostream &os) const;
 
@@ -196,12 +213,10 @@ class SweepEngine
      * The one cell pipeline behind runGrid and runConfigs
      * (docs/SWEEP_ENGINE.md): per group of cells, probe → claim →
      * walk (one simulateMultiDepth call) → record. Returns
-     * every cell's result in plan order. When @p failures is non-null
-     * it receives each plan workload's FailureRecords, in cell order.
+     * every cell's result in plan order, and lists each hole in
+     * lastFailures().
      */
-    std::vector<SimResult>
-    resolveCells(const CellPlan &plan,
-                 std::vector<std::vector<FailureRecord>> *failures = nullptr);
+    std::vector<SimResult> resolveCells(const CellPlan &plan);
 
     /**
      * Every @p specs workload under every config, through the catalog
@@ -211,8 +226,7 @@ class SweepEngine
     std::vector<SimResult>
     resolveSpecs(const std::vector<WorkloadSpec> &specs,
                  std::size_t trace_length,
-                 std::vector<PipelineConfig> configs,
-                 std::vector<std::vector<FailureRecord>> *failures = nullptr);
+                 std::vector<PipelineConfig> configs);
 
     SweepEngineOptions options_;
     ResultCache cache_;

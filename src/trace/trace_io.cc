@@ -60,8 +60,10 @@ packRecord(unsigned char *buf, const TraceRecord &r)
     std::memset(buf + 30, 0, kRecordBytes - 30);
 }
 
+/** Record @p index of the tape at @p path (named in errors). */
 TraceRecord
-unpackRecord(const unsigned char *buf)
+unpackRecord(const unsigned char *buf, std::uint64_t index,
+             const std::string &path)
 {
     TraceRecord r;
     r.pc = unpackU64(buf + 0);
@@ -71,10 +73,19 @@ unpackRecord(const unsigned char *buf)
     if (op >= kNumOpClasses)
         PP_FATAL("trace record has invalid op class ", int(op));
     r.op = static_cast<OpClass>(op);
-    r.dst = buf[25];
-    r.src1 = buf[26];
-    r.src2 = buf[27];
-    r.src3 = buf[28];
+    // The walk indexes kNumRegs-entry arrays with these fields.
+    const auto reg = [&](std::size_t offset, const char *field) {
+        const std::uint8_t v = buf[offset];
+        if (v >= kNumRegs && v != kNoReg) {
+            PP_FATAL("trace record ", index, " has invalid ", field,
+                     " register ", int(v), ": ", path);
+        }
+        return v;
+    };
+    r.dst = reg(25, "dst");
+    r.src1 = reg(26, "src1");
+    r.src2 = reg(27, "src2");
+    r.src3 = reg(28, "src3");
     r.taken = buf[29] != 0;
     return r;
 }
@@ -188,7 +199,7 @@ readTrace(const std::string &path)
     for (std::uint64_t i = 0; i < count; ++i) {
         get(buf, kRecordBytes);
         hash = fnv1a(buf, kRecordBytes, hash);
-        trace.records.push_back(unpackRecord(buf));
+        trace.records.push_back(unpackRecord(buf, i, path));
     }
 
     unsigned char tail[8];

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/metric.hh"
 #include "math/least_squares.hh"
 #include "sweep/depth_sweep.hh"
@@ -27,7 +29,7 @@ const SweepResult &
 gccSweep()
 {
     static const SweepResult sweep =
-        runDepthSweep(findWorkload("gcc95"), fastOptions());
+        runDepthSweep(findWorkload("gcc95"), fastOptions()).value();
     return sweep;
 }
 
@@ -119,59 +121,23 @@ TEST(DepthSweep, TheoryScaleIsLeastSquares)
 
 TEST(DepthSweep, FitsWithThreeLiveDepthsReportNoOptimum)
 {
-    // Depths 7..9 survive; every other cell is a quarantined hole. A
+    // A sweep over depths 7..9, as a narrow daemon range asks for. A
     // cubic needs 4 points, so both fits answer "no optimum" (0)
     // instead of aborting.
-    const SweepResult &full = gccSweep();
-    std::vector<SimResult> runs;
-    std::vector<FailureRecord> failures;
-    for (const SimResult &r : full.runs) {
-        if (r.depth >= 7 && r.depth <= 9) {
-            runs.push_back(r);
-            continue;
-        }
-        SimResult hole;
-        hole.workload = r.workload;
-        hole.depth = r.depth;
-        runs.push_back(hole);
-        failures.push_back({r.workload, r.depth, "injected", ""});
-    }
-    const SweepResult s =
-        assembleSweep(full.spec, full.options, runs, failures);
-    ASSERT_EQ(s.depths().size(), 3u);
+    SweepOptions opt = fastOptions();
+    opt.min_depth = 7;
+    opt.max_depth = 9;
+    const std::optional<SweepResult> s =
+        runDepthSweep(findWorkload("gcc95"), opt);
+    ASSERT_TRUE(s.has_value());
+    ASSERT_EQ(s->depths().size(), 3u);
 
     bool interior = true;
-    EXPECT_EQ(s.cubicFitOptimum(3.0, true, &interior), 0.0);
+    EXPECT_EQ(s->cubicFitOptimum(3.0, true, &interior), 0.0);
     EXPECT_FALSE(interior);
     interior = true;
-    EXPECT_EQ(s.cubicFitPerformanceOptimum(&interior), 0.0);
+    EXPECT_EQ(s->cubicFitPerformanceOptimum(&interior), 0.0);
     EXPECT_FALSE(interior);
-}
-
-TEST(DepthSweep, ReferenceHoleLeavesSweepUncalibrated)
-{
-    // calibrated() is the yes/no a report asks before it prints a
-    // metric or theory number. Swap the clean sweep's reference run
-    // (depth 8) for a hole: leakage and the theory parameters then
-    // stay at their defaults, and the sweep says so.
-    const SweepResult &full = gccSweep();
-    EXPECT_TRUE(
-        assembleSweep(full.spec, full.options, full.runs, {}).calibrated());
-
-    const int ref = full.options.reference_depth;
-    std::vector<SimResult> runs = full.runs;
-    SimResult &victim =
-        runs[static_cast<std::size_t>(ref - full.options.min_depth)];
-    ASSERT_EQ(victim.depth, ref);
-    SimResult hole;
-    hole.workload = victim.workload;
-    hole.depth = ref;
-    victim = hole;
-    const SweepResult s = assembleSweep(
-        full.spec, full.options, runs,
-        {{hole.workload, ref, "injected", ""}});
-    EXPECT_FALSE(s.calibrated());
-    EXPECT_EQ(s.depths().size(), full.depths().size() - 1);
 }
 
 TEST(DepthSweep, TheoryModelIsTheHandCalibration)
@@ -232,6 +198,22 @@ TEST(DepthSweep, LatchExponentNearPaperValue)
     const double k = measuredLatchExponent(gccSweep());
     EXPECT_GT(k, 0.95);
     EXPECT_LT(k, 1.3);
+}
+
+TEST(DepthSweepDeathTest, AssemblyRefusesAHole)
+{
+    // A report prints nothing around a hole, so no SweepResult holds
+    // one: assembling a grid with a 0-cycle run at a non-reference
+    // depth is a bug, not a sweep with one fewer point.
+    const SweepResult &full = gccSweep();
+    std::vector<SimResult> runs = full.runs;
+    SimResult hole;
+    hole.workload = runs[3].workload;
+    hole.depth = runs[3].depth;
+    ASSERT_NE(hole.depth, full.options.reference_depth);
+    runs[3] = hole;
+    EXPECT_DEATH(assembleSweep(full.spec, full.options, runs),
+                 "has a hole at depth 5");
 }
 
 TEST(DepthSweepDeath, BadOptionsRejected)

@@ -113,8 +113,9 @@ TEST(ExtendedModel, ExtractionMeasuresCmem)
     SweepOptions opt;
     opt.trace_length = 60000;
     opt.warmup_instructions = 30000;
-    const SweepResult db = runDepthSweep(findWorkload("db1"), opt);
-    const SweepResult gcc = runDepthSweep(findWorkload("gcc95"), opt);
+    const SweepResult db = runDepthSweep(findWorkload("db1"), opt).value();
+    const SweepResult gcc =
+        runDepthSweep(findWorkload("gcc95"), opt).value();
     EXPECT_GE(db.extracted.c_mem, 0.0);
     // The memory-hostile legacy workload carries more constant time.
     EXPECT_GT(db.extracted.c_mem, gcc.extracted.c_mem);
@@ -125,7 +126,8 @@ TEST(ExtendedModel, ExtendedOverlayFitsMemoryHeavyWorkloadsBetter)
     SweepOptions opt;
     opt.trace_length = 60000;
     opt.warmup_instructions = 30000;
-    const SweepResult sweep = runDepthSweep(findWorkload("swim"), opt);
+    const SweepResult sweep =
+        runDepthSweep(findWorkload("swim"), opt).value();
     double r2_paper = 0.0, r2_ext = 0.0;
     sweep.theoryCurve(3.0, true, &r2_paper, false);
     sweep.theoryCurve(3.0, true, &r2_ext, true);

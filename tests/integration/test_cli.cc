@@ -8,7 +8,8 @@
  *   1  runtime failure (PP_FATAL: unreadable tape, ...)
  *   2  bad invocation: unknown flag, missing flag argument, unknown
  *      workload, or no/both trace sources
- *   3  a sweep that completed around quarantined cells (holes)
+ *   3  a hole: a cell failed, in either form; nothing is printed
+ *      and the same command computes it
  *
  * The binary path arrives via the PIPESIM_PATH compile definition
  * (set from $<TARGET_FILE:pipesim> in tests/CMakeLists.txt); the
@@ -21,6 +22,7 @@
 #include <filesystem>
 #include <string>
 
+#include "isa/isa.hh"
 #include "trace/trace_io.hh"
 #include "workloads/catalog.hh"
 
@@ -77,6 +79,13 @@ const char *kQuickRun =
 TEST(PipesimCli, SuccessfulRunExitsZero)
 {
     EXPECT_EQ(runPipesim(kQuickRun), 0);
+}
+
+TEST(PipesimCli, DepthRunWithAHoleExitsThree)
+{
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) +
+                         " --failpoint 'sweep.cell.simulate=once'"),
+              3);
 }
 
 TEST(PipesimCli, UnknownFlagExitsTwo)
@@ -164,9 +173,12 @@ TEST(PipesimCli, WarmupBelowLengthRuns)
     EXPECT_EQ(entries, 1u);
 }
 
-/** A 3000-record db1 tape in a fresh temp dir; returns its path. */
+/**
+ * A 3000-record db1 tape in a fresh temp dir; returns its path.
+ * @p edit may change the trace before it is written.
+ */
 std::string
-writeDb1Tape()
+writeDb1Tape(void (*edit)(Trace &) = nullptr)
 {
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir()) /
@@ -176,7 +188,10 @@ writeDb1Tape()
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     const std::string path = (dir / "db1.pptr").string();
-    writeTrace(findWorkload("db1").makeTrace(3000), path);
+    Trace trace = findWorkload("db1").makeTrace(3000);
+    if (edit)
+        edit(trace);
+    writeTrace(trace, path);
     return path;
 }
 
@@ -208,6 +223,20 @@ TEST(PipesimCli, TapeWarmupBelowLengthRuns)
     std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
 }
 
+TEST(PipesimCli, TapeWithOutOfRangeRegisterExitsOneAndCachesNothing)
+{
+    // The tape's checksum is valid, but record 7 names register
+    // kNumRegs, past the walk's register arrays.
+    const std::string tape =
+        writeDb1Tape([](Trace &t) { t.records[7].src1 = kNumRegs; });
+    std::size_t entries = 0;
+    EXPECT_EQ(runPipesimCached("--tape " + tape + " --depth 8 --warmup 1000",
+                               &entries),
+              1);
+    EXPECT_EQ(entries, 0u);
+    std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
+}
+
 TEST(PipesimCli, UnreadableTapeExitsOne)
 {
     EXPECT_EQ(runPipesim("--tape /nonexistent/trace.tape --depth 4"), 1);
@@ -221,9 +250,8 @@ TEST(PipesimCli, BadPredictorExitsTwo)
 
 TEST(PipesimCli, SweepWithThreeLiveDepthsExitsThree)
 {
-    // Cells 1..21 of 24 quarantine, leaving depths 23..25: too few
-    // for a cubic, so the optimum reads "none" — the sweep still
-    // completes around its holes.
+    // Cells 1..21 of 24 quarantine: pipesim prints nothing around the
+    // holes.
     std::string hits;
     for (int i = 1; i <= 21; ++i)
         hits += (i > 1 ? "," : "") + std::to_string(i);

@@ -15,13 +15,12 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -129,11 +128,12 @@ TEST_F(ReliabilityTest, QuarantinedCellHealsOnRerun)
     const SweepOptions opt = fastOptions();
 
     SweepEngine clean = makeEngine(false);
-    const SweepResult want = clean.runSweep(spec, opt);
-    ASSERT_TRUE(want.complete());
+    const std::optional<SweepResult> want = clean.runSweep(spec, opt);
+    ASSERT_TRUE(want.has_value());
 
     // One injected fault: the first simulated cell fails its one
-    // attempt and is quarantined; the hole is never cached.
+    // attempt and is quarantined; the hole is never cached, and no
+    // SweepResult is assembled around it.
     SweepEngine engine = makeEngine(true);
     {
         ScopedFailpoints guard("sweep.cell.simulate=once");
@@ -141,21 +141,22 @@ TEST_F(ReliabilityTest, QuarantinedCellHealsOnRerun)
         tracer.clear();
         tracer.setEnabled(true);
         const MetricDeltas tally;
-        const SweepResult holed = engine.runSweep(spec, opt);
+        EXPECT_FALSE(engine.runSweep(spec, opt).has_value());
         const auto spans = tracer.rollups();
         tracer.setEnabled(false);
         tracer.clear();
 
-        ASSERT_EQ(holed.failures.size(), 1u);
+        ASSERT_EQ(engine.lastFailures().size(), 1u);
         EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
         EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt) - 1);
         EXPECT_EQ(cacheEntryCount(), cellCount(opt) - 1);
         const ResultCache cache((dir_ / "cache").string());
-        EXPECT_FALSE(cache
-                         .load(simCellKey(
-                             spec, opt.trace_length,
-                             opt.configAtDepth(holed.failures[0].depth)))
-                         .has_value());
+        EXPECT_FALSE(
+            cache
+                .load(simCellKey(
+                    spec, opt.trace_length,
+                    opt.configAtDepth(engine.lastFailures()[0].depth)))
+                .has_value());
         // The armed run takes the production walk: the 5 cells form
         // groups of 4 and 1, and each group's survivors walk together,
         // so there are fewer walks than computed cells.
@@ -168,15 +169,16 @@ TEST_F(ReliabilityTest, QuarantinedCellHealsOnRerun)
     // The same sweep on the same cache computes only the hole, and
     // its grid is byte-identical to the clean run's.
     const MetricDeltas tally;
-    const SweepResult got = engine.runSweep(spec, opt);
-    EXPECT_TRUE(got.complete());
+    const std::optional<SweepResult> got = engine.runSweep(spec, opt);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(engine.lastFailures().empty());
     EXPECT_EQ(tally["sweep.cell.compute"], 1u);
     EXPECT_EQ(tally["sweep.cell.cached"], cellCount(opt) - 1);
-    ASSERT_EQ(got.runs.size(), want.runs.size());
-    for (std::size_t i = 0; i < want.runs.size(); ++i) {
-        EXPECT_EQ(serializeSimResult(got.runs[i]),
-                  serializeSimResult(want.runs[i]))
-            << "depth " << want.runs[i].depth;
+    ASSERT_EQ(got->runs.size(), want->runs.size());
+    for (std::size_t i = 0; i < want->runs.size(); ++i) {
+        EXPECT_EQ(serializeSimResult(got->runs[i]),
+                  serializeSimResult(want->runs[i]))
+            << "depth " << want->runs[i].depth;
     }
 }
 
@@ -188,42 +190,39 @@ TEST_F(ReliabilityTest, ExhaustedRetriesQuarantineWithExplicitHoles)
     ScopedFailpoints guard("sweep.cell.simulate=always");
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(false);
-    const SweepResult sweep = engine.runSweep(spec, opt);
 
-    // The sweep completed — no exception — but every cell is a hole,
+    // The call returned — no exception — but every cell is a hole,
     // each after one attempt: nothing retries in-process.
-    EXPECT_FALSE(sweep.complete());
+    EXPECT_FALSE(engine.runSweep(spec, opt).has_value());
     EXPECT_EQ(failpoints::hitCount("sweep.cell.simulate"), cellCount(opt));
-    ASSERT_EQ(sweep.failures.size(), cellCount(opt));
     ASSERT_EQ(engine.lastFailures().size(), cellCount(opt));
-    for (std::size_t k = 0; k < sweep.failures.size(); ++k) {
-        const FailureRecord &f = sweep.failures[k];
+    for (std::size_t k = 0; k < engine.lastFailures().size(); ++k) {
+        const FailureRecord &f = engine.lastFailures()[k];
         EXPECT_EQ(f.workload, "db1");
-        EXPECT_EQ(f.failpoint, "sweep.cell.simulate");
         EXPECT_EQ(f.cause.rfind("quarantined: ", 0), 0u) << f.cause;
         EXPECT_NE(f.cause.find("sweep.cell.simulate"),
                   std::string::npos);
-        // Both lists come in cell order (ascending depth), not in
-        // the order the worker threads finished the cells.
+        // The list comes in cell order (ascending depth), not in the
+        // order the worker threads finished the cells.
         EXPECT_EQ(f.depth, opt.min_depth + static_cast<int>(k));
-        EXPECT_EQ(engine.lastFailures()[k].depth, f.depth);
-    }
-    ASSERT_EQ(sweep.runs.size(), cellCount(opt));
-    for (const SimResult &r : sweep.runs) {
-        EXPECT_EQ(r.cycles, 0u); // the hole marker
-        EXPECT_EQ(r.workload, "db1");
     }
     EXPECT_EQ(tally["sweep.cell.quarantine"], cellCount(opt));
     EXPECT_EQ(tally["sweep.cell.compute"], 0u);
+
+    // runConfigs keeps one run per config: cycles 0 marks a hole.
+    const std::vector<SimResult> runs = engine.runConfigs(
+        spec, opt.trace_length, {opt.configAtDepth(opt.min_depth)});
+    ASSERT_EQ(runs.size(), 1u);
+    EXPECT_EQ(runs[0].cycles, 0u);
+    EXPECT_EQ(runs[0].workload, "db1");
 }
 
 TEST_F(ReliabilityTest, QuarantinedCellsAreNeverCached)
 {
     ScopedFailpoints guard("sweep.cell.simulate=always");
     SweepEngine engine = makeEngine(true);
-    const SweepResult sweep =
-        engine.runSweep(findWorkload("db1"), fastOptions());
-    EXPECT_FALSE(sweep.complete());
+    EXPECT_FALSE(
+        engine.runSweep(findWorkload("db1"), fastOptions()).has_value());
     EXPECT_EQ(cacheEntryCount(), 0u);
 }
 
@@ -235,81 +234,10 @@ TEST_F(ReliabilityTest, PartialQuarantineKeepsOtherCellsLive)
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(false);
     const SweepOptions opt = fastOptions();
-    const SweepResult sweep = engine.runSweep(findWorkload("db1"), opt);
-
-    EXPECT_FALSE(sweep.complete());
-    ASSERT_EQ(sweep.failures.size(), 1u);
-    std::size_t holes = 0;
-    for (const SimResult &r : sweep.runs)
-        holes += r.cycles == 0 ? 1 : 0;
-    EXPECT_EQ(holes, 1u);
+    EXPECT_FALSE(engine.runSweep(findWorkload("db1"), opt).has_value());
+    EXPECT_EQ(engine.lastFailures().size(), 1u);
+    EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
     EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt) - 1);
-}
-
-TEST_F(ReliabilityTest, QuarantinedHolesAreSkippedByFitsAndAccessors)
-{
-    // Regression: a hole (cycles == 0) used to be folded into
-    // depths()/metric()/bips()/latchCounts() as a 0-cycle run — NaN
-    // BIPS and zero latency bending the cubic and power-law fits.
-    // Every accessor must skip the hole, keeping the vectors zipped.
-    const WorkloadSpec spec = findWorkload("db1");
-    const SweepOptions opt = fastOptions();
-
-    SweepEngine clean = makeEngine(false);
-    const SweepResult full = clean.runSweep(spec, opt);
-    ASSERT_TRUE(full.complete());
-
-    ScopedFailpoints guard("sweep.cell.simulate=once");
-    SweepEngine engine = makeEngine(false);
-    const SweepResult holey = engine.runSweep(spec, opt);
-    ASSERT_EQ(holey.failures.size(), 1u);
-    const int hole_depth = holey.failures[0].depth;
-
-    const std::size_t survivors = cellCount(opt) - 1;
-    const std::vector<double> depths = holey.depths();
-    ASSERT_EQ(depths.size(), survivors);
-    EXPECT_EQ(holey.metric(3.0, true).size(), survivors);
-    EXPECT_EQ(holey.bips().size(), survivors);
-    EXPECT_EQ(holey.latchCounts().size(), survivors);
-    EXPECT_EQ(std::count(depths.begin(), depths.end(),
-                         static_cast<double>(hole_depth)),
-              0);
-    for (const double b : holey.bips())
-        EXPECT_TRUE(std::isfinite(b) && b > 0.0);
-
-    // Surviving cells are byte-identical to the clean sweep, so their
-    // BIPS match exactly when zipped over the surviving depths.
-    const std::vector<double> full_depths = full.depths();
-    const std::vector<double> full_bips = full.bips();
-    const std::vector<double> holey_bips = holey.bips();
-    for (std::size_t i = 0, j = 0; i < full_depths.size(); ++i) {
-        if (full_depths[i] == static_cast<double>(hole_depth))
-            continue;
-        ASSERT_LT(j, depths.size());
-        EXPECT_EQ(depths[j], full_depths[i]);
-        EXPECT_EQ(holey_bips[j], full_bips[i]);
-        ++j;
-    }
-
-    // The fits run over the surviving cells and stay finite.
-    bool interior = false;
-    EXPECT_TRUE(
-        std::isfinite(holey.cubicFitPerformanceOptimum(&interior)));
-    EXPECT_TRUE(
-        std::isfinite(holey.cubicFitOptimum(3.0, true, &interior)));
-    EXPECT_TRUE(std::isfinite(measuredLatchExponent(holey)));
-
-    // When the reference cell survived, extraction (alpha/gamma/N_H)
-    // saw a real run and the theory overlay lines up cell-for-cell.
-    if (hole_depth != opt.reference_depth) {
-        EXPECT_EQ(holey.extracted.alpha, full.extracted.alpha);
-        EXPECT_EQ(holey.extracted.gamma, full.extracted.gamma);
-        EXPECT_EQ(holey.extracted.hazard_ratio,
-                  full.extracted.hazard_ratio);
-        double r2 = 0.0;
-        EXPECT_EQ(holey.theoryCurve(3.0, true, &r2).size(), survivors);
-        EXPECT_TRUE(std::isfinite(r2));
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -323,8 +251,8 @@ TEST_F(ReliabilityTest, StoreWriteFaultDegradesToUncached)
         ScopedFailpoints guard("cache.store.write=always");
         const MetricDeltas tally;
         SweepEngine engine = makeEngine(true);
-        const SweepResult sweep = engine.runSweep(spec, opt);
-        EXPECT_TRUE(sweep.complete()); // a cache fault is not a cell fault
+        // A cache fault is not a cell fault.
+        EXPECT_TRUE(engine.runSweep(spec, opt).has_value());
         EXPECT_EQ(tally["cache.entry.store"], 0u);
         EXPECT_EQ(cacheEntryCount(), 0u);
     }
@@ -341,9 +269,8 @@ TEST_F(ReliabilityTest, StoreRenameFaultLeavesNoEntry)
     ScopedFailpoints guard("cache.store.rename=always");
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(true);
-    const SweepResult sweep =
-        engine.runSweep(findWorkload("db1"), fastOptions());
-    EXPECT_TRUE(sweep.complete());
+    EXPECT_TRUE(
+        engine.runSweep(findWorkload("db1"), fastOptions()).has_value());
     EXPECT_EQ(tally["cache.entry.store"], 0u);
     EXPECT_EQ(cacheEntryCount(), 0u);
 }
@@ -354,7 +281,8 @@ TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
     const SweepOptions opt = fastOptions();
 
     SweepEngine warm = makeEngine(true);
-    const SweepResult want = warm.runSweep(spec, opt);
+    const std::optional<SweepResult> want = warm.runSweep(spec, opt);
+    ASSERT_TRUE(want.has_value());
     ASSERT_EQ(cacheEntryCount(), cellCount(opt));
 
     // Every probe fails: the warm cache behaves as cold, and the
@@ -362,12 +290,13 @@ TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
     ScopedFailpoints guard("cache.load.read=always");
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(true);
-    const SweepResult got = engine.runSweep(spec, opt);
+    const std::optional<SweepResult> got = engine.runSweep(spec, opt);
+    ASSERT_TRUE(got.has_value());
     EXPECT_EQ(tally["sweep.cell.cached"], 0u);
     EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt));
-    for (std::size_t i = 0; i < want.runs.size(); ++i) {
-        EXPECT_EQ(serializeSimResult(got.runs[i]),
-                  serializeSimResult(want.runs[i]));
+    for (std::size_t i = 0; i < want->runs.size(); ++i) {
+        EXPECT_EQ(serializeSimResult(got->runs[i]),
+                  serializeSimResult(want->runs[i]));
     }
 }
 
@@ -380,16 +309,13 @@ TEST_F(ReliabilityTest, InterruptDrainSkipsRemainingCells)
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(false);
     const SweepOptions opt = fastOptions();
-    const SweepResult sweep = engine.runSweep(findWorkload("db1"), opt);
+    EXPECT_FALSE(engine.runSweep(findWorkload("db1"), opt).has_value());
 
-    EXPECT_FALSE(sweep.complete());
     EXPECT_EQ(tally["sweep.cell.skip"], cellCount(opt));
     EXPECT_EQ(tally["sweep.cell.compute"], 0u);
-    ASSERT_EQ(sweep.failures.size(), cellCount(opt));
-    for (const FailureRecord &f : sweep.failures) {
+    ASSERT_EQ(engine.lastFailures().size(), cellCount(opt));
+    for (const FailureRecord &f : engine.lastFailures())
         EXPECT_EQ(f.cause, "skipped: interrupt drain");
-        EXPECT_EQ(f.failpoint, "");
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -445,7 +371,7 @@ TEST_F(ReliabilityTest, ConcurrentFaultyWritersNeverExposeTornEntry)
     const SweepOptions opt = fastOptions();
     SweepEngine source = makeEngine(false);
     // All writers hammer the depth-2 entry of this sweep.
-    const SimResult result = source.runSweep(spec, opt).runs.front();
+    const SimResult result = source.runSweep(spec, opt).value().runs.front();
     const CacheKey key =
         simCellKey(spec, opt.trace_length, opt.configAtDepth(2));
 
@@ -657,26 +583,34 @@ cellCounts(const std::filesystem::path &path)
 
 TEST_F(ReliabilityTest, PipesimSweepCompletesUnderInjectedFaults)
 {
-    // A sweep whose every third cell fails its one attempt completes
-    // with 8 quarantined holes and exit code 3.
+    // A sweep whose every third cell fails its one attempt walks
+    // every cell, prints nothing, names its 8 holes on stderr and
+    // exits 3.
     const std::filesystem::path manifest_path = dir_ / "faulty.json";
+    const std::filesystem::path err = dir_ / "faulty.err";
     const int rc = runShell(
         "PIPEDEPTH_CACHE_DIR= " + std::string(PIPESIM_PATH) +
         " --workload db1 --sweep --csv --length 20000 --warmup 5000 "
         "--failpoint 'sweep.cell.simulate=every:3' "
-        "--manifest-out " + manifest_path.string() +
-        " >/dev/null 2>/dev/null");
+        "--manifest-out " + manifest_path.string() + " > " +
+        (dir_ / "faulty.csv").string() + " 2> " + err.string());
     EXPECT_EQ(rc, 3);
     EXPECT_EQ(cellCounts(manifest_path),
               (std::vector<double>{24, 16, 0, 8}));
+    EXPECT_EQ(slurp(dir_ / "faulty.csv"), "");
+    std::istringstream lines(slurp(err));
+    std::size_t holes = 0;
+    for (std::string line; std::getline(lines, line);)
+        holes += line.rfind("hole: db1 depth ", 0) == 0 ? 1 : 0;
+    EXPECT_EQ(holes, 8u) << slurp(err);
 }
 
 TEST_F(ReliabilityTest, PipesimRerunHealsQuarantinedCells)
 {
     // Re-running is the one way to recover a hole: the faulted run
-    // caches its 16 live cells and none of its 8 holes, and the same
-    // command without the fault serves the 16, computes the 8, and
-    // prints a clean run's grid.
+    // caches its 16 live cells and none of its 8 holes and prints
+    // nothing, and the same command without the fault serves the 16,
+    // computes the 8, and prints a clean run's grid.
     const std::string sweep =
         std::string(PIPESIM_PATH) +
         " --workload db1 --sweep --csv --length 20000 --warmup 5000"
@@ -690,11 +624,12 @@ TEST_F(ReliabilityTest, PipesimRerunHealsQuarantinedCells)
     EXPECT_EQ(runShell(cached +
                        " --failpoint 'sweep.cell.simulate=every:3'"
                        " --manifest-out " +
-                       (dir_ / "m1.json").string() +
-                       " >/dev/null 2>/dev/null"),
+                       (dir_ / "m1.json").string() + " > " +
+                       (dir_ / "faulty.csv").string() + " 2>/dev/null"),
               3);
     EXPECT_EQ(cellCounts(dir_ / "m1.json"),
               (std::vector<double>{24, 16, 0, 8}));
+    EXPECT_EQ(slurp(dir_ / "faulty.csv"), "");
     EXPECT_EQ(simresCount(dir_ / "cache"), 16u);
 
     EXPECT_EQ(runShell(cached + " --manifest-out " +

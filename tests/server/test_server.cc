@@ -317,7 +317,7 @@ class ServerTest : public ::testing::Test
     std::string slow_ms_ = "60000";
     /** Slow-loris timeout; 0 = off. IdleTimeoutServerTest sets it. */
     std::string idle_timeout_ms_ = "0";
-    /** Further daemon flags; UncalibratedServerTest arms a fault. */
+    /** Further daemon flags; IncompleteServerTest arms a fault. */
     std::vector<std::string> extra_args_;
     pid_t daemon_pid_ = -1;
 };
@@ -468,7 +468,7 @@ TEST_F(ServerTest, DaemonResultsMatchLocalEngineExactly)
     sopt.trace_length = 15000;
     sopt.warmup_instructions = 1500;
     const SweepResult local =
-        engine.runSweep(findWorkload("db1"), sopt);
+        engine.runSweep(findWorkload("db1"), sopt).value();
     ASSERT_EQ(local.runs.size(), 4u);
 
     for (std::size_t i = 0; i < 4; ++i) {
@@ -695,9 +695,9 @@ TEST_F(ServerTest, AccessLogLineSchemaIsPinned)
     const std::vector<std::string> expected = {
         "ts_us",     "trace_id", "id",        "peer",
         "kind",      "workload", "shape",     "cells",
-        "cached",    "computed", "holes",     "queue_us",
-        "parse_us",  "batch_us", "engine_us", "serialize_us",
-        "total_us",  "outcome"};
+        "cached",    "computed", "queue_us",  "parse_us",
+        "batch_us",  "engine_us", "serialize_us", "total_us",
+        "outcome"};
     std::vector<std::string> keys;
     for (const auto &[key, value] : doc.object)
         keys.push_back(key);
@@ -846,33 +846,37 @@ TEST_F(IdleTimeoutServerTest, MidLineStallIsClosedKeepAliveIsNot)
 }
 
 /**
- * Same daemon, with the fixture request's reference cell failing its
- * only attempt: depth 3 is the second cell the walk's failpoint sees.
+ * Same daemon, with one cell of the fixture request failing its only
+ * attempt: the walk's failpoint sees depth 2 first (hits:1), then the
+ * reference depth 3 (hits:2).
  */
-class UncalibratedServerTest : public ServerTest
+class IncompleteServerTest : public ServerTest,
+                             public ::testing::WithParamInterface<int>
 {
   protected:
-    UncalibratedServerTest()
+    IncompleteServerTest()
     {
-        extra_args_ = {"--failpoint", "sweep.cell.simulate=hits:2"};
+        extra_args_ = {"--failpoint", "sweep.cell.simulate=hits:" +
+                                          std::to_string(GetParam())};
     }
 };
 
-TEST_F(UncalibratedServerTest, QuarantinedReferenceGetsOneError)
+TEST_P(IncompleteServerTest, QuarantinedCellGetsOneError)
 {
-    // No cell or done line: without its reference cell the sweep has
-    // no leakage calibration, so every metric would be a default.
+    // No cell or done line: the daemon answers nothing around a hole.
+    const int depth = GetParam() + 1;
     const auto lines = transact(goodRequest("u1"));
     ASSERT_EQ(lines.size(), 1u);
-    expectError(lines[0], "u1", proto_error::kUncalibrated);
+    expectError(lines[0], "u1", proto_error::kIncomplete);
     const std::string message = field(parseLine(lines[0]), "message");
-    EXPECT_NE(message.find("reference depth 3"), std::string::npos)
+    EXPECT_NE(message.find("depths " + std::to_string(depth) + ";"),
+              std::string::npos)
         << message;
     EXPECT_NE(message.find("db1"), std::string::npos) << message;
 
     const auto entries = accessEntriesFor("u1");
     ASSERT_EQ(entries.size(), 1u);
-    EXPECT_EQ(field(entries[0], "outcome"), proto_error::kUncalibrated);
+    EXPECT_EQ(field(entries[0], "outcome"), proto_error::kIncomplete);
     // The refusal came after the engine pass: its time is attributed
     // to the phases, which fit inside the total.
     const auto us = [&](const char *key) {
@@ -887,6 +891,8 @@ TEST_F(UncalibratedServerTest, QuarantinedReferenceGetsOneError)
     // cell and gets a full answer.
     expectGoodSweep(transact(goodRequest("u2")), "u2");
 }
+
+INSTANTIATE_TEST_SUITE_P(Hits, IncompleteServerTest, ::testing::Values(1, 2));
 
 } // namespace
 } // namespace pipedepth

@@ -252,8 +252,8 @@ TEST(EngineDeterminism, RunDepthSweepMatchesEngineGrid)
     const WorkloadSpec spec = findWorkload("gcc95");
 
     SweepEngine engine = uncachedEngine(4);
-    const SweepResult direct = engine.runSweep(spec, opt);
-    const SweepResult wrapped = runDepthSweep(spec, opt);
+    const SweepResult direct = engine.runSweep(spec, opt).value();
+    const SweepResult wrapped = runDepthSweep(spec, opt).value();
 
     ASSERT_EQ(direct.runs.size(), wrapped.runs.size());
     for (std::size_t j = 0; j < direct.runs.size(); ++j)

@@ -20,7 +20,6 @@
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
 #include "common/json.hh"
-#include "math/least_squares.hh"
 #include "support/metric_deltas.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
@@ -334,8 +333,7 @@ TEST_F(SweepEngineTest, AssemblyCalibratesAtTheReferenceDepth)
         ActivityPowerModel().withLeakageFraction(reference,
                                                  opt.leakage_fraction);
 
-    const SweepResult sweep =
-        assembleSweep(spec, opt, std::move(runs), engine.lastFailures());
+    const SweepResult sweep = assembleSweep(spec, opt, std::move(runs));
     ASSERT_EQ(sweep.runs.size(), configs.size());
     EXPECT_DOUBLE_EQ(sweep.extracted.alpha,
                      extractMachineParams(reference).alpha);
@@ -346,36 +344,6 @@ TEST_F(SweepEngineTest, AssemblyCalibratesAtTheReferenceDepth)
                          calibrated.metric(r, 3.0, true))
             << r.depth;
     }
-
-    // One quarantined non-reference cell: the calibration stays at
-    // depth 8 and the fit runs over the live cells only.
-    std::vector<SimResult> holed;
-    {
-        ScopedFailpoints guard("sweep.cell.simulate=once");
-        holed = engine.runConfigs(spec, opt.trace_length, configs);
-    }
-    const std::vector<FailureRecord> failures = engine.lastFailures();
-    ASSERT_EQ(failures.size(), 1u);
-    EXPECT_NE(failures[0].depth, 8);
-    const SweepResult partial =
-        assembleSweep(spec, opt, std::move(holed), failures);
-    EXPECT_FALSE(partial.complete());
-
-    std::vector<double> depths, metric;
-    for (const SimResult &r : partial.runs) {
-        if (r.cycles == 0) {
-            EXPECT_EQ(r.depth, failures[0].depth);
-            continue;
-        }
-        depths.push_back(r.depth);
-        metric.push_back(calibrated.metric(r, 3.0, true));
-    }
-    ASSERT_EQ(depths.size(), configs.size() - 1);
-    const CubicPeak expected = fitCubicPeak(depths, metric);
-    bool interior = false;
-    EXPECT_DOUBLE_EQ(partial.cubicFitOptimum(3.0, true, &interior),
-                     expected.x);
-    EXPECT_EQ(interior, expected.interior);
 }
 
 TEST_F(SweepEngineTest, PrintSummaryReportsCounters)

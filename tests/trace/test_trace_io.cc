@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <utility>
 
 #include "trace/generator.hh"
 #include "trace/trace_io.hh"
@@ -129,6 +130,28 @@ TEST_F(TraceIoTest, CorruptionIsFatal)
     f.close();
     EXPECT_EXIT(readTrace(path("t.pptr")),
                 ::testing::ExitedWithCode(1), "checksum");
+}
+
+TEST_F(TraceIoTest, OutOfRangeRegisterIsFatal)
+{
+    // writeTrace computes the checksum, so only the decoder's range
+    // check stands between these tapes and the walk's kNumRegs-entry
+    // register arrays.
+    const std::pair<const char *, std::uint8_t TraceRecord::*> fields[] = {
+        {"dst", &TraceRecord::dst},
+        {"src1", &TraceRecord::src1},
+        {"src2", &TraceRecord::src2},
+        {"src3", &TraceRecord::src3}};
+    for (const auto &[name, field] : fields) {
+        Trace t = sampleTrace();
+        t.records[7].*field = kNumRegs;
+        writeTrace(t, path("bad.pptr"));
+        EXPECT_EXIT(readTrace(path("bad.pptr")),
+                    ::testing::ExitedWithCode(1),
+                    std::string("trace record 7 has invalid ") + name +
+                        " register 32")
+            << name;
+    }
 }
 
 TEST_F(TraceIoTest, OversizedRecordCountIsFatal)

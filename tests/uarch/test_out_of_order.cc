@@ -141,8 +141,8 @@ TEST(OutOfOrder, OptimumDepthSimilarToInOrder)
     ooo_opt.min_depth = 3;
 
     const WorkloadSpec &w = findWorkload("gcc95");
-    const SweepResult io = runDepthSweep(w, opt);
-    const SweepResult ooo = runDepthSweep(w, ooo_opt);
+    const SweepResult io = runDepthSweep(w, opt).value();
+    const SweepResult ooo = runDepthSweep(w, ooo_opt).value();
 
     bool i1 = false, i2 = false;
     const double p_io = io.cubicFitOptimum(3.0, true, &i1);

@@ -8,7 +8,9 @@
  *
  * The whole 55 x 24 grid runs as one SweepEngine call: parallel
  * across cells and served from the on-disk result cache on re-runs
- * (pass --no-cache to force recomputation).
+ * (pass --no-cache to force recomputation). A hole prints nothing:
+ * the report writes its summary (whose `hole:` lines name each one)
+ * and manifest, then exits 3, and the same command computes it.
  *
  * --stalls appends the per-class stall-ledger composition at the
  * reference depth: the share of cycles each ledger bucket accounts
@@ -97,40 +99,32 @@ main(int argc, char **argv)
         engine.attachManifest(&manifest);
     }
 
+    auto finish = [&](int exit_code) {
+        engine.printSummary(std::cerr);
+        if (telemetry_on) {
+            if (!trace_out.empty())
+                SpanTracer::instance().writeChromeTrace(trace_out);
+            if (!manifest_out.empty())
+                manifest.write(manifest_out);
+            else if (!events_out.empty())
+                manifest.event("run_end");
+        }
+        return exit_code;
+    };
+
     const std::vector<SweepResult> sweeps =
         engine.runGrid(specs, SweepOptions{});
+    if (!engine.lastFailures().empty())
+        return finish(3);
 
     struct Acc { int n=0; double a=0,g=0,h=0,perf=0,m3=0,mpki=0,dmr=0; };
     std::map<std::string, Acc> byclass;
     for (const auto &s : sweeps) {
         const WorkloadSpec &w = s.spec;
-        const SimResult *ref = s.runAt(s.options.reference_depth);
-        // A quarantined reference cell (cycles == 0) has no extracted
-        // parameters and no CPI/MPKI; folding the zeroed placeholder
-        // into a class mean would silently drag every column toward
-        // zero. Skip the workload, loudly.
-        if (!ref) {
-            std::printf("%-12s %-12s SKIPPED: reference cell "
-                        "quarantined (%zu hole(s) in sweep)\n",
-                        w.name.c_str(),
-                        workloadClassName(w.cls).c_str(),
-                        s.failures.size());
-            continue;
-        }
-        const SimResult &r = *ref;
+        const SimResult &r = s.runAt(s.options.reference_depth);
         bool i1=false, i2=false;
         const double perf = s.cubicFitPerformanceOptimum(&i1);
         const double m3 = s.cubicFitOptimum(3.0, true, &i2);
-        // Fewer than 4 live depths: the fits answer 0, which a class
-        // mean would average as an optimum.
-        if (m3 == 0.0) {
-            std::printf("%-12s %-12s SKIPPED: no cubic-fit optimum "
-                        "(%zu hole(s) in sweep)\n",
-                        w.name.c_str(),
-                        workloadClassName(w.cls).c_str(),
-                        s.failures.size());
-            continue;
-        }
         Acc &a = byclass[workloadClassName(w.cls)];
         a.n++; a.a += s.extracted.alpha; a.g += s.extracted.gamma;
         a.h += s.extracted.hazard_ratio; a.perf += perf; a.m3 += m3;
@@ -160,15 +154,13 @@ main(int argc, char **argv)
             shares;
         std::map<std::string, int> counts;
         for (const auto &s : sweeps) {
-            const SimResult *r = s.runAt(s.options.reference_depth);
-            if (!r) // quarantined hole: no ledger to share
-                continue;
+            const SimResult &r = s.runAt(s.options.reference_depth);
             auto &acc = shares[workloadClassName(s.spec.cls)];
             counts[workloadClassName(s.spec.cls)]++;
             for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
-                acc[b] += static_cast<double>(r->ledgerCycles(
+                acc[b] += static_cast<double>(r.ledgerCycles(
                               static_cast<StallBucket>(b))) /
-                          static_cast<double>(r->cycles);
+                          static_cast<double>(r.cycles);
             }
         }
         std::printf("\nstall ledger composition at reference depth "
@@ -186,14 +178,5 @@ main(int argc, char **argv)
             std::printf("\n");
         }
     }
-    engine.printSummary(std::cerr);
-    if (telemetry_on) {
-        if (!trace_out.empty())
-            SpanTracer::instance().writeChromeTrace(trace_out);
-        if (!manifest_out.empty())
-            manifest.write(manifest_out);
-        else if (!events_out.empty())
-            manifest.event("run_end");
-    }
-    return 0;
+    return finish(0);
 }

@@ -12,9 +12,9 @@
  * With --depth, prints the detailed statistics of a single run. With
  * --sweep, simulates depths 2..25 (3..25 with --ooo) and prints
  * per-depth CPI, BIPS and the BIPS^3/W metric, plus the cubic-fit
- * optimum ("none" below 4 live depths) — the paper's per-workload
- * experiment in one command. Both come from the SweepResult that
- * assembleSweep builds, as in the benches: 15% leakage at depth 8.
+ * optimum — the paper's per-workload experiment in one command. The
+ * sweep comes from the SweepResult that assembleSweep builds, as in
+ * the benches: 15% leakage at depth 8.
  *
  * --stalls prints the stall ledger's exact cycle decomposition (per
  * bucket: cycles, share of the run, events) — for a single run as a
@@ -41,15 +41,17 @@
  * Any of the three enables span tracing for the run.
  *
  * Reliability (docs/RELIABILITY.md): a cell whose simulation throws
- * is quarantined after its one attempt — the sweep completes around
- * the hole and every quarantined cell is enumerated on stderr and in
- * the manifest. A hole is never cached. SIGINT/SIGTERM drain
- * gracefully: in-flight cells finish and land in the cache, the
- * manifest is finalized with status "interrupted", and the exit
- * status is 130. A killed, drained or holed run recovers the same
- * way: the same command, run again on the same cache, serves
- * completed cells from the cache, computes only the rest, and prints
- * a grid byte-identical to an uninterrupted run. --failpoint SPEC
+ * is quarantined after its one attempt — a hole. The engine still
+ * walks and caches every other cell, but pipesim prints nothing
+ * around a hole: it lists each one on stderr (`hole: W depth D
+ * CAUSE`, the summary's last lines) and in the manifest, and exits
+ * 3. A hole is never cached. SIGINT/SIGTERM drain gracefully:
+ * in-flight cells finish and land in the cache, the manifest is
+ * finalized with status "interrupted", and the exit status is 130. A
+ * killed, drained or holed run recovers the same way: the same
+ * command, run again on the same cache, serves completed cells from
+ * the cache, computes only the rest, and prints a grid byte-identical
+ * to an uninterrupted run. --failpoint SPEC
  * injects deterministic faults (same syntax as PIPEDEPTH_FAILPOINTS,
  * seeded by PIPEDEPTH_FAILPOINT_SEED; see common/failpoint.hh).
  *
@@ -68,8 +70,8 @@
  *
  * Unknown flags, a missing flag argument, or an unknown workload name
  * print usage / the catalog hint and exit with status 2; simulation
- * failures exit 1; a sweep that completed but quarantined cells exits
- * 3; a drained (interrupted) run exits 130.
+ * failures exit 1; a run with a hole, in either form, prints nothing
+ * and exits 3; a drained (interrupted) run exits 130.
  */
 
 #include <algorithm>
@@ -303,8 +305,7 @@ printStallSweep(const SweepResult &sweep, bool csv)
     for (std::size_t b = 0; b < kNumStallBuckets; ++b)
         t.addColumn(stallBucketName(static_cast<StallBucket>(b)), 4);
     t.addColumn("residual", 0);
-    for (double depth : sweep.depths()) {
-        const SimResult &r = *sweep.runAt(static_cast<int>(depth));
+    for (const SimResult &r : sweep.runs) {
         const double cy = static_cast<double>(r.cycles);
         t.beginRow();
         t.cell(r.depth);
@@ -368,16 +369,6 @@ printRun(const SimResult &r)
                     r.units[u].depth,
                     100.0 * static_cast<double>(r.units[u].active_cycles) /
                         static_cast<double>(r.cycles));
-    }
-}
-
-/** Enumerate quarantined/skipped cells on stderr. */
-void
-printFailures(const std::vector<FailureRecord> &failures)
-{
-    for (const auto &f : failures) {
-        std::fprintf(stderr, "pipesim: cell %s depth %d %s\n",
-                     f.workload.c_str(), f.depth, f.cause.c_str());
     }
 }
 
@@ -707,13 +698,12 @@ main(int argc, char **argv)
                                         opt.length, configs);
     };
 
+    // A hole prints nothing: the summary names it, and the same
+    // command computes it. A drain exits 130 (finishRun).
     if (!opt.sweep) {
         const SimResult run = simulate().front();
-        const std::vector<FailureRecord> failures = engine.lastFailures();
-        if (!failures.empty()) {
-            printFailures(failures);
-            return finishRun(1);
-        }
+        if (!engine.lastFailures().empty())
+            return finishRun(3);
         if (opt.stalls_json) {
             printStallJson(run);
         } else {
@@ -727,31 +717,14 @@ main(int argc, char **argv)
     }
 
     std::vector<SimResult> runs = simulate();
-    const std::vector<FailureRecord> failures = engine.lastFailures();
-    printFailures(failures);
-    if (interruptRequested())
-        return finishRun(130);
+    if (!engine.lastFailures().empty() || interruptRequested())
+        return finishRun(3);
     WorkloadSpec tape_spec;
     if (tape)
         tape_spec.name = tape->name;
     const SweepResult sweep =
         assembleSweep(tape ? tape_spec : findWorkload(opt.workload), so,
-                      std::move(runs), failures);
-
-    // Quarantined cells leave holes: the table and fit run over the
-    // live depths only.
-    const std::vector<double> depths = sweep.depths();
-    if (depths.empty()) {
-        std::fprintf(stderr,
-                     "pipesim: every cell of the sweep failed; no "
-                     "results to print\n");
-        return finishRun(1);
-    }
-    if (!sweep.calibrated())
-        std::fprintf(stderr,
-                     "pipesim: reference depth %d quarantined; "
-                     "BIPS3_W_rel is uncalibrated (no leakage)\n",
-                     so.reference_depth);
+                      std::move(runs));
 
     TableWriter t(opt.csv ? TableWriter::Style::Csv
                           : TableWriter::Style::Aligned);
@@ -766,8 +739,8 @@ main(int argc, char **argv)
     const double bips_peak = *std::max_element(bips.begin(), bips.end());
     const double metric_peak =
         *std::max_element(metric.begin(), metric.end());
-    for (std::size_t i = 0; i < depths.size(); ++i) {
-        const SimResult &r = *sweep.runAt(static_cast<int>(depths[i]));
+    for (std::size_t i = 0; i < sweep.runs.size(); ++i) {
+        const SimResult &r = sweep.runs[i];
         t.beginRow();
         t.cell(r.depth);
         t.cell(r.cycle_time_fo4);
@@ -779,9 +752,7 @@ main(int argc, char **argv)
 
     bool interior = false;
     const double optimum = sweep.cubicFitOptimum(3.0, true, &interior);
-    if (!opt.csv && optimum == 0.0)
-        std::printf("\nBIPS^3/W cubic-fit optimum: none\n");
-    else if (!opt.csv)
+    if (!opt.csv)
         std::printf("\nBIPS^3/W cubic-fit optimum: %.1f stages%s\n",
                     optimum, interior ? "" : " (endpoint)");
     if (opt.stalls || opt.stalls_json) {
@@ -790,5 +761,5 @@ main(int argc, char **argv)
                         "(share of cycles):\n");
         printStallSweep(sweep, opt.csv);
     }
-    return finishRun(failures.empty() ? 0 : 3);
+    return finishRun(0);
 }

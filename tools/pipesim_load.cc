@@ -18,9 +18,13 @@
  *    collapses.
  *
  * Per phase the harness records p50/p99 request latency, the
- * cache-hit rate reported on done lines, error and quarantined-hole
- * counts, and — the invariant everything else rests on — that zero
- * requests were dropped (every request got its done or error line).
+ * cache-hit rate reported on done lines, error counts, and — the
+ * invariant everything else rests on — that zero requests were
+ * dropped (every request got its done or error line). A request the
+ * daemon answers `incomplete` (a cell failed) is sent again on a
+ * fresh connection, as the daemon's contract asks, up to
+ * kMaxAttempts times; it counts as one request, and its latency
+ * covers every attempt.
  *
  * --term-pid PID sends SIGTERM to the daemon after every warm-phase
  * request is in flight, turning the run into a drain test: every
@@ -72,6 +76,9 @@ namespace
 {
 
 constexpr int kSchemaVersion = 2;
+
+/** Sends of one request while the daemon answers `incomplete`. */
+constexpr int kMaxAttempts = 3;
 
 struct Options
 {
@@ -173,15 +180,14 @@ sendAll(int fd, const std::string &data)
 }
 
 /**
- * One client: connect, send the request line, read lines until the
+ * One attempt: connect, send the request line, read lines until the
  * matching done or error arrives (or the daemon closes the stream).
  */
 void
-runClient(const std::string &socket_path, const std::string &request,
-          const std::string &id, std::atomic<std::size_t> *sent,
-          Observation *obs)
+attempt(const std::string &socket_path, const std::string &request,
+        const std::string &id, std::atomic<std::size_t> *sent,
+        Observation *obs)
 {
-    const auto begin = std::chrono::steady_clock::now();
     const int fd = connectTo(socket_path);
     if (fd == -1) {
         sent->fetch_add(1, std::memory_order_relaxed);
@@ -248,6 +254,23 @@ runClient(const std::string &socket_path, const std::string &request,
         buf.erase(0, start);
     }
     ::close(fd);
+}
+
+/** One client: one request, resent while the daemon answers
+ *  `incomplete`; @p sent counts it once. */
+void
+runClient(const std::string &socket_path, const std::string &request,
+          const std::string &id, std::atomic<std::size_t> *sent,
+          Observation *obs)
+{
+    const auto begin = std::chrono::steady_clock::now();
+    std::atomic<std::size_t> resent{0}; // not in @p sent
+    for (int i = 0; i < kMaxAttempts; ++i) {
+        *obs = Observation{};
+        attempt(socket_path, request, id, i == 0 ? sent : &resent, obs);
+        if (obs->error_code != "incomplete")
+            break;
+    }
     obs->latency_us =
         std::chrono::duration<double, std::micro>(
             std::chrono::steady_clock::now() - begin)

@@ -41,7 +41,7 @@
  *
  * --failpoint arms the same deterministic fault-injection sites as
  * pipesim (common/failpoint.hh); a cell fault quarantines within the
- * requesting query (its done line reports the hole) and the daemon
+ * requesting query, which gets an `incomplete` error, and the daemon
  * keeps serving. The hole is never cached, so the next request that
  * needs the cell computes it.
  */
