@@ -881,6 +881,22 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                 cells[i].outcome;
         }
 
+        // Adds request @p r's cells to @p into's cells, cached and
+        // computed (a DoneInfo or an access-log entry): one count for
+        // an answer and a refusal alike.
+        const auto countCells = [&](const ServerRequest &r, auto &into) {
+            for (int d = r.min_depth; d <= r.max_depth; ++d) {
+                ++into.cells;
+                const auto oc = outcomes.find({r.workload, d});
+                if (oc == outcomes.end())
+                    continue;
+                if (oc->second == ManifestCell::Outcome::Cached)
+                    ++into.cached;
+                else if (oc->second == ManifestCell::Outcome::Computed)
+                    ++into.computed;
+            }
+        };
+
         std::map<std::string, const SweepResult *> by_workload;
         for (const auto &r : results)
             by_workload[r.spec.name] = &r;
@@ -896,6 +912,7 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             if (access_log_.enabled()) {
                 AccessLog::Entry entry = baseEntry(p);
                 entry.outcome = code;
+                countCells(p.request, entry);
                 entry.phases.queue_us = queue_us(p);
                 entry.phases.batch_us = batch_wait_us;
                 entry.phases.engine_us = engine_us;
@@ -929,18 +946,7 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             DoneInfo info;
             info.trace_id = p.request.trace_id;
             info.manifest = options_.manifest_out;
-            for (int d = p.request.min_depth; d <= p.request.max_depth;
-                 ++d) {
-                ++info.cells;
-                const auto oc = outcomes.find({p.request.workload, d});
-                if (oc != outcomes.end()) {
-                    if (oc->second == ManifestCell::Outcome::Cached)
-                        ++info.cached;
-                    else if (oc->second ==
-                             ManifestCell::Outcome::Computed)
-                        ++info.computed;
-                }
-            }
+            countCells(p.request, info);
             if (p.request.type == ServerRequest::Type::Sweep) {
                 for (const SimResult &r : sweep->runs) {
                     out += cellResponseLine(

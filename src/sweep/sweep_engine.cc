@@ -69,6 +69,20 @@ secondsSince(std::chrono::steady_clock::time_point start)
         .count();
 }
 
+/** Runs a callable when the scope it guards ends, however it ends. */
+template <typename Fn>
+class ScopeExit
+{
+  public:
+    explicit ScopeExit(Fn fn) : fn_(std::move(fn)) {}
+    ~ScopeExit() { fn_(); }
+    ScopeExit(const ScopeExit &) = delete;
+    ScopeExit &operator=(const ScopeExit &) = delete;
+
+  private:
+    Fn fn_;
+};
+
 /** Records one `sweep.call.wall_us` sample: an engine call's wall
  *  time. */
 class CallTimer
@@ -267,24 +281,54 @@ SweepEngine::resolveCells(const CellPlan &plan)
     // precomputed microarchitectural outcomes (depth-invariant; see
     // uarch/replay_annotations.hh), annotated under the config of the
     // first cell that needs them; simulateMultiDepth annotates again
-    // for a walk class they do not match.
-    struct Replay
+    // for a walk class they do not match. A replay lives from its
+    // workload's first walked miss to the end of the workload's last
+    // group. Groups are claimed in index order and a workload's groups
+    // are contiguous, so an unsharded call holds at most one replay
+    // per worker thread, however many workloads its plan has.
+    struct Prepared
     {
-        std::once_flag once;
         ReplayBuffer buffer;
         ReplayAnnotations annotations;
     };
+    struct Replay
+    {
+        std::once_flag once;
+        std::unique_ptr<Prepared> prepared; //!< null before and after use
+        std::atomic<std::size_t> groups_left{0}; //!< not yet resolved
+    };
     std::vector<Replay> replays(plan.names.size());
+    // Replays held now, and the most held at once in this call (the
+    // `sweep.replay.resident` gauge).
+    std::mutex resident_mutex;
+    std::size_t resident = 0, most_resident = 0;
     auto replayFor = [&](std::size_t w,
-                         const PipelineConfig &config) -> const Replay & {
+                         const PipelineConfig &config) -> const Prepared & {
         Replay &r = replays[w];
+        // Only a running group of the workload asks: once its last
+        // group has ended, the replay is gone.
+        PP_ASSERT(r.groups_left.load() > 0, "replay of ", plan.names[w],
+                  " asked for after its last group");
         std::call_once(r.once, [&]() {
             TELEM_SPAN(prepare_span, "sweep.trace.prepare");
             prepare_span.tag("workload", plan.names[w]);
-            r.buffer = plan.replay(w);
-            r.annotations = annotateReplay(r.buffer, config);
+            auto p = std::make_unique<Prepared>();
+            p->buffer = plan.replay(w);
+            p->annotations = annotateReplay(p->buffer, config);
+            r.prepared = std::move(p);
+            const std::lock_guard<std::mutex> lock(resident_mutex);
+            most_resident = std::max(most_resident, ++resident);
         });
-        return r;
+        return *r.prepared;
+    };
+    // Ends one group of workload @p w; the last one frees the replay.
+    auto groupResolved = [&](std::size_t w) {
+        Replay &r = replays[w];
+        if (r.groups_left.fetch_sub(1) != 1 || !r.prepared)
+            return;
+        r.prepared.reset();
+        const std::lock_guard<std::mutex> lock(resident_mutex);
+        --resident;
     };
 
     // Resolve cell @p i without a walk when it can be: an interrupt
@@ -361,7 +405,7 @@ SweepEngine::resolveCells(const CellPlan &plan)
             lanes.push_back(plan.configOf(begin + i));
         std::vector<SimResult> walked;
         try {
-            const Replay &r = replayFor(w, lanes.front());
+            const Prepared &r = replayFor(w, lanes.front());
             TELEM_SPAN(span, "sweep.cell.fused");
             span.tag("workload", name);
             span.tag("cells", static_cast<std::uint64_t>(lanes.size()));
@@ -433,8 +477,14 @@ SweepEngine::resolveCells(const CellPlan &plan)
         std::stable_partition(groups.begin(), groups.end(),
                               [](const Group &g) { return !g.foreign; });
     }
+    for (const Group &group : groups)
+        ++replays[plan.workloadOf(group.begin)].groups_left;
 
     auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
+        // However the group resolves (walked, all hits, shard wait,
+        // drain), its end may be its workload's last.
+        const ScopeExit group_end(
+            [&] { groupResolved(plan.workloadOf(group.begin)); });
         const std::size_t count = group.end - group.begin;
         std::vector<SimResult> out(count);
         std::vector<CacheKey> keys(count);
@@ -513,6 +563,9 @@ SweepEngine::resolveCells(const CellPlan &plan)
         for (std::size_t i = 0; i < grouped[g].size(); ++i)
             results[groups[g].begin + i] = std::move(grouped[g][i]);
     }
+    static Gauge &resident_gauge =
+        MetricsRegistry::instance().gauge("sweep.replay.resident");
+    resident_gauge.set(static_cast<std::int64_t>(most_resident));
     recorder.fold();
     return results;
 }

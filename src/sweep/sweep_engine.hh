@@ -16,7 +16,10 @@
  *    configuration and simulator version (cache_key.hh), so re-runs
  *    of figures and ablations cost milliseconds;
  *  - generates each workload trace at most once per grid, and not at
- *    all when every cell of the workload is cached;
+ *    all when every cell of the workload is cached, and frees its
+ *    replay when the workload's last cell group resolves, so an
+ *    unsharded grid holds at most one replay per worker thread (the
+ *    `sweep.replay.resident` gauge);
  *  - counts what happened in the process-wide metrics registry
  *    (telemetry/metrics.hh): the `sweep.cell.*` outcome counters,
  *    traces generated, instructions simulated and one

@@ -886,10 +886,19 @@ TEST_P(IncompleteServerTest, QuarantinedCellGetsOneError)
     EXPECT_LE(us("queue_us") + us("parse_us") + us("batch_us") +
                   us("engine_us") + us("serialize_us"),
               us("total_us"));
+    // The refused pass still computed the other three cells, and its
+    // line counts them as a done line would.
+    EXPECT_EQ(entries[0].find("cells")->number, 4.0);
+    EXPECT_EQ(entries[0].find("computed")->number, 3.0);
+    EXPECT_EQ(entries[0].find("cached")->number, 0.0);
 
     // The fault fired once: the next request computes the missing
     // cell and gets a full answer.
     expectGoodSweep(transact(goodRequest("u2")), "u2");
+    const auto retried = accessEntriesFor("u2");
+    ASSERT_EQ(retried.size(), 1u);
+    EXPECT_EQ(retried[0].find("cached")->number, 3.0);
+    EXPECT_EQ(retried[0].find("computed")->number, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Hits, IncompleteServerTest, ::testing::Values(1, 2));

@@ -5,9 +5,10 @@
  * corrupt cache entries, the --no-cache escape hatch, explicit-trace
  * (runConfigs) caching and its one trace hash per call, the spec form
  * of runConfigs (same bytes as the trace form, runGrid's cache
- * addresses), the shared SweepResult assembly, and the summary that
- * prints the tally once and agrees with the run manifest. Byte-level
- * determinism lives in test_engine_determinism.cc.
+ * addresses), the shared SweepResult assembly, the summary that
+ * prints the tally once and agrees with the run manifest, and the
+ * bound of one resident replay per worker. Byte-level determinism
+ * lives in test_engine_determinism.cc.
  */
 
 #include <gtest/gtest.h>
@@ -431,6 +432,60 @@ TEST_F(SweepEngineTest, ManifestAndSummaryShareOneTally)
     EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
     EXPECT_EQ(tally["sweep.cell.compute"], 5u);
     EXPECT_EQ(tally["sweep.cell.cached"], 4u);
+}
+
+TEST_F(SweepEngineTest, ReplaysResidentAtMostOnePerWorker)
+{
+    // A replay lives from its workload's first walked miss to the end
+    // of the workload's last group, so however many workloads a grid
+    // has, it holds at most one replay per worker thread.
+    SweepOptions opt = fastOptions();
+    opt.max_depth = 5;
+    opt.trace_length = 6000;
+    opt.warmup_instructions = 2000;
+    const std::vector<WorkloadSpec> specs(workloadCatalog().begin(),
+                                          workloadCatalog().begin() + 12);
+    const Gauge &resident =
+        MetricsRegistry::instance().gauge("sweep.replay.resident");
+    SweepEngineOptions options;
+    options.use_cache = false;
+    for (unsigned threads : {1u, 3u}) {
+        options.threads = threads;
+        ASSERT_EQ(SweepEngine(options).runGrid(specs, opt).size(),
+                  specs.size());
+        EXPECT_GE(resident.value(), 1) << threads;
+        EXPECT_LE(resident.value(), static_cast<std::int64_t>(threads))
+            << threads;
+    }
+
+    // One workload at depths 2..25 on 4 threads: six 4-cell groups
+    // share one replay, so it must outlive every group but the last.
+    opt.max_depth = 25;
+    const WorkloadSpec &spec = findWorkload("gcc95");
+    options.threads = 4;
+    SpanTracer::instance().clear();
+    SpanTracer::instance().setEnabled(true);
+    const MetricDeltas tally;
+    const auto fused = SweepEngine(options).runGrid({spec}, opt);
+    SpanTracer::instance().setEnabled(false);
+    const auto rollups = SpanTracer::instance().rollups();
+    SpanTracer::instance().clear();
+    ASSERT_EQ(rollups.count("sweep.cell.fused"), 1u);
+    EXPECT_EQ(rollups.at("sweep.cell.fused").count, 6u);
+    EXPECT_EQ(tally["sweep.trace.generate"], 1u);
+    EXPECT_EQ(resident.value(), 1);
+
+    options.threads = 1;
+    const auto alone = SweepEngine(options).runGrid({spec}, opt);
+    ASSERT_EQ(fused.size(), 1u);
+    ASSERT_EQ(alone.size(), 1u);
+    ASSERT_EQ(fused[0].runs.size(), 24u);
+    ASSERT_EQ(alone[0].runs.size(), 24u);
+    for (std::size_t j = 0; j < fused[0].runs.size(); ++j) {
+        EXPECT_EQ(serializeSimResult(fused[0].runs[j]),
+                  serializeSimResult(alone[0].runs[j]))
+            << j;
+    }
 }
 
 TEST(SweepEngineDeath, BadDepthRangeRejected)
