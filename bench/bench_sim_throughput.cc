@@ -17,7 +17,10 @@
  * per workload), the three lane counts interleaved within each rep.
  * Every walk must retire lanes x replay size instructions. Each lane
  * count is reported as min, median and p90 (nearest rank) of its
- * lane-instructions per second over the reps. Trace generation,
+ * lane-instructions per second over the reps, and with the lane-group
+ * width it ran at (the sim.walk.lane_width gauge: with AVX2, 4 for 4
+ * lanes and for 24 unless AVX-512F makes it 8; else 1), so every
+ * number names the kernel that produced it. Trace generation,
  * replay preparation, annotation and the engine's cache are timed
  * per layer by perfbench, not here.
  *
@@ -53,6 +56,7 @@
 #include "common/logging.hh"
 #include "sweep/depth_sweep.hh"
 #include "telemetry/build_info.hh"
+#include "telemetry/metrics.hh"
 #include "trace/replay_buffer.hh"
 #include "uarch/multi_depth_walk.hh"
 #include "uarch/replay_annotations.hh"
@@ -72,7 +76,7 @@ using Clock = std::chrono::steady_clock;
  * re-typed, so stale committed baselines are rejected instead of
  * silently compared.
  */
-constexpr int kBenchSchemaVersion = 5;
+constexpr int kBenchSchemaVersion = 6;
 
 /**
  * Allowed 4-lane throughput loss against the committed baseline
@@ -261,10 +265,16 @@ main(int argc, char **argv)
         prepared.push_back(std::move(p));
     }
 
+    // The walk sets this gauge to its lane-group width on every pass.
+    const Gauge &lane_width =
+        MetricsRegistry::instance().gauge("sim.walk.lane_width");
     std::vector<std::vector<double>> curve(std::size(kCurveLanes));
+    std::vector<std::int64_t> widths(std::size(kCurveLanes), 0);
     for (int r = 0; r < reps; ++r) {
-        for (std::size_t k = 0; k < std::size(kCurveLanes); ++k)
+        for (std::size_t k = 0; k < std::size(kCurveLanes); ++k) {
             curve[k].push_back(walkLaneIps(prepared, sweep, kCurveLanes[k]));
+            widths[k] = lane_width.value();
+        }
         if (verbose)
             std::fprintf(stderr,
                          "rep %d: walk IPS 1 lane %.0f, 4 lanes %.0f, "
@@ -302,7 +312,12 @@ main(int argc, char **argv)
             kCurveLanes[k], v.front(), median, nearestRank(v, 0.9),
             k + 1 < std::size(kCurveLanes) ? "," : "");
     }
-    add("    }\n");
+    add("    },\n");
+    add("    \"lane_width\": {");
+    for (std::size_t k = 0; k < std::size(kCurveLanes); ++k)
+        add("%s\"%zu\": %lld", k ? ", " : "", kCurveLanes[k],
+            static_cast<long long>(widths[k]));
+    add("}\n");
     add("  }\n");
     add("}\n");
 

@@ -72,6 +72,29 @@ StallLedger::commit(std::int64_t retire_cycle, StallBucket cause)
 }
 
 void
+StallLedger::commitStream(std::uint64_t instructions,
+                          std::uint64_t work_cycles,
+                          const BucketCounts &cycles,
+                          const BucketCounts &events)
+{
+    PP_ASSERT(!finalized_ && n_ == 0,
+              "commitStream on a ledger with commits");
+    PP_ASSERT(work_cycles <= instructions,
+              "more retire cycles than retirements: ", work_cycles, " > ",
+              instructions);
+    for (StallBucket derived :
+         {StallBucket::BaseWork, StallBucket::SuperscalarLoss}) {
+        const auto b = static_cast<std::size_t>(derived);
+        PP_ASSERT(cycles[b] == 0 && events[b] == 0,
+                  "cannot charge derived bucket ", b);
+    }
+    n_ = instructions;
+    work_cycles_ = work_cycles;
+    cycles_ = cycles;
+    events_ = events;
+}
+
+void
 StallLedger::finalize(std::uint64_t total_cycles)
 {
     PP_ASSERT(!finalized_, "finalize called twice");

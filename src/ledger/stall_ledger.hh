@@ -118,6 +118,22 @@ class StallLedger
         commitImpl(retire_cycle, cause);
     }
 
+    /** Per-bucket bubble cycles or events, as commits accumulate them. */
+    using BucketCounts = std::array<std::uint64_t, kNumStallBuckets>;
+
+    /**
+     * Book a whole retire stream that the caller tallied itself with
+     * commitFast()'s arithmetic — the lane-group timing walk does it
+     * for several lanes per instruction: @p instructions retirements
+     * in @p work_cycles distinct cycles, and the idle-cycle bubbles
+     * charged to each bucket (@p cycles, @p events; the derived
+     * buckets hold nothing). Only on a ledger with no commits;
+     * finalize() follows as usual.
+     */
+    void commitStream(std::uint64_t instructions,
+                      std::uint64_t work_cycles, const BucketCounts &cycles,
+                      const BucketCounts &events);
+
     /**
      * Close the books: derive BaseWork and SuperscalarLoss, then
      * compute the residual against @p total_cycles (the simulator's
@@ -176,8 +192,8 @@ class StallLedger
     int retired_this_cycle_ = 0;
     std::uint64_t n_ = 0;
     std::uint64_t work_cycles_ = 0; //!< distinct cycles with a retirement
-    std::array<std::uint64_t, kNumStallBuckets> cycles_{};
-    std::array<std::uint64_t, kNumStallBuckets> events_{};
+    BucketCounts cycles_{};
+    BucketCounts events_{};
     std::int64_t residual_ = 0;
     bool finalized_ = false;
 };

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
+#include <memory>
 #include <span>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/logging.hh"
@@ -12,50 +14,98 @@
 #include "telemetry/telemetry.hh"
 #include "uarch/walk_state.hh"
 
+// The wide kernels (width 4 for AVX2, 8 for AVX-512F) are built on
+// x86-64; elsewhere every lane count runs at width 1.
+#if defined(__x86_64__) && defined(__GNUC__)
+#define PIPEDEPTH_WALK_WIDE 1
+#else
+#define PIPEDEPTH_WALK_WIDE 0
+#endif
+
 namespace pipedepth
 {
 
 using walk::Activity;
 using walk::Cycle;
 using walk::IssuePorts;
-using walk::ProducerKind;
+using walk::Lanes;
+using walk::causeLanes;
+using walk::greater;
+using walk::laneMax;
+using walk::select;
+using walk::splat;
 
 namespace
 {
 
-/** One value per lane. */
-template <typename T, std::size_t D>
-using PerLane = std::array<T, D>;
+/** Lane @p k of a lane group. */
+template <typename L>
+[[gnu::always_inline]] inline Cycle
+laneAt(const L &v, std::size_t k)
+{
+    if constexpr (std::is_same_v<L, Cycle>)
+        return v;
+    else
+        return v[k];
+}
+
+/** Set lane @p k of a lane group. */
+template <typename L>
+[[gnu::always_inline]] inline void
+setLane(L &v, std::size_t k, Cycle x)
+{
+    if constexpr (std::is_same_v<L, Cycle>)
+        v = x;
+    else
+        v[k] = x;
+}
+
+/** Set every lane of @p v to @p x. By reference: code built for the
+ *  baseline ISA must not pass a lane vector by value. */
+template <typename L>
+void
+fillLanes(L &v, Cycle x)
+{
+    for (std::size_t k = 0; k < sizeof(L) / sizeof(Cycle); ++k)
+        setLane(v, k, x);
+}
 
 /**
- * A ring of per-lane cycle stamps, [slot][lane], behind one cursor
- * that every lane shares. Which rings an instruction touches depends
- * only on its replay flags, never on timing, and canFuseConfigs()
- * gives every lane the same ring sizes, so all lanes step through the
- * same slot sequence. The walk reads and writes the current slot in
- * its lane loop and advances the cursor once per event, after it.
- * A slot holds N stamps: one per lane, or one per (stage, lane) when
+ * K lane groups side by side: one ring slot, one scoreboard register,
+ * one store's data-ready cycles. Aligned for the widest group, so a
+ * vector access to any member is aligned wherever the row lives.
+ */
+template <typename L, std::size_t K>
+struct alignas(64) Row
+{
+    L g[K];
+};
+
+/**
+ * A ring of lane-group stamps, [slot][group], behind one cursor that
+ * every lane shares. Which rings an instruction touches depends only
+ * on its replay flags, never on timing, and canFuseConfigs() gives
+ * every lane the same ring sizes, so all lanes step through the same
+ * slot sequence. The walk reads and writes the current slot in its
+ * group loop and advances the cursor once per event, after it. A slot
+ * holds K groups: one per lane group, or one per (stage, group) when
  * several stages advance together.
  *
  * As a width limit (at most `size` grants per cycle) a stamp is the
  * lane's grant `size` grants ago; as a buffer capacity it is the exit
  * time of the entry admitted `size` admissions ago. Either way the
  * next event may happen no earlier than one cycle after the stamp.
- *
- * The cursor is a pointer to the current slot rather than an index:
- * one load finds a lane's stamp, which keeps many-lane walks fast
- * without holding every ring's slot address live through a one-lane
- * walk.
  */
-template <std::size_t N>
+template <typename L, std::size_t K>
 class LaneRing
 {
   public:
     explicit LaneRing(int size)
     {
         PP_ASSERT(size >= 1, "ring size must be positive");
-        PerLane<Cycle, N> empty;
-        empty.fill(-1);
+        Row<L, K> empty;
+        for (L &stamp : empty.g)
+            fillLanes(stamp, -1);
         slots_.assign(static_cast<std::size_t>(size), empty);
         current_ = slots_.data();
     }
@@ -65,7 +115,7 @@ class LaneRing
     LaneRing &operator=(const LaneRing &) = delete;
 
     /** The current slot's stamps. */
-    PerLane<Cycle, N> &
+    Row<L, K> &
     current()
     {
         return *current_;
@@ -79,154 +129,187 @@ class LaneRing
     }
 
   private:
-    std::vector<PerLane<Cycle, N>> slots_;
-    PerLane<Cycle, N> *current_ = nullptr;
+    std::vector<Row<L, K>> slots_;
+    Row<L, K> *current_ = nullptr;
 };
 
 /** Width limit: the first cycle at or after @p candidate that the
  *  slot's @p stamp allows; the grant becomes the new stamp. */
-inline Cycle
-grant(Cycle &stamp, Cycle candidate)
+template <typename L>
+[[gnu::always_inline]] inline L
+grant(L &stamp, L candidate)
 {
-    const Cycle t = std::max(candidate, stamp + 1);
+    const L t = laneMax(candidate, stamp + 1);
     stamp = t;
     return t;
 }
 
 /** Capacity limit: the first cycle at or after @p candidate after the
  *  slot's previous entry left at @p exit. */
-inline Cycle
-admit(Cycle exit, Cycle candidate)
+template <typename L>
+[[gnu::always_inline]] inline L
+admit(L exit, L candidate)
 {
-    return std::max(candidate, exit + 1);
+    return laneMax(candidate, exit + 1);
 }
 
 /**
- * The depth-dependent pipeline parameters of one lane's
- * configuration, resolved once so the per-instruction lane loop reads
- * plain integers.
+ * Everything one lane group carries from instruction to instruction:
+ * the depth-dependent parameters of its lanes' configurations,
+ * resolved once so the per-instruction loop reads plain lane values,
+ * the stage stamps, the retire-cycle tally and unit activity.
  */
-struct DepthParams
+template <typename L>
+struct alignas(64) GroupState
 {
-    int dD;
-    int dRN;
-    int dAQ;
-    int dA;
-    int dC;
-    int dEQ;
-    int dE;
-    int l2_penalty;
-    int mem_penalty;
-    int fwd_latency;
-    int taken_bubble;
-    bool audited;
+    // Depth parameters.
+    L dD{};
+    L dDR{}; //!< dD + dRN: decode through rename
+    L dAQ{};
+    L dA{};
+    L agen_split{}; //!< mask: dA > 0 (else agen merges into decode)
+    L dC{};
+    L cache_merged{}; //!< mask: dC == 0 (cache access in execute)
+    L dEQ{};
+    L dE{};
+    L l2_penalty{};
+    L mem_penalty{};
+    L fwd_latency{};
+    L taken_bubble{};
+
+    // Stage stamps.
+    L fetch_seq{}; //!< earliest fetch for the next instruction
+    L decode_seq{};
+    L agen_seq{};
+    L exec_seq{};
+    L complete_seq{};
+    /** The last retire cycle; -1 before the first, as the ledger's. */
+    L retire_seq{};
+    L redirect_time{}; //!< younger fetches blocked until here
+    L fpu_busy{};      //!< unpipelined FPU free time
+    L div_busy{};      //!< unpipelined integer divider free time
+
+    /** Distinct retire cycles (StallLedger's work cycles). */
+    L work_cycles{};
+
+    /** Per unit; Retire's comes from the ledger. */
+    Activity<L> activity[kNumUnits]{};
+
+    GroupState() { fillLanes(retire_seq, -1); }
+
+    Activity<L> &
+    act(Unit u)
+    {
+        return activity[static_cast<std::size_t>(u)];
+    }
 };
 
-DepthParams
-paramsOf(const PipelineConfig &config)
+/** The bubbles one lane's ledger charges, tallied by the walk. */
+struct LaneTally
 {
-    DepthParams p;
-    p.dD = config.unit_depth[static_cast<std::size_t>(Unit::Decode)];
-    p.dRN = config.unit_depth[static_cast<std::size_t>(Unit::Rename)];
-    p.dAQ = config.unit_depth[static_cast<std::size_t>(Unit::AgenQ)];
-    p.dA = config.unit_depth[static_cast<std::size_t>(Unit::Agen)];
-    p.dC = config.unit_depth[static_cast<std::size_t>(Unit::DCache)];
-    p.dEQ = config.unit_depth[static_cast<std::size_t>(Unit::ExecQ)];
-    p.dE = config.unit_depth[static_cast<std::size_t>(Unit::Fxu)];
-    p.l2_penalty = config.l2PenaltyCycles();
-    p.mem_penalty = config.missPenaltyCycles();
-    p.fwd_latency = config.forwardLatency(p.dE);
-    p.taken_bubble = config.takenBranchBubble();
-    p.audited = config.audit_ledger;
-    return p;
-}
-
-template <std::size_t... J>
-PerLane<StallLedger, sizeof...(J)>
-makeLedgers(int width, std::index_sequence<J...>)
-{
-    return {{((void)J, StallLedger(width))...}};
-}
+    StallLedger::BucketCounts cycles{};
+    StallLedger::BucketCounts events{};
+};
 
 /**
- * The timing walk over D lanes: one pass over @p replay advances the
- * pipeline state of configs[0..D) at every instruction and writes
- * results[0..D).
- *
- * Per-lane state is an array indexed by lane (rings [slot][lane],
- * scoreboard [reg][lane], unit activity [unit][lane]) whose size the
- * compiler knows, so the lane loop has a constant trip count and
- * constant strides. The lanes are mutually independent — no value
- * computed for lane j feeds lane j+1 — so the hardware overlaps their
- * dependency chains. What depends on the replay op and its
- * annotations alone (ring cursors, event counters) is done once per
- * instruction, after the lane loop, not once per lane.
+ * The state of one walk over D lanes in lane groups W wide. Per-lane
+ * values are lane-group arrays indexed by group: rings
+ * [slot][group], scoreboard [reg][group], store data-ready
+ * [store][group]; the rest of a group's state is its GroupState. What
+ * depends on the replay op and its annotations alone — ring cursors,
+ * a register's producer, event counters — is held once for every
+ * lane.
  */
-template <std::size_t D>
-void
-walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
-          const PipelineConfig *configs, SimResult *results)
+template <std::size_t D, std::size_t W>
+struct alignas(64) Walk
 {
-    using Stamps = PerLane<Cycle, D>;
+    static_assert(D % W == 0, "lane groups must tile the lanes");
+    using L = Lanes<W>;
+    static constexpr std::size_t G = D / W;
 
-    const PipelineConfig &shape = configs[0];
-    const int width = shape.width;
-    const bool in_order = shape.in_order;
-    const bool model_memdep = shape.model_memory_dependences;
-    const Cycle inflight_window = static_cast<Cycle>(shape.max_inflight);
+    Walk(const PipelineConfig *configs,
+         const ReplayAnnotations &annotations)
+        : width(configs[0].width), in_order(configs[0].in_order),
+          model_memdep(configs[0].model_memory_dependences),
+          inflight_window(static_cast<Cycle>(configs[0].max_inflight)),
+          stage_slots(width), agen_slots(configs[0].agen_width),
+          exec_slots(width), fetch_buffer(configs[0].fetch_buffer),
+          agen_queue(configs[0].agen_queue),
+          exec_queue(configs[0].exec_queue),
+          inflight(configs[0].max_inflight),
+          store_ready(annotations.num_stores, Row<L, G>{}),
+          ledgers(D, StallLedger(width))
+    {
+        for (std::size_t j = 0; j < D; ++j) {
+            const PipelineConfig &c = configs[j];
+            GroupState<L> &s = groups[j / W];
+            const std::size_t k = j % W;
+            auto depth = [&c](Unit u) {
+                return c.unit_depth[static_cast<std::size_t>(u)];
+            };
+            const int dE = depth(Unit::Fxu);
+            setLane(s.dD, k, depth(Unit::Decode));
+            setLane(s.dDR, k, depth(Unit::Decode) + depth(Unit::Rename));
+            setLane(s.dAQ, k, depth(Unit::AgenQ));
+            setLane(s.dA, k, depth(Unit::Agen));
+            setLane(s.agen_split, k, depth(Unit::Agen) > 0 ? -1 : 0);
+            setLane(s.dC, k, depth(Unit::DCache));
+            setLane(s.cache_merged, k, depth(Unit::DCache) == 0 ? -1 : 0);
+            setLane(s.dEQ, k, depth(Unit::ExecQ));
+            setLane(s.dE, k, dE);
+            setLane(s.l2_penalty, k, c.l2PenaltyCycles());
+            setLane(s.mem_penalty, k, c.missPenaltyCycles());
+            setLane(s.fwd_latency, k, c.forwardLatency(dE));
+            setLane(s.taken_bubble, k, c.takenBranchBubble());
+            audited[j] = c.audit_ledger;
+            any_audited = any_audited || c.audit_ledger;
+        }
+        reg_cause.fill(walk::depCause(walk::ProducerKind::None, false));
+        // Out-of-order issue ports keep per-cycle counts in a map, so
+        // they are one object per lane rather than a ring.
+        if (!in_order)
+            ooo_ports.assign(D, IssuePorts(width));
+    }
 
-    PerLane<DepthParams, D> params;
-    for (std::size_t j = 0; j < D; ++j)
-        params[j] = paramsOf(configs[j]);
+    const int width;
+    const bool in_order;
+    const bool model_memdep;
+    const Cycle inflight_window;
+
+    GroupState<L> groups[G];
+
+    /** Register scoreboard, [reg][group]: every register ready at 0. */
+    Row<L, G> reg_ready[kNumRegs]{};
+    /**
+     * What a wait on each register is charged to: depCause() of its
+     * last producer, which is the same instruction at every depth.
+     * Indexed by the op's raw register byte, kNoReg included.
+     */
+    std::array<StallBucket, 256> reg_cause{};
 
     // Fetch, decode, complete and retire each grant one slot per
-    // instruction under the same width, so they share one ring: lane
-    // j's stamp of stage k is slot[k * D + j].
-    LaneRing<4 * D> stage_slots(width);
-    LaneRing<D> agen_slots(shape.agen_width);
-    LaneRing<D> exec_slots(width);
+    // instruction under the same width, so they share one ring:
+    // group g's stamp of stage k is slot.g[k * G + g].
+    LaneRing<L, 4 * G> stage_slots;
+    LaneRing<L, G> agen_slots;
+    LaneRing<L, G> exec_slots;
+    LaneRing<L, G> fetch_buffer;
+    LaneRing<L, G> agen_queue;
+    LaneRing<L, G> exec_queue;
+    LaneRing<L, G> inflight;
 
-    LaneRing<D> fetch_buffer(shape.fetch_buffer);
-    LaneRing<D> agen_queue(shape.agen_queue);
-    LaneRing<D> exec_queue(shape.exec_queue);
-    LaneRing<D> inflight(shape.max_inflight);
-
-    // Out-of-order issue ports keep per-cycle counts in a map, so
-    // they are one object per lane rather than a ring.
-    std::vector<IssuePorts> ooo_ports;
-    if (!in_order)
-        ooo_ports.assign(D, IssuePorts(width));
-
-    // Register scoreboard, [reg][lane]. Value-initialized: every
-    // register ready at cycle 0, no producer, no miss.
-    std::array<Stamps, kNumRegs> reg_ready{};
-    std::array<PerLane<ProducerKind, D>, kNumRegs> reg_producer{};
-    std::array<PerLane<bool, D>, kNumRegs> reg_missed{};
-
-    std::array<PerLane<Activity, D>, kNumUnits> activity{};
-    auto act = [&activity](Unit u) -> PerLane<Activity, D> & {
-        return activity[static_cast<std::size_t>(u)];
-    };
-
-    // Data-ready cycle of each recorded store, [store][lane]. The
-    // store sequence numbering is depth-invariant, so one shared
-    // counter indexes it.
-    std::vector<Stamps> store_ready(annotations.num_stores, Stamps{});
+    /** Data-ready cycle of each recorded store, [store][group]. The
+     *  store numbering is depth-invariant, so one counter indexes it. */
+    std::vector<Row<L, G>> store_ready;
     std::uint32_t store_seq = 0;
 
-    Stamps fetch_seq{}; //!< earliest fetch for the next instruction
-    Stamps decode_seq{};
-    Stamps agen_seq{};
-    Stamps exec_seq{};
-    Stamps complete_seq{};
-    Stamps retire_seq{};
-    Stamps redirect_time{}; //!< younger fetches blocked until here
-    Stamps fpu_busy{};      //!< unpipelined FPU free time
-    Stamps div_busy{};      //!< unpipelined integer divider free time
-    Stamps last_retire{};
+    std::vector<IssuePorts> ooo_ports;
 
-    PerLane<StallLedger, D> ledgers =
-        makeLedgers(width, std::make_index_sequence<D>{});
+    std::array<LaneTally, D> tally{};
+    /** Lanes whose configuration audits its ledger commit it too. */
+    std::array<bool, D> audited{};
+    bool any_audited = false;
+    std::vector<StallLedger> ledgers;
 
     // Depth-invariant event counters: pure functions of the replay op
     // and its annotation byte, accumulated once per instruction and
@@ -238,95 +321,128 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
     std::uint64_t c_dcache_misses = 0;
     std::uint64_t c_l2_accesses = 0;
     std::uint64_t c_l2_misses = 0;
+};
+
+/**
+ * The timing walk's pass over @p replay: at every instruction, the
+ * pipeline state of each lane group advances, then what the lanes
+ * share (ring cursors, register producers, event counters) advances
+ * once. The lanes are mutually independent — no value computed for
+ * one lane feeds another — so a group's lanes run as one vector and
+ * the hardware overlaps the groups' dependency chains. Every
+ * lane-dependent choice is a select; every branch is on the op or
+ * its annotations, which all lanes share.
+ *
+ * Inlined into the code that runs each width (walkLaneGroups at
+ * width 1, walkPassAvx2, walkPassAvx512), never called on its own:
+ * lane vectors must not cross the boundary between code built for
+ * different ISAs.
+ */
+template <std::size_t D, std::size_t W>
+[[gnu::always_inline]] inline void
+walkPass(Walk<D, W> &w, const ReplayBuffer &replay,
+         const ReplayAnnotations &annotations)
+{
+    using L = Lanes<W>;
+    constexpr std::size_t G = D / W;
+    const bool in_order = w.in_order;
+    const bool model_memdep = w.model_memdep;
+    const L zero = splat<L>(0);
+    const L one = splat<L>(1);
 
     const std::size_t n_ops = replay.size();
     for (std::size_t i = 0; i < n_ops; ++i) {
-        // A copy, not a reference: the lane loop's stores could alias
-        // the op's byte fields and force a reload of each per lane.
+        // A copy, not a reference: the group loop's stores could alias
+        // the op's byte fields and force a reload of each per group.
         const ReplayOp r = replay.ops[i];
         const std::uint8_t ann = annotations.flags[i];
-        const bool dcache_missed = r.is(kReplayMem) &&
-                                   (ann & kAnnForwarded) == 0 &&
+        const bool is_mem = r.is(kReplayMem);
+        const bool is_store = r.is(kReplayStore);
+        const bool is_fp = r.is(kReplayFp);
+        const bool dcache_missed = is_mem && (ann & kAnnForwarded) == 0 &&
                                    (ann & kAnnDCacheMiss) != 0;
+        // Stores and pure loads complete at the cache; they do not
+        // pass the execution pipe (only RX *ALU* ops do).
+        const bool at_cache = is_store || r.opClass() == OpClass::Load;
+        const L src1_cause = causeLanes<L>(w.reg_cause[r.src1]);
+        const L src2_cause = causeLanes<L>(w.reg_cause[r.src2]);
+        const L src3_cause = causeLanes<L>(w.reg_cause[r.src3]);
 
-        for (std::size_t j = 0; j < D; ++j) {
-            const DepthParams &p = params[j];
+        Row<L, 4 * G> &stage = w.stage_slots.current();
+        Row<L, G> &fetch_buffer = w.fetch_buffer.current();
+        Row<L, G> &inflight = w.inflight.current();
+
+        for (std::size_t g = 0; g < G; ++g) {
+            GroupState<L> &s = w.groups[g];
             // The last binding constraint this instruction met on its
             // way to issue (used when its retire bubble is bound by
             // arrival).
-            StallBucket path_cause = StallBucket::Other;
+            L path_cause = causeLanes<L>(StallBucket::Other);
 
             // ---- Fetch ------------------------------------------------
-            Cycle f_base = fetch_seq[j];
-            f_base = admit(fetch_buffer.current()[j], f_base);
-            f_base = admit(inflight.current()[j], f_base);
-            if (redirect_time[j] > f_base) {
-                f_base = redirect_time[j];
-                path_cause = StallBucket::Mispredict;
-            }
-            Cycle f = grant(stage_slots.current()[j], f_base);
+            L f_base = admit(fetch_buffer.g[g], s.fetch_seq);
+            f_base = admit(inflight.g[g], f_base);
+            const L redirected = greater(s.redirect_time, f_base);
+            f_base = select(redirected, s.redirect_time, f_base);
+            path_cause = select(redirected,
+                                causeLanes<L>(StallBucket::Mispredict),
+                                path_cause);
+            L f = grant(stage.g[g], f_base);
             if (ann & kAnnICacheMiss) {
                 // Penalty beyond the L1 pipe for a miss: L2 hit
                 // latency, plus memory on an L2 miss. Both are
                 // constant in absolute time and therefore grow in
                 // cycles as the pipeline deepens.
-                f += p.l2_penalty;
+                f += s.l2_penalty;
                 if (ann & kAnnICacheL2Miss)
-                    f += p.mem_penalty;
-                path_cause = StallBucket::ICache;
+                    f += s.mem_penalty;
+                path_cause = causeLanes<L>(StallBucket::ICache);
             }
-            act(Unit::Fetch)[j].tick(f);
-            fetch_seq[j] = f;
+            s.act(Unit::Fetch).tick(f);
+            s.fetch_seq = f;
 
             // ---- Decode (+ Rename when present) -----------------------
-            const Cycle d = grant(stage_slots.current()[D + j],
-                                  std::max(f + 1, decode_seq[j]));
-            decode_seq[j] = d;
-            const Cycle de = d + p.dD + p.dRN;
+            const L d = grant(stage.g[G + g], laneMax(f + 1, s.decode_seq));
+            s.decode_seq = d;
+            const L de = d + s.dDR;
 
             // ---- Dispatch with queue backpressure ---------------------
-            Cycle dispatch;
-            if (r.is(kReplayMem))
-                dispatch = admit(agen_queue.current()[j], de);
-            else
-                dispatch = admit(exec_queue.current()[j], de);
-            act(Unit::Decode)[j].add(d, std::max(de, dispatch));
-            if (p.dRN > 0)
-                act(Unit::Rename)[j].add(d + p.dD, de);
+            const L dispatch =
+                is_mem ? admit(w.agen_queue.current().g[g], de)
+                       : admit(w.exec_queue.current().g[g], de);
+            s.act(Unit::Decode).add(d, laneMax(de, dispatch));
+            // Empty where the lane has no rename stage.
+            s.act(Unit::Rename).add(d + s.dD, de);
 
-            Cycle exec_arrival; //!< when the op reaches the Exec Q exit
-            Cycle cache_done = 0;
+            L exec_arrival = zero; //!< when the op reaches the Exec Q exit
+            L cache_done = zero;
 
-            if (r.is(kReplayMem)) {
+            if (is_mem) {
                 // ---- Agen Q -> Agen -> Cache Access -------------------
-                const Cycle base_ready =
-                    r.src3 != kNoReg ? reg_ready[r.src3][j] : 0;
-                Cycle a_cand = std::max(dispatch + p.dAQ, agen_seq[j]);
-                if (base_ready > a_cand) {
-                    a_cand = base_ready;
-                    if (r.src3 != kNoReg)
-                        path_cause = walk::depCause(reg_producer[r.src3][j],
-                                                    reg_missed[r.src3][j]);
+                L a_cand = laneMax(dispatch + s.dAQ, s.agen_seq);
+                if (r.src3 != kNoReg) {
+                    const L base_ready = w.reg_ready[r.src3].g[g];
+                    const L waits = greater(base_ready, a_cand);
+                    a_cand = select(waits, base_ready, a_cand);
+                    path_cause = select(waits, src3_cause, path_cause);
                 }
-                const Cycle aissue = grant(agen_slots.current()[j], a_cand);
-                agen_seq[j] = aissue;
-                agen_queue.current()[j] = aissue;
-                act(Unit::AgenQ)[j].add(dispatch, aissue);
-                const Cycle agen_done = aissue + p.dA;
-                if (p.dA > 0) {
-                    act(Unit::Agen)[j].add(aissue, agen_done);
-                } else {
-                    // Agen merged into decode: logic shares those cycles.
-                    act(Unit::Agen)[j].add(d, de);
-                }
+                const L aissue = grant(w.agen_slots.current().g[g], a_cand);
+                s.agen_seq = aissue;
+                w.agen_queue.current().g[g] = aissue;
+                s.act(Unit::AgenQ).add(dispatch, aissue);
+                const L agen_done = aissue + s.dA;
+                // Where agen merges into decode, its logic shares
+                // those cycles.
+                s.act(Unit::Agen).add(select(s.agen_split, aissue, d),
+                                      select(s.agen_split, agen_done, de));
 
                 // Stores must have their data by the cache access.
-                Cycle cache_start = agen_done;
-                if (r.is(kReplayStore) && r.src1 != kNoReg &&
-                    reg_ready[r.src1][j] > cache_start) {
-                    cache_start = reg_ready[r.src1][j];
-                    path_cause = walk::depCause(reg_producer[r.src1][j],
-                                                reg_missed[r.src1][j]);
+                L cache_start = agen_done;
+                if (is_store && r.src1 != kNoReg) {
+                    const L data_ready = w.reg_ready[r.src1].g[g];
+                    const L waits = greater(data_ready, cache_start);
+                    cache_start = select(waits, data_ready, cache_start);
+                    path_cause = select(waits, src1_cause, path_cause);
                 }
 
                 // A load hitting a recent store's dword takes the
@@ -335,88 +451,86 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
                 // state); only the store's depth-dependent data-ready
                 // cycle is looked up here.
                 if (ann & kAnnForwarded) {
-                    const Cycle st =
-                        store_ready[annotations.fwd_store[i]][j];
+                    const L st =
+                        w.store_ready[annotations.fwd_store[i]].g[g];
                     // One cycle after the store data is ready, but
                     // never earlier than the load's own pipe stage.
-                    const Cycle pipe_done = cache_start + p.dC;
-                    cache_done = std::max(pipe_done, st + 1);
+                    const L pipe_done = cache_start + s.dC;
+                    cache_done = laneMax(pipe_done, st + 1);
                     // Only a *binding* wait for the store's data is a
                     // load interlock; forwarding that shortens the
                     // path is not a hazard.
-                    if (cache_done > pipe_done)
-                        path_cause = StallBucket::DepLoad;
+                    path_cause = select(greater(cache_done, pipe_done),
+                                        causeLanes<L>(StallBucket::DepLoad),
+                                        path_cause);
                 } else {
-                    cache_done = cache_start + p.dC;
+                    cache_done = cache_start + s.dC;
                     if (dcache_missed) {
-                        cache_done += p.l2_penalty;
+                        cache_done += s.l2_penalty;
                         if (ann & kAnnDCacheL2Miss)
-                            cache_done += p.mem_penalty;
+                            cache_done += s.mem_penalty;
                         // The op reaches issue late by a constant-time
                         // memory stall.
-                        path_cause = StallBucket::DCacheMiss;
+                        path_cause = causeLanes<L>(StallBucket::DCacheMiss);
                     }
                 }
-                if (model_memdep && r.is(kReplayStore)) {
+                if (model_memdep && is_store) {
                     // Data becomes forwardable once the store reaches
                     // the cache stage with its operand in hand.
-                    store_ready[store_seq][j] = cache_start;
+                    w.store_ready[w.store_seq].g[g] = cache_start;
                 }
-                if (p.dC > 0)
-                    act(Unit::DCache)[j].add(cache_start,
-                                             cache_start + p.dC);
-                exec_arrival = cache_done + p.dEQ;
+                // Empty where the cache access merges into execute.
+                s.act(Unit::DCache).add(cache_start, cache_start + s.dC);
+                exec_arrival = cache_done + s.dEQ;
             } else {
-                exec_arrival = dispatch + p.dEQ;
+                exec_arrival = dispatch + s.dEQ;
             }
 
             // ---- Execute ----------------------------------------------
-            Cycle ecomp;
+            L ecomp = zero;
             // What this instruction's retire bubble will be charged
             // to. Memory ops that complete at the cache carry their
             // arrival path's constraint; exec-path ops refine it at
             // issue below.
-            StallBucket stall_cause = path_cause;
-            if (r.is(kReplayStore) || r.opClass() == OpClass::Load) {
-                // Stores and pure loads complete at the cache; they do
-                // not pass the execution pipe (only RX *ALU* ops do).
+            L stall_cause = path_cause;
+            if (at_cache) {
                 // Load data forwards to consumers straight from the
                 // cache.
                 ecomp = cache_done;
-                if (r.opClass() == OpClass::Load && r.dst != kNoReg) {
-                    reg_ready[r.dst][j] = cache_done + 1;
-                    reg_producer[r.dst][j] = ProducerKind::Load;
-                    reg_missed[r.dst][j] = dcache_missed;
-                }
+                if (r.opClass() == OpClass::Load && r.dst != kNoReg)
+                    w.reg_ready[r.dst].g[g] = cache_done + 1;
             } else {
-                // Operand readiness at issue.
-                Cycle ready = 0;
-                ProducerKind binding = ProducerKind::None;
-                bool binding_missed = false;
-                auto need = [&](std::uint8_t reg) {
-                    if (reg == kNoReg)
-                        return;
-                    if (reg_ready[reg][j] > ready) {
-                        ready = reg_ready[reg][j];
-                        binding = reg_producer[reg][j];
-                        binding_missed = reg_missed[reg][j];
-                    }
-                };
-                need(r.src1);
-                need(r.src2);
+                // Operand readiness at issue: the later source binds,
+                // the first on a tie.
+                L ready = zero;
+                L dep_cause = causeLanes<L>(
+                    walk::depCause(walk::ProducerKind::None, false));
+                if (r.src1 != kNoReg) {
+                    const L src_ready = w.reg_ready[r.src1].g[g];
+                    const L later = greater(src_ready, ready);
+                    ready = select(later, src_ready, ready);
+                    dep_cause = select(later, src1_cause, dep_cause);
+                }
+                if (r.src2 != kNoReg) {
+                    const L src_ready = w.reg_ready[r.src2].g[g];
+                    const L later = greater(src_ready, ready);
+                    ready = select(later, src_ready, ready);
+                    dep_cause = select(later, src2_cause, dep_cause);
+                }
 
-                Cycle busy = 0;
-                if (r.is(kReplayFp))
-                    busy = fpu_busy[j];
+                L busy = zero;
+                if (is_fp)
+                    busy = s.fpu_busy;
                 if (r.opClass() == OpClass::IntDiv)
-                    busy = std::max(busy, div_busy[j]);
+                    busy = laneMax(busy, s.div_busy);
 
-                Cycle eissue;
+                L eissue = zero;
                 if (in_order) {
-                    const Cycle cand =
-                        std::max({ready, busy, exec_arrival, exec_seq[j]});
-                    eissue = grant(exec_slots.current()[j], cand);
-                    exec_seq[j] = eissue;
+                    const L cand =
+                        laneMax(laneMax(ready, busy),
+                                laneMax(exec_arrival, s.exec_seq));
+                    eissue = grant(w.exec_slots.current().g[g], cand);
+                    s.exec_seq = eissue;
                 } else {
                     // Out-of-order: issue as soon as operands and a
                     // port are available; program order does not gate
@@ -424,136 +538,206 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
                     // max_inflight (the ROB) and completion remains in
                     // order, so the ledger attributes retire bubbles
                     // the same way as in-order mode.
-                    const Cycle cand = std::max({ready, busy, exec_arrival});
-                    eissue = ooo_ports[j].grant(cand);
-                    if (i % 4096 == 0) {
-                        // Cheap low-water pruning: nothing can issue
-                        // before the oldest in-flight instruction
-                        // fetched.
-                        ooo_ports[j].prune(eissue - 8 * inflight_window);
+                    const L cand =
+                        laneMax(laneMax(ready, busy), exec_arrival);
+                    for (std::size_t k = 0; k < W; ++k) {
+                        IssuePorts &ports = w.ooo_ports[g * W + k];
+                        const Cycle t = ports.grant(laneAt(cand, k));
+                        setLane(eissue, k, t);
+                        if (i % 4096 == 0) {
+                            // Cheap low-water pruning: nothing can
+                            // issue before the oldest in-flight
+                            // instruction fetched.
+                            ports.prune(t - 8 * w.inflight_window);
+                        }
                     }
-                    exec_seq[j] = std::max(exec_seq[j], eissue);
                 }
 
-                // Attribute to the binding issue constraint; ties
-                // prefer the non-hazard explanation.
-                if (exec_arrival >= std::max(ready, busy)) {
-                    stall_cause = path_cause;
-                } else if (ready >= busy) {
-                    stall_cause = walk::depCause(binding, binding_missed);
-                } else {
-                    stall_cause = StallBucket::UnitBusy;
-                }
-                exec_queue.current()[j] = eissue;
-                const Cycle entry = r.is(kReplayMem) ? cache_done : dispatch;
-                act(Unit::ExecQ)[j].add(entry, eissue);
+                stall_cause = walk::issueCause(exec_arrival, ready, busy,
+                                               path_cause, dep_cause);
+                w.exec_queue.current().g[g] = eissue;
+                s.act(Unit::ExecQ).add(is_mem ? cache_done : dispatch,
+                                       eissue);
 
-                ecomp = eissue + p.dE + (r.exec_latency - 1);
+                ecomp = eissue + s.dE + (r.exec_latency - 1);
                 // Dependents of simple pipelined integer ops see the
                 // forwarded result early (see PipelineConfig::fwd_frac);
                 // everything else pays the full path.
-                Cycle result_ready = ecomp;
-                if (!r.is(kReplayFp) && !r.is(kReplayMem) &&
-                    !r.is(kReplayUnpipelined)) {
-                    result_ready =
-                        eissue + p.fwd_latency + (r.exec_latency - 1);
-                }
-                if (r.is(kReplayFp)) {
-                    act(Unit::Fpu)[j].add(eissue, ecomp);
+                const L result_ready =
+                    !is_fp && !is_mem && !r.is(kReplayUnpipelined)
+                        ? eissue + s.fwd_latency + (r.exec_latency - 1)
+                        : ecomp;
+                if (is_fp) {
+                    s.act(Unit::Fpu).add(eissue, ecomp);
                     if (r.is(kReplayUnpipelined))
-                        fpu_busy[j] = ecomp;
+                        s.fpu_busy = ecomp;
                 } else {
-                    act(Unit::Fxu)[j].add(eissue, ecomp);
-                    if (p.dC == 0 && r.is(kReplayMem)) {
-                        // Cache access merged into the execute cycle.
-                        act(Unit::DCache)[j].add(eissue, ecomp);
+                    s.act(Unit::Fxu).add(eissue, ecomp);
+                    if (is_mem) {
+                        // Empty unless the cache access merges into
+                        // the execute cycle.
+                        s.act(Unit::DCache).add(
+                            eissue, select(s.cache_merged, ecomp, eissue));
                     }
                     if (r.is(kReplayUnpipelined))
-                        div_busy[j] = ecomp;
+                        s.div_busy = ecomp;
                 }
-
-                if (r.dst != kNoReg) {
-                    reg_ready[r.dst][j] = result_ready;
-                    reg_producer[r.dst][j] =
-                        r.is(kReplayLoad) ? ProducerKind::Load
-                        : r.is(kReplayFp) ? ProducerKind::Fp
-                                          : ProducerKind::Int;
-                    reg_missed[r.dst][j] =
-                        r.is(kReplayLoad) && dcache_missed;
-                }
+                if (r.dst != kNoReg)
+                    w.reg_ready[r.dst].g[g] = result_ready;
             }
 
             // ---- Branch resolution ------------------------------------
             if (r.is(kReplayBranch)) {
                 if (ann & kAnnMispredict) {
-                    redirect_time[j] = std::max(redirect_time[j], ecomp + 1);
+                    s.redirect_time = laneMax(s.redirect_time, ecomp + 1);
                 } else if (r.is(kReplayTaken)) {
                     // Correctly predicted taken branches still break
                     // the fetch group (one-bubble redirect via the BTB).
-                    fetch_seq[j] = std::max(fetch_seq[j], f + p.taken_bubble);
+                    s.fetch_seq = laneMax(s.fetch_seq, f + s.taken_bubble);
                 }
             }
 
             // ---- Complete and retire (in order) -----------------------
-            const Cycle comp = grant(stage_slots.current()[2 * D + j],
-                                     std::max(ecomp + 1, complete_seq[j]));
-            complete_seq[j] = comp;
-            act(Unit::Complete)[j].tick(comp);
+            const L comp = grant(stage.g[2 * G + g],
+                                 laneMax(ecomp + 1, s.complete_seq));
+            s.complete_seq = comp;
+            s.act(Unit::Complete).tick(comp);
 
-            const Cycle ret = grant(stage_slots.current()[3 * D + j],
-                                    std::max(comp + 1, retire_seq[j]));
-            retire_seq[j] = ret;
-            act(Unit::Retire)[j].tick(ret);
-            // The fast path charges the same single bucket; the
-            // audited path re-validates the retire-stream
-            // preconditions.
-            if (p.audited)
-                ledgers[j].commit(ret, stall_cause);
-            else
-                ledgers[j].commitFast(ret, stall_cause);
+            const L ret = grant(stage.g[3 * G + g],
+                                laneMax(comp + 1, s.retire_seq));
+            // StallLedger::commitFast's arithmetic, for every lane:
+            // a retire cycle after the previous one is a work cycle,
+            // and the idle cycles between them are a bubble charged
+            // to what held this instruction back (the first
+            // instruction's to the pipeline fill).
+            const L gap = ret - s.retire_seq;
+            s.work_cycles -= greater(gap, zero);
+            const L bubble = laneMax(gap - one, zero);
+            const L charged =
+                i == 0 ? causeLanes<L>(StallBucket::Drain) : stall_cause;
+            for (std::size_t k = 0; k < W; ++k) {
+                LaneTally &t = w.tally[g * W + k];
+                const auto b = static_cast<std::size_t>(laneAt(charged, k));
+                const Cycle cycles = laneAt(bubble, k);
+                t.cycles[b] += static_cast<std::uint64_t>(cycles);
+                t.events[b] += cycles > 0 ? 1 : 0;
+            }
+            if (w.any_audited) {
+                // The audited path re-validates the retire-stream
+                // preconditions.
+                for (std::size_t k = 0; k < W; ++k) {
+                    if (w.audited[g * W + k]) {
+                        const auto cause = static_cast<StallBucket>(
+                            laneAt(stall_cause, k));
+                        w.ledgers[g * W + k].commit(laneAt(ret, k), cause);
+                    }
+                }
+            }
+            s.retire_seq = ret;
 
-            fetch_buffer.current()[j] = d;
-            inflight.current()[j] = ret;
-            last_retire[j] = std::max(last_retire[j], ret);
+            fetch_buffer.g[g] = d;
+            inflight.g[g] = ret;
         }
 
         // One cursor advance per ring event, shared by all lanes.
-        stage_slots.advance();
-        fetch_buffer.advance();
-        inflight.advance();
-        if (r.is(kReplayMem)) {
-            agen_slots.advance();
-            agen_queue.advance();
+        w.stage_slots.advance();
+        w.fetch_buffer.advance();
+        w.inflight.advance();
+        if (is_mem) {
+            w.agen_slots.advance();
+            w.agen_queue.advance();
         }
-        if (!(r.is(kReplayStore) || r.opClass() == OpClass::Load)) {
-            exec_queue.advance();
+        if (!at_cache) {
+            w.exec_queue.advance();
             if (in_order)
-                exec_slots.advance();
+                w.exec_slots.advance();
         }
-        if (model_memdep && r.is(kReplayStore))
-            ++store_seq;
+        if (model_memdep && is_store)
+            ++w.store_seq;
+
+        // The register this op writes now charges its waits to it.
+        if (at_cache) {
+            if (r.opClass() == OpClass::Load && r.dst != kNoReg)
+                w.reg_cause[r.dst] =
+                    walk::depCause(walk::ProducerKind::Load, dcache_missed);
+        } else if (r.dst != kNoReg) {
+            w.reg_cause[r.dst] = walk::depCause(
+                r.is(kReplayLoad) ? walk::ProducerKind::Load
+                : is_fp           ? walk::ProducerKind::Fp
+                                  : walk::ProducerKind::Int,
+                r.is(kReplayLoad) && dcache_missed);
+        }
 
         if (ann & kAnnICacheMiss) {
-            ++c_icache_misses;
-            ++c_l2_accesses;
+            ++w.c_icache_misses;
+            ++w.c_l2_accesses;
             if (ann & kAnnICacheL2Miss)
-                ++c_l2_misses;
+                ++w.c_l2_misses;
         }
-        if (r.is(kReplayMem)) {
-            ++c_dcache_accesses;
+        if (is_mem) {
+            ++w.c_dcache_accesses;
             if (dcache_missed) {
-                ++c_dcache_misses;
-                ++c_l2_accesses;
+                ++w.c_dcache_misses;
+                ++w.c_l2_accesses;
                 if (ann & kAnnDCacheL2Miss)
-                    ++c_l2_misses;
+                    ++w.c_l2_misses;
             }
         }
         if (r.is(kReplayBranch)) {
-            ++c_branches;
+            ++w.c_branches;
             if (ann & kAnnMispredict)
-                ++c_mispredicts;
+                ++w.c_mispredicts;
         }
     }
+}
+
+#if PIPEDEPTH_WALK_WIDE
+/*
+ * The wide passes: the only code in src/uarch built for AVX2 (width
+ * 4) or AVX-512F (width 8). The target is set per function, never per
+ * file: code built for the baseline ISA scalarizes 64-bit vector
+ * compares, and a file built for AVX2 could hand AVX2 copies of
+ * shared inline code to baseline callers. flatten inlines the whole
+ * pass, so no lane vector crosses out of the wide code.
+ */
+template <std::size_t D>
+[[gnu::target("avx2"), gnu::flatten]] void
+walkPassAvx2(Walk<D, 4> &w, const ReplayBuffer &replay,
+             const ReplayAnnotations &annotations)
+{
+    walkPass(w, replay, annotations);
+}
+
+template <std::size_t D>
+[[gnu::target("avx512f"), gnu::flatten]] void
+walkPassAvx512(Walk<D, 8> &w, const ReplayBuffer &replay,
+               const ReplayAnnotations &annotations)
+{
+    walkPass(w, replay, annotations);
+}
+#endif
+
+/**
+ * The timing walk over D lanes in groups W wide: one pass over
+ * @p replay advances the pipeline state of configs[0..D) at every
+ * instruction and writes results[0..D).
+ */
+template <std::size_t D, std::size_t W>
+void
+walkLaneGroups(const ReplayBuffer &replay,
+               const ReplayAnnotations &annotations,
+               const PipelineConfig *configs, SimResult *results)
+{
+    // Heap-allocated: with 24 lanes the state is tens of kilobytes.
+    const auto w = std::make_unique<Walk<D, W>>(configs, annotations);
+#if PIPEDEPTH_WALK_WIDE
+    if constexpr (W == 8)
+        walkPassAvx512(*w, replay, annotations);
+    else if constexpr (W == 4)
+        walkPassAvx2(*w, replay, annotations);
+    else
+#endif
+        walkPass(*w, replay, annotations);
 
     // Per-*run* registry updates only (docs/OBSERVABILITY.md), once
     // per lane: nothing telemetry-related may enter the
@@ -561,7 +745,10 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
     static Gauge &residual_gauge =
         MetricsRegistry::instance().gauge("sim.ledger.residual");
 
+    const std::size_t n_ops = replay.size();
     for (std::size_t j = 0; j < D; ++j) {
+        const GroupState<Lanes<W>> &s = w->groups[j / W];
+        const std::size_t k = j % W;
         const PipelineConfig &config = configs[j];
         SimResult &res = results[j];
         res.workload = replay.name;
@@ -570,22 +757,29 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
         res.config = config;
 
         res.instructions = n_ops;
-        res.cycles = static_cast<std::uint64_t>(last_retire[j] + 1);
-        res.branches = c_branches;
-        res.mispredicts = c_mispredicts;
-        res.mispredict_events = c_mispredicts;
+        res.cycles =
+            static_cast<std::uint64_t>(laneAt(s.retire_seq, k) + 1);
+        res.branches = w->c_branches;
+        res.mispredicts = w->c_mispredicts;
+        res.mispredict_events = w->c_mispredicts;
         res.icache_accesses = n_ops;
-        res.icache_misses = c_icache_misses;
-        res.dcache_accesses = c_dcache_accesses;
-        res.dcache_misses = c_dcache_misses;
-        res.dcache_miss_events = c_dcache_misses;
-        res.l2_accesses = c_l2_accesses;
-        res.l2_misses = c_l2_misses;
+        res.icache_misses = w->c_icache_misses;
+        res.dcache_accesses = w->c_dcache_accesses;
+        res.dcache_misses = w->c_dcache_misses;
+        res.dcache_miss_events = w->c_dcache_misses;
+        res.l2_accesses = w->c_l2_accesses;
+        res.l2_misses = w->c_l2_misses;
 
         TELEM_SPAN(ledger_span, "ledger.audit");
         ledger_span.tag("workload", replay.name);
         ledger_span.tag("depth", config.depth);
-        StallLedger &ledger = ledgers[j];
+        StallLedger &ledger = w->ledgers[j];
+        const LaneTally &tally = w->tally[j];
+        if (!config.audit_ledger) {
+            ledger.commitStream(
+                n_ops, static_cast<std::uint64_t>(laneAt(s.work_cycles, k)),
+                tally.cycles, tally.events);
+        }
         ledger.finalize(res.cycles);
         res.base_work_cycles = ledger.cycles(StallBucket::BaseWork);
         res.superscalar_loss_cycles =
@@ -611,24 +805,71 @@ walkLanes(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
                       "stall ledger conservation violated for '",
                       replay.name, "' at depth ", config.depth,
                       ": residual ", res.ledger_residual);
+            // The lane's own tally must agree with its commits.
+            for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
+                const auto bucket = static_cast<StallBucket>(b);
+                if (!isChargeableBucket(bucket))
+                    continue;
+                PP_ASSERT(tally.cycles[b] == ledger.cycles(bucket) &&
+                              tally.events[b] == ledger.events(bucket),
+                          "lane tally of bucket ", stallBucketName(bucket),
+                          " disagrees with the audited ledger at depth ",
+                          config.depth);
+            }
         }
 
         for (std::size_t u = 0; u < kNumUnits; ++u) {
-            const Activity &a = activity[u][j];
+            const Activity<Lanes<W>> &a = s.activity[u];
             res.units[u].depth = config.unit_depth[u];
-            res.units[u].active_cycles = a.active;
-            res.units[u].occupancy = a.occupancy;
-            res.units[u].ops = a.ops;
+            res.units[u].active_cycles =
+                static_cast<std::uint64_t>(laneAt(a.active, k));
+            res.units[u].occupancy =
+                static_cast<std::uint64_t>(laneAt(a.occupancy, k));
+            res.units[u].ops = static_cast<std::uint64_t>(laneAt(a.ops, k));
         }
-        // Fetch, Complete and Retire tick one unit-length interval
-        // per instruction: one op and one cycle of occupancy each.
+        // Fetch, Complete and Retire take one unit-length interval per
+        // instruction: one op and one cycle of occupancy each. Retire
+        // cycles are non-decreasing, so its active cycles are the
+        // distinct retire cycles, which the ledger splits into base
+        // work and superscalar loss.
         for (Unit u : {Unit::Fetch, Unit::Complete, Unit::Retire}) {
             res.units[static_cast<std::size_t>(u)].occupancy = n_ops;
             res.units[static_cast<std::size_t>(u)].ops = n_ops;
         }
+        res.units[static_cast<std::size_t>(Unit::Retire)].active_cycles =
+            res.base_work_cycles + res.superscalar_loss_cycles;
 
         residual_gauge.set(res.ledger_residual);
     }
+}
+
+/**
+ * One pass over D lanes, in the widest lane groups that @p lane_width
+ * allows and that tile D; returns the width it ran at.
+ */
+template <std::size_t D>
+std::size_t
+walkPart(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
+         const PipelineConfig *configs, SimResult *results,
+         std::size_t lane_width)
+{
+#if PIPEDEPTH_WALK_WIDE
+    if constexpr (D % 8 == 0) {
+        if (lane_width >= 8) {
+            walkLaneGroups<D, 8>(replay, annotations, configs, results);
+            return 8;
+        }
+    }
+    if constexpr (D % 4 == 0) {
+        if (lane_width >= 4) {
+            walkLaneGroups<D, 4>(replay, annotations, configs, results);
+            return 4;
+        }
+    }
+#endif
+    (void)lane_width;
+    walkLaneGroups<D, 1>(replay, annotations, configs, results);
+    return 1;
 }
 
 /** Same machine structure: the fields canFuseConfigs() compares. */
@@ -656,13 +897,45 @@ canFuseConfigs(const std::vector<PipelineConfig> &configs)
 namespace walk
 {
 
+std::size_t
+nativeLaneWidth()
+{
+#if PIPEDEPTH_WALK_WIDE
+    static const std::size_t width = [] {
+        __builtin_cpu_init();
+        if (__builtin_cpu_supports("avx512f"))
+            return std::size_t{8};
+        if (__builtin_cpu_supports("avx2"))
+            return std::size_t{4};
+        return std::size_t{1};
+    }();
+    return width;
+#else
+    return 1;
+#endif
+}
+
 void
 timingWalk(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
            std::span<const PipelineConfig> configs,
            std::span<SimResult> results)
 {
+    timingWalk(replay, annotations, configs, results, nativeLaneWidth());
+}
+
+void
+timingWalk(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
+           std::span<const PipelineConfig> configs,
+           std::span<SimResult> results, std::size_t lane_width)
+{
     PP_ASSERT(results.size() == configs.size(),
               "one result per configuration");
+    PP_ASSERT((lane_width == 1 || lane_width == 4 || lane_width == 8) &&
+                  lane_width <= nativeLaneWidth(),
+              "lane width ", lane_width, " is not one this CPU runs");
+    // Which kernel ran, once per pass (docs/OBSERVABILITY.md).
+    static Gauge &width_gauge =
+        MetricsRegistry::instance().gauge("sim.walk.lane_width");
     // The compiled lane counts: 1 (simulate), 4 (the golden depths,
     // and the groups a multi-threaded one-workload sweep forms), 24
     // (depths 2..25, the catalog grid), and 2 and 8 so that other
@@ -672,22 +945,25 @@ timingWalk(const ReplayBuffer &replay, const ReplayAnnotations &annotations,
         const std::size_t left = configs.size() - k;
         const PipelineConfig *c = configs.data() + k;
         SimResult *out = results.data() + k;
+        std::size_t lanes = 1;
+        std::size_t ran = 1;
         if (left >= 24) {
-            walkLanes<24>(replay, annotations, c, out);
-            k += 24;
+            lanes = 24;
+            ran = walkPart<24>(replay, annotations, c, out, lane_width);
         } else if (left >= 8) {
-            walkLanes<8>(replay, annotations, c, out);
-            k += 8;
+            lanes = 8;
+            ran = walkPart<8>(replay, annotations, c, out, lane_width);
         } else if (left >= 4) {
-            walkLanes<4>(replay, annotations, c, out);
-            k += 4;
+            lanes = 4;
+            ran = walkPart<4>(replay, annotations, c, out, lane_width);
         } else if (left >= 2) {
-            walkLanes<2>(replay, annotations, c, out);
-            k += 2;
+            lanes = 2;
+            ran = walkPart<2>(replay, annotations, c, out, lane_width);
         } else {
-            walkLanes<1>(replay, annotations, c, out);
-            k += 1;
+            ran = walkPart<1>(replay, annotations, c, out, lane_width);
         }
+        width_gauge.set(static_cast<std::int64_t>(ran));
+        k += lanes;
     }
 }
 

@@ -13,14 +13,19 @@
  * instruction instead of once per (instruction, depth).
  *
  * src/uarch has one timing walk: a kernel templated on its lane count
- * D (multi_depth_walk.cc). Per-lane state lives in std::array lanes —
- * rings [slot][lane] behind shared cursors, the register scoreboard
- * [reg][lane], unit activity [unit][lane] — so the lane loop has a
- * constant trip count. It is compiled for D = 1, 2, 4, 8 and 24: 1 is
- * simulate(), 4 the golden depths and the groups a multi-threaded
- * one-workload sweep forms, 24 the catalog grid's depths 2..25. Any
- * other count splits greedily, largest part first (29 = 24 + 4 + 1),
- * one pass over the replay per part.
+ * D and its lane-group width W (multi_depth_walk.cc). Every per-lane
+ * value is a W-wide vector of int64 cycle stamps, every lane-dependent
+ * branch a select, so one instruction of the host CPU advances W
+ * depths; the group loop runs D / W times per instruction, while op
+ * decode, ring cursors and event counters stay once per instruction.
+ * D is compiled for 1, 2, 4, 8 and 24: 1 is simulate(), 4 the golden
+ * depths and the groups a multi-threaded one-workload sweep forms, 24
+ * the catalog grid's depths 2..25. Any other count splits greedily,
+ * largest part first (29 = 24 + 4 + 1), one pass over the replay per
+ * part. W is 1 for every D; 4 (AVX2) for 4, 8 and 24; and 8
+ * (AVX-512F) for 8 and 24. The walk picks the widest the CPU runs,
+ * once per process, so a CPU without AVX2 or a non-x86 build runs
+ * width 1 throughout, with the same bytes.
  *
  * simulateMultiDepth() takes any configuration list and splits it
  * into *walk classes*: configurations that canFuseConfigs() accepts
@@ -31,19 +36,21 @@
  *
  * The proof obligation is byte-identity: result[i] serializes to
  * exactly the bytes of simulate(replay, annotations, configs[i]), and
- * both to the bytes of the scalar walk the template replaced. This is
- * pinned by the golden hash table (tests/sweep/golden_sim_hashes.inc,
- * including ledger-bucket hashes), the differential oracle
- * (tests/uarch/test_multi_depth_walk.cc against that scalar walk in
- * tests/uarch/reference_walk.cc, at every compiled lane count and one
- * that splits), the engine test that runs one grid through runGrid,
- * runConfigs and a direct simulate()
- * (tests/sweep/test_engine_determinism.cc), and sim_golden_dump's
- * per-cell cross-check. The sweep cache key is deliberately NOT
- * bumped: results of any lane count are interchangeable cache entries.
+ * both to the bytes of the scalar walk the template replaced, at every
+ * width. This is pinned by the golden hash table
+ * (tests/sweep/golden_sim_hashes.inc, including ledger-bucket hashes),
+ * the differential oracle (tests/uarch/test_multi_depth_walk.cc
+ * against that scalar walk in tests/uarch/reference_walk.cc, at every
+ * compiled lane count, one that splits, and every width the CPU runs),
+ * the engine test that runs one grid through runGrid, runConfigs and a
+ * direct simulate() (tests/sweep/test_engine_determinism.cc), and
+ * sim_golden_dump's per-cell cross-check. The sweep cache key is
+ * deliberately NOT bumped: results of any lane count or width are
+ * interchangeable cache entries.
  *
  * See docs/PERFORMANCE.md ("One timing walk, compiled per lane
- * count") for the layout and measured speed.
+ * count") for the lane-group layout, the width rule and measured
+ * speed.
  */
 
 #ifndef PIPEDEPTH_UARCH_MULTI_DEPTH_WALK_HH

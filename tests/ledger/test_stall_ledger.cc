@@ -94,6 +94,29 @@ TEST(StallLedger, ResidualExposesForeignCycles)
     EXPECT_EQ(ledger.residual(), 6);
 }
 
+TEST(StallLedger, CommitStreamBooksLikeCommits)
+{
+    // The stream of BubblesChargedToCauseWithEventCount, tallied by
+    // the caller: 5 retirements in 5 distinct cycles, a 3-cycle
+    // DepLoad bubble and a 2-cycle Mispredict bubble.
+    StallLedger::BucketCounts cycles{};
+    StallLedger::BucketCounts events{};
+    cycles[static_cast<std::size_t>(StallBucket::DepLoad)] = 3;
+    events[static_cast<std::size_t>(StallBucket::DepLoad)] = 1;
+    cycles[static_cast<std::size_t>(StallBucket::Mispredict)] = 2;
+    events[static_cast<std::size_t>(StallBucket::Mispredict)] = 1;
+    StallLedger ledger(1);
+    ledger.commitStream(5, 5, cycles, events);
+    ledger.finalize(10);
+
+    EXPECT_EQ(ledger.cycles(StallBucket::BaseWork), 5u);
+    EXPECT_EQ(ledger.cycles(StallBucket::SuperscalarLoss), 0u);
+    EXPECT_EQ(ledger.cycles(StallBucket::DepLoad), 3u);
+    EXPECT_EQ(ledger.events(StallBucket::Mispredict), 1u);
+    EXPECT_EQ(ledger.instructions(), 5u);
+    EXPECT_EQ(ledger.residual(), 0);
+}
+
 TEST(StallLedger, BucketNamesAreStableIdentifiers)
 {
     EXPECT_EQ(stallBucketName(StallBucket::BaseWork), "base_work");
@@ -130,6 +153,17 @@ TEST(StallLedgerDeath, RejectsMisuse)
 
     StallLedger empty(2);
     EXPECT_DEATH(empty.finalize(0), "no retirements");
+
+    const StallLedger::BucketCounts none{};
+    StallLedger committed(2);
+    committed.commit(0, StallBucket::Other);
+    EXPECT_DEATH(committed.commitStream(1, 1, none, none),
+                 "ledger with commits");
+    StallLedger::BucketCounts base{};
+    base[static_cast<std::size_t>(StallBucket::BaseWork)] = 1;
+    StallLedger charged_base(2);
+    EXPECT_DEATH(charged_base.commitStream(1, 1, base, none),
+                 "derived bucket");
 
     StallLedger twice(2);
     twice.commit(0, StallBucket::Other);

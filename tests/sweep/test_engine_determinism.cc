@@ -12,7 +12,10 @@
  * of every catalog workload's serialized SimResult at depths
  * {2, 7, 14, 25}. They are the contract that performance work on the
  * simulator must not change behaviour — regenerate the table with
- * sim_golden_dump only for an intentional semantics change.
+ * sim_golden_dump only for an intentional semantics change. Over
+ * the same cells they assert that Retire's active cycles equal the
+ * ledger's base work plus superscalar loss, the identity the walk
+ * derives them from.
  */
 
 #include <gtest/gtest.h>
@@ -121,6 +124,15 @@ checkCatalogAgainstGolden(SweepEngine &engine, const char *label)
                 << " — a cycle moved between ledger buckets "
                 << "(regenerate the table only if the change is "
                 << "intentional)";
+            // Retire cycles never decrease, so Retire's active cycles
+            // are the distinct retire cycles the ledger splits into
+            // base work and superscalar loss; the walk derives them
+            // from the ledger, and the table pins that it may.
+            EXPECT_EQ(r.units[static_cast<std::size_t>(Unit::Retire)]
+                          .active_cycles,
+                      r.base_work_cycles + r.superscalar_loss_cycles)
+                << label << ": workload " << spec.name << " depth "
+                << r.depth;
             ++checked;
         }
     }

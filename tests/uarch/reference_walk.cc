@@ -143,8 +143,8 @@ referenceSimulate(const ReplayBuffer &replay,
     reg_producer.fill(ProducerKind::None);
     reg_missed.fill(false);
 
-    std::array<Activity, kNumUnits> activity{};
-    auto act = [&activity](Unit u) -> Activity & {
+    std::array<Activity<Cycle>, kNumUnits> activity{};
+    auto act = [&activity](Unit u) -> Activity<Cycle> & {
         return activity[static_cast<std::size_t>(u)];
     };
 
@@ -399,15 +399,11 @@ referenceSimulate(const ReplayBuffer &replay,
                 exec_seq = std::max(exec_seq, eissue);
             }
 
-            // Attribute to the binding issue constraint; ties prefer
-            // the non-hazard explanation.
-            if (exec_arrival >= std::max(ready, busy)) {
-                stall_cause = path_cause;
-            } else if (ready >= busy) {
-                stall_cause = dep_cause(binding, binding_missed);
-            } else {
-                stall_cause = Cause::UnitBusy;
-            }
+            // Attribute to the binding issue constraint (the rule the
+            // lane-group walk shares, here at width 1).
+            stall_cause = static_cast<Cause>(walk::issueCause<Cycle>(
+                exec_arrival, ready, busy, static_cast<Cycle>(path_cause),
+                static_cast<Cycle>(dep_cause(binding, binding_missed))));
             exec_queue.push(eissue);
             const Cycle entry = is_mem ? cache_done : dispatch;
             act(Unit::ExecQ).add(entry, eissue);

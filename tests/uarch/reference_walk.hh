@@ -5,10 +5,14 @@
  *
  * referenceSimulate() is the scalar, one-depth-per-pass body that
  * simulate() ran before the walk was templated on its lane count,
- * kept verbatim together with the scalar SlotRing/CapacityRing that
- * only it uses. Nothing in src/ calls it. The tests compare every
- * compiled lane count of simulateMultiDepth() and simulate() against
- * it byte for byte (tests/uarch/test_multi_depth_walk.cc).
+ * kept together with the scalar SlotRing/CapacityRing that only it
+ * uses. It takes the activity and issue-attribution rules from
+ * uarch/walk_state.hh, at width 1, so those rules have one
+ * definition; everything else is its own. Nothing in src/ calls it.
+ * The tests compare every compiled lane count and lane-group width
+ * of the walk against it byte for byte
+ * (tests/uarch/test_multi_depth_walk.cc), and the perf-smoke test
+ * times the 1-lane walk against it.
  */
 
 #ifndef PIPEDEPTH_TESTS_UARCH_REFERENCE_WALK_HH

@@ -2,19 +2,25 @@
  * @file
  * Differential oracle for the timing walk.
  *
- * src/uarch has one timing walk, templated on its lane count:
- * simulateMultiDepth() walks one lane per configuration (splitting
- * counts it has no kernel for) and simulate() is its 1-lane case.
+ * src/uarch has one timing walk, templated on its lane count and its
+ * lane-group width: simulateMultiDepth() walks one lane per
+ * configuration (splitting counts it has no kernel for) at the
+ * widest width the CPU runs, and simulate() is its 1-lane case.
  * Their contract is byte-identity with the scalar reference walk the
  * template replaced, kept in tests/uarch/reference_walk.cc. This
- * suite drives all three over seeded randomized machine shapes —
- * width, issue discipline, predictor, cache geometry,
- * memory-dependence modeling, warmup, and lane counts covering every
- * compiled kernel plus one that splits — over a catalog workload at
- * the grid's 24 depths, and over adversarial hand-built traces (one
- * instruction, all branches, store-forwarding chains), then asserts
- * that every SimResult serializes to the same bytes and that every
- * ledger conserves cycles at every depth.
+ * suite drives them over seeded randomized machine shapes — width,
+ * issue discipline, predictor, cache geometry, memory-dependence
+ * modeling, warmup, audited and unaudited lanes side by side, and
+ * lane counts covering every compiled kernel plus one that splits —
+ * over a catalog workload at the grid's 24 depths, and over
+ * adversarial hand-built traces (one instruction, all branches,
+ * store-forwarding chains), then asserts that every SimResult
+ * serializes to the same bytes and that every ledger conserves
+ * cycles at every depth. The WalkAtWidth suite runs the same inputs
+ * through walk::timingWalk at each lane-group width (1, 4 and 8), so
+ * the width-1 kernel at 4, 8 and 24 lanes, which a CPU without AVX2
+ * runs, is checked on every host; a width the CPU lacks is skipped,
+ * naming the instruction set it needs.
  */
 
 #include <gtest/gtest.h>
@@ -24,12 +30,14 @@
 #include <vector>
 
 #include "reference_walk.hh"
+#include "support/cpu_features.hh"
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
 #include "trace/generator.hh"
 #include "trace/replay_buffer.hh"
 #include "uarch/multi_depth_walk.hh"
 #include "uarch/simulator.hh"
+#include "uarch/walk_state.hh"
 #include "workloads/catalog.hh"
 
 namespace pipedepth
@@ -87,31 +95,44 @@ expectConserving(const SimResult &res)
 }
 
 /**
- * Run @p trace through the reference walk and simulate() (once per
- * config) and simulateMultiDepth() (one call over every config), with
- * one shared annotation set, and compare.
+ * Run @p trace through the reference walk and the timing walk, with
+ * one shared annotation set, and compare. At @p lane_width 0 the
+ * timing walk is the production route: simulate() once per config
+ * and simulateMultiDepth() once over every config. Otherwise it is
+ * walk::timingWalk at that lane-group width.
  */
 void
-runDifferential(const Trace &trace, const std::vector<PipelineConfig> &configs)
+runDifferential(const Trace &trace,
+                const std::vector<PipelineConfig> &configs,
+                std::size_t lane_width)
 {
-    SCOPED_TRACE("lanes=" + std::to_string(configs.size()));
+    SCOPED_TRACE("lanes=" + std::to_string(configs.size()) +
+                 " lane_width=" + std::to_string(lane_width));
     ASSERT_TRUE(canFuseConfigs(configs));
     const ReplayBuffer replay = prepareReplay(trace);
     const ReplayAnnotations ann = annotateReplay(replay, configs.front());
 
-    const std::vector<SimResult> fused =
-        simulateMultiDepth(replay, ann, configs);
-    ASSERT_EQ(fused.size(), configs.size());
+    std::vector<SimResult> walked(configs.size());
+    if (lane_width == 0)
+        walked = simulateMultiDepth(replay, ann, configs);
+    else
+        walk::timingWalk(replay, ann, configs, walked, lane_width);
+    ASSERT_EQ(walked.size(), configs.size());
 
     for (std::size_t k = 0; k < configs.size(); ++k) {
         const SimResult ref = referenceSimulate(replay, ann, configs[k]);
-        expectIdentical(ref, fused[k]);
-        expectIdentical(ref, simulate(replay, ann, configs[k]));
-        expectConserving(fused[k]);
+        expectIdentical(ref, walked[k]);
+        if (lane_width == 0)
+            expectIdentical(ref, simulate(replay, ann, configs[k]));
+        expectConserving(walked[k]);
     }
 }
 
-/** A fused config set: one machine shape at several depths. */
+/**
+ * A fused config set: one machine shape at several depths. Two lanes
+ * in three audit their ledger, so audited and unaudited lanes share a
+ * walk and, at widths above 1, a lane group.
+ */
 std::vector<PipelineConfig>
 configsAtDepths(const std::vector<int> &depths, bool in_order,
                 const std::function<void(PipelineConfig &)> &customize)
@@ -119,7 +140,7 @@ configsAtDepths(const std::vector<int> &depths, bool in_order,
     std::vector<PipelineConfig> configs;
     for (int p : depths) {
         PipelineConfig c = PipelineConfig::forDepth(p, in_order);
-        c.audit_ledger = true;
+        c.audit_ledger = configs.size() % 3 != 2;
         customize(c);
         c.validate();
         configs.push_back(c);
@@ -127,16 +148,18 @@ configsAtDepths(const std::vector<int> &depths, bool in_order,
     return configs;
 }
 
-TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
+/**
+ * Seeded: the same machine shapes and traces on every run. Each
+ * iteration draws a new shape; parity of the iteration index forces
+ * both issue disciplines and both memory-dependence modes to appear
+ * regardless of the draws. The first ten iterations draw 4-6 lanes
+ * at random depths; the rest walk each compiled lane count and one
+ * count that splits (29 = 24 + 4 + 1: depths 2..30 in order), at
+ * consecutive depths from the lowest, in order and out of order.
+ */
+void
+randomizedShapes(std::size_t lane_width)
 {
-    // Seeded: the same machine shapes and traces on every run. Each
-    // iteration draws a new shape; parity of the iteration index
-    // forces both issue disciplines and both memory-dependence modes
-    // to appear regardless of the draws. The first ten iterations
-    // draw 4-6 lanes at random depths; the rest walk each compiled
-    // lane count and one count that splits (29 = 24 + 4 + 1: depths
-    // 2..30 in order), at consecutive depths from the lowest, in
-    // order and out of order.
     const int forced_lanes[] = {1, 2, 4, 8, 24, 29};
     std::mt19937_64 rng(0xC0FFEE5EEDull);
     for (int iter = 0; iter < 22; ++iter) {
@@ -179,16 +202,19 @@ TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
             generateTrace(params, "rand" + std::to_string(iter));
 
         runDifferential(
-            trace, configsAtDepths(depths, in_order, [&](PipelineConfig &c) {
-                c.width = width;
-                c.agen_width = agen_width;
-                c.predictor = predictor;
-                c.warmup_instructions = warmup;
-                c.model_memory_dependences = memdep;
-                c.icache = icache;
-                c.dcache = dcache;
-                c.l2cache = l2cache;
-            }));
+            trace,
+            configsAtDepths(depths, in_order,
+                            [&](PipelineConfig &c) {
+                                c.width = width;
+                                c.agen_width = agen_width;
+                                c.predictor = predictor;
+                                c.warmup_instructions = warmup;
+                                c.model_memory_dependences = memdep;
+                                c.icache = icache;
+                                c.dcache = dcache;
+                                c.l2cache = l2cache;
+                            }),
+            lane_width);
     }
 
     // The catalog grid's shape: one catalog workload on the sweep's
@@ -203,11 +229,12 @@ TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
         std::vector<PipelineConfig> configs;
         for (int p = in_order ? 2 : 3; p <= (in_order ? 25 : 26); ++p)
             configs.push_back(opt.configAtDepth(p));
-        runDifferential(catalog, configs);
+        runDifferential(catalog, configs, lane_width);
     }
 }
 
-TEST(MultiDepthWalk, OneInstructionTrace)
+void
+oneInstructionTrace(std::size_t lane_width)
 {
     Trace t;
     t.name = "one-op";
@@ -218,13 +245,15 @@ TEST(MultiDepthWalk, OneInstructionTrace)
     t.records.push_back(r);
 
     for (bool in_order : {true, false}) {
-        runDifferential(t, configsAtDepths({in_order ? 2 : 3, 9, 17, 25, 30},
-                                           in_order,
-                                           [](PipelineConfig &) {}));
+        runDifferential(t,
+                        configsAtDepths({in_order ? 2 : 3, 9, 17, 25, 30},
+                                        in_order, [](PipelineConfig &) {}),
+                        lane_width);
     }
 }
 
-TEST(MultiDepthWalk, AllBranchTrace)
+void
+allBranchTrace(std::size_t lane_width)
 {
     // Eight static conditional branches, each with its own dynamic
     // behaviour (always taken, never taken, alternating, ...): a
@@ -246,13 +275,15 @@ TEST(MultiDepthWalk, AllBranchTrace)
     }
 
     for (bool in_order : {true, false}) {
-        runDifferential(t, configsAtDepths({in_order ? 2 : 3, 6, 13, 21, 30},
-                                           in_order,
-                                           [](PipelineConfig &) {}));
+        runDifferential(t,
+                        configsAtDepths({in_order ? 2 : 3, 6, 13, 21, 30},
+                                        in_order, [](PipelineConfig &) {}),
+                        lane_width);
     }
 }
 
-TEST(MultiDepthWalk, StoreForwardingChain)
+void
+storeForwardingChain(std::size_t lane_width)
 {
     // Store/load pairs to the same dword with the store's data late
     // (produced by a divide): forwarded loads must take the
@@ -292,13 +323,74 @@ TEST(MultiDepthWalk, StoreForwardingChain)
     }
 
     for (bool in_order : {true, false}) {
-        runDifferential(t, configsAtDepths(
-                               {in_order ? 2 : 3, 7, 14, 25}, in_order,
-                               [](PipelineConfig &c) {
-                                   c.model_memory_dependences = true;
-                               }));
+        runDifferential(t,
+                        configsAtDepths({in_order ? 2 : 3, 7, 14, 25},
+                                        in_order,
+                                        [](PipelineConfig &c) {
+                                            c.model_memory_dependences =
+                                                true;
+                                        }),
+                        lane_width);
     }
 }
+
+TEST(MultiDepthWalk, RandomizedConfigsMatchReferenceExactly)
+{
+    randomizedShapes(0);
+}
+
+TEST(MultiDepthWalk, OneInstructionTrace)
+{
+    oneInstructionTrace(0);
+}
+
+TEST(MultiDepthWalk, AllBranchTrace)
+{
+    allBranchTrace(0);
+}
+
+TEST(MultiDepthWalk, StoreForwardingChain)
+{
+    storeForwardingChain(0);
+}
+
+/**
+ * The same inputs at one lane-group width: 1, which runs every lane
+ * count on every CPU; 4, which runs 4, 8 and 24 lanes where the CPU
+ * has AVX2; and 8, which runs 8 and 24 lanes (and 4 at width 4) where
+ * it has AVX-512F.
+ */
+class WalkAtWidth : public ::testing::TestWithParam<std::size_t>
+{
+  protected:
+    void
+    SetUp() override
+    {
+        if (!cpuRunsLaneWidth(GetParam()))
+            GTEST_SKIP() << "lane width " << GetParam() << " needs "
+                         << laneWidthIsa(GetParam())
+                         << ", which this CPU lacks";
+    }
+};
+
+TEST_P(WalkAtWidth, RandomizedConfigsMatchReferenceExactly)
+{
+    randomizedShapes(GetParam());
+}
+
+TEST_P(WalkAtWidth, AdversarialTracesMatchReferenceExactly)
+{
+    oneInstructionTrace(GetParam());
+    allBranchTrace(GetParam());
+    storeForwardingChain(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    LaneWidths, WalkAtWidth,
+    ::testing::Values(std::size_t{1}, std::size_t{4}, std::size_t{8}),
+    [](const ::testing::TestParamInfo<std::size_t> &p) {
+        return "W" + std::to_string(p.param);
+    });
 
 TEST(MultiDepthWalk, EmptyConfigListReturnsNothing)
 {
