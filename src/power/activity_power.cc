@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -52,7 +53,7 @@ namespace
 std::vector<std::vector<Unit>>
 groupsOf(const PipelineConfig &config)
 {
-    std::vector<std::vector<Unit>> groups = config.merge_groups;
+    std::vector<std::vector<Unit>> groups = config.mergeGroups();
     std::array<bool, kNumUnits> covered{};
     for (const auto &g : groups) {
         for (Unit u : g)
@@ -65,6 +66,34 @@ groupsOf(const PipelineConfig &config)
     return groups;
 }
 
+/**
+ * A group's latch requirement and the member that carries it. The
+ * members share the group's cycles (its max member depth) and "the
+ * power assigned is the greater of the power requirement for each
+ * unit", carried by the first member that needs it. A group of absent
+ * hardware (rename when in order) needs no latches.
+ */
+std::pair<double, Unit>
+groupLatches(const UnitPowerFactors &factors, const PipelineConfig &config,
+             const std::vector<Unit> &group)
+{
+    int depth = 0;
+    for (Unit u : group) {
+        const std::size_t i = static_cast<std::size_t>(u);
+        depth = std::max(depth, config.unit_depth[i]);
+    }
+    const double scale =
+        std::pow(static_cast<double>(depth), factors.beta_unit);
+    std::pair<double, Unit> most{0.0, group.front()};
+    for (Unit u : group) {
+        const double req =
+            factors.base_latches[static_cast<std::size_t>(u)] * scale;
+        if (req > most.first)
+            most = {req, u};
+    }
+    return most;
+}
+
 } // namespace
 
 std::array<double, kNumUnits>
@@ -72,33 +101,8 @@ ActivityPowerModel::effectiveLatches(const PipelineConfig &config) const
 {
     std::array<double, kNumUnits> latches{};
     for (const auto &group : groupsOf(config)) {
-        // Cycles shared by the group: the max member depth (members
-        // with zero depth ride along on the host's cycles).
-        int group_depth = 0;
-        for (Unit u : group) {
-            group_depth = std::max(
-                group_depth,
-                config.unit_depth[static_cast<std::size_t>(u)]);
-        }
-        if (group_depth == 0)
-            continue; // absent hardware (e.g. rename when in-order)
-        // "The power assigned is the greater of the power requirement
-        // for each unit": keep the max requirement on the deepest
-        // (host) member, zero on the rest.
-        double best = 0.0;
-        Unit host = group.front();
-        for (Unit u : group) {
-            const std::size_t i = static_cast<std::size_t>(u);
-            const int d = std::max(config.unit_depth[i], group_depth);
-            const double req =
-                factors_.base_latches[i] *
-                std::pow(static_cast<double>(d), factors_.beta_unit);
-            if (req > best) {
-                best = req;
-                host = u;
-            }
-        }
-        latches[static_cast<std::size_t>(host)] = best;
+        const auto [req, host] = groupLatches(factors_, config, group);
+        latches[static_cast<std::size_t>(host)] = req;
     }
     return latches;
 }
@@ -125,21 +129,10 @@ ActivityPowerModel::power(const SimResult &sim) const
     double ungated_switches = 0.0;
 
     for (const auto &group : groupsOf(config)) {
-        int group_depth = 0;
-        double req = 0.0;
+        const double req = groupLatches(factors_, config, group).first;
         std::uint64_t active = 0;
         for (Unit u : group) {
             const std::size_t i = static_cast<std::size_t>(u);
-            group_depth = std::max(group_depth, config.unit_depth[i]);
-        }
-        if (group_depth == 0)
-            continue;
-        for (Unit u : group) {
-            const std::size_t i = static_cast<std::size_t>(u);
-            const int d = std::max(config.unit_depth[i], group_depth);
-            req = std::max(req, factors_.base_latches[i] *
-                                    std::pow(static_cast<double>(d),
-                                             factors_.beta_unit));
             active = std::max(active, sim.units[i].active_cycles);
         }
         out.latch_count += req;

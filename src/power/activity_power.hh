@@ -16,6 +16,10 @@
  *  - Merged units (contracted configurations) share cycles and "the
  *    intervening latches can be eliminated. Therefore, the power
  *    assigned is the greater of the power requirement for each unit."
+ *    The groups are read off zero unit depths, which the allocation
+ *    table's contraction rows set (PipelineConfig::mergeGroups); one
+ *    function gives a group's requirement and the unit that carries
+ *    it to both the latch count and power.
  *  - Clock-gated dynamic energy charges a unit only on cycles it did
  *    work; the non-gated model charges every unit every cycle.
  *  - Leakage burns on all latches at all times.

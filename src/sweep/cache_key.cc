@@ -158,8 +158,11 @@ hashPipelineConfig(StableHasher &h, const PipelineConfig &config)
     h.u64(config.in_order ? 1 : 0);
     for (int d : config.unit_depth)
         h.i64(d);
-    h.u64(config.merge_groups.size());
-    for (const auto &group : config.merge_groups) {
+    // The groups follow from the depths; they stay folded so that no
+    // cell's address moves.
+    const auto groups = config.mergeGroups();
+    h.u64(groups.size());
+    for (const auto &group : groups) {
         h.u64(group.size());
         for (Unit u : group)
             h.i64(static_cast<std::int64_t>(u));

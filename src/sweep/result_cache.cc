@@ -244,6 +244,26 @@ namespace
 {
 
 /**
+ * Is @p r a conserving run: instructions, base work, a zero residual
+ * and ledger buckets summing to its (so nonzero) cycles? A checksum-
+ * clean entry that is not would abort the reports that read it.
+ */
+bool
+isConservingRun(const SimResult &r)
+{
+    std::uint64_t left = r.cycles; // counted down: the sum cannot wrap
+    for (std::size_t b = 0; b < kNumStallBuckets; ++b) {
+        const std::uint64_t c =
+            r.ledgerCycles(static_cast<StallBucket>(b));
+        if (c > left)
+            return false;
+        left -= c;
+    }
+    return left == 0 && r.instructions > 0 && r.base_work_cycles > 0 &&
+           r.ledger_residual == 0;
+}
+
+/**
  * Is the ".tmp.<pid>.<n>" suffix of @p filename from a process that
  * no longer exists? Temp files are normally renamed or removed by
  * their writer; one left behind by a crashed or killed process would
@@ -400,7 +420,7 @@ ResultCache::load(const CacheKey &key) const
         (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 
     SimResult out;
-    if (!deserializeSimResult(bytes, &out)) {
+    if (!deserializeSimResult(bytes, &out) || !isConservingRun(out)) {
         corruptions.add();
         span.tag("result", "corrupt");
         // A corrupt entry used to be discarded silently; say where it

@@ -7,8 +7,9 @@
  * is safe against concurrent writers (entries are written to a
  * temporary file and atomically renamed into place) and tolerant of
  * corruption: an entry that is truncated, bit-flipped, from a
- * different format version or otherwise unreadable is treated as a
- * miss and recomputed — a bad cache can cost time, never correctness.
+ * different format version, otherwise unreadable, or not a conserving
+ * run is treated as a miss and recomputed — a bad cache can cost
+ * time, never correctness.
  *
  * The entry payload deliberately excludes the workload name and the
  * PipelineConfig: both are part of the key, so the engine reattaches
@@ -91,7 +92,9 @@ class ResultCache
 
     /**
      * Fetch the entry for @p key: nullopt on a miss, an I/O error or
-     * an entry that fails validation. A corrupt entry is evicted and
+     * an entry that fails validation: framing, checksum, or a run's
+     * invariants (instructions, base work and cycles, a zero residual,
+     * buckets summing to cycles). A corrupt entry is evicted and
      * counted under `cache.probe.corrupt`; the caller recomputes.
      */
     std::optional<SimResult> load(const CacheKey &key) const;

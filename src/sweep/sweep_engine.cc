@@ -353,7 +353,9 @@ SweepEngine::resolveCells(const CellPlan &plan)
 
         if (cache_.enabled()) {
             key = plan.key(plan.workloadOf(i), config);
-            if (auto hit = cache_.load(key)) {
+            // An entry of another depth is not this cell's run: walk
+            // the cell, and its store replaces the entry.
+            if (auto hit = cache_.load(key); hit && hit->depth == depth) {
                 hit->workload = name;
                 hit->config = config;
                 recorder.record(i, {.outcome = Outcome::Cached,

@@ -1,6 +1,8 @@
 #include "uarch/pipeline_config.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
@@ -39,20 +41,57 @@ unitName(Unit unit)
     PP_PANIC("bad unit");
 }
 
+namespace
+{
+
+/**
+ * A policy's report name and insertion cycle: the k-th stage past 6
+ * (from 0) goes to unit cycle[k % length].
+ */
+struct PolicyRow
+{
+    const char *name;
+    std::array<Unit, 3> cycle;
+    std::size_t length;
+};
+
+/**
+ * One row per ExpansionPolicy, in enum order. Uniform's cycle keeps
+ * Decode, DCache and Fxu within one stage of each other at every p.
+ */
+constexpr std::array<PolicyRow, 4> kPolicies{{
+    {"uniform", {Unit::Decode, Unit::DCache, Unit::Fxu}, 3},
+    {"decode-heavy", {Unit::Decode}, 1},
+    {"cache-heavy", {Unit::DCache}, 1},
+    {"exec-heavy", {Unit::Fxu}, 1},
+}};
+
+/** The units an allocation sets, in kAllocation's column order. */
+constexpr std::array<Unit, 6> kAllocUnits{
+    Unit::Decode, Unit::AgenQ, Unit::Agen,
+    Unit::DCache, Unit::ExecQ, Unit::Fxu};
+
+/**
+ * Unit depths at 2..6 allocated stages. Contraction first folds the
+ * queues into zero-cycle bypasses, then puts distinct units on one
+ * cycle; a zero depth is the only record of which units share a
+ * cycle (PipelineConfig::mergeGroups).
+ */
+constexpr std::array<std::array<int, 6>, 5> kAllocation{{
+    // Decode, AgenQ, Agen, DCache, ExecQ, Fxu
+    {1, 0, 0, 0, 0, 1}, // 2: decode+agen, then cache+execute
+    {1, 0, 0, 1, 0, 1}, // 3: decode and agen share a cycle
+    {1, 0, 1, 1, 0, 1}, // 4: both queues fold away
+    {1, 1, 1, 1, 0, 1}, // 5: ExecQ folds into the cache cycle
+    {1, 1, 1, 1, 1, 1}, // 6: the unexpanded Fig. 2 pipe
+}};
+
+} // namespace
+
 std::string
 toString(ExpansionPolicy policy)
 {
-    switch (policy) {
-      case ExpansionPolicy::Uniform:
-        return "uniform";
-      case ExpansionPolicy::DecodeHeavy:
-        return "decode-heavy";
-      case ExpansionPolicy::CacheHeavy:
-        return "cache-heavy";
-      case ExpansionPolicy::ExecHeavy:
-        return "exec-heavy";
-    }
-    PP_PANIC("bad expansion policy");
+    return kPolicies[static_cast<std::size_t>(policy)].name;
 }
 
 double
@@ -125,6 +164,27 @@ PipelineConfig::validate() const
     l2cache.validate();
 }
 
+std::vector<std::vector<Unit>>
+PipelineConfig::mergeGroups() const
+{
+    std::vector<std::vector<Unit>> groups;
+    auto ride = [&](Unit host, std::initializer_list<Unit> riders) {
+        std::vector<Unit> group{host};
+        for (Unit u : riders) {
+            if (unit_depth[static_cast<std::size_t>(u)] == 0)
+                group.push_back(u);
+        }
+        if (group.size() > 1)
+            groups.push_back(std::move(group));
+    };
+    ride(Unit::Decode, {Unit::AgenQ, Unit::Agen});
+    if (unit_depth[static_cast<std::size_t>(Unit::DCache)] == 0)
+        ride(Unit::Fxu, {Unit::DCache, Unit::ExecQ});
+    else
+        ride(Unit::DCache, {Unit::ExecQ});
+    return groups;
+}
+
 PipelineConfig
 PipelineConfig::forDepth(int p, bool in_order, ExpansionPolicy policy)
 {
@@ -141,111 +201,23 @@ PipelineConfig::forDepth(int p, bool in_order, ExpansionPolicy policy)
     if (!in_order && alloc < 2)
         PP_FATAL("out-of-order configurations need depth >= 3");
 
-    auto set = [&cfg](Unit u, int d) {
-        cfg.unit_depth[static_cast<std::size_t>(u)] = d;
+    auto depth = [&cfg](Unit u) -> int & {
+        return cfg.unit_depth[static_cast<std::size_t>(u)];
     };
-
-    set(Unit::Fetch, 1);
-    set(Unit::Complete, 1);
-    set(Unit::Retire, 1);
+    depth(Unit::Fetch) = 1;
+    depth(Unit::Complete) = 1;
+    depth(Unit::Retire) = 1;
     // Rename overlaps decode in the in-order model ("for an in-order
     // model the register rename stage is skipped").
-    set(Unit::Rename, in_order ? 0 : 1);
+    depth(Unit::Rename) = in_order ? 0 : 1;
 
-    // Base allocation at p = 6 (the unexpanded Fig. 2 pipe, in-order):
-    // Decode 1, AgenQ 1, Agen 1, Cache 1, ExecQ 1, E-unit 1.
-    if (alloc >= 6) {
-        int dec = 1, cache = 1, exec = 1;
-        // Insert extra stages in Decode, Cache Access and E-unit
-        // simultaneously (round-robin keeps them within one stage of
-        // each other at every p).
-        int extra = alloc - 6;
-        int turn = 0;
-        while (extra-- > 0) {
-            switch (policy) {
-              case ExpansionPolicy::Uniform:
-                switch (turn) {
-                  case 0:
-                    ++dec;
-                    break;
-                  case 1:
-                    ++cache;
-                    break;
-                  default:
-                    ++exec;
-                    break;
-                }
-                turn = (turn + 1) % 3;
-                break;
-              case ExpansionPolicy::DecodeHeavy:
-                ++dec;
-                break;
-              case ExpansionPolicy::CacheHeavy:
-                ++cache;
-                break;
-              case ExpansionPolicy::ExecHeavy:
-                ++exec;
-                break;
-            }
-        }
-        set(Unit::Decode, dec);
-        set(Unit::AgenQ, 1);
-        set(Unit::Agen, 1);
-        set(Unit::DCache, cache);
-        set(Unit::ExecQ, 1);
-        set(Unit::Fxu, exec);
-    } else {
-        // Contraction: first absorb the queue stages, then combine
-        // units onto shared cycles. Merge groups record which units
-        // share a cycle so the power model can charge max-of-group.
-        switch (alloc) {
-          case 5:
-            // ExecQ folds into the cache-access cycle.
-            set(Unit::Decode, 1);
-            set(Unit::AgenQ, 1);
-            set(Unit::Agen, 1);
-            set(Unit::DCache, 1);
-            set(Unit::ExecQ, 0);
-            set(Unit::Fxu, 1);
-            cfg.merge_groups = {{Unit::DCache, Unit::ExecQ}};
-            break;
-          case 4:
-            // Both queues fold away.
-            set(Unit::Decode, 1);
-            set(Unit::AgenQ, 0);
-            set(Unit::Agen, 1);
-            set(Unit::DCache, 1);
-            set(Unit::ExecQ, 0);
-            set(Unit::Fxu, 1);
-            cfg.merge_groups = {{Unit::Decode, Unit::AgenQ},
-                                {Unit::DCache, Unit::ExecQ}};
-            break;
-          case 3:
-            // Decode and address generation share a cycle.
-            set(Unit::Decode, 1);
-            set(Unit::AgenQ, 0);
-            set(Unit::Agen, 0);
-            set(Unit::DCache, 1);
-            set(Unit::ExecQ, 0);
-            set(Unit::Fxu, 1);
-            cfg.merge_groups = {{Unit::Decode, Unit::AgenQ, Unit::Agen},
-                                {Unit::DCache, Unit::ExecQ}};
-            break;
-          case 2:
-            // Two stages: decode+agen, then cache+execute.
-            set(Unit::Decode, 1);
-            set(Unit::AgenQ, 0);
-            set(Unit::Agen, 0);
-            set(Unit::DCache, 0);
-            set(Unit::ExecQ, 0);
-            set(Unit::Fxu, 1);
-            cfg.merge_groups = {{Unit::Decode, Unit::AgenQ, Unit::Agen},
-                                {Unit::Fxu, Unit::DCache, Unit::ExecQ}};
-            break;
-          default:
-            PP_PANIC("unhandled contraction depth ", alloc);
-        }
-    }
+    const auto &row =
+        kAllocation[static_cast<std::size_t>(std::min(alloc, 6) - 2)];
+    for (std::size_t i = 0; i < kAllocUnits.size(); ++i)
+        depth(kAllocUnits[i]) = row[i];
+    const PolicyRow &expand = kPolicies[static_cast<std::size_t>(policy)];
+    for (int k = 0; k < alloc - 6; ++k)
+        ++depth(expand.cycle[static_cast<std::size_t>(k) % expand.length]);
 
     cfg.validate();
     return cfg;

@@ -10,17 +10,21 @@
  *        Exec Q -> E-unit -> Complete -> Retire
  *
  * The "pipeline depth" p is measured from the beginning of Decode to
- * the end of execution along the RX path, as in the paper. Depth
- * scaling follows the paper's methodology exactly:
+ * the end of execution along the RX path, as in the paper. forDepth
+ * scales it by two tables in pipeline_config.cc, following the paper:
  *
- *  - expansion (p > base): extra stages are inserted in Decode, Cache
- *    Access and the E-unit pipe *simultaneously*, so every hazard
- *    class sees the increase;
- *  - contraction (p < base): stages of the same unit are combined
- *    first (queues shrink to zero-cycle bypasses), then distinct
- *    units are combined onto the same cycle. Combined units share a
- *    merge group; the power model charges the max of a group, "the
- *    intervening latches can be eliminated".
+ *  - allocation: the depths of Decode, AgenQ, Agen, DCache, ExecQ and
+ *    the E-unit at 2..6 allocated stages (p, or p - 1 out of order).
+ *    Contraction folds the queues into zero-cycle bypasses first,
+ *    then combines distinct units onto one cycle;
+ *  - policy: each ExpansionPolicy's insertion cycle, whose units take
+ *    the stages past 6 in turn. The paper's Uniform cycle inserts in
+ *    Decode, Cache Access and the E-unit pipe *simultaneously*.
+ *
+ * A zero depth is the only record that a unit shares a cycle: AgenQ
+ * and Agen ride on Decode, ExecQ on DCache, and a stage-less DCache
+ * (with ExecQ) on the E-unit. The power model charges the max of such
+ * a group, "the intervening latches can be eliminated".
  */
 
 #ifndef PIPEDEPTH_UARCH_PIPELINE_CONFIG_HH
@@ -85,15 +89,8 @@ struct PipelineConfig
     int agen_width = 2;  //!< address generations per cycle
     bool in_order = true;
 
-    /** Cycles spent in each unit (0 = merged into the previous one). */
+    /** Cycles spent in each unit (0 = rides on a host, or absent). */
     std::array<int, kNumUnits> unit_depth{};
-
-    /**
-     * Merge groups: sets of units that share cycles after
-     * contraction. Units not mentioned are their own group. The power
-     * model charges max power over a group.
-     */
-    std::vector<std::vector<Unit>> merge_groups;
 
     /// @name Buffering
     /// @{
@@ -190,6 +187,12 @@ struct PipelineConfig
     static PipelineConfig
     forDepth(int p, bool in_order = true,
              ExpansionPolicy policy = ExpansionPolicy::Uniform);
+
+    /**
+     * The units that share a cycle, host first, read off zero depths
+     * as the timing walk reads them (file comment).
+     */
+    std::vector<std::vector<Unit>> mergeGroups() const;
 
     /** Sum of unit depths along the RX path (must equal depth). */
     int rxPathDepth() const;

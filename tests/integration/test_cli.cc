@@ -13,16 +13,20 @@
  *
  * The binary path arrives via the PIPESIM_PATH compile definition
  * (set from $<TARGET_FILE:pipesim> in tests/CMakeLists.txt); the
- * tests spawn it through std::system with stdout/stderr discarded.
+ * tests spawn it through std::system with stdout/stderr discarded,
+ * or through popen where stdout is under test.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
 
+#include "common/json.hh"
 #include "isa/isa.hh"
+#include "ledger/stall_ledger.hh"
 #include "trace/trace_io.hh"
 #include "workloads/catalog.hh"
 
@@ -234,6 +238,54 @@ TEST(PipesimCli, TapeWithOutOfRangeRegisterExitsOneAndCachesNothing)
                                &entries),
               1);
     EXPECT_EQ(entries, 0u);
+    std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
+}
+
+/** Run pipesim with @p args; @p out receives its stdout. */
+int
+runPipesimStdout(const std::string &args, std::string *out)
+{
+    const std::string cmd =
+        std::string(PIPESIM_PATH) + " " + args + " 2>/dev/null";
+    FILE *pipe = ::popen(cmd.c_str(), "r");
+    if (pipe == nullptr)
+        return -1;
+    out->clear();
+    char buf[4096];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0)
+        out->append(buf, n);
+    const int rc = ::pclose(pipe);
+    return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+TEST(PipesimCli, StallReportsPrintAnyTapeName)
+{
+    // A tape's name is free header bytes: --stalls-json must still be
+    // valid JSON and carry the name intact.
+    const std::string tape =
+        writeDb1Tape([](Trace &t) { t.name = "evil\"name\\x"; });
+    const std::string run =
+        "--tape " + tape + " --depth 8 --warmup 1000 --no-cache";
+    std::string out;
+    ASSERT_EQ(runPipesimStdout(run + " --stalls-json", &out), 0);
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(JsonValue::parse(out, &doc, &error))
+        << error << "\n" << out;
+    ASSERT_TRUE(doc.find("workload") && doc.find("cycles") &&
+                doc.find("residual") && doc.find("buckets"))
+        << out;
+    EXPECT_EQ(doc.find("workload")->string, "evil\"name\\x");
+    EXPECT_EQ(doc.find("residual")->number, 0.0);
+    const JsonValue &buckets = *doc.find("buckets");
+    EXPECT_EQ(buckets.object.size(), kNumStallBuckets);
+    double cycles = 0.0;
+    for (const auto &[name, bucket] : buckets.object)
+        cycles += bucket.find("cycles")->number;
+    EXPECT_EQ(cycles, doc.find("cycles")->number);
+
+    EXPECT_EQ(runPipesim(run + " --stalls"), 0);
     std::filesystem::remove_all(std::filesystem::path(tape).parent_path());
 }
 

@@ -22,6 +22,7 @@
 
 #include <unistd.h>
 
+#include "power/activity_power.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
 #include "support/metric_deltas.hh"
@@ -75,6 +76,19 @@ sampleResult()
         r.units[u].ops = 3000 * u + 3;
     }
     r.config = PipelineConfig::forDepth(17);
+    return r;
+}
+
+/**
+ * sampleResult() as a run can leave it: a zero residual and ledger
+ * buckets summing to the cycles. The cache refuses anything else.
+ */
+SimResult
+conservingResult()
+{
+    SimResult r = sampleResult();
+    r.ledger_residual = 0;
+    r.cycles = r.ledgerTotal();
     return r;
 }
 
@@ -167,7 +181,7 @@ TEST_F(ResultCacheTest, StoreThenLoadRoundTrips)
 {
     const ResultCache cache(dir_.string());
     ASSERT_TRUE(cache.enabled());
-    const SimResult original = sampleResult();
+    const SimResult original = conservingResult();
     const CacheKey key =
         traceCellKey(Trace{"t", 1, {}}, original.config);
 
@@ -191,7 +205,7 @@ TEST_F(ResultCacheTest, MissingEntryIsCleanMiss)
 TEST_F(ResultCacheTest, TruncatedEntryReadsAsCorruptMiss)
 {
     const ResultCache cache(dir_.string());
-    const SimResult original = sampleResult();
+    const SimResult original = conservingResult();
     const CacheKey key{0xdead, 0xbeef};
     ASSERT_TRUE(cache.store(key, original));
 
@@ -204,7 +218,7 @@ TEST_F(ResultCacheTest, TruncatedEntryReadsAsCorruptMiss)
 TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
 {
     const ResultCache cache(dir_.string());
-    const SimResult original = sampleResult();
+    const SimResult original = conservingResult();
     const CacheKey key{0xfeed, 0xface};
     ASSERT_TRUE(cache.store(key, original));
 
@@ -229,11 +243,39 @@ TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
     EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 }
 
+TEST_F(ResultCacheTest, NonConservingEntryReadsAsCorruptMiss)
+{
+    // Checksum-clean entries that no run leaves. Each would abort the
+    // reports that read it (calibration asserts a conserving run).
+    const ResultCache cache(dir_.string());
+    const CacheKey key{0xc0de, 0xcafe};
+    std::vector<SimResult> bad(6, conservingResult());
+    bad[0].ledger_residual = 1;
+    bad[1].other_stall_cycles += 1;
+    bad[2].instructions = 0;
+    bad[3].cycles = 0;
+    // Buckets whose sum wraps around 2^64 to the cycles.
+    bad[4].base_work_cycles += std::uint64_t{1} << 63;
+    bad[4].superscalar_loss_cycles += std::uint64_t{1} << 63;
+    ASSERT_EQ(bad[4].ledgerTotal(), bad[4].cycles);
+    // Every cycle a stall: no instruction ever retired.
+    bad[5].mispredict_stall_cycles += bad[5].base_work_cycles;
+    bad[5].base_work_cycles = 0;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        ASSERT_TRUE(cache.store(key, bad[i]));
+        const MetricDeltas tally;
+        EXPECT_FALSE(cache.load(key).has_value()) << i;
+        EXPECT_EQ(tally["cache.probe.corrupt"], 1u) << i;
+        EXPECT_EQ(tally["cache.entry.evict"], 1u) << i;
+        EXPECT_FALSE(std::filesystem::exists(cache.entryPath(key))) << i;
+    }
+}
+
 TEST_F(ResultCacheTest, StoreLeavesNoTempFiles)
 {
     const ResultCache cache(dir_.string());
-    ASSERT_TRUE(cache.store(CacheKey{1, 1}, sampleResult()));
-    ASSERT_TRUE(cache.store(CacheKey{2, 2}, sampleResult()));
+    ASSERT_TRUE(cache.store(CacheKey{1, 1}, conservingResult()));
+    ASSERT_TRUE(cache.store(CacheKey{2, 2}, conservingResult()));
     std::size_t files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir_)) {
         ++files;
@@ -245,7 +287,7 @@ TEST_F(ResultCacheTest, StoreLeavesNoTempFiles)
 TEST_F(ResultCacheTest, SweepRemovesDeadWritersTempFilesOnly)
 {
     const ResultCache cache(dir_.string());
-    ASSERT_TRUE(cache.store(CacheKey{1, 1}, sampleResult()));
+    ASSERT_TRUE(cache.store(CacheKey{1, 1}, conservingResult()));
 
     // A tmp file from a long-dead writer (pid 1 is init — alive but
     // unsignalable from an unprivileged test, so use a pid far above
@@ -277,7 +319,7 @@ TEST(ResultCacheDisabled, DisabledCacheMissesAndDropsStores)
 {
     const ResultCache cache;
     EXPECT_FALSE(cache.enabled());
-    EXPECT_FALSE(cache.store(CacheKey{1, 1}, sampleResult()));
+    EXPECT_FALSE(cache.store(CacheKey{1, 1}, conservingResult()));
     const MetricDeltas tally;
     EXPECT_FALSE(cache.load(CacheKey{1, 1}).has_value());
     // A disabled cache probes nothing: no miss, no corrupt entry.
@@ -316,6 +358,34 @@ TEST(CacheKeyHex, SimCellKeyPinned)
                          options.configAtDepth(8))
                   .hex(),
               "aa0e24be3f42e502ac491f77cbb25c92");
+}
+
+TEST(CacheKeyHex, EveryForDepthConfigPinned)
+{
+    // Every configuration forDepth can return, folded twice: its key
+    // bytes, which must not move without a bump of
+    // kSimulatorVersionTag, and its latch count, which every power
+    // figure scales.
+    StableHasher keys;
+    StableHasher latches;
+    const ActivityPowerModel model(UnitPowerFactors::defaults(), 1.0, 0.0);
+    std::size_t configs = 0;
+    for (ExpansionPolicy policy :
+         {ExpansionPolicy::Uniform, ExpansionPolicy::DecodeHeavy,
+          ExpansionPolicy::CacheHeavy, ExpansionPolicy::ExecHeavy}) {
+        for (bool in_order : {true, false}) {
+            for (int p = in_order ? 2 : 3; p <= 30; ++p) {
+                const PipelineConfig config =
+                    PipelineConfig::forDepth(p, in_order, policy);
+                hashPipelineConfig(keys, config);
+                latches.f64(model.latchCount(config));
+                ++configs;
+            }
+        }
+    }
+    EXPECT_EQ(configs, 228u);
+    EXPECT_EQ(keys.key().hex(), "6dda9a648476cf4528c8cf22bf9280d5");
+    EXPECT_EQ(latches.key().hex(), "a7f2a39629722993c3d2af70e7f58be3");
 }
 
 /** One record with every field set and its padding bytes dirty. */

@@ -2,10 +2,11 @@
  * @file
  * SweepEngine behaviour tests: the registry's tally of cold and warm
  * runs (read as the change across each call), silent recomputation of
- * corrupt cache entries, the --no-cache escape hatch, explicit-trace
- * (runConfigs) caching and its one trace hash per call, the spec form
- * of runConfigs (same bytes as the trace form, runGrid's cache
- * addresses), the shared SweepResult assembly, the summary that
+ * corrupt cache entries and of entries that are not the cell's run
+ * (non-conserving, or another depth's), the --no-cache escape hatch,
+ * explicit-trace (runConfigs) caching and its one trace hash per call,
+ * the spec form of runConfigs (same bytes as the trace form, runGrid's
+ * cache addresses), the shared SweepResult assembly, the summary that
  * prints the tally once and agrees with the run manifest, and the
  * bound of one resident replay per worker. Byte-level determinism
  * lives in test_engine_determinism.cc.
@@ -17,6 +18,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <vector>
 
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
@@ -187,6 +189,44 @@ TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
     verify.runGrid({findWorkload("gcc95")}, fastOptions());
     EXPECT_EQ(verify_tally["sweep.cell.cached"], 5u);
     EXPECT_EQ(verify_tally["cache.probe.corrupt"], 0u);
+}
+
+TEST_F(SweepEngineTest, EntryThatIsNotTheCellsRunIsRecomputed)
+{
+    // Checksum-clean entries under the cell's key that its run cannot
+    // have left. The first three break the ledger's invariants and
+    // would abort calibration; the last is another depth's run.
+    const SweepOptions opt = fastOptions();
+    const WorkloadSpec &spec = findWorkload("db1");
+    const std::vector<PipelineConfig> configs = {opt.configAtDepth(4)};
+    const SimResult clean =
+        makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
+    const ResultCache cache(dir_.string());
+    const CacheKey key = simCellKey(spec, opt.trace_length, configs[0]);
+    ASSERT_TRUE(cache.load(key).has_value());
+
+    std::vector<SimResult> bad(4, clean);
+    bad[0].ledger_residual = 1;
+    bad[1].other_stall_cycles += 1;
+    bad[2].instructions = 0;
+    bad[3].depth = 5;
+    for (std::size_t i = 0; i < bad.size(); ++i) {
+        ASSERT_TRUE(cache.store(key, bad[i]));
+        const MetricDeltas tally;
+        const SimResult again =
+            makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
+        const bool conserving = i == 3;
+        EXPECT_EQ(tally["cache.probe.corrupt"], conserving ? 0u : 1u) << i;
+        EXPECT_EQ(tally["cache.entry.evict"], conserving ? 0u : 1u) << i;
+        EXPECT_EQ(tally["sweep.cell.compute"], 1u) << i;
+        EXPECT_EQ(serializeSimResult(again), serializeSimResult(clean))
+            << i;
+        // The walk's store put the clean run back under the key.
+        const auto entry = cache.load(key);
+        ASSERT_TRUE(entry.has_value()) << i;
+        EXPECT_EQ(serializeSimResult(*entry), serializeSimResult(clean))
+            << i;
+    }
 }
 
 TEST_F(SweepEngineTest, UseCacheFalseWritesNothing)

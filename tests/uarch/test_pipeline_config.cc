@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "uarch/pipeline_config.hh"
 
@@ -63,26 +66,65 @@ TEST(PipelineConfig, ExpansionIsMonotone)
 
 TEST(PipelineConfig, ContractionMergesUnits)
 {
-    // p < 6 uses merge groups; p >= 6 does not.
-    for (int p = 2; p <= 5; ++p)
-        EXPECT_FALSE(PipelineConfig::forDepth(p).merge_groups.empty())
-            << "p=" << p;
-    for (int p = 6; p <= 10; ++p)
-        EXPECT_TRUE(PipelineConfig::forDepth(p).merge_groups.empty())
-            << "p=" << p;
+    // Fewer than 6 allocated stages share cycles; 6 or more do not.
+    // Out of order, rename takes one of the p stages.
+    using Groups = std::vector<std::vector<Unit>>;
+    const Groups by_alloc[] = {
+        {{Unit::Decode, Unit::AgenQ, Unit::Agen},
+         {Unit::Fxu, Unit::DCache, Unit::ExecQ}},
+        {{Unit::Decode, Unit::AgenQ, Unit::Agen},
+         {Unit::DCache, Unit::ExecQ}},
+        {{Unit::Decode, Unit::AgenQ}, {Unit::DCache, Unit::ExecQ}},
+        {{Unit::DCache, Unit::ExecQ}},
+    };
+    for (int alloc = 2; alloc <= 10; ++alloc) {
+        const Groups want = alloc < 6 ? by_alloc[alloc - 2] : Groups{};
+        EXPECT_EQ(PipelineConfig::forDepth(alloc).mergeGroups(), want)
+            << "alloc=" << alloc;
+        EXPECT_EQ(PipelineConfig::forDepth(alloc + 1, false).mergeGroups(),
+                  want)
+            << "alloc=" << alloc;
+    }
 }
 
 TEST(PipelineConfig, MergedUnitsHaveZeroDepth)
 {
+    // Only the host, listed first, keeps a cycle of its own.
     for (int p = 2; p <= 5; ++p) {
         const PipelineConfig cfg = PipelineConfig::forDepth(p);
-        for (const auto &group : cfg.merge_groups) {
-            int nonzero = 0;
-            for (Unit u : group)
-                nonzero += unitDepth(cfg, u) > 0;
-            EXPECT_LE(nonzero, 1) << "p=" << p;
+        for (const auto &group : cfg.mergeGroups()) {
+            EXPECT_GT(unitDepth(cfg, group.front()), 0) << "p=" << p;
+            for (std::size_t i = 1; i < group.size(); ++i)
+                EXPECT_EQ(unitDepth(cfg, group[i]), 0) << "p=" << p;
         }
     }
+}
+
+TEST(PipelineConfig, HeavyPoliciesGrowOneUnit)
+{
+    const struct
+    {
+        ExpansionPolicy policy;
+        Unit grows;
+        const char *name;
+    } cases[] = {
+        {ExpansionPolicy::DecodeHeavy, Unit::Decode, "decode-heavy"},
+        {ExpansionPolicy::CacheHeavy, Unit::DCache, "cache-heavy"},
+        {ExpansionPolicy::ExecHeavy, Unit::Fxu, "exec-heavy"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_EQ(toString(c.policy), c.name);
+        for (bool in_order : {true, false}) {
+            const PipelineConfig cfg =
+                PipelineConfig::forDepth(20, in_order, c.policy);
+            for (Unit u : {Unit::Decode, Unit::DCache, Unit::Fxu}) {
+                EXPECT_EQ(unitDepth(cfg, u),
+                          u == c.grows ? (in_order ? 15 : 14) : 1)
+                    << c.name << " " << unitName(u);
+            }
+        }
+    }
+    EXPECT_EQ(toString(ExpansionPolicy::Uniform), "uniform");
 }
 
 TEST(PipelineConfig, InOrderSkipsRename)

@@ -92,6 +92,7 @@
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
+#include "common/json.hh"
 #include "common/table.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
@@ -276,10 +277,11 @@ printStallTable(const SimResult &r, bool csv)
 void
 printStallJson(const SimResult &r)
 {
-    std::printf("{\n  \"workload\": \"%s\",\n  \"depth\": %d,\n"
+    // A tape's name is whatever its header holds: quote it.
+    std::printf("{\n  \"workload\": %s,\n  \"depth\": %d,\n"
                 "  \"cycles\": %llu,\n  \"instructions\": %llu,\n"
                 "  \"residual\": %lld,\n  \"buckets\": {\n",
-                r.workload.c_str(), r.depth,
+                jsonQuote(r.workload).c_str(), r.depth,
                 static_cast<unsigned long long>(r.cycles),
                 static_cast<unsigned long long>(r.instructions),
                 static_cast<long long>(r.ledger_residual));
