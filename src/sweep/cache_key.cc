@@ -185,16 +185,28 @@ hashPipelineConfig(StableHasher &h, const PipelineConfig &config)
 }
 
 CacheKey
-simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
-           const PipelineConfig &config)
+cellKey(StableHasher trace, const PipelineConfig &config)
+{
+    hashPipelineConfig(trace, config);
+    return trace.key();
+}
+
+StableHasher
+specCellHasher(const WorkloadSpec &spec, std::size_t trace_length)
 {
     StableHasher h;
     h.str(kSimulatorVersionTag);
     h.str("spec-cell");
     hashWorkloadSpec(h, spec);
     h.u64(trace_length);
-    hashPipelineConfig(h, config);
-    return h.key();
+    return h;
+}
+
+CacheKey
+simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
+           const PipelineConfig &config)
+{
+    return cellKey(specCellHasher(spec, trace_length), config);
 }
 
 StableHasher
@@ -213,9 +225,7 @@ traceCellHasher(const Trace &trace)
 CacheKey
 traceCellKey(const Trace &trace, const PipelineConfig &config)
 {
-    StableHasher h = traceCellHasher(trace);
-    hashPipelineConfig(h, config);
-    return h.key();
+    return cellKey(traceCellHasher(trace), config);
 }
 
 } // namespace pipedepth

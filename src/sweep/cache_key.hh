@@ -91,8 +91,25 @@ void hashWorkloadSpec(StableHasher &h, const WorkloadSpec &spec);
 void hashPipelineConfig(StableHasher &h, const PipelineConfig &config);
 
 /**
+ * Key of the cell that runs @p config on the trace whose hasher state
+ * is @p trace (specCellHasher or traceCellHasher): the configuration
+ * appended to a copy of that state.
+ */
+CacheKey cellKey(StableHasher trace, const PipelineConfig &config);
+
+/**
+ * Hasher state of a catalog trace: the shared prefix of its
+ * simCellKey under any configuration. It holds the version tag, the
+ * domain string "spec-cell", the full workload spec and the trace
+ * length. Its key() names the trace's result log (result_cache.hh).
+ */
+StableHasher specCellHasher(const WorkloadSpec &spec,
+                            std::size_t trace_length);
+
+/**
  * Key of one grid cell: workload spec + trace length + configuration
- * + simulator version. The trace itself need not exist to compute
+ * + simulator version, i.e. cellKey(specCellHasher(spec,
+ * trace_length), config). The trace itself need not exist to compute
  * this (specs generate deterministically), which is what lets a warm
  * cache skip trace generation entirely.
  */
@@ -110,14 +127,14 @@ CacheKey simCellKey(const WorkloadSpec &spec, std::size_t trace_length,
  * memory, so padding bytes cannot reach the key. FNV-1a streams, so
  * appending a config to a copy of this state gives the same key as
  * hashing the whole cell, and a caller keying many configs digests the
- * records once.
+ * records once. Its key() names the trace's result log.
  */
 StableHasher traceCellHasher(const Trace &trace);
 
 /**
  * Key of one (explicit trace, configuration) cell, for traces that do
- * not come from the catalog (tape files): traceCellHasher(trace) with
- * the configuration appended.
+ * not come from the catalog (tape files):
+ * cellKey(traceCellHasher(trace), config).
  */
 CacheKey traceCellKey(const Trace &trace, const PipelineConfig &config);
 

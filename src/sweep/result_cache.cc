@@ -1,18 +1,18 @@
 #include "sweep/result_cache.hh"
 
-#include <atomic>
-#include <cstdio>
+#include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <mutex>
 
+#include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "common/failpoint.hh"
 #include "common/logging.hh"
-#include "common/proc.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 
@@ -180,24 +180,28 @@ serializeSimResult(const SimResult &result)
     return out;
 }
 
-bool
-deserializeSimResult(const std::vector<std::uint8_t> &bytes, SimResult *out)
+namespace
 {
-    if (bytes.size() < kHeaderSize)
+
+/** deserializeSimResult over @p size bytes at @p data. */
+bool
+decodeEntry(const std::uint8_t *data, std::size_t size, SimResult *out)
+{
+    if (size < kHeaderSize)
         return false;
-    if (std::memcmp(bytes.data(), kMagic, 4) != 0)
+    if (std::memcmp(data, kMagic, 4) != 0)
         return false;
-    Reader header(bytes.data() + 4, kHeaderSize - 4);
+    Reader header(data + 4, kHeaderSize - 4);
     if (header.u32() != kFormatVersion)
         return false;
     const std::uint64_t payload_size = header.u64();
     const std::uint64_t checksum = header.u64();
-    if (bytes.size() != kHeaderSize + payload_size)
+    if (size != kHeaderSize + payload_size)
         return false;
-    if (fnv1a(bytes.data() + kHeaderSize, payload_size) != checksum)
+    if (fnv1a(data + kHeaderSize, payload_size) != checksum)
         return false;
 
-    Reader r(bytes.data() + kHeaderSize, payload_size);
+    Reader r(data + kHeaderSize, payload_size);
     SimResult res;
     res.depth = static_cast<int>(r.u64());
     res.cycle_time_fo4 = r.f64();
@@ -240,9 +244,6 @@ deserializeSimResult(const std::vector<std::uint8_t> &bytes, SimResult *out)
     return true;
 }
 
-namespace
-{
-
 /**
  * Is @p r a conserving run: instructions, base work, a zero residual
  * and ledger buckets summing to its (so nonzero) cycles? A checksum-
@@ -263,31 +264,90 @@ isConservingRun(const SimResult &r)
            r.ledger_residual == 0;
 }
 
-/**
- * Is the ".tmp.<pid>.<n>" suffix of @p filename from a process that
- * no longer exists? Temp files are normally renamed or removed by
- * their writer; one left behind by a crashed or killed process would
- * otherwise accumulate forever. A parse failure or a live (or
- * not-ours-to-signal, EPERM) pid keeps the file — sweeping must never
- * race an in-flight store.
- */
-bool
-isStaleTempFile(const std::string &filename)
+/** Bytes of one log frame: the cell key, the entry, the checksum. */
+std::size_t
+frameSize()
 {
-    const std::size_t tag = filename.find(".tmp.");
-    if (tag == std::string::npos)
-        return false;
-    char *end = nullptr;
-    const unsigned long pid =
-        std::strtoul(filename.c_str() + tag + 5, &end, 10);
-    if (end == filename.c_str() + tag + 5 || *end != '.' || pid == 0)
-        return false;
-    if (pid == static_cast<unsigned long>(::getpid()))
-        return false;
-    return !processAlive(static_cast<pid_t>(pid));
+    static const std::size_t size =
+        16 + serializeSimResult(SimResult{}).size() + 8;
+    return size;
+}
+
+std::uint64_t
+getU64(const std::uint8_t *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
+    return v;
+}
+
+/** A file descriptor closed when it goes out of scope. */
+class Fd
+{
+  public:
+    explicit Fd(int fd) : fd_(fd) {}
+    ~Fd()
+    {
+        if (fd_ >= 0)
+            ::close(fd_);
+    }
+    Fd(const Fd &) = delete;
+    Fd &operator=(const Fd &) = delete;
+
+    int get() const { return fd_; }
+
+  private:
+    int fd_;
+};
+
+enum class FileRead
+{
+    Absent,  //!< no such file (or it cannot be opened)
+    IoError, //!< opened, but reading failed
+    Read,    //!< @p bytes holds the file
+};
+
+/**
+ * Read the file at @p path with the size it has now: an append that
+ * lands meanwhile is the next read's. An I/O error, or an injected
+ * one (`cache.load.read`), leaves @p bytes empty.
+ */
+FileRead
+readFile(const std::string &path, std::vector<std::uint8_t> &bytes)
+{
+    const Fd in(::open(path.c_str(), O_RDONLY | O_CLOEXEC));
+    if (in.get() < 0)
+        return FileRead::Absent;
+    struct stat st{};
+    if (PP_FAILPOINT_FIRED("cache.load.read") || ::fstat(in.get(), &st) != 0)
+        return FileRead::IoError;
+    bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n =
+            ::read(in.get(), bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n < 0) {
+            bytes.clear();
+            return FileRead::IoError;
+        }
+        if (n == 0)
+            break; // truncated meanwhile
+        got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+    return FileRead::Read;
 }
 
 } // namespace
+
+bool
+deserializeSimResult(const std::vector<std::uint8_t> &bytes, SimResult *out)
+{
+    return decodeEntry(bytes.data(), bytes.size(), out);
+}
 
 ResultCache::ResultCache(const std::string &dir) : dir_(dir)
 {
@@ -299,45 +359,8 @@ ResultCache::ResultCache(const std::string &dir) : dir_(dir)
         PP_WARN("sweep cache disabled: cannot create '", dir_, "': ",
                 ec.message());
         dir_.clear();
-        return;
     }
-    sweepStaleTempFiles();
 }
-
-std::size_t
-ResultCache::sweepStaleTempFiles() const
-{
-    static Counter &swept =
-        MetricsRegistry::instance().counter("cache.tmp.sweep");
-
-    if (!enabled())
-        return 0;
-    std::size_t removed = 0;
-    std::error_code ec;
-    for (const auto &entry :
-         std::filesystem::directory_iterator(dir_, ec)) {
-        if (!entry.is_regular_file(ec))
-            continue;
-        const std::string filename = entry.path().filename().string();
-        if (!isStaleTempFile(filename))
-            continue;
-        std::error_code remove_ec;
-        if (std::filesystem::remove(entry.path(), remove_ec) &&
-            !remove_ec) {
-            ++removed;
-            swept.add();
-            PP_DEBUG("result cache: swept stale temp file '", filename,
-                     "'");
-        }
-    }
-    if (removed) {
-        PP_INFORM("result cache: swept ", removed,
-                  " stale temp file(s) left by dead writers in '", dir_,
-                  "'");
-    }
-    return removed;
-}
-
 std::string
 ResultCache::resolveDefaultDir(const char **source)
 {
@@ -379,73 +402,81 @@ ResultCache::resolveDefaultDir(const char **source)
 }
 
 std::string
-ResultCache::entryPath(const CacheKey &key) const
+ResultCache::logPath(const CacheKey &log) const
 {
-    return dir_ + "/" + key.hex() + ".simres";
+    return dir_ + "/" + log.hex() + ".simlog";
 }
 
-std::optional<SimResult>
-ResultCache::load(const CacheKey &key) const
+std::vector<CachedCell>
+ResultCache::read(const CacheKey &log) const
 {
     static Counter &misses =
         MetricsRegistry::instance().counter("cache.probe.miss");
+    static Counter &ioerrors =
+        MetricsRegistry::instance().counter("cache.probe.ioerror");
     static Counter &corruptions =
         MetricsRegistry::instance().counter("cache.probe.corrupt");
     static Counter &evictions =
         MetricsRegistry::instance().counter("cache.entry.evict");
 
     if (!enabled())
-        return std::nullopt;
+        return {};
 
     TELEM_SPAN(span, "cache.probe");
-    const std::string path = entryPath(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    const std::string path = logPath(log);
+    std::vector<std::uint8_t> bytes;
+    const FileRead status = readFile(path, bytes);
+    // Every complete frame must be a cell's conserving run; a shorter
+    // tail is an append in progress, or one a kill cut short.
+    const std::size_t frame = frameSize();
+    const std::size_t frames = bytes.size() / frame;
+    span.tag("frames", static_cast<std::uint64_t>(frames));
+    if (status != FileRead::Read) {
+        if (status == FileRead::IoError)
+            ioerrors.add();
         misses.add();
-        span.tag("result", "miss");
-        return std::nullopt;
+        return {};
     }
-    // An injected read fault degrades exactly like a real one: the
-    // probe is a miss (transient I/O error, entry kept) and the cell
-    // recomputes.
-    if (PP_FAILPOINT_FIRED("cache.load.read")) {
-        static Counter &ioerrors =
-            MetricsRegistry::instance().counter("cache.probe.ioerror");
-        ioerrors.add();
-        misses.add();
-        span.tag("result", "ioerror");
-        return std::nullopt;
-    }
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
 
-    SimResult out;
-    if (!deserializeSimResult(bytes, &out) || !isConservingRun(out)) {
-        corruptions.add();
-        span.tag("result", "corrupt");
-        // A corrupt entry used to be discarded silently; say where it
-        // was once per process (further ones only count — a damaged
-        // cache directory would otherwise spam one warning per cell).
-        static std::once_flag warned;
-        std::call_once(warned, [&]() {
-            PP_WARN("result cache: corrupt entry '", path,
-                    "' (recomputing and evicting; further corrupt "
-                    "entries are counted under cache.probe.corrupt "
-                    "without a warning)");
-        });
-        // Evict so the next run's probe is a clean miss rather than
-        // another deserialization failure of the same bytes.
-        std::error_code ec;
-        if (std::filesystem::remove(path, ec) && !ec)
-            evictions.add();
-        return std::nullopt;
+    std::vector<CachedCell> cells;
+    for (std::size_t k = 0; k < frames; ++k) {
+        const std::uint8_t *f = bytes.data() + k * frame;
+        CachedCell cell{{getU64(f), getU64(f + 8)}, {}};
+        if (fnv1a(f, frame - 8) != getU64(f + frame - 8) ||
+            !decodeEntry(f + 16, frame - 24, &cell.result) ||
+            !isConservingRun(cell.result)) {
+            corruptions.add();
+            // Say where the first one was (further ones only count: a
+            // damaged cache directory would otherwise spam a warning
+            // per log).
+            static std::once_flag warned;
+            std::call_once(warned, [&]() {
+                PP_WARN("result cache: damaged frame ", k, " in '", path,
+                        "' (evicting the log and recomputing its "
+                        "cells; further damaged logs are counted under "
+                        "cache.probe.corrupt without a warning)");
+            });
+            // Evict so the next read is a clean miss rather than
+            // another failure of the same bytes.
+            if (::unlink(path.c_str()) == 0)
+                evictions.add();
+            return {};
+        }
+        // The last frame of a key wins: it is the latest walk's.
+        const auto same = std::find_if(
+            cells.begin(), cells.end(),
+            [&](const CachedCell &c) { return c.key == cell.key; });
+        if (same != cells.end())
+            same->result = std::move(cell.result);
+        else
+            cells.push_back(std::move(cell));
     }
-    span.tag("result", "hit");
-    return out;
+    return cells;
 }
 
 bool
-ResultCache::store(const CacheKey &key, const SimResult &result) const
+ResultCache::append(const CacheKey &log,
+                    const std::vector<CachedCell> &cells) const
 {
     static Counter &stores =
         MetricsRegistry::instance().counter("cache.entry.store");
@@ -456,55 +487,65 @@ ResultCache::store(const CacheKey &key, const SimResult &result) const
         return false;
 
     TELEM_SPAN(span, "cache.store");
-    // Unique temp name per process and store call so concurrent
-    // writers never collide; rename within one directory is atomic.
-    static std::atomic<std::uint64_t> counter{0};
-    const std::string path = entryPath(key);
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid()) + "." +
-        std::to_string(counter.fetch_add(1));
-
-    const std::vector<std::uint8_t> bytes = serializeSimResult(result);
-    {
-        std::FILE *out = PP_FAILPOINT_FIRED("cache.store.open")
-                             ? nullptr
-                             : std::fopen(tmp.c_str(), "wb");
-        if (!out) {
-            failures.add();
-            return false;
-        }
-        bool ok = !PP_FAILPOINT_FIRED("cache.store.write") &&
-                  std::fwrite(bytes.data(), 1, bytes.size(), out) ==
-                      bytes.size();
-        ok = ok && std::fflush(out) == 0;
-        // Durability half of the atomic-rename contract: the payload
-        // must be on stable storage before the name is, or a crash
-        // right after the rename can leave a visible entry with
-        // zero-length or torn contents.
-        ok = ok && ::fsync(::fileno(out)) == 0;
-        ok = std::fclose(out) == 0 && ok;
-        if (!ok) {
-            std::error_code ec;
-            std::filesystem::remove(tmp, ec);
-            failures.add();
-            return false;
-        }
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(cells.size() * frameSize());
+    for (const CachedCell &cell : cells) {
+        const std::size_t begin = bytes.size();
+        putU64(bytes, cell.key.hi);
+        putU64(bytes, cell.key.lo);
+        const std::vector<std::uint8_t> entry =
+            serializeSimResult(cell.result);
+        bytes.insert(bytes.end(), entry.begin(), entry.end());
+        putU64(bytes, fnv1a(bytes.data() + begin, bytes.size() - begin));
     }
+    if (!cells.empty())
+        span.tag("workload", cells.front().result.workload);
+    span.tag("frames", static_cast<std::uint64_t>(cells.size()));
+    span.tag("bytes", static_cast<std::uint64_t>(bytes.size()));
 
-    std::error_code ec;
-    if (PP_FAILPOINT_FIRED("cache.store.rename")) {
-        std::filesystem::remove(tmp, ec);
-        failures.add();
+    const std::string path = logPath(log);
+    const Fd out(PP_FAILPOINT_FIRED("cache.store.open")
+                     ? -1
+                     : ::open(path.c_str(),
+                              O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC,
+                              0644));
+    // One write(2) call: O_APPEND makes it one atomic append on a local
+    // filesystem, where a buffered stream could split it into writes
+    // that interleave with another appender's. A short write leaves a
+    // torn tail: readers skip it until a later append lands behind it,
+    // and then evict the log, whose frames no longer align.
+    ssize_t written = -1;
+    if (out.get() >= 0 && !PP_FAILPOINT_FIRED("cache.store.write")) {
+        do {
+            written = ::write(out.get(), bytes.data(), bytes.size());
+        } while (written < 0 && errno == EINTR);
+    }
+    // The frames are durable before the store reports success. If the
+    // fsync fails they may still be served from the page cache; a later
+    // power loss then damages a frame and the reader evicts the log.
+    if (written != static_cast<ssize_t>(bytes.size()) ||
+        ::fsync(out.get()) != 0) {
+        failures.add(cells.size());
         return false;
     }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        std::filesystem::remove(tmp, ec);
-        failures.add();
-        return false;
-    }
-    stores.add();
+    stores.add(cells.size());
     return true;
+}
+
+std::optional<SimResult>
+ResultCache::load(const CacheKey &key) const
+{
+    for (CachedCell &cell : read(key)) {
+        if (cell.key == key)
+            return std::move(cell.result);
+    }
+    return std::nullopt;
+}
+
+bool
+ResultCache::store(const CacheKey &key, const SimResult &result) const
+{
+    return append(key, {CachedCell{key, result}});
 }
 
 } // namespace pipedepth

@@ -2,20 +2,25 @@
  * @file
  * Persistent, content-addressed store of simulation results.
  *
- * One cache entry holds the serialized counters of one SimResult,
- * filed under the hex form of its CacheKey (cache_key.hh). The store
- * is safe against concurrent writers (entries are written to a
- * temporary file and atomically renamed into place) and tolerant of
- * corruption: an entry that is truncated, bit-flipped, from a
- * different format version, otherwise unreadable, or not a conserving
- * run is treated as a miss and recomputed — a bad cache can cost
- * time, never correctness.
+ * The cache is a directory of append-only logs, one per trace:
+ * `<trace key>.simlog`, where the trace key is the hasher state every
+ * cell key of the trace shares (specCellHasher, traceCellHasher in
+ * cache_key.hh). A log is a run of fixed-size frames, one per cell:
+ * the cell's CacheKey, its entry exactly as serializeSimResult writes
+ * it, and an FNV-1a checksum of both. A writer appends a group of
+ * frames with one write(2) on an O_APPEND descriptor, then one fsync:
+ * no temp file, no lock, and concurrent appenders (threads, or shard
+ * processes) never interleave their bytes on a local filesystem.
+ *
+ * Reads are tolerant of corruption: a damaged frame (framing,
+ * checksum, or not a conserving run) evicts the whole log, so its
+ * cells read as misses and are recomputed. A bad cache can cost time,
+ * never correctness.
  *
  * The entry payload deliberately excludes the workload name and the
  * PipelineConfig: both are part of the key, so the engine reattaches
- * the exact request-side values on a hit. That keeps entries small
- * (a few hundred bytes) and the format free of variable-size
- * structures.
+ * the exact request-side values on a hit. That keeps frames small
+ * (a few hundred bytes) and of one size.
  */
 
 #ifndef PIPEDEPTH_SWEEP_RESULT_CACHE_HH
@@ -48,17 +53,24 @@ std::vector<std::uint8_t> serializeSimResult(const SimResult &result);
 bool deserializeSimResult(const std::vector<std::uint8_t> &bytes,
                           SimResult *out);
 
+/** One frame of a log: a cell's key and its run. */
+struct CachedCell
+{
+    CacheKey key;
+    SimResult result;
+};
+
 /**
- * Directory of serialized entries, one file per key.
+ * Directory of result logs, one per trace.
  *
- * Thread-safe: load/store may be called concurrently from sweep
- * workers. A default-constructed (disabled) cache misses on every
- * load and drops every store.
+ * Thread-safe: reads and appends may run concurrently from sweep
+ * workers and from other processes. A default-constructed (disabled)
+ * cache reads nothing and drops every append.
  */
 class ResultCache
 {
   public:
-    /** Disabled cache: no directory, all loads miss. */
+    /** Disabled cache: no directory, all reads miss. */
     ResultCache() = default;
 
     /**
@@ -91,31 +103,45 @@ class ResultCache
     const std::string &dir() const { return dir_; }
 
     /**
-     * Fetch the entry for @p key: nullopt on a miss, an I/O error or
-     * an entry that fails validation: framing, checksum, or a run's
-     * invariants (instructions, base work and cycles, a zero residual,
-     * buckets summing to cycles). A corrupt entry is evicted and
-     * counted under `cache.probe.corrupt`; the caller recomputes.
+     * Read log @p log once (the `cache.probe` span, tagged `frames`):
+     * the last frame of each key, in first-appearance order. A tail
+     * shorter than one frame is an append in progress, or one cut
+     * short, and is skipped. Empty when the log is absent or
+     * unreadable (`cache.probe.miss`, `cache.probe.ioerror`), or
+     * damaged: a complete frame failing framing, a checksum (key
+     * bytes included) or a run's invariants (instructions, base work
+     * and cycles, a zero residual, buckets summing to cycles) evicts
+     * the whole log, counted under `cache.probe.corrupt` and
+     * `cache.entry.evict`; the caller recomputes.
+     */
+    std::vector<CachedCell> read(const CacheKey &log) const;
+
+    /**
+     * Append @p cells to log @p log: one write(2) of every frame on an
+     * O_APPEND descriptor, then one fsync (the `cache.store` span,
+     * tagged `workload`, `frames` and `bytes`). Counts the cells under
+     * `cache.entry.store`, or under `cache.entry.store_fail` when the
+     * open, the write or the fsync fails; a failed open or write
+     * appends nothing.
+     * @return true if every frame was written and synced
+     */
+    bool append(const CacheKey &log,
+                const std::vector<CachedCell> &cells) const;
+
+    /**
+     * The one-cell case of read: the run filed under @p key in the log
+     * addressed by @p key itself, or nullopt.
      */
     std::optional<SimResult> load(const CacheKey &key) const;
 
     /**
-     * Persist @p result under @p key (atomic rename; last writer
-     * wins, which is harmless because entries are content-addressed).
-     * @return true if the entry was written
+     * The one-cell case of append: @p result under @p key, in the log
+     * addressed by @p key itself.
      */
     bool store(const CacheKey &key, const SimResult &result) const;
 
-    /** Path an entry for @p key would live at (for tests/tools). */
-    std::string entryPath(const CacheKey &key) const;
-
-    /**
-     * Remove `*.tmp.<pid>.<n>` files whose writer process is gone
-     * (crashed or killed mid-store). Runs automatically when a cache
-     * opens; exposed for tests. Removals are counted under the
-     * `cache.tmp.sweep` metric. @return files removed
-     */
-    std::size_t sweepStaleTempFiles() const;
+    /** Path of log @p log (for tests/tools). */
+    std::string logPath(const CacheKey &log) const;
 
   private:
     std::string dir_; //!< empty = disabled

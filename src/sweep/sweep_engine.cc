@@ -105,9 +105,9 @@ class CallTimer
 
 /**
  * What runGrid and runConfigs hand the cell pipeline: the workloads
- * and configs, and the three things that differ between a catalog
- * grid and an explicit trace. Every workload runs every config: cell
- * i is workload i / |configs| under config i % |configs|, so each
+ * and configs, and the things that differ between a catalog grid and
+ * an explicit trace. Every workload runs every config: cell i is
+ * workload i / |configs| under config i % |configs|, so each
  * workload's cells are contiguous.
  */
 struct SweepEngine::CellPlan
@@ -115,9 +115,13 @@ struct SweepEngine::CellPlan
     std::vector<std::string> names;      //!< one per workload
     std::vector<PipelineConfig> configs; //!< run for every workload
 
-    /** Cache key of a cell: simCellKey or traceCellKey. */
-    std::function<CacheKey(std::size_t workload, const PipelineConfig &)>
-        key;
+    /** Per workload when caching, the hasher state its cells' keys
+     *  share (specCellHasher or traceCellHasher): a cell's key is
+     *  cellKey(traces[w], config), and traces[w].key() names the
+     *  workload's log. */
+    std::vector<StableHasher> traces;
+    /** Instructions every cell's run times: the trace length. */
+    std::uint64_t instructions = 0;
     /** Replay buffer of a workload. Called at most once per workload,
      *  and only on a cache miss. */
     std::function<ReplayBuffer(std::size_t workload)> replay;
@@ -332,9 +336,10 @@ SweepEngine::resolveCells(const CellPlan &plan)
     };
 
     // Resolve cell @p i without a walk when it can be: an interrupt
-    // hole or a cache hit. @p key receives the cell's cache key when
-    // caching is on.
-    auto probe = [&](std::size_t i, SimResult &out, CacheKey &key) -> bool {
+    // hole, or a frame of @p log (its workload's log, as one read left
+    // it) under @p key that is this cell's run.
+    auto probe = [&](std::size_t i, const std::vector<CachedCell> &log,
+                     const CacheKey &key, SimResult &out) -> bool {
         const PipelineConfig &config = plan.configOf(i);
         const std::string &name = plan.names[plan.workloadOf(i)];
         const int depth = config.depth;
@@ -351,20 +356,21 @@ SweepEngine::resolveCells(const CellPlan &plan)
             return true;
         }
 
-        if (cache_.enabled()) {
-            key = plan.key(plan.workloadOf(i), config);
-            // An entry of another depth is not this cell's run: walk
-            // the cell, and its store replaces the entry.
-            if (auto hit = cache_.load(key); hit && hit->depth == depth) {
-                hit->workload = name;
-                hit->config = config;
-                recorder.record(i, {.outcome = Outcome::Cached,
-                                    .instructions = hit->instructions});
-                out = std::move(*hit);
-                return true;
-            }
-        }
-        return false;
+        // A frame of another depth or trace length is not this cell's
+        // run (every timed instruction is in the trace): walk the
+        // cell, and its frame supersedes this one.
+        const auto hit = std::find_if(
+            log.begin(), log.end(),
+            [&](const CachedCell &c) { return c.key == key; });
+        if (hit == log.end() || hit->result.depth != depth ||
+            hit->result.instructions != plan.instructions)
+            return false;
+        out = hit->result;
+        out.workload = name;
+        out.config = config;
+        recorder.record(i, {.outcome = Outcome::Cached,
+                            .instructions = out.instructions});
+        return true;
     };
 
     // The one walk route: cells @p todo of the group starting at
@@ -417,13 +423,19 @@ SweepEngine::resolveCells(const CellPlan &plan)
                 quarantine(i);
             return;
         }
+        // One append of every walked cell's frame, then one fsync.
+        std::vector<CachedCell> frames;
+        frames.reserve(survivors.size());
+        for (std::size_t m = 0; m < survivors.size(); ++m)
+            frames.push_back({keys[survivors[m]], std::move(walked[m])});
+        if (cache_.enabled())
+            cache_.append(plan.traces[w].key(), frames);
         for (std::size_t m = 0; m < survivors.size(); ++m) {
             const std::size_t i = survivors[m];
-            cache_.store(keys[i], walked[m]);
             recorder.record(begin + i,
                             {.outcome = Outcome::Computed,
-                             .instructions = walked[m].instructions});
-            out[i] = std::move(walked[m]);
+                             .instructions = frames[m].result.instructions});
+            out[i] = std::move(frames[m].result);
         }
     };
 
@@ -485,23 +497,31 @@ SweepEngine::resolveCells(const CellPlan &plan)
     auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
         // However the group resolves (walked, all hits, shard wait,
         // drain), its end may be its workload's last.
-        const ScopeExit group_end(
-            [&] { groupResolved(plan.workloadOf(group.begin)); });
+        const std::size_t w = plan.workloadOf(group.begin);
+        const ScopeExit group_end([&] { groupResolved(w); });
         const std::size_t count = group.end - group.begin;
         std::vector<SimResult> out(count);
         std::vector<CacheKey> keys(count);
+        if (cache_.enabled()) {
+            for (std::size_t i = 0; i < count; ++i)
+                keys[i] = cellKey(plan.traces[w],
+                                  plan.configOf(group.begin + i));
+        }
         std::vector<char> resolved(count, 0);
 
-        // Probe every still-unresolved cell and return the indices
-        // left over. The resolved flags make re-probes — the shard
-        // wait loop probes after every poll round — record each cell
-        // exactly once.
+        // Read the workload's log once, probe every still-unresolved
+        // cell against it and return the indices left over. The
+        // resolved flags make re-probes — the shard wait loop probes
+        // after every poll round — record each cell exactly once.
         auto probeMissing = [&]() {
+            std::vector<CachedCell> log;
+            if (cache_.enabled())
+                log = cache_.read(plan.traces[w].key());
             std::vector<std::size_t> missing;
             for (std::size_t i = 0; i < count; ++i) {
                 if (resolved[i])
                     continue;
-                if (probe(group.begin + i, out[i], keys[i]))
+                if (probe(group.begin + i, log, keys[i], out[i]))
                     resolved[i] = 1;
                 else
                     missing.push_back(i);
@@ -523,7 +543,7 @@ SweepEngine::resolveCells(const CellPlan &plan)
         // process and every run — group order and thread count cannot
         // leak in.
         StableHasher group_hasher;
-        plan.group_prefix(group_hasher, plan.workloadOf(group.begin));
+        plan.group_prefix(group_hasher, w);
         for (std::size_t i = group.begin; i < group.end; ++i)
             hashPipelineConfig(group_hasher, plan.configOf(i));
         const std::string group_key = group_hasher.key().hex();
@@ -578,12 +598,13 @@ SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
                           std::vector<PipelineConfig> configs)
 {
     CellPlan plan;
-    for (const WorkloadSpec &spec : specs)
+    for (const WorkloadSpec &spec : specs) {
         plan.names.push_back(spec.name);
+        if (cache_.enabled())
+            plan.traces.push_back(specCellHasher(spec, trace_length));
+    }
     plan.configs = std::move(configs);
-    plan.key = [&](std::size_t s, const PipelineConfig &config) {
-        return simCellKey(specs[s], trace_length, config);
-    };
+    plan.instructions = trace_length;
     // The intermediate Trace is dropped as soon as the buffer is built.
     plan.replay = [&](std::size_t s) {
         plan.traces_generated.fetch_add(1);
@@ -709,25 +730,19 @@ SweepEngine::runConfigs(const Trace &trace,
     grid_span.tag("workload", trace.name);
     grid_span.tag("configs", static_cast<std::uint64_t>(configs.size()));
 
+    CellPlan plan;
+    plan.names = {trace.name};
+    plan.configs = configs;
+    plan.instructions = trace.records.size();
     // Hash the records once per call, not once per config: every
     // cell's key is this state with its config appended.
-    StableHasher records;
     if (cache_.enabled()) {
         TELEM_SPAN(key_span, "sweep.key");
         key_span.tag("workload", trace.name);
         key_span.tag("records",
                      static_cast<std::uint64_t>(trace.records.size()));
-        records = traceCellHasher(trace);
+        plan.traces = {traceCellHasher(trace)};
     }
-
-    CellPlan plan;
-    plan.names = {trace.name};
-    plan.configs = configs;
-    plan.key = [&](std::size_t, const PipelineConfig &config) {
-        StableHasher h = records;
-        hashPipelineConfig(h, config);
-        return h.key();
-    };
     plan.replay = [&](std::size_t) { return prepareReplay(trace); };
     // The trace name stands in for the trace in the group key: the
     // cells' cache keys already hash every record.

@@ -14,7 +14,8 @@
  *  - memoizes every SimResult in a content-addressed on-disk cache
  *    (result_cache.hh) keyed by workload spec, trace length, pipeline
  *    configuration and simulator version (cache_key.hh), so re-runs
- *    of figures and ablations cost milliseconds;
+ *    of figures and ablations cost milliseconds: one append-only log
+ *    per trace, read once per cell group and appended once per walk;
  *  - generates each workload trace at most once per grid, and not at
  *    all when every cell of the workload is cached, and frees its
  *    replay when the workload's last cell group resolves, so an
@@ -214,8 +215,9 @@ class SweepEngine
 
     /**
      * The one cell pipeline behind runGrid and runConfigs
-     * (docs/SWEEP_ENGINE.md): per group of cells, probe → claim →
-     * walk (one simulateMultiDepth call) → record. Returns
+     * (docs/SWEEP_ENGINE.md): per group of cells, probe (one read of
+     * the workload's log) → claim → walk (one simulateMultiDepth
+     * call, one append of its frames) → record. Returns
      * every cell's result in plan order, and lists each hole in
      * lastFailures().
      */
@@ -223,8 +225,9 @@ class SweepEngine
 
     /**
      * Every @p specs workload under every config, through the catalog
-     * plan (docs/SWEEP_ENGINE.md): simCellKey addresses, a trace
-     * generated only on a miss, the `"grid"` group-key prefix.
+     * plan (docs/SWEEP_ENGINE.md): simCellKey addresses in one log per
+     * spec, a trace generated only on a miss, the `"grid"` group-key
+     * prefix.
      */
     std::vector<SimResult>
     resolveSpecs(const std::vector<WorkloadSpec> &specs,

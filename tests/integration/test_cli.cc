@@ -27,6 +27,7 @@
 #include "common/json.hh"
 #include "isa/isa.hh"
 #include "ledger/stall_ledger.hh"
+#include "support/cached_cells.hh"
 #include "trace/trace_io.hh"
 #include "workloads/catalog.hh"
 
@@ -67,10 +68,7 @@ runPipesimCached(const std::string &args, std::size_t *entries)
     const int rc = runPipesim(args);
     ::unsetenv("PIPEDEPTH_CACHE_DIR");
 
-    *entries = 0;
-    std::error_code ec;
-    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
-        *entries += e.path().extension() == ".simres" ? 1 : 0;
+    *entries = cachedCellCount(cache);
     std::filesystem::remove_all(cache);
     return rc;
 }

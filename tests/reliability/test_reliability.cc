@@ -32,6 +32,7 @@
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
 #include "common/json.hh"
+#include "support/cached_cells.hh"
 #include "support/metric_deltas.hh"
 #include "support/subprocess.hh"
 #include "sweep/depth_sweep.hh"
@@ -62,17 +63,6 @@ std::size_t
 cellCount(const SweepOptions &opt)
 {
     return static_cast<std::size_t>(opt.max_depth - opt.min_depth + 1);
-}
-
-/** Result-cache entries published in @p cache (0 if it is absent). */
-std::size_t
-simresCount(const std::filesystem::path &cache)
-{
-    std::error_code ec;
-    std::size_t n = 0;
-    for (const auto &e : std::filesystem::directory_iterator(cache, ec))
-        n += e.path().extension() == ".simres" ? 1 : 0;
-    return n;
 }
 
 /** Private temp dir per test; failpoints and interrupts cleared. */
@@ -113,7 +103,7 @@ class ReliabilityTest : public ::testing::Test
     std::size_t
     cacheEntryCount() const
     {
-        return simresCount(dir_ / "cache");
+        return cachedCellCount(dir_ / "cache");
     }
 
     std::filesystem::path dir_;
@@ -150,13 +140,13 @@ TEST_F(ReliabilityTest, QuarantinedCellHealsOnRerun)
         EXPECT_EQ(tally["sweep.cell.quarantine"], 1u);
         EXPECT_EQ(tally["sweep.cell.compute"], cellCount(opt) - 1);
         EXPECT_EQ(cacheEntryCount(), cellCount(opt) - 1);
-        const ResultCache cache((dir_ / "cache").string());
-        EXPECT_FALSE(
-            cache
-                .load(simCellKey(
-                    spec, opt.trace_length,
-                    opt.configAtDepth(engine.lastFailures()[0].depth)))
-                .has_value());
+        const CacheKey hole = simCellKey(
+            spec, opt.trace_length,
+            opt.configAtDepth(engine.lastFailures()[0].depth));
+        for (const CachedCell &cell :
+             ResultCache((dir_ / "cache").string())
+                 .read(specCellHasher(spec, opt.trace_length).key()))
+            EXPECT_NE(cell.key, hole);
         // The armed run takes the production walk: the 5 cells form
         // groups of 4 and 1, and each group's survivors walk together,
         // so there are fewer walks than computed cells.
@@ -254,25 +244,27 @@ TEST_F(ReliabilityTest, StoreWriteFaultDegradesToUncached)
         // A cache fault is not a cell fault.
         EXPECT_TRUE(engine.runSweep(spec, opt).has_value());
         EXPECT_EQ(tally["cache.entry.store"], 0u);
+        EXPECT_EQ(tally["cache.entry.store_fail"], cellCount(opt));
         EXPECT_EQ(cacheEntryCount(), 0u);
     }
-    // No torn temp files left behind either.
-    std::size_t leftovers = 0;
+    // The opened log is all that is left: no frame, and no other file.
     for (const auto &e :
-         std::filesystem::directory_iterator(dir_ / "cache"))
-        leftovers += e.path().string().find(".tmp.") != std::string::npos;
-    EXPECT_EQ(leftovers, 0u);
+         std::filesystem::directory_iterator(dir_ / "cache")) {
+        EXPECT_EQ(e.path().extension(), ".simlog") << e.path();
+        EXPECT_EQ(std::filesystem::file_size(e.path()), 0u) << e.path();
+    }
 }
 
-TEST_F(ReliabilityTest, StoreRenameFaultLeavesNoEntry)
+TEST_F(ReliabilityTest, StoreOpenFaultLeavesNoEntry)
 {
-    ScopedFailpoints guard("cache.store.rename=always");
+    ScopedFailpoints guard("cache.store.open=always");
     const MetricDeltas tally;
     SweepEngine engine = makeEngine(true);
-    EXPECT_TRUE(
-        engine.runSweep(findWorkload("db1"), fastOptions()).has_value());
+    const SweepOptions opt = fastOptions();
+    EXPECT_TRUE(engine.runSweep(findWorkload("db1"), opt).has_value());
     EXPECT_EQ(tally["cache.entry.store"], 0u);
-    EXPECT_EQ(cacheEntryCount(), 0u);
+    EXPECT_EQ(tally["cache.entry.store_fail"], cellCount(opt));
+    EXPECT_TRUE(std::filesystem::is_empty(dir_ / "cache"));
 }
 
 TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
@@ -384,12 +376,12 @@ TEST_F(ReliabilityTest, ConcurrentFaultyWritersNeverExposeTornEntry)
         const pid_t pid = fork();
         ASSERT_NE(pid, -1);
         if (pid == 0) {
-            // Child: hammer the same key with stores, each write or
-            // rename failing with seeded probability 0.5.
+            // Child: hammer the same key with stores, each open or
+            // write failing with seeded probability 0.5.
             failpoints::reset();
             failpoints::setSeed(1000 + static_cast<std::uint64_t>(w));
             failpoints::configure(
-                "cache.store.write=p:0.5;cache.store.rename=p:0.5");
+                "cache.store.open=p:0.5;cache.store.write=p:0.5");
             const ResultCache cache(cache_dir);
             for (int i = 0; i < kStoresPerWriter; ++i)
                 cache.store(key, result);
@@ -457,7 +449,7 @@ slurp(const std::filesystem::path &path)
 
 /**
  * Start `pipesim ARGS` on result cache @p cache with its output
- * discarded, wait until the cache holds a published entry — the
+ * discarded, wait until the cache holds a complete frame — the
  * progress a re-run picks up — then send @p signal and reap the
  * process. @return its wait status.
  */
@@ -481,7 +473,7 @@ interruptOnceCached(const std::filesystem::path &cache,
         ::execv(PIPESIM_PATH, argv.data());
         ::_exit(127);
     }
-    for (int i = 0; i < 2000 && simresCount(cache) == 0; ++i)
+    for (int i = 0; i < 2000 && cachedCellCount(cache) == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ::kill(pid, signal);
     int status = 0;
@@ -513,7 +505,7 @@ TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
                          "--length", "60000", "--warmup", "10000",
                          "--threads", "2"},
                         SIGKILL);
-    ASSERT_GE(simresCount(victim_cache), 1u);
+    ASSERT_GE(cachedCellCount(victim_cache), 1u);
 
     // Resume is the same command on the same cache: cached cells
     // replay, the rest compute, and the grid matches the reference
@@ -630,7 +622,7 @@ TEST_F(ReliabilityTest, PipesimRerunHealsQuarantinedCells)
     EXPECT_EQ(cellCounts(dir_ / "m1.json"),
               (std::vector<double>{24, 16, 0, 8}));
     EXPECT_EQ(slurp(dir_ / "faulty.csv"), "");
-    EXPECT_EQ(simresCount(dir_ / "cache"), 16u);
+    EXPECT_EQ(cachedCellCount(dir_ / "cache"), 16u);
 
     EXPECT_EQ(runShell(cached + " --manifest-out " +
                        (dir_ / "m2.json").string() + " > " +
@@ -690,7 +682,7 @@ TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
     // may also already be done, the benign race this test accepts).
     // It stays unreaped until the survivors finish: a zombie holds no
     // locks.
-    for (int i = 0; i < 2000 && simresCount(shared_cache) == 0; ++i)
+    for (int i = 0; i < 2000 && cachedCellCount(shared_cache) == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ::kill(workers[1], SIGKILL);
 

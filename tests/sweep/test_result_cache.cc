@@ -1,9 +1,11 @@
 /**
  * @file
  * Tests for SimResult serialization and the on-disk result cache:
- * exact round trips, atomic store/load, and — critically — silent
- * tolerance of truncated, bit-flipped, mislabeled or oversized
- * entries (a bad cache entry must read as a miss, never crash or
+ * exact round trips, the one-cell store/load, the per-trace log
+ * (one file, the last frame of a key served, a short tail skipped,
+ * concurrent appenders losing no frame) and — critically — silent
+ * tolerance of bit-flipped, mislabeled or non-conserving frames (a
+ * damaged log must read as misses and be evicted, never crash or
  * return garbage).
  */
 
@@ -20,11 +22,13 @@
 #include <utility>
 #include <vector>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include "power/activity_power.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
+#include "support/cached_cells.hh"
 #include "support/metric_deltas.hh"
 #include "sweep/result_cache.hh"
 #include "trace/trace_io.hh"
@@ -202,17 +206,138 @@ TEST_F(ResultCacheTest, MissingEntryIsCleanMiss)
     EXPECT_EQ(tally["cache.probe.miss"], 1u);
 }
 
-TEST_F(ResultCacheTest, TruncatedEntryReadsAsCorruptMiss)
+/** Three distinct conserving cells under keys {1, k}. */
+std::vector<CachedCell>
+threeCells()
+{
+    std::vector<CachedCell> cells;
+    for (std::uint64_t k = 1; k <= 3; ++k) {
+        SimResult r = conservingResult();
+        r.depth = static_cast<int>(k);
+        cells.push_back({{1, k}, r});
+    }
+    return cells;
+}
+
+std::vector<std::uint8_t>
+fileBytes(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+void
+writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char *>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST_F(ResultCacheTest, TruncatedLogServesCompleteFrames)
+{
+    // A tail shorter than one frame is an append in progress, or one
+    // a kill cut short: skipped, never corrupt.
+    const ResultCache cache(dir_.string());
+    const CacheKey log{0xdead, 0xbeef};
+    const std::vector<CachedCell> cells = threeCells();
+    ASSERT_TRUE(cache.append(log, cells));
+    const std::string path = cache.logPath(log);
+    const std::uintmax_t frame = std::filesystem::file_size(path) / 3;
+
+    std::filesystem::resize_file(path, 2 * frame + frame / 2);
+    const MetricDeltas tally;
+    const std::vector<CachedCell> read = cache.read(log);
+    ASSERT_EQ(read.size(), 2u);
+    for (std::size_t i = 0; i < read.size(); ++i) {
+        EXPECT_EQ(read[i].key, cells[i].key);
+        expectMeasurementsEqual(read[i].result, cells[i].result);
+    }
+    std::filesystem::resize_file(path, frame - 1);
+    EXPECT_TRUE(cache.read(log).empty());
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
+    EXPECT_EQ(tally["cache.entry.evict"], 0u);
+    EXPECT_TRUE(std::filesystem::exists(path));
+}
+
+TEST_F(ResultCacheTest, DamagedFrameEvictsTheLog)
+{
+    // Every byte of a complete frame is protected, its key included:
+    // one flipped bit anywhere evicts the whole log.
+    const ResultCache cache(dir_.string());
+    const CacheKey log{0xfeed, 0xbeef};
+    ASSERT_TRUE(cache.append(log, threeCells()));
+    const std::string path = cache.logPath(log);
+    const std::vector<std::uint8_t> pristine = fileBytes(path);
+    const std::size_t frame = pristine.size() / 3;
+    for (std::size_t i = frame; i < 2 * frame; ++i) {
+        std::vector<std::uint8_t> bytes = pristine;
+        bytes[i] ^= 0x08;
+        writeBytes(path, bytes);
+        const MetricDeltas tally;
+        EXPECT_TRUE(cache.read(log).empty()) << "byte " << i;
+        EXPECT_EQ(tally["cache.probe.corrupt"], 1u) << "byte " << i;
+        EXPECT_EQ(tally["cache.entry.evict"], 1u) << "byte " << i;
+        EXPECT_FALSE(std::filesystem::exists(path)) << "byte " << i;
+    }
+}
+
+TEST_F(ResultCacheTest, LastFrameOfAKeyIsServed)
 {
     const ResultCache cache(dir_.string());
-    const SimResult original = conservingResult();
-    const CacheKey key{0xdead, 0xbeef};
-    ASSERT_TRUE(cache.store(key, original));
+    const CacheKey key{0xabc, 0xdef};
+    SimResult first = conservingResult();
+    SimResult second = conservingResult();
+    second.depth = first.depth + 1;
+    ASSERT_TRUE(cache.store(key, first));
+    ASSERT_TRUE(cache.store(key, second));
+    const std::vector<CachedCell> read = cache.read(key);
+    ASSERT_EQ(read.size(), 1u);
+    expectMeasurementsEqual(read[0].result, second);
+}
 
-    std::filesystem::resize_file(cache.entryPath(key), 40);
+TEST_F(ResultCacheTest, ForkedAppendersLoseNoFrame)
+{
+    // Two processes append groups of frames to one log at once: each
+    // append is one write(2) on an O_APPEND descriptor, so no frame is
+    // lost or torn.
+    const std::string dir = dir_.string();
+    const CacheKey log{0x5eed, 0x10c};
+    constexpr std::uint64_t kAppends = 40;
+    constexpr std::uint64_t kFrames = 6;
+    std::vector<pid_t> children;
+    for (std::uint64_t writer = 0; writer < 2; ++writer) {
+        const pid_t pid = ::fork();
+        ASSERT_NE(pid, -1);
+        if (pid == 0) {
+            const ResultCache cache(dir);
+            bool ok = true;
+            for (std::uint64_t a = 0; a < kAppends; ++a) {
+                std::vector<CachedCell> cells;
+                for (std::uint64_t f = 0; f < kFrames; ++f) {
+                    cells.push_back({{writer, a * kFrames + f},
+                                     conservingResult()});
+                }
+                ok = cache.append(log, cells) && ok;
+            }
+            ::_exit(ok ? 0 : 1);
+        }
+        children.push_back(pid);
+    }
+    for (const pid_t pid : children) {
+        int status = 0;
+        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_TRUE(WIFEXITED(status));
+        EXPECT_EQ(WEXITSTATUS(status), 0);
+    }
+    const ResultCache cache(dir);
     const MetricDeltas tally;
-    EXPECT_FALSE(cache.load(key).has_value());
-    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
+    std::set<std::pair<std::uint64_t, std::uint64_t>> keys;
+    for (const CachedCell &cell : cache.read(log))
+        keys.insert({cell.key.hi, cell.key.lo});
+    EXPECT_EQ(keys.size(), 2 * kAppends * kFrames);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
 }
 
 TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
@@ -223,7 +348,7 @@ TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
     ASSERT_TRUE(cache.store(key, original));
 
     // Flip one payload bit on disk.
-    const std::string path = cache.entryPath(key);
+    const std::string path = cache.logPath(key);
     std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
     f.seekg(100);
     char byte = 0;
@@ -267,52 +392,25 @@ TEST_F(ResultCacheTest, NonConservingEntryReadsAsCorruptMiss)
         EXPECT_FALSE(cache.load(key).has_value()) << i;
         EXPECT_EQ(tally["cache.probe.corrupt"], 1u) << i;
         EXPECT_EQ(tally["cache.entry.evict"], 1u) << i;
-        EXPECT_FALSE(std::filesystem::exists(cache.entryPath(key))) << i;
+        EXPECT_FALSE(std::filesystem::exists(cache.logPath(key))) << i;
     }
 }
 
 TEST_F(ResultCacheTest, StoreLeavesNoTempFiles)
 {
+    // Appends write their logs in place: the directory holds one
+    // `.simlog` per log and nothing else.
     const ResultCache cache(dir_.string());
     ASSERT_TRUE(cache.store(CacheKey{1, 1}, conservingResult()));
     ASSERT_TRUE(cache.store(CacheKey{2, 2}, conservingResult()));
+    ASSERT_TRUE(cache.append(CacheKey{3, 3}, threeCells()));
     std::size_t files = 0;
     for (const auto &entry : std::filesystem::directory_iterator(dir_)) {
         ++files;
-        EXPECT_EQ(entry.path().extension(), ".simres") << entry.path();
+        EXPECT_EQ(entry.path().extension(), ".simlog") << entry.path();
     }
-    EXPECT_EQ(files, 2u);
-}
-
-TEST_F(ResultCacheTest, SweepRemovesDeadWritersTempFilesOnly)
-{
-    const ResultCache cache(dir_.string());
-    ASSERT_TRUE(cache.store(CacheKey{1, 1}, conservingResult()));
-
-    // A tmp file from a long-dead writer (pid 1 is init — alive but
-    // unsignalable from an unprivileged test, so use a pid far above
-    // any plausible live process instead) and one from this process.
-    const std::string entry = cache.entryPath(CacheKey{2, 2});
-    const std::string dead = entry + ".tmp.999999999.0";
-    const std::string live =
-        entry + ".tmp." + std::to_string(::getpid()) + ".0";
-    std::ofstream(dead) << "torn";
-    std::ofstream(live) << "in flight";
-
-    EXPECT_EQ(cache.sweepStaleTempFiles(), 1u);
-    EXPECT_FALSE(std::filesystem::exists(dead));
-    EXPECT_TRUE(std::filesystem::exists(live));
-
-    // Opening a new cache on the directory sweeps automatically.
-    std::ofstream(dead) << "torn again";
-    const ResultCache reopened(dir_.string());
-    EXPECT_FALSE(std::filesystem::exists(dead));
-    EXPECT_TRUE(std::filesystem::exists(live));
-
-    // Real entries and non-matching names are never touched.
-    const MetricDeltas tally;
-    EXPECT_TRUE(cache.load(CacheKey{1, 1}).has_value());
-    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
+    EXPECT_EQ(files, 3u);
+    EXPECT_EQ(cachedCellCount(dir_), 5u);
 }
 
 TEST(ResultCacheDisabled, DisabledCacheMissesAndDropsStores)
@@ -356,6 +454,11 @@ TEST(CacheKeyHex, SimCellKeyPinned)
     options.warmup_instructions = 10000;
     EXPECT_EQ(simCellKey(findWorkload("gcc95"), 30000,
                          options.configAtDepth(8))
+                  .hex(),
+              "aa0e24be3f42e502ac491f77cbb25c92");
+    // Its trace's hasher state, with the config appended, is the cell.
+    EXPECT_EQ(cellKey(specCellHasher(findWorkload("gcc95"), 30000),
+                      options.configAtDepth(8))
                   .hex(),
               "aa0e24be3f42e502ac491f77cbb25c92");
 }

@@ -1,9 +1,11 @@
 /**
  * @file
  * SweepEngine behaviour tests: the registry's tally of cold and warm
- * runs (read as the change across each call), silent recomputation of
- * corrupt cache entries and of entries that are not the cell's run
- * (non-conserving, or another depth's), the --no-cache escape hatch,
+ * runs (read as the change across each call), one result log per
+ * trace (one append per walked group, a truncated log's complete
+ * frames served), silent recomputation of damaged logs and of frames
+ * that are not the cell's run (non-conserving, or another depth's or
+ * trace length's), the --no-cache escape hatch,
  * explicit-trace (runConfigs) caching and its one trace hash per call,
  * the spec form of runConfigs (same bytes as the trace form, runGrid's
  * cache addresses), the shared SweepResult assembly, the summary that
@@ -14,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -23,6 +27,7 @@
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
 #include "common/json.hh"
+#include "support/cached_cells.hh"
 #include "support/metric_deltas.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/result_cache.hh"
@@ -65,23 +70,35 @@ class SweepEngineTest : public ::testing::Test
     void TearDown() override { std::filesystem::remove_all(dir_); }
 
     SweepEngine
-    makeEngine(bool use_cache = true)
+    makeEngine(bool use_cache = true, unsigned threads = 0)
     {
         SweepEngineOptions opt;
         opt.use_cache = use_cache;
         opt.cache_dir = dir_.string();
+        opt.threads = threads;
         return SweepEngine(opt);
     }
 
+    /** Files in the cache directory, each of which must be a log. */
     std::size_t
-    entryFileCount() const
+    logFileCount() const
     {
-        if (!std::filesystem::exists(dir_))
-            return 0;
         std::size_t n = 0;
-        for (const auto &e : std::filesystem::directory_iterator(dir_))
-            n += e.path().extension() == ".simres" ? 1 : 0;
+        for (const auto &e : std::filesystem::directory_iterator(dir_)) {
+            EXPECT_EQ(e.path().extension(), ".simlog") << e.path();
+            ++n;
+        }
         return n;
+    }
+
+    /** The one log file in the cache directory (empty if none). */
+    std::filesystem::path
+    onlyLog() const
+    {
+        EXPECT_EQ(logFileCount(), 1u);
+        for (const auto &e : std::filesystem::directory_iterator(dir_))
+            return e.path();
+        return {};
     }
 
     std::filesystem::path dir_;
@@ -111,7 +128,8 @@ TEST_F(SweepEngineTest, ColdRunAccountsEveryCell)
     EXPECT_EQ(tally["sweep.instructions.simulate"], instructions);
     EXPECT_GT(instructions, 0u);
     EXPECT_EQ(tally["sweep.call.wall_us"], 1u); // one sample per call
-    EXPECT_EQ(entryFileCount(), 5u);
+    EXPECT_EQ(cachedCellCount(dir_), 5u);
+    EXPECT_EQ(logFileCount(), 1u);
 }
 
 TEST_F(SweepEngineTest, WarmRunServesEverythingFromCache)
@@ -150,82 +168,230 @@ TEST_F(SweepEngineTest, DifferentOptionsMissTheCache)
 
 TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
 {
-    SweepEngine cold = makeEngine();
-    const auto original =
-        cold.runGrid({findWorkload("gcc95")}, fastOptions());
+    // One thread: the five cells form groups of 4 and 1, appended in
+    // that order, so the log holds five frames and the repair run
+    // reads it once before its first walk.
+    const auto original = makeEngine(true, 1).runGrid(
+        {findWorkload("gcc95")}, fastOptions());
+    const std::filesystem::path log = onlyLog();
+    const std::uintmax_t frame = std::filesystem::file_size(log) / 5;
 
-    // Flip one payload bit in one entry on disk.
-    ASSERT_EQ(entryFileCount(), 5u);
-    const auto victim =
-        std::filesystem::directory_iterator(dir_)->path();
-    {
-        std::fstream f(victim,
-                       std::ios::binary | std::ios::in | std::ios::out);
-        f.seekg(60);
-        char byte = 0;
-        f.read(&byte, 1);
-        f.seekp(60);
-        f.put(static_cast<char>(byte ^ 0x40));
+    // Flip one bit of a key byte, then of a payload byte, of the
+    // third frame: either evicts the whole log.
+    for (const std::uintmax_t offset : {2 * frame + 3, 2 * frame + 60}) {
+        {
+            std::fstream f(log,
+                           std::ios::binary | std::ios::in | std::ios::out);
+            f.seekg(static_cast<std::streamoff>(offset));
+            char byte = 0;
+            f.read(&byte, 1);
+            f.seekp(static_cast<std::streamoff>(offset));
+            f.put(static_cast<char>(byte ^ 0x40));
+        }
+
+        const MetricDeltas repair_tally;
+        const auto again = makeEngine(true, 1).runGrid(
+            {findWorkload("gcc95")}, fastOptions());
+        EXPECT_EQ(repair_tally["cache.probe.corrupt"], 1u) << offset;
+        EXPECT_EQ(repair_tally["cache.entry.evict"], 1u) << offset;
+        EXPECT_EQ(repair_tally["sweep.cell.compute"], 5u) << offset;
+        EXPECT_EQ(repair_tally["sweep.cell.cached"], 0u) << offset;
+        EXPECT_EQ(repair_tally["cache.entry.store"], 5u) << offset;
+        // The recomputed cells are indistinguishable from the original
+        // run.
+        ASSERT_EQ(again[0].runs.size(), original[0].runs.size());
+        for (std::size_t j = 0; j < again[0].runs.size(); ++j)
+            EXPECT_EQ(serializeSimResult(again[0].runs[j]),
+                      serializeSimResult(original[0].runs[j]));
+
+        // And the walks wrote a fresh log: a third run is all hits.
+        const MetricDeltas verify_tally;
+        makeEngine().runGrid({findWorkload("gcc95")}, fastOptions());
+        EXPECT_EQ(verify_tally["sweep.cell.cached"], 5u) << offset;
+        EXPECT_EQ(verify_tally["cache.probe.corrupt"], 0u) << offset;
+        ASSERT_EQ(onlyLog(), log);
     }
+}
 
-    const MetricDeltas repair_tally;
-    SweepEngine repair = makeEngine();
-    const auto again =
-        repair.runGrid({findWorkload("gcc95")}, fastOptions());
+TEST_F(SweepEngineTest, TruncatedLogServesCompleteFramesAndWalksTheRest)
+{
+    // Depths 2..5 on one thread: one group, one append of four frames.
+    SweepOptions opt = fastOptions();
+    opt.max_depth = 5;
+    const WorkloadSpec &spec = findWorkload("gcc95");
+    const auto original = makeEngine(true, 1).runGrid({spec}, opt);
+    const std::filesystem::path log = onlyLog();
+    const std::uintmax_t frame = std::filesystem::file_size(log) / 4;
+    auto expectOriginalBytes = [&](const std::vector<SweepResult> &got) {
+        ASSERT_EQ(got.size(), 1u);
+        ASSERT_EQ(got[0].runs.size(), 4u);
+        for (std::size_t j = 0; j < got[0].runs.size(); ++j)
+            EXPECT_EQ(serializeSimResult(got[0].runs[j]),
+                      serializeSimResult(original[0].runs[j]))
+                << j;
+    };
 
-    EXPECT_EQ(repair_tally["cache.probe.corrupt"], 1u);
-    EXPECT_EQ(repair_tally["sweep.cell.compute"], 1u);
-    EXPECT_EQ(repair_tally["sweep.cell.cached"], 4u);
-    EXPECT_EQ(repair_tally["cache.entry.store"], 1u); // the repaired entry
-    // The recomputed cell is indistinguishable from the original run.
-    ASSERT_EQ(again[0].runs.size(), original[0].runs.size());
-    for (std::size_t j = 0; j < again[0].runs.size(); ++j)
-        EXPECT_EQ(serializeSimResult(again[0].runs[j]),
-                  serializeSimResult(original[0].runs[j]));
+    // A kill mid-append leaves a short tail: two complete frames and
+    // half of the third.
+    std::filesystem::resize_file(log, 2 * frame + frame / 2);
+    const MetricDeltas tally;
+    expectOriginalBytes(makeEngine(true, 1).runGrid({spec}, opt));
+    EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
+    EXPECT_EQ(tally["sweep.cell.cached"], 2u);
+    EXPECT_EQ(tally["sweep.cell.compute"], 2u);
 
-    // And the store repaired the entry: a third run is all hits.
-    const MetricDeltas verify_tally;
-    SweepEngine verify = makeEngine();
-    verify.runGrid({findWorkload("gcc95")}, fastOptions());
-    EXPECT_EQ(verify_tally["sweep.cell.cached"], 5u);
-    EXPECT_EQ(verify_tally["cache.probe.corrupt"], 0u);
+    // The frames appended behind the torn tail do not align: the next
+    // read evicts the log and walks its cells again, same bytes, into
+    // a log that the read after serves whole.
+    const MetricDeltas evict_tally;
+    expectOriginalBytes(makeEngine(true, 1).runGrid({spec}, opt));
+    EXPECT_EQ(evict_tally["cache.probe.corrupt"], 1u);
+    EXPECT_EQ(evict_tally["sweep.cell.compute"], 4u);
+    const MetricDeltas warm_tally;
+    expectOriginalBytes(makeEngine(true, 1).runGrid({spec}, opt));
+    EXPECT_EQ(warm_tally["sweep.cell.cached"], 4u);
 }
 
 TEST_F(SweepEngineTest, EntryThatIsNotTheCellsRunIsRecomputed)
 {
-    // Checksum-clean entries under the cell's key that its run cannot
-    // have left. The first three break the ledger's invariants and
-    // would abort calibration; the last is another depth's run.
+    // Checksum-clean frames under the cell's key, appended to its
+    // trace's log, that its run cannot have left. The first three
+    // break the ledger's invariants and would abort calibration; the
+    // last two are conserving runs of another depth, and of another
+    // trace length (every timed instruction is in the trace).
     const SweepOptions opt = fastOptions();
     const WorkloadSpec &spec = findWorkload("db1");
     const std::vector<PipelineConfig> configs = {opt.configAtDepth(4)};
     const SimResult clean =
         makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
     const ResultCache cache(dir_.string());
+    const CacheKey log = specCellHasher(spec, opt.trace_length).key();
     const CacheKey key = simCellKey(spec, opt.trace_length, configs[0]);
-    ASSERT_TRUE(cache.load(key).has_value());
+    auto served = [&]() -> std::optional<SimResult> {
+        for (const CachedCell &cell : cache.read(log)) {
+            if (cell.key == key)
+                return cell.result;
+        }
+        return std::nullopt;
+    };
+    ASSERT_TRUE(served().has_value());
 
-    std::vector<SimResult> bad(4, clean);
+    std::vector<SimResult> bad(5, clean);
     bad[0].ledger_residual = 1;
     bad[1].other_stall_cycles += 1;
     bad[2].instructions = 0;
     bad[3].depth = 5;
+    bad[4].instructions += 1;
     for (std::size_t i = 0; i < bad.size(); ++i) {
-        ASSERT_TRUE(cache.store(key, bad[i]));
+        ASSERT_TRUE(cache.append(log, {CachedCell{key, bad[i]}}));
         const MetricDeltas tally;
         const SimResult again =
             makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
-        const bool conserving = i == 3;
+        const bool conserving = i >= 3;
         EXPECT_EQ(tally["cache.probe.corrupt"], conserving ? 0u : 1u) << i;
         EXPECT_EQ(tally["cache.entry.evict"], conserving ? 0u : 1u) << i;
         EXPECT_EQ(tally["sweep.cell.compute"], 1u) << i;
         EXPECT_EQ(serializeSimResult(again), serializeSimResult(clean))
             << i;
-        // The walk's store put the clean run back under the key.
-        const auto entry = cache.load(key);
-        ASSERT_TRUE(entry.has_value()) << i;
-        EXPECT_EQ(serializeSimResult(*entry), serializeSimResult(clean))
+        // The walk's frame superseded the bad one: a re-run is served
+        // the clean run.
+        const auto frame = served();
+        ASSERT_TRUE(frame.has_value()) << i;
+        EXPECT_EQ(serializeSimResult(*frame), serializeSimResult(clean))
             << i;
+        const MetricDeltas rerun_tally;
+        const SimResult rerun =
+            makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
+        EXPECT_EQ(rerun_tally["sweep.cell.cached"], 1u) << i;
+        EXPECT_EQ(serializeSimResult(rerun), serializeSimResult(clean))
+            << i;
+    }
+}
+
+TEST_F(SweepEngineTest, ColdGridLeavesOneLogPerWorkload)
+{
+    // k workloads x 24 depths leave k logs and nothing else, however
+    // many threads split the groups, and a warm re-run computes
+    // nothing and returns the same bytes.
+    SweepOptions opt = fastOptions();
+    opt.max_depth = 25;
+    opt.trace_length = 6000;
+    opt.warmup_instructions = 2000;
+    const std::vector<WorkloadSpec> specs = {
+        findWorkload("gcc95"), findWorkload("db1"), findWorkload("swim")};
+    for (const unsigned threads : {1u, 4u}) {
+        std::filesystem::remove_all(dir_);
+        const MetricDeltas cold_tally;
+        const auto cold = makeEngine(true, threads).runGrid(specs, opt);
+        EXPECT_EQ(cold_tally["sweep.cell.compute"], 72u) << threads;
+        EXPECT_EQ(cold_tally["cache.entry.store"], 72u) << threads;
+        EXPECT_EQ(logFileCount(), specs.size()) << threads;
+        EXPECT_EQ(cachedCellCount(dir_), 72u) << threads;
+
+        const MetricDeltas warm_tally;
+        const auto warm = makeEngine(true, threads).runGrid(specs, opt);
+        EXPECT_EQ(warm_tally["sweep.cell.compute"], 0u) << threads;
+        EXPECT_EQ(warm_tally["sweep.cell.cached"], 72u) << threads;
+        ASSERT_EQ(cold.size(), specs.size());
+        ASSERT_EQ(warm.size(), specs.size());
+        for (std::size_t s = 0; s < specs.size(); ++s) {
+            for (std::size_t j = 0; j < cold[s].runs.size(); ++j) {
+                EXPECT_EQ(serializeSimResult(warm[s].runs[j]),
+                          serializeSimResult(cold[s].runs[j]))
+                    << threads << " " << s << " " << j;
+            }
+        }
+    }
+}
+
+TEST_F(SweepEngineTest, OneWorkloadSweepAppendsEveryGroupToOneLog)
+{
+    // Depths 2..25 of one workload on 4 threads: six 4-cell groups,
+    // walked concurrently, each one append (one `cache.store` span of
+    // four frames) to the workload's one log, and every frame reads
+    // back.
+    SweepOptions opt = fastOptions();
+    opt.max_depth = 25;
+    opt.trace_length = 6000;
+    opt.warmup_instructions = 2000;
+    const WorkloadSpec &spec = findWorkload("gcc95");
+    SpanTracer::instance().clear();
+    SpanTracer::instance().setEnabled(true);
+    const auto sweeps = makeEngine(true, 4).runGrid({spec}, opt);
+    SpanTracer::instance().setEnabled(false);
+    std::ostringstream trace;
+    SpanTracer::instance().writeChromeTrace(trace);
+    SpanTracer::instance().clear();
+    JsonValue doc;
+    ASSERT_TRUE(JsonValue::parse(trace.str(), &doc));
+    std::size_t appends = 0;
+    for (const JsonValue &event : doc.find("traceEvents")->array) {
+        if (event.find("name")->string != "cache.store")
+            continue;
+        ++appends;
+        const JsonValue *args = event.find("args");
+        ASSERT_NE(args, nullptr);
+        EXPECT_EQ(args->find("workload")->string, "gcc95");
+        EXPECT_EQ(args->find("frames")->number, 4.0);
+        EXPECT_GT(args->find("bytes")->number, 0.0);
+    }
+    EXPECT_EQ(appends, 6u);
+
+    const std::filesystem::path log = onlyLog();
+    EXPECT_EQ(logKeyOf(log), specCellHasher(spec, opt.trace_length).key());
+    const std::vector<CachedCell> frames =
+        ResultCache(dir_.string()).read(logKeyOf(log));
+    ASSERT_EQ(frames.size(), 24u);
+    ASSERT_EQ(sweeps.size(), 1u);
+    for (const SimResult &run : sweeps[0].runs) {
+        const CacheKey key =
+            simCellKey(spec, opt.trace_length, opt.configAtDepth(run.depth));
+        const auto frame = std::find_if(
+            frames.begin(), frames.end(),
+            [&](const CachedCell &c) { return c.key == key; });
+        ASSERT_NE(frame, frames.end()) << run.depth;
+        EXPECT_EQ(serializeSimResult(frame->result),
+                  serializeSimResult(run));
     }
 }
 
@@ -270,13 +436,15 @@ TEST_F(SweepEngineTest, RunConfigsCachesByTraceContent)
     EXPECT_EQ(cold_tally["sweep.cell.compute"], 2u);
     EXPECT_EQ(cold_tally["cache.entry.store"], 2u);
 
-    // Every entry sits at its traceCellKey address, the one callers
-    // outside the engine (perfbench's golden_cells) probe themselves.
-    const ResultCache store(dir_.string());
+    // Every frame sits under its traceCellKey in the trace's one log,
+    // named by the hasher state those keys share.
+    const std::vector<CachedCell> frames =
+        ResultCache(dir_.string()).read(traceCellHasher(trace).key());
+    ASSERT_EQ(frames.size(), a.size());
     for (std::size_t i = 0; i < a.size(); ++i) {
-        const auto entry = store.load(traceCellKey(trace, configs[i]));
-        ASSERT_TRUE(entry.has_value()) << i;
-        EXPECT_EQ(serializeSimResult(*entry), serializeSimResult(a[i]));
+        EXPECT_EQ(frames[i].key, traceCellKey(trace, configs[i])) << i;
+        EXPECT_EQ(serializeSimResult(frames[i].result),
+                  serializeSimResult(a[i]));
     }
 
     // The warm call hashes the trace records once, not once per
