@@ -416,8 +416,6 @@ ResultCache::read(const CacheKey &log) const
         MetricsRegistry::instance().counter("cache.probe.ioerror");
     static Counter &corruptions =
         MetricsRegistry::instance().counter("cache.probe.corrupt");
-    static Counter &evictions =
-        MetricsRegistry::instance().counter("cache.entry.evict");
 
     if (!enabled())
         return {};
@@ -426,11 +424,8 @@ ResultCache::read(const CacheKey &log) const
     const std::string path = logPath(log);
     std::vector<std::uint8_t> bytes;
     const FileRead status = readFile(path, bytes);
-    // Every complete frame must be a cell's conserving run; a shorter
-    // tail is an append in progress, or one a kill cut short.
     const std::size_t frame = frameSize();
-    const std::size_t frames = bytes.size() / frame;
-    span.tag("frames", static_cast<std::uint64_t>(frames));
+    span.tag("frames", static_cast<std::uint64_t>(bytes.size() / frame));
     if (status != FileRead::Read) {
         if (status == FileRead::IoError)
             ioerrors.add();
@@ -438,29 +433,50 @@ ResultCache::read(const CacheKey &log) const
         return {};
     }
 
+    // Does a checksum-clean frame start at @p at? The entry magic at
+    // frame offset 16 rules out almost every misaligned offset before
+    // the checksum is computed.
+    auto framed = [&](std::size_t at) {
+        const std::uint8_t *f = bytes.data() + at;
+        return std::memcmp(f + 16, kMagic, sizeof(kMagic)) == 0 &&
+               fnv1a(f, frame - 8) == getU64(f + frame - 8);
+    };
+    // Count damaged bytes at @p at; say where the first were (further
+    // damage only counts: a damaged cache directory would otherwise
+    // spam a warning per read).
+    auto damaged = [&](std::size_t at) {
+        corruptions.add();
+        static std::once_flag warned;
+        std::call_once(warned, [&]() {
+            PP_WARN("result cache: damaged bytes at offset ", at, " in '",
+                    path, "' (skipped to the next intact frame; a cell "
+                    "left without an intact frame is walked again, and "
+                    "further damage is counted under "
+                    "cache.probe.corrupt without a warning)");
+        });
+    };
+
+    // Every frame must be a cell's conserving run. Damaged bytes (a
+    // flipped bit, or a torn append that later appends landed behind)
+    // cost only themselves: reading resumes at the next offset where a
+    // checksum-clean frame starts. A tail shorter than one frame is an
+    // append in progress, or one a kill cut short, and is skipped.
     std::vector<CachedCell> cells;
-    for (std::size_t k = 0; k < frames; ++k) {
-        const std::uint8_t *f = bytes.data() + k * frame;
+    for (std::size_t at = 0; at + frame <= bytes.size(); at += frame) {
+        if (!framed(at)) {
+            damaged(at);
+            do {
+                ++at;
+            } while (at + frame <= bytes.size() && !framed(at));
+            if (at + frame > bytes.size())
+                break;
+        }
+        const std::uint8_t *f = bytes.data() + at;
         CachedCell cell{{getU64(f), getU64(f + 8)}, {}};
-        if (fnv1a(f, frame - 8) != getU64(f + frame - 8) ||
-            !decodeEntry(f + 16, frame - 24, &cell.result) ||
+        if (!decodeEntry(f + 16, frame - 24, &cell.result) ||
             !isConservingRun(cell.result)) {
-            corruptions.add();
-            // Say where the first one was (further ones only count: a
-            // damaged cache directory would otherwise spam a warning
-            // per log).
-            static std::once_flag warned;
-            std::call_once(warned, [&]() {
-                PP_WARN("result cache: damaged frame ", k, " in '", path,
-                        "' (evicting the log and recomputing its "
-                        "cells; further damaged logs are counted under "
-                        "cache.probe.corrupt without a warning)");
-            });
-            // Evict so the next read is a clean miss rather than
-            // another failure of the same bytes.
-            if (::unlink(path.c_str()) == 0)
-                evictions.add();
-            return {};
+            damaged(at);
+            continue;
         }
         // The last frame of a key wins: it is the latest walk's.
         const auto same = std::find_if(
@@ -512,8 +528,8 @@ ResultCache::append(const CacheKey &log,
     // One write(2) call: O_APPEND makes it one atomic append on a local
     // filesystem, where a buffered stream could split it into writes
     // that interleave with another appender's. A short write leaves a
-    // torn tail: readers skip it until a later append lands behind it,
-    // and then evict the log, whose frames no longer align.
+    // torn tail: readers skip it, and once a later append lands behind
+    // it, resume reading at that append's first frame.
     ssize_t written = -1;
     if (out.get() >= 0 && !PP_FAILPOINT_FIRED("cache.store.write")) {
         do {
@@ -522,7 +538,8 @@ ResultCache::append(const CacheKey &log,
     }
     // The frames are durable before the store reports success. If the
     // fsync fails they may still be served from the page cache; a later
-    // power loss then damages a frame and the reader evicts the log.
+    // power loss then damages them, and the reader skips what it
+    // damaged.
     if (written != static_cast<ssize_t>(bytes.size()) ||
         ::fsync(out.get()) != 0) {
         failures.add(cells.size());

@@ -9,13 +9,14 @@
  * the cell's CacheKey, its entry exactly as serializeSimResult writes
  * it, and an FNV-1a checksum of both. A writer appends a group of
  * frames with one write(2) on an O_APPEND descriptor, then one fsync:
- * no temp file, no lock, and concurrent appenders (threads, or shard
- * processes) never interleave their bytes on a local filesystem.
+ * no temp file, no lock, and concurrent appenders (threads, or
+ * processes sharing the cache) never interleave their bytes on a local
+ * filesystem.
  *
- * Reads are tolerant of corruption: a damaged frame (framing,
- * checksum, or not a conserving run) evicts the whole log, so its
- * cells read as misses and are recomputed. A bad cache can cost time,
- * never correctness.
+ * Reads are tolerant of corruption: damaged bytes (a frame failing
+ * framing or its checksum, a torn append, or a frame that is not a
+ * conserving run) are skipped, so only their cells read as misses and
+ * are recomputed. A bad cache can cost time, never correctness.
  *
  * The entry payload deliberately excludes the workload name and the
  * PipelineConfig: both are part of the key, so the engine reattaches
@@ -104,15 +105,17 @@ class ResultCache
 
     /**
      * Read log @p log once (the `cache.probe` span, tagged `frames`):
-     * the last frame of each key, in first-appearance order. A tail
-     * shorter than one frame is an append in progress, or one cut
+     * the last intact frame of each key, in first-appearance order. A
+     * tail shorter than one frame is an append in progress, or one cut
      * short, and is skipped. Empty when the log is absent or
-     * unreadable (`cache.probe.miss`, `cache.probe.ioerror`), or
-     * damaged: a complete frame failing framing, a checksum (key
-     * bytes included) or a run's invariants (instructions, base work
-     * and cycles, a zero residual, buckets summing to cycles) evicts
-     * the whole log, counted under `cache.probe.corrupt` and
-     * `cache.entry.evict`; the caller recomputes.
+     * unreadable (`cache.probe.miss`, `cache.probe.ioerror`). Damage
+     * costs only the damaged frames, each region counted once under
+     * `cache.probe.corrupt` on every read: bytes that are not a
+     * checksum-clean frame (key bytes included) are skipped up to the
+     * next offset where one starts, and a checksum-clean frame that is
+     * not a conserving run (instructions, base work and cycles, a
+     * zero residual, buckets summing to cycles) is skipped as one
+     * frame. The log is left as it is; the caller recomputes.
      */
     std::vector<CachedCell> read(const CacheKey &log) const;
 

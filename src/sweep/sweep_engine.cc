@@ -8,7 +8,6 @@
 #include <mutex>
 #include <optional>
 #include <ostream>
-#include <thread>
 
 #include "common/failpoint.hh"
 #include "common/interrupt.hh"
@@ -25,9 +24,6 @@ namespace pipedepth
 
 namespace
 {
-
-/** Wait between claims of a group another process holds. */
-constexpr std::chrono::milliseconds kShardPoll{25};
 
 /**
  * The record of a cell quarantined by the exception being handled
@@ -125,9 +121,6 @@ struct SweepEngine::CellPlan
     /** Replay buffer of a workload. Called at most once per workload,
      *  and only on a cache miss. */
     std::function<ReplayBuffer(std::size_t workload)> replay;
-    /** Hash the workload's part of a shard group key; the pipeline
-     *  appends the config of every cell in the group. */
-    std::function<void(StableHasher &, std::size_t workload)> group_prefix;
     /** Traces @ref replay generated (`sweep.trace.generate`). */
     std::atomic<std::uint64_t> traces_generated{0};
 
@@ -252,23 +245,6 @@ SweepEngine::SweepEngine(const SweepEngineOptions &options)
                         : options.cache_dir)
                  : std::string())
 {
-    if (options_.shards > 1) {
-        // The cache is the shared result substrate: without it the
-        // other shards' work can never reach this one, so sharding
-        // would only split the grid without merging it back.
-        if (!cache_.enabled()) {
-            PP_WARN("sweep engine: shards=", options_.shards,
-                    " requested without a usable result cache; "
-                    "running unsharded");
-        } else {
-            ShardOptions shard_options;
-            shard_options.shards = options_.shards;
-            shard_options.shard_id = options_.shard_id;
-            shard_options.dir = options_.shard_dir;
-            shard_coordinator_ =
-                std::make_unique<ShardCoordinator>(shard_options);
-        }
-    }
 }
 
 std::vector<SimResult>
@@ -288,8 +264,8 @@ SweepEngine::resolveCells(const CellPlan &plan)
     // for a walk class they do not match. A replay lives from its
     // workload's first walked miss to the end of the workload's last
     // group. Groups are claimed in index order and a workload's groups
-    // are contiguous, so an unsharded call holds at most one replay
-    // per worker thread, however many workloads its plan has.
+    // are contiguous, so a call holds at most one replay per worker
+    // thread, however many workloads its plan has.
     struct Prepared
     {
         ReplayBuffer buffer;
@@ -449,20 +425,14 @@ SweepEngine::resolveCells(const CellPlan &plan)
     {
         std::size_t begin; //!< first cell
         std::size_t end;   //!< one past the last
-        bool foreign = false; //!< outside this shard's partition
     };
     // One group per workload when there are enough workloads to fill
     // the pool; otherwise split each workload's cells so work stealing
     // still balances the tail — but never below 4 cells, since fusion
-    // amortizes the streaming cost across the group. Under sharding
-    // the split is derived from the shard count, NOT the thread pool:
-    // every worker process must form the identical groups or the
-    // lease keys would not line up.
+    // amortizes the streaming cost across the group.
     const std::size_t target_groups =
-        3 * (shard_coordinator_
-                 ? static_cast<std::size_t>(shard_coordinator_->shards()) * 2
-                 : static_cast<std::size_t>(parallelWorkerCount(
-                       options_.threads, plan.size(), 1)));
+        3 * static_cast<std::size_t>(
+                parallelWorkerCount(options_.threads, plan.size(), 1));
     const std::size_t n_workloads = plan.names.size();
     const std::size_t n_configs = plan.configs.size();
     const std::size_t splits =
@@ -479,24 +449,12 @@ SweepEngine::resolveCells(const CellPlan &plan)
                                        std::min(n_configs, b + span)});
         }
     }
-    if (shard_coordinator_) {
-        // Round-robin partition by canonical group index. Own groups
-        // run first; foreign ones follow as work stealing — visited
-        // only once a worker's own partition has drained, and
-        // resolved from the cache when their live owner finishes
-        // first. Reordering is safe: results map back through
-        // Group::begin, not group order.
-        for (std::size_t g = 0; g < groups.size(); ++g)
-            groups[g].foreign = !shard_coordinator_->mine(g);
-        std::stable_partition(groups.begin(), groups.end(),
-                              [](const Group &g) { return !g.foreign; });
-    }
     for (const Group &group : groups)
         ++replays[plan.workloadOf(group.begin)].groups_left;
 
     auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
-        // However the group resolves (walked, all hits, shard wait,
-        // drain), its end may be its workload's last.
+        // However the group resolves (walked, all hits, drain), its
+        // end may be its workload's last.
         const std::size_t w = plan.workloadOf(group.begin);
         const ScopeExit group_end([&] { groupResolved(w); });
         const std::size_t count = group.end - group.begin;
@@ -507,75 +465,20 @@ SweepEngine::resolveCells(const CellPlan &plan)
                 keys[i] = cellKey(plan.traces[w],
                                   plan.configOf(group.begin + i));
         }
-        std::vector<char> resolved(count, 0);
 
-        // Read the workload's log once, probe every still-unresolved
-        // cell against it and return the indices left over. The
-        // resolved flags make re-probes — the shard wait loop probes
-        // after every poll round — record each cell exactly once.
-        auto probeMissing = [&]() {
-            std::vector<CachedCell> log;
-            if (cache_.enabled())
-                log = cache_.read(plan.traces[w].key());
-            std::vector<std::size_t> missing;
-            for (std::size_t i = 0; i < count; ++i) {
-                if (resolved[i])
-                    continue;
-                if (probe(group.begin + i, log, keys[i], out[i]))
-                    resolved[i] = 1;
-                else
-                    missing.push_back(i);
-            }
-            return missing;
-        };
-
-        std::vector<std::size_t> missing = probeMissing();
-        if (missing.empty())
-            return out;
-        if (!shard_coordinator_) {
+        // Read the workload's log once, probe every cell against it,
+        // and walk the ones left over.
+        std::vector<CachedCell> log;
+        if (cache_.enabled())
+            log = cache_.read(plan.traces[w].key());
+        std::vector<std::size_t> missing;
+        for (std::size_t i = 0; i < count; ++i) {
+            if (!probe(group.begin + i, log, keys[i], out[i]))
+                missing.push_back(i);
+        }
+        if (!missing.empty())
             walkMissing(group.begin, missing, keys, out);
-            return out;
-        }
-
-        // Sharded: lock the group before walking it. The key hashes
-        // the group's *content* (the plan's workload prefix, then
-        // every cell config), so it is identical in every worker
-        // process and every run — group order and thread count cannot
-        // leak in.
-        StableHasher group_hasher;
-        plan.group_prefix(group_hasher, w);
-        for (std::size_t i = group.begin; i < group.end; ++i)
-            hashPipelineConfig(group_hasher, plan.configOf(i));
-        const std::string group_key = group_hasher.key().hex();
-
-        while (true) {
-            switch (shard_coordinator_->tryClaim(group_key,
-                                                 group.foreign)) {
-            case ShardCoordinator::Claim::Acquired:
-                // A holder that finished or died before us cached all
-                // or a prefix of the group: re-probe so only the
-                // remainder walks. Its holes are misses and walk here
-                // again — a hole stays with the process that met it.
-                missing = probeMissing();
-                if (!missing.empty())
-                    walkMissing(group.begin, missing, keys, out);
-                shard_coordinator_->release(group_key);
-                return out;
-            case ShardCoordinator::Claim::Uncoordinated:
-                walkMissing(group.begin, missing, keys, out);
-                return out;
-            case ShardCoordinator::Claim::Busy:
-                // A live process holds the group and streams results
-                // into the shared cache as it goes; pick up whatever
-                // landed, then poll again. If the holder dies, the
-                // kernel drops its lock and the next claim acquires.
-                std::this_thread::sleep_for(kShardPoll);
-                missing = probeMissing();
-                if (missing.empty())
-                    return out;
-                break;
-            }
-        }
+        return out;
     };
 
     std::vector<std::vector<SimResult>> grouped =
@@ -609,11 +512,6 @@ SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
     plan.replay = [&](std::size_t s) {
         plan.traces_generated.fetch_add(1);
         return prepareReplay(specs[s].makeTrace(trace_length));
-    };
-    plan.group_prefix = [&](StableHasher &h, std::size_t s) {
-        h.str("grid");
-        hashWorkloadSpec(h, specs[s]);
-        h.u64(trace_length);
     };
     return resolveCells(plan);
 }
@@ -744,12 +642,6 @@ SweepEngine::runConfigs(const Trace &trace,
         plan.traces = {traceCellHasher(trace)};
     }
     plan.replay = [&](std::size_t) { return prepareReplay(trace); };
-    // The trace name stands in for the trace in the group key: the
-    // cells' cache keys already hash every record.
-    plan.group_prefix = [&](StableHasher &h, std::size_t) {
-        h.str("configs");
-        h.str(trace.name);
-    };
     return resolveCells(plan);
 }
 

@@ -18,8 +18,8 @@
  *    per trace, read once per cell group and appended once per walk;
  *  - generates each workload trace at most once per grid, and not at
  *    all when every cell of the workload is cached, and frees its
- *    replay when the workload's last cell group resolves, so an
- *    unsharded grid holds at most one replay per worker thread (the
+ *    replay when the workload's last cell group resolves, so a grid
+ *    holds at most one replay per worker thread (the
  *    `sweep.replay.resident` gauge);
  *  - counts what happened in the process-wide metrics registry
  *    (telemetry/metrics.hh): the `sweep.cell.*` outcome counters,
@@ -39,14 +39,12 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "sweep/depth_sweep.hh"
 #include "sweep/result_cache.hh"
-#include "sweep/shard_coordinator.hh"
 
 namespace pipedepth
 {
@@ -66,24 +64,6 @@ struct SweepEngineOptions
      */
     bool use_cache = true;
     std::string cache_dir;
-
-    /// @name Sharded sweeps (docs/SHARDING.md)
-    /// @{
-    /**
-     * Total worker processes cooperating on this grid; 1 = sharding
-     * off. With shards > 1 the engine locks cell groups through a
-     * ShardCoordinator in @p shard_dir before walking them, waits out
-     * groups other live processes hold, and resolves cross-shard
-     * results through the shared result cache. Requires the cache —
-     * an engine with shards > 1 and no usable cache warns and runs
-     * unsharded — and a @p shard_dir all workers agree on. Group
-     * partitioning is derived from the shard count (never from
-     * thread count), so every worker forms the same groups.
-     */
-    unsigned shards = 1;
-    unsigned shard_id = 0;  //!< this worker, in [0, shards)
-    std::string shard_dir;  //!< shared coordination directory
-    /// @}
 };
 
 /**
@@ -175,13 +155,6 @@ class SweepEngine
     bool cacheEnabled() const { return cache_.enabled(); }
     const std::string &cacheDir() const { return cache_.dir(); }
 
-    /** Non-null when this engine runs as one shard of a sharded
-     *  sweep (shards > 1 with a usable cache and shard_dir). */
-    const ShardCoordinator *shardCoordinator() const
-    {
-        return shard_coordinator_.get();
-    }
-
     /**
      * Report every subsequent cell outcome (computed / cached /
      * quarantined, with instructions) to @p manifest,
@@ -216,8 +189,8 @@ class SweepEngine
     /**
      * The one cell pipeline behind runGrid and runConfigs
      * (docs/SWEEP_ENGINE.md): per group of cells, probe (one read of
-     * the workload's log) → claim → walk (one simulateMultiDepth
-     * call, one append of its frames) → record. Returns
+     * the workload's log) → walk (one simulateMultiDepth call, one
+     * append of its frames) → record. Returns
      * every cell's result in plan order, and lists each hole in
      * lastFailures().
      */
@@ -226,8 +199,7 @@ class SweepEngine
     /**
      * Every @p specs workload under every config, through the catalog
      * plan (docs/SWEEP_ENGINE.md): simCellKey addresses in one log per
-     * spec, a trace generated only on a miss, the `"grid"` group-key
-     * prefix.
+     * spec, a trace generated only on a miss.
      */
     std::vector<SimResult>
     resolveSpecs(const std::vector<WorkloadSpec> &specs,
@@ -236,7 +208,6 @@ class SweepEngine
 
     SweepEngineOptions options_;
     ResultCache cache_;
-    std::unique_ptr<ShardCoordinator> shard_coordinator_;
     RunManifest *manifest_ = nullptr;
     std::vector<FailureRecord> last_failures_;
 };

@@ -99,15 +99,19 @@ TEST(PipesimCli, UnknownFlagExitsTwo)
     // Removed resume flags: re-running the same command resumes.
     EXPECT_EQ(runPipesim("--resume x"), 2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --checkpoint x"), 2);
-    // Removed knobs: no cell retries, so there is no backoff; the
-    // shard poll interval is a constant; a coordinator restarts no
-    // worker.
+    // Removed knobs: no cell retries, so there is no backoff. The
+    // worker-restart budget and the poll interval went with process
+    // sharding, and so did its three flags: concurrent runs share a
+    // cache without them.
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --retry-backoff-ms 5"),
               2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --restart-budget 3"),
               2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shard-poll-ms 5"),
               2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shards 2"), 2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shard-id 0"), 2);
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --shard-dir x"), 2);
     // Removed fault knobs: a failed cell is recovered by re-running,
     // and PIPEDEPTH_FAILPOINT_SEED seeds the failpoints.
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --max-retries 1"), 2);

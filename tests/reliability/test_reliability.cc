@@ -5,7 +5,8 @@
  * cache I/O
  * degradation paths, interrupt drain, the concurrent-writer
  * torn-entry guarantee, and — through the real pipesim binary —
- * kill-and-rerun byte-identity and the graceful SIGTERM drain.
+ * kill-and-rerun byte-identity, the graceful SIGTERM drain, and two
+ * concurrent runs on one cache, one of them SIGKILLed.
  *
  * Everything here is driven by the deterministic failpoint framework
  * (common/failpoint.hh); no test depends on timing except where a
@@ -448,6 +449,33 @@ slurp(const std::filesystem::path &path)
 }
 
 /**
+ * Start `pipesim ARGS` on result cache @p cache, its stdout to @p out
+ * and its stderr discarded. @return its pid, or -1 if fork failed.
+ */
+pid_t
+startPipesim(const std::filesystem::path &cache,
+             const std::vector<std::string> &args,
+             const std::filesystem::path &out = "/dev/null")
+{
+    std::vector<char *> argv{const_cast<char *>(PIPESIM_PATH)};
+    for (const std::string &a : args)
+        argv.push_back(const_cast<char *>(a.c_str()));
+    argv.push_back(nullptr);
+    const std::string cache_dir = cache.string();
+    const pid_t parent = ::getpid();
+    const pid_t pid = fork();
+    if (pid == 0) {
+        dieWithParent(parent);
+        ::setenv("PIPEDEPTH_CACHE_DIR", cache_dir.c_str(), 1);
+        std::freopen(out.c_str(), "w", stdout);
+        std::freopen("/dev/null", "w", stderr);
+        ::execv(PIPESIM_PATH, argv.data());
+        ::_exit(127);
+    }
+    return pid;
+}
+
+/**
  * Start `pipesim ARGS` on result cache @p cache with its output
  * discarded, wait until the cache holds a complete frame — the
  * progress a re-run picks up — then send @p signal and reap the
@@ -457,22 +485,9 @@ int
 interruptOnceCached(const std::filesystem::path &cache,
                     const std::vector<std::string> &args, int signal)
 {
-    std::vector<char *> argv{const_cast<char *>(PIPESIM_PATH)};
-    for (const std::string &a : args)
-        argv.push_back(const_cast<char *>(a.c_str()));
-    argv.push_back(nullptr);
-    const pid_t parent = ::getpid();
-    const pid_t pid = fork();
+    const pid_t pid = startPipesim(cache, args);
     if (pid == -1)
         return -1;
-    if (pid == 0) {
-        dieWithParent(parent);
-        ::setenv("PIPEDEPTH_CACHE_DIR", cache.string().c_str(), 1);
-        std::freopen("/dev/null", "w", stdout);
-        std::freopen("/dev/null", "w", stderr);
-        ::execv(PIPESIM_PATH, argv.data());
-        ::_exit(127);
-    }
     for (int i = 0; i < 2000 && cachedCellCount(cache) == 0; ++i)
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
     ::kill(pid, signal);
@@ -634,204 +649,104 @@ TEST_F(ReliabilityTest, PipesimRerunHealsQuarantinedCells)
 }
 
 // ---------------------------------------------------------------------
-// Sharded sweeps under worker crashes (docs/SHARDING.md)
+// Two processes on one result cache
 
-TEST_F(ReliabilityTest, ShardedWorkersSurviveSigkillByteIdentical)
-{
-    // Four standalone shard workers share one result cache and one
-    // coordination directory. One is SIGKILLed mid-run; the kernel
-    // drops its group locks, the survivors steal its partition, and
-    // each still emits the complete grid — byte-identical to an
-    // unsharded run from a separate cache.
-    const std::filesystem::path ref_out = dir_ / "reference.csv";
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
-                       (dir_ / "cache-ref").string() + " " +
-                       PIPESIM_PATH +
-                       " --workload db1 --sweep --csv --length 20000"
-                       " --warmup 5000 --threads 2 > " +
-                       ref_out.string() + " 2>/dev/null"),
-              0);
+/** The grid every test below runs: db1 at all 24 depths. */
+const std::vector<std::string> kSharedSweep = {
+    "--workload", "db1", "--sweep", "--csv", "--length", "20000",
+    "--warmup", "5000", "--threads", "2"};
 
-    const std::string shared_cache = (dir_ / "cache-shared").string();
-    const std::filesystem::path shard_dir = dir_ / "coord";
-    pid_t workers[4] = {};
-    const pid_t parent = ::getpid();
-    for (unsigned k = 0; k < 4; ++k) {
-        const std::string out =
-            (dir_ / ("worker" + std::to_string(k) + ".csv")).string();
-        const pid_t pid = fork();
-        ASSERT_NE(pid, -1);
-        if (pid == 0) {
-            dieWithParent(parent);
-            ::setenv("PIPEDEPTH_CACHE_DIR", shared_cache.c_str(), 1);
-            std::freopen(out.c_str(), "w", stdout);
-            std::freopen("/dev/null", "w", stderr);
-            ::execl(PIPESIM_PATH, PIPESIM_PATH, "--workload", "db1",
-                    "--sweep", "--csv", "--length", "20000", "--warmup",
-                    "5000", "--threads", "2", "--shards", "4",
-                    "--shard-id", std::to_string(k).c_str(),
-                    "--shard-dir", shard_dir.string().c_str(),
-                    static_cast<char *>(nullptr));
-            ::_exit(127);
-        }
-        workers[k] = pid;
-    }
-
-    // Kill worker 1 as soon as any cell lands in the cache (it may
-    // hold a group mid-walk at that point — the interesting case; it
-    // may also already be done, the benign race this test accepts).
-    // It stays unreaped until the survivors finish: a zombie holds no
-    // locks.
-    for (int i = 0; i < 2000 && cachedCellCount(shared_cache) == 0; ++i)
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    ::kill(workers[1], SIGKILL);
-
-    int status = 0;
-    for (unsigned k = 0; k < 4; ++k) {
-        if (k == 1)
-            continue; // SIGKILLed (or possibly finished first)
-        status = 0;
-        ASSERT_EQ(waitpid(workers[k], &status, 0), workers[k]);
-        ASSERT_TRUE(WIFEXITED(status)) << "worker " << k;
-        EXPECT_EQ(WEXITSTATUS(status), 0) << "worker " << k;
-    }
-    ASSERT_EQ(waitpid(workers[1], &status, 0), workers[1]);
-
-    // Every survivor holds the full, byte-identical grid.
-    const std::string want = slurp(ref_out);
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(slurp(dir_ / "worker0.csv"), want);
-    EXPECT_EQ(slurp(dir_ / "worker2.csv"), want);
-    EXPECT_EQ(slurp(dir_ / "worker3.csv"), want);
-}
-
-TEST_F(ReliabilityTest, ShardCoordinatorAbsorbsKilledWorker)
-{
-    // Coordinator mode: pipesim --shards 4 forks its own workers.
-    // SIGKILLing one needs no restart: the survivors or the merged
-    // pass walk its groups, the coordinator exits 0, and the merged
-    // output still matches the unsharded reference.
-    const std::filesystem::path ref_out = dir_ / "reference.csv";
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
-                       (dir_ / "cache-ref").string() + " " +
-                       PIPESIM_PATH +
-                       " --workload db1 --sweep --csv --length 20000"
-                       " --warmup 5000 --threads 2 > " +
-                       ref_out.string() + " 2>/dev/null"),
-              0);
-
-    const std::filesystem::path out = dir_ / "sharded.csv";
-    const std::filesystem::path err = dir_ / "coordinator.err";
-    const std::filesystem::path shard_dir = dir_ / "coord";
-    const pid_t parent = ::getpid();
-    const pid_t pid = fork();
-    ASSERT_NE(pid, -1);
-    if (pid == 0) {
-        dieWithParent(parent);
-        ::setenv("PIPEDEPTH_CACHE_DIR",
-                 (dir_ / "cache-sharded").string().c_str(), 1);
-        std::freopen(out.string().c_str(), "w", stdout);
-        std::freopen(err.string().c_str(), "w", stderr);
-        ::execl(PIPESIM_PATH, PIPESIM_PATH, "--workload", "db1",
-                "--sweep", "--csv", "--length", "20000", "--warmup",
-                "5000", "--threads", "2", "--shards", "4",
-                "--shard-dir", shard_dir.string().c_str(),
-                static_cast<char *>(nullptr));
-        ::_exit(127);
-    }
-
-    // The coordinator announces every worker on stderr:
-    //   "pipesim: shard 1 worker pid 12345". Kill that one.
-    pid_t victim = 0;
-    for (int i = 0; i < 2000 && victim == 0; ++i) {
-        std::istringstream lines(slurp(err));
-        std::string line;
-        while (std::getline(lines, line)) {
-            const std::string tag = "shard 1 worker pid ";
-            const auto pos = line.find(tag);
-            if (pos != std::string::npos) {
-                victim = static_cast<pid_t>(
-                    std::atol(line.c_str() + pos + tag.size()));
-                break;
-            }
-        }
-        if (victim == 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    ASSERT_NE(victim, 0) << slurp(err);
-    // ESRCH just means the worker finished first — the benign race.
-    ::kill(victim, SIGKILL);
-
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status)) << slurp(err);
-    EXPECT_EQ(WEXITSTATUS(status), 0) << slurp(err);
-    EXPECT_EQ(slurp(err).find("restart"), std::string::npos)
-        << slurp(err);
-
-    const std::string want = slurp(ref_out);
-    ASSERT_FALSE(want.empty());
-    EXPECT_EQ(slurp(out), want);
-}
-
-/**
- * A 2-shard coordinator sweep of db1 on cache @p cache with
- * coordination directory @p coord, stdout to @p out, stderr to
- * @p err. @return its exit status.
- */
+/** Reap child @p pid. @return its exit code, or -1 if a signal ended
+ *  it or it is not a child. */
 int
-runShardedSweep(const std::filesystem::path &cache,
-                const std::filesystem::path &coord,
-                const std::string &extra_args,
-                const std::filesystem::path &out,
-                const std::filesystem::path &err)
+exitCode(pid_t pid)
 {
-    return runShell("PIPEDEPTH_CACHE_DIR=" + cache.string() + " " +
-                    PIPESIM_PATH +
-                    " --workload db1 --sweep --csv --warmup 5000"
-                    " --shards 2 --shard-dir " +
-                    coord.string() + " " + extra_args + " > " +
-                    out.string() + " 2> " + err.string());
+    int status = 0;
+    if (pid <= 0 || waitpid(pid, &status, 0) != pid || !WIFEXITED(status))
+        return -1;
+    return WEXITSTATUS(status);
 }
 
-TEST_F(ReliabilityTest, ShardedRerunAfterQuarantineHeals)
+/** Does @p cache hold a result log yet? */
+bool
+holdsLog(const std::filesystem::path &cache)
 {
-    // A hole stays with the process that met it; the coordination
-    // directory keeps nothing of it. After a faulty sharded run, a
-    // grid at another trace length on that directory has no hole, and
-    // the same command without the fault walks the missing cells and
-    // matches the unsharded grid.
-    const std::filesystem::path ref_out = dir_ / "reference.csv";
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
-                       (dir_ / "cache-ref").string() + " " +
-                       PIPESIM_PATH +
-                       " --workload db1 --sweep --csv --length 20000"
-                       " --warmup 5000 > " +
-                       ref_out.string() + " 2>/dev/null"),
+    std::error_code ec;
+    for (const auto &e : std::filesystem::directory_iterator(cache, ec)) {
+        if (e.path().extension() == ".simlog")
+            return true;
+    }
+    return false;
+}
+
+/** stdout of the grid run alone, on a cache of its own under
+ *  @p dir. */
+std::string
+referenceSweep(const std::filesystem::path &dir)
+{
+    EXPECT_EQ(exitCode(startPipesim(dir / "cache-ref", kSharedSweep,
+                                    dir / "reference.csv")),
               0);
+    return slurp(dir / "reference.csv");
+}
 
-    const std::filesystem::path cache = dir_ / "cache";
-    const std::filesystem::path coord = dir_ / "coord";
-    const std::filesystem::path err = dir_ / "sharded.err";
-    // Each process's first walk fails and leaves a hole (which
-    // another process may walk again before the run ends): exit 0 or
-    // 3.
-    const int faulty = runShardedSweep(
-        cache, coord, "--length 20000 --failpoint "
-                      "'sweep.cell.simulate=hits:1'",
-        dir_ / "faulty.csv", err);
-    EXPECT_TRUE(faulty == 0 || faulty == 3) << faulty << slurp(err);
+/** Exit code 0 and stdout @p want from one more run on @p cache, which
+ *  must serve every cell and walk none. */
+void
+expectServedWhole(const std::filesystem::path &cache,
+                  const std::filesystem::path &dir, const std::string &want)
+{
+    std::vector<std::string> args = kSharedSweep;
+    args.push_back("--manifest-out");
+    args.push_back((dir / "served.json").string());
+    EXPECT_EQ(exitCode(startPipesim(cache, args, dir / "served.csv")), 0);
+    EXPECT_EQ(slurp(dir / "served.csv"), want);
+    EXPECT_EQ(cellCounts(dir / "served.json"),
+              (std::vector<double>{24, 0, 24, 0}));
+}
 
-    EXPECT_EQ(runShardedSweep(cache, coord, "--length 30000",
-                              dir_ / "other.csv", err),
-              0)
-        << slurp(err);
+TEST_F(ReliabilityTest, TwoSweepsOnOneCachePrintOneRunsBytes)
+{
+    // Concurrent runs need no coordination to share a cache: the log
+    // takes their appends whole, and a cell both walk is walked twice,
+    // its last frame served. Each prints the bytes of a run on a cache
+    // of its own, and a third run walks nothing.
+    const std::string want = referenceSweep(dir_);
+    ASSERT_FALSE(want.empty());
 
-    const std::filesystem::path out = dir_ / "healed.csv";
-    EXPECT_EQ(runShardedSweep(cache, coord, "--length 20000", out, err),
-              0)
-        << slurp(err);
-    EXPECT_EQ(slurp(out), slurp(ref_out));
+    const std::filesystem::path shared = dir_ / "cache-shared";
+    const pid_t a = startPipesim(shared, kSharedSweep, dir_ / "a.csv");
+    const pid_t b = startPipesim(shared, kSharedSweep, dir_ / "b.csv");
+    EXPECT_EQ(exitCode(a), 0);
+    EXPECT_EQ(exitCode(b), 0);
+    EXPECT_EQ(slurp(dir_ / "a.csv"), want);
+    EXPECT_EQ(slurp(dir_ / "b.csv"), want);
+    expectServedWhole(shared, dir_, want);
+}
+
+TEST_F(ReliabilityTest, SigkilledSharerCostsTheSurvivorNothing)
+{
+    // One of two runs on a cache is SIGKILLed once the cache holds a
+    // log, perhaps mid-append. The survivor still prints the
+    // reference bytes, and a torn append costs the run after nothing:
+    // it serves every cell. The victim may have finished first, the
+    // benign race this test accepts.
+    const std::string want = referenceSweep(dir_);
+    ASSERT_FALSE(want.empty());
+
+    const std::filesystem::path shared = dir_ / "cache-shared";
+    const pid_t survivor =
+        startPipesim(shared, kSharedSweep, dir_ / "survivor.csv");
+    const pid_t victim = startPipesim(shared, kSharedSweep);
+    ASSERT_NE(victim, -1);
+    for (int i = 0; i < 5000 && !holdsLog(shared); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ::kill(victim, SIGKILL);
+    const int victim_rc = exitCode(victim);
+    EXPECT_TRUE(victim_rc == -1 || victim_rc == 0) << victim_rc;
+    EXPECT_EQ(exitCode(survivor), 0);
+    EXPECT_EQ(slurp(dir_ / "survivor.csv"), want);
+    expectServedWhole(shared, dir_, want);
 }
 
 } // namespace

@@ -2,8 +2,8 @@
  * @file
  * Determinism regression tests: the same workload spec and options
  * must produce byte-identical SimResults whether the grid runs on one
- * thread, on many threads, through runGrid or runConfigs, as two
- * shards, or is replayed from the on-disk cache.
+ * thread, on many threads, through runGrid or runConfigs, or is
+ * replayed from the on-disk cache.
  * This is what makes cached sweeps trustworthy — a cache hit is
  * provably the same answer, not a similar one.
  *
@@ -334,45 +334,6 @@ TEST(EngineDeterminism, GridConfigsAndDirectWalkByteIdentical)
         ++checked;
     }
     EXPECT_EQ(checked, 22u);
-}
-
-TEST(EngineDeterminism, ShardedGridMatchesUnsharded)
-{
-    const auto dir = std::filesystem::path(::testing::TempDir()) /
-                     "pipedepth-determinism-sharded";
-    std::filesystem::remove_all(dir);
-
-    SweepEngine unsharded = uncachedEngine(4);
-    const auto expected =
-        measurementBytes(unsharded.runGrid(sampleSpecs(), fastOptions()));
-
-    SweepEngineOptions opt;
-    opt.threads = 4;
-    opt.cache_dir = (dir / "cache").string();
-    opt.shards = 2;
-    opt.shard_dir = (dir / "coord").string();
-
-    // Shard 0 runs first and alone: it computes its own three groups,
-    // then claims the three groups shard 1 would own.
-    const MetricDeltas shard0_tally;
-    SweepEngine shard0(opt);
-    ASSERT_NE(shard0.shardCoordinator(), nullptr);
-    EXPECT_EQ(measurementBytes(shard0.runGrid(sampleSpecs(), fastOptions())),
-              expected);
-    EXPECT_EQ(shard0_tally["sweep.cell.compute"], 18u);
-    EXPECT_EQ(shard0_tally["sweep.cell.cached"], 0u);
-    EXPECT_EQ(shard0_tally["sweep.shard.steal"], 3u);
-
-    // Shard 1 finds every cell in the shared cache.
-    opt.shard_id = 1;
-    const MetricDeltas shard1_tally;
-    SweepEngine shard1(opt);
-    EXPECT_EQ(measurementBytes(shard1.runGrid(sampleSpecs(), fastOptions())),
-              expected);
-    EXPECT_EQ(shard1_tally["sweep.cell.compute"], 0u);
-    EXPECT_EQ(shard1_tally["sweep.cell.cached"], 18u);
-
-    std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenHashes, SingleThreadMatchesTable)

@@ -4,9 +4,9 @@
  * exact round trips, the one-cell store/load, the per-trace log
  * (one file, the last frame of a key served, a short tail skipped,
  * concurrent appenders losing no frame) and — critically — silent
- * tolerance of bit-flipped, mislabeled or non-conserving frames (a
- * damaged log must read as misses and be evicted, never crash or
- * return garbage).
+ * tolerance of bit-flipped, torn, mislabeled or non-conserving frames
+ * (damaged bytes must cost only their own cells, read as misses,
+ * never crash or return garbage).
  */
 
 #include <gtest/gtest.h>
@@ -238,7 +238,10 @@ writeBytes(const std::string &path, const std::vector<std::uint8_t> &bytes)
 TEST_F(ResultCacheTest, TruncatedLogServesCompleteFrames)
 {
     // A tail shorter than one frame is an append in progress, or one
-    // a kill cut short: skipped, never corrupt.
+    // a kill cut short: skipped, never corrupt. An append that lands
+    // behind it is out of step with the frames before it; the reader
+    // skips the torn bytes to its first frame, so the tear costs only
+    // its own cell.
     const ResultCache cache(dir_.string());
     const CacheKey log{0xdead, 0xbeef};
     const std::vector<CachedCell> cells = threeCells();
@@ -257,17 +260,27 @@ TEST_F(ResultCacheTest, TruncatedLogServesCompleteFrames)
     std::filesystem::resize_file(path, frame - 1);
     EXPECT_TRUE(cache.read(log).empty());
     EXPECT_EQ(tally["cache.probe.corrupt"], 0u);
-    EXPECT_EQ(tally["cache.entry.evict"], 0u);
     EXPECT_TRUE(std::filesystem::exists(path));
+
+    ASSERT_TRUE(cache.append(log, cells));
+    const std::vector<CachedCell> behind = cache.read(log);
+    ASSERT_EQ(behind.size(), 3u);
+    for (std::size_t i = 0; i < behind.size(); ++i) {
+        EXPECT_EQ(behind[i].key, cells[i].key);
+        expectMeasurementsEqual(behind[i].result, cells[i].result);
+    }
+    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 }
 
-TEST_F(ResultCacheTest, DamagedFrameEvictsTheLog)
+TEST_F(ResultCacheTest, DamagedFrameCostsOnlyItself)
 {
     // Every byte of a complete frame is protected, its key included:
-    // one flipped bit anywhere evicts the whole log.
+    // one flipped bit anywhere costs that frame, and the frames on
+    // either side are still served.
     const ResultCache cache(dir_.string());
     const CacheKey log{0xfeed, 0xbeef};
-    ASSERT_TRUE(cache.append(log, threeCells()));
+    const std::vector<CachedCell> cells = threeCells();
+    ASSERT_TRUE(cache.append(log, cells));
     const std::string path = cache.logPath(log);
     const std::vector<std::uint8_t> pristine = fileBytes(path);
     const std::size_t frame = pristine.size() / 3;
@@ -276,10 +289,12 @@ TEST_F(ResultCacheTest, DamagedFrameEvictsTheLog)
         bytes[i] ^= 0x08;
         writeBytes(path, bytes);
         const MetricDeltas tally;
-        EXPECT_TRUE(cache.read(log).empty()) << "byte " << i;
+        const std::vector<CachedCell> read = cache.read(log);
+        ASSERT_EQ(read.size(), 2u) << "byte " << i;
+        EXPECT_EQ(read[0].key, cells[0].key) << "byte " << i;
+        EXPECT_EQ(read[1].key, cells[2].key) << "byte " << i;
         EXPECT_EQ(tally["cache.probe.corrupt"], 1u) << "byte " << i;
-        EXPECT_EQ(tally["cache.entry.evict"], 1u) << "byte " << i;
-        EXPECT_FALSE(std::filesystem::exists(path)) << "byte " << i;
+        EXPECT_EQ(fileBytes(path), bytes) << "byte " << i;
     }
 }
 
@@ -362,19 +377,23 @@ TEST_F(ResultCacheTest, BitFlippedEntryReadsAsCorruptMiss)
     EXPECT_FALSE(cache.load(key).has_value());
     EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
 
-    // Storing again repairs the entry.
+    // Storing again repairs the entry. The damaged frame stays in the
+    // log and is counted on each read.
     EXPECT_TRUE(cache.store(key, original));
     EXPECT_TRUE(cache.load(key).has_value());
-    EXPECT_EQ(tally["cache.probe.corrupt"], 1u);
+    EXPECT_EQ(tally["cache.probe.corrupt"], 2u);
 }
 
 TEST_F(ResultCacheTest, NonConservingEntryReadsAsCorruptMiss)
 {
     // Checksum-clean entries that no run leaves. Each would abort the
-    // reports that read it (calibration asserts a conserving run).
+    // reports that read it (calibration asserts a conserving run), so
+    // it is skipped as one frame: the frames around it are served.
     const ResultCache cache(dir_.string());
-    const CacheKey key{0xc0de, 0xcafe};
-    std::vector<SimResult> bad(6, conservingResult());
+    const CacheKey log{0xc0de, 0xcafe};
+    const CacheKey key{1, 2};
+    const SimResult good = conservingResult();
+    std::vector<SimResult> bad(6, good);
     bad[0].ledger_residual = 1;
     bad[1].other_stall_cycles += 1;
     bad[2].instructions = 0;
@@ -387,12 +406,15 @@ TEST_F(ResultCacheTest, NonConservingEntryReadsAsCorruptMiss)
     bad[5].mispredict_stall_cycles += bad[5].base_work_cycles;
     bad[5].base_work_cycles = 0;
     for (std::size_t i = 0; i < bad.size(); ++i) {
-        ASSERT_TRUE(cache.store(key, bad[i]));
+        std::filesystem::remove(cache.logPath(log));
+        ASSERT_TRUE(cache.append(
+            log, {{{1, 1}, good}, {key, bad[i]}, {{1, 3}, good}}));
         const MetricDeltas tally;
-        EXPECT_FALSE(cache.load(key).has_value()) << i;
+        const std::vector<CachedCell> read = cache.read(log);
+        ASSERT_EQ(read.size(), 2u) << i;
+        EXPECT_EQ(read[0].key, (CacheKey{1, 1})) << i;
+        EXPECT_EQ(read[1].key, (CacheKey{1, 3})) << i;
         EXPECT_EQ(tally["cache.probe.corrupt"], 1u) << i;
-        EXPECT_EQ(tally["cache.entry.evict"], 1u) << i;
-        EXPECT_FALSE(std::filesystem::exists(cache.logPath(key))) << i;
     }
 }
 

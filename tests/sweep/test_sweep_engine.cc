@@ -3,9 +3,9 @@
  * SweepEngine behaviour tests: the registry's tally of cold and warm
  * runs (read as the change across each call), one result log per
  * trace (one append per walked group, a truncated log's complete
- * frames served), silent recomputation of damaged logs and of frames
- * that are not the cell's run (non-conserving, or another depth's or
- * trace length's), the --no-cache escape hatch,
+ * frames served), silent recomputation of damaged or torn frames and
+ * of frames that are not the cell's run (non-conserving, or another
+ * depth's or trace length's), the --no-cache escape hatch,
  * explicit-trace (runConfigs) caching and its one trace hash per call,
  * the spec form of runConfigs (same bytes as the trace form, runGrid's
  * cache addresses), the shared SweepResult assembly, the summary that
@@ -169,34 +169,32 @@ TEST_F(SweepEngineTest, DifferentOptionsMissTheCache)
 TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
 {
     // One thread: the five cells form groups of 4 and 1, appended in
-    // that order, so the log holds five frames and the repair run
-    // reads it once before its first walk.
+    // that order, so the log holds five frames, and each run reads it
+    // once per group.
     const auto original = makeEngine(true, 1).runGrid(
         {findWorkload("gcc95")}, fastOptions());
     const std::filesystem::path log = onlyLog();
     const std::uintmax_t frame = std::filesystem::file_size(log) / 5;
+    std::vector<char> pristine(static_cast<std::size_t>(5 * frame));
+    std::ifstream(log, std::ios::binary)
+        .read(pristine.data(), static_cast<std::streamsize>(5 * frame));
 
     // Flip one bit of a key byte, then of a payload byte, of the
-    // third frame: either evicts the whole log.
+    // third frame: either costs that frame's cell alone.
     for (const std::uintmax_t offset : {2 * frame + 3, 2 * frame + 60}) {
-        {
-            std::fstream f(log,
-                           std::ios::binary | std::ios::in | std::ios::out);
-            f.seekg(static_cast<std::streamoff>(offset));
-            char byte = 0;
-            f.read(&byte, 1);
-            f.seekp(static_cast<std::streamoff>(offset));
-            f.put(static_cast<char>(byte ^ 0x40));
-        }
+        std::vector<char> bytes = pristine;
+        bytes[offset] = static_cast<char>(bytes[offset] ^ 0x40);
+        std::ofstream(log, std::ios::binary | std::ios::trunc)
+            .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 
+        // Both groups' reads count the damaged frame.
         const MetricDeltas repair_tally;
         const auto again = makeEngine(true, 1).runGrid(
             {findWorkload("gcc95")}, fastOptions());
-        EXPECT_EQ(repair_tally["cache.probe.corrupt"], 1u) << offset;
-        EXPECT_EQ(repair_tally["cache.entry.evict"], 1u) << offset;
-        EXPECT_EQ(repair_tally["sweep.cell.compute"], 5u) << offset;
-        EXPECT_EQ(repair_tally["sweep.cell.cached"], 0u) << offset;
-        EXPECT_EQ(repair_tally["cache.entry.store"], 5u) << offset;
+        EXPECT_EQ(repair_tally["cache.probe.corrupt"], 2u) << offset;
+        EXPECT_EQ(repair_tally["sweep.cell.compute"], 1u) << offset;
+        EXPECT_EQ(repair_tally["sweep.cell.cached"], 4u) << offset;
+        EXPECT_EQ(repair_tally["cache.entry.store"], 1u) << offset;
         // The recomputed cells are indistinguishable from the original
         // run.
         ASSERT_EQ(again[0].runs.size(), original[0].runs.size());
@@ -204,11 +202,12 @@ TEST_F(SweepEngineTest, CorruptEntryIsRecomputedSilently)
             EXPECT_EQ(serializeSimResult(again[0].runs[j]),
                       serializeSimResult(original[0].runs[j]));
 
-        // And the walks wrote a fresh log: a third run is all hits.
+        // And the walk appended the cell's frame behind the damaged
+        // one: a third run is all hits.
         const MetricDeltas verify_tally;
         makeEngine().runGrid({findWorkload("gcc95")}, fastOptions());
         EXPECT_EQ(verify_tally["sweep.cell.cached"], 5u) << offset;
-        EXPECT_EQ(verify_tally["cache.probe.corrupt"], 0u) << offset;
+        EXPECT_EQ(verify_tally["sweep.cell.compute"], 0u) << offset;
         ASSERT_EQ(onlyLog(), log);
     }
 }
@@ -240,25 +239,23 @@ TEST_F(SweepEngineTest, TruncatedLogServesCompleteFramesAndWalksTheRest)
     EXPECT_EQ(tally["sweep.cell.cached"], 2u);
     EXPECT_EQ(tally["sweep.cell.compute"], 2u);
 
-    // The frames appended behind the torn tail do not align: the next
-    // read evicts the log and walks its cells again, same bytes, into
-    // a log that the read after serves whole.
-    const MetricDeltas evict_tally;
-    expectOriginalBytes(makeEngine(true, 1).runGrid({spec}, opt));
-    EXPECT_EQ(evict_tally["cache.probe.corrupt"], 1u);
-    EXPECT_EQ(evict_tally["sweep.cell.compute"], 4u);
+    // The frames appended behind the torn tail do not align with the
+    // frames before it: the next read skips the torn bytes to them and
+    // serves every cell.
     const MetricDeltas warm_tally;
     expectOriginalBytes(makeEngine(true, 1).runGrid({spec}, opt));
+    EXPECT_EQ(warm_tally["cache.probe.corrupt"], 1u);
     EXPECT_EQ(warm_tally["sweep.cell.cached"], 4u);
+    EXPECT_EQ(warm_tally["sweep.cell.compute"], 0u);
 }
 
 TEST_F(SweepEngineTest, EntryThatIsNotTheCellsRunIsRecomputed)
 {
-    // Checksum-clean frames under the cell's key, appended to its
-    // trace's log, that its run cannot have left. The first three
-    // break the ledger's invariants and would abort calibration; the
-    // last two are conserving runs of another depth, and of another
-    // trace length (every timed instruction is in the trace).
+    // Checksum-clean frames under the cell's key, each the only frame
+    // of its trace's log, that its run cannot have left. The first
+    // three break the ledger's invariants and would abort calibration;
+    // the last two are conserving runs of another depth, and of
+    // another trace length (every timed instruction is in the trace).
     const SweepOptions opt = fastOptions();
     const WorkloadSpec &spec = findWorkload("db1");
     const std::vector<PipelineConfig> configs = {opt.configAtDepth(4)};
@@ -283,18 +280,18 @@ TEST_F(SweepEngineTest, EntryThatIsNotTheCellsRunIsRecomputed)
     bad[3].depth = 5;
     bad[4].instructions += 1;
     for (std::size_t i = 0; i < bad.size(); ++i) {
+        std::filesystem::remove(cache.logPath(log));
         ASSERT_TRUE(cache.append(log, {CachedCell{key, bad[i]}}));
         const MetricDeltas tally;
         const SimResult again =
             makeEngine().runConfigs(spec, opt.trace_length, configs)[0];
         const bool conserving = i >= 3;
         EXPECT_EQ(tally["cache.probe.corrupt"], conserving ? 0u : 1u) << i;
-        EXPECT_EQ(tally["cache.entry.evict"], conserving ? 0u : 1u) << i;
         EXPECT_EQ(tally["sweep.cell.compute"], 1u) << i;
         EXPECT_EQ(serializeSimResult(again), serializeSimResult(clean))
             << i;
-        // The walk's frame superseded the bad one: a re-run is served
-        // the clean run.
+        // The walk appended the clean run behind the bad frame: a
+        // re-run is served it.
         const auto frame = served();
         ASSERT_TRUE(frame.has_value()) << i;
         EXPECT_EQ(serializeSimResult(*frame), serializeSimResult(clean))

@@ -51,22 +51,11 @@
  * killed, drained or holed run recovers the same way: the same
  * command, run again on the same cache, serves completed cells from
  * the cache, computes only the rest, and prints a grid byte-identical
- * to an uninterrupted run. --failpoint SPEC
+ * to an uninterrupted run. Concurrent runs on one host may share a
+ * cache: each prints a single run's bytes, and a cell both reach
+ * before either has cached it is walked twice. --failpoint SPEC
  * injects deterministic faults (same syntax as PIPEDEPTH_FAILPOINTS,
  * seeded by PIPEDEPTH_FAILPOINT_SEED; see common/failpoint.hh).
- *
- * Sharding (docs/SHARDING.md): --sweep --shards N splits the grid
- * over N worker processes that lock cell groups with flock(2) on
- * files in a shared directory, with the result cache as the shared
- * result substrate. Without --shard-id, this process is the
- * *coordinator*: it forks the N workers, reaps them, then runs the
- * merged pass, which walks whatever a dead worker left and is
- * byte-identical to an unsharded run. With --shard-id K it is worker
- * K of N: it claims its partition first, then steals the rest.
- * --shard-dir overrides the directory (default `<cache>/shards`,
- * shared by every run on that cache; lock files hold no state).
- * Sharding requires --sweep and the cache; like any run, a sharded
- * one resumes by re-running it.
  *
  * Unknown flags, a missing flag argument, or an unknown workload name
  * print usage / the catalog hint and exit with status 2; simulation
@@ -75,19 +64,12 @@
  */
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
+#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <fcntl.h>
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
@@ -96,7 +78,6 @@
 #include "common/table.hh"
 #include "sweep/cache_key.hh"
 #include "sweep/depth_sweep.hh"
-#include "sweep/result_cache.hh"
 #include "sweep/sweep_engine.hh"
 #include "telemetry/manifest.hh"
 #include "telemetry/telemetry.hh"
@@ -120,7 +101,6 @@ usage(const char *argv0)
         "          [--threads N] [--stalls] [--stalls-json] [--audit]\n"
         "          [--trace-out FILE] [--manifest-out FILE]\n"
         "          [--events-out FILE] [--failpoint SPEC]\n"
-        "          [--shards N [--shard-id K] [--shard-dir DIR]]\n"
         "A killed, interrupted or holed run recovers when the same\n"
         "command runs again on the same result cache.\n",
         argv0);
@@ -141,9 +121,6 @@ struct Options
     bool audit = false;
     std::string trace_out, manifest_out, events_out;
     unsigned threads = 0;
-    unsigned shards = 1;        //!< worker processes; 1 = sharding off
-    int shard_id = -1;          //!< this worker; -1 = coordinator
-    std::string shard_dir;      //!< shared coordination directory
     std::string failpoint_spec;
     std::size_t length = 200000;
     std::size_t warmup = 60000;
@@ -197,17 +174,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
         } else if (arg == "--threads" && has_value) {
             opt.threads = static_cast<unsigned>(
                 std::strtoul(args[++i].c_str(), nullptr, 10));
-        } else if (arg == "--shards" && has_value) {
-            opt.shards = static_cast<unsigned>(
-                std::strtoul(args[++i].c_str(), nullptr, 10));
-            if (opt.shards == 0)
-                return false;
-        } else if (arg == "--shard-id" && has_value) {
-            opt.shard_id = std::atoi(args[++i].c_str());
-            if (opt.shard_id < 0)
-                return false;
-        } else if (arg == "--shard-dir" && has_value) {
-            opt.shard_dir = args[++i];
         } else if (arg == "--predictor" && has_value) {
             const std::string kind = args[++i];
             if (kind == "bimodal")
@@ -374,148 +340,6 @@ printRun(const SimResult &r)
     }
 }
 
-/**
- * Coordinator half of --shards N: fork the N workers (stdout silenced
- * — only the coordinator's merged pass prints results; each worker's
- * summary reaches this process's stderr) and reap them. A worker that
- * dies leaves only its cached cells behind: the kernel drops its group
- * locks, so the survivors steal its groups and the merged pass walks
- * whatever is still missing.
- *
- * @return 0 once every worker has exited, 130 on interrupt (the
- * workers drain; re-running the same command resumes), 2 on setup
- * failure.
- */
-int
-runShardWorkers(const char *argv0, const std::vector<std::string> &args,
-                const Options &opt, const std::string &shard_dir)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(shard_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "%s: cannot create shard dir '%s': %s\n",
-                     argv0, shard_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
-    // Worker argv: this run's args minus the output-emitting flags
-    // (the merged pass emits those exactly once) and minus any shard
-    // identity, which is re-appended per worker below.
-    std::vector<std::string> worker_args;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        if (a == "--manifest-out" || a == "--trace-out" ||
-            a == "--events-out" || a == "--shard-dir" ||
-            a == "--shards" || a == "--shard-id") {
-            ++i;
-            continue;
-        }
-        worker_args.push_back(a);
-    }
-    worker_args.push_back("--shards");
-    worker_args.push_back(std::to_string(opt.shards));
-    worker_args.push_back("--shard-dir");
-    worker_args.push_back(shard_dir);
-
-    // Re-exec this binary. /proc/self/exe survives $PATH lookups and
-    // cwd changes; argv[0] is the fallback off Linux.
-    char exe[4096];
-    const ssize_t exe_len =
-        ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-    const std::string binary = exe_len > 0
-                                   ? std::string(exe, static_cast<
-                                                          std::size_t>(
-                                                          exe_len))
-                                   : std::string(argv0);
-
-    auto spawn = [&](unsigned shard) -> pid_t {
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-            const int null_fd = ::open("/dev/null", O_WRONLY);
-            if (null_fd >= 0) {
-                ::dup2(null_fd, STDOUT_FILENO);
-                ::close(null_fd);
-            }
-            std::vector<std::string> child_args = worker_args;
-            child_args.push_back("--shard-id");
-            child_args.push_back(std::to_string(shard));
-            std::vector<char *> child_argv;
-            child_argv.push_back(const_cast<char *>(binary.c_str()));
-            for (std::string &a : child_args)
-                child_argv.push_back(const_cast<char *>(a.c_str()));
-            child_argv.push_back(nullptr);
-            ::execv(binary.c_str(), child_argv.data());
-            std::fprintf(stderr, "pipesim: cannot exec '%s': %s\n",
-                         binary.c_str(), std::strerror(errno));
-            ::_exit(127);
-        }
-        if (pid > 0) {
-            // Parsed by tests and operators alike; keep the format.
-            std::fprintf(stderr, "pipesim: shard %u worker pid %ld\n",
-                         shard, static_cast<long>(pid));
-        }
-        return pid;
-    };
-
-    installInterruptHandlers();
-    std::vector<pid_t> pids(opt.shards, -1); //!< -1 once reaped
-    for (unsigned s = 0; s < opt.shards; ++s) {
-        pids[s] = spawn(s);
-        if (pids[s] < 0) {
-            std::fprintf(stderr, "%s: fork: %s\n", argv0,
-                         std::strerror(errno));
-            for (unsigned k = 0; k < s; ++k)
-                ::kill(pids[k], SIGTERM);
-            return 2;
-        }
-    }
-
-    bool forwarded_interrupt = false;
-    for (unsigned running = opt.shards; running > 0;) {
-        if (interruptRequested() && !forwarded_interrupt) {
-            // Workers drain gracefully (their in-flight cells land in
-            // the cache) and exit 130.
-            forwarded_interrupt = true;
-            for (const pid_t pid : pids) {
-                if (pid > 0)
-                    ::kill(pid, SIGTERM);
-            }
-        }
-        int status = 0;
-        const pid_t dead = ::waitpid(-1, &status, 0);
-        if (dead < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        const auto it = std::find(pids.begin(), pids.end(), dead);
-        if (it == pids.end())
-            continue;
-        *it = -1;
-        --running;
-        const unsigned s = static_cast<unsigned>(it - pids.begin());
-        if (WIFSIGNALED(status)) {
-            std::fprintf(stderr,
-                         "pipesim: shard %u worker pid %ld killed by "
-                         "signal %d\n",
-                         s, static_cast<long>(dead), WTERMSIG(status));
-        } else if (WEXITSTATUS(status) != 0) {
-            std::fprintf(stderr,
-                         "pipesim: shard %u worker pid %ld exited %d\n",
-                         s, static_cast<long>(dead),
-                         WEXITSTATUS(status));
-        }
-    }
-
-    if (interruptRequested()) {
-        std::fprintf(stderr,
-                     "pipesim: interrupted; partial shard results are "
-                     "cached; re-run the same command to resume\n");
-        return 130;
-    }
-    return 0;
-}
-
 } // namespace
 
 int
@@ -528,29 +352,6 @@ main(int argc, char **argv)
 
     if (opt.tape.empty() == opt.workload.empty())
         usage(argv[0]); // exactly one source
-
-    if (opt.shards > 1) {
-        if (!opt.sweep) {
-            std::fprintf(stderr, "%s: --shards requires --sweep\n",
-                         argv[0]);
-            return 2;
-        }
-        if (opt.no_cache) {
-            std::fprintf(stderr,
-                         "%s: --shards needs the result cache (the "
-                         "shared result substrate); drop --no-cache\n",
-                         argv[0]);
-            return 2;
-        }
-    }
-    if (opt.shard_id >= 0 &&
-        (opt.shards <= 1 ||
-         static_cast<unsigned>(opt.shard_id) >= opt.shards)) {
-        std::fprintf(stderr,
-                     "%s: --shard-id %d needs --shards N with N > %d\n",
-                     argv[0], opt.shard_id, opt.shard_id);
-        return 2;
-    }
 
     if (!opt.failpoint_spec.empty()) {
         std::string error;
@@ -602,47 +403,10 @@ main(int argc, char **argv)
         configs.back().audit_ledger = opt.audit;
     }
 
-    // Sharded sweeps lock cell groups in a shared directory. Lock
-    // files hold no state, so every run on a cache can share one.
-    std::string shard_dir = opt.shard_dir;
-    if (opt.shards > 1 && shard_dir.empty()) {
-        const std::string cache_dir = ResultCache::resolveDefaultDir();
-        if (cache_dir.empty()) {
-            std::fprintf(stderr,
-                         "%s: --shards requires a usable result cache "
-                         "directory\n",
-                         argv[0]);
-            return 2;
-        }
-        shard_dir = cache_dir + "/shards";
-    }
-    if (opt.shards > 1 && opt.shard_id < 0) {
-        const int rc = runShardWorkers(argv[0], args, opt, shard_dir);
-        if (rc != 0)
-            return rc;
-        // Every worker has exited: fall through to the merged pass.
-        // With the engine below sharded too, it reads the workers'
-        // cells from the cache and walks any a dead worker left, so
-        // its output is byte-identical to an unsharded run.
-    }
-
     SweepEngineOptions engine_options;
     engine_options.threads = opt.threads;
     engine_options.use_cache = !opt.no_cache;
-    if (opt.shards > 1) {
-        engine_options.shards = opt.shards;
-        engine_options.shard_id =
-            opt.shard_id < 0 ? 0 : static_cast<unsigned>(opt.shard_id);
-        engine_options.shard_dir = shard_dir;
-    }
     SweepEngine engine(engine_options);
-
-    if (opt.shards > 1 && opt.shard_id >= 0) {
-        std::fprintf(stderr,
-                     "pipesim: shard %d/%u pid %ld coordinating in %s\n",
-                     opt.shard_id, opt.shards,
-                     static_cast<long>(::getpid()), shard_dir.c_str());
-    }
 
     RunManifest manifest;
     if (telemetry_on) {
