@@ -36,8 +36,7 @@ class AccessLog
     /**
      * Everything one line records about one finished request. The
      * rendered line leads with `ts_us`, microseconds on the tracer
-     * clock (SpanTracer::nowMicros) — the same epoch as the manifest
-     * event stream, so the two files correlate directly.
+     * clock (SpanTracer::nowMicros).
      */
     struct Entry
     {

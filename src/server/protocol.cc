@@ -344,8 +344,7 @@ doneResponseLine(const std::string &id, const DoneInfo &info)
        << ", \"optimum\": " << jsonNumber(info.optimum)
        << ", \"interior\": " << (info.interior ? "true" : "false")
        << ", \"elapsed_ms\": " << jsonNumber(info.elapsed_ms)
-       << ", \"phase_us\": " << phaseTimingsJson(info.phases)
-       << ", \"manifest\": " << jsonQuote(info.manifest) << "}\n";
+       << ", \"phase_us\": " << phaseTimingsJson(info.phases) << "}\n";
     return os.str();
 }
 

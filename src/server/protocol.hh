@@ -153,7 +153,6 @@ struct DoneInfo
     bool interior = false;    //!< peak interior to the sampled range
     double elapsed_ms = 0.0;  //!< admission-to-response latency
     PhaseTimings phases;      //!< where those milliseconds went
-    std::string manifest;     //!< daemon manifest path ("" when off)
 };
 
 std::string doneResponseLine(const std::string &id, const DoneInfo &info);

@@ -12,7 +12,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "sweep/cache_key.hh"
+#include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
 #include "telemetry/telemetry.hh"
 #include "workloads/catalog.hh"
@@ -118,12 +118,6 @@ SweepServer::SweepServer(const ServerOptions &options)
           return eopt;
       }())
 {
-    manifest_.setTool("pipesimd");
-    manifest_.addMeta("sim_version", kSimulatorVersionTag);
-    manifest_.addMeta("socket", options_.socket_path);
-    manifest_.addMeta("cache_dir",
-                      engine_.cacheEnabled() ? engine_.cacheDir() : "");
-    engine_.attachManifest(&manifest_);
 }
 
 SweepServer::~SweepServer()
@@ -230,13 +224,7 @@ SweepServer::start(std::string *error)
         std::string alerror;
         if (!access_log_.open(options_.access_log, &alerror))
             return failStart(alerror);
-        manifest_.addMeta("access_log", options_.access_log);
     }
-
-    if (!options_.events_out.empty())
-        manifest_.openEvents(options_.events_out);
-    manifest_.event("server_start",
-                    {{"socket", options_.socket_path}});
 
     started_at_ = std::chrono::steady_clock::now();
 
@@ -250,12 +238,6 @@ SweepServer::serve()
     ioLoop();
     if (scheduler_.joinable())
         scheduler_.join();
-    manifest_.setStatus("complete");
-    manifest_.event("server_drained",
-                    {{"requests",
-                      std::to_string(requestsCompleted())}});
-    if (!options_.manifest_out.empty())
-        manifest_.write(options_.manifest_out);
     PP_INFORM("pipesimd: drained cleanly after ", requestsCompleted(),
               " request(s)");
     return 0;
@@ -836,27 +818,19 @@ SweepServer::executeBatch(std::vector<Pending> batch,
         }
         const SweepOptions opt = members.front().request.sweepOptions();
 
-        // Correlation for this fused pass: a batch id plus the trace
-        // ids of every member, tagged on the engine span and emitted
-        // as a manifest "grid" event by runGrid, so cell events that
-        // follow can be attributed to the requests they served.
-        GridTelemetry telemetry;
-        telemetry.batch_id = "b-" + std::to_string(++next_batch_seq_);
-        for (const auto &p : members) {
-            if (!telemetry.trace_ids.empty())
-                telemetry.trace_ids += ",";
-            telemetry.trace_ids += p.request.trace_id;
-        }
-
-        const std::size_t cells_before = manifest_.cells().size();
+        // The outcome of every cell of exactly this grid, for each
+        // member's cached/computed counts; the manifest lives for this
+        // one call, so nothing accumulates across requests.
+        RunManifest grid;
         std::vector<SweepResult> results;
         const auto engine_begin = std::chrono::steady_clock::now();
         {
             TELEM_SPAN(span, "server.batch");
             span.tag("requests", std::to_string(members.size()));
             span.tag("workloads", std::to_string(specs.size()));
-            span.tag("batch", telemetry.batch_id);
-            results = engine_.runGrid(specs, opt, &telemetry);
+            engine_.attachManifest(&grid);
+            results = engine_.runGrid(specs, opt);
+            engine_.attachManifest(nullptr);
         }
         const double engine_us = elapsedUs(engine_begin);
         const double batch_wait_us =
@@ -870,16 +844,10 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                 .count();
         };
 
-        // Per-cell outcomes of exactly this grid, for per-request
-        // cached/computed accounting (the engine reported each
-        // resolved cell to the manifest).
         std::map<std::pair<std::string, int>, ManifestCell::Outcome>
             outcomes;
-        const auto &cells = manifest_.cells();
-        for (std::size_t i = cells_before; i < cells.size(); ++i) {
-            outcomes[{cells[i].workload, cells[i].depth}] =
-                cells[i].outcome;
-        }
+        for (const ManifestCell &cell : grid.cells())
+            outcomes[{cell.workload, cell.depth}] = cell.outcome;
 
         // Adds request @p r's cells to @p into's cells, cached and
         // computed (a DoneInfo or an access-log entry): one count for
@@ -945,7 +913,6 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             std::string out;
             DoneInfo info;
             info.trace_id = p.request.trace_id;
-            info.manifest = options_.manifest_out;
             countCells(p.request, info);
             if (p.request.type == ServerRequest::Type::Sweep) {
                 for (const SimResult &r : sweep->runs) {

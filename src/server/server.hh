@@ -3,7 +3,7 @@
  * SweepServer: sweep-as-a-service over a local socket.
  *
  * A persistent daemon process (tools/pipesimd.cc) owning one
- * SweepEngine, one result cache and one run manifest, accepting
+ * SweepEngine and one result cache, accepting
  * sweep and optimum-depth queries over an AF_UNIX stream socket
  * speaking the NDJSON protocol of server/protocol.hh. The point of
  * the daemon over batch pipesim: trace/annotation state and the
@@ -24,6 +24,11 @@
  *    SweepEngine::runGrid per group and routes per-request responses
  *    back through the I/O thread.
  *
+ * The daemon keeps no per-cell record of its own: each request's
+ * cached and computed cells are counted from a run manifest attached
+ * for its one runGrid call, and the access log and the `stats` verb
+ * are its record.
+ *
  * Admission control: a full queue rejects with "overloaded" rather
  * than queueing unboundedly; a request whose deadline_ms elapsed
  * while it waited is rejected with "deadline_exceeded" when the
@@ -34,11 +39,7 @@
  * SIGTERM/SIGINT by pipesimd) stops accept(2), refuses lines that
  * arrive after the signal with "shutting_down", finishes every
  * admitted request, flushes every connection and returns from
- * serve(). The daemon deliberately does NOT use
- * installInterruptHandlers(): the engine's own drain path turns
- * unstarted cells into holes when the process-wide interrupt flag is
- * set, which would drop admitted requests — exactly what a drain must
- * not do.
+ * serve().
  */
 
 #ifndef PIPEDEPTH_SERVER_SERVER_HH
@@ -57,7 +58,6 @@
 #include "server/access_log.hh"
 #include "server/protocol.hh"
 #include "sweep/sweep_engine.hh"
-#include "telemetry/manifest.hh"
 
 namespace pipedepth
 {
@@ -98,14 +98,6 @@ struct ServerOptions
     std::uint64_t idle_timeout_ms = 0;
 
     /**
-     * Manifest path written on drain ("" = no file; the manifest
-     * still accumulates in memory and its path is echoed on done
-     * lines only when set).
-     */
-    std::string manifest_out;
-    std::string events_out; //!< JSONL event stream ("" = off)
-
-    /**
      * Structured JSONL access log, one flushed line per finished
      * request ("" = off; schema in server/access_log.hh and
      * docs/OBSERVABILITY.md). start() fails when the path cannot be
@@ -143,8 +135,7 @@ class SweepServer
     /**
      * Run the I/O loop on the calling thread until a requested
      * shutdown has fully drained: every admitted request answered,
-     * every connection flushed, manifest finalized (and written when
-     * manifest_out is set). @return 0 on a clean drain.
+     * every connection flushed. @return 0 on a clean drain.
      */
     int serve();
 
@@ -201,11 +192,9 @@ class SweepServer
 
     ServerOptions options_;
     SweepEngine engine_;
-    RunManifest manifest_;
     AccessLog access_log_;
     std::chrono::steady_clock::time_point started_at_;
     std::uint64_t next_trace_seq_ = 0; //!< I/O thread only
-    std::uint64_t next_batch_seq_ = 0; //!< scheduler thread only
 
     int listen_fd_ = -1;
     int wake_read_fd_ = -1;

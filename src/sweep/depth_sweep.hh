@@ -66,8 +66,8 @@ struct TheoryModel
 /**
  * All simulation results of one workload across depths: a complete
  * grid. The engine never assembles one around a hole (a cell whose
- * walk failed, or that an interrupt drain skipped), so every run is
- * live and every accessor below covers every depth.
+ * walk failed), so every run is live and every accessor below covers
+ * every depth.
  */
 struct SweepResult
 {

@@ -408,7 +408,8 @@ ResultCache::logPath(const CacheKey &log) const
 }
 
 std::vector<CachedCell>
-ResultCache::read(const CacheKey &log) const
+ResultCache::read(const CacheKey &log,
+                  const std::vector<CacheKey> &wanted) const
 {
     static Counter &misses =
         MetricsRegistry::instance().counter("cache.probe.miss");
@@ -441,20 +442,6 @@ ResultCache::read(const CacheKey &log) const
         return std::memcmp(f + 16, kMagic, sizeof(kMagic)) == 0 &&
                fnv1a(f, frame - 8) == getU64(f + frame - 8);
     };
-    // Count damaged bytes at @p at; say where the first were (further
-    // damage only counts: a damaged cache directory would otherwise
-    // spam a warning per read).
-    auto damaged = [&](std::size_t at) {
-        corruptions.add();
-        static std::once_flag warned;
-        std::call_once(warned, [&]() {
-            PP_WARN("result cache: damaged bytes at offset ", at, " in '",
-                    path, "' (skipped to the next intact frame; a cell "
-                    "left without an intact frame is walked again, and "
-                    "further damage is counted under "
-                    "cache.probe.corrupt without a warning)");
-        });
-    };
 
     // Every frame must be a cell's conserving run. Damaged bytes (a
     // flipped bit, or a torn append that later appends landed behind)
@@ -462,9 +449,10 @@ ResultCache::read(const CacheKey &log) const
     // checksum-clean frame starts. A tail shorter than one frame is an
     // append in progress, or one a kill cut short, and is skipped.
     std::vector<CachedCell> cells;
+    std::vector<std::size_t> damage; //!< offset of each damaged region
     for (std::size_t at = 0; at + frame <= bytes.size(); at += frame) {
         if (!framed(at)) {
-            damaged(at);
+            damage.push_back(at);
             do {
                 ++at;
             } while (at + frame <= bytes.size() && !framed(at));
@@ -475,7 +463,7 @@ ResultCache::read(const CacheKey &log) const
         CachedCell cell{{getU64(f), getU64(f + 8)}, {}};
         if (!decodeEntry(f + 16, frame - 24, &cell.result) ||
             !isConservingRun(cell.result)) {
-            damaged(at);
+            damage.push_back(at);
             continue;
         }
         // The last frame of a key wins: it is the latest walk's.
@@ -486,6 +474,29 @@ ResultCache::read(const CacheKey &log) const
             same->result = std::move(cell.result);
         else
             cells.push_back(std::move(cell));
+    }
+
+    // Only damage that may have cost an asked-for cell is news; say
+    // where the process's first was (further damage only counts: a
+    // damaged cache directory would otherwise spam a warning per
+    // read).
+    const auto served = [&](const CacheKey &key) {
+        return std::any_of(cells.begin(), cells.end(),
+                           [&](const CachedCell &c) { return c.key == key; });
+    };
+    if (!damage.empty() &&
+        (wanted.empty() || !std::all_of(wanted.begin(), wanted.end(),
+                                        served))) {
+        corruptions.add(damage.size());
+        static std::once_flag warned;
+        std::call_once(warned, [&]() {
+            PP_WARN("result cache: damaged bytes at offset ",
+                    damage.front(), " in '", path,
+                    "' (skipped to the next intact frame; a cell left "
+                    "without an intact frame is walked again, and "
+                    "further damage is counted under "
+                    "cache.probe.corrupt without a warning)");
+        });
     }
     return cells;
 }
@@ -552,7 +563,7 @@ ResultCache::append(const CacheKey &log,
 std::optional<SimResult>
 ResultCache::load(const CacheKey &key) const
 {
-    for (CachedCell &cell : read(key)) {
+    for (CachedCell &cell : read(key, {key})) {
         if (cell.key == key)
             return std::move(cell.result);
     }

@@ -109,15 +109,23 @@ class ResultCache
      * tail shorter than one frame is an append in progress, or one cut
      * short, and is skipped. Empty when the log is absent or
      * unreadable (`cache.probe.miss`, `cache.probe.ioerror`). Damage
-     * costs only the damaged frames, each region counted once under
-     * `cache.probe.corrupt` on every read: bytes that are not a
+     * costs only the damaged frames: bytes that are not a
      * checksum-clean frame (key bytes included) are skipped up to the
      * next offset where one starts, and a checksum-clean frame that is
      * not a conserving run (instructions, base work and cycles, a
      * zero residual, buckets summing to cycles) is skipped as one
      * frame. The log is left as it is; the caller recomputes.
+     *
+     * Damage is reported (each region once under
+     * `cache.probe.corrupt`, and the process's first with a warning)
+     * only when it may have cost a cell: when a key in @p wanted has
+     * no intact frame, or @p wanted is empty (the whole log was
+     * asked for). Damage that later frames healed, such as a torn
+     * append the walk of its cells landed behind, reads clean.
      */
-    std::vector<CachedCell> read(const CacheKey &log) const;
+    std::vector<CachedCell> read(const CacheKey &log,
+                                 const std::vector<CacheKey> &wanted = {})
+        const;
 
     /**
      * Append @p cells to log @p log: one write(2) of every frame on an

@@ -10,9 +10,9 @@
 #include <ostream>
 
 #include "common/failpoint.hh"
-#include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "common/parallel.hh"
+#include "isa/isa.hh"
 #include "sweep/cache_key.hh"
 #include "telemetry/manifest.hh"
 #include "telemetry/metrics.hh"
@@ -44,9 +44,9 @@ quarantineRecord(const std::string &workload, int depth)
     return f;
 }
 
-/** The explicit hole a quarantined or skipped cell leaves behind:
- *  identity fields set, cycles == 0. runGrid assembles no
- *  SweepResult around one, and assembleSweep refuses it. */
+/** The explicit hole a quarantined cell leaves behind: identity
+ *  fields set, cycles == 0. runGrid assembles no SweepResult around
+ *  one, and assembleSweep refuses it. */
 SimResult
 holeResult(const std::string &workload, const PipelineConfig &config)
 {
@@ -99,6 +99,40 @@ class CallTimer
 
 } // namespace
 
+/*
+ * The bound is the largest gap between two consecutive retires of the
+ * timing walk (uarch/multi_depth_walk.cc). By the previous retire
+ * every older instruction has retired, and so has freed its fetch,
+ * decode, queue, issue, complete and retire slots and produced its
+ * results: from that cycle on nothing older holds the next
+ * instruction back. It then waits at most one taken-branch bubble to
+ * fetch, passes through every unit's depth once, pays the L2 and
+ * memory penalties at most twice (an instruction-cache miss at fetch,
+ * a data-cache miss at the cache access), executes for at most the
+ * longest latency of any op less the one cycle its unit's depth
+ * already counts, and takes one cycle each to enter decode,
+ * completion and retirement. So a run of n instructions retires its
+ * last by cycle n times this gap (cycles count from 0, and the first
+ * instruction waits on nothing), whatever its trace.
+ */
+std::uint64_t
+maxRetireGap(const PipelineConfig &config)
+{
+    static const int longest_latency = [] {
+        int longest = 1;
+        for (std::size_t c = 0; c < kNumOpClasses; ++c)
+            longest = std::max(
+                longest, opTraits(static_cast<OpClass>(c)).exec_latency);
+        return longest;
+    }();
+    int gap = config.takenBranchBubble() +
+              2 * (config.l2PenaltyCycles() + config.missPenaltyCycles()) +
+              longest_latency + 2;
+    for (const int depth : config.unit_depth)
+        gap += depth;
+    return static_cast<std::uint64_t>(gap);
+}
+
 /**
  * What runGrid and runConfigs hand the cell pipeline: the workloads
  * and configs, and the things that differ between a catalog grid and
@@ -136,26 +170,21 @@ struct SweepEngine::CellPlan
 };
 
 /**
- * The one record of cell outcomes. Every resolved cell makes exactly
- * one record() call. The manifest's `cell` event is written as the
- * call happens; fold() derives the registry's outcome counters, the
- * manifest's cells list and lastFailures() from the kept entries, in
- * cell order.
+ * The one record of cell outcomes. Every cell makes exactly one
+ * record() call, from the one worker resolving it. fold() derives the
+ * registry's outcome counters, the manifest's cells list and
+ * lastFailures() from the kept entries, in cell order.
  */
 class SweepEngine::CellRecorder
 {
   public:
-    enum class Outcome
-    {
-        Skipped,     //!< unstarted at an interrupt drain
-        Cached,      //!< served from the result cache
-        Computed,    //!< walked this run
-        Quarantined, //!< its walk threw here
-    };
+    /** Computed (walked this run), cached, or quarantined (its walk
+     *  threw here). */
+    using Outcome = ManifestCell::Outcome;
 
     struct Entry
     {
-        Outcome outcome = Outcome::Skipped;
+        Outcome outcome = Outcome::Computed;
         std::uint64_t instructions = 0;
         std::optional<FailureRecord> failure = {}; //!< holes only
     };
@@ -168,26 +197,18 @@ class SweepEngine::CellRecorder
     void
     record(std::size_t cell, Entry entry)
     {
-        // Each cell is recorded once, by the one worker resolving it.
-        // A skipped cell is neither reported nor done: a re-run
-        // computes it.
-        const Entry &e = entries_[cell] = std::move(entry);
-        if (e.outcome != Outcome::Skipped && engine_.manifest_)
-            engine_.manifest_->cellEvent(manifestCell(cell));
+        entries_[cell] = std::move(entry);
     }
 
     void
     fold()
     {
         std::uint64_t computed = 0, cached = 0, quarantined = 0,
-                      skipped = 0, instructions = 0;
+                      instructions = 0;
         engine_.last_failures_.clear();
         for (std::size_t i = 0; i < entries_.size(); ++i) {
             const Entry &e = entries_[i];
             switch (e.outcome) {
-              case Outcome::Skipped:
-                ++skipped;
-                break;
               case Outcome::Cached:
                 ++cached;
                 break;
@@ -201,8 +222,11 @@ class SweepEngine::CellRecorder
             }
             if (e.failure)
                 engine_.last_failures_.push_back(*e.failure);
-            if (engine_.manifest_ && e.outcome != Outcome::Skipped)
-                engine_.manifest_->recordCell(manifestCell(i));
+            if (engine_.manifest_) {
+                engine_.manifest_->recordCell(
+                    {plan_.names[plan_.workloadOf(i)],
+                     plan_.configOf(i).depth, e.outcome, e.instructions});
+            }
         }
         auto &registry = MetricsRegistry::instance();
         registry.counter("sweep.cell.schedule").add(entries_.size());
@@ -212,26 +236,9 @@ class SweepEngine::CellRecorder
             .add(plan_.traces_generated.load());
         registry.counter("sweep.instructions.simulate").add(instructions);
         registry.counter("sweep.cell.quarantine").add(quarantined);
-        registry.counter("sweep.cell.skip").add(skipped);
     }
 
   private:
-    /** Recorded cell @p cell as the manifest reports it; the one
-     *  source of its `cell` event and its cells list entry. Not for
-     *  a skipped cell, which the manifest never reports. */
-    ManifestCell
-    manifestCell(std::size_t cell) const
-    {
-        const Entry &e = entries_[cell];
-        ManifestCell::Outcome outcome = ManifestCell::Outcome::Computed;
-        if (e.outcome == Outcome::Cached)
-            outcome = ManifestCell::Outcome::Cached;
-        else if (e.outcome == Outcome::Quarantined)
-            outcome = ManifestCell::Outcome::Quarantined;
-        return {plan_.names[plan_.workloadOf(cell)],
-                plan_.configOf(cell).depth, outcome, e.instructions};
-    }
-
     SweepEngine &engine_;
     const CellPlan &plan_;
     std::vector<Entry> entries_; //!< one per plan cell
@@ -311,38 +318,25 @@ SweepEngine::resolveCells(const CellPlan &plan)
         --resident;
     };
 
-    // Resolve cell @p i without a walk when it can be: an interrupt
-    // hole, or a frame of @p log (its workload's log, as one read left
-    // it) under @p key that is this cell's run.
+    // Resolve cell @p i from a frame of @p log (its workload's log, as
+    // one read left it) under @p key, if that frame is this cell's run.
     auto probe = [&](std::size_t i, const std::vector<CachedCell> &log,
                      const CacheKey &key, SimResult &out) -> bool {
         const PipelineConfig &config = plan.configOf(i);
-        const std::string &name = plan.names[plan.workloadOf(i)];
-        const int depth = config.depth;
-
-        // Graceful drain (SIGINT/SIGTERM): cells not yet started
-        // resolve to holes immediately; in-flight cells finish, so
-        // everything already paid for lands in the cache.
-        if (interruptRequested()) {
-            recorder.record(
-                i, {.outcome = Outcome::Skipped,
-                    .failure = FailureRecord{name, depth,
-                                             "skipped: interrupt drain"}});
-            out = holeResult(name, config);
-            return true;
-        }
 
         // A frame of another depth or trace length is not this cell's
-        // run (every timed instruction is in the trace): walk the
-        // cell, and its frame supersedes this one.
+        // run (every timed instruction is in the trace), and neither
+        // is one slower than any run of its config (maxRetireGap):
+        // walk the cell, and its frame supersedes this one.
         const auto hit = std::find_if(
             log.begin(), log.end(),
             [&](const CachedCell &c) { return c.key == key; });
-        if (hit == log.end() || hit->result.depth != depth ||
-            hit->result.instructions != plan.instructions)
+        if (hit == log.end() || hit->result.depth != config.depth ||
+            hit->result.instructions != plan.instructions ||
+            hit->result.cycles > plan.instructions * maxRetireGap(config))
             return false;
         out = hit->result;
-        out.workload = name;
+        out.workload = plan.names[plan.workloadOf(i)];
         out.config = config;
         recorder.record(i, {.outcome = Outcome::Cached,
                             .instructions = out.instructions});
@@ -453,8 +447,8 @@ SweepEngine::resolveCells(const CellPlan &plan)
         ++replays[plan.workloadOf(group.begin)].groups_left;
 
     auto runGroup = [&](const Group &group) -> std::vector<SimResult> {
-        // However the group resolves (walked, all hits, drain), its
-        // end may be its workload's last.
+        // However the group resolves (walked or all hits), its end may
+        // be its workload's last.
         const std::size_t w = plan.workloadOf(group.begin);
         const ScopeExit group_end([&] { groupResolved(w); });
         const std::size_t count = group.end - group.begin;
@@ -470,7 +464,7 @@ SweepEngine::resolveCells(const CellPlan &plan)
         // and walk the ones left over.
         std::vector<CachedCell> log;
         if (cache_.enabled())
-            log = cache_.read(plan.traces[w].key());
+            log = cache_.read(plan.traces[w].key(), keys);
         std::vector<std::size_t> missing;
         for (std::size_t i = 0; i < count; ++i) {
             if (!probe(group.begin + i, log, keys[i], out[i]))
@@ -518,8 +512,7 @@ SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
 
 std::vector<SweepResult>
 SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
-                     const SweepOptions &options,
-                     const GridTelemetry *telemetry)
+                     const SweepOptions &options)
 {
     options.validate();
 
@@ -530,22 +523,6 @@ SweepEngine::runGrid(const std::vector<WorkloadSpec> &specs,
     TELEM_SPAN(grid_span, "sweep.grid");
     grid_span.tag("workloads", static_cast<std::uint64_t>(specs.size()));
     grid_span.tag("depths", static_cast<std::uint64_t>(n_depths));
-    if (telemetry != nullptr) {
-        // Request correlation: the daemon batches concurrent requests
-        // into one pass; these tags are how one slow trace id is
-        // followed from its access-log line into the engine.
-        if (!telemetry->batch_id.empty())
-            grid_span.tag("batch", telemetry->batch_id);
-        if (!telemetry->trace_ids.empty())
-            grid_span.tag("trace_ids", telemetry->trace_ids);
-        // The event stream is ordered, so a grid event here scopes
-        // every following cell event to this batch's trace ids.
-        if (manifest_ != nullptr) {
-            manifest_->event("grid",
-                             {{"batch", telemetry->batch_id},
-                              {"trace_ids", telemetry->trace_ids}});
-        }
-    }
 
     std::vector<PipelineConfig> configs;
     for (int p = options.min_depth; p <= options.max_depth; ++p)

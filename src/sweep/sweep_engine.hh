@@ -68,31 +68,26 @@ struct SweepEngineOptions
 
 /**
  * Why one grid cell has no result: its walk threw and the cell was
- * quarantined, or an interrupt drain skipped it. The engine lists
- * every hole (SweepEngine::lastFailures, the summary and the run
- * manifest) and assembles no SweepResult around one. A hole is never
- * cached: running the same call again computes it.
+ * quarantined. The engine lists every hole (SweepEngine::lastFailures,
+ * the summary and the run manifest) and assembles no SweepResult
+ * around one. A hole is never cached: running the same call again
+ * computes it.
  */
 struct FailureRecord
 {
     std::string workload;
     int depth = 0;
-    /** "quarantined: <what()>" or "skipped: interrupt drain". */
+    /** "quarantined: <what()>". */
     std::string cause;
 };
 
 /**
- * Request-scoped telemetry context for one engine call. Purely
- * observational: tags the `sweep.grid` span (and the manifest's
- * grid event) so a request admitted by the daemon can be followed
- * into the fused engine pass it was batched into. Never part of the
- * cache key — results are byte-identical with or without it.
+ * The most cycles one instruction can add to a run under @p config,
+ * whatever its trace (sweep_engine.cc gives the argument). The cache
+ * probe refuses a frame with more cycles than its instructions times
+ * this: no run of its config left it.
  */
-struct GridTelemetry
-{
-    std::string batch_id;  //!< caller's correlation id for this pass
-    std::string trace_ids; //!< comma-joined request trace ids served
-};
+std::uint64_t maxRetireGap(const PipelineConfig &config);
 
 /**
  * Schedules grids of simulations over worker threads with result
@@ -114,13 +109,10 @@ class SweepEngine
      * a hole gets no result; its other cells are still walked and
      * cached, so running the grid again computes only the holes. This
      * is the parallel, cached equivalent of calling runDepthSweep per
-     * spec. @p telemetry optionally tags the pass's `sweep.grid` span
-     * with the caller's correlation ids (GridTelemetry); it never
-     * affects results or the cache key.
+     * spec.
      */
     std::vector<SweepResult> runGrid(const std::vector<WorkloadSpec> &specs,
-                                     const SweepOptions &options,
-                                     const GridTelemetry *telemetry = nullptr);
+                                     const SweepOptions &options);
 
     /** One-workload grid; empty when a cell is a hole. */
     std::optional<SweepResult> runSweep(const WorkloadSpec &spec,
@@ -157,11 +149,10 @@ class SweepEngine
 
     /**
      * Report every subsequent cell outcome (computed / cached /
-     * quarantined, with instructions) to @p manifest,
-     * which must outlive the engine calls it observes: a `cell` event
-     * as each cell resolves, and the call's cells list entries in plan
-     * order when the call ends. Pass nullptr to detach. See
-     * telemetry/manifest.hh.
+     * quarantined, with instructions) to @p manifest, which must
+     * outlive the engine calls it observes: each call's cells list
+     * entries, in plan order, when the call ends. Pass nullptr to
+     * detach. See telemetry/manifest.hh.
      */
     void attachManifest(RunManifest *manifest) { manifest_ = manifest; }
 

@@ -1,6 +1,7 @@
 #include "telemetry/manifest.hh"
 
 #include <ctime>
+#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -96,101 +97,40 @@ RunManifest::RunManifest() : created_at_(isoUtcNow()) {}
 void
 RunManifest::setTool(const std::string &name)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
     tool_ = name;
 }
 
 void
 RunManifest::setArgv(int argc, const char *const *argv)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
     argv_.assign(argv, argv + argc);
-}
-
-void
-RunManifest::setStatus(const std::string &status)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    status_ = status;
 }
 
 void
 RunManifest::addMeta(const std::string &key, const std::string &value)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
     meta_.emplace_back(key, value);
-}
-
-bool
-RunManifest::openEvents(const std::string &path)
-{
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        events_.open(path, std::ios::trunc);
-        if (!events_) {
-            events_open_ = false;
-            PP_WARN("cannot write event stream to '", path, "'");
-            return false;
-        }
-        events_open_ = true;
-    }
-    event("run_start", {{"tool", tool_}, {"git", gitDescribe()}});
-    return true;
-}
-
-void
-RunManifest::event(
-    const std::string &type,
-    const std::vector<std::pair<std::string, std::string>> &fields)
-{
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (!events_open_)
-        return;
-    // Injected event-write fault: drop the line, exactly like a full
-    // disk would — the stream is advisory, the run must not care.
-    if (PP_FAILPOINT_FIRED("manifest.event"))
-        return;
-    events_ << "{\"ts_us\":" << SpanTracer::nowMicros()
-            << ",\"type\":" << jsonQuote(type);
-    for (const auto &[key, value] : fields)
-        events_ << "," << jsonQuote(key) << ":" << jsonQuote(value);
-    // One flushed line per event: an aborted run still leaves every
-    // completed cell on disk.
-    events_ << "}" << std::endl;
-}
-
-void
-RunManifest::cellEvent(const ManifestCell &cell)
-{
-    event("cell", {{"workload", cell.workload},
-                   {"depth", std::to_string(cell.depth)},
-                   {"outcome", manifestOutcomeName(cell.outcome)},
-                   {"instructions", std::to_string(cell.instructions)}});
 }
 
 void
 RunManifest::recordCell(const ManifestCell &cell)
 {
-    const std::lock_guard<std::mutex> lock(mutex_);
     cells_.push_back(cell);
 }
 
 std::string
 RunManifest::toJson() const
 {
-    // Snapshot the registry and tracer first (they have their own
-    // locks; never hold ours across them).
     const std::vector<MetricSnapshot> metrics =
         MetricsRegistry::instance().snapshot();
     const std::map<std::string, SpanRollup> spans =
         SpanTracer::instance().rollups();
 
-    const std::lock_guard<std::mutex> lock(mutex_);
     std::ostringstream os;
     os << "{\n";
     os << "  \"schema_version\": " << kSchemaVersion << ",\n";
     os << "  \"tool\": " << jsonQuote(tool_) << ",\n";
-    os << "  \"status\": " << jsonQuote(status_) << ",\n";
+    os << "  \"status\": \"complete\",\n";
     os << "  \"git\": " << jsonQuote(gitDescribe()) << ",\n";
     os << "  \"created_at\": " << jsonQuote(created_at_) << ",\n";
 
@@ -245,17 +185,9 @@ RunManifest::toJson() const
 }
 
 bool
-RunManifest::write(const std::string &path)
+RunManifest::write(const std::string &path) const
 {
-    event("run_end", {{"cells", std::to_string(cells().size())}});
     const std::string json = toJson();
-    {
-        const std::lock_guard<std::mutex> lock(mutex_);
-        if (events_open_) {
-            events_.close();
-            events_open_ = false;
-        }
-    }
     // Injected manifest-write fault: same path as an unwritable file.
     std::ofstream out;
     if (!PP_FAILPOINT_FIRED("manifest.write"))

@@ -117,6 +117,9 @@ TEST(PipesimCli, UnknownFlagExitsTwo)
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --max-retries 1"), 2);
     EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --failpoint-seed 7"),
               2);
+    // Removed event stream: the manifest and the summary are a run's
+    // record.
+    EXPECT_EQ(runPipesim(std::string(kQuickRun) + " --events-out x"), 2);
 }
 
 TEST(PipesimCli, MissingFlagArgumentExitsTwo)

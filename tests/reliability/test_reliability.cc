@@ -2,11 +2,10 @@
  * @file
  * Reliability suite (docs/RELIABILITY.md): quarantine semantics of
  * the sweep engine under injected faults and healing by re-running,
- * cache I/O
- * degradation paths, interrupt drain, the concurrent-writer
- * torn-entry guarantee, and — through the real pipesim binary —
- * kill-and-rerun byte-identity, the graceful SIGTERM drain, and two
- * concurrent runs on one cache, one of them SIGKILLed.
+ * cache I/O degradation paths, the concurrent-writer torn-entry
+ * guarantee, and — through the real pipesim binary — byte-identity of
+ * a re-run after SIGKILL or SIGTERM, and two concurrent runs on one
+ * cache, one of them SIGKILLed.
  *
  * Everything here is driven by the deterministic failpoint framework
  * (common/failpoint.hh); no test depends on timing except where a
@@ -31,7 +30,6 @@
 #include <unistd.h>
 
 #include "common/failpoint.hh"
-#include "common/interrupt.hh"
 #include "common/json.hh"
 #include "support/cached_cells.hh"
 #include "support/metric_deltas.hh"
@@ -66,7 +64,7 @@ cellCount(const SweepOptions &opt)
     return static_cast<std::size_t>(opt.max_depth - opt.min_depth + 1);
 }
 
-/** Private temp dir per test; failpoints and interrupts cleared. */
+/** Private temp dir per test; failpoints cleared. */
 class ReliabilityTest : public ::testing::Test
 {
   protected:
@@ -74,7 +72,6 @@ class ReliabilityTest : public ::testing::Test
     SetUp() override
     {
         failpoints::reset();
-        clearInterruptRequest();
         dir_ = std::filesystem::path(::testing::TempDir()) /
                ("pipedepth-rel-" +
                 std::string(::testing::UnitTest::GetInstance()
@@ -88,7 +85,6 @@ class ReliabilityTest : public ::testing::Test
     TearDown() override
     {
         failpoints::reset();
-        clearInterruptRequest();
         std::filesystem::remove_all(dir_);
     }
 
@@ -294,24 +290,6 @@ TEST_F(ReliabilityTest, LoadFaultRecomputesIdentically)
 }
 
 // ---------------------------------------------------------------------
-// Interrupt drain
-
-TEST_F(ReliabilityTest, InterruptDrainSkipsRemainingCells)
-{
-    requestInterrupt();
-    const MetricDeltas tally;
-    SweepEngine engine = makeEngine(false);
-    const SweepOptions opt = fastOptions();
-    EXPECT_FALSE(engine.runSweep(findWorkload("db1"), opt).has_value());
-
-    EXPECT_EQ(tally["sweep.cell.skip"], cellCount(opt));
-    EXPECT_EQ(tally["sweep.cell.compute"], 0u);
-    ASSERT_EQ(engine.lastFailures().size(), cellCount(opt));
-    for (const FailureRecord &f : engine.lastFailures())
-        EXPECT_EQ(f.cause, "skipped: interrupt drain");
-}
-
-// ---------------------------------------------------------------------
 // Manifest v3
 
 TEST_F(ReliabilityTest, ManifestEnumeratesQuarantinedHoles)
@@ -482,8 +460,8 @@ startPipesim(const std::filesystem::path &cache,
  * process. @return its wait status.
  */
 int
-interruptOnceCached(const std::filesystem::path &cache,
-                    const std::vector<std::string> &args, int signal)
+signalOnceCached(const std::filesystem::path &cache,
+                 const std::vector<std::string> &args, int signal)
 {
     const pid_t pid = startPipesim(cache, args);
     if (pid == -1)
@@ -494,77 +472,6 @@ interruptOnceCached(const std::filesystem::path &cache,
     int status = 0;
     waitpid(pid, &status, 0);
     return status;
-}
-
-TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
-{
-    const std::string sweep_args =
-        "--workload db1 --sweep --csv --length 60000 --warmup 10000 "
-        "--threads 2";
-    const std::filesystem::path ref_out = dir_ / "reference.csv";
-    const std::filesystem::path res_out = dir_ / "resumed.csv";
-    const std::filesystem::path manifest_path = dir_ / "resumed.json";
-
-    // Reference: the uninterrupted grid (its own cache).
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
-                       (dir_ / "cache-ref").string() + " " +
-                       PIPESIM_PATH + " " + sweep_args + " > " +
-                       ref_out.string() + " 2>/dev/null"),
-              0);
-
-    // Victim: same grid, separate cache, killed with SIGKILL as soon
-    // as its first cell is in the cache.
-    const std::filesystem::path victim_cache = dir_ / "cache-victim";
-    interruptOnceCached(victim_cache,
-                        {"--workload", "db1", "--sweep", "--csv",
-                         "--length", "60000", "--warmup", "10000",
-                         "--threads", "2"},
-                        SIGKILL);
-    ASSERT_GE(cachedCellCount(victim_cache), 1u);
-
-    // Resume is the same command on the same cache: cached cells
-    // replay, the rest compute, and the grid matches the reference
-    // byte for byte.
-    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" + victim_cache.string() +
-                       " " + PIPESIM_PATH + " " + sweep_args +
-                       " --manifest-out " + manifest_path.string() +
-                       " > " + res_out.string() + " 2>/dev/null"),
-              0);
-    EXPECT_EQ(slurp(res_out), slurp(ref_out));
-
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(slurp(manifest_path), &doc, &error))
-        << error;
-    ASSERT_TRUE(validateManifest(doc, &error)) << error;
-    const JsonValue *counts = doc.find("cell_counts");
-    const double cached = counts->find("cached")->number;
-    EXPECT_GE(cached, 1.0);
-    EXPECT_EQ(counts->find("computed")->number + cached, 24.0);
-}
-
-TEST_F(ReliabilityTest, SigtermDrainsWithInterruptedManifest)
-{
-    const std::filesystem::path manifest_path = dir_ / "manifest.json";
-
-    const int status = interruptOnceCached(
-        dir_ / "cache-drain",
-        {"--workload", "db1", "--sweep", "--length", "200000",
-         "--warmup", "10000", "--threads", "2", "--manifest-out",
-         manifest_path.string()},
-        SIGTERM);
-    ASSERT_TRUE(WIFEXITED(status));
-    if (WEXITSTATUS(status) == 0)
-        GTEST_SKIP() << "sweep finished before SIGTERM landed";
-    EXPECT_EQ(WEXITSTATUS(status), 130);
-
-    // Graceful drain: manifest finalized with status "interrupted".
-    JsonValue doc;
-    std::string error;
-    ASSERT_TRUE(JsonValue::parse(slurp(manifest_path), &doc, &error))
-        << error;
-    ASSERT_TRUE(validateManifest(doc, &error)) << error;
-    EXPECT_EQ(doc.find("status")->string, "interrupted");
 }
 
 /** cell_counts of the manifest at @p path, as {total, computed,
@@ -586,6 +493,59 @@ cellCounts(const std::filesystem::path &path)
     for (const char *key : {"total", "computed", "cached", "quarantined"})
         out.push_back(counts->find(key)->number);
     return out;
+}
+
+TEST_F(ReliabilityTest, KillAndResumeYieldsByteIdenticalGrid)
+{
+    const std::vector<std::string> sweep_args = {
+        "--workload", "db1",   "--sweep",   "--csv",     "--length",
+        "60000",      "--warmup", "10000",  "--threads", "2"};
+    std::string sweep = PIPESIM_PATH;
+    for (const std::string &arg : sweep_args)
+        sweep += " " + arg;
+    const std::filesystem::path ref_out = dir_ / "reference.csv";
+
+    // Reference: the uninterrupted grid (its own cache).
+    ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" +
+                       (dir_ / "cache-ref").string() + " " + sweep +
+                       " > " + ref_out.string() + " 2>/dev/null"),
+              0);
+
+    // SIGTERM ends a sweep as SIGKILL does: no drain, no handler.
+    for (const int signal : {SIGKILL, SIGTERM}) {
+        const std::string name = signal == SIGKILL ? "kill" : "term";
+        const std::filesystem::path res_out = dir_ / (name + ".csv");
+        const std::filesystem::path manifest_path =
+            dir_ / (name + ".json");
+
+        // Victim: same grid, its own cache, signalled as soon as its
+        // first cell is in the cache. It dies by the signal, unless
+        // it finished first.
+        const std::filesystem::path victim_cache =
+            dir_ / ("cache-" + name);
+        const int status =
+            signalOnceCached(victim_cache, sweep_args, signal);
+        EXPECT_TRUE((WIFSIGNALED(status) && WTERMSIG(status) == signal) ||
+                    (WIFEXITED(status) && WEXITSTATUS(status) == 0))
+            << name << ": wait status " << status;
+        ASSERT_GE(cachedCellCount(victim_cache), 1u) << name;
+
+        // Resume is the same command on the same cache: cached cells
+        // replay, the rest compute, and the grid matches the
+        // reference byte for byte.
+        ASSERT_EQ(runShell("PIPEDEPTH_CACHE_DIR=" + victim_cache.string() +
+                           " " + sweep + " --manifest-out " +
+                           manifest_path.string() + " > " +
+                           res_out.string() + " 2>/dev/null"),
+                  0)
+            << name;
+        EXPECT_EQ(slurp(res_out), slurp(ref_out)) << name;
+        const std::vector<double> counts = cellCounts(manifest_path);
+        ASSERT_EQ(counts.size(), 4u) << name;
+        EXPECT_EQ(counts[0], 24.0) << name;
+        EXPECT_GE(counts[2], 1.0) << name;
+        EXPECT_EQ(counts[1] + counts[2], 24.0) << name;
+    }
 }
 
 TEST_F(ReliabilityTest, PipesimSweepCompletesUnderInjectedFaults)

@@ -3,8 +3,8 @@
  * Run-manifest schema tests: golden round-trip (write -> parse ->
  * field-by-field compare), schema-version rejection, run-to-run
  * determinism (identical runs differ only in timestamps/durations),
- * the JSONL event stream, and the SweepEngine integration that fills
- * a manifest with one entry per grid cell.
+ * and the SweepEngine integration that fills a manifest with one
+ * entry per grid cell.
  */
 
 #include <gtest/gtest.h>
@@ -28,8 +28,7 @@ namespace pipedepth
 namespace
 {
 
-/** Populate @p m as a small manifest with fixed, known content
- *  (RunManifest owns a mutex, so it cannot be returned by value). */
+/** Populate @p m as a small manifest with fixed, known content. */
 void
 fillGolden(RunManifest &m)
 {
@@ -115,6 +114,8 @@ TEST_F(ManifestTest, GoldenRoundTripFieldByField)
     EXPECT_EQ(doc.find("schema_version")->number,
               RunManifest::kSchemaVersion);
     EXPECT_EQ(doc.find("tool")->string, "test_manifest");
+    // Only a run that ended writes a manifest.
+    EXPECT_EQ(doc.find("status")->string, "complete");
     EXPECT_EQ(doc.find("git")->string, gitDescribe());
     EXPECT_FALSE(doc.find("created_at")->string.empty());
 
@@ -241,38 +242,6 @@ TEST_F(ManifestTest, IdenticalRunsDifferOnlyInTimestamps)
     const JsonValue da = normalized(parsed(a.toJson()));
     const JsonValue db = normalized(parsed(b.toJson()));
     EXPECT_EQ(da.dump(), db.dump());
-}
-
-TEST_F(ManifestTest, EventStreamIsParseableJsonl)
-{
-    const std::filesystem::path events_path = dir_ / "events.jsonl";
-    const std::filesystem::path manifest_path = dir_ / "manifest.json";
-
-    RunManifest m;
-    m.setTool("test_manifest");
-    ASSERT_TRUE(m.openEvents(events_path.string()));
-    ManifestCell cell;
-    cell.workload = "w";
-    cell.depth = 3;
-    m.cellEvent(cell);
-    m.event("custom", {{"key", "value"}});
-    ASSERT_TRUE(m.write(manifest_path.string()));
-
-    std::ifstream in(events_path);
-    std::string line;
-    std::vector<std::string> types;
-    while (std::getline(in, line)) {
-        const JsonValue ev = parsed(line);
-        ASSERT_TRUE(ev.isObject());
-        ASSERT_NE(ev.find("ts_us"), nullptr);
-        EXPECT_TRUE(ev.find("ts_us")->isNumber());
-        types.push_back(ev.find("type")->string);
-    }
-    ASSERT_EQ(types.size(), 4u);
-    EXPECT_EQ(types.front(), "run_start");
-    EXPECT_EQ(types[1], "cell");
-    EXPECT_EQ(types[2], "custom");
-    EXPECT_EQ(types.back(), "run_end");
 }
 
 TEST_F(ManifestTest, SweepEngineFillsOneCellPerGridPoint)

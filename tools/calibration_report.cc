@@ -20,9 +20,10 @@
  * --limit N keeps only the first N catalog workloads (the CI smoke
  * sweep uses --limit 4). Telemetry (docs/OBSERVABILITY.md):
  * --trace-out FILE writes a Perfetto-loadable Chrome trace of the
- * run, --manifest-out FILE the schema-versioned run manifest, and
- * --events-out FILE a JSONL event stream; any of the three enables
- * span tracing.
+ * run, and --manifest-out FILE the schema-versioned run manifest;
+ * either enables span tracing. SIGINT and SIGTERM end the report at
+ * once; the cells it finished are cached, and the same command run
+ * again computes only the rest.
  */
 #include <array>
 #include <cstdio>
@@ -47,7 +48,7 @@ main(int argc, char **argv)
     SweepEngineOptions engine_options;
     bool stalls = false;
     std::size_t limit = 0;
-    std::string trace_out, manifest_out, events_out;
+    std::string trace_out, manifest_out;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--no-cache") {
@@ -61,13 +62,10 @@ main(int argc, char **argv)
             trace_out = argv[++i];
         } else if (arg == "--manifest-out" && i + 1 < argc) {
             manifest_out = argv[++i];
-        } else if (arg == "--events-out" && i + 1 < argc) {
-            events_out = argv[++i];
         } else {
             std::fprintf(stderr,
                          "usage: %s [--no-cache] [--stalls] [--limit N]\n"
-                         "          [--trace-out FILE] [--manifest-out FILE]\n"
-                         "          [--events-out FILE]\n",
+                         "          [--trace-out FILE] [--manifest-out FILE]\n",
                          argv[0]);
             return 2;
         }
@@ -79,8 +77,7 @@ main(int argc, char **argv)
 
     SweepEngine engine(engine_options);
 
-    const bool telemetry_on =
-        !trace_out.empty() || !manifest_out.empty() || !events_out.empty();
+    const bool telemetry_on = !trace_out.empty() || !manifest_out.empty();
     RunManifest manifest;
     if (telemetry_on) {
         SpanTracer::instance().setEnabled(true);
@@ -94,21 +91,15 @@ main(int argc, char **argv)
         manifest.addMeta("workloads", std::to_string(specs.size()));
         manifest.addMeta("cache_dir",
                          engine.cacheEnabled() ? engine.cacheDir() : "");
-        if (!events_out.empty())
-            manifest.openEvents(events_out);
         engine.attachManifest(&manifest);
     }
 
     auto finish = [&](int exit_code) {
         engine.printSummary(std::cerr);
-        if (telemetry_on) {
-            if (!trace_out.empty())
-                SpanTracer::instance().writeChromeTrace(trace_out);
-            if (!manifest_out.empty())
-                manifest.write(manifest_out);
-            else if (!events_out.empty())
-                manifest.event("run_end");
-        }
+        if (!trace_out.empty())
+            SpanTracer::instance().writeChromeTrace(trace_out);
+        if (!manifest_out.empty())
+            manifest.write(manifest_out);
         return exit_code;
     };
 

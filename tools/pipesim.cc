@@ -36,31 +36,32 @@
  * Telemetry (docs/OBSERVABILITY.md): --trace-out FILE writes a
  * Chrome trace_event JSON of the run's spans (open in Perfetto);
  * --manifest-out FILE writes the schema-versioned run manifest
- * (provenance, per-cell outcomes, metric snapshot, span rollups);
- * --events-out FILE streams JSONL events while the run progresses.
- * Any of the three enables span tracing for the run.
+ * (provenance, per-cell outcomes, metric snapshot, span rollups).
+ * Either enables span tracing for the run.
  *
  * Reliability (docs/RELIABILITY.md): a cell whose simulation throws
  * is quarantined after its one attempt — a hole. The engine still
  * walks and caches every other cell, but pipesim prints nothing
  * around a hole: it lists each one on stderr (`hole: W depth D
  * CAUSE`, the summary's last lines) and in the manifest, and exits
- * 3. A hole is never cached. SIGINT/SIGTERM drain gracefully:
- * in-flight cells finish and land in the cache, the manifest is
- * finalized with status "interrupted", and the exit status is 130. A
- * killed, drained or holed run recovers the same way: the same
- * command, run again on the same cache, serves completed cells from
- * the cache, computes only the rest, and prints a grid byte-identical
- * to an uninterrupted run. Concurrent runs on one host may share a
- * cache: each prints a single run's bytes, and a cell both reach
- * before either has cached it is walked twice. --failpoint SPEC
- * injects deterministic faults (same syntax as PIPEDEPTH_FAILPOINTS,
- * seeded by PIPEDEPTH_FAILPOINT_SEED; see common/failpoint.hh).
+ * 3. A hole is never cached. SIGINT and SIGTERM end a run at once, as
+ * SIGKILL does: every cell group already walked is in the cache, and
+ * at most the groups in flight are lost. A background job of a
+ * non-interactive shell starts with SIGINT ignored (POSIX), so
+ * scripts stop a run with SIGTERM. A stopped or holed run recovers
+ * the same way: the same command, run again on the same cache,
+ * serves completed cells from the cache, computes only the rest, and
+ * prints a grid byte-identical to an uninterrupted run. Concurrent
+ * runs on one host may share a cache: each prints a single run's
+ * bytes, and a cell both reach before either has cached it is walked
+ * twice. --failpoint SPEC injects deterministic faults (same syntax
+ * as PIPEDEPTH_FAILPOINTS, seeded by PIPEDEPTH_FAILPOINT_SEED; see
+ * common/failpoint.hh).
  *
  * Unknown flags, a missing flag argument, or an unknown workload name
  * print usage / the catalog hint and exit with status 2; simulation
  * failures exit 1; a run with a hole, in either form, prints nothing
- * and exits 3; a drained (interrupted) run exits 130.
+ * and exits 3.
  */
 
 #include <algorithm>
@@ -73,7 +74,6 @@
 
 #include "calib/extract.hh"
 #include "common/failpoint.hh"
-#include "common/interrupt.hh"
 #include "common/json.hh"
 #include "common/table.hh"
 #include "sweep/cache_key.hh"
@@ -100,9 +100,9 @@ usage(const char *argv0)
         "          [--length N] [--warmup N] [--csv] [--no-cache]\n"
         "          [--threads N] [--stalls] [--stalls-json] [--audit]\n"
         "          [--trace-out FILE] [--manifest-out FILE]\n"
-        "          [--events-out FILE] [--failpoint SPEC]\n"
-        "A killed, interrupted or holed run recovers when the same\n"
-        "command runs again on the same result cache.\n",
+        "          [--failpoint SPEC]\n"
+        "A stopped or holed run recovers when the same command runs\n"
+        "again on the same result cache.\n",
         argv0);
     std::exit(2);
 }
@@ -119,7 +119,7 @@ struct Options
     bool stalls = false;
     bool stalls_json = false;
     bool audit = false;
-    std::string trace_out, manifest_out, events_out;
+    std::string trace_out, manifest_out;
     unsigned threads = 0;
     std::string failpoint_spec;
     std::size_t length = 200000;
@@ -167,8 +167,6 @@ parseArgs(const std::vector<std::string> &args, Options &opt)
             opt.trace_out = args[++i];
         } else if (arg == "--manifest-out" && has_value) {
             opt.manifest_out = args[++i];
-        } else if (arg == "--events-out" && has_value) {
-            opt.events_out = args[++i];
         } else if (arg == "--failpoint" && has_value) {
             opt.failpoint_spec = args[++i];
         } else if (arg == "--threads" && has_value) {
@@ -377,9 +375,8 @@ main(int argc, char **argv)
 
     // Enable span tracing before a trace is loaded or generated so
     // its span lands in the output too.
-    const bool telemetry_on = !opt.trace_out.empty() ||
-                              !opt.manifest_out.empty() ||
-                              !opt.events_out.empty();
+    const bool telemetry_on =
+        !opt.trace_out.empty() || !opt.manifest_out.empty();
     if (telemetry_on)
         SpanTracer::instance().setEnabled(true);
 
@@ -420,41 +417,17 @@ main(int argc, char **argv)
         manifest.addMeta("trace", tape ? tape->name : opt.workload);
         manifest.addMeta("cache_dir",
                          engine.cacheEnabled() ? engine.cacheDir() : "");
-        if (!opt.events_out.empty())
-            manifest.openEvents(opt.events_out);
         engine.attachManifest(&manifest);
     }
 
-    installInterruptHandlers();
-
-    auto emitTelemetry = [&]() {
-        if (!telemetry_on)
-            return;
+    // Epilogue shared by both the single-run and sweep paths: the
+    // summary, then the telemetry files.
+    auto finishRun = [&](int exit_code) -> int {
+        engine.printSummary(std::cerr);
         if (!opt.trace_out.empty())
             SpanTracer::instance().writeChromeTrace(opt.trace_out);
         if (!opt.manifest_out.empty())
             manifest.write(opt.manifest_out);
-        else if (!opt.events_out.empty())
-            manifest.event("run_end");
-    };
-
-    // Epilogue shared by both the single-run and sweep paths: finalize
-    // the manifest with the run's status, emit telemetry, and turn a
-    // drain into exit 130.
-    auto finishRun = [&](int exit_code) -> int {
-        const bool interrupted = interruptRequested();
-        manifest.setStatus(interrupted ? "interrupted" : "complete");
-        engine.printSummary(std::cerr);
-        emitTelemetry();
-        if (interrupted) {
-            std::fprintf(stderr, "pipesim: interrupted by signal %d; %s\n",
-                         interruptSignal(),
-                         engine.cacheEnabled()
-                             ? "partial results are cached; re-run the "
-                               "same command to resume"
-                             : "the cache is off, so nothing was cached");
-            return 130;
-        }
         return exit_code;
     };
 
@@ -465,7 +438,7 @@ main(int argc, char **argv)
     };
 
     // A hole prints nothing: the summary names it, and the same
-    // command computes it. A drain exits 130 (finishRun).
+    // command computes it.
     if (!opt.sweep) {
         const SimResult run = simulate().front();
         if (!engine.lastFailures().empty())
@@ -483,7 +456,7 @@ main(int argc, char **argv)
     }
 
     std::vector<SimResult> runs = simulate();
-    if (!engine.lastFailures().empty() || interruptRequested())
+    if (!engine.lastFailures().empty())
         return finishRun(3);
     WorkloadSpec tape_spec;
     if (tape)

@@ -6,7 +6,6 @@
  *   pipesimd --socket PATH [--threads N] [--no-cache]
  *            [--cache-dir DIR] [--max-queue N] [--max-line-bytes N]
  *            [--idle-timeout-ms N]
- *            [--manifest-out FILE] [--events-out FILE]
  *            [--access-log FILE] [--slow-ms N]
  *            [--failpoint SPEC]
  *
@@ -21,7 +20,8 @@
  * response lines; `stats` and `health` protocol verbs answer in-band
  * (probe with tools/pipesim_stat.cc); --access-log writes one flushed
  * JSONL line per answered request; --slow-ms mirrors requests at or
- * over the threshold to the daemon log.
+ * over the threshold to the daemon log. The access log and `stats`
+ * are the daemon's record: it keeps no run manifest.
  *
  * Listens on an AF_UNIX stream socket for newline-delimited JSON
  * sweep and optimum-depth queries (protocol: docs/SERVER.md; load
@@ -33,11 +33,11 @@
  *
  * SIGTERM/SIGINT drain gracefully: in-flight and queued requests
  * finish, lines arriving after the signal are refused with
- * "shutting_down", every connection is flushed, and the run manifest
- * is finalized (written to --manifest-out when set). Exit status 0 on
+ * "shutting_down", and every connection is flushed. Exit status 0 on
  * a clean drain; the daemon prints "pipesimd: listening on PATH" to
  * stderr once it accepts connections, which is what scripts should
- * wait for.
+ * wait for. A daemon started in the background of a non-interactive
+ * shell ignores SIGINT (POSIX), so scripts stop it with SIGTERM.
  *
  * --failpoint arms the same deterministic fault-injection sites as
  * pipesim (common/failpoint.hh); a cell fault quarantines within the
@@ -80,7 +80,6 @@ usage(const char *argv0)
         "usage: %s --socket PATH [--threads N] [--no-cache]\n"
         "          [--cache-dir DIR] [--max-queue N]\n"
         "          [--max-line-bytes N] [--idle-timeout-ms N]\n"
-        "          [--manifest-out FILE] [--events-out FILE]\n"
         "          [--access-log FILE] [--slow-ms N]\n"
         "          [--failpoint SPEC]\n",
         argv0);
@@ -135,10 +134,6 @@ main(int argc, char **argv)
         } else if (arg == "--idle-timeout-ms" && has_value) {
             opt.idle_timeout_ms =
                 std::strtoull(args[++i].c_str(), nullptr, 10);
-        } else if (arg == "--manifest-out" && has_value) {
-            opt.manifest_out = args[++i];
-        } else if (arg == "--events-out" && has_value) {
-            opt.events_out = args[++i];
         } else if (arg == "--access-log" && has_value) {
             opt.access_log = args[++i];
         } else if (arg == "--slow-ms" && has_value) {
@@ -173,9 +168,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    // The engine's own interrupt drain (installInterruptHandlers)
-    // would turn admitted requests into holes on SIGTERM; the daemon
-    // instead finishes everything it admitted. See server.hh.
+    // A signal drains the daemon: it finishes everything it admitted.
+    // See server.hh.
     g_server = &server;
     struct sigaction sa
     {
