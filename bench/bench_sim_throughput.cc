@@ -260,7 +260,7 @@ main(int argc, char **argv)
     std::vector<Prepared> prepared;
     for (const WorkloadSpec &spec : sample) {
         Prepared p;
-        p.replay = prepareReplay(spec.makeTrace(trace_length));
+        p.replay = spec.makeReplay(trace_length);
         p.annotations = annotateReplay(p.replay, sweep.front());
         prepared.push_back(std::move(p));
     }

@@ -502,10 +502,10 @@ SweepEngine::resolveSpecs(const std::vector<WorkloadSpec> &specs,
     }
     plan.configs = std::move(configs);
     plan.instructions = trace_length;
-    // The intermediate Trace is dropped as soon as the buffer is built.
+    // Generated straight into the buffer: no TraceRecord is held.
     plan.replay = [&](std::size_t s) {
         plan.traces_generated.fetch_add(1);
-        return prepareReplay(specs[s].makeTrace(trace_length));
+        return specs[s].makeReplay(trace_length);
     };
     return resolveCells(plan);
 }

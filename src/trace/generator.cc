@@ -356,10 +356,16 @@ class DependenceTracker
     std::size_t size_ = 0;
 };
 
-} // namespace
-
-Trace
-generateTrace(const TraceGenParams &params, const std::string &name)
+/**
+ * The generator's one walk: build the static program from the seed,
+ * then walk it for params.length dynamic instructions, handing each
+ * record in order to @p sink, which keeps or flattens it. Every sink
+ * sees the same records from the same draws.
+ */
+template <typename Sink>
+void
+walkProgram(const TraceGenParams &params, const std::string &name,
+            Sink &&sink)
 {
     TELEM_SPAN(span, "trace.generate");
     span.tag("workload", name);
@@ -380,21 +386,16 @@ generateTrace(const TraceGenParams &params, const std::string &name)
     }
     stream_cursor.assign(flat, 0);
 
-    Trace trace;
-    trace.name = name;
-    trace.seed = params.seed;
-    trace.records.reserve(params.length);
-
     DependenceTracker deps(rng, params.dep_near, params.mean_dep_dist);
-    std::size_t cur = 0; // current block
+    std::size_t cur = 0;     // current block
+    std::size_t emitted = 0; // records handed to the sink
 
-    while (trace.records.size() < params.length) {
+    while (emitted < params.length) {
         Block &blk = prog.blocks[cur];
         const std::size_t base_flat = stream_index[cur];
 
         for (std::size_t i = 0;
-             i < blk.body.size() && trace.records.size() < params.length;
-             ++i) {
+             i < blk.body.size() && emitted < params.length; ++i) {
             const StaticInstr &si = blk.body[i];
             const OpTraits &t = opTraits(si.op);
             TraceRecord r;
@@ -438,10 +439,11 @@ generateTrace(const TraceGenParams &params, const std::string &name)
                 }
             }
             deps.wrote(r.dst);
-            trace.records.push_back(r);
+            sink(r);
+            ++emitted;
         }
 
-        if (trace.records.size() >= params.length)
+        if (emitted >= params.length)
             break;
 
         // Terminator branch.
@@ -474,12 +476,39 @@ generateTrace(const TraceGenParams &params, const std::string &name)
         br.target =
             prog.blocks[static_cast<std::size_t>(sb.taken_target)]
                 .start_pc;
-        trace.records.push_back(br);
+        sink(br);
+        ++emitted;
         cur = taken ? static_cast<std::size_t>(sb.taken_target)
                     : (cur + 1) % prog.blocks.size();
     }
+}
 
+} // namespace
+
+Trace
+generateTrace(const TraceGenParams &params, const std::string &name)
+{
+    Trace trace;
+    trace.name = name;
+    trace.seed = params.seed;
+    trace.records.reserve(params.length);
+    walkProgram(params, name, [&trace](const TraceRecord &r) {
+        trace.records.push_back(r);
+    });
     return trace;
+}
+
+ReplayBuffer
+generateReplay(const TraceGenParams &params, const std::string &name)
+{
+    const ReplayFlattener flatten;
+    ReplayBuffer buffer;
+    buffer.name = name;
+    buffer.ops.reserve(params.length);
+    walkProgram(params, name, [&](const TraceRecord &r) {
+        buffer.ops.push_back(flatten(r));
+    });
+    return buffer;
 }
 
 } // namespace pipedepth

@@ -31,6 +31,7 @@
 
 #include <cstdint>
 
+#include "trace/replay_buffer.hh"
 #include "trace/trace.hh"
 
 namespace pipedepth
@@ -120,6 +121,14 @@ struct TraceGenParams
  * @param name   workload name stamped into the trace
  */
 Trace generateTrace(const TraceGenParams &params, const std::string &name);
+
+/**
+ * The same walk as generateTrace, flattened into a replay buffer as
+ * it is drawn: what prepareReplay makes of generateTrace(params,
+ * name), without ever holding the trace's records.
+ */
+ReplayBuffer generateReplay(const TraceGenParams &params,
+                            const std::string &name);
 
 } // namespace pipedepth
 

@@ -6,6 +6,22 @@
 namespace pipedepth
 {
 
+ReplayFlattener::ReplayFlattener()
+{
+    for (std::size_t c = 0; c < kNumOpClasses; ++c) {
+        const OpTraits &t = opTraits(static_cast<OpClass>(c));
+        class_flags_[c] = static_cast<std::uint8_t>(
+            (t.is_mem ? kReplayMem : 0) | (t.is_load ? kReplayLoad : 0) |
+            (t.is_store ? kReplayStore : 0) |
+            (t.is_branch ? kReplayBranch : 0) |
+            (t.is_fp ? kReplayFp : 0) |
+            (t.unpipelined ? kReplayUnpipelined : 0));
+        PP_ASSERT(t.exec_latency >= 1 && t.exec_latency <= 255,
+                  "exec latency out of ReplayOp range");
+        class_latency_[c] = static_cast<std::uint8_t>(t.exec_latency);
+    }
+}
+
 ReplayBuffer
 prepareReplay(const Trace &trace)
 {
@@ -13,31 +29,12 @@ prepareReplay(const Trace &trace)
     span.tag("workload", trace.name);
     span.tag("ops", static_cast<std::uint64_t>(trace.size()));
 
+    const ReplayFlattener flatten;
     ReplayBuffer buf;
     buf.name = trace.name;
-    buf.ops.resize(trace.size());
-    for (std::size_t i = 0; i < trace.size(); ++i) {
-        const TraceRecord &r = trace.records[i];
-        const OpTraits &t = opTraits(r.op);
-        ReplayOp &op = buf.ops[i];
-        op.pc = r.pc;
-        op.mem_addr = r.mem_addr;
-        op.dst = r.dst;
-        op.src1 = r.src1;
-        op.src2 = r.src2;
-        op.src3 = r.src3;
-        op.op = static_cast<std::uint8_t>(r.op);
-        op.flags = static_cast<std::uint8_t>(
-            (t.is_mem ? kReplayMem : 0) | (t.is_load ? kReplayLoad : 0) |
-            (t.is_store ? kReplayStore : 0) |
-            (t.is_branch ? kReplayBranch : 0) |
-            (t.is_fp ? kReplayFp : 0) |
-            (t.unpipelined ? kReplayUnpipelined : 0) |
-            (r.taken ? kReplayTaken : 0));
-        PP_ASSERT(t.exec_latency >= 1 && t.exec_latency <= 255,
-                  "exec latency out of ReplayOp range");
-        op.exec_latency = static_cast<std::uint8_t>(t.exec_latency);
-    }
+    buf.ops.reserve(trace.size());
+    for (const TraceRecord &r : trace.records)
+        buf.ops.push_back(flatten(r));
     return buf;
 }
 

@@ -10,12 +10,16 @@
  * per-instruction simulation loop touches exactly one small record
  * per instruction and re-derives nothing.
  *
- * Preparing a buffer is one linear pass; the SweepEngine prepares
- * each workload's buffer at most once per grid and replays it at
- * every depth (a 24-depth sweep reads the same buffer 24 times).
+ * A buffer comes from one of two places, both through the one
+ * flatten rule below (ReplayFlattener): a catalog workload is
+ * generated straight into its buffer (generateReplay, so the engine
+ * never holds its TraceRecords), and a tape's Trace is flattened by
+ * prepareReplay. The SweepEngine builds each workload's buffer at most
+ * once per grid and replays it at every depth (a 24-depth sweep reads
+ * the same buffer 24 times).
  *
  * The flattening is purely representational — every field is copied
- * or derived 1:1 from the trace — so simulating a ReplayBuffer is
+ * or derived 1:1 from the record — so simulating a ReplayBuffer is
  * byte-identical to simulating the Trace it came from
  * (tests/sweep/test_engine_determinism.cc pins this via the golden
  * result hashes).
@@ -24,6 +28,7 @@
 #ifndef PIPEDEPTH_TRACE_REPLAY_BUFFER_HH
 #define PIPEDEPTH_TRACE_REPLAY_BUFFER_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -76,6 +81,41 @@ struct ReplayBuffer
 
     std::size_t size() const { return ops.size(); }
     bool empty() const { return ops.empty(); }
+};
+
+/**
+ * The one rule that turns a TraceRecord into a ReplayOp, shared by
+ * prepareReplay and the generator's replay sink. Each op class's flags
+ * and latency are resolved once, when the flattener is built, so
+ * flattening a record copies its fields and reads one table entry;
+ * it is inline because the generator calls it once per record.
+ */
+class ReplayFlattener
+{
+  public:
+    ReplayFlattener();
+
+    ReplayOp
+    operator()(const TraceRecord &r) const
+    {
+        const auto cls = static_cast<std::size_t>(r.op);
+        return ReplayOp{
+            .pc = r.pc,
+            .mem_addr = r.mem_addr,
+            .dst = r.dst,
+            .src1 = r.src1,
+            .src2 = r.src2,
+            .src3 = r.src3,
+            .op = static_cast<std::uint8_t>(r.op),
+            .flags = static_cast<std::uint8_t>(
+                class_flags_[cls] | (r.taken ? kReplayTaken : 0)),
+            .exec_latency = class_latency_[cls],
+        };
+    }
+
+  private:
+    std::array<std::uint8_t, kNumOpClasses> class_flags_{};
+    std::array<std::uint8_t, kNumOpClasses> class_latency_{};
 };
 
 /** Flatten @p trace into a replay buffer (one linear pass). */

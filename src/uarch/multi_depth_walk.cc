@@ -350,12 +350,17 @@ walkPass(Walk<D, W> &w, const ReplayBuffer &replay,
     const L zero = splat<L>(0);
     const L one = splat<L>(1);
 
+    // The next forwarded load's entry in annotations.fwd_store.
+    const std::uint32_t *fwd_next = annotations.fwd_store.data();
     const std::size_t n_ops = replay.size();
     for (std::size_t i = 0; i < n_ops; ++i) {
         // A copy, not a reference: the group loop's stores could alias
         // the op's byte fields and force a reload of each per group.
         const ReplayOp r = replay.ops[i];
         const std::uint8_t ann = annotations.flags[i];
+        // The store a forwarded load reads, the same at every lane.
+        const std::uint32_t fwd_seq =
+            (ann & kAnnForwarded) ? *fwd_next++ : 0;
         const bool is_mem = r.is(kReplayMem);
         const bool is_store = r.is(kReplayStore);
         const bool is_fp = r.is(kReplayFp);
@@ -451,8 +456,7 @@ walkPass(Walk<D, W> &w, const ReplayBuffer &replay,
                 // state); only the store's depth-dependent data-ready
                 // cycle is looked up here.
                 if (ann & kAnnForwarded) {
-                    const L st =
-                        w.store_ready[annotations.fwd_store[i]].g[g];
+                    const L st = w.store_ready[fwd_seq].g[g];
                     // One cycle after the store data is ready, but
                     // never earlier than the load's own pipe stage.
                     const L pipe_done = cache_start + s.dC;

@@ -32,6 +32,9 @@ sameGeometry(const CacheConfig &a, const CacheConfig &b)
 class SeqStoreTable
 {
   public:
+    /** lastStore() of a dword no recorded store wrote. */
+    static constexpr std::uint32_t kNoStore = 0xffffffffu;
+
     void
     recordStore(std::uint64_t addr, std::uint32_t seq)
     {
@@ -41,14 +44,14 @@ class SeqStoreTable
         e.valid = true;
     }
 
-    /** Sequence of the latest store to this dword, or the sentinel. */
+    /** Sequence of the latest store to this dword, or kNoStore. */
     std::uint32_t
     lastStore(std::uint64_t addr) const
     {
         const Entry &e = entries_[index(addr)];
         if (e.valid && e.dword == (addr >> 3))
             return e.seq;
-        return kNoForwardingStore;
+        return kNoStore;
     }
 
   private:
@@ -91,17 +94,20 @@ ReplayAnnotations::validateFor(const ReplayBuffer &replay) const
                  "holds ", replay.size(),
                  " — the annotations were built for a different trace");
     }
-    if (fwd_store.size() != replay.size()) {
+    const auto forwarded = static_cast<std::size_t>(
+        std::count_if(flags.begin(), flags.end(), [](std::uint8_t f) {
+            return (f & kAnnForwarded) != 0;
+        }));
+    if (fwd_store.size() != forwarded) {
         PP_FATAL("replay annotations for workload '", replay.name,
                  "' carry ", fwd_store.size(), " forwarding entries for ",
-                 replay.size(),
-                 " ops — the annotations were built for a different trace");
+                 forwarded, " forwarded loads",
+                 " — the annotations were built for a different trace");
     }
-    for (std::size_t i = 0; i < fwd_store.size(); ++i) {
-        if (fwd_store[i] != kNoForwardingStore &&
-            fwd_store[i] >= num_stores) {
+    for (std::size_t k = 0; k < fwd_store.size(); ++k) {
+        if (fwd_store[k] >= num_stores) {
             PP_FATAL("replay annotations for workload '", replay.name,
-                     "' forward op ", i, " from store ", fwd_store[i],
+                     "' forward load ", k, " from store ", fwd_store[k],
                      " but only ", num_stores,
                      " stores were recorded — corrupt annotation set");
         }
@@ -132,7 +138,6 @@ annotateReplay(const ReplayBuffer &replay, const PipelineConfig &config)
     ReplayAnnotations ann;
     ann.key = microarchKeyOf(config, replay.size());
     ann.flags.assign(replay.size(), 0);
-    ann.fwd_store.assign(replay.size(), kNoForwardingStore);
 
     Cache icache(config.icache);
     Cache dcache(config.dcache);
@@ -174,10 +179,10 @@ annotateReplay(const ReplayBuffer &replay, const PipelineConfig &config)
             bool forwarded = false;
             if (model_memdep && r.is(kReplayLoad)) {
                 const std::uint32_t seq = store_table.lastStore(r.mem_addr);
-                if (seq != kNoForwardingStore) {
+                if (seq != SeqStoreTable::kNoStore) {
                     forwarded = true;
                     f |= kAnnForwarded;
-                    ann.fwd_store[i] = seq;
+                    ann.fwd_store.push_back(seq);
                 }
             }
             if (!forwarded && !dcache.access(r.mem_addr)) {

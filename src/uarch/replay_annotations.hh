@@ -71,9 +71,6 @@ struct MicroarchKey
 MicroarchKey microarchKeyOf(const PipelineConfig &config,
                             std::size_t n_ops);
 
-/** Sentinel in fwd_store: the load is not forwarded. */
-constexpr std::uint32_t kNoForwardingStore = 0xffffffffu;
-
 /** See file comment. */
 struct ReplayAnnotations
 {
@@ -81,10 +78,13 @@ struct ReplayAnnotations
     std::vector<std::uint8_t> flags; //!< one AnnotationFlags byte per op
 
     /**
-     * Per op: sequence number (in recorded-store order) of the store
-     * that forwards to this load, or kNoForwardingStore. The timing
-     * walk keeps the stores' data-ready cycles in a dense array, so a
-     * forwarded load is one indexed read instead of a hash probe.
+     * One entry per forwarded load (kAnnForwarded), in op order: the
+     * sequence number (in recorded-store order) of the store that
+     * forwards to it. Only memory-dependence modelling forwards, so
+     * the set is empty by default. A walk reads it through a cursor
+     * that advances at each forwarded load, and keeps the stores'
+     * data-ready cycles in a dense array, so a forwarded load is one
+     * indexed read instead of a hash probe.
      */
     std::vector<std::uint32_t> fwd_store;
     std::uint32_t num_stores = 0; //!< recorded (forwardable) stores
@@ -98,12 +98,12 @@ struct ReplayAnnotations
 
     /**
      * Abort (fatal, naming the workload) unless these annotations
-     * cover @p replay op for op: the flags and fwd_store arrays must
-     * both have exactly one entry per replay op, and every recorded
+     * cover @p replay op for op: flags must have exactly one entry per
+     * replay op, fwd_store exactly one per forwarded flag, and every
      * forwarding index must point at one of the recorded stores. The
-     * timing walks index these arrays by op position without bounds
-     * checks, so a mismatched annotation set must be rejected here —
-     * with a diagnosable error — instead of walking out of bounds.
+     * timing walks read these arrays without bounds checks, so a
+     * mismatched annotation set must be rejected here — with a
+     * diagnosable error — instead of walking out of bounds.
      */
     void validateFor(const ReplayBuffer &replay) const;
 };

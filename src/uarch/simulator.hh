@@ -54,7 +54,8 @@ namespace pipedepth
 /**
  * The hot entry point: the pure timing walk over a prepared replay
  * buffer and its precomputed microarchitectural outcomes. Callers
- * sweeping one workload over many depths should prepareReplay() and
+ * sweeping one workload over many depths should build the buffer
+ * (WorkloadSpec::makeReplay, or prepareReplay() of a Trace) and
  * annotateReplay() once and reuse both across configurations (both
  * are read-only here; the annotations must match @p config's
  * microarchitectural key). Byte-identical to the Trace overload.

@@ -26,17 +26,17 @@ workloadClassName(WorkloadClass cls)
     PP_PANIC("bad workload class");
 }
 
-Trace
-WorkloadSpec::makeTrace(std::size_t length) const
-{
-    TraceGenParams params = gen;
-    if (length)
-        params.length = length;
-    return generateTrace(params, name);
-}
-
 namespace
 {
+
+/** @p gen at @p length (0: its own length). */
+TraceGenParams
+atLength(TraceGenParams gen, std::size_t length)
+{
+    if (length)
+        gen.length = length;
+    return gen;
+}
 
 /**
  * Deterministic per-workload jitter: scales a base value by a factor
@@ -252,6 +252,18 @@ buildCatalog()
 }
 
 } // namespace
+
+Trace
+WorkloadSpec::makeTrace(std::size_t length) const
+{
+    return generateTrace(atLength(gen, length), name);
+}
+
+ReplayBuffer
+WorkloadSpec::makeReplay(std::size_t length) const
+{
+    return generateReplay(atLength(gen, length), name);
+}
 
 const std::vector<WorkloadSpec> &
 workloadCatalog()

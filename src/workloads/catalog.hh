@@ -58,6 +58,10 @@ struct WorkloadSpec
 
     /** Generate this workload's trace (optionally overriding length). */
     Trace makeTrace(std::size_t length = 0) const;
+
+    /** Generate this workload straight into a replay buffer: what
+     *  prepareReplay makes of makeTrace(length), with no Trace held. */
+    ReplayBuffer makeReplay(std::size_t length = 0) const;
 };
 
 /** The full 55-entry catalog, stable order. */

@@ -89,11 +89,21 @@ goldenTable()
     return t;
 }
 
+/** How a golden check hands each workload to the engine: as a Trace
+ *  the test generated, or as its spec, which the engine generates
+ *  straight into a replay buffer. */
+enum class GoldenPath
+{
+    Trace,
+    Spec,
+};
+
 /** Run the whole catalog at the golden depths on @p engine and check
  *  every cell's hash against the table. @p label names the pass in
  *  failure messages. */
 void
-checkCatalogAgainstGolden(SweepEngine &engine, const char *label)
+checkCatalogAgainstGolden(SweepEngine &engine, const char *label,
+                          GoldenPath path = GoldenPath::Trace)
 {
     const auto golden = goldenTable();
     const SweepOptions opt = goldenOptions();
@@ -103,9 +113,10 @@ checkCatalogAgainstGolden(SweepEngine &engine, const char *label)
 
     std::size_t checked = 0;
     for (const WorkloadSpec &spec : workloadCatalog()) {
-        const Trace trace = spec.makeTrace(kGoldenLength);
         const std::vector<SimResult> runs =
-            engine.runConfigs(trace, configs);
+            path == GoldenPath::Spec
+                ? engine.runConfigs(spec, kGoldenLength, configs)
+                : engine.runConfigs(spec.makeTrace(kGoldenLength), configs);
         ASSERT_EQ(runs.size(), configs.size());
         for (const SimResult &r : runs) {
             const auto it = golden.find({spec.name, r.depth});
@@ -346,6 +357,26 @@ TEST(GoldenHashes, MultiThreadMatchesTable)
 {
     SweepEngine engine = uncachedEngine(8);
     checkCatalogAgainstGolden(engine, "8-thread");
+}
+
+TEST(GoldenHashes, SpecPathMatchesTable)
+{
+    // runConfigs(spec, ...) never builds a Trace: each workload is
+    // generated into its replay buffer, and must walk to the bytes the
+    // table pins for the trace path.
+    const auto dir = std::filesystem::path(::testing::TempDir()) /
+                     "pipedepth-golden-spec";
+    std::filesystem::remove_all(dir);
+
+    SweepEngineOptions opt;
+    opt.cache_dir = dir.string();
+    const MetricDeltas tally;
+    SweepEngine engine(opt);
+    checkCatalogAgainstGolden(engine, "spec path", GoldenPath::Spec);
+    EXPECT_EQ(tally["sweep.cell.cached"], 0u);
+    EXPECT_EQ(tally["sweep.trace.generate"], workloadCatalog().size());
+
+    std::filesystem::remove_all(dir);
 }
 
 TEST(GoldenHashes, CacheReplayMatchesTable)

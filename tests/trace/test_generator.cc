@@ -11,6 +11,7 @@
 
 #include "sweep/cache_key.hh"
 #include "trace/generator.hh"
+#include "trace/replay_buffer.hh"
 #include "workloads/catalog.hh"
 
 namespace pipedepth
@@ -272,6 +273,35 @@ TEST(Generator, RecordsPinnedBitForBit)
         ASSERT_EQ(t.size(), pin.length) << name;
         EXPECT_EQ(recordDigest(t), pin.digest)
             << name << " at length " << pin.length;
+    }
+}
+
+TEST(Generator, ReplaySinkMatchesPreparedTrace)
+{
+    // The replay sink must flatten exactly the records the trace sink
+    // keeps: every catalog spec, every ReplayOp field.
+    const std::size_t lengths[] = {1, 2, 1000, 30000};
+    for (const WorkloadSpec &spec : workloadCatalog()) {
+        for (const std::size_t length : lengths) {
+            const ReplayBuffer direct = spec.makeReplay(length);
+            const ReplayBuffer prepared =
+                prepareReplay(spec.makeTrace(length));
+            ASSERT_EQ(direct.name, prepared.name);
+            ASSERT_EQ(direct.size(), length) << spec.name;
+            ASSERT_EQ(prepared.size(), length) << spec.name;
+            for (std::size_t i = 0; i < length; ++i) {
+                const ReplayOp &a = direct.ops[i];
+                const ReplayOp &b = prepared.ops[i];
+                ASSERT_TRUE(a.pc == b.pc && a.mem_addr == b.mem_addr &&
+                            a.dst == b.dst && a.src1 == b.src1 &&
+                            a.src2 == b.src2 && a.src3 == b.src3 &&
+                            a.op == b.op && a.flags == b.flags &&
+                            a.exec_latency == b.exec_latency &&
+                            a.pad_ == b.pad_)
+                    << spec.name << " at length " << length << ", op "
+                    << i;
+            }
+        }
     }
 }
 

@@ -28,7 +28,8 @@ smallTrace()
 {
     TraceGenParams params;
     params.seed = 42;
-    params.length = 400;
+    // Long enough that some loads forward under memdepConfig().
+    params.length = 4000;
     params.data_working_set = 1ull << 14;
     return generateTrace(params, "valwl");
 }
@@ -37,6 +38,15 @@ PipelineConfig
 config()
 {
     return PipelineConfig::forDepth(7);
+}
+
+/** Forwards loads, so its annotations carry forwarding entries. */
+PipelineConfig
+memdepConfig()
+{
+    PipelineConfig c = config();
+    c.model_memory_dependences = true;
+    return c;
 }
 
 TEST(ReplayValidation, MatchingAnnotationsPass)
@@ -60,9 +70,23 @@ TEST(ReplayValidationDeath, FlagsCountMismatchIsFatal)
 
 TEST(ReplayValidationDeath, ForwardingCountMismatchIsFatal)
 {
+    // One entry short of the forwarded loads.
+    const ReplayBuffer replay = prepareReplay(smallTrace());
+    ReplayAnnotations ann = annotateReplay(replay, memdepConfig());
+    ASSERT_FALSE(ann.fwd_store.empty());
+    ann.fwd_store.pop_back();
+    EXPECT_EXIT(ann.validateFor(replay), ::testing::ExitedWithCode(1),
+                "workload 'valwl'.*built for a different trace");
+}
+
+TEST(ReplayValidationDeath, ForwardingEntryWithoutForwardedLoadIsFatal)
+{
+    // Without memory dependences no load forwards, so the set is empty
+    // and any entry is one too many.
     const ReplayBuffer replay = prepareReplay(smallTrace());
     ReplayAnnotations ann = annotateReplay(replay, config());
-    ann.fwd_store.pop_back();
+    ASSERT_TRUE(ann.fwd_store.empty());
+    ann.fwd_store.push_back(0);
     EXPECT_EXIT(ann.validateFor(replay), ::testing::ExitedWithCode(1),
                 "workload 'valwl'.*built for a different trace");
 }
@@ -70,7 +94,8 @@ TEST(ReplayValidationDeath, ForwardingCountMismatchIsFatal)
 TEST(ReplayValidationDeath, ForwardingIndexOutOfRangeIsFatal)
 {
     const ReplayBuffer replay = prepareReplay(smallTrace());
-    ReplayAnnotations ann = annotateReplay(replay, config());
+    ReplayAnnotations ann = annotateReplay(replay, memdepConfig());
+    ASSERT_FALSE(ann.fwd_store.empty());
     // A forwarding index at num_stores points past the dense
     // store-ready array every walk keeps — corrupt, not mismatched.
     ann.fwd_store.front() = ann.num_stores;
@@ -92,9 +117,10 @@ TEST(ReplayValidationDeath, ReferenceWalkRejectsMismatch)
 TEST(ReplayValidationDeath, FusedWalkRejectsMismatch)
 {
     const ReplayBuffer replay = prepareReplay(smallTrace());
-    ReplayAnnotations ann = annotateReplay(replay, config());
+    ReplayAnnotations ann = annotateReplay(replay, memdepConfig());
+    ASSERT_FALSE(ann.fwd_store.empty());
     ann.fwd_store.pop_back();
-    const std::vector<PipelineConfig> configs{config()};
+    const std::vector<PipelineConfig> configs{memdepConfig()};
     EXPECT_EXIT(simulateMultiDepth(replay, ann, configs),
                 ::testing::ExitedWithCode(1), "workload 'valwl'");
 }

@@ -159,6 +159,8 @@ referenceSimulate(const ReplayBuffer &replay,
     // replaces the store table's hash probes on the timing walk.
     std::vector<Cycle> store_ready(annotations.num_stores, 0);
     std::uint32_t store_seq = 0;
+    // The next forwarded load's entry in annotations.fwd_store.
+    std::size_t fwd_next = 0;
 
     Cycle fetch_seq = 0;     //!< earliest fetch for the next instruction
     Cycle decode_seq = 0;
@@ -286,7 +288,8 @@ referenceSimulate(const ReplayBuffer &replay,
             // depth-dependent data-ready cycle is looked up here.
             ++res.dcache_accesses;
             if (ann & kAnnForwarded) {
-                const Cycle st = store_ready[annotations.fwd_store[i]];
+                const Cycle st =
+                    store_ready[annotations.fwd_store[fwd_next++]];
                 // One cycle after the store data is ready, but never
                 // earlier than the load's own pipe stage.
                 const Cycle pipe_done = cache_start + dC;

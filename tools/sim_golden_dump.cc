@@ -136,7 +136,7 @@ main(int argc, char **argv)
     for (const WorkloadSpec &spec : workloadCatalog()) {
         if (!only.empty() && spec.name != only)
             continue;
-        const ReplayBuffer replay = prepareReplay(spec.makeTrace(length));
+        const ReplayBuffer replay = spec.makeReplay(length);
         const ReplayAnnotations ann = annotateReplay(replay, configs.front());
         const std::vector<SimResult> lanes =
             simulateMultiDepth(replay, ann, configs);
