@@ -2,20 +2,22 @@
  * @file
  * Structured JSONL access log for the pipesimd daemon.
  *
- * One flushed line per finished request — done, error, stats or
- * health — so a tail of the file is a live view of what the daemon
- * is serving, and a post-mortem can account for every request the
- * load harness sent (CI asserts exactly-once coverage). Each line is
- * a self-contained JSON object carrying the correlation
+ * One flushed line per finished request — done, error or stats — so
+ * a tail of the file is a live view of what the daemon is serving,
+ * and a post-mortem can account for every request the load harness
+ * sent (CI asserts exactly-once coverage). Each line is a
+ * self-contained JSON object carrying the correlation
  * (trace_id/id/peer), the request shape (kind, workload, scheduling
  * shape key), the cell accounting of the done line, the per-phase
- * latency attribution (PhaseTimings, microseconds) and the outcome
- * ("ok" or the wire error code). docs/OBSERVABILITY.md documents the
- * schema; tests/server/test_server.cc pins it.
+ * latency attribution (PhaseTimings, microseconds, the done line's
+ * own values) and the outcome ("ok" or the wire error code).
+ * docs/OBSERVABILITY.md documents the schema;
+ * tests/server/test_server.cc pins it. SweepServer::recordAnswer is
+ * its one writer.
  *
  * Thread-safety: write() is mutex-guarded whole-line appends, called
- * from both the I/O thread (inline verbs, refusals) and the
- * scheduler thread (grid requests).
+ * from both the I/O thread (stats, refusals) and the scheduler
+ * thread (grid requests).
  */
 
 #ifndef PIPEDEPTH_SERVER_ACCESS_LOG_HH
@@ -51,7 +53,7 @@ class AccessLog
         std::size_t cached = 0;
         std::size_t computed = 0;
         PhaseTimings phases;
-        double total_us = 0.0; //!< admission-to-response latency
+        double total_us = 0.0; //!< start of parse to the answer
     };
 
     AccessLog() = default;

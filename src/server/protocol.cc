@@ -49,8 +49,6 @@ ServerRequest::kindName() const
         return "optimum";
       case Type::Stats:
         return "stats";
-      case Type::Health:
-        return "health";
     }
     return "sweep";
 }
@@ -101,9 +99,9 @@ parseServerRequest(const std::string &line, ServerRequest *out,
         out->trace_id = t->string;
 
     bool have_id = false, have_type = false, have_workload = false;
-    // First sweep-option field seen, if any: stats/health requests
-    // must not carry one (a grid option on a probe is a client bug
-    // worth naming, not silently ignoring).
+    // First sweep-option field seen, if any: a stats request must not
+    // carry one (a grid option on a probe is a client bug worth
+    // naming, not silently ignoring).
     std::string sweep_field;
     for (const auto &[key, value] : doc.object) {
         if (key != "id" && key != "type" && key != "trace_id" &&
@@ -130,13 +128,11 @@ parseServerRequest(const std::string &line, ServerRequest *out,
                 out->type = ServerRequest::Type::Optimum;
             } else if (value.string == "stats") {
                 out->type = ServerRequest::Type::Stats;
-            } else if (value.string == "health") {
-                out->type = ServerRequest::Type::Health;
             } else {
                 return fail(error_code, error_message,
                             proto_error::kBadRequest,
-                            "'type' must be \"sweep\", \"optimum\", "
-                            "\"stats\" or \"health\", got \"" +
+                            "'type' must be \"sweep\", \"optimum\" or "
+                            "\"stats\", got \"" +
                                 value.string + "\"");
             }
             have_type = true;
@@ -196,15 +192,6 @@ parseServerRequest(const std::string &line, ServerRequest *out,
                             "'metric_exponent' must be in (0, 100]");
             }
             out->metric_exponent = value.number;
-        } else if (key == "deadline_ms") {
-            std::uint64_t n = 0;
-            if (!readCount(value, &n) || n > 86400000) {
-                return fail(error_code, error_message,
-                            proto_error::kBadRequest,
-                            "'deadline_ms' must be an integer number "
-                            "of milliseconds below one day");
-            }
-            out->deadline_ms = n;
         } else {
             // Strict by design: a typo'd option silently falling back
             // to a default would return the wrong grid.
@@ -220,16 +207,14 @@ parseServerRequest(const std::string &line, ServerRequest *out,
                     "mandatory");
     }
 
-    // The in-band observability verbs take no grid options: strict
-    // here for the same reason as unknown fields.
-    if (out->type == ServerRequest::Type::Stats ||
-        out->type == ServerRequest::Type::Health) {
+    // The in-band stats verb takes no grid options: strict here for
+    // the same reason as unknown fields.
+    if (out->type == ServerRequest::Type::Stats) {
         if (!sweep_field.empty()) {
             return fail(error_code, error_message,
                         proto_error::kBadRequest,
                         "field '" + sweep_field +
-                            "' is not valid for a " +
-                            std::string(out->kindName()) + " request");
+                            "' is not valid for a stats request");
         }
         return true;
     }
@@ -365,17 +350,6 @@ statsResponseLine(const std::string &id, const std::string &trace_id,
        << ", \"metrics\": "
        << metricsSnapshotJson(MetricsRegistry::instance().snapshot())
        << "}\n";
-    return os.str();
-}
-
-std::string
-healthResponseLine(const std::string &id, const std::string &trace_id,
-                   const std::string &status, double uptime_s)
-{
-    std::ostringstream os;
-    os << "{\"id\": " << jsonQuote(id) << traceIdField(trace_id)
-       << ", \"type\": \"health\", \"status\": " << jsonQuote(status)
-       << ", \"uptime_s\": " << jsonNumber(uptime_s) << "}\n";
     return os.str();
 }
 

@@ -38,23 +38,21 @@ inline constexpr const char *kUnknownWorkload = "unknown_workload";
 inline constexpr const char *kBadRange = "bad_range";
 inline constexpr const char *kPayloadTooLarge = "payload_too_large";
 inline constexpr const char *kOverloaded = "overloaded";
-inline constexpr const char *kDeadlineExceeded = "deadline_exceeded";
 inline constexpr const char *kShuttingDown = "shutting_down";
 /** A cell of the request failed; a retry computes it. */
 inline constexpr const char *kIncomplete = "incomplete";
 } // namespace proto_error
 
 /**
- * Per-request phase latency attribution (all microseconds). The sum
- * approximates the request's admission-to-response latency; each
- * phase is also recorded in the registry histogram
- * `server.phase.<kind>.<phase>_us` so the `stats` verb can answer
- * "where did the microseconds go" per request kind.
+ * Per-request phase latency attribution (all microseconds). The
+ * phases are disjoint spans of the request's latency, timed from the
+ * start of its parse, so their sum never exceeds it; the done line
+ * and the access-log line carry the same values.
  */
 struct PhaseTimings
 {
-    double queue_us = 0.0;     //!< admission -> scheduler pickup
-    double parse_us = 0.0;     //!< line framing + parse + validation
+    double queue_us = 0.0;     //!< end of parse -> scheduler pickup
+    double parse_us = 0.0;     //!< parse + validation
     double batch_us = 0.0;     //!< pickup -> this group's engine start
     double engine_us = 0.0;    //!< the group's runGrid pass
     double serialize_us = 0.0; //!< response rendering (cell lines)
@@ -68,7 +66,6 @@ struct ServerRequest
         Sweep,   //!< stream per-cell results, then a done line
         Optimum, //!< done line only, with the fitted optimum depth
         Stats,   //!< JSON observability snapshot, answered in-band
-        Health,  //!< cheap liveness probe (load balancers)
     };
 
     std::string id; //!< client-chosen, echoed on every response line
@@ -89,8 +86,7 @@ struct ServerRequest
     int reference_depth = 8;
     std::size_t trace_length = 200000;
     std::size_t warmup = 60000;
-    double metric_exponent = 3.0;   //!< m of BIPS^m/W
-    std::uint64_t deadline_ms = 0;  //!< 0 = no deadline
+    double metric_exponent = 3.0; //!< m of BIPS^m/W
 
     /** Stable wire name of the request kind ("sweep", "stats", ...). */
     const char *kindName() const;
@@ -151,7 +147,7 @@ struct DoneInfo
     std::size_t computed = 0; //!< simulated for this batch
     double optimum = 0.0;     //!< cubic-fit optimum depth
     bool interior = false;    //!< peak interior to the sampled range
-    double elapsed_ms = 0.0;  //!< admission-to-response latency
+    double elapsed_ms = 0.0;  //!< start of parse to the done line
     PhaseTimings phases;      //!< where those milliseconds went
 };
 
@@ -177,18 +173,6 @@ struct StatsInfo
 std::string statsResponseLine(const std::string &id,
                               const std::string &trace_id,
                               const StatsInfo &info);
-
-/**
- * {"id":..,"type":"health","status":..,"uptime_s":..}. Cheap enough
- * for load-balancer probes: no registry snapshot, no allocation
- * beyond the line itself. Status mirrors StatsInfo::status — a
- * draining daemon still answers (so probes see "draining" and take
- * it out of rotation) but admits nothing else.
- */
-std::string healthResponseLine(const std::string &id,
-                               const std::string &trace_id,
-                               const std::string &status,
-                               double uptime_s);
 
 /// @}
 

@@ -32,8 +32,6 @@ struct ServerMetrics
         MetricsRegistry::instance().counter("server.request.rejected");
     Counter &completed =
         MetricsRegistry::instance().counter("server.request.completed");
-    Counter &deadline = MetricsRegistry::instance().counter(
-        "server.request.deadline_exceeded");
     Counter &batches =
         MetricsRegistry::instance().counter("server.batch.runs");
     Counter &conns =
@@ -44,10 +42,6 @@ struct ServerMetrics
         MetricsRegistry::instance().counter("server.socket.swept");
     Counter &stats_probes =
         MetricsRegistry::instance().counter("server.request.stats");
-    Counter &health_probes =
-        MetricsRegistry::instance().counter("server.request.health");
-    Counter &slow =
-        MetricsRegistry::instance().counter("server.request.slow");
     Gauge &queue_depth =
         MetricsRegistry::instance().gauge("server.queue.depth");
     Histogram &latency_us = MetricsRegistry::instance().histogram(
@@ -69,42 +63,11 @@ setNonBlocking(int fd)
 }
 
 double
-elapsedMs(std::chrono::steady_clock::time_point since)
-{
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - since)
-        .count();
-}
-
-double
 elapsedUs(std::chrono::steady_clock::time_point since)
 {
     return std::chrono::duration<double, std::micro>(
                std::chrono::steady_clock::now() - since)
         .count();
-}
-
-/**
- * Record one request's phase attribution under
- * `server.phase.<kind>.<phase>_us`. Looked up per call rather than
- * bound statically: the kind is part of the name, and requests are
- * per-batch events, nowhere near the registry's cost ceiling.
- */
-void
-recordPhases(const char *kind, const PhaseTimings &t)
-{
-    auto &reg = MetricsRegistry::instance();
-    const std::string prefix = std::string("server.phase.") + kind + ".";
-    const auto rec = [&](const char *phase, double us) {
-        reg.histogram(prefix + phase)
-            .record(us <= 0.0 ? 0
-                              : static_cast<std::uint64_t>(us + 0.5));
-    };
-    rec("queue_us", t.queue_us);
-    rec("parse_us", t.parse_us);
-    rec("batch_us", t.batch_us);
-    rec("engine_us", t.engine_us);
-    rec("serialize_us", t.serialize_us);
 }
 
 } // namespace
@@ -238,8 +201,8 @@ SweepServer::serve()
     ioLoop();
     if (scheduler_.joinable())
         scheduler_.join();
-    PP_INFORM("pipesimd: drained cleanly after ", requestsCompleted(),
-              " request(s)");
+    PP_INFORM("pipesimd: drained cleanly after ",
+              serverMetrics().completed.value(), " request(s)");
     return 0;
 }
 
@@ -339,6 +302,49 @@ SweepServer::ioLoop()
         if (drainComplete())
             break;
 
+        // Slow-loris expiry: a connection sitting mid-line with nothing
+        // in flight is closed once it idles past the timeout. Closed
+        // outright, no error line: a peer dribbling bytes to hold the
+        // fd is not owed a flush, and buffering a response for a
+        // non-reading peer is exactly the resource leak this defends
+        // against. Such a peer produces no event to wake on, so the
+        // soonest expiry bounds poll's wait.
+        int poll_timeout = -1;
+        if (options_.idle_timeout_ms > 0) {
+            const auto now = std::chrono::steady_clock::now();
+            for (auto it = connections_.begin();
+                 it != connections_.end();) {
+                const Connection &conn = it->second;
+                const double idle_ms =
+                    std::chrono::duration<double, std::milli>(
+                        now - conn.last_read)
+                        .count();
+                const double remaining =
+                    static_cast<double>(options_.idle_timeout_ms) -
+                    idle_ms;
+                if (conn.in.empty() || conn.inflight > 0 ||
+                    conn.close_after_flush) {
+                    ++it;
+                } else if (remaining > 0.0) {
+                    const int ms = static_cast<int>(remaining) + 1;
+                    poll_timeout = poll_timeout < 0
+                                       ? ms
+                                       : std::min(poll_timeout, ms);
+                    ++it;
+                } else {
+                    serverMetrics().idle_closed.add();
+                    PP_INFORM("pipesimd: closing connection ",
+                              conn.peer.empty() ? "(unknown peer)"
+                                                : conn.peer,
+                              " idle mid-line for ",
+                              static_cast<std::uint64_t>(idle_ms),
+                              " ms");
+                    ::close(conn.fd);
+                    it = connections_.erase(it);
+                }
+            }
+        }
+
         fds.clear();
         fd_conn.clear();
         fds.push_back({wake_read_fd_, POLLIN, 0});
@@ -353,33 +359,6 @@ SweepServer::ioLoop()
                 events |= POLLOUT;
             fds.push_back({conn.fd, events, 0});
             fd_conn.push_back(id);
-        }
-
-        // Normally the loop blocks until I/O; with the idle timeout
-        // armed and at least one connection sitting mid-line, poll
-        // must wake when the earliest such connection expires — a
-        // slow-loris peer by definition produces no event to wake on.
-        int poll_timeout = -1;
-        if (options_.idle_timeout_ms > 0) {
-            const auto now = std::chrono::steady_clock::now();
-            for (const auto &[id, conn] : connections_) {
-                if (conn.in.empty() || conn.inflight > 0 ||
-                    conn.close_after_flush)
-                    continue;
-                const double idle_ms =
-                    std::chrono::duration<double, std::milli>(
-                        now - conn.last_read)
-                        .count();
-                const double remaining =
-                    static_cast<double>(options_.idle_timeout_ms) -
-                    idle_ms;
-                const int ms =
-                    remaining <= 0.0 ? 0
-                                     : static_cast<int>(remaining) + 1;
-                poll_timeout = poll_timeout < 0
-                                   ? ms
-                                   : std::min(poll_timeout, ms);
-            }
         }
 
         if (::poll(fds.data(), fds.size(), poll_timeout) == -1) {
@@ -456,39 +435,37 @@ SweepServer::ioLoop()
                     }
                 }
 
+                // Frame lines. A line over the bound, terminated or
+                // not, is answered payload_too_large once; nothing
+                // behind it is handled, and the connection closes
+                // after the flush: a stream that sent one has lost
+                // its framing, and an unterminated one has no newline
+                // to re-synchronize on.
                 std::size_t start = 0;
-                while (true) {
+                while (!conn.close_after_flush) {
                     const std::size_t nl = conn.in.find('\n', start);
-                    if (nl == std::string::npos)
+                    const std::size_t end =
+                        nl == std::string::npos ? conn.in.size() : nl;
+                    if (end - start > options_.max_line_bytes) {
+                        conn.out += errorResponseLine(
+                            "", proto_error::kPayloadTooLarge,
+                            "request line exceeds " +
+                                std::to_string(options_.max_line_bytes) +
+                                " bytes");
+                        recordAnswer(ServerRequest{}, "invalid", conn.peer,
+                                     proto_error::kPayloadTooLarge, {});
+                        conn.close_after_flush = true;
+                        ::shutdown(conn.fd, SHUT_RD);
+                    } else if (nl == std::string::npos) {
                         break;
-                    handleLine(conn_id, conn,
-                               conn.in.substr(start, nl - start));
-                    start = nl + 1;
-                }
-                conn.in.erase(0, start);
-
-                // A line longer than the frame limit cannot be
-                // re-synchronized (no newline yet): answer once and
-                // close after the error flushes.
-                if (conn.in.size() > options_.max_line_bytes &&
-                    !conn.close_after_flush) {
-                    serverMetrics().rejected.add();
-                    conn.out += errorResponseLine(
-                        "", proto_error::kPayloadTooLarge,
-                        "request line exceeds " +
-                            std::to_string(options_.max_line_bytes) +
-                            " bytes");
-                    if (access_log_.enabled()) {
-                        AccessLog::Entry entry;
-                        entry.peer = conn.peer;
-                        entry.kind = "invalid";
-                        entry.outcome = proto_error::kPayloadTooLarge;
-                        access_log_.write(entry);
+                    } else {
+                        handleLine(conn_id, conn,
+                                   conn.in.substr(start, nl - start));
+                        start = nl + 1;
                     }
-                    conn.close_after_flush = true;
-                    conn.in.clear();
-                    ::shutdown(conn.fd, SHUT_RD);
                 }
+                conn.in.erase(0, conn.close_after_flush ? std::string::npos
+                                                        : start);
             }
 
             if ((fds[i].revents & POLLOUT) && !conn.out.empty()) {
@@ -500,35 +477,6 @@ SweepServer::ioLoop()
                            errno != EWOULDBLOCK) {
                     to_close.push_back(conn_id);
                     continue;
-                }
-            }
-        }
-
-        // Slow-loris expiry: drop connections that sat mid-line past
-        // the idle timeout. Closed outright, no error line — a peer
-        // dribbling bytes to hold the fd is not owed a flush, and
-        // buffering a response for a non-reading peer is exactly the
-        // resource leak this defends against.
-        if (options_.idle_timeout_ms > 0) {
-            const auto now = std::chrono::steady_clock::now();
-            for (const auto &[id, conn] : connections_) {
-                if (conn.in.empty() || conn.inflight > 0 ||
-                    conn.close_after_flush)
-                    continue;
-                const double idle_ms =
-                    std::chrono::duration<double, std::milli>(
-                        now - conn.last_read)
-                        .count();
-                if (idle_ms >=
-                    static_cast<double>(options_.idle_timeout_ms)) {
-                    serverMetrics().idle_closed.add();
-                    PP_INFORM("pipesimd: closing connection ",
-                              conn.peer.empty() ? "(unknown peer)"
-                                                : conn.peer,
-                              " idle mid-line for ",
-                              static_cast<std::uint64_t>(idle_ms),
-                              " ms");
-                    to_close.push_back(id);
                 }
             }
         }
@@ -556,52 +504,32 @@ void
 SweepServer::handleLine(std::uint64_t conn_id, Connection &conn,
                         const std::string &line)
 {
-    const auto parse_begin = std::chrono::steady_clock::now();
+    const auto received = std::chrono::steady_clock::now();
     std::string text = line;
     if (!text.empty() && text.back() == '\r')
         text.pop_back();
     if (text.empty())
         return;
 
+    ServerRequest request;
     // Every refused request still gets an access-log line: the log
     // accounts for everything the daemon *answered*, not only what it
     // served, or a post-mortem cannot tell "dropped" from "rejected".
-    const auto logRefusal = [&](const ServerRequest &request,
-                                const std::string &kind,
-                                const std::string &outcome) {
-        if (!access_log_.enabled())
-            return;
-        AccessLog::Entry entry;
-        entry.trace_id = request.trace_id;
-        entry.id = request.id;
-        entry.peer = conn.peer;
-        entry.kind = kind;
-        entry.workload = request.workload;
-        entry.outcome = outcome;
-        entry.phases.parse_us = elapsedUs(parse_begin);
-        entry.total_us = entry.phases.parse_us;
-        access_log_.write(entry);
-    };
-
-    if (text.size() > options_.max_line_bytes) {
-        serverMetrics().rejected.add();
-        conn.out += errorResponseLine(
-            "", proto_error::kPayloadTooLarge,
-            "request line exceeds " +
-                std::to_string(options_.max_line_bytes) + " bytes");
-        logRefusal(ServerRequest{}, "invalid",
-                   proto_error::kPayloadTooLarge);
-        conn.close_after_flush = true;
-        return;
-    }
-
-    ServerRequest request;
-    std::string code, message;
-    if (!parseServerRequest(text, &request, &code, &message)) {
-        serverMetrics().rejected.add();
+    // A refusal's whole latency is its parse.
+    const auto refuse = [&](const std::string &kind,
+                            const std::string &code,
+                            const std::string &message) {
         conn.out += errorResponseLine(request.id, code, message,
                                       request.trace_id);
-        logRefusal(request, "invalid", code);
+        DoneInfo info;
+        info.phases.parse_us = elapsedUs(received);
+        info.elapsed_ms = info.phases.parse_us / 1e3;
+        recordAnswer(request, kind, conn.peer, code, info);
+    };
+
+    std::string code, message;
+    if (!parseServerRequest(text, &request, &code, &message)) {
+        refuse("invalid", code, message);
         return;
     }
 
@@ -612,51 +540,27 @@ SweepServer::handleLine(std::uint64_t conn_id, Connection &conn,
         request.trace_id = "pd-" + std::to_string(::getpid()) + "-" +
                            std::to_string(++next_trace_seq_);
     }
-    const double parse_us = elapsedUs(parse_begin);
+    const double parse_us = elapsedUs(received);
 
-    // stats/health answer inline on the I/O thread: they read daemon
-    // state, never touch the engine, and must stay answerable while a
-    // long grid occupies the scheduler. health answers even during a
-    // drain — that is exactly when a probe needs to see "draining".
-    if (request.type == ServerRequest::Type::Stats ||
-        request.type == ServerRequest::Type::Health) {
+    // stats answers inline on the I/O thread: it reads daemon state,
+    // never touches the engine, and must stay answerable while a long
+    // grid occupies the scheduler. It answers even during a drain,
+    // which is exactly when a probe needs to see "draining".
+    if (request.type == ServerRequest::Type::Stats) {
         const auto serialize_begin = std::chrono::steady_clock::now();
-        if (request.type == ServerRequest::Type::Health) {
-            serverMetrics().health_probes.add();
-            conn.out += healthResponseLine(
-                request.id, request.trace_id,
-                draining_ ? "draining" : "serving", uptimeSeconds());
-        } else {
-            serverMetrics().stats_probes.add();
-            conn.out += statsResponseLine(request.id, request.trace_id,
-                                          buildStats());
-        }
-        PhaseTimings phases;
-        phases.parse_us = parse_us;
-        phases.serialize_us = elapsedUs(serialize_begin);
-        recordPhases(request.kindName(), phases);
-        if (access_log_.enabled()) {
-            AccessLog::Entry entry;
-            entry.trace_id = request.trace_id;
-            entry.id = request.id;
-            entry.peer = conn.peer;
-            entry.kind = request.kindName();
-            entry.outcome = "ok";
-            entry.phases = phases;
-            entry.total_us = elapsedUs(parse_begin);
-            access_log_.write(entry);
-        }
+        conn.out += statsResponseLine(request.id, request.trace_id,
+                                      buildStats());
+        DoneInfo info;
+        info.phases.parse_us = parse_us;
+        info.phases.serialize_us = elapsedUs(serialize_begin);
+        info.elapsed_ms = elapsedUs(received) / 1e3;
+        recordAnswer(request, request.kindName(), conn.peer, "ok", info);
         return;
     }
 
     if (draining_) {
-        serverMetrics().rejected.add();
-        conn.out += errorResponseLine(
-            request.id, proto_error::kShuttingDown,
-            "daemon is draining; request not admitted",
-            request.trace_id);
-        logRefusal(request, request.kindName(),
-                   proto_error::kShuttingDown);
+        refuse(request.kindName(), proto_error::kShuttingDown,
+               "daemon is draining; request not admitted");
         return;
     }
 
@@ -669,7 +573,7 @@ SweepServer::handleLine(std::uint64_t conn_id, Connection &conn,
             Pending pending;
             pending.conn_id = conn_id;
             pending.peer = conn.peer;
-            pending.arrival = std::chrono::steady_clock::now();
+            pending.received = received;
             pending.parse_us = parse_us;
             pending.request = request; // keep for the refusal path
             queue_.push_back(std::move(pending));
@@ -678,14 +582,9 @@ SweepServer::handleLine(std::uint64_t conn_id, Connection &conn,
         }
     }
     if (overloaded) {
-        serverMetrics().rejected.add();
-        conn.out += errorResponseLine(
-            request.id, proto_error::kOverloaded,
-            "admission queue full (" +
-                std::to_string(options_.max_queue) + " requests)",
-            request.trace_id);
-        logRefusal(request, request.kindName(),
-                   proto_error::kOverloaded);
+        refuse(request.kindName(), proto_error::kOverloaded,
+               "admission queue full (" +
+                   std::to_string(options_.max_queue) + " requests)");
         return;
     }
     ++conn.inflight;
@@ -707,15 +606,9 @@ SweepServer::schedulerLoop()
                 break;
             batch.swap(queue_);
             serverMetrics().queue_depth.set(0);
-            scheduler_busy_ = true;
         }
         executeBatch(std::move(batch),
                      std::chrono::steady_clock::now());
-        {
-            const std::lock_guard<std::mutex> lock(queue_mutex_);
-            scheduler_busy_ = false;
-        }
-        wake();
     }
     {
         const std::lock_guard<std::mutex> lock(queue_mutex_);
@@ -724,12 +617,46 @@ SweepServer::schedulerLoop()
     wake();
 }
 
+void
+SweepServer::recordAnswer(const ServerRequest &request,
+                          const std::string &kind, const std::string &peer,
+                          const std::string &outcome, const DoneInfo &info)
+{
+    if (outcome != "ok") {
+        serverMetrics().rejected.add();
+    } else if (request.type == ServerRequest::Type::Stats) {
+        serverMetrics().stats_probes.add();
+    } else {
+        serverMetrics().completed.add();
+        serverMetrics().latency_us.recordSeconds(info.elapsed_ms / 1e3);
+    }
+    if (!access_log_.enabled())
+        return;
+    AccessLog::Entry entry;
+    entry.trace_id = request.trace_id;
+    entry.id = request.id;
+    entry.peer = peer;
+    entry.kind = kind;
+    entry.workload = request.workload;
+    if (kind == "sweep" || kind == "optimum")
+        entry.shape = request.shapeKey();
+    entry.outcome = outcome;
+    entry.cells = info.cells;
+    entry.cached = info.cached;
+    entry.computed = info.computed;
+    entry.phases = info.phases;
+    entry.total_us = info.elapsed_ms * 1e3;
+    access_log_.write(entry);
+}
+
 StatsInfo
 SweepServer::buildStats()
 {
     StatsInfo info;
     info.status = draining_ ? "draining" : "serving";
-    info.uptime_s = uptimeSeconds();
+    info.uptime_s = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - started_at_)
+                        .count();
     {
         const std::lock_guard<std::mutex> lock(queue_mutex_);
         info.queue_depth = queue_.size();
@@ -737,16 +664,8 @@ SweepServer::buildStats()
     for (const auto &[id, conn] : connections_)
         info.in_flight += conn.inflight;
     info.connections = connections_.size();
-    info.completed = requestsCompleted();
+    info.completed = serverMetrics().completed.value();
     return info;
-}
-
-double
-SweepServer::uptimeSeconds() const
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - started_at_)
-        .count();
 }
 
 void
@@ -755,54 +674,11 @@ SweepServer::executeBatch(std::vector<Pending> batch,
 {
     serverMetrics().batches.add();
 
-    const auto baseEntry = [](const Pending &p) {
-        AccessLog::Entry entry;
-        entry.trace_id = p.request.trace_id;
-        entry.id = p.request.id;
-        entry.peer = p.peer;
-        entry.kind = p.request.kindName();
-        entry.workload = p.request.workload;
-        entry.shape = p.request.shapeKey();
-        entry.phases.parse_us = p.parse_us;
-        return entry;
-    };
-
-    // Reject what already missed its deadline; everything admitted to
-    // an engine run completes even if the deadline passes mid-grid
-    // (the results land in the cache either way — aborting would just
-    // waste them).
-    std::vector<Pending> live;
-    live.reserve(batch.size());
-    for (auto &p : batch) {
-        const double waited = elapsedMs(p.arrival);
-        if (p.request.deadline_ms != 0 &&
-            waited > static_cast<double>(p.request.deadline_ms)) {
-            serverMetrics().deadline.add();
-            serverMetrics().rejected.add();
-            respond(p.conn_id,
-                    errorResponseLine(
-                        p.request.id, proto_error::kDeadlineExceeded,
-                        "deadline of " +
-                            std::to_string(p.request.deadline_ms) +
-                            "ms elapsed while queued",
-                        p.request.trace_id));
-            if (access_log_.enabled()) {
-                AccessLog::Entry entry = baseEntry(p);
-                entry.outcome = proto_error::kDeadlineExceeded;
-                entry.phases.queue_us = waited * 1e3;
-                entry.total_us = entry.phases.queue_us + p.parse_us;
-                access_log_.write(entry);
-            }
-            continue;
-        }
-        live.push_back(std::move(p));
-    }
-
     // Group by option shape; each group is one engine grid over the
     // deduplicated workload set, so concurrent requests for
     // overlapping cells share one fused multi-depth walk.
     std::map<std::string, std::vector<Pending>> groups;
-    for (auto &p : live)
+    for (auto &p : batch)
         groups[p.request.shapeKey()].push_back(std::move(p));
 
     for (auto &[shape, members] : groups) {
@@ -837,59 +713,43 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             std::chrono::duration<double, std::micro>(engine_begin -
                                                       pickup)
                 .count();
-        // A member's queue phase: its arrival to this batch's pickup.
-        const auto queue_us = [&](const Pending &p) {
-            return std::chrono::duration<double, std::micro>(pickup -
-                                                             p.arrival)
-                .count();
-        };
 
         std::map<std::pair<std::string, int>, ManifestCell::Outcome>
             outcomes;
         for (const ManifestCell &cell : grid.cells())
             outcomes[{cell.workload, cell.depth}] = cell.outcome;
 
-        // Adds request @p r's cells to @p into's cells, cached and
-        // computed (a DoneInfo or an access-log entry): one count for
-        // an answer and a refusal alike.
-        const auto countCells = [&](const ServerRequest &r, auto &into) {
-            for (int d = r.min_depth; d <= r.max_depth; ++d) {
-                ++into.cells;
-                const auto oc = outcomes.find({r.workload, d});
-                if (oc == outcomes.end())
-                    continue;
-                if (oc->second == ManifestCell::Outcome::Cached)
-                    ++into.cached;
-                else if (oc->second == ManifestCell::Outcome::Computed)
-                    ++into.computed;
-            }
-        };
-
         std::map<std::string, const SweepResult *> by_workload;
         for (const auto &r : results)
             by_workload[r.spec.name] = &r;
 
-        // A request the engine's results cannot answer gets one
-        // structured error line, counted and logged as a refusal.
-        const auto refuse = [&](const Pending &p, const char *code,
-                                const std::string &message) {
-            serverMetrics().rejected.add();
-            respond(p.conn_id,
-                    errorResponseLine(p.request.id, code, message,
-                                      p.request.trace_id));
-            if (access_log_.enabled()) {
-                AccessLog::Entry entry = baseEntry(p);
-                entry.outcome = code;
-                countCells(p.request, entry);
-                entry.phases.queue_us = queue_us(p);
-                entry.phases.batch_us = batch_wait_us;
-                entry.phases.engine_us = engine_us;
-                entry.total_us = elapsedUs(p.arrival) + p.parse_us;
-                access_log_.write(entry);
-            }
-        };
-
+        // Each member is recorded before its answer is queued, so a
+        // client holding its answer finds it counted and logged.
         for (const auto &p : members) {
+            // Cell counts and phases: one count for an answer and a
+            // refusal alike.
+            DoneInfo info;
+            info.trace_id = p.request.trace_id;
+            for (int d = p.request.min_depth; d <= p.request.max_depth;
+                 ++d) {
+                ++info.cells;
+                const auto oc = outcomes.find({p.request.workload, d});
+                if (oc == outcomes.end())
+                    continue;
+                if (oc->second == ManifestCell::Outcome::Cached)
+                    ++info.cached;
+                else if (oc->second == ManifestCell::Outcome::Computed)
+                    ++info.computed;
+            }
+            info.phases.queue_us =
+                std::chrono::duration<double, std::micro>(pickup -
+                                                          p.received)
+                    .count() -
+                p.parse_us;
+            info.phases.parse_us = p.parse_us;
+            info.phases.batch_us = batch_wait_us;
+            info.phases.engine_us = engine_us;
+
             const auto sweep_it = by_workload.find(p.request.workload);
             if (sweep_it == by_workload.end()) {
                 // The engine assembles no result around a hole. The
@@ -901,19 +761,22 @@ SweepServer::executeBatch(std::vector<Pending> batch,
                         depths += (depths.empty() ? "" : ", ") +
                                   std::to_string(f.depth);
                 }
-                refuse(p, proto_error::kIncomplete,
-                       "cells of " + p.request.workload +
-                           " failed at depths " + depths +
-                           "; retry to compute them");
+                info.elapsed_ms = elapsedUs(p.received) / 1e3;
+                recordAnswer(p.request, p.request.kindName(), p.peer,
+                             proto_error::kIncomplete, info);
+                respond(p.conn_id,
+                        errorResponseLine(
+                            p.request.id, proto_error::kIncomplete,
+                            "cells of " + p.request.workload +
+                                " failed at depths " + depths +
+                                "; retry to compute them",
+                            p.request.trace_id));
                 continue;
             }
             const SweepResult *sweep = sweep_it->second;
             const auto serialize_begin =
                 std::chrono::steady_clock::now();
             std::string out;
-            DoneInfo info;
-            info.trace_id = p.request.trace_id;
-            countCells(p.request, info);
             if (p.request.type == ServerRequest::Type::Sweep) {
                 for (const SimResult &r : sweep->runs) {
                     out += cellResponseLine(
@@ -928,40 +791,12 @@ SweepServer::executeBatch(std::vector<Pending> batch,
             // serialize_us covers the cell lines and the fit; the
             // done line itself renders after the clock is read (it
             // must carry the measurement it is part of).
-            info.phases.queue_us = queue_us(p);
-            info.phases.parse_us = p.parse_us;
-            info.phases.batch_us = batch_wait_us;
-            info.phases.engine_us = engine_us;
             info.phases.serialize_us = elapsedUs(serialize_begin);
-            info.elapsed_ms = elapsedMs(p.arrival);
+            info.elapsed_ms = elapsedUs(p.received) / 1e3;
             out += doneResponseLine(p.request.id, info);
-
-            serverMetrics().completed.add();
-            serverMetrics().latency_us.recordSeconds(info.elapsed_ms /
-                                                     1e3);
-            recordPhases(p.request.kindName(), info.phases);
-            requests_completed_.fetch_add(1, std::memory_order_relaxed);
+            recordAnswer(p.request, p.request.kindName(), p.peer, "ok",
+                         info);
             respond(p.conn_id, std::move(out));
-
-            if (access_log_.enabled()) {
-                AccessLog::Entry entry = baseEntry(p);
-                entry.outcome = "ok";
-                entry.cells = info.cells;
-                entry.cached = info.cached;
-                entry.computed = info.computed;
-                entry.phases = info.phases;
-                entry.total_us = info.elapsed_ms * 1e3 + p.parse_us;
-                access_log_.write(entry);
-            }
-            if (options_.slow_ms != 0 &&
-                info.elapsed_ms >=
-                    static_cast<double>(options_.slow_ms)) {
-                serverMetrics().slow.add();
-                PP_WARN("pipesimd: slow request trace_id=",
-                        p.request.trace_id, " id=", p.request.id,
-                        " workload=", p.request.workload,
-                        " elapsed_ms=", info.elapsed_ms);
-            }
         }
     }
 }

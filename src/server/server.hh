@@ -27,13 +27,11 @@
  * The daemon keeps no per-cell record of its own: each request's
  * cached and computed cells are counted from a run manifest attached
  * for its one runGrid call, and the access log and the `stats` verb
- * are its record.
+ * are its record. One member, recordAnswer(), writes that record for
+ * every answered request.
  *
  * Admission control: a full queue rejects with "overloaded" rather
- * than queueing unboundedly; a request whose deadline_ms elapsed
- * while it waited is rejected with "deadline_exceeded" when the
- * scheduler picks it up (a deadline never aborts a simulation already
- * running — results land in the cache either way).
+ * than queueing unboundedly.
  *
  * Graceful drain: requestShutdown() (async-signal-safe; wired to
  * SIGTERM/SIGINT by pipesimd) stops accept(2), refuses lines that
@@ -79,10 +77,10 @@ struct ServerOptions
     std::size_t max_queue = 1024;
 
     /**
-     * Longest accepted request line (bytes, newline excluded). An
-     * oversized line gets a "payload_too_large" error and the
-     * connection is closed — without a newline there is no way to
-     * re-synchronize the stream.
+     * Longest accepted request line (bytes, newline excluded). A
+     * longer line, terminated or not, gets one "payload_too_large"
+     * error; nothing behind it on that connection is handled, and the
+     * connection closes once the error flushes.
      */
     std::size_t max_line_bytes = 65536;
 
@@ -105,15 +103,6 @@ struct ServerOptions
      * silently run unaccounted.
      */
     std::string access_log;
-
-    /**
-     * Slow-request threshold in milliseconds (0 = off): a finished
-     * grid request whose admission-to-response latency reaches it is
-     * also mirrored to the daemon log (one warning per request,
-     * carrying the trace id) so slow outliers surface without
-     * tailing the access log.
-     */
-    std::uint64_t slow_ms = 0;
 };
 
 class SweepServer
@@ -145,12 +134,6 @@ class SweepServer
      */
     void requestShutdown();
 
-    /** Requests answered with a done line over the server lifetime. */
-    std::uint64_t requestsCompleted() const
-    {
-        return requests_completed_.load(std::memory_order_relaxed);
-    }
-
   private:
     struct Connection
     {
@@ -172,7 +155,8 @@ class SweepServer
         ServerRequest request;
         std::uint64_t conn_id = 0;
         std::string peer;
-        std::chrono::steady_clock::time_point arrival;
+        /** Start of its parse; its latency and phases run from here. */
+        std::chrono::steady_clock::time_point received;
         double parse_us = 0.0; //!< parse/validate time on the I/O thread
     };
 
@@ -182,9 +166,19 @@ class SweepServer
                       std::chrono::steady_clock::time_point pickup);
     void handleLine(std::uint64_t conn_id, Connection &conn,
                     const std::string &line);
+    /**
+     * The one record of an answered request (a done line, a refusal
+     * or a stats answer): bumps the counter of its outcome and writes
+     * its access-log line. @p kind is the request's kind name, or
+     * "invalid" for a line that did not parse; @p outcome is "ok" or
+     * the wire error code; @p info carries the cell counts, the
+     * phases and the latency (elapsed_ms). Thread-safe.
+     */
+    void recordAnswer(const ServerRequest &request, const std::string &kind,
+                      const std::string &peer, const std::string &outcome,
+                      const DoneInfo &info);
     /** Stats snapshot; I/O thread only (reads connection state). */
     StatsInfo buildStats();
-    double uptimeSeconds() const;
     /** Thread-safe: queue @p data for @p conn_id and wake the poller. */
     void respond(std::uint64_t conn_id, std::string data);
     void wake();
@@ -216,7 +210,6 @@ class SweepServer
     std::mutex queue_mutex_;
     std::condition_variable queue_cv_;
     std::vector<Pending> queue_;
-    bool scheduler_busy_ = false;
     bool scheduler_exited_ = false;
     /**
      * Set (under queue_mutex_) by the I/O thread once draining_ is
@@ -235,7 +228,6 @@ class SweepServer
 
     std::atomic<bool> shutdown_requested_{false};
     bool draining_ = false; //!< I/O-thread view of the shutdown flag
-    std::atomic<std::uint64_t> requests_completed_{0};
 };
 
 } // namespace pipedepth

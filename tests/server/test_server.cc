@@ -13,7 +13,9 @@
  * SIGTERM must produce exit status 0 and unlink the socket.
  *
  * The memory test pins that the daemon keeps nothing per request:
- * its resident set stays flat under a thousand warm requests.
+ * its resident set stays flat under a thousand warm requests. The
+ * drain test pins that `stats` is the drain-time probe: an open
+ * connection still gets "draining" while admitted work finishes.
  *
  * The byte-identity test pins the daemon to the batch tool's
  * numbers: a daemon sweep must reproduce exactly what a local
@@ -75,8 +77,7 @@ class ServerTest : public ::testing::Test
         std::vector<std::string> args = {
             PIPESIMD_PATH, "--socket", socket_path_, "--cache-dir",
             cache_dir_, "--max-line-bytes", max_line, "--access-log",
-            access_log_path_, "--slow-ms", slow_ms_, "--idle-timeout-ms",
-            idle_timeout_ms_};
+            access_log_path_, "--idle-timeout-ms", idle_timeout_ms_};
         args.insert(args.end(), extra_args_.begin(), extra_args_.end());
         std::vector<char *> argv;
         for (std::string &a : args)
@@ -88,8 +89,8 @@ class ServerTest : public ::testing::Test
         ASSERT_NE(daemon_pid_, -1);
         if (daemon_pid_ == 0) {
             dieWithParent(parent);
-            // The daemon's stderr goes to a file so the slow-request
-            // mirror is assertable post-drain.
+            // The daemon's stderr goes to a file, out of the test
+            // output.
             const int log_fd =
                 ::open(daemon_log_path_.c_str(),
                        O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -160,6 +161,46 @@ class ServerTest : public ::testing::Test
         return fd;
     }
 
+    static void
+    sendAll(int fd, const std::string &payload)
+    {
+        std::size_t off = 0;
+        while (off < payload.size()) {
+            const ssize_t n = ::write(fd, payload.data() + off,
+                                      payload.size() - off);
+            if (n <= 0)
+                break;
+            off += static_cast<std::size_t>(n);
+        }
+    }
+
+    /**
+     * The next response line on @p fd, whose unread bytes @p buf
+     * holds; "" at EOF. Nothing for 30 s fails the test.
+     */
+    static std::string
+    readLine(int fd, std::string &buf)
+    {
+        while (true) {
+            const std::size_t nl = buf.find('\n');
+            if (nl != std::string::npos) {
+                std::string line = buf.substr(0, nl);
+                buf.erase(0, nl + 1);
+                return line;
+            }
+            pollfd pfd{fd, POLLIN, 0};
+            if (::poll(&pfd, 1, 30000) <= 0) {
+                ADD_FAILURE() << "no response line within 30 s";
+                return "";
+            }
+            char chunk[65536];
+            const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+            if (n <= 0)
+                return "";
+            buf.append(chunk, static_cast<std::size_t>(n));
+        }
+    }
+
     /**
      * Send @p payload on a fresh connection, half-close, and read
      * every response line until the daemon closes the stream.
@@ -171,14 +212,7 @@ class ServerTest : public ::testing::Test
         EXPECT_NE(fd, -1) << "daemon refused a connection";
         if (fd == -1)
             return {};
-        std::size_t off = 0;
-        while (off < payload.size()) {
-            const ssize_t n = ::write(fd, payload.data() + off,
-                                      payload.size() - off);
-            if (n <= 0)
-                break;
-            off += static_cast<std::size_t>(n);
-        }
+        sendAll(fd, payload);
         ::shutdown(fd, SHUT_WR);
 
         std::string buf;
@@ -287,25 +321,19 @@ class ServerTest : public ::testing::Test
     }
 
     /**
-     * Access-log lines for @p id. The scheduler writes the entry just
-     * after queuing the response, so a client that read its done line
-     * can race the file append by a few microseconds — poll briefly.
+     * Access-log lines for @p id. The daemon writes a request's line
+     * before it queues the answer, so a client that read its answer
+     * finds the line.
      */
     std::vector<JsonValue>
     accessEntriesFor(const std::string &id) const
     {
-        for (int attempt = 0; attempt < 100; ++attempt) {
-            std::vector<JsonValue> match;
-            for (auto &doc : readJsonl(access_log_path_)) {
-                const JsonValue *v = doc.find("id");
-                if (v != nullptr && v->isString() && v->string == id)
-                    match.push_back(std::move(doc));
-            }
-            if (!match.empty())
-                return match;
-            std::this_thread::sleep_for(std::chrono::milliseconds(10));
+        std::vector<JsonValue> match;
+        for (auto &doc : readJsonl(access_log_path_)) {
+            if (field(doc, "id") == id)
+                match.push_back(std::move(doc));
         }
-        return {};
+        return match;
     }
 
     fs::path dir_;
@@ -313,11 +341,6 @@ class ServerTest : public ::testing::Test
     std::string cache_dir_;
     std::string access_log_path_;
     std::string daemon_log_path_;
-    /**
-     * Threshold for the --slow-ms mirror. High enough by default that
-     * no test request trips it; SlowMirrorServerTest lowers it.
-     */
-    std::string slow_ms_ = "60000";
     /** Slow-loris timeout; 0 = off. IdleTimeoutServerTest sets it. */
     std::string idle_timeout_ms_ = "0";
     /** Further daemon flags; IncompleteServerTest arms a fault. */
@@ -354,14 +377,18 @@ TEST_F(ServerTest, TruncatedJsonGetsStructuredError)
 
 TEST_F(ServerTest, UnknownFieldIsRejectedByName)
 {
-    const auto lines = transact(
-        "{\"id\": \"u1\", \"type\": \"sweep\", \"workload\": "
-        "\"db1\", \"frobnicate\": 1}\n");
-    ASSERT_EQ(lines.size(), 1u);
-    expectError(lines[0], "u1", proto_error::kBadRequest);
-    EXPECT_NE(parseLine(lines[0]).find("message")->string.find(
-                  "frobnicate"),
-              std::string::npos);
+    // A retired field is as unknown as a typo.
+    for (const char *name : {"frobnicate", "deadline_ms"}) {
+        const auto lines = transact(
+            "{\"id\": \"u1\", \"type\": \"sweep\", \"workload\": "
+            "\"db1\", \"" +
+            std::string(name) + "\": 1}\n");
+        ASSERT_EQ(lines.size(), 1u) << name;
+        expectError(lines[0], "u1", proto_error::kBadRequest);
+        EXPECT_NE(parseLine(lines[0]).find("message")->string.find(name),
+                  std::string::npos)
+            << name;
+    }
 }
 
 TEST_F(ServerTest, BadLineThenGoodLineOnOneConnection)
@@ -424,17 +451,23 @@ TEST_F(ServerTest, UnknownWorkloadIsRejected)
 
 TEST_F(ServerTest, OversizedPayloadIsRejected)
 {
-    // A terminated line over --max-line-bytes: structured error,
-    // daemon keeps serving.
+    // A terminated line over --max-line-bytes gets one structured
+    // error. The good line behind it is not handled, the daemon closes
+    // the connection once the error flushes (the client never
+    // half-closes here), and it keeps serving.
     std::string big = "{\"id\": \"big\", \"type\": \"sweep\", "
                       "\"workload\": \"";
     big.append(2 * kMaxLineBytes, 'x');
     big += "\"}\n";
-    const auto lines = transact(big);
-    ASSERT_GE(lines.size(), 1u);
-    const JsonValue doc = parseLine(lines[0]);
+    const int fd = tryConnect();
+    ASSERT_NE(fd, -1);
+    sendAll(fd, big + goodRequest("behind-big"));
+    std::string buf;
+    const JsonValue doc = parseLine(readLine(fd, buf));
     EXPECT_EQ(field(doc, "type"), "error");
     EXPECT_EQ(field(doc, "code"), proto_error::kPayloadTooLarge);
+    EXPECT_EQ(readLine(fd, buf), "") << "expected EOF after the error";
+    ::close(fd);
 
     expectGoodSweep(transact(goodRequest("after-big")), "after-big");
 }
@@ -566,10 +599,12 @@ TEST(ServerLifecycle, RemovedFlagsExitTwo)
 {
     // A failed cell is recovered by the next request that needs it,
     // PIPEDEPTH_FAILPOINT_SEED seeds the failpoints, and the access
-    // log and `stats` are the daemon's record: these knobs are gone,
-    // and a script that still passes one gets the usage.
+    // log and `stats` are the daemon's record (the access log also
+    // holds each request's latency): these knobs are gone, and a
+    // script that still passes one gets the usage.
     for (const char *flag : {"--max-retries 1", "--failpoint-seed 7",
-                             "--events-out x", "--manifest-out x"}) {
+                             "--events-out x", "--manifest-out x",
+                             "--slow-ms 1"}) {
         const std::string cmd = std::string(PIPESIMD_PATH) +
                                 " --socket /nonexistent/d.sock " + flag +
                                 " >/dev/null 2>&1";
@@ -589,7 +624,7 @@ TEST_F(ServerTest, SigtermUnlinksSocketAndExitsZero)
 
 TEST(ServerProtocol, StatsRejectsSweepFieldsByName)
 {
-    // The inline verbs take no sweep parameters; a stats request
+    // The inline stats verb takes no sweep parameters; a stats request
     // smuggling one is a client bug and must be named, not ignored.
     ServerRequest req;
     std::string code, message;
@@ -605,16 +640,24 @@ TEST(ServerProtocol, StatsRejectsSweepFieldsByName)
     EXPECT_NE(message.find("workload"), std::string::npos) << message;
 
     EXPECT_FALSE(parseServerRequest(
-        "{\"id\": \"h\", \"type\": \"health\", \"min_depth\": 2}",
+        "{\"id\": \"s\", \"type\": \"stats\", \"min_depth\": 2}",
         &req, &code, &message));
     EXPECT_EQ(code, proto_error::kBadRequest);
     EXPECT_NE(message.find("min_depth"), std::string::npos) << message;
+
+    // `stats` is the one probe: the retired `health` verb is an
+    // unknown type, named in the refusal.
+    EXPECT_FALSE(parseServerRequest(
+        "{\"id\": \"h\", \"type\": \"health\"}", &req, &code,
+        &message));
+    EXPECT_EQ(code, proto_error::kBadRequest);
+    EXPECT_NE(message.find("\"health\""), std::string::npos) << message;
 }
 
-TEST_F(ServerTest, StatsAndHealthAnswerUnderConcurrentLoad)
+TEST_F(ServerTest, StatsAnswersUnderConcurrentLoad)
 {
-    // Inline verbs are answered on the I/O thread: they must get a
-    // response even while sweeps occupy the scheduler.
+    // stats is answered on the I/O thread: it must get a response
+    // even while sweeps occupy the scheduler.
     std::vector<std::thread> sweeps;
     for (int i = 0; i < 3; ++i) {
         sweeps.emplace_back([this, i] {
@@ -626,8 +669,6 @@ TEST_F(ServerTest, StatsAndHealthAnswerUnderConcurrentLoad)
 
     const auto stats =
         transact("{\"id\": \"st\", \"type\": \"stats\"}\n");
-    const auto health =
-        transact("{\"id\": \"he\", \"type\": \"health\"}\n");
     // Join before asserting: a failed ASSERT must not return past
     // joinable threads (std::terminate would skip TearDown).
     for (auto &t : sweeps)
@@ -647,14 +688,93 @@ TEST_F(ServerTest, StatsAndHealthAnswerUnderConcurrentLoad)
     ASSERT_NE(metrics, nullptr);
     ASSERT_TRUE(metrics->isObject());
     EXPECT_NE(metrics->find("server.conn.accepted"), nullptr);
+}
 
-    ASSERT_EQ(health.size(), 1u);
-    const JsonValue hdoc = parseLine(health[0]);
-    EXPECT_EQ(field(hdoc, "id"), "he");
-    EXPECT_EQ(field(hdoc, "type"), "health");
-    EXPECT_EQ(field(hdoc, "status"), "serving");
-    // The cheap probe must not drag the registry snapshot along.
-    EXPECT_EQ(hdoc.find("metrics"), nullptr);
+TEST_F(ServerTest, StatsAnswersDrainingBeforeAdmittedWorkFinishes)
+{
+    // stats is the drain-time probe. On a connection opened before
+    // SIGTERM it answers "draining" while an admitted request still
+    // runs, ahead of that request's done line; a fresh connection is
+    // refused, because the drain first closes the listening socket.
+    const int fd = tryConnect();
+    ASSERT_NE(fd, -1);
+    // A cold 24-depth grid over a million instructions: about 0.6 s
+    // on four cores, against milliseconds for the probes below.
+    const std::string stats = "{\"id\": \"st\", \"type\": \"stats\"}\n";
+    sendAll(fd, "{\"id\": \"long\", \"type\": \"optimum\", "
+                "\"workload\": \"db1\", \"trace_length\": 1000000}\n" +
+                    stats);
+    // Lines are handled in order: the first answer shows the request
+    // admitted and still running.
+    std::string buf;
+    const JsonValue before = parseLine(readLine(fd, buf));
+    EXPECT_EQ(field(before, "id"), "st");
+    EXPECT_EQ(field(before, "status"), "serving");
+    ASSERT_NE(before.find("in_flight"), nullptr);
+    EXPECT_EQ(before.find("in_flight")->number, 1.0);
+
+    ::kill(daemon_pid_, SIGTERM);
+    bool refused = false;
+    for (int i = 0; i < 1000 && !refused; ++i) {
+        const int probe = tryConnect();
+        refused = probe == -1;
+        if (!refused) {
+            ::close(probe);
+            std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        }
+    }
+    EXPECT_TRUE(refused) << "a fresh connection was accepted while "
+                            "draining";
+
+    sendAll(fd, stats);
+    const JsonValue during = parseLine(readLine(fd, buf));
+    EXPECT_EQ(field(during, "id"), "st")
+        << "the admitted request finished before the probe";
+    EXPECT_EQ(field(during, "type"), "stats");
+    EXPECT_EQ(field(during, "status"), "draining");
+    const JsonValue done = parseLine(readLine(fd, buf));
+    EXPECT_EQ(field(done, "id"), "long");
+    EXPECT_EQ(field(done, "type"), "done");
+    EXPECT_EQ(readLine(fd, buf), "") << "expected EOF after the drain";
+    ::close(fd);
+    EXPECT_EQ(stopDaemon(), 0);
+}
+
+TEST_F(ServerTest, DoneLinePhasesFitItsLatency)
+{
+    // A request's latency runs from the start of its parse: the done
+    // line's phases, parse included, fit inside its elapsed_ms, and
+    // its access-log line records the same phases and total.
+    for (int i = 0; i < 21; ++i) {
+        const std::string id = "p" + std::to_string(i);
+        // One cold sweep, then warm optimum requests of its shape.
+        std::string request = goodRequest(id);
+        if (i > 0)
+            request.replace(request.find("sweep"), 5, "optimum");
+        const auto lines = transact(request);
+        ASSERT_FALSE(lines.empty()) << id;
+        const JsonValue done = parseLine(lines.back());
+        ASSERT_EQ(field(done, "type"), "done") << lines.back();
+        const JsonValue *phases = done.find("phase_us");
+        ASSERT_NE(phases, nullptr) << lines.back();
+        const double total_us = done.find("elapsed_ms")->number * 1e3;
+
+        const auto entries = accessEntriesFor(id);
+        ASSERT_EQ(entries.size(), 1u) << id;
+        double sum = 0.0;
+        for (const char *phase :
+             {"queue", "parse", "batch", "engine", "serialize"}) {
+            const double us = phases->find(phase)->number;
+            EXPECT_GE(us, 0.0) << phase << ": " << lines.back();
+            EXPECT_DOUBLE_EQ(
+                entries[0].find(std::string(phase) + "_us")->number, us)
+                << phase << ": " << lines.back();
+            sum += us;
+        }
+        EXPECT_LE(sum, total_us) << lines.back();
+        EXPECT_DOUBLE_EQ(entries[0].find("total_us")->number, total_us)
+            << lines.back();
+    }
 }
 
 TEST_F(ServerTest, ClientTraceIdEchoedOnEveryLine)
@@ -801,46 +921,6 @@ TEST_F(ServerTest, WarmRequestsLeaveResidentMemoryFlat)
 #endif
     EXPECT_LT(after - before, 256)
         << "VmRSS " << before << " -> " << after << " KiB";
-}
-
-/** Same daemon, but with a 1ms slow-request mirror threshold. */
-class SlowMirrorServerTest : public ServerTest
-{
-  protected:
-    SlowMirrorServerTest() { slow_ms_ = "1"; }
-};
-
-TEST_F(SlowMirrorServerTest, SlowRequestMirroredExactlyOnce)
-{
-    const std::string req =
-        "{\"id\": \"slow1\", \"trace_id\": \"slow-trace-1\", "
-        "\"type\": \"sweep\", \"workload\": \"db1\", "
-        "\"min_depth\": 2, \"max_depth\": 5, "
-        "\"reference_depth\": 3, \"trace_length\": 15000, "
-        "\"warmup\": 1500}\n";
-    expectGoodSweep(transact(req), "slow1");
-    // A cheap probe must never trip the mirror, whatever the
-    // threshold — it is a grid-request feature.
-    transact("{\"id\": \"pr\", \"type\": \"health\"}\n");
-    EXPECT_EQ(stopDaemon(), 0);
-
-    std::FILE *f = std::fopen(daemon_log_path_.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    std::string log;
-    char chunk[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0)
-        log.append(chunk, n);
-    std::fclose(f);
-
-    std::size_t mirrors = 0;
-    for (std::size_t at = log.find("slow request");
-         at != std::string::npos;
-         at = log.find("slow request", at + 1))
-        ++mirrors;
-    EXPECT_EQ(mirrors, 1u) << log;
-    EXPECT_NE(log.find("trace_id=slow-trace-1"), std::string::npos)
-        << log;
 }
 
 /** Same daemon, with a 200ms slow-loris idle timeout armed. */

@@ -3,7 +3,7 @@
  * pipesim_stat — one-shot observability probe for a running pipesimd.
  *
  * Usage:
- *   pipesim_stat --socket PATH [--json] [--health] [--id ID]
+ *   pipesim_stat --socket PATH [--json] [--id ID]
  *
  * Sends one in-band `stats` request (docs/SERVER.md) and renders the
  * snapshot for a human: daemon status, uptime, queue/in-flight depth,
@@ -11,10 +11,11 @@
  * (histograms with their p50/p99 estimates). --json prints the raw
  * response line instead, for scripts and CI.
  *
- * --health sends the cheap `health` probe instead and prints the
- * status. Exit codes are load-balancer-shaped: 0 when the daemon is
- * serving, 1 when it answered but is draining, 2 when it is
- * unreachable or the response is malformed.
+ * Exit codes: 0 when the daemon is serving; 2 when it is unreachable
+ * or the response is malformed, which includes a draining daemon (its
+ * drain first closes and unlinks the listening socket); 1 only when
+ * the drain began after the probe's connection was accepted, so the
+ * answer says "draining".
  */
 
 #include <cstdio>
@@ -37,8 +38,7 @@ void
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s --socket PATH [--json] [--health]\n"
-                 "          [--id ID]\n",
+                 "usage: %s --socket PATH [--json] [--id ID]\n",
                  argv0);
     std::exit(2);
 }
@@ -150,7 +150,6 @@ main(int argc, char **argv)
     std::string socket_path;
     std::string id = "pipesim_stat";
     bool json = false;
-    bool health = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const bool has_value = i + 1 < argc;
@@ -160,8 +159,6 @@ main(int argc, char **argv)
             id = argv[++i];
         else if (arg == "--json")
             json = true;
-        else if (arg == "--health")
-            health = true;
         else
             usage(argv[0]);
     }
@@ -169,8 +166,7 @@ main(int argc, char **argv)
         usage(argv[0]);
 
     const std::string request =
-        "{\"id\": " + jsonQuote(id) + ", \"type\": \"" +
-        (health ? "health" : "stats") + "\"}\n";
+        "{\"id\": " + jsonQuote(id) + ", \"type\": \"stats\"}\n";
     const std::string line = transact(socket_path, request);
     if (line.empty()) {
         std::fprintf(stderr,
@@ -189,10 +185,6 @@ main(int argc, char **argv)
 
     if (json)
         std::printf("%s\n", line.c_str());
-    else if (health)
-        std::printf("status: %s (uptime %.1fs)\n",
-                    stringOf(doc, "status").c_str(),
-                    numberOf(doc, "uptime_s"));
     else
         printStats(doc);
 

@@ -5,8 +5,7 @@
  * Usage:
  *   pipesimd --socket PATH [--threads N] [--no-cache]
  *            [--cache-dir DIR] [--max-queue N] [--max-line-bytes N]
- *            [--idle-timeout-ms N]
- *            [--access-log FILE] [--slow-ms N]
+ *            [--idle-timeout-ms N] [--access-log FILE]
  *            [--failpoint SPEC]
  *
  * --idle-timeout-ms closes connections that sit *mid-line* — bytes
@@ -17,11 +16,10 @@
  *
  * Observability (docs/OBSERVABILITY.md): every admitted request
  * carries a trace id (client-sent or daemon-minted) echoed on all its
- * response lines; `stats` and `health` protocol verbs answer in-band
- * (probe with tools/pipesim_stat.cc); --access-log writes one flushed
- * JSONL line per answered request; --slow-ms mirrors requests at or
- * over the threshold to the daemon log. The access log and `stats`
- * are the daemon's record: it keeps no run manifest.
+ * response lines; the `stats` protocol verb answers in-band (probe
+ * with tools/pipesim_stat.cc); --access-log writes one flushed JSONL
+ * line per answered request. The access log and `stats` are the
+ * daemon's record: it keeps no run manifest.
  *
  * Listens on an AF_UNIX stream socket for newline-delimited JSON
  * sweep and optimum-depth queries (protocol: docs/SERVER.md; load
@@ -80,8 +78,7 @@ usage(const char *argv0)
         "usage: %s --socket PATH [--threads N] [--no-cache]\n"
         "          [--cache-dir DIR] [--max-queue N]\n"
         "          [--max-line-bytes N] [--idle-timeout-ms N]\n"
-        "          [--access-log FILE] [--slow-ms N]\n"
-        "          [--failpoint SPEC]\n",
+        "          [--access-log FILE] [--failpoint SPEC]\n",
         argv0);
     std::exit(2);
 }
@@ -136,9 +133,6 @@ main(int argc, char **argv)
                 std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (arg == "--access-log" && has_value) {
             opt.access_log = args[++i];
-        } else if (arg == "--slow-ms" && has_value) {
-            opt.slow_ms =
-                std::strtoull(args[++i].c_str(), nullptr, 10);
         } else if (arg == "--failpoint" && has_value) {
             failpoint_spec = args[++i];
         } else {
